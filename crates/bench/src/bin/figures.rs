@@ -8,14 +8,11 @@
 //! ```
 //!
 //! `--jobs N` sizes the sweep worker pool (default: `MDWORM_JOBS`, else
-//! available parallelism). `--shards N` runs every experiment on the
-//! compiled sharded engine (default: `MDWORM_SHARDS`, else the config's
-//! `engine.shards`; 1 = sequential oracle) — outputs must be byte-
-//! identical at any shard count, which CI checks by diffing `--shards 1`
-//! against `--shards 2`. `--bench` runs the selected suite twice —
+//! available parallelism). `--bench` runs the selected suite twice —
 //! serial then parallel — verifies the outputs are byte-identical, times
-//! the raw engine and the sharded-vs-sequential scale sweep, and writes
-//! `BENCH_sweep.json` next to the tables.
+//! the raw engine and the reference-vs-scheduled engine grid, and writes
+//! `BENCH_sweep.json` next to the tables. Bad arguments print the usage
+//! and exit with status 2; `--help` prints it and exits 0.
 
 use mdw_bench::perf::bench_sweep;
 use mdw_bench::suite::{run_suite, Table};
@@ -28,72 +25,70 @@ use std::process::ExitCode;
 /// Engine-microbench length for `--bench` (cycles).
 const ENGINE_BENCH_CYCLES: u64 = 200_000;
 
+const USAGE: &str = "usage: figures [--exp all|e1..e19] [--scale full|quick] \
+                     [--out DIR] [--jobs N] [--bench]";
+
 struct Args {
     exp: String,
     scale: Scale,
     out: PathBuf,
     jobs: Option<usize>,
-    shards: Option<usize>,
     bench: bool,
 }
 
-fn parse_args() -> Args {
-    let mut exp = "all".to_string();
-    let mut scale = Scale::Full;
-    let mut out = PathBuf::from("results");
-    let mut jobs = None;
-    let mut shards = None;
-    let mut bench = false;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+/// `all` or one experiment id the suite renders (`e1` … `e19`).
+fn known_exp(v: &str) -> bool {
+    v == "all"
+        || v.strip_prefix('e')
+            .and_then(|n| n.parse::<u32>().ok())
+            .is_some_and(|n| (1..=19).contains(&n) && v == format!("e{n}"))
+}
+
+/// Parses the command line; `Ok(None)` means `--help` was asked for.
+fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
+    let mut args = Args {
+        exp: "all".to_string(),
+        scale: Scale::Full,
+        out: PathBuf::from("results"),
+        jobs: None,
+        bench: false,
+    };
     let mut i = 0;
     while i < argv.len() {
-        match argv[i].as_str() {
+        let flag = argv[i].as_str();
+        let mut value = || {
+            i += 1;
+            argv.get(i)
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag {
             "--exp" => {
-                exp = argv.get(i + 1).expect("--exp needs a value").clone();
-                i += 2;
+                let v = value()?;
+                if !known_exp(&v) {
+                    return Err(format!("unknown experiment `{v}`"));
+                }
+                args.exp = v;
             }
             "--scale" => {
-                let v = argv.get(i + 1).expect("--scale needs a value");
-                scale = Scale::parse(v).unwrap_or_else(|| panic!("unknown scale {v}"));
-                i += 2;
+                let v = value()?;
+                args.scale = Scale::parse(&v).ok_or_else(|| format!("unknown scale `{v}`"))?;
             }
-            "--out" => {
-                out = PathBuf::from(argv.get(i + 1).expect("--out needs a value"));
-                i += 2;
-            }
+            "--out" => args.out = PathBuf::from(value()?),
             "--jobs" => {
-                let v = argv.get(i + 1).expect("--jobs needs a value");
-                let n: usize = v.parse().unwrap_or_else(|_| panic!("bad --jobs value {v}"));
-                assert!(n > 0, "--jobs must be at least 1");
-                jobs = Some(n);
-                i += 2;
+                let v = value()?;
+                match v.parse::<usize>() {
+                    Ok(n) if n > 0 => args.jobs = Some(n),
+                    _ => return Err(format!("bad --jobs value `{v}` (at least 1)")),
+                }
             }
-            "--shards" => {
-                let v = argv.get(i + 1).expect("--shards needs a value");
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| panic!("bad --shards value {v}"));
-                assert!(n > 0, "--shards must be at least 1 (1 = sequential oracle)");
-                shards = Some(n);
-                i += 2;
-            }
-            "--bench" => {
-                bench = true;
-                i += 1;
-            }
-            other => {
-                panic!("unknown argument {other} (use --exp/--scale/--out/--jobs/--shards/--bench)")
-            }
+            "--bench" => args.bench = true,
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown argument `{other}`")),
         }
+        i += 1;
     }
-    Args {
-        exp,
-        scale,
-        out,
-        jobs,
-        shards,
-        bench,
-    }
+    Ok(Some(args))
 }
 
 fn emit(out: &PathBuf, tables: &[Table]) {
@@ -132,13 +127,21 @@ fn prelint(base: &mdworm::SystemConfig) -> Result<(), ()> {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("figures: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let base = base_system();
     if let Some(n) = args.jobs {
         sweep::set_jobs(n);
-    }
-    if let Some(n) = args.shards {
-        mdworm::sim::set_engine_shards(n);
     }
     if prelint(&base).is_err() {
         return ExitCode::FAILURE;

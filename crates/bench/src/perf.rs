@@ -1,7 +1,8 @@
 //! Perf measurement: times the sweep suite serial vs parallel, the raw
-//! engine cycle rate, and the compiled sharded engine against the
-//! sequential oracle, and serializes the result as `BENCH_sweep.json` —
-//! the repo's recorded performance trajectory.
+//! engine cycle rate, and the quiescence-scheduled engine loop against the
+//! reference loop over a fabric-size × load grid, and serializes the
+//! result as `BENCH_sweep.json` — the repo's recorded performance
+//! trajectory.
 
 use crate::suite::{run_suite, Table};
 use crate::Scale;
@@ -56,16 +57,9 @@ pub struct BenchReport {
     pub crash_recovery_p50_ns: u64,
     /// p99 restart→caught-up recovery latency, nanoseconds.
     pub crash_recovery_p99_ns: u64,
-    /// Shard count of the headline sharded measurement.
-    pub engine_shards: usize,
-    /// Sequential-oracle cycles/sec on the scale fabric (light load) —
-    /// the baseline the compiled engine is judged against, side-by-side.
-    pub sequential_cycles_per_sec: f64,
-    /// Compiled-engine cycles/sec on the same fabric and workload at
-    /// [`BenchReport::engine_shards`] shards.
-    pub sharded_cycles_per_sec: f64,
-    /// Full cycles/sec-vs-shard-count sweep over several fabric sizes.
-    pub bench_scale: Vec<ScaleFabric>,
+    /// Reference vs scheduled engine loop over the fabric-size × load
+    /// grid ([`bench_scale`]).
+    pub bench_scale: Vec<ScaleCell>,
     /// Reduced-vs-unreduced model-check state counts and wall time at
     /// the 8/16-switch scale tiers (DESIGN.md §14).
     pub bench_model_check: Vec<ModelCheckBench>,
@@ -145,61 +139,49 @@ pub struct ModelCheckBench {
     pub compositional_secs: f64,
 }
 
-/// Cycle rate of one fabric size at one shard count.
+/// One cell of the engine grid: the reference loop (every component
+/// ticks every cycle) and the quiescence-scheduled loop, timed on the same
+/// fabric and workload.
 #[derive(Debug, Clone)]
-pub struct ScalePoint {
-    /// Shard count the compiled schedule was cut into.
-    pub shards: usize,
-    /// Simulated cycles per wall-clock second.
-    pub cycles_per_sec: f64,
-    /// Component ticks actually executed.
-    pub ticks_run: u64,
-    /// Component ticks skipped as provably idle.
-    pub ticks_skipped: u64,
-}
-
-/// One fabric's cycles/sec-vs-shards sweep, with the sequential oracle as
-/// the shared baseline.
-#[derive(Debug, Clone)]
-pub struct ScaleFabric {
+pub struct ScaleCell {
     /// Host count of the fabric.
     pub hosts: usize,
     /// Switch count of the fabric.
     pub switches: usize,
+    /// Offered load of the multiple-multicast workload.
+    pub load: f64,
     /// Cycles each measurement simulated.
     pub cycles: u64,
-    /// Sequential (uncompiled) cycles/sec on this fabric.
-    pub sequential_cycles_per_sec: f64,
-    /// Compiled-engine rates at each shard count.
-    pub points: Vec<ScalePoint>,
+    /// Reference-loop cycles/sec.
+    pub reference_cycles_per_sec: f64,
+    /// Scheduled-loop cycles/sec.
+    pub scheduled_cycles_per_sec: f64,
+    /// Host ticks the scheduled loop skipped (of `hosts × cycles`).
+    pub host_ticks_skipped: u64,
+    /// Switch ticks the scheduled loop skipped (of `switches × cycles`).
+    pub switch_ticks_skipped: u64,
 }
 
 impl BenchReport {
     /// Serializes the report as pretty-printed JSON (hand-rolled; the
     /// workspace carries no serde dependency).
     pub fn json(&self) -> String {
-        let mut fabrics = String::new();
-        for (i, f) in self.bench_scale.iter().enumerate() {
-            let mut points = String::new();
-            for (j, p) in f.points.iter().enumerate() {
-                points.push_str(&format!(
-                    "        {{\"shards\": {}, \"cycles_per_sec\": {:.0}, \
-                     \"ticks_run\": {}, \"ticks_skipped\": {}}}{}\n",
-                    p.shards,
-                    p.cycles_per_sec,
-                    p.ticks_run,
-                    p.ticks_skipped,
-                    if j + 1 < f.points.len() { "," } else { "" },
-                ));
-            }
-            fabrics.push_str(&format!(
-                "    {{\n      \"hosts\": {},\n      \"switches\": {},\n      \
-                 \"cycles\": {},\n      \"sequential_cycles_per_sec\": {:.0},\n      \
-                 \"points\": [\n{points}      ]\n    }}{}\n",
-                f.hosts,
-                f.switches,
-                f.cycles,
-                f.sequential_cycles_per_sec,
+        let mut cells = String::new();
+        for (i, c) in self.bench_scale.iter().enumerate() {
+            cells.push_str(&format!(
+                "    {{\"hosts\": {}, \"switches\": {}, \"load\": {}, \"cycles\": {}, \
+                 \"reference_cycles_per_sec\": {:.0}, \"scheduled_cycles_per_sec\": {:.0}, \
+                 \"speedup\": {:.2}, \"host_ticks_skipped\": {}, \
+                 \"switch_ticks_skipped\": {}}}{}\n",
+                c.hosts,
+                c.switches,
+                c.load,
+                c.cycles,
+                c.reference_cycles_per_sec,
+                c.scheduled_cycles_per_sec,
+                c.scheduled_cycles_per_sec / c.reference_cycles_per_sec.max(1e-9),
+                c.host_ticks_skipped,
+                c.switch_ticks_skipped,
                 if i + 1 < self.bench_scale.len() {
                     ","
                 } else {
@@ -272,9 +254,7 @@ impl BenchReport {
              \"storm_vet_p99_ns\": {},\n  \
              \"crash_boundaries\": {},\n  \"crash_recoveries\": {},\n  \
              \"crash_recovery_p50_ns\": {},\n  \"crash_recovery_p99_ns\": {},\n  \
-             \"engine_shards\": {},\n  \"sequential_cycles_per_sec\": {:.0},\n  \
-             \"sharded_cycles_per_sec\": {:.0},\n  \
-             \"bench_scale\": [\n{fabrics}  ],\n  \
+             \"bench_scale\": [\n{cells}  ],\n  \
              \"bench_model_check\": [\n{model_rows}  ],\n  \
              \"bench_certify\": [\n{certify_rows}  ]\n}}\n",
             self.scale,
@@ -298,9 +278,6 @@ impl BenchReport {
             self.crash_recoveries,
             self.crash_recovery_p50_ns,
             self.crash_recovery_p99_ns,
-            self.engine_shards,
-            self.sequential_cycles_per_sec,
-            self.sharded_cycles_per_sec,
         )
     }
 }
@@ -391,75 +368,74 @@ pub fn engine_secs(cycles: u64) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-/// Times one fabric for `cycles` cycles of the scale workload at a given
-/// shard count (`0` = the sequential, uncompiled oracle). Returns elapsed
-/// seconds plus the compiled engine's `(ticks_run, ticks_skipped)`.
-fn scale_run(cfg: &SystemConfig, cycles: u64, shards: usize) -> (f64, u64, u64) {
-    // Light load: the regime the compiled schedule is built for — most
-    // switches are provably idle most cycles, so the quiescence skipping
-    // that makes the sharded engine fast actually has idleness to harvest.
-    let spec = TrafficSpec::multiple_multicast(0.02, 4, 16);
-    let sources = make_sources(&spec, cfg.n_hosts(), cfg.seed, None);
-    let mut sys = build_system(cfg.clone(), sources, None);
-    if shards > 0 {
-        sys.engine.set_shards(shards);
-    }
+/// Times one fabric for `cycles` cycles of the grid workload on the
+/// reference or the scheduled loop. Returns elapsed seconds, the ticks
+/// skipped by hosts and by switches (zero on the reference loop), and the
+/// switch count.
+fn scale_run(
+    cfg: &SystemConfig,
+    load: f64,
+    cycles: u64,
+    reference: bool,
+) -> (f64, u64, u64, usize) {
+    let build = || {
+        let spec = TrafficSpec::multiple_multicast(load, 16, 64);
+        let sources = make_sources(&spec, cfg.n_hosts(), cfg.seed, None);
+        build_system(cfg.clone(), sources, None)
+    };
+    let mut sys = if reference {
+        netsim::engine::reference_loop(build)
+    } else {
+        build()
+    };
     let t = Instant::now();
     sys.engine.run_for(cycles);
     let secs = t.elapsed().as_secs_f64();
-    let (run, skipped) = sys
-        .engine
-        .sharding_stats()
-        .map_or((0, 0), |s| (s.ticks_run, s.ticks_skipped));
-    (secs, run, skipped)
+    // `build_system` registers the switches first, then the hosts.
+    let n_sw = sys.topology.n_switches();
+    let skipped = |range: std::ops::Range<usize>| -> u64 {
+        range
+            .map(|c| sys.engine.component_tick_stats(c).ticks_skipped)
+            .sum()
+    };
+    let switch_skipped = skipped(0..n_sw);
+    let host_skipped = skipped(n_sw..sys.engine.n_components());
+    (secs, host_skipped, switch_skipped, n_sw)
 }
 
-/// Sweeps cycles/sec against shard count on several fabric sizes, with
-/// the sequential oracle measured side-by-side on each fabric. The
-/// per-fabric baseline and the shard points run the identical workload,
-/// so the ratio is purely the engine's scheduling overhead vs the ticks
-/// it avoids.
-pub fn bench_scale(cycles: u64) -> Vec<ScaleFabric> {
+/// Times the reference loop against the scheduled loop on the grid
+/// {64, 256} hosts × loads {0.02, 0.1, 0.3} of the multiple-multicast
+/// workload (degree 16, 64 flits). Both loops run the identical
+/// workload, so the ratio is purely the ticks the schedule avoids against
+/// its bookkeeping.
+pub fn bench_scale(cycles: u64) -> Vec<ScaleCell> {
     let fabrics = [
-        TopologyKind::KaryTree { k: 2, n: 4 }, // 16 hosts
         TopologyKind::KaryTree { k: 4, n: 3 }, // 64 hosts, the default
+        TopologyKind::KaryTree { k: 4, n: 4 }, // 256 hosts
     ];
-    fabrics
-        .iter()
-        .map(|&topology| {
-            let cfg = SystemConfig {
-                topology,
-                ..SystemConfig::default()
-            };
-            let switches = {
-                let spec = TrafficSpec::multiple_multicast(0.02, 4, 16);
-                let sources = make_sources(&spec, cfg.n_hosts(), cfg.seed, None);
-                build_system(cfg.clone(), sources, None)
-                    .topology
-                    .n_switches()
-            };
-            let (seq_secs, _, _) = scale_run(&cfg, cycles, 0);
-            let points = [1usize, 2, 4]
-                .iter()
-                .map(|&shards| {
-                    let (secs, run, skipped) = scale_run(&cfg, cycles, shards);
-                    ScalePoint {
-                        shards,
-                        cycles_per_sec: cycles as f64 / secs.max(1e-9),
-                        ticks_run: run,
-                        ticks_skipped: skipped,
-                    }
-                })
-                .collect();
-            ScaleFabric {
+    let mut cells = Vec::new();
+    for topology in fabrics {
+        let cfg = SystemConfig {
+            topology,
+            ..SystemConfig::default()
+        };
+        for load in [0.02, 0.1, 0.3] {
+            let (ref_secs, ..) = scale_run(&cfg, load, cycles, true);
+            let (secs, host_ticks_skipped, switch_ticks_skipped, switches) =
+                scale_run(&cfg, load, cycles, false);
+            cells.push(ScaleCell {
                 hosts: cfg.n_hosts(),
                 switches,
+                load,
                 cycles,
-                sequential_cycles_per_sec: cycles as f64 / seq_secs.max(1e-9),
-                points,
-            }
-        })
-        .collect()
+                reference_cycles_per_sec: cycles as f64 / ref_secs.max(1e-9),
+                scheduled_cycles_per_sec: cycles as f64 / secs.max(1e-9),
+                host_ticks_skipped,
+                switch_ticks_skipped,
+            });
+        }
+    }
+    cells
 }
 
 /// Measures the model checker's reductions at the 8/16-switch scale
@@ -634,18 +610,7 @@ pub fn bench_sweep(
     let eng_secs = engine_secs(engine_cycles);
     let (storm_episodes, storm_p50, storm_p99, vet_p50, vet_p99) = storm_latency();
     let (crash_boundaries, crash_recoveries, crash_p50, crash_p99) = crash_recovery_latency();
-    let scale_fabrics = bench_scale(engine_cycles / 10);
-    // Headline: the 2-shard compiled engine vs the sequential oracle on
-    // the largest fabric swept.
-    let headline = scale_fabrics.last().expect("bench_scale is non-empty");
-    let engine_shards = 2;
-    let sequential_cycles_per_sec = headline.sequential_cycles_per_sec;
-    let sharded_cycles_per_sec = headline
-        .points
-        .iter()
-        .find(|p| p.shards == engine_shards)
-        .expect("2-shard point present")
-        .cycles_per_sec;
+    let scale_cells = bench_scale(engine_cycles / 10);
     let report = BenchReport {
         scale: format!("{scale:?}").to_lowercase(),
         exp: exp.to_string(),
@@ -668,10 +633,7 @@ pub fn bench_sweep(
         crash_recoveries,
         crash_recovery_p50_ns: crash_p50,
         crash_recovery_p99_ns: crash_p99,
-        engine_shards,
-        sequential_cycles_per_sec,
-        sharded_cycles_per_sec,
-        bench_scale: scale_fabrics,
+        bench_scale: scale_cells,
         bench_model_check: bench_model_check(),
         bench_certify: bench_certify(),
     };
@@ -706,28 +668,15 @@ mod tests {
             crash_recoveries: 80,
             crash_recovery_p50_ns: 12_000,
             crash_recovery_p99_ns: 48_000,
-            engine_shards: 2,
-            sequential_cycles_per_sec: 50_000.0,
-            sharded_cycles_per_sec: 90_000.0,
-            bench_scale: vec![ScaleFabric {
-                hosts: 16,
-                switches: 8,
+            bench_scale: vec![ScaleCell {
+                hosts: 64,
+                switches: 48,
+                load: 0.02,
                 cycles: 20_000,
-                sequential_cycles_per_sec: 50_000.0,
-                points: vec![
-                    ScalePoint {
-                        shards: 1,
-                        cycles_per_sec: 88_000.0,
-                        ticks_run: 1_000,
-                        ticks_skipped: 9_000,
-                    },
-                    ScalePoint {
-                        shards: 2,
-                        cycles_per_sec: 90_000.0,
-                        ticks_run: 1_000,
-                        ticks_skipped: 9_000,
-                    },
-                ],
+                reference_cycles_per_sec: 50_000.0,
+                scheduled_cycles_per_sec: 90_000.0,
+                host_ticks_skipped: 1_000,
+                switch_ticks_skipped: 9_000,
             }],
             bench_model_check: vec![ModelCheckBench {
                 switches: 16,
@@ -763,11 +712,10 @@ mod tests {
         assert!(j.contains("\"storm_p99_cycles\": 257"));
         assert!(j.contains("\"crash_recovery_p99_ns\": 48000"));
         assert!(j.contains("\"crash_boundaries\": 40"));
-        assert!(j.contains("\"engine_shards\": 2"));
-        assert!(j.contains("\"sharded_cycles_per_sec\": 90000"));
         assert!(j.contains("\"bench_scale\": ["));
-        assert!(j.contains("{\"shards\": 2, \"cycles_per_sec\": 90000"));
-        assert!(j.contains("\"ticks_skipped\": 9000}"));
+        assert!(j.contains("{\"hosts\": 64, \"switches\": 48, \"load\": 0.02"));
+        assert!(j.contains("\"scheduled_cycles_per_sec\": 90000, \"speedup\": 1.80"));
+        assert!(j.contains("\"switch_ticks_skipped\": 9000}"));
         assert!(j.contains("\"bench_model_check\": ["));
         assert!(j.contains("\"switches\": 16, \"unreduced_states\": 50000"));
         assert!(j.contains("\"unreduced_completed\": false"));
@@ -825,23 +773,23 @@ mod tests {
         assert!(engine_secs(200) > 0.0);
     }
 
-    /// The scale sweep runs, skips real work on every fabric, and its
-    /// compiled points simulated exactly `cycles` cycles' worth of ticks.
+    /// The grid covers both fabrics at all three loads, and the
+    /// scheduled loop skips host and switch ticks in every cell.
     #[test]
-    fn bench_scale_skips_ticks_on_every_fabric() {
-        let fabrics = bench_scale(400);
-        assert_eq!(fabrics.len(), 2);
-        for f in &fabrics {
-            assert!(f.switches > 1, "scale fabric must be multi-switch");
-            assert!(f.sequential_cycles_per_sec > 0.0);
-            assert_eq!(f.points.len(), 3);
-            for p in &f.points {
-                assert!(p.cycles_per_sec > 0.0);
-                assert!(p.ticks_skipped > 0, "{}h/{} shards", f.hosts, p.shards);
-                let comps = (f.hosts + f.switches) as u64;
-                assert_eq!(p.ticks_run + p.ticks_skipped, comps * f.cycles);
-            }
+    fn bench_scale_skips_host_and_switch_ticks_in_every_cell() {
+        let cells = bench_scale(400);
+        assert_eq!(cells.len(), 6);
+        for c in &cells {
+            assert!(c.reference_cycles_per_sec > 0.0 && c.scheduled_cycles_per_sec > 0.0);
+            assert!(c.host_ticks_skipped > 0, "{c:?}");
+            assert!(c.switch_ticks_skipped > 0, "{c:?}");
+            assert!(c.host_ticks_skipped < c.hosts as u64 * c.cycles, "{c:?}");
+            assert!(
+                c.switch_ticks_skipped < c.switches as u64 * c.cycles,
+                "{c:?}"
+            );
         }
+        assert_eq!((cells[0].hosts, cells[5].hosts), (64, 256));
     }
 
     #[test]

@@ -164,6 +164,9 @@ pub struct Host {
     /// Whether any flit of the worm currently draining from the ejection
     /// port carried a corruption mark (worms arrive contiguously).
     worm_corrupt: bool,
+    /// A worm is mid-way through the ejection port: its next flit arrives
+    /// next cycle, so sleeping would only churn the wake heap.
+    rx_mid_worm: bool,
     outstanding: HashMap<MessageId, OutstandingSend>,
     /// Fault-response mode (injection gate + degradation planner); `None`
     /// keeps the fault-oblivious fast path.
@@ -196,6 +199,7 @@ impl Host {
             tx: None,
             rx: HashMap::new(),
             worm_corrupt: false,
+            rx_mid_worm: false,
             outstanding: HashMap::new(),
             mode: None,
         }
@@ -672,6 +676,7 @@ impl Component for Host {
                 self.worm_corrupt = false;
             }
             self.worm_corrupt |= flit.corrupted();
+            self.rx_mid_worm = !flit.is_tail();
             if flit.is_tail() {
                 let pkt = flit.packet().clone();
                 if self.cfg.recovery.is_some() && !pkt.checksum_ok(self.worm_corrupt) {
@@ -741,6 +746,23 @@ impl Component for Host {
                 }
             }
         }
+    }
+
+    /// An idle host — nothing to inject, no worm mid-way through its
+    /// ejection port — sleeps until its source may fire next or, with
+    /// messages awaiting ACKs, until the next retransmission scan.
+    /// Arriving flits wake it through the engine. Nothing else in a tick
+    /// depends on the cycle, so the skipped ticks were no-ops.
+    fn sleep_until(&mut self, now: Cycle) -> Option<Cycle> {
+        if self.tx.is_some() || !self.nic.is_empty() || !self.pending.is_empty() || self.rx_mid_worm
+        {
+            return None;
+        }
+        let mut wake = self.source.next_fire(now);
+        if self.cfg.recovery.is_some() && !self.outstanding.is_empty() {
+            wake = wake.min((now / RETRY_SCAN_INTERVAL + 1) * RETRY_SCAN_INTERVAL);
+        }
+        (wake > now + 1).then_some(wake)
     }
 }
 

@@ -17,6 +17,19 @@ pub struct MessageSpec {
 pub trait TrafficSource {
     /// Returns the next message to send this cycle, if any.
     fn poll(&mut self, now: Cycle) -> Option<MessageSpec>;
+
+    /// The earliest cycle after `now` at which [`TrafficSource::poll`] may
+    /// return a message; polls at the cycles in between would all return
+    /// `None` and may be skipped, so an idle host can sleep until then.
+    /// `Cycle::MAX` means never. Callers skip only cycles before the
+    /// returned one, and may still poll any of them.
+    ///
+    /// The default, `now + 1`, never lets the host sleep: right for
+    /// closed-loop sources whose next message depends on deliveries, and
+    /// for wrappers that must see every poll.
+    fn next_fire(&mut self, now: Cycle) -> Cycle {
+        now + 1
+    }
 }
 
 /// A source that never generates traffic (receivers-only hosts).

@@ -104,9 +104,6 @@ pub fn parse_config(text: &str) -> Result<SystemConfig, String> {
             "bits_per_flit" => cfg.bits_per_flit = parse_usize(key)?,
             "barrier_combining" => cfg.barrier_combining = value.parse().map_err(|_| bad(key))?,
             "seed" => cfg.seed = parse_u64(key)?,
-            // Compiled sharded engine (DESIGN.md §13); both spellings
-            // accepted, `MDWORM_SHARDS` overrides at run time.
-            "engine.shards" | "engine_shards" => cfg.engine_shards = parse_usize(key)?,
             // Model-check decomposition of the deep reroute vet
             // (DESIGN.md §14); both spellings accepted.
             "model.mode" | "model_mode" => {
@@ -458,41 +455,6 @@ mod tests {
             "{:?}",
             report.diagnostics
         );
-    }
-
-    #[test]
-    fn engine_shards_key_parses_and_lints() {
-        // Both spellings land in the same field.
-        let cfg = parse_config("engine.shards = 4").expect("parses");
-        assert_eq!(cfg.engine_shards, 4);
-        let cfg = parse_config("engine_shards = 2").expect("parses");
-        assert_eq!(cfg.engine_shards, 2);
-        assert!(!cfg.report().has_errors(), "{:?}", cfg.report().diagnostics);
-
-        // Shard count 0 is rejected (1 is the sequential oracle).
-        let cfg = parse_config("engine.shards = 0").expect("parses");
-        assert!(
-            cfg.report()
-                .diagnostics
-                .iter()
-                .any(|d| d.code == "engine-shards-zero"),
-            "{:?}",
-            cfg.report().diagnostics
-        );
-
-        // More shards than the fabric has switches is rejected too
-        // (the default 64-host MIN has 48 switches).
-        let cfg = parse_config("engine.shards = 999").expect("parses");
-        assert!(
-            cfg.report()
-                .diagnostics
-                .iter()
-                .any(|d| d.code == "engine-shards-exceed-switches"),
-            "{:?}",
-            cfg.report().diagnostics
-        );
-        let err = parse_config("engine.shards = many").unwrap_err();
-        assert!(err.contains("engine.shards"), "{err}");
     }
 
     #[test]

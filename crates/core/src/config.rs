@@ -212,12 +212,6 @@ pub struct SystemConfig {
     /// exact joint exploration, per-switch compositional checking, or
     /// size-driven automatic selection. See DESIGN.md §14.
     pub model_mode: ModelMode,
-    /// Shard count for the compiled engine schedule (config key
-    /// `engine.shards`, overridable via `MDWORM_SHARDS`). 1 keeps the
-    /// plain sequential loop — the oracle; ≥ 2 compiles the fabric into
-    /// that many shards (bit-identical results, see DESIGN.md §13). Must
-    /// be ≥ 1 and at most the topology's switch count.
-    pub engine_shards: usize,
     /// Enables the engine's per-cycle torn-install audit (config key
     /// `epoch.audit`): every cycle, committed table epochs must agree
     /// across all switches unless the laggards hold an armed commit at
@@ -252,7 +246,6 @@ impl Default for SystemConfig {
             response: None,
             routed: None,
             model_mode: ModelMode::Auto,
-            engine_shards: 1,
             epoch_audit: false,
             certify: CertifyConfig::default(),
         }
@@ -434,13 +427,6 @@ impl SystemConfig {
             }
         }
 
-        if self.engine_shards < 1 {
-            report.error(
-                "engine-shards-zero",
-                "engine.shards must be at least 1 (1 = sequential oracle)",
-            );
-        }
-
         if self.certify.cdg_budget < 1 {
             report.error(
                 "certify-budget-zero",
@@ -451,18 +437,6 @@ impl SystemConfig {
 
         if !report.has_errors() {
             let (topology, tree) = crate::build::build_topology(self.topology);
-            if self.engine_shards > topology.n_switches() {
-                report.error(
-                    "engine-shards-exceed-switches",
-                    format!(
-                        "engine.shards ({}) exceeds the topology's switch count \
-                         ({}) — shards beyond that hold no switch and only add \
-                         barrier overhead",
-                        self.engine_shards,
-                        topology.n_switches()
-                    ),
-                );
-            }
             let tables = RouteTables::build(&topology);
             if self.certify.enabled {
                 let completed = analyze_fabric_budgeted(

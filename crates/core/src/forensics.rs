@@ -76,9 +76,9 @@ pub fn capture_deadlock_report(sys: &mut System, last_progress: Cycle) -> Deadlo
     for st in &sys.switch_stats {
         st.borrow_mut().forensics_requested = true;
     }
-    // The request flag is out-of-band state the compiled engine's wake
-    // protocol cannot see — wake sleeping switches so every one deposits
-    // a snapshot during the extra cycle (no-op on the sequential path).
+    // The request flag is out-of-band state the engine's wake protocol
+    // cannot see — wake sleeping switches so every one deposits a
+    // snapshot during the extra cycle.
     sys.engine.wake_all();
     sys.engine.run_for(1);
 

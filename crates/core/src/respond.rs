@@ -1158,9 +1158,8 @@ impl FaultResponder {
         for ctl in &sys.switch_ctls {
             ctl.begin_purge();
         }
-        // Control-plane flips are invisible to the compiled engine's wake
-        // protocol: sleeping switches must be woken to see the purge flag
-        // (no-op on the sequential path).
+        // Control-plane flips are invisible to the engine's wake
+        // protocol: sleeping switches must be woken to see the purge flag.
         sys.engine.wake_all();
         if ep.stage.rank() < Stage::Purging.rank() {
             self.journal.append(&JournalRecord::PurgeStarted {

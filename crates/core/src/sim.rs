@@ -9,43 +9,6 @@ use crate::workload::{make_sources, TrafficSpec};
 use collectives::{DegradeCounters, RecoveryCounters};
 use netsim::stats::Summary;
 use netsim::{Cycle, FaultCounters, FaultPlan};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Process-wide engine-shard override; 0 means "not set".
-static SHARDS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the compiled-engine shard count for all subsequent
-/// [`run_experiment`] calls (0 clears the override, falling back to
-/// `MDWORM_SHARDS` / the config's `engine.shards`). Mirrors
-/// [`crate::sweep::set_jobs`] for e.g. the `figures --shards N` flag.
-pub fn set_engine_shards(n: usize) {
-    SHARDS_OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// The shard count a [`run_experiment`] call uses: [`set_engine_shards`]
-/// override, else the `MDWORM_SHARDS` environment variable, else the
-/// config's `engine.shards` key. 1 means the plain sequential loop.
-pub fn engine_shards(config: &SystemConfig) -> usize {
-    resolve_shards(
-        SHARDS_OVERRIDE.load(Ordering::Relaxed),
-        std::env::var("MDWORM_SHARDS").ok().as_deref(),
-        config.engine_shards,
-    )
-}
-
-/// Pure resolution logic behind [`engine_shards`], separated for
-/// testability.
-fn resolve_shards(override_n: usize, env: Option<&str>, config_n: usize) -> usize {
-    if override_n > 0 {
-        return override_n;
-    }
-    if let Some(n) = env.and_then(|v| v.trim().parse::<usize>().ok()) {
-        if n > 0 {
-            return n;
-        }
-    }
-    config_n.max(1)
-}
 
 /// Run-length parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,12 +154,6 @@ pub fn run_experiment(config: &SystemConfig, spec: &TrafficSpec, run: &RunConfig
     let stop_at = run.warmup + run.measure;
     let sources = make_sources(spec, n, config.seed, Some(stop_at));
     let mut sys = build_system(config.clone(), sources, None);
-    // Engine selection: ≥ 2 shards compiles the cycle loop (bit-identical
-    // results, see DESIGN.md §13); 1 keeps the sequential oracle.
-    let shards = engine_shards(config);
-    if shards > 1 {
-        sys.engine.set_shards(shards);
-    }
     #[cfg(feature = "invariant-audit")]
     for trace in &sys.sem_traces {
         trace.borrow_mut().set_enabled(true);
@@ -274,8 +231,7 @@ pub fn run_experiment(config: &SystemConfig, spec: &TrafficSpec, run: &RunConfig
     }
 
     let deadlock = deadlocked.then(|| capture_deadlock_report(&mut sys, last_progress));
-    // Catch sleeping switches' per-cycle gauges up before stats are read
-    // (no-op on the sequential path).
+    // Catch sleeping switches' per-cycle gauges up before stats are read.
     sys.engine.flush();
     let utilization = sys.link_utilization();
     let recovery = sys.shared.recovery.borrow().counters;
@@ -495,16 +451,6 @@ mod tests {
                 .iter()
                 .any(|e| e.from_link == pair[0] && e.to_link == pair[1]));
         }
-    }
-
-    #[test]
-    fn shards_resolution_precedence() {
-        assert_eq!(resolve_shards(3, Some("7"), 1), 3, "override wins");
-        assert_eq!(resolve_shards(0, Some("7"), 1), 7, "env var next");
-        assert_eq!(resolve_shards(0, Some(" 5 "), 1), 5, "env var is trimmed");
-        assert_eq!(resolve_shards(0, Some("garbage"), 2), 2, "bad env ignored");
-        assert_eq!(resolve_shards(0, None, 4), 4, "config key last");
-        assert_eq!(resolve_shards(0, None, 0), 1, "floor at 1");
     }
 
     #[test]

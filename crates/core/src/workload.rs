@@ -176,6 +176,10 @@ impl TrafficSpec {
     }
 }
 
+/// Most cycles one [`TrafficSource::next_fire`] call draws ahead, so a
+/// near-silent source with no `stop_at` cannot draw far past the run.
+const LOOKAHEAD: Cycle = 4096;
+
 /// A per-host Bernoulli message generator implementing the traffic mix.
 #[derive(Debug)]
 pub struct RandomTraffic {
@@ -185,6 +189,11 @@ pub struct RandomTraffic {
     n_hosts: usize,
     stop_at: Option<Cycle>,
     generated: u64,
+    /// Cycles before this one had their Bernoulli draw taken ahead of
+    /// time by [`TrafficSource::next_fire`].
+    drawn_to: Cycle,
+    /// The drawn-ahead cycle whose draw succeeded, awaiting its poll.
+    hit: Option<Cycle>,
 }
 
 impl RandomTraffic {
@@ -214,6 +223,8 @@ impl RandomTraffic {
             n_hosts,
             stop_at,
             generated: 0,
+            drawn_to: 0,
+            hit: None,
         }
     }
 
@@ -228,7 +239,17 @@ impl TrafficSource for RandomTraffic {
         if self.stop_at.is_some_and(|t| now >= t) {
             return None;
         }
-        if !self.rng.chance(self.spec.message_probability()) {
+        debug_assert!(
+            self.hit.is_none_or(|h| h >= now),
+            "poll skipped past the drawn-ahead firing cycle"
+        );
+        if now < self.drawn_to {
+            // Drawn ahead: fire only on the one successful draw.
+            if self.hit != Some(now) {
+                return None;
+            }
+            self.hit = None;
+        } else if !self.rng.chance(self.spec.message_probability()) {
             return None;
         }
         self.generated += 1;
@@ -255,6 +276,37 @@ impl TrafficSource for RandomTraffic {
                 kind: MessageKind::Unicast(dest),
                 payload_flits: self.spec.unicast_len,
             })
+        }
+    }
+
+    /// Takes the per-cycle Bernoulli draws of the cycles after `now` ahead
+    /// of time, in cycle order, up to the first success, `stop_at`, or
+    /// [`LOOKAHEAD`] cycles. The draws are exactly those per-cycle polling
+    /// would take, so the RNG stream — and every message the source
+    /// generates — is unchanged however the host interleaves polls and
+    /// sleeps. (A geometric skip would draw fewer numbers and change it.)
+    fn next_fire(&mut self, now: Cycle) -> Cycle {
+        if let Some(at) = self.hit {
+            return at;
+        }
+        let stop = self.stop_at.unwrap_or(Cycle::MAX);
+        let p = self.spec.message_probability();
+        let mut t = self.drawn_to.max(now + 1);
+        let end = stop.min(now.saturating_add(LOOKAHEAD + 1));
+        while t < end {
+            let fires = self.rng.chance(p);
+            t += 1;
+            if fires {
+                self.drawn_to = t;
+                self.hit = Some(t - 1);
+                return t - 1;
+            }
+        }
+        self.drawn_to = self.drawn_to.max(t);
+        if t >= stop {
+            Cycle::MAX
+        } else {
+            t
         }
     }
 }
@@ -433,6 +485,81 @@ mod tests {
             {
                 assert_ne!(d, NodeId(7));
             }
+        }
+    }
+
+    /// Polls `src` every cycle in `[0, horizon)`: the reference stream.
+    fn per_cycle(mut src: RandomTraffic, horizon: Cycle) -> Vec<(Cycle, MessageSpec)> {
+        (0..horizon)
+            .filter_map(|t| src.poll(t).map(|m| (t, m)))
+            .collect()
+    }
+
+    /// Drives `src` like a host that sleeps: polls at cycle 0, then either
+    /// stays busy (polls the next cycle) or asks `next_fire` and wakes at
+    /// an arbitrary cycle no later than it — early wakes model input
+    /// arriving while the host sleeps.
+    fn sleeping(
+        mut src: RandomTraffic,
+        horizon: Cycle,
+        bounded: bool,
+        meta: &mut SimRng,
+    ) -> Vec<(Cycle, MessageSpec)> {
+        let mut got = Vec::new();
+        let mut now = 0;
+        while now < horizon {
+            if let Some(m) = src.poll(now) {
+                got.push((now, m));
+            }
+            if meta.chance(0.3) {
+                now += 1;
+                continue;
+            }
+            let fire = src.next_fire(now);
+            assert!(fire > now, "next_fire({now}) = {fire} is not in the future");
+            if bounded {
+                assert!(
+                    fire <= now + LOOKAHEAD + 1,
+                    "lookahead unbounded: {fire} at {now}"
+                );
+            }
+            let last = fire.min(horizon);
+            now = if meta.chance(0.3) {
+                now + 1 + meta.below((last - now) as usize) as Cycle
+            } else {
+                last
+            };
+        }
+        got
+    }
+
+    #[test]
+    fn lookahead_reproduces_the_per_cycle_stream() {
+        let mut meta = SimRng::new(0x5eed);
+        for case in 0..400u64 {
+            let len = 1 + meta.below(64) as u16;
+            // Per-cycle probability 0, tiny, mid, or clamped to 1.
+            let load = match case % 4 {
+                0 => 0.0,
+                1 => 1e-5,
+                2 => 0.05 + meta.unit() * 0.5,
+                _ => 1_000.0,
+            };
+            let spec = match meta.below(3) {
+                0 => TrafficSpec::unicast(load, len),
+                1 => TrafficSpec::multiple_multicast(load, 1 + meta.below(7), len),
+                _ => TrafficSpec::bimodal(load, meta.unit(), 1 + meta.below(7), len),
+            };
+            let stop_at = meta
+                .chance(0.5)
+                .then(|| meta.below(LOOKAHEAD as usize * 2) as Cycle);
+            let me = NodeId::from(meta.below(8));
+            let seed = meta.below(1 << 30) as u64;
+            let mk = || RandomTraffic::new(spec.clone(), SimRng::new(seed), me, 8, stop_at);
+            let horizon = 3 * LOOKAHEAD;
+            let expect = per_cycle(mk(), horizon);
+            let got = sleeping(mk(), horizon, stop_at.is_none(), &mut meta);
+            assert_eq!(got, expect, "case {case}: {spec:?}, stop_at {stop_at:?}");
         }
     }
 

@@ -2,25 +2,26 @@
 //!
 //! The engine owns all [`Link`]s and all [`Component`]s (switches, hosts).
 //! Every cycle it (1) makes newly propagated flits and credits visible on
-//! every link, then (2) ticks each component once, in registration order.
-//! Because links impose at least one cycle of delay, a component never
-//! observes another component's same-cycle output, so the tick order is not
-//! semantically observable — runs are deterministic and order-independent.
+//! every link, then (2) ticks each awake component once, in registration
+//! order. Because links impose at least one cycle of delay, a component
+//! never observes another component's same-cycle output, so the tick order
+//! is not semantically observable — runs are deterministic and
+//! order-independent.
 //!
-//! ## Compiled sharded scheduling
+//! ## Quiescence scheduling
 //!
-//! [`Engine::set_shards`] switches the cycle loop from plain object
-//! iteration to a *compiled* schedule (DESIGN.md §13): a one-time compile
-//! pass lowers the constructed fabric into a `ShardPlan` — flat
-//! link→receiver maps, contiguous per-shard component ranges balanced by
-//! port weight, a sleep bitset, and per-shard wake heaps — and the
-//! per-cycle loop then skips every component that declared itself
-//! quiescent ([`Component::quiescent`]) until an event addressed to it
-//! matures.
-//! Events produced while a shard steps land in that shard's *outbox*
-//! mailbox and are exchanged at a per-cycle barrier, so the result is
-//! independent of the order in which shards execute. The uncompiled path
-//! (the default) remains the oracle: both must produce bit-identical runs.
+//! The cycle loop skips every component that declared, after its last
+//! tick, that ticking it is a no-op until some cycle or until input
+//! arrives ([`Component::sleep_until`]; DESIGN.md §13). A schedule compiled
+//! lazily at the first step holds a flat link→receiver map, a sleep bitset
+//! and one min-heap of `(wake_at, component)` events: a sleeping component
+//! wakes at its own timer, at the arrival of the earliest flit already on
+//! its input links, or — through wake-on-send — at the arrival of a flit
+//! sent to it while it sleeps.
+//!
+//! The plain loop that ticks every component every cycle survives only as
+//! the reference the schedule is tested and measured against
+//! ([`reference_loop`]); both produce bit-identical runs.
 
 use crate::fault::{FaultCounters, FaultPlan};
 use crate::flit::Flit;
@@ -29,6 +30,7 @@ use crate::link::{Link, LinkEvent};
 use crate::Cycle;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A simulated hardware component (switch, host NIC, ...).
 ///
@@ -39,18 +41,24 @@ pub trait Component {
     /// Advances the component by one cycle.
     fn tick(&mut self, now: Cycle, io: &mut PortIo<'_>);
 
-    /// `true` if ticking this component is provably a no-op until new
-    /// input arrives on one of its links (or out-of-band state changes,
-    /// after which the caller must [`Engine::wake_component`] it).
+    /// Called after every scheduled tick at `now`: `Some(c)` declares that
+    /// ticks in `(now, c)` are provably no-ops unless input arrives on one
+    /// of the component's links, so the engine may skip them;
+    /// `Some(Cycle::MAX)` means "until input arrives". `None` (the
+    /// default, always safe) keeps the component ticking next cycle.
     ///
-    /// The compiled engine consults this after every tick to put the
-    /// component to sleep. Implementations that return `true` here must
-    /// make any per-cycle accounting *skip-invariant*: derive it from the
-    /// gap since their last tick rather than counting ticks (see the
-    /// switch implementations). The default never sleeps, which is always
-    /// safe.
-    fn quiescent(&self) -> bool {
-        false
+    /// The engine wakes a sleeper at `c`, at the arrival of the earliest
+    /// flit on its input links, or on an explicit [`Engine::wake_component`]
+    /// / [`Engine::wake_all`] — which callers must issue whenever they
+    /// change state the component reads outside its own tick. A
+    /// component may be woken early; such ticks must stay no-ops.
+    /// Implementations that sleep must keep any per-cycle accounting
+    /// *skip-invariant*: derive it from the gap since their last tick
+    /// rather than counting ticks (see the switch implementations and
+    /// [`Component::flush`]).
+    fn sleep_until(&mut self, now: Cycle) -> Option<Cycle> {
+        let _ = now;
+        None
     }
 
     /// Catches per-cycle accounting up to `now` after a stretch of
@@ -135,20 +143,18 @@ impl Ledger {
     }
 }
 
-/// Wake plumbing handed to [`PortIo`] by the compiled engine: when a send
-/// targets a sleeping receiver, the arrival is recorded in the *ticking*
-/// shard's outbox so the receiver is woken when the flit matures. The
-/// uncompiled engine passes `None` and pays nothing.
+/// Wake plumbing handed to [`PortIo`] by the scheduled loop: when a send
+/// targets a sleeping receiver, its arrival cycle goes on the wake heap.
+/// The reference loop passes `None` and pays nothing.
 #[derive(Debug)]
 struct WakeCtx<'a> {
     /// Link index → receiving component, `u32::MAX` for dangling links.
     recv_comp: &'a [u32],
     /// Which components are currently asleep.
     asleep: &'a [bool],
-    /// The current shard's outbox of `(wake_at, component)` events.
-    outbox: &'a mut Vec<(Cycle, u32)>,
+    /// Pending `(wake_at, component)` events.
+    heap: &'a mut BinaryHeap<Reverse<(Cycle, u32)>>,
 }
-
 /// Access to a component's ports during its tick.
 ///
 /// Input ports are numbered `0..n_inputs()`, output ports `0..n_outputs()`,
@@ -239,7 +245,7 @@ impl PortIo<'_> {
             let rc = w.recv_comp[idx];
             if rc != u32::MAX && w.asleep[rc as usize] {
                 let at = self.now + Cycle::from(self.links[idx].delay());
-                w.outbox.push((at, rc));
+                w.heap.push(Reverse((at, rc)));
             }
         }
     }
@@ -251,61 +257,58 @@ impl PortIo<'_> {
     }
 }
 
-/// The compiled step schedule: everything the sharded cycle loop needs,
+/// The quiescence schedule: everything the scheduled cycle loop needs,
 /// lowered out of the object graph into flat arrays indexed by dense
-/// component/link ids. Built once by [`Engine::set_shards`]' compile pass
-/// and reused every cycle.
+/// component/link ids. Compiled at the first step (O(components + links));
+/// registering a component drops it, to be recompiled with every
+/// component awake.
 #[derive(Debug)]
-struct ShardPlan {
-    /// Shard count actually compiled (≤ requested, ≥ 1).
-    n_shards: usize,
-    /// The [`Engine::set_shards`] value this plan was compiled for.
-    requested: usize,
-    /// Component and link counts at compile time; a mismatch at step time
-    /// means the fabric grew and the plan must be recompiled.
-    compiled_comps: usize,
-    compiled_links: usize,
-    /// Per-shard contiguous component ranges `[start, end)`, ascending and
-    /// covering all components, weight-balanced by port count. Contiguity
-    /// preserves the global registration-order tick sequence.
-    ranges: Vec<(u32, u32)>,
-    /// Component → owning shard.
-    comp_shard: Vec<u32>,
+struct Schedule {
     /// Link index → receiving component (`u32::MAX` for dangling links).
     recv_comp: Vec<u32>,
     /// Sleep bitset: `asleep[c]` ⇒ ticking `c` is provably a no-op until a
     /// wake event for it matures (or `wake_component` clears it).
     asleep: Vec<bool>,
-    /// Per-shard min-heaps of pending `(wake_at, component)` events.
-    heaps: Vec<BinaryHeap<Reverse<(Cycle, u32)>>>,
-    /// Per-shard outboxes: wake events produced while the shard steps,
-    /// exchanged into the owning shards' heaps at the per-cycle barrier.
-    outboxes: Vec<Vec<(Cycle, u32)>>,
-    /// Links whose sender and receiver live in different shards.
-    boundary_links: usize,
-    /// Component ticks actually executed / skipped while asleep.
-    ticks_run: u64,
-    ticks_skipped: u64,
-    /// Wake events that crossed a shard boundary at the barrier.
-    exchanged: u64,
+    /// Min-heap of pending `(wake_at, component)` events. Stale entries
+    /// (for components already awake) only cause a harmless early tick.
+    heap: BinaryHeap<Reverse<(Cycle, u32)>>,
+    /// Ticks actually executed, per component.
+    ticks_run: Vec<u64>,
+    /// Cycles stepped since the schedule was compiled.
+    steps: u64,
 }
 
-/// Observability counters for the compiled sharded engine
-/// ([`Engine::sharding_stats`]).
+/// Tick counters of the scheduled loop ([`Engine::tick_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardingStats {
-    /// Number of shards the fabric was compiled into.
-    pub shards: usize,
-    /// Components covered by the compiled schedule.
-    pub components: usize,
-    /// Links whose endpoints live in different shards (mailbox traffic).
-    pub boundary_links: usize,
+pub struct TickStats {
     /// Component ticks actually executed.
     pub ticks_run: u64,
     /// Component ticks skipped because the component slept.
     pub ticks_skipped: u64,
-    /// Wake events exchanged across shard boundaries at barriers.
-    pub cross_shard_events: u64,
+}
+
+/// Set while [`reference_loop`] runs: engines created meanwhile step with
+/// the reference loop.
+static REFERENCE_LOOP: AtomicBool = AtomicBool::new(false);
+
+/// Runs `f` with every [`Engine::new`] called inside it (on any thread)
+/// stepping with the reference loop: every component ticks every cycle,
+/// nothing sleeps. The differential tests and the engine benchmark use it
+/// to check and measure the scheduled loop against; simulations never do.
+///
+/// The switch is process-wide, so callers must not run scheduled
+/// simulations concurrently with `f`.
+#[doc(hidden)]
+pub fn reference_loop<R>(f: impl FnOnce() -> R) -> R {
+    struct Reset;
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            REFERENCE_LOOP.store(false, Ordering::Relaxed);
+        }
+    }
+    REFERENCE_LOOP.store(true, Ordering::Relaxed);
+    let _reset = Reset;
+    f()
 }
 
 /// The simulation engine: owns links and components, advances time.
@@ -318,10 +321,10 @@ pub struct Engine {
     /// Flat arena of all components' port→link bindings.
     ports: Vec<LinkId>,
     ledger: Ledger,
-    /// Compiled step schedule; `None` until first compiled step.
-    plan: Option<ShardPlan>,
-    /// Shard count requested via [`Engine::set_shards`]; 0 = uncompiled.
-    shards_requested: usize,
+    /// Quiescence schedule; `None` until the first step.
+    sched: Option<Schedule>,
+    /// Step with the reference loop (see [`reference_loop`]).
+    reference: bool,
     /// Torn-install audit state; `None` keeps the audit off the hot path.
     epoch_audit: Option<EpochAudit>,
 }
@@ -329,7 +332,10 @@ pub struct Engine {
 impl Engine {
     /// Creates an empty engine at cycle 0.
     pub fn new() -> Self {
-        Engine::default()
+        Engine {
+            reference: REFERENCE_LOOP.load(Ordering::Relaxed),
+            ..Engine::default()
+        }
     }
 
     /// Current simulation time.
@@ -366,6 +372,9 @@ impl Engine {
         let out_start = self.ports.len() as u32;
         self.ports.extend_from_slice(&outputs);
         self.comps.push(component);
+        // Catch sleepers up before the schedule (and who sleeps) is lost.
+        self.flush();
+        self.sched = None;
         self.bindings.push(Binding {
             in_start,
             in_len: inputs.len() as u32,
@@ -512,69 +521,56 @@ impl Engine {
         self.ledger.in_flight
     }
 
-    /// Switches the cycle loop to the compiled sharded schedule with
-    /// `shards` shards (≥ 1; clamped to the component count at compile
-    /// time), or back to plain object iteration with `shards == 0`.
-    ///
-    /// The schedule is compiled lazily on the next [`Engine::step`], so
-    /// this can be called before or after components are registered. The
-    /// compiled engine produces bit-identical runs to the uncompiled one;
-    /// callers that mutate component state out of band (control-plane
-    /// flips, [`Engine::component_mut`]) must pair the mutation with
-    /// [`Engine::wake_component`] or [`Engine::wake_all`].
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards_requested = shards;
-        if shards == 0 {
-            self.plan = None;
+    /// Tick counters of the scheduled loop, summed over all components
+    /// (all zero on the reference loop or before the first step).
+    pub fn tick_stats(&self) -> TickStats {
+        (0..self.comps.len())
+            .map(|c| self.component_tick_stats(c))
+            .fold(TickStats::default(), |a, b| TickStats {
+                ticks_run: a.ticks_run + b.ticks_run,
+                ticks_skipped: a.ticks_skipped + b.ticks_skipped,
+            })
+    }
+
+    /// Tick counters of one component (see [`Engine::tick_stats`]).
+    pub fn component_tick_stats(&self, index: usize) -> TickStats {
+        match &self.sched {
+            Some(s) if index < s.ticks_run.len() => TickStats {
+                ticks_run: s.ticks_run[index],
+                ticks_skipped: s.steps - s.ticks_run[index],
+            },
+            _ => TickStats::default(),
         }
     }
 
-    /// Shard count requested via [`Engine::set_shards`] (0 = uncompiled).
-    pub fn shards(&self) -> usize {
-        self.shards_requested
-    }
-
-    /// Counters from the compiled sharded engine, or `None` when running
-    /// uncompiled (or before the first compiled step).
-    pub fn sharding_stats(&self) -> Option<ShardingStats> {
-        self.plan.as_ref().map(|p| ShardingStats {
-            shards: p.n_shards,
-            components: p.compiled_comps,
-            boundary_links: p.boundary_links,
-            ticks_run: p.ticks_run,
-            ticks_skipped: p.ticks_skipped,
-            cross_shard_events: p.exchanged,
-        })
-    }
-
     /// Forces a sleeping component back into the step schedule. No-op when
-    /// uncompiled or already awake. Must be called whenever component
-    /// state changes outside its own tick (e.g. a control-plane flag it
-    /// polls), since such changes are invisible to the wake protocol.
+    /// already awake. Must be called whenever component state changes
+    /// outside its own tick (e.g. a control-plane flag it polls), since
+    /// such changes are invisible to the wake protocol.
     pub fn wake_component(&mut self, index: usize) {
-        if let Some(plan) = self.plan.as_mut() {
-            if index < plan.asleep.len() {
-                plan.asleep[index] = false;
+        if let Some(s) = self.sched.as_mut() {
+            if index < s.asleep.len() {
+                s.asleep[index] = false;
             }
         }
     }
 
     /// Wakes every sleeping component (see [`Engine::wake_component`]).
     /// Cheap: one pass over the sleep bitset; spurious wakes cost one tick
-    /// each and components immediately re-sleep if still quiescent.
+    /// each and components immediately re-sleep if still idle.
     pub fn wake_all(&mut self) {
-        if let Some(plan) = self.plan.as_mut() {
-            plan.asleep.fill(false);
+        if let Some(s) = self.sched.as_mut() {
+            s.asleep.fill(false);
         }
     }
 
     /// Catches sleeping components' per-cycle accounting up to the current
     /// cycle (see [`Component::flush`]). Call before reading per-component
-    /// stats at the end of a compiled run; no-op when uncompiled.
+    /// stats at the end of a run.
     pub fn flush(&mut self) {
         let now = self.now;
-        if let Some(plan) = self.plan.as_mut() {
-            for (comp, &asleep) in self.comps.iter_mut().zip(&plan.asleep) {
+        if let Some(s) = self.sched.as_mut() {
+            for (comp, &asleep) in self.comps.iter_mut().zip(&s.asleep) {
                 if asleep {
                     comp.flush(now);
                 }
@@ -606,17 +602,15 @@ impl Engine {
 
     /// Advances the simulation by one cycle.
     pub fn step(&mut self) {
-        if self.shards_requested == 0 {
-            self.step_uncompiled();
+        if self.reference {
+            self.step_reference();
         } else {
-            self.ensure_plan();
-            self.step_compiled();
+            self.step_scheduled();
         }
     }
 
-    /// The original object-iteration cycle loop — the oracle the compiled
-    /// path must match bit for bit.
-    fn step_uncompiled(&mut self) {
+    /// The reference loop: every component ticks every cycle.
+    fn step_reference(&mut self) {
         self.now += 1;
         self.begin_links();
         let now = self.now;
@@ -639,188 +633,95 @@ impl Engine {
         self.audit_epochs();
     }
 
-    /// Recompiles the step schedule if absent or stale (shard count or
-    /// fabric shape changed since the last compile).
-    fn ensure_plan(&mut self) {
-        let stale = match &self.plan {
-            Some(p) => {
-                p.requested != self.shards_requested
-                    || p.compiled_comps != self.comps.len()
-                    || p.compiled_links != self.links.len()
-            }
-            None => true,
-        };
-        if stale {
-            self.plan = Some(self.compile_plan());
-        }
-    }
-
-    /// The compile pass: lowers the fabric into a [`ShardPlan`].
-    ///
-    /// Components are cut into contiguous index ranges (preserving the
-    /// global tick order) balanced by per-component weight `1 + ports`, a
-    /// proxy for tick cost. Link→receiver maps are flattened from the port
-    /// arena so wake-on-send is two array loads.
-    fn compile_plan(&self) -> ShardPlan {
+    /// Compiles the schedule: flattens the port arena into a link→receiver
+    /// map so wake-on-send is two array loads, and starts every component
+    /// awake.
+    fn compile_schedule(&self) -> Schedule {
         let n_comps = self.comps.len();
-        let n = self.shards_requested.clamp(1, n_comps.max(1));
-        let weights: Vec<u64> = self
-            .bindings
-            .iter()
-            .map(|b| 1 + u64::from(b.in_len + b.out_len))
-            .collect();
-        let total: u64 = weights.iter().sum();
-        let mut ranges = Vec::with_capacity(n);
-        let mut comp_shard = vec![0u32; n_comps];
-        let mut cursor = 0usize;
-        let mut acc = 0u64;
-        for s in 0..n {
-            let start = cursor;
-            // Leave at least one component for each shard still to come.
-            let max_end = n_comps - (n - 1 - s);
-            let target = (total * (s as u64 + 1)).div_ceil(n as u64);
-            while cursor < max_end && (cursor == start || acc < target) {
-                acc += weights[cursor];
-                cursor += 1;
-            }
-            for cs in &mut comp_shard[start..cursor] {
-                *cs = s as u32;
-            }
-            ranges.push((start as u32, cursor as u32));
-        }
-        debug_assert_eq!(cursor, n_comps, "partition must cover all components");
-
         let mut recv_comp = vec![u32::MAX; self.links.len()];
-        let mut send_comp = vec![u32::MAX; self.links.len()];
         for (ci, b) in self.bindings.iter().enumerate() {
             for lid in &self.ports[b.in_start as usize..(b.in_start + b.in_len) as usize] {
                 recv_comp[lid.index()] = ci as u32;
             }
-            for lid in &self.ports[b.out_start as usize..(b.out_start + b.out_len) as usize] {
-                send_comp[lid.index()] = ci as u32;
-            }
         }
-        let boundary_links = (0..self.links.len())
-            .filter(|&l| {
-                let (snd, rcv) = (send_comp[l], recv_comp[l]);
-                snd != u32::MAX
-                    && rcv != u32::MAX
-                    && comp_shard[snd as usize] != comp_shard[rcv as usize]
-            })
-            .count();
-
-        ShardPlan {
-            n_shards: n,
-            requested: self.shards_requested,
-            compiled_comps: n_comps,
-            compiled_links: self.links.len(),
-            ranges,
-            comp_shard,
+        Schedule {
             recv_comp,
             asleep: vec![false; n_comps],
-            heaps: (0..n).map(|_| BinaryHeap::new()).collect(),
-            outboxes: (0..n).map(|_| Vec::new()).collect(),
-            boundary_links,
-            ticks_run: 0,
-            ticks_skipped: 0,
-            exchanged: 0,
+            heap: BinaryHeap::new(),
+            ticks_run: vec![0; n_comps],
+            steps: 0,
         }
     }
 
-    /// One cycle of the compiled sharded schedule.
+    /// One cycle of the scheduled loop.
     ///
-    /// Phases: (1) the global link phase, identical to the uncompiled
-    /// loop; (2) wake phase — pop every matured `(wake_at ≤ now)` event
-    /// from each shard's heap; (3) tick phase — shards in order, each
-    /// ticking its awake components in ascending index order (globally
-    /// ascending across shards, so the oracle's tick order is preserved
-    /// exactly, minus provable no-ops); (4) barrier — drain every shard's
-    /// outbox into the owning shards' heaps. All wake events target cycles
-    /// ≥ now+1 and links impose ≥ 1 cycle of delay, so no shard can
-    /// observe another shard's same-cycle work: the result is independent
-    /// of the order shards execute in (see DESIGN.md §13).
-    fn step_compiled(&mut self) {
+    /// Phases: (1) the link phase, identical to the reference loop;
+    /// (2) wake phase — pop every matured `(wake_at ≤ now)` event; (3) tick
+    /// phase — tick awake components in ascending index order (the
+    /// reference loop's order, minus provable no-ops), putting each to
+    /// sleep if it asks to. Every wake event targets a cycle ≥ now+1 and
+    /// links impose ≥ 1 cycle of delay, so a component put to sleep this
+    /// cycle cannot miss anything sent to it this cycle (DESIGN.md §13).
+    fn step_scheduled(&mut self) {
+        if self.sched.is_none() {
+            self.sched = Some(self.compile_schedule());
+        }
         self.now += 1;
         self.begin_links();
         let now = self.now;
-        let plan = self.plan.as_mut().expect("ensure_plan ran");
+        let Schedule {
+            recv_comp,
+            asleep,
+            heap,
+            ticks_run,
+            steps,
+            ..
+        } = self.sched.as_mut().expect("compiled above");
+        *steps += 1;
         // Wake phase.
-        for heap in &mut plan.heaps {
-            while let Some(&Reverse((at, comp))) = heap.peek() {
-                if at > now {
-                    break;
-                }
-                heap.pop();
-                plan.asleep[comp as usize] = false;
+        while let Some(&Reverse((at, comp))) = heap.peek() {
+            if at > now {
+                break;
             }
+            heap.pop();
+            asleep[comp as usize] = false;
         }
         // Tick phase.
         let links = &mut self.links[..];
         let ports = &self.ports[..];
         let ledger = &mut self.ledger;
-        let ShardPlan {
-            ranges,
-            comp_shard,
-            recv_comp,
-            asleep,
-            heaps,
-            outboxes,
-            ticks_run,
-            ticks_skipped,
-            exchanged,
-            ..
-        } = &mut *plan;
-        for (s, &(start, end)) in ranges.iter().enumerate() {
-            for c in start as usize..end as usize {
-                if asleep[c] {
-                    *ticks_skipped += 1;
-                    continue;
-                }
-                *ticks_run += 1;
-                let b = self.bindings[c];
-                let inputs = &ports[b.in_start as usize..(b.in_start + b.in_len) as usize];
-                let outputs = &ports[b.out_start as usize..(b.out_start + b.out_len) as usize];
-                let mut io = PortIo {
-                    now,
-                    links: &mut *links,
-                    inputs,
-                    outputs,
-                    ledger: &mut *ledger,
-                    wake: Some(WakeCtx {
-                        recv_comp,
-                        asleep,
-                        outbox: &mut outboxes[s],
-                    }),
-                };
-                self.comps[c].tick(now, &mut io);
-                if self.comps[c].quiescent() {
-                    asleep[c] = true;
-                    // Sleep-time scan: the earliest in-flight arrival on
-                    // any input link bounds how long this component may
-                    // sleep. Senders that tick later this cycle find the
-                    // sleep bit set and wake-on-send instead.
-                    let mut next: Option<Cycle> = None;
-                    for lid in inputs {
-                        if let Some(at) = links[lid.index()].next_arrival() {
-                            next = Some(next.map_or(at, |n| n.min(at)));
-                        }
-                    }
-                    if let Some(at) = next {
-                        outboxes[s].push((at.max(now + 1), c as u32));
-                    }
-                }
+        for (c, comp) in self.comps.iter_mut().enumerate() {
+            if asleep[c] {
+                continue;
             }
-        }
-        // Barrier: exchange outboxes into the owning shards' heaps. With a
-        // thread-per-shard tick phase this is the only cross-shard
-        // communication point; run single-threaded it is a plain drain.
-        for (s, outbox) in outboxes.iter_mut().enumerate() {
-            for (at, comp) in outbox.drain(..) {
-                let target = comp_shard[comp as usize] as usize;
-                if target != s {
-                    *exchanged += 1;
+            ticks_run[c] += 1;
+            let b = self.bindings[c];
+            let inputs = &ports[b.in_start as usize..(b.in_start + b.in_len) as usize];
+            let mut io = PortIo {
+                now,
+                links: &mut *links,
+                inputs,
+                outputs: &ports[b.out_start as usize..(b.out_start + b.out_len) as usize],
+                ledger: &mut *ledger,
+                wake: Some(WakeCtx {
+                    recv_comp,
+                    asleep,
+                    heap: &mut *heap,
+                }),
+            };
+            comp.tick(now, &mut io);
+            if let Some(until) = comp.sleep_until(now) {
+                asleep[c] = true;
+                // The earliest in-flight arrival on any input link bounds
+                // the sleep. Senders that tick later this cycle find the
+                // sleep bit set and wake-on-send instead.
+                let wake = inputs
+                    .iter()
+                    .filter_map(|lid| links[lid.index()].next_arrival())
+                    .fold(until, Cycle::min);
+                if wake != Cycle::MAX {
+                    heap.push(Reverse((wake.max(now + 1), c as u32)));
                 }
-                heaps[target].push(Reverse((at, comp)));
             }
         }
         #[cfg(feature = "invariant-audit")]
@@ -900,40 +801,6 @@ impl Engine {
         while self.now < cycle {
             self.step();
         }
-    }
-
-    /// Runs until `stop` returns `true` (checked every `check_every` cycles)
-    /// or until `max_cycle`. Returns the cycle at which it stopped.
-    pub fn run_while<F: FnMut(&Engine) -> bool>(
-        &mut self,
-        mut keep_going: F,
-        check_every: u64,
-        max_cycle: Cycle,
-    ) -> Cycle {
-        let check_every = check_every.max(1);
-        while self.now < max_cycle {
-            for _ in 0..check_every {
-                if self.now >= max_cycle {
-                    break;
-                }
-                self.step();
-            }
-            if !keep_going(self) {
-                break;
-            }
-        }
-        self.now
-    }
-
-    /// Mutable access to a component, downcast by the caller.
-    ///
-    /// This is an escape hatch for test instrumentation; simulation logic
-    /// should communicate through links and shared trackers instead. The
-    /// component is woken (see [`Engine::wake_component`]) since the
-    /// caller may change state the wake protocol cannot see.
-    pub fn component_mut(&mut self, index: usize) -> &mut dyn Component {
-        self.wake_component(index);
-        self.comps[index].as_mut()
     }
 }
 
@@ -1037,14 +904,6 @@ mod tests {
     }
 
     #[test]
-    fn run_while_stops_on_predicate() {
-        let (mut e, seen) = pipeline(0, 4);
-        let end = e.run_while(|_| seen.get() < 5, 1, 1_000);
-        assert!(seen.get() >= 5);
-        assert!(end < 1_000);
-    }
-
-    #[test]
     fn scripted_outage_stalls_and_publishes_events() {
         let (mut e, seen) = pipeline(0, 4);
         let link = LinkId::from(0usize);
@@ -1109,7 +968,8 @@ mod tests {
     }
 
     /// Emits the flits of one packet, one every `period` cycles — leaves
-    /// idle gaps downstream components can sleep through.
+    /// idle gaps downstream components can sleep through — and sleeps
+    /// between its own sends on a timer.
     struct GappyProducer {
         pkt: Rc<Packet>,
         next: u16,
@@ -1124,6 +984,15 @@ mod tests {
                 io.send(0, Flit::new(self.pkt.clone(), self.next));
                 self.next += 1;
             }
+        }
+        fn sleep_until(&mut self, now: Cycle) -> Option<Cycle> {
+            if self.next == self.pkt.total_flits() {
+                return Some(Cycle::MAX);
+            }
+            // A blocked send retries next cycle; otherwise the next
+            // multiple of the period is the next cycle that can act.
+            let next = (now / self.period + 1) * self.period;
+            (next > now + 1).then_some(next)
         }
     }
 
@@ -1147,17 +1016,17 @@ mod tests {
                 io.send(0, f);
             }
         }
-        fn quiescent(&self) -> bool {
-            self.held.is_none()
+        fn sleep_until(&mut self, _now: Cycle) -> Option<Cycle> {
+            self.held.is_none().then_some(Cycle::MAX)
         }
     }
 
     /// Gappy producer → relay → relay → consumer; returns the engine plus
     /// the consumer's seen counter and each relay's tick counter.
     #[allow(clippy::type_complexity)]
-    fn relay_chain(shards: usize) -> (Engine, Rc<Cell<u64>>, Vec<Rc<Cell<u64>>>) {
+    fn relay_chain(reference: bool) -> (Engine, Rc<Cell<u64>>, Vec<Rc<Cell<u64>>>) {
         let mut e = Engine::new();
-        e.set_shards(shards);
+        e.reference = reference;
         let l1 = e.add_link(2, 4);
         let l2 = e.add_link(3, 4);
         let l3 = e.add_link(1, 4);
@@ -1189,91 +1058,84 @@ mod tests {
     }
 
     #[test]
-    fn compiled_engine_matches_uncompiled_cycle_by_cycle() {
-        // shards=0 is the uncompiled oracle; every compiled shard count
-        // must reproduce its observable trace exactly, every cycle.
-        for shards in [1usize, 2, 4] {
-            let (mut oracle, seen_o, _) = relay_chain(0);
-            let (mut compiled, seen_c, _) = relay_chain(shards);
-            for cycle in 1..=120u64 {
-                oracle.step();
-                compiled.step();
-                assert_eq!(
-                    (
-                        seen_o.get(),
-                        oracle.total_flit_moves(),
-                        oracle.flits_in_links()
-                    ),
-                    (
-                        seen_c.get(),
-                        compiled.total_flit_moves(),
-                        compiled.flits_in_links()
-                    ),
-                    "divergence at cycle {cycle} with {shards} shards"
-                );
-            }
-            assert_eq!(seen_c.get(), 10, "all flits delivered");
-            let stats = compiled.sharding_stats().expect("compiled plan exists");
-            assert_eq!(stats.shards, shards);
-            assert!(
-                stats.ticks_skipped > 0,
-                "relays must sleep through idle gaps: {stats:?}"
+    fn scheduled_loop_matches_reference_cycle_by_cycle() {
+        let (mut reference, seen_r, _) = relay_chain(true);
+        let (mut scheduled, seen_s, _) = relay_chain(false);
+        for cycle in 1..=120u64 {
+            reference.step();
+            scheduled.step();
+            assert_eq!(
+                (
+                    seen_r.get(),
+                    reference.total_flit_moves(),
+                    reference.flits_in_links()
+                ),
+                (
+                    seen_s.get(),
+                    scheduled.total_flit_moves(),
+                    scheduled.flits_in_links()
+                ),
+                "divergence at cycle {cycle}"
             );
-            assert_eq!(stats.ticks_run + stats.ticks_skipped, 120 * 4);
         }
+        assert_eq!(seen_s.get(), 10, "all flits delivered");
+        assert_eq!(reference.tick_stats(), TickStats::default());
+        let stats = scheduled.tick_stats();
+        assert_eq!(stats.ticks_run + stats.ticks_skipped, 120 * 4);
+        // The producer sleeps on its timer, not just the relays on input.
+        let producer = scheduled.component_tick_stats(0);
+        assert!(producer.ticks_skipped > 0, "{producer:?}");
+        assert!(producer.ticks_run >= 10, "{producer:?}");
     }
 
     #[test]
     fn sleeping_relays_skip_ticks_but_miss_nothing() {
-        let (mut e, seen, relay_ticks) = relay_chain(2);
+        let (mut e, seen, relay_ticks) = relay_chain(false);
         e.run_for(120);
         assert_eq!(seen.get(), 10);
-        for ticks in &relay_ticks {
+        for (i, ticks) in relay_ticks.iter().enumerate() {
             // 10 flits through a relay need at least 10 ticks; sleeping
             // through the producer's 7-cycle gaps must save the rest.
             assert!(ticks.get() >= 10, "too few ticks: {}", ticks.get());
             assert!(ticks.get() < 120, "relay never slept: {}", ticks.get());
+            assert_eq!(e.component_tick_stats(i + 1).ticks_run, ticks.get());
         }
     }
 
     #[test]
-    fn cross_shard_wakes_exchange_through_mailboxes() {
-        // 4 components in 4 shards: every producer→relay and relay→relay
-        // link crosses a shard boundary, so wakes must ride the barrier.
-        let (mut e, seen, _) = relay_chain(4);
-        e.run_for(120);
-        assert_eq!(seen.get(), 10);
-        let stats = e.sharding_stats().expect("compiled plan exists");
-        assert_eq!(stats.boundary_links, 3);
-        assert!(
-            stats.cross_shard_events > 0,
-            "cross-shard wakes must flow through the barrier: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn set_shards_zero_returns_to_uncompiled() {
-        let (mut e, seen, _) = relay_chain(2);
-        e.run_for(40);
-        e.set_shards(0);
-        assert!(e.sharding_stats().is_none(), "plan dropped");
-        e.run_for(80);
-        assert_eq!(seen.get(), 10, "run completes uncompiled");
-    }
-
-    #[test]
-    fn wake_all_and_component_mut_wake_sleepers() {
-        let (mut e, _, relay_ticks) = relay_chain(1);
+    fn wake_all_wakes_sleepers() {
+        let (mut e, _, relay_ticks) = relay_chain(false);
         e.run_for(60);
         let before = relay_ticks[0].get();
         // Relays are asleep between worms; a forced wake must tick them
-        // at least once more even with no traffic pending.
+        // once more even with no traffic pending.
         e.wake_all();
         e.step();
         assert_eq!(relay_ticks[0].get(), before + 1, "woken relay ticks");
-        let before = relay_ticks[0].get();
-        let _ = e.component_mut(1);
         e.step();
-        assert_eq!(relay_ticks[0].get(), before + 1, "component_mut wakes");
+        assert_eq!(relay_ticks[0].get(), before + 1, "and sleeps again");
+        e.wake_component(1);
+        e.step();
+        assert_eq!(relay_ticks[0].get(), before + 2, "targeted wake");
+    }
+
+    #[test]
+    fn fabric_growth_recompiles_the_schedule() {
+        let (mut e, seen, _) = relay_chain(false);
+        e.run_for(40);
+        // A late component: the schedule must cover it from the next step.
+        let l = e.add_link(1, 4);
+        let late = Rc::new(Cell::new(0));
+        e.add_component(
+            Box::new(Consumer {
+                seen: late.clone(),
+                stall_until: 0,
+            }),
+            vec![l],
+            vec![],
+        );
+        e.run_for(80);
+        assert_eq!(seen.get(), 10, "run completes across the recompile");
+        assert_eq!(e.component_tick_stats(4).ticks_run, 80);
     }
 }

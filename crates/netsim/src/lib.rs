@@ -93,7 +93,7 @@ pub mod trace;
 pub type Cycle = u64;
 
 pub use destset::DestSet;
-pub use engine::{Component, Engine, EpochAudit, EpochStatus, PortIo, ShardingStats};
+pub use engine::{Component, Engine, EpochAudit, EpochStatus, PortIo, TickStats};
 pub use fault::{FaultCounters, FaultPlan};
 pub use flit::Flit;
 pub use header::RoutingHeader;

@@ -161,9 +161,9 @@ pub struct CentralBufferSwitch {
     sem: Option<SemHandle>,
     rr: usize,
     /// Cycle of the last executed tick — the skip-invariance watermark.
-    /// The compiled engine may skip ticks while the switch is quiescent;
-    /// the gap since `last_tick` replays exactly what those ticks would
-    /// have done (advance `rr`, observe zero occupancy).
+    /// The engine may skip ticks while the switch sleeps; the gap since
+    /// `last_tick` replays exactly what those ticks would have done
+    /// (advance `rr`, observe zero occupancy).
     last_tick: Cycle,
 }
 
@@ -345,8 +345,8 @@ impl CentralBufferSwitch {
 impl Component for CentralBufferSwitch {
     #[allow(clippy::needless_range_loop)] // index loops enable split borrows across ports
     fn tick(&mut self, now: Cycle, io: &mut PortIo<'_>) {
-        // Catch up cycles the compiled engine skipped while this switch
-        // slept (always zero when ticked every cycle). A sleeping switch
+        // Catch up cycles the engine skipped while this switch slept
+        // (always zero when ticked every cycle). A sleeping switch
         // is never purging, so the skipped ticks were plain idle ticks.
         self.replay_idle_cycles(now - self.last_tick - 1);
         self.last_tick = now;
@@ -887,15 +887,16 @@ impl Component for CentralBufferSwitch {
 
     /// An empty switch with no control-plane work pending does nothing
     /// per tick beyond the idle bookkeeping `replay_idle_cycles` replays —
-    /// safe for the compiled engine to skip until traffic or a wake
-    /// arrives. Purging and pending table swaps keep it awake because
-    /// those act on every tick.
-    fn quiescent(&self) -> bool {
-        self.empty_now()
+    /// safe for the engine to skip until traffic or a wake arrives.
+    /// Purging and pending table swaps keep it awake because those act on
+    /// every tick.
+    fn sleep_until(&mut self, _now: Cycle) -> Option<Cycle> {
+        let idle = self.empty_now()
             && self
                 .ctl
                 .as_ref()
-                .is_none_or(|c| !c.purging() && !c.tables_pending())
+                .is_none_or(|c| !c.purging() && !c.tables_pending());
+        idle.then_some(Cycle::MAX)
     }
 
     /// End-of-run catch-up for skipped idle ticks (see [`Component::flush`]).
