@@ -5,12 +5,17 @@
 //!     --arch cb --mcast hw --k 4 --stages 3 \
 //!     --load 0.5 --mcast-fraction 0.1 --degree 16 --len 64
 //! ```
+//!
+//! Bad arguments (an unknown flag, a missing value, an unparsable number
+//! or an unknown choice) print the usage and exit with status 2; `--help`
+//! prints it and exits 0.
 
 use collectives::RecoveryConfig;
 use mdworm::config::{McastImpl, SwitchArch, SystemConfig, TopologyKind};
 use mdworm::sim::{run_experiment, RunConfig};
 use mdworm::workload::{Pattern, TrafficSpec};
 use netsim::FaultPlan;
+use std::process::ExitCode;
 
 struct Args {
     arch: SwitchArch,
@@ -60,74 +65,91 @@ impl Default for Args {
     }
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: simulate [--arch cb|ib] [--mcast hw|mp|sw] [--k N] [--stages N] \
+                     [--load F] [--mcast-fraction F] [--degree N] [--len N] \
+                     [--warmup N] [--measure N] [--seed N] \
+                     [--pattern uniform|bitrev|transpose|neighbor] \
+                     [--drop-rate F] [--corrupt-rate F] [--down-every N] [--down-len N] \
+                     [--credit-leak F] [--fault-seed N] [--recovery-timeout N]";
+
+/// Parses `v` as the value of `flag`.
+fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("bad {flag} value `{v}`"))
+}
+
+/// Parses the command line; `Ok(None)` means `--help` was asked for.
+fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     let mut args = Args::default();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
-    let usage = "flags: --arch cb|ib  --mcast hw|mp|sw  --k N --stages N \
-                 --load F --mcast-fraction F --degree N --len N \
-                 --warmup N --measure N --seed N \
-                 --pattern uniform|bitrev|transpose|neighbor \
-                 --drop-rate F --corrupt-rate F --down-every N --down-len N \
-                 --credit-leak F --fault-seed N --recovery-timeout N";
     while i < argv.len() {
         let flag = argv[i].as_str();
-        let value = argv
+        if matches!(flag, "--help" | "-h") {
+            return Ok(None);
+        }
+        let v = argv
             .get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} needs a value\n{usage}"))
-            .clone();
+            .ok_or_else(|| format!("{flag} needs a value"))?;
         match flag {
             "--arch" => {
-                args.arch = match value.as_str() {
+                args.arch = match v.as_str() {
                     "cb" => SwitchArch::CentralBuffer,
                     "ib" => SwitchArch::InputBuffered,
-                    other => panic!("unknown arch {other} (cb|ib)"),
+                    other => return Err(format!("unknown arch `{other}` (cb|ib)")),
                 }
             }
             "--mcast" => {
-                args.mcast = match value.as_str() {
+                args.mcast = match v.as_str() {
                     "hw" => McastImpl::HwBitString,
                     "mp" => McastImpl::HwMultiport,
                     "sw" => McastImpl::SwBinomial,
-                    other => panic!("unknown mcast scheme {other} (hw|mp|sw)"),
+                    other => return Err(format!("unknown mcast scheme `{other}` (hw|mp|sw)")),
                 }
             }
-            "--k" => args.k = value.parse().expect("--k"),
-            "--stages" => args.stages = value.parse().expect("--stages"),
-            "--load" => args.load = value.parse().expect("--load"),
-            "--mcast-fraction" => args.mcast_fraction = value.parse().expect("--mcast-fraction"),
-            "--degree" => args.degree = value.parse().expect("--degree"),
-            "--len" => args.len = value.parse().expect("--len"),
-            "--warmup" => args.warmup = value.parse().expect("--warmup"),
-            "--measure" => args.measure = value.parse().expect("--measure"),
-            "--seed" => args.seed = value.parse().expect("--seed"),
-            "--drop-rate" => args.drop_rate = value.parse().expect("--drop-rate"),
-            "--corrupt-rate" => args.corrupt_rate = value.parse().expect("--corrupt-rate"),
-            "--down-every" => args.down_every = value.parse().expect("--down-every"),
-            "--down-len" => args.down_len = value.parse().expect("--down-len"),
-            "--credit-leak" => args.credit_leak = value.parse().expect("--credit-leak"),
-            "--fault-seed" => args.fault_seed = value.parse().expect("--fault-seed"),
-            "--recovery-timeout" => {
-                args.recovery_timeout = value.parse().expect("--recovery-timeout");
-            }
+            "--k" => args.k = num(flag, v)?,
+            "--stages" => args.stages = num(flag, v)?,
+            "--load" => args.load = num(flag, v)?,
+            "--mcast-fraction" => args.mcast_fraction = num(flag, v)?,
+            "--degree" => args.degree = num(flag, v)?,
+            "--len" => args.len = num(flag, v)?,
+            "--warmup" => args.warmup = num(flag, v)?,
+            "--measure" => args.measure = num(flag, v)?,
+            "--seed" => args.seed = num(flag, v)?,
+            "--drop-rate" => args.drop_rate = num(flag, v)?,
+            "--corrupt-rate" => args.corrupt_rate = num(flag, v)?,
+            "--down-every" => args.down_every = num(flag, v)?,
+            "--down-len" => args.down_len = num(flag, v)?,
+            "--credit-leak" => args.credit_leak = num(flag, v)?,
+            "--fault-seed" => args.fault_seed = num(flag, v)?,
+            "--recovery-timeout" => args.recovery_timeout = num(flag, v)?,
             "--pattern" => {
-                args.pattern = match value.as_str() {
+                args.pattern = match v.as_str() {
                     "uniform" => Pattern::Uniform,
                     "bitrev" => Pattern::BitReversal,
                     "transpose" => Pattern::Transpose,
                     "neighbor" => Pattern::NearNeighbor,
-                    other => panic!("unknown pattern {other}"),
+                    other => return Err(format!("unknown pattern `{other}`")),
                 }
             }
-            other => panic!("unknown flag {other}\n{usage}"),
+            other => return Err(format!("unknown argument `{other}`")),
         }
         i += 2;
     }
-    args
+    Ok(Some(args))
 }
 
-fn main() {
-    let a = parse_args();
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let a = match parse_args(&argv) {
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("simulate: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let recovery = (a.recovery_timeout > 0).then(|| RecoveryConfig {
         timeout: a.recovery_timeout,
         ..RecoveryConfig::default()
@@ -236,4 +258,5 @@ fn main() {
     } else if out.saturated {
         println!("!! saturated: {} messages undelivered", out.leftover);
     }
+    ExitCode::SUCCESS
 }

@@ -123,11 +123,18 @@ struct Binding {
 
 /// Engine-side bookkeeping that [`PortIo`] maintains incrementally so the
 /// engine never scans all links: the active-link set (which links need
-/// [`Link::begin_cycle`]) and O(1) flit-movement counters.
+/// [`Link::begin_cycle`]), the link-occupancy bitset, and O(1)
+/// flit-movement counters.
 #[derive(Debug, Default)]
 struct Ledger {
     /// Indices of links with `Link::active` set.
     active: Vec<u32>,
+    /// One bit per link, set exactly while the link has flits in flight
+    /// (`Link::in_flight() > 0`): set on send, cleared when the link's
+    /// flit queue drains — by a receive or by evaporation of condemned
+    /// flits. Receives and arrival scans on a clear bit never touch the
+    /// `Link`.
+    occupied: Vec<u64>,
     /// Flits ever sent over any link (see [`Engine::total_flit_moves`]).
     total_moves: u64,
     /// Flits currently propagating inside links.
@@ -139,6 +146,21 @@ impl Ledger {
         if !link.active {
             link.active = true;
             self.active.push(idx as u32);
+        }
+    }
+
+    fn is_occupied(&self, idx: usize) -> bool {
+        self.occupied[idx / 64] & (1 << (idx % 64)) != 0
+    }
+
+    fn set_occupied(&mut self, idx: usize) {
+        self.occupied[idx / 64] |= 1 << (idx % 64);
+    }
+
+    /// Clears the link's occupancy bit if its flit queue just drained.
+    fn note_drain(&mut self, idx: usize, link: &Link) {
+        if link.in_flight() == 0 {
+            self.occupied[idx / 64] &= !(1 << (idx % 64));
         }
     }
 }
@@ -186,7 +208,11 @@ impl PortIo<'_> {
     ///
     /// Panics if `port` is out of range.
     pub fn peek(&self, port: usize) -> Option<&Flit> {
-        self.links[self.inputs[port].index()].peek(self.now)
+        let idx = self.inputs[port].index();
+        if !self.ledger.is_occupied(idx) {
+            return None;
+        }
+        self.links[idx].peek(self.now)
     }
 
     /// Consumes the flit arriving on input `port` (at most one per cycle).
@@ -198,9 +224,15 @@ impl PortIo<'_> {
     ///
     /// Panics if `port` is out of range.
     pub fn recv(&mut self, port: usize) -> Option<Flit> {
-        let flit = self.links[self.inputs[port].index()].recv(self.now);
+        let idx = self.inputs[port].index();
+        if !self.ledger.is_occupied(idx) {
+            return None;
+        }
+        let link = &mut self.links[idx];
+        let flit = link.recv(self.now);
         if flit.is_some() {
             self.ledger.in_flight -= 1;
+            self.ledger.note_drain(idx, link);
         }
         flit
     }
@@ -236,6 +268,7 @@ impl PortIo<'_> {
         self.links[idx].send(self.now, flit);
         self.ledger.total_moves += 1;
         self.ledger.in_flight += 1;
+        self.ledger.set_occupied(idx);
         self.ledger.mark_active(idx, &mut self.links[idx]);
         // Wake-on-send: if the receiver is asleep, schedule it for the
         // flit's arrival cycle. Receivers that are still awake don't need
@@ -350,6 +383,9 @@ impl Engine {
     /// Panics if `delay == 0` or `credits == 0` (see [`Link::new`]).
     pub fn add_link(&mut self, delay: u32, credits: u32) -> LinkId {
         let id = LinkId::from(self.links.len());
+        if id.index().is_multiple_of(64) {
+            self.ledger.occupied.push(0);
+        }
         self.links.push(Link::new(delay, credits));
         id
     }
@@ -590,7 +626,11 @@ impl Engine {
         while i < self.ledger.active.len() {
             let idx = self.ledger.active[i] as usize;
             let link = &mut self.links[idx];
-            self.ledger.in_flight -= link.begin_cycle(now);
+            let evaporated = link.begin_cycle(now);
+            if evaporated > 0 {
+                self.ledger.in_flight -= evaporated;
+                self.ledger.note_drain(idx, link);
+            }
             if link.needs_begin_cycle() {
                 i += 1;
             } else {
@@ -712,11 +752,12 @@ impl Engine {
             comp.tick(now, &mut io);
             if let Some(until) = comp.sleep_until(now) {
                 asleep[c] = true;
-                // The earliest in-flight arrival on any input link bounds
-                // the sleep. Senders that tick later this cycle find the
-                // sleep bit set and wake-on-send instead.
+                // The earliest in-flight arrival on any occupied input
+                // link bounds the sleep. Senders that tick later this
+                // cycle find the sleep bit set and wake-on-send instead.
                 let wake = inputs
                     .iter()
+                    .filter(|lid| ledger.is_occupied(lid.index()))
                     .filter_map(|lid| links[lid.index()].next_arrival())
                     .fold(until, Cycle::min);
                 if wake != Cycle::MAX {
@@ -776,14 +817,22 @@ impl Engine {
     }
 
     /// Full-fabric invariant sweep, run after every cycle under the
-    /// `invariant-audit` feature: per-link credit conservation plus the
-    /// flit-conservation ledger cross-checks. O(links) per cycle, so it is
-    /// feature-gated rather than tied to `debug_assertions` — quick-scale
-    /// sweeps run under it in CI, full-scale ones don't pay for it.
-    #[cfg(feature = "invariant-audit")]
+    /// `invariant-audit` feature: per-link credit conservation, the
+    /// occupancy bitset (a link's bit is set exactly while it has flits in
+    /// flight), plus the flit-conservation ledger cross-checks. O(links)
+    /// per cycle, so it is feature-gated rather than tied to
+    /// `debug_assertions` — quick-scale sweeps run under it in CI,
+    /// full-scale ones don't pay for it.
+    #[cfg(any(test, feature = "invariant-audit"))]
     fn audit_invariants(&self) {
-        for link in &self.links {
+        for (idx, link) in self.links.iter().enumerate() {
             link.audit_credit_conservation();
+            assert_eq!(
+                self.ledger.is_occupied(idx),
+                link.in_flight() > 0,
+                "occupancy bitset out of sync on link {idx} ({} in flight)",
+                link.in_flight()
+            );
         }
         let _ = self.total_flit_moves();
         let _ = self.flits_in_links();
@@ -964,6 +1013,70 @@ mod tests {
             b.step();
             assert_eq!(seen_a.get(), seen_b.get());
             assert_eq!(a.total_flit_moves(), b.total_flit_moves());
+        }
+    }
+
+    /// Sends `left` back-to-back copies of one packet at link rate.
+    struct Repeater {
+        pkt: Rc<Packet>,
+        next: u16,
+        left: u32,
+    }
+    impl Component for Repeater {
+        fn tick(&mut self, _now: Cycle, io: &mut PortIo<'_>) {
+            if self.left > 0 && io.can_send(0) {
+                io.send(0, Flit::new(self.pkt.clone(), self.next));
+                self.next += 1;
+                if self.next == self.pkt.total_flits() {
+                    self.next = 0;
+                    self.left -= 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn occupancy_bitset_tracks_queued_and_evaporated_flits() {
+        for delay in 1..=3 {
+            for flit_drop in [0.0, 0.1] {
+                let mut e = Engine::new();
+                let l = e.add_link(delay, 4);
+                let p = pkt(2); // 4 flits
+                let total = 8 * u64::from(p.total_flits());
+                e.add_component(
+                    Box::new(Repeater {
+                        pkt: p,
+                        next: 0,
+                        left: 8,
+                    }),
+                    vec![],
+                    vec![l],
+                );
+                let seen = Rc::new(Cell::new(0));
+                e.add_component(
+                    Box::new(Consumer {
+                        seen: seen.clone(),
+                        stall_until: 20,
+                    }),
+                    vec![l],
+                    vec![],
+                );
+                e.install_faults(&FaultPlan::drops(7, flit_drop));
+                let mut queued = 0;
+                for _ in 0..300 {
+                    e.step();
+                    e.audit_invariants();
+                    queued = queued.max(e.flits_in_links());
+                }
+                let case = format!("delay {delay}, drop {flit_drop}");
+                assert!(queued >= 3, "{case}: stalled consumer must queue flits");
+                assert_eq!(e.flits_in_links(), 0, "{case}");
+                let dropped = e.fault_counters().flits_dropped;
+                assert_eq!(seen.get() + dropped, total, "{case}");
+                if flit_drop > 0.0 {
+                    assert!(dropped > 0, "{case}: no flit evaporated");
+                }
+            }
         }
     }
 

@@ -1,94 +1,18 @@
-//! Lightweight optional event tracing for debugging simulations.
+//! Optional structured event tracing of simulations.
 //!
-//! Two tracers live here:
+//! [`SemTrace`] records semantic protocol events ([`SemEvent`]) from the
+//! switches at every central-queue reservation, chunk release, and purge.
+//! Because each event carries the observable outcome (grant flag, free
+//! count), a recorded run can be replayed step-for-step against the pure
+//! transition cores in `switches::semantics` — the trace-conformance
+//! refinement check the `invariant-audit` feature performs after every
+//! experiment.
 //!
-//! * [`Tracer`] — free-form string events for ad-hoc debugging;
-//! * [`SemTrace`] — *structured* semantic protocol events
-//!   ([`SemEvent`]), recorded by the switches at every central-queue
-//!   reservation, chunk release, and purge. Because each event carries
-//!   the observable outcome (grant flag, free count), a recorded run can
-//!   be replayed step-for-step against the pure transition cores in
-//!   `switches::semantics` — the trace-conformance refinement check the
-//!   `invariant-audit` feature performs after every experiment.
-//!
-//! Both are off by default and cost one branch per call when disabled.
+//! Tracing is off by default and costs one branch per call when disabled.
 
 use crate::Cycle;
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// An event buffer gated by an on/off switch.
-#[derive(Debug, Default)]
-pub struct Tracer {
-    enabled: bool,
-    events: Vec<(Cycle, String)>,
-}
-
-impl Tracer {
-    /// Creates a disabled tracer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an enabled tracer.
-    pub fn enabled() -> Self {
-        Tracer {
-            enabled: true,
-            events: Vec::new(),
-        }
-    }
-
-    /// Turns tracing on or off.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// Returns `true` if events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records an event if enabled. Prefer passing a closure-produced string
-    /// only when enabled:
-    ///
-    /// ```
-    /// use netsim::trace::Tracer;
-    /// let mut t = Tracer::enabled();
-    /// if t.is_enabled() {
-    ///     t.log(3, format!("packet p1 admitted"));
-    /// }
-    /// assert_eq!(t.events().len(), 1);
-    /// ```
-    pub fn log(&mut self, now: Cycle, event: String) {
-        if self.enabled {
-            self.events.push((now, event));
-        }
-    }
-
-    /// All recorded events in order.
-    pub fn events(&self) -> &[(Cycle, String)] {
-        &self.events
-    }
-
-    /// Events whose text contains `needle`.
-    pub fn matching<'a>(&'a self, needle: &'a str) -> impl Iterator<Item = &'a (Cycle, String)> {
-        self.events.iter().filter(move |(_, e)| e.contains(needle))
-    }
-
-    /// Drops all recorded events.
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
-    /// Renders the trace as one line per event.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (cycle, event) in &self.events {
-            out.push_str(&format!("[{cycle:>8}] {event}\n"));
-        }
-        out
-    }
-}
 
 /// One semantic protocol event of a switch's buffer-accounting machine.
 ///
@@ -198,36 +122,5 @@ mod tests {
         assert!(h.borrow().is_enabled());
         h.borrow_mut().clear();
         assert!(h.borrow().events().is_empty());
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let mut t = Tracer::new();
-        t.log(1, "x".to_string());
-        assert!(t.events().is_empty());
-        assert!(!t.is_enabled());
-    }
-
-    #[test]
-    fn enabled_tracer_records_and_filters() {
-        let mut t = Tracer::enabled();
-        t.log(1, "admit p1".to_string());
-        t.log(2, "drop p2".to_string());
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.matching("admit").count(), 1);
-        let render = t.render();
-        assert!(render.contains("admit p1"));
-        t.clear();
-        assert!(t.events().is_empty());
-    }
-
-    #[test]
-    fn toggling() {
-        let mut t = Tracer::new();
-        t.set_enabled(true);
-        t.log(5, "on".into());
-        t.set_enabled(false);
-        t.log(6, "off".into());
-        assert_eq!(t.events().len(), 1);
     }
 }

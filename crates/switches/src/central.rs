@@ -165,6 +165,9 @@ pub struct CentralBufferSwitch {
     /// `last_tick` replays exactly what those ticks would have done
     /// (advance `rr`, observe zero occupancy).
     last_tick: Cycle,
+    /// [`CentralBufferSwitch::is_empty`] as of the end of the last tick,
+    /// computed once and shared by the control cell and `sleep_until`.
+    empty: bool,
 }
 
 impl CentralBufferSwitch {
@@ -214,6 +217,7 @@ impl CentralBufferSwitch {
             sem: None,
             rr: 0,
             last_tick: 0,
+            empty: true,
         }
     }
 
@@ -245,17 +249,22 @@ impl CentralBufferSwitch {
     }
 
     /// No staged flits, no resident worms, every chunk free, no pending
-    /// barrier emission: safe to swap routing tables.
-    fn empty_now(&self) -> bool {
-        self.inputs
+    /// barrier emission: safe to swap routing tables. Takes split borrows
+    /// so the tick can evaluate it mid-destructure.
+    fn is_empty(
+        inputs: &[InputPort],
+        outputs: &[OutputPort],
+        cq: &CqState,
+        barrier: Option<&BarrierCombiner>,
+    ) -> bool {
+        inputs
             .iter()
             .all(|inp| inp.staging.is_empty() && matches!(inp.state, InState::Idle))
-            && self
-                .outputs
+            && outputs
                 .iter()
                 .all(|o| o.queue.is_empty() && matches!(o.state, TxState::Idle))
-            && self.cq.free() == self.cfg.cq_chunks
-            && self.barrier.as_ref().is_none_or(|b| b.ready.is_empty())
+            && cq.free() == cq.capacity
+            && barrier.is_none_or(|b| b.ready.is_empty())
     }
 
     /// Kills every resident worm: staged flits are dropped with one credit
@@ -350,25 +359,27 @@ impl Component for CentralBufferSwitch {
         // is never purging, so the skipped ticks were plain idle ticks.
         self.replay_idle_cycles(now - self.last_tick - 1);
         self.last_tick = now;
-        if let Some(ctl) = self.ctl.clone() {
-            if ctl.purging() {
-                self.purge(now, io);
-                ctl.set_empty(true);
-                let mut st = self.stats.borrow_mut();
-                st.cq_used_chunks.observe(self.cq.used() as u64);
-                st.cq_free_now = self.cq.free();
-                return;
-            }
-            if ctl.tables_pending() && self.empty_now() {
-                let (_epoch, tables) = ctl.take_committed().expect("pending checked");
-                assert_eq!(
-                    tables.table(self.id).n_ports(),
-                    self.cfg.ports,
-                    "swapped routing table port count mismatch for {}",
-                    self.id
-                );
-                self.tables = tables;
-            }
+        if self.ctl.as_ref().is_some_and(|c| c.purging()) {
+            self.purge(now, io);
+            self.empty = true;
+            self.ctl.as_ref().expect("checked").set_empty(true);
+            let mut st = self.stats.borrow_mut();
+            st.cq_used_chunks.observe(self.cq.used() as u64);
+            st.cq_free_now = self.cq.free();
+            return;
+        }
+        if self.ctl.as_ref().is_some_and(|c| c.tables_pending())
+            && Self::is_empty(&self.inputs, &self.outputs, &self.cq, self.barrier.as_ref())
+        {
+            let ctl = self.ctl.as_ref().expect("checked");
+            let (_epoch, tables) = ctl.take_committed().expect("pending checked");
+            assert_eq!(
+                tables.table(self.id).n_ports(),
+                self.cfg.ports,
+                "swapped routing table port count mismatch for {}",
+                self.id
+            );
+            self.tables = tables;
         }
         let ports = self.cfg.ports;
         let chunk_flits = self.cfg.chunk_flits;
@@ -384,9 +395,14 @@ impl Component for CentralBufferSwitch {
             sem,
             rr,
             id,
+            empty,
             ..
         } = self;
         let table = tables.table(*id);
+        // Per-flit counters, added to `stats` in the one end-of-tick borrow.
+        let mut flits_sent = 0u64;
+        let mut bypass_flits = 0u64;
+        let mut reservation_wait_cycles = 0u64;
 
         // --- Transmitters first: they observe last cycle's write progress,
         // modeling one cycle of latency through the central queue RAM.
@@ -403,9 +419,7 @@ impl Component for CentralBufferSwitch {
                     if branch.read < written {
                         io.send(p, Flit::new(branch.pkt.clone(), branch.read));
                         branch.read += 1;
-                        let mut st = stats.borrow_mut();
-                        st.flits_sent += 1;
-                        drop(st);
+                        flits_sent += 1;
                         let total = branch.pkt.total_flits();
                         if branch.read % chunk_flits == 0 || branch.read == total {
                             let idx = usize::from((branch.read - 1) / chunk_flits);
@@ -605,7 +619,7 @@ impl Component for CentralBufferSwitch {
                         decided: false,
                     };
                 } else {
-                    stats.borrow_mut().reservation_wait_cycles += 1;
+                    reservation_wait_cycles += 1;
                 }
             }
 
@@ -686,7 +700,7 @@ impl Component for CentralBufferSwitch {
                         decided: true,
                     };
                 } else {
-                    stats.borrow_mut().reservation_wait_cycles += 1;
+                    reservation_wait_cycles += 1;
                 }
             }
 
@@ -764,10 +778,8 @@ impl Component for CentralBufferSwitch {
                     io.send(*port, flit);
                     io.return_credit(i);
                     *sent += 1;
-                    let mut st = stats.borrow_mut();
-                    st.flits_sent += 1;
-                    st.bypass_flits += 1;
-                    drop(st);
+                    flits_sent += 1;
+                    bypass_flits += 1;
                     if *sent == pkt.total_flits() {
                         if let TxState::Bypass { input } = outputs[*port].state {
                             debug_assert_eq!(input, i, "bypass owner mismatch");
@@ -782,7 +794,16 @@ impl Component for CentralBufferSwitch {
 
         *rr = (*rr + 1) % ports;
 
-        if stats.borrow().forensics_requested {
+        let mut st = stats.borrow_mut();
+        st.flits_sent += flits_sent;
+        st.bypass_flits += bypass_flits;
+        st.reservation_wait_cycles += reservation_wait_cycles;
+        st.cq_used_chunks.observe(cq.used() as u64);
+        st.cq_free_now = cq.free();
+        let forensics = std::mem::take(&mut st.forensics_requested);
+        drop(st);
+
+        if forensics {
             let snap_worm = |input: Option<usize>,
                              pkt: &Rc<Packet>,
                              state: &'static str,
@@ -857,9 +878,7 @@ impl Component for CentralBufferSwitch {
                     blocked.push(snap_worm(None, &b.pkt, "cq-queued", Vec::new(), vec![p]));
                 }
             }
-            let mut st = stats.borrow_mut();
-            st.forensics_requested = false;
-            st.forensics = Some(SwitchSnapshot {
+            stats.borrow_mut().forensics = Some(SwitchSnapshot {
                 cq_used_chunks: cq.used(),
                 cq_free_chunks: cq.free(),
                 input_occupancy: inputs.iter().map(|i| i.staging.len() as u32).collect(),
@@ -867,21 +886,9 @@ impl Component for CentralBufferSwitch {
             });
         }
 
-        let mut st = stats.borrow_mut();
-        st.cq_used_chunks.observe(cq.used() as u64);
-        st.cq_free_now = cq.free();
-        drop(st);
-
+        *empty = Self::is_empty(inputs, outputs, cq, barrier.as_ref());
         if let Some(ctl) = ctl {
-            let empty = inputs
-                .iter()
-                .all(|inp| inp.staging.is_empty() && matches!(inp.state, InState::Idle))
-                && outputs
-                    .iter()
-                    .all(|o| o.queue.is_empty() && matches!(o.state, TxState::Idle))
-                && cq.free() == cfg.cq_chunks
-                && barrier.as_ref().is_none_or(|b| b.ready.is_empty());
-            ctl.set_empty(empty);
+            ctl.set_empty(*empty);
         }
     }
 
@@ -891,7 +898,7 @@ impl Component for CentralBufferSwitch {
     /// Purging and pending table swaps keep it awake because those act on
     /// every tick.
     fn sleep_until(&mut self, _now: Cycle) -> Option<Cycle> {
-        let idle = self.empty_now()
+        let idle = self.empty
             && self
                 .ctl
                 .as_ref()

@@ -15,31 +15,39 @@ use netsim::header::RoutingHeader;
 use netsim::ids::PacketId;
 use netsim::packet::Packet;
 use netsim::Cycle;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Records when each packet's final header flit arrived at this input.
+///
+/// An input holds only the few packets its staging buffer or FIFO fits,
+/// so a short vector scanned linearly beats hashing the packet id.
 #[derive(Debug, Default)]
 pub(crate) struct HeaderClock {
-    done: HashMap<PacketId, Cycle>,
+    done: Vec<(PacketId, Cycle)>,
 }
 
 impl HeaderClock {
     /// Notes a flit arrival; remembers the cycle the header completed.
     pub(crate) fn on_arrival(&mut self, flit: &Flit, now: Cycle) {
         if flit.idx() + 1 == flit.packet().header_flits() {
-            self.done.insert(flit.packet().id(), now);
+            let id = flit.packet().id();
+            match self.done.iter_mut().find(|(p, _)| *p == id) {
+                Some(entry) => entry.1 = now,
+                None => self.done.push((id, now)),
+            }
         }
     }
 
     /// Cycle at which the packet's header finished arriving, if known.
     pub(crate) fn done_at(&self, id: PacketId) -> Option<Cycle> {
-        self.done.get(&id).copied()
+        self.done.iter().find(|(p, _)| *p == id).map(|&(_, t)| t)
     }
 
     /// Drops bookkeeping for a finished packet.
     pub(crate) fn forget(&mut self, id: PacketId) {
-        self.done.remove(&id);
+        if let Some(pos) = self.done.iter().position(|(p, _)| *p == id) {
+            self.done.swap_remove(pos);
+        }
     }
 }
 

@@ -66,6 +66,32 @@ struct IbOutput {
     owner: Option<usize>,
     /// Round-robin pointer for grant arbitration.
     rr: usize,
+    /// Request vector: bit `i` is set while input `i`'s head packet has an
+    /// ungranted branch on this output. Set at head decode, cleared by the
+    /// grant that leaves input `i` no ungranted branch here, reset by a
+    /// purge.
+    requests: u64,
+}
+
+impl IbOutput {
+    /// The requesting input the round-robin arbiter grants next: the first
+    /// set request bit at or after `rr`, wrapping around.
+    fn next_request(&self) -> Option<usize> {
+        let from_rr = self.requests & (u64::MAX << self.rr);
+        let pick = if from_rr != 0 { from_rr } else { self.requests };
+        (pick != 0).then(|| pick.trailing_zeros() as usize)
+    }
+}
+
+/// `true` if `input`'s head packet has an ungranted branch on `port` — the
+/// predicate an output's request bit for that input mirrors.
+fn requests_port(input: &IbInput, port: usize) -> bool {
+    input.head.as_ref().is_some_and(|h| {
+        h.sem
+            .branches
+            .iter()
+            .any(|b| b.port == port && !b.granted && !b.done)
+    })
 }
 
 /// An input-buffer switch with multidestination-worm support.
@@ -83,6 +109,9 @@ pub struct InputBufferedSwitch {
     /// have taken (output round-robins only move on grants, so an idle
     /// tick mutates nothing else).
     last_tick: Cycle,
+    /// [`InputBufferedSwitch::is_empty`] as of the end of the last tick,
+    /// computed once and shared by the control cell and `sleep_until`.
+    empty: bool,
 }
 
 impl InputBufferedSwitch {
@@ -124,6 +153,7 @@ impl InputBufferedSwitch {
             stats,
             ctl: None,
             last_tick: 0,
+            empty: true,
         }
     }
 
@@ -149,12 +179,13 @@ impl InputBufferedSwitch {
     }
 
     /// No buffered flits, no resident packets, no owned transmitters: safe
-    /// to swap routing tables.
-    fn empty_now(&self) -> bool {
-        self.inputs
+    /// to swap routing tables. Takes split borrows so the tick can evaluate
+    /// it mid-destructure.
+    fn is_empty(inputs: &[IbInput], outputs: &[IbOutput]) -> bool {
+        inputs
             .iter()
             .all(|inp| inp.packets.is_empty() && inp.occupied == 0 && inp.head.is_none())
-            && self.outputs.iter().all(|o| o.owner.is_none())
+            && outputs.iter().all(|o| o.owner.is_none())
     }
 
     /// Kills every resident worm: one credit is returned upstream per
@@ -183,6 +214,7 @@ impl InputBufferedSwitch {
         }
         for out in self.outputs.iter_mut() {
             out.owner = None;
+            out.requests = 0;
         }
         if flits + worms > 0 {
             let mut st = self.stats.borrow_mut();
@@ -200,23 +232,25 @@ impl Component for InputBufferedSwitch {
         // is never purging, so the skipped ticks were plain idle ticks.
         self.replay_idle_cycles(now - self.last_tick - 1);
         self.last_tick = now;
-        if let Some(ctl) = self.ctl.clone() {
-            if ctl.purging() {
-                self.purge(now, io);
-                ctl.set_empty(true);
-                self.stats.borrow_mut().ib_used_flits.observe(0);
-                return;
-            }
-            if ctl.tables_pending() && self.empty_now() {
-                let (_epoch, tables) = ctl.take_committed().expect("pending checked");
-                assert_eq!(
-                    tables.table(self.id).n_ports(),
-                    self.cfg.ports,
-                    "swapped routing table port count mismatch for {}",
-                    self.id
-                );
-                self.tables = tables;
-            }
+        if self.ctl.as_ref().is_some_and(|c| c.purging()) {
+            self.purge(now, io);
+            self.empty = true;
+            self.ctl.as_ref().expect("checked").set_empty(true);
+            self.stats.borrow_mut().ib_used_flits.observe(0);
+            return;
+        }
+        if self.ctl.as_ref().is_some_and(|c| c.tables_pending())
+            && Self::is_empty(&self.inputs, &self.outputs)
+        {
+            let ctl = self.ctl.as_ref().expect("checked");
+            let (_epoch, tables) = ctl.take_committed().expect("pending checked");
+            assert_eq!(
+                tables.table(self.id).n_ports(),
+                self.cfg.ports,
+                "swapped routing table port count mismatch for {}",
+                self.id
+            );
+            self.tables = tables;
         }
         let ports = self.cfg.ports;
         let InputBufferedSwitch {
@@ -227,9 +261,12 @@ impl Component for InputBufferedSwitch {
             stats,
             ctl,
             id,
+            empty,
             ..
         } = self;
         let table = tables.table(*id);
+        // Added to `stats` in the one end-of-tick borrow.
+        let mut flits_sent = 0u64;
 
         // --- 1. Receive one flit per input.
         for (i, input) in inputs.iter_mut().enumerate() {
@@ -286,6 +323,9 @@ impl Component for InputBufferedSwitch {
                 st.packets_replicated += 1;
             }
             drop(st);
+            for &(port, _) in &branches {
+                outputs[port].requests |= 1 << i;
+            }
             let total = pkt.total_flits();
             inputs[i].head = Some(IbHead {
                 sem: IbHeadState::new(total, branches.iter().map(|&(port, _)| port)),
@@ -295,24 +335,31 @@ impl Component for InputBufferedSwitch {
 
         // --- 3. Grant free transmitters round-robin among requesting inputs.
         for p in 0..ports {
-            if outputs[p].owner.is_some() {
+            let out = &mut outputs[p];
+            if out.owner.is_some() {
                 continue;
             }
-            let start = outputs[p].rr;
-            for k in 0..ports {
-                let i = (start + k) % ports;
-                let request = inputs[i].head.as_ref().and_then(|h| {
-                    h.sem
-                        .branches
-                        .iter()
-                        .position(|b| b.port == p && !b.granted && !b.done)
-                });
-                if let Some(b) = request {
-                    outputs[p].owner = Some(i);
-                    outputs[p].rr = (i + 1) % ports;
-                    inputs[i].head.as_mut().expect("checked").sem.grant(b);
-                    break;
-                }
+            debug_assert_eq!(
+                out.requests,
+                (0..ports)
+                    .filter(|&i| requests_port(&inputs[i], p))
+                    .fold(0, |m, i| m | 1 << i),
+                "request mask of output {p} disagrees with the branch scan"
+            );
+            let Some(i) = out.next_request() else {
+                continue;
+            };
+            let sem = &mut inputs[i].head.as_mut().expect("requester has a head").sem;
+            let b = sem
+                .branches
+                .iter()
+                .position(|b| b.port == p && !b.granted && !b.done)
+                .expect("request bit implies an ungranted branch");
+            sem.grant(b);
+            out.owner = Some(i);
+            out.rr = (i + 1) % ports;
+            if !requests_port(&inputs[i], p) {
+                out.requests &= !(1 << i);
             }
         }
 
@@ -334,7 +381,7 @@ impl Component for InputBufferedSwitch {
                     if io.can_send(p) && head.sem.branches[b].read < received {
                         let read = head.sem.branches[b].read;
                         io.send(p, Flit::new(head.pkts[b].1.clone(), read));
-                        stats.borrow_mut().flits_sent += 1;
+                        flits_sent += 1;
                         if head.sem.read_flit(b) {
                             outputs[p].owner = None;
                         }
@@ -365,7 +412,7 @@ impl Component for InputBufferedSwitch {
                         for port in head.sem.read_lockstep() {
                             outputs[port].owner = None;
                         }
-                        stats.borrow_mut().flits_sent += head.pkts.len() as u64;
+                        flits_sent += head.pkts.len() as u64;
                     }
                 }
             }
@@ -391,7 +438,13 @@ impl Component for InputBufferedSwitch {
             occupancy_sum += u64::from(input.occupied);
         }
 
-        if stats.borrow().forensics_requested {
+        let mut st = stats.borrow_mut();
+        st.flits_sent += flits_sent;
+        st.ib_used_flits.observe(occupancy_sum);
+        let forensics = std::mem::take(&mut st.forensics_requested);
+        drop(st);
+
+        if forensics {
             let mut blocked = Vec::new();
             for (i, input) in inputs.iter().enumerate() {
                 let mut queued = input.packets.iter();
@@ -443,9 +496,7 @@ impl Component for InputBufferedSwitch {
                     blocked.push(snap_worm(&q.pkt, "hol-queued", Vec::new(), Vec::new()));
                 }
             }
-            let mut st = stats.borrow_mut();
-            st.forensics_requested = false;
-            st.forensics = Some(SwitchSnapshot {
+            stats.borrow_mut().forensics = Some(SwitchSnapshot {
                 cq_used_chunks: 0,
                 cq_free_chunks: 0,
                 input_occupancy: inputs.iter().map(|i| i.occupied).collect(),
@@ -453,14 +504,9 @@ impl Component for InputBufferedSwitch {
             });
         }
 
-        stats.borrow_mut().ib_used_flits.observe(occupancy_sum);
-
+        *empty = Self::is_empty(inputs, outputs);
         if let Some(ctl) = ctl {
-            let empty = inputs
-                .iter()
-                .all(|inp| inp.packets.is_empty() && inp.occupied == 0 && inp.head.is_none())
-                && outputs.iter().all(|o| o.owner.is_none());
-            ctl.set_empty(empty);
+            ctl.set_empty(*empty);
         }
     }
 
@@ -470,7 +516,7 @@ impl Component for InputBufferedSwitch {
     /// Purging and pending table swaps keep it awake because those act on
     /// every tick.
     fn sleep_until(&mut self, _now: Cycle) -> Option<Cycle> {
-        let idle = self.empty_now()
+        let idle = self.empty
             && self
                 .ctl
                 .as_ref()

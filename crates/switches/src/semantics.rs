@@ -1,23 +1,28 @@
-//! Pure, side-effect-free transition cores of the switch protocols.
+//! Transition cores of the switch protocols: plain state machines with no
+//! I/O and no access to simulator internals.
 //!
 //! The chunk-allocate / replicate / credit-return logic of both switch
-//! architectures lives here as plain value types with explicit
-//! `step(state, event) -> (state, effect)` functions:
+//! architectures lives here as plain value types. Each machine has one
+//! transition body, `apply(&mut state, event) -> effect`, which mutates in
+//! place and allocates nothing on the per-flit paths; the pure
+//! `step(&state, event) -> (state, effect)` form the model checker and the
+//! trace replay explore is a clone plus that same body:
 //!
-//! * [`CqState`] / [`cq_step`] — central-queue space accounting with the
+//! * [`CqState`] / [`cq_apply`] — central-queue space accounting with the
 //!   descending-traffic reserve and per-class single-waiter reservation
 //!   accumulators (paper §4: "a packet accepted for transmission can
 //!   eventually be completely buffered");
-//! * [`ReplState`] / [`repl_step`] — the shared writer of a packet stored
+//! * [`ReplState`] / [`repl_apply`] — the shared writer of a packet stored
 //!   once in the central queue, with per-chunk reference counts freed by
 //!   the slowest branch (asynchronous replication);
-//! * [`IbHeadState`] / [`ib_step`] — per-branch read cursors, grants, and
+//! * [`IbHeadState`] / [`ib_apply`] — per-branch read cursors, grants, and
 //!   FIFO credit recycle of the input-buffered head packet (paper §5).
 //!
 //! The live simulators ([`crate::CentralBufferSwitch`],
-//! [`crate::InputBufferedSwitch`]) drive these cores through the mutating
-//! convenience wrappers; the bounded model checker (`mdw-analysis`'s
-//! `model` module) explores the very same transition functions over
+//! [`crate::InputBufferedSwitch`]) drive these cores in place through the
+//! mutating convenience wrappers; the bounded model checker
+//! (`mdw-analysis`'s `model` module) explores the very same transition
+//! bodies, through [`cq_step`] / [`repl_step`] / [`ib_step`], over
 //! abstract fabrics, and the trace-conformance replay re-applies recorded
 //! [`netsim::trace::SemEvent`]s through them. All three agree by
 //! construction — that is the point of the extraction.
@@ -91,27 +96,27 @@ pub enum CqEffect {
     Released,
 }
 
-/// The pure transition function of the central-queue accounting machine.
+/// The transition body of the central-queue accounting machine: applies
+/// `event` to `s` in place and returns its observable outcome.
 ///
 /// # Panics
 ///
 /// Panics on chunk over-release (more [`CqEvent::Release`]s than allocated
 /// chunks) — a protocol violation, not a reachable state.
-pub fn cq_step(state: &CqState, event: CqEvent) -> (CqState, CqEffect) {
-    let mut s = state.clone();
+pub fn cq_apply(s: &mut CqState, event: CqEvent) -> CqEffect {
     match event {
         CqEvent::Release => {
             if let Some(r) = &mut s.resv_desc {
                 if r.got < r.need {
                     r.got += 1;
-                    return (s, CqEffect::Released);
+                    return CqEffect::Released;
                 }
             }
             if s.free >= s.reserve {
                 if let Some(r) = &mut s.resv_asc {
                     if r.got < r.need {
                         r.got += 1;
-                        return (s, CqEffect::Released);
+                        return CqEffect::Released;
                     }
                 }
             }
@@ -120,7 +125,7 @@ pub fn cq_step(state: &CqState, event: CqEvent) -> (CqState, CqEffect) {
                 s.free <= s.capacity,
                 "central-queue chunk over-released past capacity"
             );
-            (s, CqEffect::Released)
+            CqEffect::Released
         }
         CqEvent::Reserve {
             input,
@@ -137,7 +142,7 @@ pub fn cq_step(state: &CqState, event: CqEvent) -> (CqState, CqEffect) {
             } else {
                 &mut s.resv_asc
             };
-            let effect = match slot {
+            match slot {
                 Some(r) if r.input == input => {
                     if r.got == r.need {
                         *slot = None;
@@ -161,10 +166,21 @@ pub fn cq_step(state: &CqState, event: CqEvent) -> (CqState, CqEffect) {
                         CqEffect::Denied
                     }
                 }
-            };
-            (s, effect)
+            }
         }
     }
+}
+
+/// The pure transition function of the central-queue accounting machine:
+/// [`cq_apply`] on a clone of `state`.
+///
+/// # Panics
+///
+/// As [`cq_apply`].
+pub fn cq_step(state: &CqState, event: CqEvent) -> (CqState, CqEffect) {
+    let mut s = state.clone();
+    let effect = cq_apply(&mut s, event);
+    (s, effect)
 }
 
 impl CqState {
@@ -201,27 +217,22 @@ impl CqState {
     }
 
     /// Routes a freed chunk: descending waiter first, then (above the
-    /// reserve floor) the ascending waiter, then the pool. Mutating wrapper
-    /// over [`cq_step`].
+    /// reserve floor) the ascending waiter, then the pool. In-place
+    /// wrapper over [`cq_apply`].
     pub fn release_chunk(&mut self) {
-        let (next, _) = cq_step(self, CqEvent::Release);
-        *self = next;
+        cq_apply(self, CqEvent::Release);
     }
 
     /// Attempts the full-packet reservation for input `i` needing `need`
-    /// chunks of the given class, via the class's accumulator. Mutating
-    /// wrapper over [`cq_step`]; returns `true` on grant.
+    /// chunks of the given class, via the class's accumulator. In-place
+    /// wrapper over [`cq_apply`]; returns `true` on grant.
     pub fn try_reserve(&mut self, i: usize, need: usize, descending: bool) -> bool {
-        let (next, effect) = cq_step(
-            self,
-            CqEvent::Reserve {
-                input: i,
-                need,
-                descending,
-            },
-        );
-        *self = next;
-        effect == CqEffect::Granted
+        let event = CqEvent::Reserve {
+            input: i,
+            need,
+            descending,
+        };
+        cq_apply(self, event) == CqEffect::Granted
     }
 }
 
@@ -270,22 +281,20 @@ pub enum ReplEffect {
     ChunkFreed,
 }
 
-/// The pure transition function of the shared-writer machine.
+/// The transition body of the shared-writer machine: applies `event` to
+/// `s` in place and returns its observable outcome.
 ///
 /// # Panics
 ///
 /// Panics on protocol violations: fan-out not fitting `u8`, writing past
 /// `total`, or over-releasing a chunk.
-pub fn repl_step(state: &ReplState, event: ReplEvent) -> (ReplState, ReplEffect) {
-    let mut s = state.clone();
+pub fn repl_apply(s: &mut ReplState, event: ReplEvent) -> ReplEffect {
     match event {
         ReplEvent::SetBranches(n) => {
             let n = u8::try_from(n).expect("fan-out fits in u8");
             s.n_branches = n;
-            for r in &mut s.refs {
-                *r = n;
-            }
-            (s, ReplEffect::None)
+            s.refs.fill(n);
+            ReplEffect::None
         }
         ReplEvent::WriteFlit => {
             assert!(s.written < s.total, "write past end of packet");
@@ -294,30 +303,35 @@ pub fn repl_step(state: &ReplState, event: ReplEvent) -> (ReplState, ReplEffect)
                 s.refs.push(s.n_branches);
             }
             s.written += 1;
-            (
-                s,
-                if allocated {
-                    ReplEffect::ChunkAllocated
-                } else {
-                    ReplEffect::None
-                },
-            )
+            if allocated {
+                ReplEffect::ChunkAllocated
+            } else {
+                ReplEffect::None
+            }
         }
         ReplEvent::ReleaseChunk(idx) => {
             let r = &mut s.refs[idx];
             assert!(*r > 0, "chunk {idx} over-released");
             *r -= 1;
-            let freed = *r == 0;
-            (
-                s,
-                if freed {
-                    ReplEffect::ChunkFreed
-                } else {
-                    ReplEffect::None
-                },
-            )
+            if *r == 0 {
+                ReplEffect::ChunkFreed
+            } else {
+                ReplEffect::None
+            }
         }
     }
+}
+
+/// The pure transition function of the shared-writer machine:
+/// [`repl_apply`] on a clone of `state`.
+///
+/// # Panics
+///
+/// As [`repl_apply`].
+pub fn repl_step(state: &ReplState, event: ReplEvent) -> (ReplState, ReplEffect) {
+    let mut s = state.clone();
+    let effect = repl_apply(&mut s, event);
+    (s, effect)
 }
 
 impl ReplState {
@@ -349,26 +363,22 @@ impl ReplState {
     }
 
     /// Absorbs one flit (allocating a chunk when needed; space is
-    /// guaranteed by the admission reservation). Mutating wrapper over
-    /// [`repl_step`].
+    /// guaranteed by the admission reservation). In-place wrapper over
+    /// [`repl_apply`].
     pub fn write_flit(&mut self) {
-        let (next, _) = repl_step(self, ReplEvent::WriteFlit);
-        *self = next;
+        repl_apply(self, ReplEvent::WriteFlit);
     }
 
-    /// Sets the branch fan-out once the routing decision is made. Mutating
-    /// wrapper over [`repl_step`].
+    /// Sets the branch fan-out once the routing decision is made. In-place
+    /// wrapper over [`repl_apply`].
     pub fn set_branches(&mut self, n: usize) {
-        let (next, _) = repl_step(self, ReplEvent::SetBranches(n));
-        *self = next;
+        repl_apply(self, ReplEvent::SetBranches(n));
     }
 
     /// One branch finished reading chunk `idx`; returns `true` if the
-    /// chunk is now free. Mutating wrapper over [`repl_step`].
+    /// chunk is now free. In-place wrapper over [`repl_apply`].
     pub fn release(&mut self, idx: usize) -> bool {
-        let (next, effect) = repl_step(self, ReplEvent::ReleaseChunk(idx));
-        *self = next;
-        effect == ReplEffect::ChunkFreed
+        repl_apply(self, ReplEvent::ReleaseChunk(idx)) == ReplEffect::ChunkFreed
     }
 }
 
@@ -435,21 +445,21 @@ pub enum IbEffect {
     Credits(u16),
 }
 
-/// The pure transition function of the input-buffered head machine.
+/// The transition body of the input-buffered head machine: applies
+/// `event` to `s` in place and returns its observable outcome.
 ///
 /// # Panics
 ///
 /// Panics on protocol violations: granting a granted/done branch, reading
 /// past `total` or without a grant, or lock-step reading with diverged
 /// cursors.
-pub fn ib_step(state: &IbHeadState, event: IbEvent) -> (IbHeadState, IbEffect) {
-    let mut s = state.clone();
+pub fn ib_apply(s: &mut IbHeadState, event: IbEvent) -> IbEffect {
     match event {
         IbEvent::Grant { branch } => {
             let b = &mut s.branches[branch];
             assert!(!b.granted && !b.done, "grant to a granted or done branch");
             b.granted = true;
-            (s, IbEffect::None)
+            IbEffect::None
         }
         IbEvent::ReadFlit { branch } => {
             let total = s.total;
@@ -457,13 +467,12 @@ pub fn ib_step(state: &IbHeadState, event: IbEvent) -> (IbHeadState, IbEffect) {
             assert!(b.granted && !b.done, "read without an active grant");
             assert!(b.read < total, "read past end of packet");
             b.read += 1;
-            let effect = if b.read == total {
+            if b.read == total {
                 b.done = true;
                 IbEffect::BranchesDone(vec![b.port])
             } else {
                 IbEffect::None
-            };
-            (s, effect)
+            }
         }
         IbEvent::ReadLockStep => {
             assert!(
@@ -485,25 +494,31 @@ pub fn ib_step(state: &IbHeadState, event: IbEvent) -> (IbHeadState, IbEffect) {
                     done_ports.push(b.port);
                 }
             }
-            let effect = if done_ports.is_empty() {
+            if done_ports.is_empty() {
                 IbEffect::None
             } else {
                 IbEffect::BranchesDone(done_ports)
-            };
-            (s, effect)
+            }
         }
         IbEvent::Recycle => {
-            let min_read = s
-                .branches
-                .iter()
-                .map(|b| b.read)
-                .min()
-                .expect("at least one branch");
+            let min_read = s.min_read();
             let newly = min_read - s.freed;
             s.freed = min_read;
-            (s, IbEffect::Credits(newly))
+            IbEffect::Credits(newly)
         }
     }
+}
+
+/// The pure transition function of the input-buffered head machine:
+/// [`ib_apply`] on a clone of `state`.
+///
+/// # Panics
+///
+/// As [`ib_apply`].
+pub fn ib_step(state: &IbHeadState, event: IbEvent) -> (IbHeadState, IbEffect) {
+    let mut s = state.clone();
+    let effect = ib_apply(&mut s, event);
+    (s, effect)
 }
 
 impl IbHeadState {
@@ -524,37 +539,34 @@ impl IbHeadState {
         }
     }
 
-    /// Grants branch `branch` its output. Mutating wrapper over [`ib_step`].
+    /// Grants branch `branch` its output. In-place wrapper over
+    /// [`ib_apply`].
     pub fn grant(&mut self, branch: usize) {
-        let (next, _) = ib_step(self, IbEvent::Grant { branch });
-        *self = next;
+        ib_apply(self, IbEvent::Grant { branch });
     }
 
     /// Streams one flit on branch `branch`; returns `true` when the branch
-    /// just finished. Mutating wrapper over [`ib_step`].
+    /// just finished. In-place wrapper over [`ib_apply`].
     pub fn read_flit(&mut self, branch: usize) -> bool {
-        let (next, effect) = ib_step(self, IbEvent::ReadFlit { branch });
-        *self = next;
-        matches!(effect, IbEffect::BranchesDone(_))
+        matches!(
+            ib_apply(self, IbEvent::ReadFlit { branch }),
+            IbEffect::BranchesDone(_)
+        )
     }
 
     /// Streams one flit on every branch in lock-step; returns the ports of
-    /// branches that just finished. Mutating wrapper over [`ib_step`].
+    /// branches that just finished. In-place wrapper over [`ib_apply`].
     pub fn read_lockstep(&mut self) -> Vec<usize> {
-        let (next, effect) = ib_step(self, IbEvent::ReadLockStep);
-        *self = next;
-        match effect {
+        match ib_apply(self, IbEvent::ReadLockStep) {
             IbEffect::BranchesDone(ports) => ports,
             _ => Vec::new(),
         }
     }
 
     /// Advances the recycle watermark; returns the credits to send
-    /// upstream. Mutating wrapper over [`ib_step`].
+    /// upstream. In-place wrapper over [`ib_apply`].
     pub fn recycle(&mut self) -> u16 {
-        let (next, effect) = ib_step(self, IbEvent::Recycle);
-        *self = next;
-        match effect {
+        match ib_apply(self, IbEvent::Recycle) {
             IbEffect::Credits(n) => n,
             _ => 0,
         }

@@ -19,6 +19,10 @@
 //!   inputs from random reachable states. Today they delegate by
 //!   construction; this pins the equivalence against later "optimization"
 //!   of either side.
+//! * **in-place agreement** — folding random legal event sequences through
+//!   the in-place transition bodies (`cq_apply`, `repl_apply`, `ib_apply`)
+//!   and through the pure clone-and-step functions the model checker uses
+//!   must give equal states and equal effects after every event.
 
 use mintopo::route::RouteTables;
 use mintopo::topology::TopologyBuilder;
@@ -32,6 +36,7 @@ use netsim::Cycle;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
+use switches::semantics::{cq_apply, ib_apply, repl_apply};
 use switches::semantics::{cq_step, ib_step, repl_step};
 use switches::semantics::{CqEffect, CqEvent, IbEffect, IbEvent, ReplEvent};
 use switches::{CentralBufferSwitch, CqState, IbHeadState, ReplState, SwitchConfig, SwitchStats};
@@ -409,6 +414,120 @@ fn repl_wrappers_agree_with_pure_step() {
             freed += usize::from(last);
         }
         assert_eq!(freed, n_chunks, "case {case}: every chunk freed once");
+    }
+}
+
+/// `*_apply` in place vs `*_step` on a clone, folded over random legal
+/// event sequences of all three machines: equal state and equal effect
+/// after every event.
+#[test]
+fn in_place_apply_agrees_with_pure_step() {
+    let root = SimRng::new(0xA9_9017);
+    for case in 0..128u64 {
+        let mut rng = root.fork(case);
+
+        // Central-queue accounting.
+        let reserve = rng.below(4);
+        let capacity = 2 * reserve + 1 + rng.below(12);
+        let mut applied = CqState::new(capacity, reserve);
+        let mut stepped = applied.clone();
+        for op in 0..200 {
+            let event = if rng.chance(0.6) || applied.used() == 0 {
+                CqEvent::Reserve {
+                    input: rng.below(4),
+                    need: 1 + rng.below(capacity),
+                    descending: rng.chance(0.5),
+                }
+            } else {
+                CqEvent::Release
+            };
+            let effect = cq_apply(&mut applied, event);
+            let (next, expected) = cq_step(&stepped, event);
+            stepped = next;
+            assert_eq!(effect, expected, "cq case {case} op {op}: {event:?}");
+            assert_eq!(applied, stepped, "cq case {case} op {op}: {event:?}");
+        }
+
+        // Shared writer: absorption may precede the routing decision, and
+        // branch readers release chunks while later flits are written.
+        let chunk_flits = 1 + rng.below(8) as u16;
+        let total = 1 + rng.below(32) as u16;
+        let n_branches = 1 + rng.below(4);
+        let decide_at = rng.below(usize::from(total) + 1) as u16;
+        let mut applied = ReplState::new(total, chunk_flits);
+        let mut stepped = applied.clone();
+        let mut decided = false;
+        for op in 0.. {
+            let releasable: Vec<usize> = if decided {
+                (0..applied.refs.len())
+                    .filter(|&c| applied.refs[c] > 0)
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let writable = applied.written < total;
+            let event = if !decided && applied.written >= decide_at {
+                decided = true;
+                ReplEvent::SetBranches(n_branches)
+            } else if writable && (releasable.is_empty() || rng.chance(0.5)) {
+                ReplEvent::WriteFlit
+            } else if !releasable.is_empty() {
+                ReplEvent::ReleaseChunk(releasable[rng.below(releasable.len())])
+            } else {
+                break;
+            };
+            let effect = repl_apply(&mut applied, event);
+            let (next, expected) = repl_step(&stepped, event);
+            stepped = next;
+            assert_eq!(effect, expected, "repl case {case} op {op}: {event:?}");
+            assert_eq!(applied, stepped, "repl case {case} op {op}: {event:?}");
+        }
+        assert!(applied.refs.iter().all(|&r| r == 0), "repl case {case}");
+
+        // Input-buffered head: grants, asynchronous or lock-step reads, and
+        // recycles in random order.
+        let total = 1 + rng.below(24) as u16;
+        let n_branches = 1 + rng.below(4);
+        let lockstep = rng.chance(0.5);
+        let mut applied = IbHeadState::new(total, (0..n_branches).map(|b| 2 * b + 1));
+        let mut stepped = applied.clone();
+        for op in 0.. {
+            let branches = &applied.branches;
+            let ungranted: Vec<usize> = (0..n_branches)
+                .filter(|&b| !branches[b].granted && !branches[b].done)
+                .collect();
+            let readable: Vec<usize> = (0..n_branches)
+                .filter(|&b| branches[b].granted && !branches[b].done)
+                .collect();
+            let lockstep_ready = readable.len() == n_branches
+                && readable
+                    .iter()
+                    .all(|&b| branches[b].read == branches[0].read);
+            let event = if rng.chance(0.25) {
+                IbEvent::Recycle
+            } else if !ungranted.is_empty() && (readable.is_empty() || rng.chance(0.4)) {
+                IbEvent::Grant {
+                    branch: ungranted[rng.below(ungranted.len())],
+                }
+            } else if lockstep && lockstep_ready {
+                IbEvent::ReadLockStep
+            } else if !lockstep && !readable.is_empty() {
+                IbEvent::ReadFlit {
+                    branch: readable[rng.below(readable.len())],
+                }
+            } else if applied.all_done() {
+                break;
+            } else {
+                IbEvent::Recycle
+            };
+            let effect = ib_apply(&mut applied, event);
+            let (next, expected) = ib_step(&stepped, event);
+            stepped = next;
+            assert_eq!(effect, expected, "ib case {case} op {op}: {event:?}");
+            assert_eq!(applied, stepped, "ib case {case} op {op}: {event:?}");
+        }
+        ib_apply(&mut applied, IbEvent::Recycle);
+        assert_eq!(applied.freed, total, "ib case {case}: every flit recycled");
     }
 }
 
