@@ -4,7 +4,7 @@
 //! result as `BENCH_sweep.json` — the repo's recorded performance
 //! trajectory.
 
-use crate::suite::{run_suite, Table};
+use crate::suite::{run_suite, run_suite_timed, Table};
 use crate::Scale;
 use mdworm::{build_system, make_sources, sweep, SystemConfig, TopologyKind, TrafficSpec};
 use std::time::Instant;
@@ -31,6 +31,9 @@ pub struct BenchReport {
     pub outputs_identical: bool,
     /// Number of tables rendered per pass.
     pub tables: usize,
+    /// Wall-clock of each table's experiment in the serial pass, seconds,
+    /// keyed by table name in suite order.
+    pub suite_secs: Vec<(&'static str, f64)>,
     /// Cycles simulated by the single-engine microbench.
     pub engine_cycles: u64,
     /// Wall-clock of the microbench, seconds.
@@ -242,11 +245,18 @@ impl BenchReport {
                 },
             ));
         }
+        let suite_secs = self
+            .suite_secs
+            .iter()
+            .map(|(name, secs)| format!("\"{name}\": {secs:.3}"))
+            .collect::<Vec<_>>()
+            .join(", ");
         format!(
             "{{\n  \"scale\": \"{}\",\n  \"exp\": \"{}\",\n  \"jobs_serial\": 1,\n  \
              \"jobs_parallel\": {},\n  \"host_cpus\": {},\n  \"serial_secs\": {:.3},\n  \
              \"parallel_secs\": {:.3},\n  \"speedup\": {:.3},\n  \
              \"outputs_identical\": {},\n  \"tables\": {},\n  \
+             \"suite_secs\": {{{suite_secs}}},\n  \
              \"engine_cycles\": {},\n  \"engine_secs\": {:.3},\n  \
              \"engine_cycles_per_sec\": {:.0},\n  \
              \"storm_episodes\": {},\n  \"storm_p50_cycles\": {},\n  \
@@ -594,8 +604,14 @@ pub fn bench_sweep(
 ) -> (BenchReport, Vec<Table>) {
     sweep::set_jobs(1);
     let t = Instant::now();
-    let serial = run_suite(base, scale, exp);
+    let (serial, serial_table_secs): (Vec<Table>, Vec<f64>) =
+        run_suite_timed(base, scale, exp).into_iter().unzip();
     let serial_secs = t.elapsed().as_secs_f64();
+    let suite_secs = serial
+        .iter()
+        .map(|t| t.name)
+        .zip(serial_table_secs)
+        .collect();
 
     sweep::set_jobs(jobs_parallel);
     // Record the pool the pass actually ran with: `jobs()` clamps the
@@ -621,6 +637,7 @@ pub fn bench_sweep(
         speedup: serial_secs / parallel_secs.max(1e-9),
         outputs_identical,
         tables: parallel.len(),
+        suite_secs,
         engine_cycles,
         engine_secs: eng_secs,
         engine_cycles_per_sec: engine_cycles as f64 / eng_secs.max(1e-9),
@@ -656,6 +673,7 @@ mod tests {
             speedup: 2.5,
             outputs_identical: true,
             tables: 14,
+            suite_secs: vec![("e1_parameters", 0.012), ("e19_crash_storm", 0.25)],
             engine_cycles: 30_000,
             engine_secs: 0.5,
             engine_cycles_per_sec: 60_000.0,
@@ -709,6 +727,9 @@ mod tests {
         assert!(j.contains("\"speedup\": 2.500"));
         assert!(j.contains("\"outputs_identical\": true"));
         assert!(j.contains("\"jobs_serial\": 1"));
+        assert!(
+            j.contains("\"suite_secs\": {\"e1_parameters\": 0.012, \"e19_crash_storm\": 0.250},")
+        );
         assert!(j.contains("\"storm_p99_cycles\": 257"));
         assert!(j.contains("\"crash_recovery_p99_ns\": 48000"));
         assert!(j.contains("\"crash_boundaries\": 40"));

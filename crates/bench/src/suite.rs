@@ -10,6 +10,7 @@ use crate::{defaults, Scale};
 use mdworm::experiments as exp;
 use mdworm::report::{csv, markdown_table, TableRow};
 use mdworm::{SystemConfig, TopologyKind};
+use std::time::Instant;
 
 /// One rendered result table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,6 +34,18 @@ fn table<T: TableRow>(name: &'static str, title: &'static str, rows: &[T]) -> Ta
     }
 }
 
+/// Runs one experiment and renders its table, with the wall time in
+/// seconds.
+fn timed<T: TableRow>(
+    name: &'static str,
+    title: &'static str,
+    rows: impl FnOnce() -> Vec<T>,
+) -> (Table, f64) {
+    let t = Instant::now();
+    let rows = rows();
+    (table(name, title, &rows), t.elapsed().as_secs_f64())
+}
+
 /// Renders every experiment selected by `exp_filter` (`"all"` or an
 /// experiment id like `"e2"`) at the given scale.
 ///
@@ -40,29 +53,36 @@ fn table<T: TableRow>(name: &'static str, title: &'static str, rows: &[T]) -> Ta
 /// [`mdworm::sweep::set_jobs`] / `MDWORM_JOBS`; table contents are
 /// identical for every pool size.
 pub fn run_suite(base: &SystemConfig, scale: Scale, exp_filter: &str) -> Vec<Table> {
+    run_suite_timed(base, scale, exp_filter)
+        .into_iter()
+        .map(|(t, _)| t)
+        .collect()
+}
+
+/// [`run_suite`], pairing each table with the wall time its experiment
+/// took, in seconds.
+pub fn run_suite_timed(base: &SystemConfig, scale: Scale, exp_filter: &str) -> Vec<(Table, f64)> {
     let run = scale.run();
     let want = |e: &str| exp_filter == "all" || exp_filter == e;
     let mut tables = Vec::new();
 
     if want("e1") {
-        tables.push(table(
-            "e1_parameters",
-            "E1: simulation parameters",
-            &exp::e1_parameters(base, &run),
-        ));
+        tables.push(timed("e1_parameters", "E1: simulation parameters", || {
+            exp::e1_parameters(base, &run)
+        }));
     }
     if want("e2") || want("e3") {
-        tables.push(table(
+        tables.push(timed(
             "e2_e3_multiple_multicast",
             "E2+E3: multiple multicast — latency & throughput vs offered load (64 procs, degree 16, 64 flits)",
-            &exp::e2_e3_multiple_multicast(base, &run, &scale.loads(), defaults::DEGREE, defaults::LEN),
+            || exp::e2_e3_multiple_multicast(base, &run, &scale.loads(), defaults::DEGREE, defaults::LEN),
         ));
     }
     if want("e4") || want("e5") {
-        tables.push(table(
+        tables.push(timed(
             "e4_e5_bimodal",
             "E4+E5: bimodal traffic — background unicast & multicast latency vs load (10% multicast, degree 16)",
-            &exp::e4_e5_bimodal(
+            || exp::e4_e5_bimodal(
                 base,
                 &run,
                 &scale.bimodal_loads(),
@@ -73,98 +93,104 @@ pub fn run_suite(base: &SystemConfig, scale: Scale, exp_filter: &str) -> Vec<Tab
         ));
     }
     if want("e6") {
-        tables.push(table(
+        tables.push(timed(
             "e6_degree",
             "E6: multicast latency vs degree (load 0.4, 64 flits)",
-            &exp::e6_degree_sweep(
-                base,
-                &run,
-                defaults::SWEEP_LOAD,
-                &scale.degrees(),
-                defaults::LEN,
-            ),
+            || {
+                exp::e6_degree_sweep(
+                    base,
+                    &run,
+                    defaults::SWEEP_LOAD,
+                    &scale.degrees(),
+                    defaults::LEN,
+                )
+            },
         ));
     }
     if want("e7") {
-        tables.push(table(
+        tables.push(timed(
             "e7_msglen",
             "E7: multicast latency vs message length (load 0.4, degree 16)",
-            &exp::e7_length_sweep(
-                base,
-                &run,
-                defaults::SWEEP_LOAD,
-                &scale.lengths(),
-                defaults::DEGREE,
-            ),
+            || {
+                exp::e7_length_sweep(
+                    base,
+                    &run,
+                    defaults::SWEEP_LOAD,
+                    &scale.lengths(),
+                    defaults::DEGREE,
+                )
+            },
         ));
     }
     if want("e8") {
-        tables.push(table(
+        tables.push(timed(
             "e8_syssize",
             "E8: multicast latency vs system size (4-ary trees, degree N/4, load 0.4)",
-            &exp::e8_size_sweep(
-                base,
-                &run,
-                defaults::SWEEP_LOAD,
-                &scale.stages(),
-                defaults::LEN,
-            ),
+            || {
+                exp::e8_size_sweep(
+                    base,
+                    &run,
+                    defaults::SWEEP_LOAD,
+                    &scale.stages(),
+                    defaults::LEN,
+                )
+            },
         ));
     }
     if want("e9") {
-        tables.push(table(
+        tables.push(timed(
             "e9_ablations",
             "E9: central-buffer design ablations (bimodal load 0.4)",
-            &exp::e9_ablations(base, &run, defaults::SWEEP_LOAD),
+            || exp::e9_ablations(base, &run, defaults::SWEEP_LOAD),
         ));
     }
     if want("e10") {
-        tables.push(table(
+        tables.push(timed(
             "e10_single_multicast",
             "E10: single multicast on an idle network — latency vs degree",
-            &exp::e10_single_multicast(base, &scale.degrees(), defaults::LEN),
+            || exp::e10_single_multicast(base, &scale.degrees(), defaults::LEN),
         ));
     }
     if want("e11") {
-        tables.push(table(
+        tables.push(timed(
             "e11_barrier",
             "E11: barrier rounds — hardware vs software release",
-            &exp::e11_barrier(base, &scale.barrier_stages(), scale.barrier_rounds()),
+            || exp::e11_barrier(base, &scale.barrier_stages(), scale.barrier_rounds()),
         ));
     }
     if want("e12") {
-        tables.push(table(
+        tables.push(timed(
             "e12_hotspot",
             "E12 (extension): hot-spot unicast traffic — latency vs hot-spot fraction (load 0.2)",
-            &exp::e12_hotspot(base, &run, 0.2, &scale.hotspot_fractions(), defaults::LEN),
+            || exp::e12_hotspot(base, &run, 0.2, &scale.hotspot_fractions(), defaults::LEN),
         ));
     }
     if want("e13") {
-        tables.push(table(
+        tables.push(timed(
             "e13_allreduce",
             "E13 (extension): all-reduce rounds — hardware vs software broadcast phase",
-            &exp::e13_allreduce(base, &scale.barrier_stages(), scale.barrier_rounds()),
+            || exp::e13_allreduce(base, &scale.barrier_stages(), scale.barrier_rounds()),
         ));
     }
     if want("e14") {
-        tables.push(table(
+        tables.push(timed(
             "e14_combining_barrier",
             "E14 (extension): switch-combining barrier vs host-level barrier protocols",
-            &exp::e14_combining_barrier(base, &scale.barrier_stages(), scale.barrier_rounds()),
+            || exp::e14_combining_barrier(base, &scale.barrier_stages(), scale.barrier_rounds()),
         ));
     }
     if want("e15") {
-        tables.push(table(
+        tables.push(timed(
             "e15_patterns",
             "E15 (extension): permutation unicast patterns at load 0.5 — CB vs IB",
-            &exp::e15_patterns(base, &run, 0.5, defaults::LEN),
+            || exp::e15_patterns(base, &run, 0.5, defaults::LEN),
         ));
     }
     if want("e16") {
-        tables.push(table(
+        tables.push(timed(
             "e16_fault_sweep",
             "E16 (robustness extension): degradation vs per-flit drop rate with end-to-end recovery (load 0.2)",
-            &exp::e16_fault_sweep(base, &run, 0.2, &scale.drop_rates(), defaults::DEGREE, defaults::LEN),
+            || exp::e16_fault_sweep(base, &run, 0.2, &scale.drop_rates(), defaults::DEGREE, defaults::LEN),
         ));
     }
     if want("e17") {
@@ -174,10 +200,10 @@ pub fn run_suite(base: &SystemConfig, scale: Scale, exp_filter: &str) -> Vec<Tab
             topology: TopologyKind::KaryTree { k: 4, n: 2 },
             ..base.clone()
         };
-        tables.push(table(
+        tables.push(timed(
             "e17_fault_response",
             "E17 (robustness extension): online fault response — healthy / rerouted / degraded / healed phases (16 procs, load 0.04)",
-            &exp::e17_fault_response(&e17_base, scale.fault_phase_len(), 0.04, 4, 16),
+            || exp::e17_fault_response(&e17_base, scale.fault_phase_len(), 0.04, 4, 16),
         ));
     }
     if want("e18") {
@@ -187,10 +213,10 @@ pub fn run_suite(base: &SystemConfig, scale: Scale, exp_filter: &str) -> Vec<Tab
             topology: TopologyKind::KaryTree { k: 4, n: 2 },
             ..base.clone()
         };
-        tables.push(table(
+        tables.push(timed(
             "e18_fault_storm",
             "E18 (robustness extension): fault storm under the resident control plane — overlapping cuts + flapping link, with flap damping, retry backoff, degradation ladder, and p50/p99 detect→install latency (16 procs, load 0.04)",
-            &exp::e18_fault_storm(&e18_base, scale.fault_phase_len(), 0.04, 4, 16),
+            || exp::e18_fault_storm(&e18_base, scale.fault_phase_len(), 0.04, 4, 16),
         ));
     }
     if want("e19") {
@@ -201,10 +227,10 @@ pub fn run_suite(base: &SystemConfig, scale: Scale, exp_filter: &str) -> Vec<Tab
             topology: TopologyKind::KaryTree { k: 2, n: 2 },
             ..base.clone()
         };
-        tables.push(table(
+        tables.push(timed(
             "e19_crash_storm",
             "E19 (crash tolerance): deterministic responder crash at every protocol boundary of a seeded outage storm, clean and with a torn journal tail — recovered runs must match the uncrashed oracle byte-for-byte with zero torn installs (4 procs, load 0.02)",
-            &exp::e19_crash_storm(&e19_base, scale.crash_phase_len(), 0.02, 2, 8),
+            || exp::e19_crash_storm(&e19_base, scale.crash_phase_len(), 0.02, 2, 8),
         ));
     }
     tables

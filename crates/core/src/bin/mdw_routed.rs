@@ -20,8 +20,9 @@
 //! * `--p99-budget CYCLES` — exit non-zero if the final p99
 //!   detect→install latency exceeds the budget (CI smoke gate).
 //!
-//! Exit status: 0 on clean shutdown within budget, 1 on budget breach,
-//! 2 on usage/config errors.
+//! Exit status: 0 on clean shutdown within budget (and on `--help`,
+//! which prints the usage to stdout), 1 on budget breach, 2 on
+//! usage/config errors.
 
 use mdworm::cfgtext::parse_config;
 use mdworm::config::SystemConfig;
@@ -38,9 +39,11 @@ struct Args {
     p99_budget: Option<u64>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let usage = "usage: mdw-routed [--config FILE] [--script FILE] \
-                 [--listen ADDR] [--p99-budget CYCLES]";
+const USAGE: &str = "usage: mdw-routed [--config FILE] [--script FILE] \
+                     [--listen ADDR] [--p99-budget CYCLES]";
+
+/// Parses the command line; `Ok(None)` means `--help` was asked for.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         config: None,
         script: None,
@@ -49,23 +52,26 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
-        let mut want = |what: &str| argv.next().ok_or(format!("{what} needs a value\n{usage}"));
+        let mut want = |what: &str| argv.next().ok_or(format!("{what} needs a value\n{USAGE}"));
         match arg.as_str() {
             "--config" => args.config = Some(want("--config")?),
             "--script" => args.script = Some(want("--script")?),
             "--listen" => args.listen = Some(want("--listen")?),
             "--p99-budget" => {
                 let v = want("--p99-budget")?;
-                args.p99_budget = Some(v.parse().map_err(|_| format!("bad --p99-budget `{v}`"))?);
+                args.p99_budget = Some(
+                    v.parse()
+                        .map_err(|_| format!("bad --p99-budget `{v}`\n{USAGE}"))?,
+                );
             }
-            "--help" | "-h" => return Err(usage.to_string()),
-            other => return Err(format!("unknown argument `{other}`\n{usage}")),
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
     if args.script.is_some() && args.listen.is_some() {
-        return Err(format!("--script and --listen are exclusive\n{usage}"));
+        return Err(format!("--script and --listen are exclusive\n{USAGE}"));
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn load_config(path: Option<&str>) -> Result<SystemConfig, String> {
@@ -170,7 +176,11 @@ fn serve_tcp(addr: &str, tx: SyncSender<Envelope>, shed: ShedCounter) -> Result<
 
 fn main() {
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(2);

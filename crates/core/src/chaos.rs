@@ -122,8 +122,9 @@ pub struct CrashSweepOutcome {
     /// Injected runs executed (boundaries × tear variants).
     pub runs: u64,
     /// Boundary indices whose recovered [`RunOutcome`] diverged from the
-    /// oracle's, with the tear size that exposed them. Empty = every
-    /// crash recovered to byte-identical state.
+    /// oracle's, or whose crash never fired, with the tear size that
+    /// exposed them. Empty = every crash fired and recovered to
+    /// byte-identical state.
     pub mismatches: Vec<(u64, usize)>,
     /// Torn-install cycles summed over every injected run (the engine's
     /// epoch audit; 0 = no run ever left committed epochs diverged).
@@ -135,6 +136,30 @@ pub struct CrashSweepOutcome {
     pub recovery_ns: Samples,
     /// The oracle outcome the injected runs were held to.
     pub oracle: RunOutcome,
+}
+
+/// The `Debug` text a recovered run is compared on. Memo hit/miss
+/// counters are process-local observability, not durable state: journal
+/// replay re-inserts vet verdicts without looking them up, so a
+/// crashed-and-recovered run reaches the same durable state through a
+/// different lookup sequence. They are cleared before the byte comparison
+/// (recovery wall-times are likewise excluded); everything else must
+/// match exactly.
+fn comparable_repr(outcome: &RunOutcome) -> String {
+    let outcome = RunOutcome {
+        vet_memo: Default::default(),
+        deep_memo: Default::default(),
+        ..outcome.clone()
+    };
+    format!("{outcome:?}")
+}
+
+/// Verdict of one injected run: its crash fired, and the recovered
+/// outcome renders byte-identical to the oracle's. A crash that never
+/// fired (the run never reached a boundary the oracle counted) proves
+/// nothing about recovery, so it is a mismatch, not a pass.
+fn recovered_identically(fired: bool, outcome_repr: &str, oracle_repr: &str) -> bool {
+    fired && outcome_repr == oracle_repr
 }
 
 /// Sweeps a deterministic crash through **every** protocol-step boundary
@@ -155,25 +180,11 @@ pub fn run_crash_sweep(
         config.response.is_some(),
         "crash sweep needs a responder (config.response)"
     );
-    // Memo hit/miss counters are process-local observability, not durable
-    // state: journal replay re-inserts vet verdicts without looking them
-    // up, so a crashed-and-recovered run reaches the same durable state
-    // through a different lookup sequence. They are cleared before the
-    // byte comparison (recovery wall-times are likewise excluded);
-    // everything else must match exactly.
-    fn comparable(outcome: &RunOutcome) -> RunOutcome {
-        RunOutcome {
-            vet_memo: Default::default(),
-            deep_memo: Default::default(),
-            ..outcome.clone()
-        }
-    }
-
     let oracle_h = handle(ChaosMode::Record);
     install(oracle_h.clone());
     let oracle = run_experiment(config, spec, run);
     let boundaries = oracle_h.borrow().boundaries;
-    let oracle_repr = format!("{:?}", comparable(&oracle));
+    let oracle_repr = comparable_repr(&oracle);
 
     let mut tear_sizes = vec![0usize];
     tear_sizes.extend(tears.iter().copied().filter(|&t| t > 0));
@@ -197,11 +208,11 @@ pub fn run_crash_sweep(
             let outcome = run_experiment(config, spec, run);
             out.runs += 1;
             out.torn_cycles += outcome.torn_cycles;
-            if format!("{:?}", comparable(&outcome)) != oracle_repr {
+            let st = h.borrow();
+            let repr = comparable_repr(&outcome);
+            if !recovered_identically(st.fired, &repr, &oracle_repr) {
                 out.mismatches.push((boundary, tear_bytes));
             }
-            let st = h.borrow();
-            debug_assert!(st.fired, "boundary {boundary} was counted by the oracle");
             out.recoveries += st.recoveries;
             for &ns in &st.recovery_ns {
                 out.recovery_ns.record(ns);
@@ -215,7 +226,90 @@ pub fn run_crash_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{SwitchArch, TopologyKind};
     use crate::journal::{Journal, JournalConfig, JournalRecord};
+    use crate::respond::model_checks_run;
+
+    /// The E19 crash-storm shape at phase 400 on 4 hosts.
+    fn e19_shape(arch: SwitchArch) -> (SystemConfig, TrafficSpec, RunConfig) {
+        let base = SystemConfig {
+            topology: TopologyKind::KaryTree { k: 2, n: 2 },
+            ..SystemConfig::default()
+        };
+        (
+            crate::experiments::e19_config(&base, arch),
+            TrafficSpec::multiple_multicast(0.02, 2, 8),
+            crate::experiments::e19_run(400),
+        )
+    }
+
+    #[test]
+    fn run_verdict_requires_the_crash_to_fire() {
+        assert!(recovered_identically(true, "same", "same"));
+        assert!(!recovered_identically(true, "other", "same"));
+        assert!(
+            !recovered_identically(false, "same", "same"),
+            "an unfired crash must not pass as a recovery"
+        );
+    }
+
+    /// A real injected run at the first boundary fires and recovers; one
+    /// scheduled past the last boundary never fires and, although its
+    /// outcome equals the oracle's, is judged a mismatch.
+    #[test]
+    fn unfired_injection_is_a_mismatch() {
+        let (cfg, spec, run) = e19_shape(SwitchArch::CentralBuffer);
+        let oracle_h = handle(ChaosMode::Record);
+        install(oracle_h.clone());
+        let oracle = comparable_repr(&run_experiment(&cfg, &spec, &run));
+        let boundaries = oracle_h.borrow().boundaries;
+        assert!(boundaries > 0);
+        for (boundary, fires) in [(0, true), (boundaries, false)] {
+            let h = handle(ChaosMode::CrashAt {
+                boundary,
+                tear_bytes: 0,
+            });
+            install(h.clone());
+            let repr = comparable_repr(&run_experiment(&cfg, &spec, &run));
+            let fired = h.borrow().fired;
+            assert_eq!(fired, fires, "boundary {boundary}");
+            assert_eq!(repr, oracle, "boundary {boundary} matches the oracle");
+            assert_eq!(recovered_identically(fired, &repr, &oracle), fires);
+        }
+    }
+
+    /// The thread's model-check verdict table is a pure fast path: a
+    /// second E19 sweep on a warm thread runs no model check and renders
+    /// the same outcome as the first, memo counters included (only the
+    /// wall-clock recovery latencies may differ).
+    #[test]
+    fn warm_verdict_table_changes_no_sweep_outcome() {
+        std::thread::spawn(|| {
+            let sweeps = || {
+                [SwitchArch::CentralBuffer, SwitchArch::InputBuffered].map(|arch| {
+                    let (cfg, spec, run) = e19_shape(arch);
+                    let sweep = run_crash_sweep(&cfg, &spec, &run, &[8]);
+                    assert!(sweep.mismatches.is_empty(), "{arch:?}: {sweep:?}");
+                    format!(
+                        "{:?}",
+                        CrashSweepOutcome {
+                            recovery_ns: Samples::new(),
+                            ..sweep
+                        }
+                    )
+                })
+            };
+            assert_eq!(model_checks_run(), 0, "fresh thread starts cold");
+            let cold = sweeps();
+            let after_cold = model_checks_run();
+            assert!(after_cold > 0, "the cold sweeps ran the model check");
+            let warm = sweeps();
+            assert_eq!(model_checks_run(), after_cold, "warm sweeps ran no check");
+            assert_eq!(cold, warm);
+        })
+        .join()
+        .expect("sweeps run");
+    }
 
     #[test]
     fn install_is_single_shot() {

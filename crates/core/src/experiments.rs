@@ -1719,20 +1719,24 @@ impl TableRow for CrashStormRow {
     }
 }
 
-/// Drives one scheme through the exhaustive crash sweep: a seeded
-/// [`FaultPlan`] outage schedule forces reroute and heal episodes, the
-/// oracle pass counts the protocol boundaries, and one injected run per
-/// (boundary, tear) pair crashes the responder there.
-fn e19_drive(
-    label: &str,
-    cfg: SystemConfig,
-    phase_len: netsim::Cycle,
-    load: f64,
-    degree: usize,
-    len: u16,
-) -> CrashStormRow {
-    let spec = TrafficSpec::multiple_multicast(load, degree, len);
-    let run = RunConfig {
+/// The E19 system: `base` with `arch`, bit-string hardware multicast,
+/// end-to-end recovery, the journaled responder and the torn-install
+/// audit.
+pub(crate) fn e19_config(base: &SystemConfig, arch: SwitchArch) -> SystemConfig {
+    SystemConfig {
+        arch,
+        mcast: McastImpl::HwBitString,
+        recovery: Some(RecoveryConfig::default()),
+        response: Some(crate::respond::ResponseConfig::default()),
+        epoch_audit: true,
+        ..base.clone()
+    }
+}
+
+/// The E19 run shape: a four-phase traffic window and a scripted
+/// outage storm.
+pub(crate) fn e19_run(phase_len: netsim::Cycle) -> RunConfig {
+    RunConfig {
         warmup: 0,
         measure: 4 * phase_len,
         drain_max: 20 * phase_len,
@@ -1749,7 +1753,23 @@ fn e19_drive(
             (1, phase_len + phase_len / 4, 2 * phase_len - phase_len / 4),
             (2, 5 * phase_len / 2, 7 * phase_len / 2),
         ],
-    };
+    }
+}
+
+/// Drives one scheme through the exhaustive crash sweep: a seeded
+/// [`FaultPlan`] outage schedule forces reroute and heal episodes, the
+/// oracle pass counts the protocol boundaries, and one injected run per
+/// (boundary, tear) pair crashes the responder there.
+fn e19_drive(
+    label: &str,
+    cfg: SystemConfig,
+    phase_len: netsim::Cycle,
+    load: f64,
+    degree: usize,
+    len: u16,
+) -> CrashStormRow {
+    let spec = TrafficSpec::multiple_multicast(load, degree, len);
+    let run = e19_run(phase_len);
     let sweep = crate::chaos::run_crash_sweep(&cfg, &spec, &run, &[8]);
     let verdict = if sweep.mismatches.is_empty() && sweep.torn_cycles == 0 {
         "identical"
@@ -1792,15 +1812,7 @@ pub fn e19_crash_storm(
         ("CB-HW", SwitchArch::CentralBuffer),
         ("IB-HW", SwitchArch::InputBuffered),
     ] {
-        let cfg = SystemConfig {
-            arch,
-            mcast: McastImpl::HwBitString,
-            recovery: Some(RecoveryConfig::default()),
-            response: Some(crate::respond::ResponseConfig::default()),
-            epoch_audit: true,
-            ..base.clone()
-        };
-        jobs.push((label, cfg));
+        jobs.push((label, e19_config(base, arch)));
     }
     // The chaos handle is installed thread-locally and consumed on the
     // worker thread that runs the sweep, so per-scheme fan-out is safe.

@@ -22,9 +22,13 @@
 //!    deadlock analyzer ([`mdw_analysis::vet_reroute`] — memoized per
 //!    *(epoch, masked-port set)*, so an identical dead set re-vetted
 //!    under a new epoch never reuses a stale verdict) and behaviorally by
-//!    the bounded model checker ([`mdw_analysis::check_model_opts`],
-//!    memoized per ([`ModelBounds`], [`mdw_analysis::ModelOptions`])
-//!    pair). A passing candidate is **committed** — armed on every
+//!    the bounded model checker ([`mdw_analysis::check_model_opts`]).
+//!    The model check is cached in two layers: the responder's LRU memo
+//!    per ([`ModelBounds`], [`mdw_analysis::ModelOptions`]) pair, and
+//!    under it a thread-local verdict table keyed by the checker's
+//!    complete input, so each distinct check runs once per thread no
+//!    matter how many responders ask. A passing candidate is
+//!    **committed** — armed on every
 //!    switch, each swapping it in on its first empty tick and stamping
 //!    the epoch; a failing candidate is **aborted** and the fabric stays
 //!    on the old tables, degraded rather than deadlocked;
@@ -54,6 +58,12 @@
 //! engine's epoch audit ([`netsim::engine::Engine::enable_epoch_audit`])
 //! holds every cycle to that.
 //!
+//! The verdict table is simulator state, not responder state: it
+//! survives a simulated crash, while the responder's own memos do not.
+//! It holds pure functions of the checker's input and sits below the
+//! memo, so the memo counters and `VetStats` sample counts, and hence
+//! every recovered run, are the same on a cold or a warm thread.
+//!
 //! The only deliberately ephemeral bit is
 //! [`request_retry`](FaultResponder::request_retry): a retry lost to a
 //! crash is re-armed by the storm controller's backoff on its own
@@ -75,16 +85,18 @@ use crate::journal::{
 };
 use collectives::DegradePlanner;
 use mdw_analysis::{
-    check_model_opts_timed, vet_reroute_certified_timed, vet_reroute_timed, ArchClass, Certificate,
+    check_model_opts, vet_reroute_certified_timed, vet_reroute_timed, ArchClass, Certificate,
     CheckOutcome, ModelBounds, ModelOptions, Samples, VetStats,
 };
-use mintopo::route::RouteTables;
+use mintopo::route::{ReplicatePolicy, RouteTables};
 use mintopo::topology::Topology;
 use netsim::health::FabricHealth;
 use netsim::ids::{LinkId, SwitchId};
 use netsim::Cycle;
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
+use std::time::Instant;
 use switches::ReplicationMode;
 
 /// Tuning knobs of the online fault-response protocol.
@@ -433,6 +445,72 @@ type VetKey = (u64, Vec<(SwitchId, usize)>);
 /// A structural-vet verdict: `Err((code, message))` on rejection.
 type VetVerdict = Result<(), (String, String)>;
 
+/// The complete argument tuple of [`mdw_analysis::check_model_opts`].
+type ModelKey = (ArchClass, bool, ReplicatePolicy, ModelBounds, ModelOptions);
+
+thread_local! {
+    /// Verdict of every distinct bounded model check run on this thread,
+    /// keyed by the checker's complete argument tuple, so a new checker
+    /// argument has to change the key. This is simulator state, not
+    /// responder state: it outlives every [`FaultResponder`] and every
+    /// simulated crash (DESIGN.md §15), so a crash sweep's hundreds of
+    /// fresh and recovered responders share one exploration per key. The
+    /// key space is finite (2 architectures × 2 replication modes × 2
+    /// policies × 3 modes × `max_switches` 2..=16 under the responder's
+    /// fixed remaining bounds), so the table needs no bound. One table
+    /// per thread keeps locks and cross-thread order out of every run.
+    static MODEL_VERDICTS: RefCell<Vec<(ModelKey, Result<(), String>)>> =
+        const { RefCell::new(Vec::new()) };
+}
+
+/// The bounded model check's verdict as the reroute gate reports it.
+fn model_verdict_of(outcome: CheckOutcome) -> Result<(), String> {
+    match outcome {
+        CheckOutcome::Verified(_) => Ok(()),
+        CheckOutcome::Violated(v) => Err(format!(
+            "bounded model check found a {} in scenario '{}': {}",
+            v.kind, v.scenario, v.detail
+        )),
+    }
+}
+
+/// The verdict of `check_model_opts(arch, sync, policy, bounds, opts)`,
+/// running the check only if this thread has not run it yet. Records one
+/// `model_ns` sample per call, holding the wall time actually spent (≈0
+/// when the thread's table answers), so sample counts never depend on
+/// what ran earlier on the thread.
+fn model_verdict(
+    arch: ArchClass,
+    sync: bool,
+    policy: ReplicatePolicy,
+    bounds: &ModelBounds,
+    opts: &ModelOptions,
+    stats: &mut VetStats,
+) -> Result<(), String> {
+    let start = Instant::now();
+    let key = (arch, sync, policy, bounds.clone(), *opts);
+    let known = MODEL_VERDICTS.with(|t| {
+        t.borrow()
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    });
+    let verdict = known.unwrap_or_else(|| {
+        let v = model_verdict_of(check_model_opts(arch, sync, policy, bounds, opts));
+        MODEL_VERDICTS.with(|t| t.borrow_mut().push((key, v.clone())));
+        v
+    });
+    stats.model_ns.record(start.elapsed().as_nanos() as u64);
+    verdict
+}
+
+/// Bounded model checks actually run on this thread so far (one per
+/// entry of its verdict table).
+#[cfg(test)]
+pub(crate) fn model_checks_run() -> usize {
+    MODEL_VERDICTS.with(|t| t.borrow().len())
+}
+
 /// The fault-response orchestrator. Owns the debounced health view, the
 /// write-ahead journal, and drives the gate/purge/two-phase-install
 /// protocol against a [`System`].
@@ -482,7 +560,10 @@ pub struct FaultResponder {
     /// verdict obtained under loose bounds (small fabric, shallow state
     /// cap) says nothing about a stricter vet, so differently-bounded
     /// requests get their own entry instead of silently reusing a weaker
-    /// answer.
+    /// answer. A miss asks the thread's verdict table
+    /// ([`model_verdict`]) rather than the checker, so the check runs only
+    /// if no responder on this thread has run it; the memo and its
+    /// counters behave the same either way.
     deep_vetted: BoundedMemo<(ModelBounds, ModelOptions), Result<(), String>>,
     /// Rank certificate of the live topology, present when
     /// `certify.enabled`: the structural vet then runs the O(routes)
@@ -733,7 +814,7 @@ impl FaultResponder {
         let mut recovery_ns = std::mem::take(&mut self.recovery_ns);
         loop {
             recoveries += 1;
-            let t0 = std::time::Instant::now();
+            let t0 = Instant::now();
             let store = self.journal.store();
             let builder = self.builder.take();
             let chaos = self.chaos.take();
@@ -792,7 +873,7 @@ impl FaultResponder {
             SwitchArch::InputBuffered => ArchClass::InputBuffered,
         };
         let sync = config.switch.replication == ReplicationMode::Synchronous;
-        let outcome = check_model_opts_timed(
+        let verdict = model_verdict(
             arch,
             sync,
             config.switch.policy,
@@ -800,13 +881,6 @@ impl FaultResponder {
             &key.1,
             &mut self.vet_stats,
         );
-        let verdict = match outcome {
-            CheckOutcome::Verified(_) => Ok(()),
-            CheckOutcome::Violated(v) => Err(format!(
-                "bounded model check found a {} in scenario '{}': {}",
-                v.kind, v.scenario, v.detail
-            )),
-        };
         self.deep_vetted.insert(key, verdict.clone());
         verdict
     }
@@ -1497,6 +1571,90 @@ mod tests {
         r.deep_vet(&config, 64).expect("same clamped key");
         assert_eq!(r.deep_vetted.len(), 4);
         assert_eq!(r.vet_stats.model_ns.count(), 4);
+    }
+
+    /// The thread's verdict table is a pure fast path: over arch ×
+    /// replication × policy × mode × fabric bound, its verdict equals a
+    /// fresh check, on the miss that fills it and on the hit that reads
+    /// it, the synchronous-replication hazard's counterexample message
+    /// included verbatim.
+    #[test]
+    fn model_verdict_table_matches_a_fresh_check() {
+        use mdw_analysis::ModelMode;
+        std::thread::spawn(|| {
+            let mut stats = VetStats::new();
+            let mut keys = 0;
+            let mut violated = 0;
+            for arch in [ArchClass::CentralBuffer, ArchClass::InputBuffered] {
+                for sync in [false, true] {
+                    for policy in [
+                        ReplicatePolicy::ReturnOnly,
+                        ReplicatePolicy::ForwardAndReturn,
+                    ] {
+                        for mode in [ModelMode::Exact, ModelMode::Compositional] {
+                            for max_switches in [2, 4] {
+                                let bounds = ModelBounds {
+                                    max_switches,
+                                    ..ModelBounds::default()
+                                };
+                                let opts = ModelOptions {
+                                    mode,
+                                    ..ModelOptions::default()
+                                };
+                                let fresh = model_verdict_of(check_model_opts(
+                                    arch, sync, policy, &bounds, &opts,
+                                ));
+                                for _ in 0..2 {
+                                    let cached = model_verdict(
+                                        arch, sync, policy, &bounds, &opts, &mut stats,
+                                    );
+                                    assert_eq!(
+                                        cached, fresh,
+                                        "{arch:?} {sync} {policy:?} {mode:?} {max_switches}"
+                                    );
+                                }
+                                keys += 1;
+                                violated += usize::from(fresh.is_err());
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(model_checks_run(), keys, "one check per distinct key");
+            assert_eq!(stats.model_ns.count(), 2 * keys, "one sample per call");
+            assert!(violated > 0, "the sync-replication hazard must be violated");
+        })
+        .join()
+        .expect("differential runs");
+    }
+
+    /// A responder on a thread whose verdict table is already warm
+    /// records exactly the memo activity and vet sample count of one on a
+    /// cold thread.
+    #[test]
+    fn warm_verdict_table_keeps_responder_counts() {
+        std::thread::spawn(|| {
+            let counts = || {
+                let mut r = bare_responder();
+                let config = SystemConfig::default();
+                for n in [2, 2, 4, 48, 4, 64] {
+                    r.deep_vet(&config, n).expect("defaults verify");
+                }
+                (r.deep_vetted.stats(), r.vet_stats.model_ns.count())
+            };
+            let cold = counts();
+            let checks = model_checks_run();
+            assert_eq!(checks, 3, "2-, 4- and 16-switch bounds");
+            let warm = counts();
+            assert_eq!(
+                model_checks_run(),
+                checks,
+                "the warm responder ran no check"
+            );
+            assert_eq!(cold, warm);
+        })
+        .join()
+        .expect("responders run");
     }
 
     #[test]
