@@ -10,20 +10,19 @@
 //! `--jobs N` sizes the sweep worker pool (default: `MDWORM_JOBS`, else
 //! available parallelism). `--bench` runs the selected suite twice —
 //! serial then parallel — verifies the outputs are byte-identical, times
-//! the raw engine and the reference-vs-scheduled engine grid, and writes
-//! `BENCH_sweep.json` next to the tables. Bad arguments print the usage
-//! and exit with status 2; `--help` prints it and exits 0.
+//! the reference-vs-scheduled engine grid, the control plane, the model
+//! checker and the certifier, and writes `BENCH_sweep.json` next to the
+//! tables. Bad arguments, including an `--out` directory that cannot be
+//! created, print the usage and exit with status 2 before any experiment
+//! runs; `--help` prints it and exits 0.
 
 use mdw_bench::perf::bench_sweep;
 use mdw_bench::suite::{run_suite, Table};
 use mdw_bench::{base_system, Scale};
 use mdworm::sweep;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-/// Engine-microbench length for `--bench` (cycles).
-const ENGINE_BENCH_CYCLES: u64 = 200_000;
 
 const USAGE: &str = "usage: figures [--exp all|e1..e19] [--scale full|quick] \
                      [--out DIR] [--jobs N] [--bench]";
@@ -91,8 +90,9 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     Ok(Some(args))
 }
 
-fn emit(out: &PathBuf, tables: &[Table]) {
-    fs::create_dir_all(out).expect("create output directory");
+/// Writes each table as CSV and markdown into `out`, which `main` has
+/// already created.
+fn emit(out: &Path, tables: &[Table]) {
     for t in tables {
         println!("\n## {}\n\n{}", t.title, t.md);
         fs::write(out.join(format!("{}.csv", t.name)), &t.csv).expect("write csv");
@@ -139,6 +139,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Err(e) = fs::create_dir_all(&args.out) {
+        eprintln!(
+            "figures: cannot create output directory {}: {e}\n{USAGE}",
+            args.out.display()
+        );
+        return ExitCode::from(2);
+    }
     let base = base_system();
     if let Some(n) = args.jobs {
         sweep::set_jobs(n);
@@ -150,16 +157,9 @@ fn main() -> ExitCode {
 
     if args.bench {
         let jobs_parallel = args.jobs.unwrap_or_else(sweep::jobs).max(2);
-        let (report, tables) = bench_sweep(
-            &base,
-            args.scale,
-            &args.exp,
-            jobs_parallel,
-            ENGINE_BENCH_CYCLES,
-        );
+        let (report, tables) = bench_sweep(&base, args.scale, &args.exp, jobs_parallel);
         emit(&args.out, &tables);
         let json = report.json();
-        fs::create_dir_all(&args.out).expect("create output directory");
         fs::write(args.out.join("BENCH_sweep.json"), &json).expect("write BENCH_sweep.json");
         eprintln!("bench: {json}");
         eprintln!(

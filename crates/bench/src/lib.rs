@@ -1,9 +1,9 @@
-//! Shared scales and parameter sets for the benchmark harness.
+//! Shared scales and parameter sets for the evaluation harness.
 //!
-//! Every evaluation axis of the paper has a *full* parameter set (used by
-//! the `figures` binary to regenerate the tables recorded in
-//! EXPERIMENTS.md) and a *smoke* set (used by the Criterion benches so
-//! `cargo bench` exercises every experiment in minutes, not hours).
+//! Every evaluation axis of the paper has a *full* parameter set (the
+//! tables `figures` regenerates into `results/` and EXPERIMENTS.md
+//! quotes) and a *quick* set (what `figures --bench` times per table, and
+//! CI's smoke sweeps, in seconds rather than minutes).
 
 use mdworm::sim::RunConfig;
 use mdworm::SystemConfig;

@@ -21,6 +21,8 @@ fn help_prints_usage_and_succeeds() {
 
 #[test]
 fn bad_arguments_exit_2_with_usage() {
+    // An output directory below a regular file can never be created.
+    let unwritable = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/out");
     for args in [
         &["--scale", "huge"][..],
         &["--exp", "e99"],
@@ -30,6 +32,7 @@ fn bad_arguments_exit_2_with_usage() {
         &["--jobs", "many"],
         &["--out"],
         &["--frobnicate"],
+        &["--exp", "e1", "--scale", "quick", "--out", unwritable],
     ] {
         let out = figures(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -6,9 +6,10 @@
 //!     --load 0.5 --mcast-fraction 0.1 --degree 16 --len 64
 //! ```
 //!
-//! Bad arguments (an unknown flag, a missing value, an unparsable number
-//! or an unknown choice) print the usage and exit with status 2; `--help`
-//! prints it and exits 0.
+//! Bad arguments (an unknown flag, a missing value, an unparsable number,
+//! an unknown choice, or a value out of range for the fabric or the
+//! traffic mix) print the usage and exit with status 2; `--help` prints
+//! it and exits 0.
 
 use collectives::RecoveryConfig;
 use mdworm::config::{McastImpl, SwitchArch, SystemConfig, TopologyKind};
@@ -137,6 +138,34 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     Ok(Some(args))
 }
 
+/// Rejects values that parse but that no run can use: a fabric that
+/// fails [`SystemConfig::validate`], or a traffic mix no source can
+/// generate on its host count.
+fn check_ranges(cfg: &SystemConfig, a: &Args) -> Result<(), String> {
+    cfg.validate().map_err(|e| format!("invalid system: {e}"))?;
+    if !(0.0..=1.0).contains(&a.mcast_fraction) {
+        return Err(format!(
+            "--mcast-fraction {} is outside [0, 1]",
+            a.mcast_fraction
+        ));
+    }
+    if !(0.0..).contains(&a.load) {
+        return Err(format!("--load {} is not a load (at least 0)", a.load));
+    }
+    if a.len == 0 {
+        return Err("--len 0: messages must carry at least one flit".into());
+    }
+    let hosts = cfg.n_hosts();
+    if a.mcast_fraction > 0.0 && !(1..hosts).contains(&a.degree) {
+        return Err(format!(
+            "--degree {} impossible with {hosts} hosts (1 to {})",
+            a.degree,
+            hosts - 1
+        ));
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let a = match parse_args(&argv) {
@@ -165,6 +194,10 @@ fn main() -> ExitCode {
         recovery,
         ..SystemConfig::default()
     };
+    if let Err(e) = check_ranges(&cfg, &a) {
+        eprintln!("simulate: {e}\n{USAGE}");
+        return ExitCode::from(2);
+    }
     let faults = FaultPlan {
         seed: a.fault_seed,
         flit_drop: a.drop_rate,

@@ -279,6 +279,23 @@ impl SystemConfig {
     /// with broken sizing would only bury the root cause).
     pub fn report(&self) -> ConfigReport {
         let mut report = ConfigReport::new();
+        // Every later check reads the host count, and the fabric pass
+        // builds the tree, so a shape the tree constructors reject ends
+        // the report here.
+        if let TopologyKind::KaryTree { k, n } | TopologyKind::UniMin { k, n } = self.topology {
+            let hosts = u32::try_from(n).ok().and_then(|n| k.checked_pow(n));
+            if k < 2 || n < 1 || hosts.is_none_or(|h| h > 1 << 20) {
+                report.error(
+                    "topology-shape",
+                    format!(
+                        "{:?} needs arity k >= 2, at least one stage, and at \
+                         most 2^20 hosts",
+                        self.topology
+                    ),
+                );
+                return report;
+            }
+        }
         let arch_class = match self.arch {
             SwitchArch::CentralBuffer => ArchClass::CentralBuffer,
             SwitchArch::InputBuffered => ArchClass::InputBuffered,
@@ -662,6 +679,25 @@ mod tests {
         let report_err = c.report().first_error().expect("broken").message.clone();
         let validate_err = c.validate().unwrap_err().to_string();
         assert_eq!(report_err, validate_err);
+    }
+
+    /// Shapes the tree constructors reject are an error, not a panic.
+    #[test]
+    fn bad_tree_shapes_fail_validation() {
+        for (k, n) in [(1, 3), (4, 0), (0, 3), (8, 40), (4, usize::MAX)] {
+            for topology in [
+                TopologyKind::KaryTree { k, n },
+                TopologyKind::UniMin { k, n },
+            ] {
+                let c = SystemConfig {
+                    topology,
+                    ..SystemConfig::default()
+                };
+                let r = c.report();
+                assert_eq!(r.first_error().map(|d| d.code), Some("topology-shape"));
+                assert!(c.validate().is_err());
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,20 @@ fn bad_arguments_exit_2_with_usage() {
         &["--arch", "xb"],
         &["--mcast", "tree"],
         &["--pattern", "spiral"],
+        // Values that parse but are out of range for the fabric or the
+        // traffic mix.
+        &["--k", "0"],
+        &["--k", "1"],
+        &["--stages", "0"],
+        &["--k", "8", "--stages", "40"],
+        &["--len", "0"],
+        &["--degree", "0"],
+        &["--degree", "500"],
+        &["--degree", "64"],
+        &["--mcast-fraction", "2"],
+        &["--mcast-fraction", "-0.5"],
+        &["--load", "-1"],
+        &["--load", "NaN"],
     ] {
         let out = simulate(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
