@@ -78,7 +78,7 @@ fn lint_roundtrips_clean_on_random_topologies() {
         let tables = [
             RouteTables::build(KaryTree::new(k, n).topology()),
             RouteTables::build(UniMin::new(2 + (k % 3), 2 + (n % 2)).topology()),
-            RouteTables::build(Irregular::new(6, 8, 12, 3, seed).topology()),
+            RouteTables::build(Irregular::new(6, 8, 12, 3, seed).unwrap().topology()),
         ];
         for tables in &tables {
             for policy in POLICIES {
@@ -211,7 +211,7 @@ fn compact_tables_mirror_dense_tables_exactly() {
         let seed = r.below(500) as u64;
         check(KaryTree::new(k, n).topology(), case);
         check(UniMin::new(2 + (k % 3), 2 + (n % 2)).topology(), case);
-        check(Irregular::new(6, 8, 12, 3, seed).topology(), case);
+        check(Irregular::new(6, 8, 12, 3, seed).unwrap().topology(), case);
     }
 }
 
@@ -259,7 +259,7 @@ fn certificate_checker_agrees_with_the_explicit_cdg() {
             &Certificate::for_topology(uni.topology()),
             case,
         );
-        let irr = Irregular::new(6, 8, 12, 3, seed);
+        let irr = Irregular::new(6, 8, 12, 3, seed).unwrap();
         check(
             irr.topology(),
             &Certificate::for_topology(irr.topology()),

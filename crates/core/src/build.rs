@@ -134,7 +134,11 @@ pub(crate) fn build_topology(kind: TopologyKind) -> (Rc<Topology>, Option<Rc<Kar
             extra_links,
             seed,
         } => (
-            Rc::new(Irregular::new(switches, ports, hosts, extra_links, seed).into_topology()),
+            Rc::new(
+                Irregular::new(switches, ports, hosts, extra_links, seed)
+                    .unwrap_or_else(|e| panic!("invalid irregular topology: {e}"))
+                    .into_topology(),
+            ),
             None,
         ),
     }
@@ -423,6 +427,44 @@ mod tests {
         let t = t.borrow();
         assert_eq!(t.completed_mcasts(), 1);
         assert_eq!(t.outstanding(), 0);
+    }
+
+    /// A flit corrupted on the source's injection link keeps its mark
+    /// through the switches that store the worm and rebuild it flit by
+    /// flit: a CB multicast through the central queue and an IB worm
+    /// through the input FIFOs both fail the receivers' checksum.
+    #[test]
+    fn corruption_survives_stored_copies() {
+        use collectives::RecoveryConfig;
+        use netsim::fault::FaultPlan;
+        for arch in [SwitchArch::CentralBuffer, SwitchArch::InputBuffered] {
+            let cfg = SystemConfig {
+                arch,
+                recovery: Some(RecoveryConfig::default()),
+                ..SystemConfig::default()
+            };
+            let dests = DestSet::from_nodes(64, [1, 17, 42, 63].map(NodeId));
+            let mut sys = one_message_world(
+                cfg,
+                0,
+                MessageSpec {
+                    kind: MessageKind::Multicast(dests),
+                    payload_flits: 64,
+                },
+            );
+            let (sw, port) = sys.topology.host_inject(NodeId(0));
+            let inject = sys.sw_in[sw.index()][port];
+            let certain = FaultPlan {
+                flit_corrupt: 1.0,
+                ..FaultPlan::none(1)
+            };
+            sys.engine.install_link_faults(inject, &certain);
+            sys.engine.run_for(1500);
+            assert!(sys.engine.fault_counters().flits_corrupted > 0, "{arch:?}");
+            let discards = sys.shared.recovery.borrow().counters.corrupt_discards;
+            assert_eq!(discards, 4, "{arch:?}: every receiver discards the worm");
+            assert_eq!(sys.tracker().borrow().deliveries(), 0, "{arch:?}");
+        }
     }
 
     #[test]

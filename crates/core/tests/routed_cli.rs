@@ -55,4 +55,12 @@ fn bad_config_files_exit_2_with_the_path() {
     std::fs::write(&bad, "arch = warp-drive\n").expect("temp config written");
     let bad = bad.to_str().expect("utf-8 temp path");
     assert_rejected(&["--config", bad, "--script", "s.txt"], bad);
+
+    let unbuildable = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("routed_cli_irregular.mdw");
+    std::fs::write(&unbuildable, "topology = irregular\nswitches = 0\n").expect("written");
+    let unbuildable = unbuildable.to_str().expect("utf-8 temp path");
+    assert_rejected(
+        &["--config", unbuildable, "--script", "s.txt"],
+        "need at least one switch",
+    );
 }

@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn irregular_plan_converges() {
-        let net = Irregular::new(6, 8, 12, 3, 11);
+        let net = Irregular::new(6, 8, 12, 3, 11).unwrap();
         let tables = RouteTables::build(net.topology());
         let plan = plan_combining(net.topology(), &tables);
         assert!(plan.expected[plan.root.index()] > 0);

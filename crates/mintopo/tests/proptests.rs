@@ -115,7 +115,7 @@ fn irregular_routes_and_replicates() {
     for case in 0..CASES {
         let mut r = case_rng(4, case);
         let seed = r.below(500) as u64;
-        let net = Irregular::new(6, 8, 12, 3, seed);
+        let net = Irregular::new(6, 8, 12, 3, seed).unwrap();
         let tables = RouteTables::build(net.topology());
         let src = NodeId(r.below(12) as u32);
         let dests = random_dests(&mut r, 12, src, 7);

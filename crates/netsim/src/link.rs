@@ -70,9 +70,6 @@ pub struct Link {
     publish: bool,
     /// Recorded transitions awaiting [`Link::take_transitions`].
     transitions: Vec<(Cycle, bool)>,
-    /// Membership flag for the engine's active-link set (the engine calls
-    /// [`Link::begin_cycle`] only on links where this is set).
-    pub(crate) active: bool,
 }
 
 impl Link {
@@ -104,7 +101,6 @@ impl Link {
             was_down: false,
             publish: false,
             transitions: Vec::new(),
-            active: false,
         }
     }
 
@@ -137,8 +133,8 @@ impl Link {
     /// [`Link::script_outage`] the state has no scheduled end: it holds
     /// until the next call. The edge is detected and published immediately
     /// (publication is enabled as a side effect), so a resident service
-    /// can drive link state from a command stream without waiting for the
-    /// link to become active in the engine's ledger.
+    /// can drive link state from a command stream on a link the engine
+    /// never advances with [`Link::begin_cycle`].
     pub fn set_forced_down(&mut self, now: Cycle, down: bool) {
         self.forced_down = down;
         self.publish = true;
@@ -185,9 +181,11 @@ impl Link {
         self.delay
     }
 
-    /// Credits currently available to the sender.
-    pub fn credits(&self) -> u32 {
-        self.credits
+    /// Credits available to the sender at `now`: the folded count plus
+    /// every returned credit that has propagated back by `now`.
+    pub fn credits(&self, now: Cycle) -> u32 {
+        let matured = self.credit_q.iter().take_while(|&&arr| arr <= now).count();
+        self.credits + matured as u32
     }
 
     /// Configured credit window.
@@ -214,29 +212,35 @@ impl Link {
         self.flit_q.front().map(|q| q.arrives)
     }
 
-    /// Makes credits that have propagated back available to the sender.
-    /// Returns the number of condemned flits that evaporated this cycle
-    /// (always 0 on fault-free links) so callers can maintain in-flight
-    /// counters.
-    ///
-    /// The [`crate::engine::Engine`] calls this only on *active* links —
-    /// ones with credits propagating back or a fault stream installed (see
-    /// [`Link::needs_begin_cycle`]); skipped cycles are free because all
-    /// processing here is keyed on absolute arrival times. Call it yourself
-    /// only when driving a standalone `Link` (e.g. in tests).
-    pub fn begin_cycle(&mut self, now: Cycle) -> usize {
+    /// Folds every returned credit that has propagated back by `now` into
+    /// the sender's count. [`Link::can_send`], [`Link::send`] and
+    /// [`Link::credits`] see matured credits without it, so nothing has to
+    /// call this every cycle; it exists as the eager reference the lazy
+    /// fold is tested against.
+    pub fn fold_credits(&mut self, now: Cycle) {
         while let Some(&arr) = self.credit_q.front() {
-            if arr <= now {
-                self.credit_q.pop_front();
-                self.credits += 1;
-                debug_assert!(
-                    self.credits <= self.max_credits,
-                    "credit overflow: more credits returned than spent"
-                );
-            } else {
+            if arr > now {
                 break;
             }
+            self.credit_q.pop_front();
+            self.credits += 1;
+            debug_assert!(
+                self.credits <= self.max_credits,
+                "credit overflow: more credits returned than spent"
+            );
         }
+    }
+
+    /// Advances the link's timed state to `now`: the outage schedule of an
+    /// installed fault stream, evaporation of condemned flits, and up/down
+    /// edge detection. Returns the number of condemned flits that
+    /// evaporated this cycle (always 0 on fault-free links) so callers can
+    /// maintain in-flight counters.
+    ///
+    /// The [`crate::engine::Engine`] calls this every cycle on the links
+    /// that have timed state ([`Link::needs_begin_cycle`]) and never on the
+    /// others. Credits are not folded here: they fold when the sender asks.
+    pub fn begin_cycle(&mut self, now: Cycle) -> usize {
         let mut evaporated = 0;
         if let Some(f) = self.faults.as_deref_mut() {
             f.tick_outages(now);
@@ -260,17 +264,17 @@ impl Link {
         evaporated
     }
 
-    /// `true` while this link still needs [`Link::begin_cycle`] every
-    /// cycle: credits are propagating back, a fault stream is installed
-    /// (outage schedules and condemned-flit evaporation advance with time),
-    /// or scripted outage windows need edge detection.
+    /// `true` if this link needs [`Link::begin_cycle`] every cycle: a fault
+    /// stream is installed (outage schedules and condemned-flit evaporation
+    /// advance with time) or scripted outage windows need edge detection.
     pub fn needs_begin_cycle(&self) -> bool {
-        !self.credit_q.is_empty() || self.faults.is_some() || !self.scripted.is_empty()
+        self.faults.is_some() || !self.scripted.is_empty()
     }
 
     /// Sender side: `true` if a flit may be sent this cycle.
     pub fn can_send(&self, now: Cycle) -> bool {
-        self.credits > 0 && self.last_send != Some(now) && !self.is_down(now)
+        let credit = self.credits > 0 || self.credit_q.front().is_some_and(|&arr| arr <= now);
+        credit && self.last_send != Some(now) && !self.is_down(now)
     }
 
     /// Sender side: sends a flit, consuming a credit.
@@ -280,6 +284,7 @@ impl Link {
     /// Panics if no credit is available or a flit was already sent this
     /// cycle (bandwidth is one flit per cycle).
     pub fn send(&mut self, now: Cycle, mut flit: Flit) {
+        self.fold_credits(now);
         assert!(self.credits > 0, "send without credit");
         assert_ne!(self.last_send, Some(now), "link bandwidth exceeded");
         let mut dropped = false;
@@ -426,16 +431,17 @@ mod tests {
         l.send(0, flit());
         l.begin_cycle(1);
         l.send(1, flit());
-        assert_eq!(l.credits(), 0);
+        assert_eq!(l.credits(1), 0);
         assert!(!l.can_send(2));
         // Receiver consumes and frees one slot at cycle 2.
         l.begin_cycle(2);
         assert!(l.recv(2).is_some());
         l.return_credit(2);
-        // Credit arrives at sender at cycle 3.
-        l.begin_cycle(3);
+        assert_eq!(l.credits(2), 0, "the credit is still propagating");
+        // Credit arrives at sender at cycle 3, folded or not.
         assert!(l.can_send(3));
-        assert_eq!(l.credits(), 1);
+        l.fold_credits(3);
+        assert_eq!(l.credits(3), 1);
     }
 
     #[test]
@@ -540,7 +546,7 @@ mod tests {
                 }
                 if sent == total && l.in_flight() == 0 && now > 200 {
                     l.begin_cycle(now + 100);
-                    let credits = l.credits();
+                    let credits = l.credits(now + 100);
                     return ((got, corrupt, credits), l);
                 }
             }

@@ -7,9 +7,10 @@
 //! index is in the panic message; re-run with that seed to shrink by hand.
 
 use netsim::destset::DestSet;
+use netsim::fault::FaultPlan;
 use netsim::flit::Flit;
 use netsim::header::{PortMask, RoutingHeader};
-use netsim::ids::{MessageId, NodeId};
+use netsim::ids::{LinkId, MessageId, NodeId};
 use netsim::link::Link;
 use netsim::message::{Message, MessageKind};
 use netsim::packet::{packetize, PacketBuilder, PacketIdGen};
@@ -223,7 +224,69 @@ fn link_flow_control_invariants() {
         assert_eq!(outstanding_credits, 0, "case {case}");
         assert_eq!(link.in_flight(), 0, "case {case}");
         // All credits returned to the sender after propagation.
-        link.begin_cycle(start + 10_000);
-        assert_eq!(link.credits(), credits, "case {case}");
+        assert_eq!(link.credits(start + 10_000), credits, "case {case}");
+    }
+}
+
+/// Credits fold lazily, when the sender asks, and that is unobservable:
+/// a link the engine never ticks and a link whose credits fold eagerly
+/// every cycle agree on `can_send` and `credits` at every cycle under the
+/// same random send/receive schedule. Odd cases install the same fault
+/// plan (drops, corruption, outages, credit leaks) on both links; those
+/// links need `begin_cycle` every cycle either way, so the lazy one gets
+/// exactly that and no fold.
+#[test]
+fn lazy_credit_fold_matches_eager_fold() {
+    for case in 0..CASES {
+        let mut r = case_rng(10, case);
+        let delay = 1 + r.below(4) as u32;
+        let credits = 1 + r.below(7) as u32;
+        let mut lazy = Link::new(delay, credits);
+        let mut eager = Link::new(delay, credits);
+        if case % 2 == 1 {
+            let plan = FaultPlan {
+                flit_drop: 0.02,
+                flit_corrupt: 0.05,
+                down_every: 40,
+                down_len: 7,
+                credit_leak: 0.05,
+                ..FaultPlan::none(case)
+            };
+            lazy.install_faults(plan.for_link(LinkId::from(3usize)));
+            eager.install_faults(plan.for_link(LinkId::from(3usize)));
+        }
+        let pkt = std::rc::Rc::new(PacketBuilder::unicast(NodeId(0), NodeId(1), 4, 16).build());
+        let mut next = 0u16;
+        for now in 0..400u64 {
+            if lazy.needs_begin_cycle() {
+                lazy.begin_cycle(now);
+            }
+            eager.fold_credits(now);
+            eager.begin_cycle(now);
+            let at = format!("case {case}, cycle {now}");
+            assert_eq!(lazy.credits(now), eager.credits(now), "{at}");
+            assert_eq!(lazy.can_send(now), eager.can_send(now), "{at}");
+            if r.chance(0.7) && eager.can_send(now) {
+                lazy.send(now, Flit::new(pkt.clone(), next));
+                eager.send(now, Flit::new(pkt.clone(), next));
+                next = (next + 1) % pkt.total_flits();
+                assert_eq!(lazy.credits(now), eager.credits(now), "{at}, after send");
+                assert!(!lazy.can_send(now), "{at}: one send per cycle");
+            }
+            if r.chance(0.5) {
+                let got = (lazy.recv(now), eager.recv(now));
+                assert_eq!(
+                    got.0.as_ref().map(|f| (f.idx(), f.corrupted())),
+                    got.1.as_ref().map(|f| (f.idx(), f.corrupted())),
+                    "{at}"
+                );
+                if got.0.is_some() {
+                    lazy.return_credit(now);
+                    eager.return_credit(now);
+                }
+            }
+            lazy.audit_credit_conservation();
+            eager.audit_credit_conservation();
+        }
     }
 }

@@ -34,7 +34,7 @@
 
 use crate::config::SwitchConfig;
 use crate::ctl::SwitchCtl;
-use crate::decode::{resolve_branches, HeaderClock};
+use crate::decode::{resolve_branches, CorruptMark, HeaderClock};
 use crate::semantics::{CqState, ReplState};
 use crate::stats::{header_dests, BlockedWormSnap, SwitchSnapshot, SwitchStats};
 use mintopo::reach::PortClass;
@@ -51,18 +51,36 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-/// One output branch of a packet stored in the central queue.
+/// One packet stored once in the central queue, shared by its absorbing
+/// input and every branch.
 ///
-/// The shared writer-side state ([`ReplState`]) lives in
-/// [`crate::semantics`]: branch readers never overtake `written`
-/// (cut-through at flit granularity) and per-chunk reference counts free a
-/// chunk when the slowest branch has drained it.
+/// The writer-side state ([`ReplState`]) lives in [`crate::semantics`]:
+/// branch readers never overtake `written` (cut-through at flit
+/// granularity) and per-chunk reference counts free a chunk when the
+/// slowest branch has drained it.
+#[derive(Debug)]
+struct Stored {
+    repl: ReplState,
+    /// Corruption mark of the absorbed flits, carried onto every branch.
+    mark: CorruptMark,
+}
+
+impl Stored {
+    fn shared(repl: ReplState) -> Rc<RefCell<Stored>> {
+        Rc::new(RefCell::new(Stored {
+            repl,
+            mark: CorruptMark::default(),
+        }))
+    }
+}
+
+/// One output branch of a packet stored in the central queue.
 #[derive(Debug)]
 struct CqBranch {
     /// Branch-rewritten packet descriptor (restricted bit-string header).
     pkt: Rc<Packet>,
     read: u16,
-    write: Rc<RefCell<ReplState>>,
+    write: Rc<RefCell<Stored>>,
 }
 
 /// Per-input receiver state.
@@ -79,7 +97,7 @@ enum InState {
     /// Streaming flits into the central queue.
     Absorbing {
         pkt: Rc<Packet>,
-        write: Rc<RefCell<ReplState>>,
+        write: Rc<RefCell<Stored>>,
         entered: Cycle,
         decided: bool,
     },
@@ -160,6 +178,13 @@ pub struct CentralBufferSwitch {
     ctl: Option<Rc<SwitchCtl>>,
     sem: Option<SemHandle>,
     rr: usize,
+    /// Bit `i` is set exactly while input `i` has a staged flit or is not
+    /// `Idle`: the inputs a tick must visit even when nothing arrives.
+    in_busy: u64,
+    /// Bit `p` is set exactly while output `p` has a queued branch or is
+    /// not `Idle` (streaming, or held by a bypass): the transmitters a
+    /// tick visits.
+    out_busy: u64,
     /// Cycle of the last executed tick — the skip-invariance watermark.
     /// The engine may skip ticks while the switch sleeps; the gap since
     /// `last_tick` replays exactly what those ticks would have done
@@ -216,6 +241,8 @@ impl CentralBufferSwitch {
             ctl: None,
             sem: None,
             rr: 0,
+            in_busy: 0,
+            out_busy: 0,
             last_tick: 0,
             empty: true,
         }
@@ -249,22 +276,19 @@ impl CentralBufferSwitch {
     }
 
     /// No staged flits, no resident worms, every chunk free, no pending
-    /// barrier emission: safe to swap routing tables. Takes split borrows
-    /// so the tick can evaluate it mid-destructure.
-    fn is_empty(
-        inputs: &[InputPort],
-        outputs: &[OutputPort],
-        cq: &CqState,
-        barrier: Option<&BarrierCombiner>,
-    ) -> bool {
-        inputs
-            .iter()
-            .all(|inp| inp.staging.is_empty() && matches!(inp.state, InState::Idle))
-            && outputs
-                .iter()
-                .all(|o| o.queue.is_empty() && matches!(o.state, TxState::Idle))
-            && cq.free() == cq.capacity
-            && barrier.is_none_or(|b| b.ready.is_empty())
+    /// barrier emission: safe to swap routing tables. Reads the busy masks;
+    /// debug builds check them against a scan of every port.
+    fn is_empty(&self) -> bool {
+        debug_assert_eq!(
+            (self.in_busy, self.out_busy),
+            busy_masks(&self.inputs, &self.outputs),
+            "busy masks of {} disagree with the port scan",
+            self.id
+        );
+        self.in_busy == 0
+            && self.out_busy == 0
+            && self.cq.free() == self.cq.capacity
+            && self.barrier.as_ref().is_none_or(|b| b.ready.is_empty())
     }
 
     /// Kills every resident worm: staged flits are dropped with one credit
@@ -303,6 +327,8 @@ impl CentralBufferSwitch {
             worms += bar.ready.len() as u64;
             bar.ready.clear();
         }
+        self.in_busy = 0;
+        self.out_busy = 0;
         self.cq = CqState::new(self.cfg.cq_chunks, self.cfg.cq_down_reserve());
         if let Some(t) = &self.sem {
             t.borrow_mut().log(now, SemEvent::CqPurge { sw: self.id.0 });
@@ -368,9 +394,7 @@ impl Component for CentralBufferSwitch {
             st.cq_free_now = self.cq.free();
             return;
         }
-        if self.ctl.as_ref().is_some_and(|c| c.tables_pending())
-            && Self::is_empty(&self.inputs, &self.outputs, &self.cq, self.barrier.as_ref())
-        {
+        if self.ctl.as_ref().is_some_and(|c| c.tables_pending()) && self.is_empty() {
             let ctl = self.ctl.as_ref().expect("checked");
             let (_epoch, tables) = ctl.take_committed().expect("pending checked");
             assert_eq!(
@@ -391,11 +415,11 @@ impl Component for CentralBufferSwitch {
             cq,
             barrier,
             stats,
-            ctl,
             sem,
             rr,
+            in_busy,
+            out_busy,
             id,
-            empty,
             ..
         } = self;
         let table = tables.table(*id);
@@ -406,7 +430,11 @@ impl Component for CentralBufferSwitch {
 
         // --- Transmitters first: they observe last cycle's write progress,
         // modeling one cycle of latency through the central queue RAM.
-        for p in 0..ports {
+        // Only busy outputs have anything to do; they go in ascending order.
+        let mut busy = *out_busy;
+        while busy != 0 {
+            let p = busy.trailing_zeros() as usize;
+            busy &= busy - 1;
             let out = &mut outputs[p];
             if matches!(out.state, TxState::Idle) {
                 if let Some(branch) = out.queue.pop_front() {
@@ -415,15 +443,18 @@ impl Component for CentralBufferSwitch {
             }
             if let TxState::Stream(branch) = &mut out.state {
                 if io.can_send(p) {
-                    let written = branch.write.borrow().written;
+                    let (written, mark) = {
+                        let w = branch.write.borrow();
+                        (w.repl.written, w.mark)
+                    };
                     if branch.read < written {
-                        io.send(p, Flit::new(branch.pkt.clone(), branch.read));
+                        io.send(p, mark.flit(branch.pkt.clone(), branch.read));
                         branch.read += 1;
                         flits_sent += 1;
                         let total = branch.pkt.total_flits();
                         if branch.read % chunk_flits == 0 || branch.read == total {
                             let idx = usize::from((branch.read - 1) / chunk_flits);
-                            if branch.write.borrow_mut().release(idx) {
+                            if branch.write.borrow_mut().repl.release(idx) {
                                 cq.release_chunk();
                                 if let Some(t) = sem {
                                     t.borrow_mut().log(
@@ -441,6 +472,9 @@ impl Component for CentralBufferSwitch {
                         }
                     }
                 }
+            }
+            if matches!(out.state, TxState::Idle) && out.queue.is_empty() {
+                *out_busy &= !(1 << p);
             }
         }
 
@@ -506,11 +540,8 @@ impl Component for CentralBufferSwitch {
                 } else {
                     vec![(table.up_ports()[0], pkt.clone())]
                 };
-                let write = Rc::new(RefCell::new(ReplState::synthesized(
-                    total,
-                    chunk_flits,
-                    branches.len(),
-                )));
+                let write =
+                    Stored::shared(ReplState::synthesized(total, chunk_flits, branches.len()));
                 let mut st = stats.borrow_mut();
                 st.branches_created += branches.len() as u64;
                 if branches.len() > 1 {
@@ -523,13 +554,23 @@ impl Component for CentralBufferSwitch {
                         read: 0,
                         write: write.clone(),
                     });
+                    *out_busy |= 1 << port;
                 }
             }
         }
 
-        // --- Inputs, starting at a rotating offset for fairness.
+        // --- Inputs, starting at a rotating offset for fairness. An input
+        //     with nothing staged, no worm and no arrival has nothing to do.
         for k in 0..ports {
-            let i = (k + *rr) % ports;
+            let i = if k < ports - *rr {
+                k + *rr
+            } else {
+                k + *rr - ports
+            };
+            let arrival = io.recv(i);
+            if arrival.is_none() && *in_busy & (1 << i) == 0 {
+                continue;
+            }
             let InputPort {
                 staging,
                 clock,
@@ -537,7 +578,7 @@ impl Component for CentralBufferSwitch {
             } = &mut inputs[i];
 
             // Accept at most one arriving flit (link bandwidth).
-            if let Some(flit) = io.recv(i) {
+            if let Some(flit) = arrival {
                 clock.on_arrival(&flit, now);
                 staging.push_back(flit);
                 debug_assert!(
@@ -610,8 +651,7 @@ impl Component for CentralBufferSwitch {
                     );
                 }
                 if granted {
-                    let write =
-                        Rc::new(RefCell::new(ReplState::new(pkt.total_flits(), chunk_flits)));
+                    let write = Stored::shared(ReplState::new(pkt.total_flits(), chunk_flits));
                     *state = InState::Absorbing {
                         pkt: pkt.clone(),
                         write,
@@ -650,6 +690,7 @@ impl Component for CentralBufferSwitch {
                         && matches!(out.state, TxState::Idle);
                     if can_bypass {
                         out.state = TxState::Bypass { input: i };
+                        *out_busy |= 1 << port;
                         *state = InState::Bypass {
                             pkt: bpkt,
                             port,
@@ -685,14 +726,14 @@ impl Component for CentralBufferSwitch {
                     );
                 }
                 if granted {
-                    let write =
-                        Rc::new(RefCell::new(ReplState::new(pkt.total_flits(), chunk_flits)));
-                    write.borrow_mut().set_branches(1);
+                    let write = Stored::shared(ReplState::new(pkt.total_flits(), chunk_flits));
+                    write.borrow_mut().repl.set_branches(1);
                     outputs[*port].queue.push_back(CqBranch {
                         pkt: pkt.clone(),
                         read: 0,
                         write: write.clone(),
                     });
+                    *out_busy |= 1 << *port;
                     *state = InState::Absorbing {
                         pkt: pkt.clone(),
                         write,
@@ -730,7 +771,7 @@ impl Component for CentralBufferSwitch {
                             .collect();
                         let branches =
                             resolve_branches(pkt, table, cfg.policy, cfg.up_select, |p| metrics[p]);
-                        write.borrow_mut().set_branches(branches.len());
+                        write.borrow_mut().repl.set_branches(branches.len());
                         let mut st = stats.borrow_mut();
                         st.branches_created += branches.len() as u64;
                         if branches.len() > 1 {
@@ -743,6 +784,7 @@ impl Component for CentralBufferSwitch {
                                 read: 0,
                                 write: write.clone(),
                             });
+                            *out_busy |= 1 << port;
                         }
                         *decided = true;
                     }
@@ -752,8 +794,10 @@ impl Component for CentralBufferSwitch {
                 if belongs {
                     // Chunk space is guaranteed: every packet reserved its
                     // full chunk demand at admission.
-                    write.borrow_mut().write_flit();
-                    staging.pop_front();
+                    let flit = staging.pop_front().expect("front present");
+                    let mut w = write.borrow_mut();
+                    w.repl.write_flit();
+                    w.mark.note(&flit);
                     io.return_credit(i);
                 }
                 // Retire only once fully absorbed AND the replication
@@ -762,7 +806,7 @@ impl Component for CentralBufferSwitch {
                 // leaving early would orphan it in the central queue.
                 let complete = {
                     let w = write.borrow();
-                    w.written == w.total
+                    w.repl.written == w.repl.total
                 };
                 if *decided && complete {
                     clock.forget(pkt.id());
@@ -781,14 +825,24 @@ impl Component for CentralBufferSwitch {
                     flits_sent += 1;
                     bypass_flits += 1;
                     if *sent == pkt.total_flits() {
-                        if let TxState::Bypass { input } = outputs[*port].state {
+                        let out = &mut outputs[*port];
+                        if let TxState::Bypass { input } = out.state {
                             debug_assert_eq!(input, i, "bypass owner mismatch");
                         }
-                        outputs[*port].state = TxState::Idle;
+                        out.state = TxState::Idle;
+                        if out.queue.is_empty() {
+                            *out_busy &= !(1 << *port);
+                        }
                         clock.forget(pkt.id());
                         *state = InState::Idle;
                     }
                 }
+            }
+
+            if staging.is_empty() && matches!(state, InState::Idle) {
+                *in_busy &= !(1 << i);
+            } else {
+                *in_busy |= 1 << i;
             }
         }
 
@@ -886,9 +940,9 @@ impl Component for CentralBufferSwitch {
             });
         }
 
-        *empty = Self::is_empty(inputs, outputs, cq, barrier.as_ref());
-        if let Some(ctl) = ctl {
-            ctl.set_empty(*empty);
+        self.empty = self.is_empty();
+        if let Some(ctl) = &self.ctl {
+            ctl.set_empty(self.empty);
         }
     }
 
@@ -920,6 +974,22 @@ impl Component for CentralBufferSwitch {
             pending: c.pending_commit(),
         })
     }
+}
+
+/// The busy masks recomputed by scanning every port: the reference
+/// [`CentralBufferSwitch::is_empty`] checks the maintained masks against.
+fn busy_masks(inputs: &[InputPort], outputs: &[OutputPort]) -> (u64, u64) {
+    let in_busy = inputs
+        .iter()
+        .enumerate()
+        .filter(|(_, inp)| !inp.staging.is_empty() || !matches!(inp.state, InState::Idle))
+        .fold(0, |m, (i, _)| m | 1 << i);
+    let out_busy = outputs
+        .iter()
+        .enumerate()
+        .filter(|(_, o)| !o.queue.is_empty() || !matches!(o.state, TxState::Idle))
+        .fold(0, |m, (p, _)| m | 1 << p);
+    (in_busy, out_busy)
 }
 
 impl std::fmt::Debug for CentralBufferSwitch {

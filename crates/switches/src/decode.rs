@@ -6,7 +6,7 @@
 //! differs. This module implements that decode for all three encodings,
 //! plus the small clock that models header-serialization latency (the
 //! decision is available `route_delay` cycles after the last header flit
-//! arrives).
+//! arrives) and the corruption mark a stored worm copy carries.
 
 use crate::config::UpSelect;
 use mintopo::route::{pick_deterministic, ReplicatePolicy, SwitchTable, UnicastRoute};
@@ -48,6 +48,40 @@ impl HeaderClock {
         if let Some(pos) = self.done.iter().position(|(p, _)| *p == id) {
             self.done.swap_remove(pos);
         }
+    }
+}
+
+/// Corruption mark of a worm a switch stores and later re-emits flit by
+/// flit: the index of the first stored flit that arrived marked corrupt.
+/// Every flit re-emitted from that index on carries the mark, so a corrupt
+/// wire image survives the store-and-rebuild of the central queue and the
+/// input FIFOs the way it survives the bypass, which forwards the flit
+/// itself.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CorruptMark(u16);
+
+impl Default for CorruptMark {
+    fn default() -> Self {
+        CorruptMark(u16::MAX)
+    }
+}
+
+impl CorruptMark {
+    /// Notes one stored flit of the worm.
+    pub(crate) fn note(&mut self, flit: &Flit) {
+        if flit.corrupted() {
+            self.0 = self.0.min(flit.idx());
+        }
+    }
+
+    /// Rebuilds flit `idx` of `pkt` for transmission, marked corrupt if the
+    /// stored flit at `idx` or an earlier one was.
+    pub(crate) fn flit(self, pkt: Rc<Packet>, idx: u16) -> Flit {
+        let mut flit = Flit::new(pkt, idx);
+        if idx >= self.0 {
+            flit.mark_corrupt();
+        }
+        flit
     }
 }
 

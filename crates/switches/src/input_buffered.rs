@@ -20,12 +20,11 @@
 
 use crate::config::{ReplicationMode, SwitchConfig};
 use crate::ctl::SwitchCtl;
-use crate::decode::{resolve_branches, HeaderClock};
+use crate::decode::{resolve_branches, CorruptMark, HeaderClock};
 use crate::semantics::IbHeadState;
 use crate::stats::{header_dests, BlockedWormSnap, SwitchSnapshot, SwitchStats};
 use mintopo::route::RouteTables;
 use netsim::engine::{Component, PortIo};
-use netsim::flit::Flit;
 use netsim::ids::SwitchId;
 use netsim::packet::Packet;
 use netsim::Cycle;
@@ -38,6 +37,8 @@ use std::rc::Rc;
 struct IbPacket {
     pkt: Rc<Packet>,
     received: u16,
+    /// Corruption mark of the received flits, carried onto every branch.
+    mark: CorruptMark,
 }
 
 /// The decoded head packet: branch-rewritten descriptors side by side
@@ -103,6 +104,10 @@ pub struct InputBufferedSwitch {
     outputs: Vec<IbOutput>,
     stats: Rc<RefCell<SwitchStats>>,
     ctl: Option<Rc<SwitchCtl>>,
+    /// Bit `i` is set exactly while input `i` buffers a flit, holds a
+    /// packet or has a decoded head: the inputs the decode and recycle
+    /// passes visit.
+    in_busy: u64,
     /// Cycle of the last executed tick — the skip-invariance watermark.
     /// The engine may skip ticks while the switch sleeps; the gap since
     /// `last_tick` replays the occupancy samples those idle ticks would
@@ -152,6 +157,7 @@ impl InputBufferedSwitch {
             tables,
             stats,
             ctl: None,
+            in_busy: 0,
             last_tick: 0,
             empty: true,
         }
@@ -179,13 +185,28 @@ impl InputBufferedSwitch {
     }
 
     /// No buffered flits, no resident packets, no owned transmitters: safe
-    /// to swap routing tables. Takes split borrows so the tick can evaluate
-    /// it mid-destructure.
-    fn is_empty(inputs: &[IbInput], outputs: &[IbOutput]) -> bool {
-        inputs
-            .iter()
-            .all(|inp| inp.packets.is_empty() && inp.occupied == 0 && inp.head.is_none())
-            && outputs.iter().all(|o| o.owner.is_none())
+    /// to swap routing tables. Reads the busy mask (a transmitter is owned
+    /// only by an input with a decoded head); debug builds check it against
+    /// a scan of every port.
+    fn is_empty(&self) -> bool {
+        debug_assert_eq!(
+            self.in_busy,
+            self.inputs
+                .iter()
+                .enumerate()
+                .filter(|(_, inp)| !inp.packets.is_empty()
+                    || inp.occupied > 0
+                    || inp.head.is_some())
+                .fold(0, |m, (i, _)| m | 1 << i),
+            "busy mask of {} disagrees with the input scan",
+            self.id
+        );
+        debug_assert!(
+            self.in_busy != 0 || self.outputs.iter().all(|o| o.owner.is_none()),
+            "{} owns a transmitter with every input idle",
+            self.id
+        );
+        self.in_busy == 0
     }
 
     /// Kills every resident worm: one credit is returned upstream per
@@ -216,6 +237,7 @@ impl InputBufferedSwitch {
             out.owner = None;
             out.requests = 0;
         }
+        self.in_busy = 0;
         if flits + worms > 0 {
             let mut st = self.stats.borrow_mut();
             st.purged_flits += flits;
@@ -239,9 +261,7 @@ impl Component for InputBufferedSwitch {
             self.stats.borrow_mut().ib_used_flits.observe(0);
             return;
         }
-        if self.ctl.as_ref().is_some_and(|c| c.tables_pending())
-            && Self::is_empty(&self.inputs, &self.outputs)
-        {
+        if self.ctl.as_ref().is_some_and(|c| c.tables_pending()) && self.is_empty() {
             let ctl = self.ctl.as_ref().expect("checked");
             let (_epoch, tables) = ctl.take_committed().expect("pending checked");
             assert_eq!(
@@ -259,9 +279,8 @@ impl Component for InputBufferedSwitch {
             inputs,
             outputs,
             stats,
-            ctl,
+            in_busy,
             id,
-            empty,
             ..
         } = self;
         let table = tables.table(*id);
@@ -271,6 +290,7 @@ impl Component for InputBufferedSwitch {
         // --- 1. Receive one flit per input.
         for (i, input) in inputs.iter_mut().enumerate() {
             if let Some(flit) = io.recv(i) {
+                *in_busy |= 1 << i;
                 input.clock.on_arrival(&flit, now);
                 input.occupied += 1;
                 debug_assert!(
@@ -287,19 +307,23 @@ impl Component for InputBufferedSwitch {
                     if input.packets.is_empty() {
                         input.became_head = now;
                     }
-                    input.packets.push_back(IbPacket { pkt, received: 1 });
-                } else {
-                    input
-                        .packets
-                        .back_mut()
-                        .expect("body flit without head")
-                        .received += 1;
+                    input.packets.push_back(IbPacket {
+                        pkt,
+                        received: 0,
+                        mark: CorruptMark::default(),
+                    });
                 }
+                let stored = input.packets.back_mut().expect("body flit without head");
+                stored.received += 1;
+                stored.mark.note(&flit);
             }
         }
 
         // --- 2. Decode the head packet where the header has arrived.
-        for i in 0..ports {
+        let mut busy = *in_busy;
+        while busy != 0 {
+            let i = busy.trailing_zeros() as usize;
+            busy &= busy - 1;
             let needs_decode = inputs[i].head.is_none() && !inputs[i].packets.is_empty();
             if !needs_decode {
                 continue;
@@ -370,7 +394,8 @@ impl Component for InputBufferedSwitch {
             ReplicationMode::Asynchronous => {
                 for p in 0..ports {
                     let Some(i) = outputs[p].owner else { continue };
-                    let received = inputs[i].packets.front().expect("owner has head").received;
+                    let stored = inputs[i].packets.front().expect("owner has head");
+                    let (received, mark) = (stored.received, stored.mark);
                     let head = inputs[i].head.as_mut().expect("owner has branches");
                     let b = head
                         .sem
@@ -380,7 +405,7 @@ impl Component for InputBufferedSwitch {
                         .expect("owner has an active branch");
                     if io.can_send(p) && head.sem.branches[b].read < received {
                         let read = head.sem.branches[b].read;
-                        io.send(p, Flit::new(head.pkts[b].1.clone(), read));
+                        io.send(p, mark.flit(head.pkts[b].1.clone(), read));
                         flits_sent += 1;
                         if head.sem.read_flit(b) {
                             outputs[p].owner = None;
@@ -401,13 +426,14 @@ impl Component for InputBufferedSwitch {
                     if head.sem.branches.iter().any(|b| !b.granted || b.done) {
                         continue;
                     }
-                    let received = input.packets.front().expect("head exists").received;
+                    let stored = input.packets.front().expect("head exists");
+                    let (received, mark) = (stored.received, stored.mark);
                     let read = head.sem.branches[0].read;
                     let can =
                         read < received && head.sem.branches.iter().all(|b| io.can_send(b.port));
                     if can {
                         for (port, pkt) in &head.pkts {
-                            io.send(*port, Flit::new(pkt.clone(), read));
+                            io.send(*port, mark.flit(pkt.clone(), read));
                         }
                         for port in head.sem.read_lockstep() {
                             outputs[port].owner = None;
@@ -421,7 +447,11 @@ impl Component for InputBufferedSwitch {
         // --- 5. Recycle buffer space as the slowest branch advances;
         //        retire fully drained head packets.
         let mut occupancy_sum = 0u64;
-        for (i, input) in inputs.iter_mut().enumerate() {
+        let mut busy = *in_busy;
+        while busy != 0 {
+            let i = busy.trailing_zeros() as usize;
+            busy &= busy - 1;
+            let input = &mut inputs[i];
             if let Some(head) = &mut input.head {
                 let newly = head.sem.recycle();
                 for _ in 0..newly {
@@ -436,6 +466,9 @@ impl Component for InputBufferedSwitch {
                 }
             }
             occupancy_sum += u64::from(input.occupied);
+            if input.occupied == 0 && input.packets.is_empty() {
+                *in_busy &= !(1 << i);
+            }
         }
 
         let mut st = stats.borrow_mut();
@@ -504,9 +537,9 @@ impl Component for InputBufferedSwitch {
             });
         }
 
-        *empty = Self::is_empty(inputs, outputs);
-        if let Some(ctl) = ctl {
-            ctl.set_empty(*empty);
+        self.empty = self.is_empty();
+        if let Some(ctl) = &self.ctl {
+            ctl.set_empty(self.empty);
         }
     }
 
