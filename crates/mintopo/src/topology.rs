@@ -9,6 +9,9 @@
 use netsim::ids::{NodeId, SwitchId};
 use std::fmt;
 
+/// Most ports a switch may have.
+pub const MAX_SWITCH_PORTS: usize = 16;
+
 /// What sits on the far side of a switch port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Attach {
@@ -178,7 +181,10 @@ impl TopologyBuilder {
 
     /// Adds a switch with `ports` ports at the given `depth` (0 = root).
     pub fn add_switch(&mut self, ports: usize, depth: u32) -> SwitchId {
-        assert!(ports > 0 && ports <= 16, "switch ports must be in 1..=16");
+        assert!(
+            (1..=MAX_SWITCH_PORTS).contains(&ports),
+            "switch ports must be in 1..={MAX_SWITCH_PORTS}"
+        );
         let id = SwitchId::from(self.switch_ports.len());
         self.switch_ports.push(ports);
         self.attach.push(vec![Attach::Unused; ports]);
