@@ -196,7 +196,11 @@ fn main() {
     let mut service = match RoutedService::new(cfg) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("mdw-routed: {e}");
+            let origin = args
+                .config
+                .as_deref()
+                .map_or(String::new(), |p| format!("{p}: "));
+            eprintln!("mdw-routed: {origin}{e}");
             std::process::exit(2);
         }
     };

@@ -335,16 +335,24 @@ impl SystemConfig {
             );
         }
         let n = self.n_hosts();
-        let bitstring_header = 1 + n.div_ceil(self.bits_per_flit);
-        if usize::from(self.switch.max_packet_flits) <= bitstring_header {
+        if self.bits_per_flit == 0 {
             report.error(
-                "bitstring-header-overflow",
-                format!(
-                    "bit-string header ({bitstring_header} flits) leaves no payload in \
-                     {}-flit packets — grow max_packet_flits or the buffers",
-                    self.switch.max_packet_flits
-                ),
+                "bits-per-flit-zero",
+                "bits_per_flit must be positive — a zero-bit flit carries no \
+                 header or payload bits",
             );
+        } else {
+            let bitstring_header = 1 + n.div_ceil(self.bits_per_flit);
+            if usize::from(self.switch.max_packet_flits) <= bitstring_header {
+                report.error(
+                    "bitstring-header-overflow",
+                    format!(
+                        "bit-string header ({bitstring_header} flits) leaves no payload in \
+                         {}-flit packets — grow max_packet_flits or the buffers",
+                        self.switch.max_packet_flits
+                    ),
+                );
+            }
         }
         if let Some(r) = &self.recovery {
             if r.timeout < 1 {
@@ -732,6 +740,20 @@ mod tests {
             );
             assert!(c.validate().is_err());
         }
+    }
+
+    /// Values the sizing arithmetic would divide by are an error, not a
+    /// panic.
+    #[test]
+    fn zero_bits_per_flit_fails_validation() {
+        let c = SystemConfig {
+            bits_per_flit: 0,
+            ..SystemConfig::default()
+        };
+        let r = c.report();
+        assert_eq!(r.first_error().map(|d| d.code), Some("bits-per-flit-zero"));
+        assert_eq!(r.stats.channels, 0, "fabric pass must not run");
+        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -63,4 +63,13 @@ fn bad_config_files_exit_2_with_the_path() {
         &["--config", unbuildable, "--script", "s.txt"],
         "need at least one switch",
     );
+
+    let zero_bits = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("routed_cli_zero_bits.mdw");
+    std::fs::write(&zero_bits, "bits_per_flit = 0\n").expect("written");
+    let zero_bits = zero_bits.to_str().expect("utf-8 temp path");
+    assert_rejected(&["--config", zero_bits, "--script", "s.txt"], zero_bits);
+    assert_rejected(
+        &["--config", zero_bits, "--script", "s.txt"],
+        "bits_per_flit must be positive",
+    );
 }

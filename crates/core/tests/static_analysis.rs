@@ -279,21 +279,33 @@ fn mdw_lint_cli_flags_the_shipped_deadlock_config() {
     let out = String::from_utf8_lossy(&warned.stdout);
     assert!(out.contains("sync-replication-hazard"), "{out}");
 
-    for (name, key, want) in [
-        ("no_switches", "switches = 0", "need at least one switch"),
+    for (name, text, code, want) in [
+        (
+            "no_switches",
+            "topology = irregular\nswitches = 0\n",
+            "topology-shape",
+            "need at least one switch",
+        ),
         (
             "wide_switches",
-            "ports = 17",
+            "topology = irregular\nports = 17\n",
+            "topology-shape",
             "switch ports must be in 1..=16",
+        ),
+        (
+            "zero_bit_flits",
+            "bits_per_flit = 0\n",
+            "bits-per-flit-zero",
+            "bits_per_flit must be positive",
         ),
     ] {
         let path = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
             .join(format!("lint_cli_{name}.mdw"));
-        std::fs::write(&path, format!("topology = irregular\n{key}\n")).expect("written");
-        let unbuildable = run_path(path.to_str().expect("utf-8 temp path"));
-        assert_eq!(unbuildable.status.code(), Some(1), "{unbuildable:?}");
-        let out = String::from_utf8_lossy(&unbuildable.stdout);
-        assert!(out.contains("topology-shape"), "{out}");
+        std::fs::write(&path, text).expect("written");
+        let rejected = run_path(path.to_str().expect("utf-8 temp path"));
+        assert_eq!(rejected.status.code(), Some(1), "{rejected:?}");
+        let out = String::from_utf8_lossy(&rejected.stdout);
+        assert!(out.contains(code), "{out}");
         assert!(out.contains(want), "{out}");
     }
 }

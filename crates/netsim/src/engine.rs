@@ -15,11 +15,16 @@
 //! The cycle loop skips every component that declared, after its last
 //! tick, that ticking it is a no-op until some cycle or until input
 //! arrives ([`Component::sleep_until`]; DESIGN.md §13). A schedule compiled
-//! lazily at the first step holds a flat link→receiver map, a sleep bitset
-//! and one min-heap of `(wake_at, component)` events: a sleeping component
-//! wakes at its own timer, at the arrival of the earliest flit already on
-//! its input links, or — through wake-on-send — at the arrival of a flit
-//! sent to it while it sleeps.
+//! lazily at the first step holds a sleep bitset and one min-heap of
+//! `(wake_at, component)` events: a sleeping component wakes at its own
+//! timer, at the arrival of the earliest flit already on its input links,
+//! or — through wake-on-send, which finds the receiver in the engine's
+//! link→receiver map — at the arrival of a flit sent to it while it
+//! sleeps.
+//!
+//! The engine also keeps, per component, a mask of the input ports whose
+//! links hold flits ([`PortIo::occupied_inputs`]), so receives, switch
+//! input passes and arrival scans visit only those.
 //!
 //! The plain loop that ticks every component every cycle survives only as
 //! the reference the schedule is tested and measured against
@@ -125,7 +130,7 @@ struct Binding {
 
 /// Engine-side bookkeeping kept incrementally so the engine never scans
 /// all links: the links with timed state (which need
-/// [`Link::begin_cycle`]), the link-occupancy bitset, and O(1)
+/// [`Link::begin_cycle`]), the occupied-input masks, and O(1)
 /// flit-movement counters.
 #[derive(Debug, Default)]
 struct Ledger {
@@ -134,11 +139,14 @@ struct Ledger {
     /// Every other link folds returned credits when its sender asks, so
     /// sends and credit returns never touch this list.
     timed: Vec<u32>,
-    /// One bit per link, set exactly while the link has flits in flight
-    /// (`Link::in_flight() > 0`): set on send, cleared when the link's
-    /// flit queue drains — by a receive or by evaporation of condemned
-    /// flits. Receives and arrival scans on a clear bit never touch the
-    /// `Link`.
+    /// Link index → the `(component, input port)` receiving it;
+    /// component `u32::MAX` while no component has bound the link.
+    receiver: Vec<(u32, u32)>,
+    /// Per component, bit `p` is set exactly while input port `p`'s link
+    /// has flits in flight (`Link::in_flight() > 0`): set on send,
+    /// cleared when the link's flit queue drains — by a receive or by
+    /// evaporation of condemned flits. Receives, input passes and arrival
+    /// scans skip clear bits without touching the `Link`.
     occupied: Vec<u64>,
     /// Flits ever sent over any link (see [`Engine::total_flit_moves`]).
     total_moves: u64,
@@ -147,20 +155,25 @@ struct Ledger {
 }
 
 impl Ledger {
-    fn is_occupied(&self, idx: usize) -> bool {
-        self.occupied[idx / 64] & (1 << (idx % 64)) != 0
-    }
-
-    fn set_occupied(&mut self, idx: usize) {
-        self.occupied[idx / 64] |= 1 << (idx % 64);
-    }
-
-    /// Clears the link's occupancy bit if its flit queue just drained.
+    /// Clears the receiver's bit for link `idx` if its flit queue just
+    /// drained.
     fn note_drain(&mut self, idx: usize, link: &Link) {
-        if link.in_flight() == 0 {
-            self.occupied[idx / 64] &= !(1 << (idx % 64));
+        let (comp, port) = self.receiver[idx];
+        if link.in_flight() == 0 && comp != u32::MAX {
+            self.occupied[comp as usize] &= !(1 << port);
         }
     }
+}
+
+/// The indices of the set bits of `mask`, in ascending order.
+pub fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 /// Wake plumbing handed to [`PortIo`] by the scheduled loop: when a send
@@ -168,8 +181,6 @@ impl Ledger {
 /// The reference loop passes `None` and pays nothing.
 #[derive(Debug)]
 struct WakeCtx<'a> {
-    /// Link index → receiving component, `u32::MAX` for dangling links.
-    recv_comp: &'a [u32],
     /// Which components are currently asleep.
     asleep: &'a [bool],
     /// Pending `(wake_at, component)` events.
@@ -182,6 +193,8 @@ struct WakeCtx<'a> {
 #[derive(Debug)]
 pub struct PortIo<'a> {
     now: Cycle,
+    /// Index of the ticking component (its row in the ledger's masks).
+    comp: usize,
     links: &'a mut [Link],
     inputs: &'a [LinkId],
     outputs: &'a [LinkId],
@@ -200,17 +213,33 @@ impl PortIo<'_> {
         self.outputs.len()
     }
 
+    /// The input ports whose links hold flits in flight, as a bitmask (bit
+    /// `p` for port `p`). A port outside it has no arrival this cycle;
+    /// one inside it may still have none while its flits propagate.
+    pub fn occupied_inputs(&self) -> u64 {
+        self.ledger.occupied[self.comp]
+    }
+
+    /// `true` if input `port`'s link holds flits in flight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is out of range.
+    fn input_occupied(&self, port: usize) -> bool {
+        assert!(port < self.inputs.len(), "input port {port} out of range");
+        self.occupied_inputs() & (1 << port) != 0
+    }
+
     /// Peeks at the flit arriving on input `port` this cycle, if any.
     ///
     /// # Panics
     ///
     /// Panics if `port` is out of range.
     pub fn peek(&self, port: usize) -> Option<&Flit> {
-        let idx = self.inputs[port].index();
-        if !self.ledger.is_occupied(idx) {
+        if !self.input_occupied(port) {
             return None;
         }
-        self.links[idx].peek(self.now)
+        self.links[self.inputs[port].index()].peek(self.now)
     }
 
     /// Consumes the flit arriving on input `port` (at most one per cycle).
@@ -222,15 +251,16 @@ impl PortIo<'_> {
     ///
     /// Panics if `port` is out of range.
     pub fn recv(&mut self, port: usize) -> Option<Flit> {
-        let idx = self.inputs[port].index();
-        if !self.ledger.is_occupied(idx) {
+        if !self.input_occupied(port) {
             return None;
         }
-        let link = &mut self.links[idx];
+        let link = &mut self.links[self.inputs[port].index()];
         let flit = link.recv(self.now);
         if flit.is_some() {
             self.ledger.in_flight -= 1;
-            self.ledger.note_drain(idx, link);
+            if link.in_flight() == 0 {
+                self.ledger.occupied[self.comp] &= !(1 << port);
+            }
         }
         flit
     }
@@ -264,14 +294,17 @@ impl PortIo<'_> {
         self.links[idx].send(self.now, flit);
         self.ledger.total_moves += 1;
         self.ledger.in_flight += 1;
-        self.ledger.set_occupied(idx);
+        let (rc, rp) = self.ledger.receiver[idx];
+        if rc == u32::MAX {
+            return;
+        }
+        self.ledger.occupied[rc as usize] |= 1 << rp;
         // Wake-on-send: if the receiver is asleep, schedule it for the
         // flit's arrival cycle. Receivers that are still awake don't need
-        // this — if they go to sleep later they scan their input links
-        // (which already hold this flit) for the earliest arrival.
+        // this — if they go to sleep later they scan their occupied inputs
+        // (this link among them) for the earliest arrival.
         if let Some(w) = self.wake.as_mut() {
-            let rc = w.recv_comp[idx];
-            if rc != u32::MAX && w.asleep[rc as usize] {
+            if w.asleep[rc as usize] {
                 let at = self.now + Cycle::from(self.links[idx].delay());
                 w.heap.push(Reverse((at, rc)));
             }
@@ -281,13 +314,10 @@ impl PortIo<'_> {
 
 /// The quiescence schedule: everything the scheduled cycle loop needs,
 /// lowered out of the object graph into flat arrays indexed by dense
-/// component/link ids. Compiled at the first step (O(components + links));
-/// registering a component drops it, to be recompiled with every
-/// component awake.
+/// component ids. Compiled at the first step (O(components)); registering
+/// a component drops it, to be recompiled with every component awake.
 #[derive(Debug)]
 struct Schedule {
-    /// Link index → receiving component (`u32::MAX` for dangling links).
-    recv_comp: Vec<u32>,
     /// Sleep bitset: `asleep[c]` ⇒ ticking `c` is provably a no-op until a
     /// wake event for it matures (or `wake_component` clears it).
     asleep: Vec<bool>,
@@ -372,9 +402,7 @@ impl Engine {
     /// Panics if `delay == 0` or `credits == 0` (see [`Link::new`]).
     pub fn add_link(&mut self, delay: u32, credits: u32) -> LinkId {
         let id = LinkId::from(self.links.len());
-        if id.index().is_multiple_of(64) {
-            self.ledger.occupied.push(0);
-        }
+        self.ledger.receiver.push((u32::MAX, 0));
         self.links.push(Link::new(delay, credits));
         id
     }
@@ -386,12 +414,30 @@ impl Engine {
     /// the *sender*). Each link must have exactly one sender and one
     /// receiver across all components; debug builds catch violations
     /// through the links' credit-conservation assertions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the component has more than 64 input ports.
     pub fn add_component(
         &mut self,
         component: Box<dyn Component>,
         inputs: Vec<LinkId>,
         outputs: Vec<LinkId>,
     ) -> usize {
+        assert!(
+            inputs.len() <= 64,
+            "a component has at most 64 input ports, got {}",
+            inputs.len()
+        );
+        let comp = self.comps.len() as u32;
+        let mut occupied = 0u64;
+        for (port, lid) in inputs.iter().enumerate() {
+            self.ledger.receiver[lid.index()] = (comp, port as u32);
+            if self.links[lid.index()].in_flight() > 0 {
+                occupied |= 1 << port;
+            }
+        }
+        self.ledger.occupied.push(occupied);
         let in_start = self.ports.len() as u32;
         self.ports.extend_from_slice(&inputs);
         let out_start = self.ports.len() as u32;
@@ -654,9 +700,10 @@ impl Engine {
         let links = &mut self.links[..];
         let ports = &self.ports[..];
         let ledger = &mut self.ledger;
-        for (comp, b) in self.comps.iter_mut().zip(&self.bindings) {
+        for (c, (comp, b)) in self.comps.iter_mut().zip(&self.bindings).enumerate() {
             let mut io = PortIo {
                 now,
+                comp: c,
                 links: &mut *links,
                 inputs: &ports[b.in_start as usize..(b.in_start + b.in_len) as usize],
                 outputs: &ports[b.out_start as usize..(b.out_start + b.out_len) as usize],
@@ -670,19 +717,11 @@ impl Engine {
         self.audit_epochs();
     }
 
-    /// Compiles the schedule: flattens the port arena into a link→receiver
-    /// map so wake-on-send is two array loads, and starts every component
-    /// awake.
+    /// Compiles the schedule, every component awake. Wake-on-send reads
+    /// the ledger's link→receiver map.
     fn compile_schedule(&self) -> Schedule {
         let n_comps = self.comps.len();
-        let mut recv_comp = vec![u32::MAX; self.links.len()];
-        for (ci, b) in self.bindings.iter().enumerate() {
-            for lid in &self.ports[b.in_start as usize..(b.in_start + b.in_len) as usize] {
-                recv_comp[lid.index()] = ci as u32;
-            }
-        }
         Schedule {
-            recv_comp,
             asleep: vec![false; n_comps],
             heap: BinaryHeap::new(),
             ticks_run: vec![0; n_comps],
@@ -707,7 +746,6 @@ impl Engine {
         self.begin_links();
         let now = self.now;
         let Schedule {
-            recv_comp,
             asleep,
             heap,
             ticks_run,
@@ -736,12 +774,12 @@ impl Engine {
             let inputs = &ports[b.in_start as usize..(b.in_start + b.in_len) as usize];
             let mut io = PortIo {
                 now,
+                comp: c,
                 links: &mut *links,
                 inputs,
                 outputs: &ports[b.out_start as usize..(b.out_start + b.out_len) as usize],
                 ledger: &mut *ledger,
                 wake: Some(WakeCtx {
-                    recv_comp,
                     asleep,
                     heap: &mut *heap,
                 }),
@@ -750,12 +788,10 @@ impl Engine {
             if let Some(until) = comp.sleep_until(now) {
                 asleep[c] = true;
                 // The earliest in-flight arrival on any occupied input
-                // link bounds the sleep. Senders that tick later this
-                // cycle find the sleep bit set and wake-on-send instead.
-                let wake = inputs
-                    .iter()
-                    .filter(|lid| ledger.is_occupied(lid.index()))
-                    .filter_map(|lid| links[lid.index()].next_arrival())
+                // bounds the sleep. Senders that tick later this cycle
+                // find the sleep bit set and wake-on-send instead.
+                let wake = set_bits(ledger.occupied[c])
+                    .filter_map(|p| links[inputs[p].index()].next_arrival())
                     .fold(until, Cycle::min);
                 if wake != Cycle::MAX {
                     heap.push(Reverse((wake.max(now + 1), c as u32)));
@@ -815,21 +851,25 @@ impl Engine {
 
     /// Full-fabric invariant sweep, run after every cycle under the
     /// `invariant-audit` feature: per-link credit conservation, the
-    /// occupancy bitset (a link's bit is set exactly while it has flits in
-    /// flight), plus the flit-conservation ledger cross-checks. O(links)
-    /// per cycle, so it is feature-gated rather than tied to
-    /// `debug_assertions` — quick-scale sweeps run under it in CI,
-    /// full-scale ones don't pay for it.
+    /// occupied-input masks (a bound link's bit in its receiver's mask is
+    /// set exactly while the link has flits in flight), plus the
+    /// flit-conservation ledger cross-checks. O(links) per cycle, so it is
+    /// feature-gated rather than tied to `debug_assertions` — quick-scale
+    /// sweeps run under it in CI, full-scale ones don't pay for it.
     #[cfg(any(test, feature = "invariant-audit"))]
     fn audit_invariants(&self) {
         for (idx, link) in self.links.iter().enumerate() {
             link.audit_credit_conservation();
-            assert_eq!(
-                self.ledger.is_occupied(idx),
-                link.in_flight() > 0,
-                "occupancy bitset out of sync on link {idx} ({} in flight)",
-                link.in_flight()
-            );
+            let (comp, port) = self.ledger.receiver[idx];
+            if comp != u32::MAX {
+                assert_eq!(
+                    self.ledger.occupied[comp as usize] & (1 << port) != 0,
+                    link.in_flight() > 0,
+                    "occupied-input mask out of sync on link {idx} (component {comp} \
+                     port {port}, {} in flight)",
+                    link.in_flight()
+                );
+            }
         }
         let _ = self.total_flit_moves();
         let _ = self.flits_in_links();
@@ -1033,7 +1073,7 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_bitset_tracks_queued_and_evaporated_flits() {
+    fn occupied_input_mask_tracks_queued_and_evaporated_flits() {
         for delay in 1..=3 {
             for flit_drop in [0.0, 0.1] {
                 let mut e = Engine::new();
@@ -1247,5 +1287,36 @@ mod tests {
         e.run_for(80);
         assert_eq!(seen.get(), 10, "run completes across the recompile");
         assert_eq!(e.component_tick_stats(4).ticks_run, 80);
+    }
+
+    #[test]
+    fn late_receiver_sees_flits_already_in_flight() {
+        let mut e = Engine::new();
+        let l = e.add_link(2, 4);
+        e.add_component(
+            Box::new(Producer {
+                pkt: pkt(8),
+                next: 0,
+            }),
+            vec![],
+            vec![l],
+        );
+        e.run_for(5);
+        assert_eq!(e.flits_in_links(), 4, "the credit window filled");
+        let seen = Rc::new(Cell::new(0));
+        e.add_component(
+            Box::new(Consumer {
+                seen: seen.clone(),
+                stall_until: 0,
+            }),
+            vec![l],
+            vec![],
+        );
+        e.audit_invariants();
+        for _ in 0..40 {
+            e.step();
+            e.audit_invariants();
+        }
+        assert_eq!(seen.get(), 10, "no flit stranded by the late binding");
     }
 }

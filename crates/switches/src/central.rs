@@ -40,7 +40,7 @@ use crate::stats::{header_dests, BlockedWormSnap, SwitchSnapshot, SwitchStats};
 use mintopo::reach::PortClass;
 use mintopo::route::RouteTables;
 use netsim::destset::DestSet;
-use netsim::engine::{Component, PortIo};
+use netsim::engine::{set_bits, Component, PortIo};
 use netsim::flit::Flit;
 use netsim::header::RoutingHeader;
 use netsim::ids::{MessageId, NodeId, PacketId, SwitchId, SWITCH_MSG_BIT};
@@ -431,10 +431,7 @@ impl Component for CentralBufferSwitch {
         // --- Transmitters first: they observe last cycle's write progress,
         // modeling one cycle of latency through the central queue RAM.
         // Only busy outputs have anything to do; they go in ascending order.
-        let mut busy = *out_busy;
-        while busy != 0 {
-            let p = busy.trailing_zeros() as usize;
-            busy &= busy - 1;
+        for p in set_bits(*out_busy) {
             let out = &mut outputs[p];
             if matches!(out.state, TxState::Idle) {
                 if let Some(branch) = out.queue.pop_front() {
@@ -560,13 +557,11 @@ impl Component for CentralBufferSwitch {
         }
 
         // --- Inputs, starting at a rotating offset for fairness. An input
-        //     with nothing staged, no worm and no arrival has nothing to do.
-        for k in 0..ports {
-            let i = if k < ports - *rr {
-                k + *rr
-            } else {
-                k + *rr - ports
-            };
+        //     with nothing staged, no worm and no flit on its link has
+        //     nothing to do; the rest go in the order rr, rr+1, ..., rr-1.
+        let visit = *in_busy | io.occupied_inputs();
+        let from_rr = !0u64 << *rr;
+        for i in set_bits(visit & from_rr).chain(set_bits(visit & !from_rr)) {
             let arrival = io.recv(i);
             if arrival.is_none() && *in_busy & (1 << i) == 0 {
                 continue;

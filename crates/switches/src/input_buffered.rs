@@ -24,7 +24,7 @@ use crate::decode::{resolve_branches, CorruptMark, HeaderClock};
 use crate::semantics::IbHeadState;
 use crate::stats::{header_dests, BlockedWormSnap, SwitchSnapshot, SwitchStats};
 use mintopo::route::RouteTables;
-use netsim::engine::{Component, PortIo};
+use netsim::engine::{set_bits, Component, PortIo};
 use netsim::ids::SwitchId;
 use netsim::packet::Packet;
 use netsim::Cycle;
@@ -287,8 +287,9 @@ impl Component for InputBufferedSwitch {
         // Added to `stats` in the one end-of-tick borrow.
         let mut flits_sent = 0u64;
 
-        // --- 1. Receive one flit per input.
-        for (i, input) in inputs.iter_mut().enumerate() {
+        // --- 1. Receive one flit per input whose link holds flits.
+        for i in set_bits(io.occupied_inputs()) {
+            let input = &mut inputs[i];
             if let Some(flit) = io.recv(i) {
                 *in_busy |= 1 << i;
                 input.clock.on_arrival(&flit, now);
@@ -320,10 +321,7 @@ impl Component for InputBufferedSwitch {
         }
 
         // --- 2. Decode the head packet where the header has arrived.
-        let mut busy = *in_busy;
-        while busy != 0 {
-            let i = busy.trailing_zeros() as usize;
-            busy &= busy - 1;
+        for i in set_bits(*in_busy) {
             let needs_decode = inputs[i].head.is_none() && !inputs[i].packets.is_empty();
             if !needs_decode {
                 continue;
@@ -447,10 +445,7 @@ impl Component for InputBufferedSwitch {
         // --- 5. Recycle buffer space as the slowest branch advances;
         //        retire fully drained head packets.
         let mut occupancy_sum = 0u64;
-        let mut busy = *in_busy;
-        while busy != 0 {
-            let i = busy.trailing_zeros() as usize;
-            busy &= busy - 1;
+        for i in set_bits(*in_busy) {
             let input = &mut inputs[i];
             if let Some(head) = &mut input.head {
                 let newly = head.sem.recycle();
