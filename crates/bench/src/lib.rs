@@ -5,6 +5,7 @@
 //! quotes) and a *quick* set (what `figures --bench` times per table, and
 //! CI's smoke sweeps, in seconds rather than minutes).
 
+use mdworm::experiments::SWEEP_BASE;
 use mdworm::sim::RunConfig;
 use mdworm::SystemConfig;
 
@@ -52,12 +53,14 @@ impl Scale {
         }
     }
 
-    /// Offered-load sweep for E2/E3.
-    pub fn loads(self) -> Vec<f64> {
-        match self {
-            Scale::Full => vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-            Scale::Quick => vec![0.2, 0.6],
-        }
+    /// The spec every E2/E3, E6, E7 and E8 point starts from:
+    /// [`SWEEP_BASE`] over this scale's run window.
+    pub fn sweep_spec(self) -> String {
+        let run = self.run();
+        format!(
+            "{SWEEP_BASE}run.warmup = {}\nrun.measure = {}\n",
+            run.warmup, run.measure
+        )
     }
 
     /// Offered-load sweep for E4/E5.
@@ -73,22 +76,6 @@ impl Scale {
         match self {
             Scale::Full => vec![2, 4, 8, 16, 32, 63],
             Scale::Quick => vec![4, 16],
-        }
-    }
-
-    /// Message-length sweep for E7.
-    pub fn lengths(self) -> Vec<u16> {
-        match self {
-            Scale::Full => vec![16, 32, 64, 128, 256, 512],
-            Scale::Quick => vec![32, 128],
-        }
-    }
-
-    /// Tree stages for E8 (16 / 64 / 256 processors).
-    pub fn stages(self) -> Vec<usize> {
-        match self {
-            Scale::Full => vec![2, 3, 4],
-            Scale::Quick => vec![2],
         }
     }
 
@@ -146,6 +133,66 @@ impl Scale {
     }
 }
 
+/// The swept key of E2/E3, E6, E7 and E8, each one table over
+/// [`Scale::sweep_spec`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// E2/E3: offered load.
+    Load,
+    /// E6: multicast degree.
+    Degree,
+    /// E7: message length.
+    Len,
+    /// E8: system size, 4-ary trees of 2–4 stages with degree N/4.
+    Size,
+}
+
+impl Axis {
+    /// The table's `x_name` column.
+    pub fn x_name(self) -> &'static str {
+        match self {
+            Axis::Load => "load",
+            Axis::Degree => "degree",
+            Axis::Len => "len",
+            Axis::Size => "N",
+        }
+    }
+
+    /// Each point at `scale`: its `x` and the spec lines that differ from
+    /// the sweep base.
+    pub fn points(self, scale: Scale) -> Vec<(f64, String)> {
+        let full = scale == Scale::Full;
+        let (key, xs): (_, Vec<f64>) = match self {
+            Axis::Load if full => (
+                "traffic.load",
+                vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
+            ),
+            Axis::Load => ("traffic.load", vec![0.2, 0.6]),
+            Axis::Degree => (
+                "traffic.degree",
+                scale.degrees().iter().map(|&d| d as f64).collect(),
+            ),
+            Axis::Len if full => ("traffic.len", vec![16.0, 32.0, 64.0, 128.0, 256.0, 512.0]),
+            Axis::Len => ("traffic.len", vec![32.0, 128.0]),
+            // 16, 64 and 256 hosts; the degree scales as N/4.
+            Axis::Size => {
+                let stages = if full { 2..=4 } else { 2..=2 };
+                let size = |n| {
+                    let hosts = 4usize.pow(n);
+                    (
+                        hosts as f64,
+                        format!("stages = {n}\ntraffic.degree = {}\n", hosts / 4),
+                    )
+                };
+                return stages.map(size).collect();
+            }
+        };
+        xs.into_iter()
+            .map(|x| (x, format!("{key} = {x}\n")))
+            .collect()
+    }
+}
+
 /// The paper's default 64-processor base system.
 pub fn base_system() -> SystemConfig {
     SystemConfig::default()
@@ -175,8 +222,25 @@ mod tests {
     }
 
     #[test]
+    fn sweep_base_is_the_default_workload() {
+        let spec = mdworm::cfgtext::parse_spec(&Scale::Quick.sweep_spec()).expect("parses");
+        assert_eq!(
+            spec.traffic,
+            mdworm::TrafficSpec::multiple_multicast(
+                defaults::SWEEP_LOAD,
+                defaults::DEGREE,
+                defaults::LEN
+            )
+        );
+        assert_eq!(
+            (spec.run.warmup, spec.run.measure),
+            (Scale::Quick.run().warmup, Scale::Quick.run().measure)
+        );
+    }
+
+    #[test]
     fn quick_is_smaller_than_full() {
         assert!(Scale::Quick.run().measure < Scale::Full.run().measure);
-        assert!(Scale::Quick.loads().len() < Scale::Full.loads().len());
+        assert!(Axis::Load.points(Scale::Quick).len() < Axis::Load.points(Scale::Full).len());
     }
 }

@@ -6,7 +6,8 @@
 //! compares the strings byte-for-byte to prove the parallel sweep harness
 //! changes nothing but wall-clock time.
 
-use crate::{defaults, Scale};
+use crate::{defaults, Axis, Scale};
+use mdworm::cfgtext::RunSpec;
 use mdworm::experiments as exp;
 use mdworm::report::{csv, markdown_table, TableRow};
 use mdworm::{SystemConfig, TopologyKind};
@@ -64,6 +65,14 @@ pub fn run_suite(base: &SystemConfig, scale: Scale, exp_filter: &str) -> Vec<Tab
 pub fn run_suite_timed(base: &SystemConfig, scale: Scale, exp_filter: &str) -> Vec<(Table, f64)> {
     let run = scale.run();
     let want = |e: &str| exp_filter == "all" || exp_filter == e;
+    let sweep_base = RunSpec {
+        system: base.clone(),
+        run: run.clone(),
+        ..RunSpec::default()
+    }
+    .with(&scale.sweep_spec())
+    .expect("the sweep base parses");
+    let sweep = |axis: Axis| exp::spec_sweep(&sweep_base, axis.x_name(), &axis.points(scale));
     let mut tables = Vec::new();
 
     if want("e1") {
@@ -75,7 +84,7 @@ pub fn run_suite_timed(base: &SystemConfig, scale: Scale, exp_filter: &str) -> V
         tables.push(timed(
             "e2_e3_multiple_multicast",
             "E2+E3: multiple multicast — latency & throughput vs offered load (64 procs, degree 16, 64 flits)",
-            || exp::e2_e3_multiple_multicast(base, &run, &scale.loads(), defaults::DEGREE, defaults::LEN),
+            || sweep(Axis::Load),
         ));
     }
     if want("e4") || want("e5") {
@@ -96,30 +105,14 @@ pub fn run_suite_timed(base: &SystemConfig, scale: Scale, exp_filter: &str) -> V
         tables.push(timed(
             "e6_degree",
             "E6: multicast latency vs degree (load 0.4, 64 flits)",
-            || {
-                exp::e6_degree_sweep(
-                    base,
-                    &run,
-                    defaults::SWEEP_LOAD,
-                    &scale.degrees(),
-                    defaults::LEN,
-                )
-            },
+            || sweep(Axis::Degree),
         ));
     }
     if want("e7") {
         tables.push(timed(
             "e7_msglen",
             "E7: multicast latency vs message length (load 0.4, degree 16)",
-            || {
-                exp::e7_length_sweep(
-                    base,
-                    &run,
-                    defaults::SWEEP_LOAD,
-                    &scale.lengths(),
-                    defaults::DEGREE,
-                )
-            },
+            || sweep(Axis::Len),
         ));
     }
     if want("e8") {
@@ -127,13 +120,10 @@ pub fn run_suite_timed(base: &SystemConfig, scale: Scale, exp_filter: &str) -> V
             "e8_syssize",
             "E8: multicast latency vs system size (4-ary trees, degree N/4, load 0.4)",
             || {
-                exp::e8_size_sweep(
-                    base,
-                    &run,
-                    defaults::SWEEP_LOAD,
-                    &scale.stages(),
-                    defaults::LEN,
-                )
+                // E8 lists each size's three schemes together.
+                let mut rows = sweep(Axis::Size);
+                rows.sort_by(|a, b| a.x.total_cmp(&b.x));
+                rows
             },
         ));
     }

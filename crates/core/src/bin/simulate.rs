@@ -2,165 +2,86 @@
 //!
 //! ```text
 //! cargo run --release -p mdworm --bin simulate -- \
-//!     --arch cb --mcast hw --k 4 --stages 3 \
-//!     --load 0.5 --mcast-fraction 0.1 --degree 16 --len 64
+//!     --config configs/sp2-default.mdw --set traffic.load=0.5 --set traffic.degree=8
 //! ```
 //!
-//! Bad arguments (an unknown flag, a missing value, an unparsable number,
-//! an unknown choice, or a value out of range for the fabric or the
+//! A run is a config-text spec (`mdworm::cfgtext`): the fabric keys
+//! `mdw-lint` reads plus `traffic.*`, `run.*` and `fault.*`. `--config`
+//! applies a file's lines and `--set` one `key=value` pair, in
+//! command-line order; the last value of a key wins. Bad arguments (an
+//! unknown flag, a missing value, an unreadable file, an unknown key, an
+//! unparsable value, or a value out of range for the fabric or the
 //! traffic mix) print the usage and exit with status 2; `--help` prints
 //! it and exits 0.
 
-use collectives::RecoveryConfig;
-use mdworm::config::{McastImpl, SwitchArch, SystemConfig, TopologyKind};
-use mdworm::sim::{run_experiment, RunConfig};
-use mdworm::workload::{Pattern, TrafficSpec};
-use netsim::FaultPlan;
+use mdworm::cfgtext::{RunSpec, SpecParser};
+use mdworm::sim::run_experiment;
+use mdworm::workload::Pattern;
 use std::process::ExitCode;
 
-struct Args {
-    arch: SwitchArch,
-    mcast: McastImpl,
-    k: usize,
-    stages: usize,
-    load: f64,
-    mcast_fraction: f64,
-    degree: usize,
-    len: u16,
-    warmup: u64,
-    measure: u64,
-    seed: u64,
-    pattern: Pattern,
-    drop_rate: f64,
-    corrupt_rate: f64,
-    down_every: u64,
-    down_len: u64,
-    credit_leak: f64,
-    fault_seed: u64,
-    recovery_timeout: u64,
-}
+const USAGE: &str = "usage: simulate [--config FILE] [--set key=value]...\n\
+                     keys: the fabric keys of configs/*.mdw, traffic.{load,mcast_fraction,\
+                     degree,len,pattern}, run.{warmup,measure}, \
+                     fault.{seed,drop_rate,corrupt_rate,down_every,down_len,credit_leak}";
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            arch: SwitchArch::CentralBuffer,
-            mcast: McastImpl::HwBitString,
-            k: 4,
-            stages: 3,
-            load: 0.4,
-            mcast_fraction: 1.0,
-            degree: 16,
-            len: 64,
-            warmup: 5_000,
-            measure: 40_000,
-            seed: 0xD0E5_1997,
-            pattern: Pattern::Uniform,
-            drop_rate: 0.0,
-            corrupt_rate: 0.0,
-            down_every: 0,
-            down_len: 0,
-            credit_leak: 0.0,
-            fault_seed: 0xFA17,
-            recovery_timeout: 0,
-        }
-    }
-}
-
-const USAGE: &str = "usage: simulate [--arch cb|ib] [--mcast hw|mp|sw] [--k N] [--stages N] \
-                     [--load F] [--mcast-fraction F] [--degree N] [--len N] \
-                     [--warmup N] [--measure N] [--seed N] \
-                     [--pattern uniform|bitrev|transpose|neighbor] \
-                     [--drop-rate F] [--corrupt-rate F] [--down-every N] [--down-len N] \
-                     [--credit-leak F] [--fault-seed N] [--recovery-timeout N]";
-
-/// Parses `v` as the value of `flag`.
-fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-    v.parse().map_err(|_| format!("bad {flag} value `{v}`"))
-}
-
-/// Parses the command line; `Ok(None)` means `--help` was asked for.
-fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
-    let mut args = Args::default();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        if matches!(flag, "--help" | "-h") {
+/// Applies `--config` files and `--set` pairs in command-line order;
+/// `Ok(None)` means `--help` was asked for.
+fn spec_from_args(argv: &[String]) -> Result<Option<RunSpec>, String> {
+    let mut parser = SpecParser::new(RunSpec::default());
+    let mut args = argv.iter();
+    while let Some(flag) = args.next() {
+        if matches!(flag.as_str(), "--help" | "-h") {
             return Ok(None);
         }
-        let v = argv
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))?;
-        match flag {
-            "--arch" => {
-                args.arch = match v.as_str() {
-                    "cb" => SwitchArch::CentralBuffer,
-                    "ib" => SwitchArch::InputBuffered,
-                    other => return Err(format!("unknown arch `{other}` (cb|ib)")),
-                }
+        let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        match flag.as_str() {
+            "--config" => {
+                let text = std::fs::read_to_string(v).map_err(|e| format!("{v}: {e}"))?;
+                parser.text(&text).map_err(|e| format!("{v}: {e}"))?;
             }
-            "--mcast" => {
-                args.mcast = match v.as_str() {
-                    "hw" => McastImpl::HwBitString,
-                    "mp" => McastImpl::HwMultiport,
-                    "sw" => McastImpl::SwBinomial,
-                    other => return Err(format!("unknown mcast scheme `{other}` (hw|mp|sw)")),
-                }
-            }
-            "--k" => args.k = num(flag, v)?,
-            "--stages" => args.stages = num(flag, v)?,
-            "--load" => args.load = num(flag, v)?,
-            "--mcast-fraction" => args.mcast_fraction = num(flag, v)?,
-            "--degree" => args.degree = num(flag, v)?,
-            "--len" => args.len = num(flag, v)?,
-            "--warmup" => args.warmup = num(flag, v)?,
-            "--measure" => args.measure = num(flag, v)?,
-            "--seed" => args.seed = num(flag, v)?,
-            "--drop-rate" => args.drop_rate = num(flag, v)?,
-            "--corrupt-rate" => args.corrupt_rate = num(flag, v)?,
-            "--down-every" => args.down_every = num(flag, v)?,
-            "--down-len" => args.down_len = num(flag, v)?,
-            "--credit-leak" => args.credit_leak = num(flag, v)?,
-            "--fault-seed" => args.fault_seed = num(flag, v)?,
-            "--recovery-timeout" => args.recovery_timeout = num(flag, v)?,
-            "--pattern" => {
-                args.pattern = match v.as_str() {
-                    "uniform" => Pattern::Uniform,
-                    "bitrev" => Pattern::BitReversal,
-                    "transpose" => Pattern::Transpose,
-                    "neighbor" => Pattern::NearNeighbor,
-                    other => return Err(format!("unknown pattern `{other}`")),
-                }
-            }
+            "--set" => parser.set(v)?,
             other => return Err(format!("unknown argument `{other}`")),
         }
-        i += 2;
     }
-    Ok(Some(args))
+    Ok(Some(parser.finish()))
 }
 
 /// Rejects values that parse but that no run can use: a fabric that
-/// fails [`SystemConfig::validate`], or a traffic mix no source can
-/// generate on its host count.
-fn check_ranges(cfg: &SystemConfig, a: &Args) -> Result<(), String> {
+/// fails [`mdworm::SystemConfig::validate`], an empty measurement
+/// window, or a traffic mix no source can generate on its host count.
+fn check_ranges(spec: &RunSpec) -> Result<(), String> {
+    let (cfg, t) = (&spec.system, &spec.traffic);
     cfg.validate().map_err(|e| format!("invalid system: {e}"))?;
-    if !(0.0..=1.0).contains(&a.mcast_fraction) {
+    if !(0.0..=1.0).contains(&t.mcast_fraction) {
         return Err(format!(
-            "--mcast-fraction {} is outside [0, 1]",
-            a.mcast_fraction
+            "traffic.mcast_fraction {} is outside [0, 1]",
+            t.mcast_fraction
         ));
     }
-    if !(0.0..).contains(&a.load) {
-        return Err(format!("--load {} is not a load (at least 0)", a.load));
+    if !(0.0..).contains(&t.load) {
+        return Err(format!(
+            "traffic.load {} is not a load (at least 0)",
+            t.load
+        ));
     }
-    if a.len == 0 {
-        return Err("--len 0: messages must carry at least one flit".into());
+    if t.mcast_len == 0 {
+        return Err("traffic.len 0: messages must carry at least one flit".into());
+    }
+    if spec.run.measure == 0 {
+        return Err("run.measure 0: throughput needs a measurement window".into());
     }
     let hosts = cfg.n_hosts();
-    if a.mcast_fraction > 0.0 && !(1..hosts).contains(&a.degree) {
+    if t.mcast_fraction > 0.0 && !(1..hosts).contains(&t.degree) {
         return Err(format!(
-            "--degree {} impossible with {hosts} hosts (1 to {})",
-            a.degree,
+            "traffic.degree {} impossible with {hosts} hosts (1 to {})",
+            t.degree,
             hosts - 1
+        ));
+    }
+    if t.mcast_fraction < 1.0 && t.pattern != Pattern::Uniform && !hosts.is_power_of_two() {
+        return Err(format!(
+            "traffic.pattern {:?} permutes unicasts over a power-of-two host count, not {hosts}",
+            t.pattern
         ));
     }
     Ok(())
@@ -168,8 +89,8 @@ fn check_ranges(cfg: &SystemConfig, a: &Args) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let a = match parse_args(&argv) {
-        Ok(Some(a)) => a,
+    let spec = match spec_from_args(&argv) {
+        Ok(Some(spec)) => spec,
         Ok(None) => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -179,53 +100,23 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let recovery = (a.recovery_timeout > 0).then(|| RecoveryConfig {
-        timeout: a.recovery_timeout,
-        ..RecoveryConfig::default()
-    });
-    let cfg = SystemConfig {
-        topology: TopologyKind::KaryTree {
-            k: a.k,
-            n: a.stages,
-        },
-        arch: a.arch,
-        mcast: a.mcast,
-        seed: a.seed,
-        recovery,
-        ..SystemConfig::default()
-    };
-    if let Err(e) = check_ranges(&cfg, &a) {
+    if let Err(e) = check_ranges(&spec) {
         eprintln!("simulate: {e}\n{USAGE}");
         return ExitCode::from(2);
     }
-    let faults = FaultPlan {
-        seed: a.fault_seed,
-        flit_drop: a.drop_rate,
-        flit_corrupt: a.corrupt_rate,
-        down_every: a.down_every,
-        down_len: a.down_len,
-        credit_leak: a.credit_leak,
-    };
-    let spec =
-        TrafficSpec::bimodal(a.load, a.mcast_fraction, a.degree, a.len).with_pattern(a.pattern);
-    let run = RunConfig {
-        warmup: a.warmup,
-        measure: a.measure,
-        faults: (!faults.is_noop()).then_some(faults),
-        ..RunConfig::default()
-    };
+    let (cfg, t) = (&spec.system, &spec.traffic);
     println!(
         "system: {} hosts, {:?}, {:?} | workload: load {} ({}% multicast, degree {}, {} flits)",
         cfg.n_hosts(),
         cfg.arch,
         cfg.mcast,
-        a.load,
-        (a.mcast_fraction * 100.0) as u32,
-        a.degree,
-        a.len
+        t.load,
+        (t.mcast_fraction * 100.0) as u32,
+        t.degree,
+        t.mcast_len
     );
     let started = std::time::Instant::now();
-    let out = run_experiment(&cfg, &spec, &run);
+    let out = run_experiment(cfg, t, &spec.run);
     println!(
         "simulated {} cycles in {:.1}s\n",
         out.cycles,
@@ -281,11 +172,11 @@ fn main() -> ExitCode {
     if let Some(report) = &out.deadlock {
         println!("!! DEADLOCK detected by the watchdog — forensic report:");
         print!("{}", mdworm::report::deadlock_json(report));
-        if report.switches.is_empty() && out.faults.worms_dropped > 0 && a.recovery_timeout == 0 {
+        if report.switches.is_empty() && out.faults.worms_dropped > 0 && cfg.recovery.is_none() {
             println!(
                 "   (no worms blocked in the fabric: these messages were lost to \
                  injected faults with recovery disabled, not to a circular wait — \
-                 rerun with --recovery-timeout to retransmit them)"
+                 rerun with --set recovery=on to retransmit them)"
             );
         }
     } else if out.saturated {

@@ -1,55 +1,235 @@
-//! The `key = value` config-text dialect shared by `mdw-lint` and
-//! `mdw-routed`.
+//! The `key = value` config-text dialect: the one config surface of
+//! `simulate`, `mdw-lint` and `mdw-routed`.
 //!
 //! One `key = value` per line, `#` starts a comment, unknown keys are
-//! rejected with their line number. Parsing starts from
-//! [`SystemConfig::default`] (the paper-style 64-host SP2 fabric), so a
-//! config file only states what it changes. See `configs/` for annotated
-//! examples.
+//! rejected with their line number. A text describes a whole run
+//! ([`RunSpec`]): the fabric, the workload (`traffic.*`), the run window
+//! (`run.*`) and injected link faults (`fault.*`). Parsing starts from
+//! [`RunSpec::default`] (the paper-style 64-host SP2 fabric under
+//! multiple multicast), so a text only states what it changes.
+//! `simulate --set key=value` goes through the same per-key code as a
+//! line of a file. See `configs/` for annotated examples.
 
 use crate::config::{McastImpl, SwitchArch, SystemConfig, TopologyKind};
-use crate::respond::ResponseConfig;
-use crate::routed::RoutedConfig;
-use collectives::RecoveryConfig;
+use crate::sim::RunConfig;
+use crate::workload::{Pattern, TrafficSpec};
 use mintopo::route::ReplicatePolicy;
+use netsim::FaultPlan;
+use std::str::FromStr;
 use switches::{ReplicationMode, UpSelect};
 
-/// Parses `key = value` config text into a [`SystemConfig`], starting
-/// from the paper-style defaults.
+/// A whole run: the system, the workload it carries, and the run window
+/// with its fault plan.
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// The fabric and its control plane.
+    pub system: SystemConfig,
+    /// The offered traffic.
+    pub traffic: TrafficSpec,
+    /// Warm-up and measurement window, and injected faults.
+    pub run: RunConfig,
+}
+
+impl Default for RunSpec {
+    /// The default system under multiple multicast at load 0.4, degree 16
+    /// and 64 flits, over [`RunConfig::default`]'s window, with no faults.
+    fn default() -> Self {
+        RunSpec {
+            system: SystemConfig::default(),
+            traffic: TrafficSpec::multiple_multicast(0.4, 16, 64),
+            run: RunConfig::default(),
+        }
+    }
+}
+
+impl RunSpec {
+    /// This spec with the lines of `text` applied on top; errors name the
+    /// line.
+    pub fn with(&self, text: &str) -> Result<RunSpec, String> {
+        let mut parser = SpecParser::new(self.clone());
+        parser.text(text)?;
+        Ok(parser.finish())
+    }
+}
+
+/// Parses config text into a [`RunSpec`], starting from its defaults.
+///
+/// # Errors
+///
+/// A message naming the line number and the offending key or value.
+pub fn parse_spec(text: &str) -> Result<RunSpec, String> {
+    RunSpec::default().with(text)
+}
+
+/// Parses config text into a [`SystemConfig`], starting from the
+/// paper-style defaults. Workload, window and fault keys are parsed and
+/// dropped.
 ///
 /// # Errors
 ///
 /// A message naming the line number and the offending key or value.
 pub fn parse_config(text: &str) -> Result<SystemConfig, String> {
-    let mut cfg = SystemConfig::default();
-    // Topology fields are gathered first so the kind can be assembled
-    // whichever order the keys appear in.
-    let mut kind = "karytree".to_string();
-    let (mut k, mut stages) = (4usize, 3usize);
-    let (mut switches_n, mut ports, mut hosts, mut extra_links, mut topo_seed) =
-        (8usize, 8usize, 16usize, 4usize, 1u64);
+    parse_spec(text).map(|spec| spec.system)
+}
 
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
+/// Topology fields, gathered apart so the kind can be assembled whichever
+/// order the keys appear in.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    kind: &'static str,
+    k: usize,
+    stages: usize,
+    switches: usize,
+    ports: usize,
+    hosts: usize,
+    extra_links: usize,
+    seed: u64,
+}
+
+impl Shape {
+    fn of(topology: TopologyKind) -> Shape {
+        let mut s = Shape {
+            kind: "karytree",
+            k: 4,
+            stages: 3,
+            switches: 8,
+            ports: 8,
+            hosts: 16,
+            extra_links: 4,
+            seed: 1,
+        };
+        match topology {
+            TopologyKind::KaryTree { k, n } => (s.k, s.stages) = (k, n),
+            TopologyKind::UniMin { k, n } => (s.kind, s.k, s.stages) = ("unimin", k, n),
+            TopologyKind::Irregular {
+                switches: w,
+                ports: p,
+                hosts: h,
+                extra_links: e,
+                seed,
+            } => {
+                (s.kind, s.switches, s.ports, s.hosts, s.extra_links, s.seed) =
+                    ("irregular", w, p, h, e, seed)
+            }
         }
-        let (key, value) = line
+        s
+    }
+
+    fn topology(self) -> TopologyKind {
+        let (k, n) = (self.k, self.stages);
+        match self.kind {
+            "unimin" => TopologyKind::UniMin { k, n },
+            "irregular" => TopologyKind::Irregular {
+                switches: self.switches,
+                ports: self.ports,
+                hosts: self.hosts,
+                extra_links: self.extra_links,
+                seed: self.seed,
+            },
+            _ => TopologyKind::KaryTree { k, n },
+        }
+    }
+}
+
+/// Applies config-text lines and `--set` pairs, in order, to a
+/// [`RunSpec`]; the last value of a key wins.
+#[derive(Debug, Clone)]
+pub struct SpecParser {
+    spec: RunSpec,
+    shape: Shape,
+    /// The `fault.*` keys; [`RunConfig::faults`] holds the plan only when
+    /// it can inject a fault, so the fault-free fast path stays on.
+    faults: FaultPlan,
+}
+
+/// Parses `value` as the value of `key`.
+fn num<T: FromStr>(key: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("bad {key} value `{value}`"))
+}
+
+/// Parses `value` as a probability: finite and in [0, 1].
+fn probability(key: &str, value: &str) -> Result<f64, String> {
+    value
+        .parse()
+        .ok()
+        .filter(|p| (0.0..=1.0).contains(p))
+        .ok_or_else(|| format!("bad {key} value `{value}` (a probability in [0, 1])"))
+}
+
+impl SpecParser {
+    /// A parser whose keys apply on top of `start`.
+    pub fn new(start: RunSpec) -> Self {
+        SpecParser {
+            shape: Shape::of(start.system.topology),
+            // 0xFA17 is the default `fault.seed`.
+            faults: start.run.faults.clone().unwrap_or(FaultPlan::none(0xFA17)),
+            spec: start,
+        }
+    }
+
+    /// Applies every `key = value` line of `text`; errors name the line.
+    pub fn text(&mut self, text: &str) -> Result<(), String> {
+        for (lineno, raw) in text.lines().enumerate() {
+            let line = raw.split('#').next().unwrap_or("").trim();
+            if line.is_empty() {
+                continue;
+            }
+            let at = |e: String| format!("line {}: {e}", lineno + 1);
+            let (key, value) = line
+                .split_once('=')
+                .ok_or_else(|| at(format!("expected `key = value`, got `{line}`")))?;
+            self.key(key.trim(), value.trim()).map_err(at)?;
+        }
+        Ok(())
+    }
+
+    /// Applies one `key=value` pair, as `simulate --set` passes it; errors
+    /// name the pair.
+    pub fn set(&mut self, pair: &str) -> Result<(), String> {
+        let at = |e: String| format!("--set `{pair}`: {e}");
+        let (key, value) = pair
             .split_once('=')
-            .ok_or_else(|| format!("line {}: expected `key = value`, got `{line}`", lineno + 1))?;
-        let (key, value) = (key.trim(), value.trim());
-        let bad = |what: &str| format!("line {}: bad {what} value `{value}`", lineno + 1);
-        let parse_usize = |what: &str| value.parse::<usize>().map_err(|_| bad(what));
-        let parse_u64 = |what: &str| value.parse::<u64>().map_err(|_| bad(what));
+            .ok_or_else(|| at("expected `key=value`".into()))?;
+        self.key(key.trim(), value.trim()).map_err(at)
+    }
+
+    /// The spec with every applied key.
+    pub fn finish(mut self) -> RunSpec {
+        self.spec.system.topology = self.shape.topology();
+        self.spec.run.faults = (!self.faults.is_noop()).then_some(self.faults);
+        self.spec
+    }
+
+    /// The per-key code both [`SpecParser::text`] and
+    /// [`SpecParser::set`] run.
+    fn key(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let bad = |what: &str| format!("bad {what} value `{value}`");
+        let cfg = &mut self.spec.system;
+        // The optional blocks; a tuning key turns its block on.
+        let (recovery, response, routed) = (&mut cfg.recovery, &mut cfg.response, &mut cfg.routed);
+        let traffic = &mut self.spec.traffic;
         match key {
-            "topology" => kind = value.to_string(),
-            "k" => k = parse_usize("k")?,
-            "stages" => stages = parse_usize("stages")?,
-            "switches" => switches_n = parse_usize("switches")?,
-            "ports" => ports = parse_usize("ports")?,
-            "hosts" => hosts = parse_usize("hosts")?,
-            "extra_links" => extra_links = parse_usize("extra_links")?,
-            "topo_seed" => topo_seed = parse_u64("topo_seed")?,
+            "topology" => {
+                self.shape.kind = match value {
+                    "karytree" | "tree" => "karytree",
+                    "unimin" | "butterfly" => "unimin",
+                    "irregular" => "irregular",
+                    other => {
+                        return Err(format!(
+                            "unknown topology `{other}` (karytree|unimin|irregular)"
+                        ))
+                    }
+                }
+            }
+            "k" => self.shape.k = num(key, value)?,
+            "stages" => self.shape.stages = num(key, value)?,
+            "switches" => self.shape.switches = num(key, value)?,
+            "ports" => self.shape.ports = num(key, value)?,
+            "hosts" => self.shape.hosts = num(key, value)?,
+            "extra_links" => self.shape.extra_links = num(key, value)?,
+            "topo_seed" => self.shape.seed = num(key, value)?,
             "arch" => {
                 cfg.arch = match value {
                     "cb" | "central-buffer" => SwitchArch::CentralBuffer,
@@ -86,24 +266,18 @@ pub fn parse_config(text: &str) -> Result<SystemConfig, String> {
                     _ => return Err(bad("up_select (deterministic|adaptive)")),
                 }
             }
-            "chunk_flits" => cfg.switch.chunk_flits = value.parse().map_err(|_| bad(key))?,
-            "cq_chunks" => cfg.switch.cq_chunks = parse_usize(key)?,
-            "input_buf_flits" => {
-                cfg.switch.input_buf_flits = value.parse().map_err(|_| bad(key))?
-            }
-            "max_packet_flits" => {
-                cfg.switch.max_packet_flits = value.parse().map_err(|_| bad(key))?
-            }
-            "staging_flits" => cfg.switch.staging_flits = value.parse().map_err(|_| bad(key))?,
-            "route_delay" => cfg.switch.route_delay = value.parse().map_err(|_| bad(key))?,
-            "bypass_crossbar" => {
-                cfg.switch.bypass_crossbar = value.parse().map_err(|_| bad(key))?
-            }
-            "link_delay" => cfg.link_delay = value.parse().map_err(|_| bad(key))?,
-            "host_eject_credits" => cfg.host_eject_credits = value.parse().map_err(|_| bad(key))?,
-            "bits_per_flit" => cfg.bits_per_flit = parse_usize(key)?,
-            "barrier_combining" => cfg.barrier_combining = value.parse().map_err(|_| bad(key))?,
-            "seed" => cfg.seed = parse_u64(key)?,
+            "chunk_flits" => cfg.switch.chunk_flits = num(key, value)?,
+            "cq_chunks" => cfg.switch.cq_chunks = num(key, value)?,
+            "input_buf_flits" => cfg.switch.input_buf_flits = num(key, value)?,
+            "max_packet_flits" => cfg.switch.max_packet_flits = num(key, value)?,
+            "staging_flits" => cfg.switch.staging_flits = num(key, value)?,
+            "route_delay" => cfg.switch.route_delay = num(key, value)?,
+            "bypass_crossbar" => cfg.switch.bypass_crossbar = num(key, value)?,
+            "link_delay" => cfg.link_delay = num(key, value)?,
+            "host_eject_credits" => cfg.host_eject_credits = num(key, value)?,
+            "bits_per_flit" => cfg.bits_per_flit = num(key, value)?,
+            "barrier_combining" => cfg.barrier_combining = num(key, value)?,
+            "seed" => cfg.seed = num(key, value)?,
             // Model-check decomposition of the deep reroute vet
             // (DESIGN.md §14); both spellings accepted.
             "model.mode" | "model_mode" => {
@@ -117,70 +291,40 @@ pub fn parse_config(text: &str) -> Result<SystemConfig, String> {
             // End-to-end recovery (ACK ledger + retransmission).
             "recovery" => match value {
                 "on" | "true" => {
-                    cfg.recovery.get_or_insert_with(RecoveryConfig::default);
+                    recovery.get_or_insert_default();
                 }
-                "off" | "false" => cfg.recovery = None,
+                "off" | "false" => *recovery = None,
                 _ => return Err(bad("recovery (on|off)")),
             },
-            "recovery_timeout" => {
-                cfg.recovery
-                    .get_or_insert_with(RecoveryConfig::default)
-                    .timeout = parse_u64(key)?
-            }
+            "recovery_timeout" => recovery.get_or_insert_default().timeout = num(key, value)?,
             "recovery_timeout_cap" => {
-                cfg.recovery
-                    .get_or_insert_with(RecoveryConfig::default)
-                    .timeout_cap = parse_u64(key)?
+                recovery.get_or_insert_default().timeout_cap = num(key, value)?
             }
             "recovery_max_retries" => {
-                cfg.recovery
-                    .get_or_insert_with(RecoveryConfig::default)
-                    .max_retries = value.parse().map_err(|_| bad(key))?
+                recovery.get_or_insert_default().max_retries = num(key, value)?
             }
             // Online fault response (detect / reroute / quiesce / degrade).
             "response" => match value {
                 "on" | "true" => {
-                    cfg.response.get_or_insert_with(ResponseConfig::default);
+                    response.get_or_insert_default();
                 }
-                "off" | "false" => cfg.response = None,
+                "off" | "false" => *response = None,
                 _ => return Err(bad("response (on|off)")),
             },
-            "response_debounce" => {
-                cfg.response
-                    .get_or_insert_with(ResponseConfig::default)
-                    .debounce = parse_u64(key)?
-            }
-            "response_drain_wait" => {
-                cfg.response
-                    .get_or_insert_with(ResponseConfig::default)
-                    .drain_wait = parse_u64(key)?
-            }
-            "response_purge_max" => {
-                cfg.response
-                    .get_or_insert_with(ResponseConfig::default)
-                    .purge_max = parse_u64(key)?
-            }
-            "response_max_hops" => {
-                cfg.response
-                    .get_or_insert_with(ResponseConfig::default)
-                    .max_hops = parse_usize(key)?
-            }
+            "response_debounce" => response.get_or_insert_default().debounce = num(key, value)?,
+            "response_drain_wait" => response.get_or_insert_default().drain_wait = num(key, value)?,
+            "response_purge_max" => response.get_or_insert_default().purge_max = num(key, value)?,
+            "response_max_hops" => response.get_or_insert_default().max_hops = num(key, value)?,
             "response_event_log_cap" => {
-                cfg.response
-                    .get_or_insert_with(ResponseConfig::default)
-                    .event_log_cap = parse_usize(key)?
+                response.get_or_insert_default().event_log_cap = num(key, value)?
             }
             // Responder write-ahead journal (DESIGN.md §15); both
             // spellings accepted. Setting either implies `response = on`.
             "journal.snapshot_every" | "journal_snapshot_every" => {
-                cfg.response
-                    .get_or_insert_with(ResponseConfig::default)
-                    .snapshot_every = parse_u64(key)?
+                response.get_or_insert_default().snapshot_every = num(key, value)?
             }
             "journal.latency_cap" | "journal_latency_cap" => {
-                cfg.response
-                    .get_or_insert_with(ResponseConfig::default)
-                    .latency_cap = parse_usize(key)?
+                response.get_or_insert_default().latency_cap = num(key, value)?
             }
             // Engine-level torn-install audit over the two-phase epoch
             // protocol; both spellings accepted.
@@ -197,102 +341,76 @@ pub fn parse_config(text: &str) -> Result<SystemConfig, String> {
                 _ => return Err(bad("certify.enabled (on|off)")),
             },
             "certify.cdg_budget" | "certify_cdg_budget" => {
-                cfg.certify.cdg_budget = parse_usize(key)?
+                cfg.certify.cdg_budget = num(key, value)?
             }
             // LRU capacity of the fault responder's vet memos; setting it
             // implies `response = on`.
             "response.memo_cap" | "response_memo_cap" => {
-                cfg.response
-                    .get_or_insert_with(ResponseConfig::default)
-                    .memo_cap = parse_usize(key)?
+                response.get_or_insert_default().memo_cap = num(key, value)?
             }
             // Resident control plane (`mdw-routed`) storm hardening.
             "routed" => match value {
                 "on" | "true" => {
-                    cfg.routed.get_or_insert_with(RoutedConfig::default);
+                    routed.get_or_insert_default();
                 }
-                "off" | "false" => cfg.routed = None,
+                "off" | "false" => *routed = None,
                 _ => return Err(bad("routed (on|off)")),
             },
-            "routed_queue_cap" => {
-                cfg.routed
-                    .get_or_insert_with(RoutedConfig::default)
-                    .queue_cap = parse_usize(key)?
-            }
-            "routed_slice" => {
-                cfg.routed.get_or_insert_with(RoutedConfig::default).slice = parse_u64(key)?
-            }
-            "routed_flap_penalty" => {
-                cfg.routed
-                    .get_or_insert_with(RoutedConfig::default)
-                    .flap_penalty = parse_u64(key)?
-            }
+            "routed_queue_cap" => routed.get_or_insert_default().queue_cap = num(key, value)?,
+            "routed_slice" => routed.get_or_insert_default().slice = num(key, value)?,
+            "routed_flap_penalty" => routed.get_or_insert_default().flap_penalty = num(key, value)?,
             "routed_flap_suppress" => {
-                cfg.routed
-                    .get_or_insert_with(RoutedConfig::default)
-                    .flap_suppress = parse_u64(key)?
+                routed.get_or_insert_default().flap_suppress = num(key, value)?
             }
-            "routed_flap_reuse" => {
-                cfg.routed
-                    .get_or_insert_with(RoutedConfig::default)
-                    .flap_reuse = parse_u64(key)?
-            }
+            "routed_flap_reuse" => routed.get_or_insert_default().flap_reuse = num(key, value)?,
             "routed_flap_half_life" => {
-                cfg.routed
-                    .get_or_insert_with(RoutedConfig::default)
-                    .flap_half_life = parse_u64(key)?
+                routed.get_or_insert_default().flap_half_life = num(key, value)?
             }
-            "routed_retry_base" => {
-                cfg.routed
-                    .get_or_insert_with(RoutedConfig::default)
-                    .retry_base = parse_u64(key)?
-            }
-            "routed_retry_cap" => {
-                cfg.routed
-                    .get_or_insert_with(RoutedConfig::default)
-                    .retry_cap = parse_u64(key)?
-            }
-            "routed_retry_max" => {
-                cfg.routed
-                    .get_or_insert_with(RoutedConfig::default)
-                    .retry_max = value.parse().map_err(|_| bad(key))?
-            }
+            "routed_retry_base" => routed.get_or_insert_default().retry_base = num(key, value)?,
+            "routed_retry_cap" => routed.get_or_insert_default().retry_cap = num(key, value)?,
+            "routed_retry_max" => routed.get_or_insert_default().retry_max = num(key, value)?,
             "routed_heal_hysteresis" => {
-                cfg.routed
-                    .get_or_insert_with(RoutedConfig::default)
-                    .heal_hysteresis = parse_u64(key)?
+                routed.get_or_insert_default().heal_hysteresis = num(key, value)?
             }
-            "routed_deadline" => {
-                cfg.routed
-                    .get_or_insert_with(RoutedConfig::default)
-                    .deadline = parse_u64(key)?
+            "routed_deadline" => routed.get_or_insert_default().deadline = num(key, value)?,
+            // The workload (`simulate`'s traffic mix).
+            "traffic.load" => traffic.load = num(key, value)?,
+            "traffic.mcast_fraction" => traffic.mcast_fraction = num(key, value)?,
+            "traffic.degree" => traffic.degree = num(key, value)?,
+            "traffic.len" => {
+                traffic.unicast_len = num(key, value)?;
+                traffic.mcast_len = traffic.unicast_len;
             }
-            _ => return Err(format!("line {}: unknown key `{key}`", lineno + 1)),
+            "traffic.pattern" => {
+                traffic.pattern = match value {
+                    "uniform" => Pattern::Uniform,
+                    "bitrev" => Pattern::BitReversal,
+                    "transpose" => Pattern::Transpose,
+                    "neighbor" => Pattern::NearNeighbor,
+                    _ => return Err(bad("traffic.pattern (uniform|bitrev|transpose|neighbor)")),
+                }
+            }
+            // The run window.
+            "run.warmup" => self.spec.run.warmup = num(key, value)?,
+            "run.measure" => self.spec.run.measure = num(key, value)?,
+            // Injected link faults (`netsim::FaultPlan`).
+            "fault.seed" => self.faults.seed = num(key, value)?,
+            "fault.drop_rate" => self.faults.flit_drop = probability(key, value)?,
+            "fault.corrupt_rate" => self.faults.flit_corrupt = probability(key, value)?,
+            "fault.down_every" => self.faults.down_every = num(key, value)?,
+            "fault.down_len" => self.faults.down_len = num(key, value)?,
+            "fault.credit_leak" => self.faults.credit_leak = probability(key, value)?,
+            _ => return Err(format!("unknown key `{key}`")),
         }
+        Ok(())
     }
-
-    cfg.topology = match kind.as_str() {
-        "karytree" | "tree" => TopologyKind::KaryTree { k, n: stages },
-        "unimin" | "butterfly" => TopologyKind::UniMin { k, n: stages },
-        "irregular" => TopologyKind::Irregular {
-            switches: switches_n,
-            ports,
-            hosts,
-            extra_links,
-            seed: topo_seed,
-        },
-        other => {
-            return Err(format!(
-                "unknown topology `{other}` (karytree|unimin|irregular)"
-            ))
-        }
-    };
-    Ok(cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::respond::ResponseConfig;
+    use collectives::RecoveryConfig;
 
     #[test]
     fn empty_text_is_the_default_config() {
@@ -569,6 +687,187 @@ mod tests {
         assert_eq!(cfg.model_mode, ModelMode::Auto);
         let err = parse_config("model.mode = heuristic").unwrap_err();
         assert!(err.contains("model.mode"), "{err}");
+    }
+
+    #[test]
+    fn run_keys_fill_the_spec() {
+        let spec = parse_spec(
+            "
+            traffic.load = 0.2
+            traffic.mcast_fraction = 0.1
+            traffic.degree = 8
+            traffic.len = 32
+            traffic.pattern = transpose
+            run.warmup = 100
+            run.measure = 900
+            fault.seed = 7
+            fault.drop_rate = 0.001
+            fault.corrupt_rate = 0.002
+            fault.down_every = 5000
+            fault.down_len = 50
+            fault.credit_leak = 0.01
+            ",
+        )
+        .expect("parses");
+        assert_eq!(
+            spec.traffic,
+            TrafficSpec::bimodal(0.2, 0.1, 8, 32).with_pattern(Pattern::Transpose)
+        );
+        assert_eq!((spec.run.warmup, spec.run.measure), (100, 900));
+        assert_eq!(
+            spec.run.faults,
+            Some(FaultPlan {
+                seed: 7,
+                flit_drop: 0.001,
+                flit_corrupt: 0.002,
+                down_every: 5000,
+                down_len: 50,
+                credit_leak: 0.01,
+            })
+        );
+
+        // The defaults are the sweep workload over the default window; a
+        // plan that cannot inject a fault keeps the fault-free path.
+        let spec = parse_spec("fault.seed = 9\nfault.down_every = 100").expect("parses");
+        assert_eq!(spec.traffic, TrafficSpec::multiple_multicast(0.4, 16, 64));
+        assert_eq!(spec.run, RunConfig::default());
+
+        for key in ["fault.drop_rate", "fault.corrupt_rate", "fault.credit_leak"] {
+            for value in ["NaN", "-1", "1.5", "inf", ""] {
+                let err = parse_spec(&format!("{key} = {value}")).unwrap_err();
+                assert!(err.contains(key) && err.contains("probability"), "{err}");
+            }
+            assert!(parse_spec(&format!("{key} = 1")).is_ok());
+        }
+    }
+
+    #[test]
+    fn set_pairs_share_the_line_code_and_the_last_value_wins() {
+        let mut parser = SpecParser::new(RunSpec::default());
+        parser
+            .text("traffic.load = 0.2\nstages = 2")
+            .expect("parses");
+        parser.set("traffic.load=0.3").expect("parses");
+        parser.set(" topology = unimin ").expect("parses");
+        let spec = parser.finish();
+        assert_eq!(spec.traffic.load, 0.3);
+        assert_eq!(spec.system.topology, TopologyKind::UniMin { k: 4, n: 2 });
+
+        let mut parser = SpecParser::new(RunSpec::default());
+        let err = parser.set("k=many").unwrap_err();
+        assert_eq!(err, "--set `k=many`: bad k value `many`");
+        let err = parser.set("k").unwrap_err();
+        assert!(err.starts_with("--set `k`: "), "{err}");
+
+        // `with` starts from the given spec, topology fields included.
+        let irregular = parse_spec("topology = irregular\nhosts = 12").expect("parses");
+        assert_eq!(
+            irregular
+                .with("extra_links = 2")
+                .expect("parses")
+                .system
+                .topology,
+            TopologyKind::Irregular {
+                switches: 8,
+                ports: 8,
+                hosts: 12,
+                extra_links: 2,
+                seed: 1
+            }
+        );
+    }
+
+    /// Every key the parser knows, in every spelling.
+    #[rustfmt::skip]
+    const KEYS: &[&str] = &[
+        "topology", "k", "stages", "switches", "ports", "hosts", "extra_links", "topo_seed",
+        "arch", "mcast", "replication", "policy", "up_select", "chunk_flits", "cq_chunks",
+        "input_buf_flits", "max_packet_flits", "staging_flits", "route_delay",
+        "bypass_crossbar", "link_delay", "host_eject_credits", "bits_per_flit",
+        "barrier_combining", "seed", "model.mode", "model_mode", "recovery", "recovery_timeout",
+        "recovery_timeout_cap", "recovery_max_retries", "response", "response_debounce",
+        "response_drain_wait", "response_purge_max", "response_max_hops",
+        "response_event_log_cap", "journal.snapshot_every", "journal_snapshot_every",
+        "journal.latency_cap", "journal_latency_cap", "epoch.audit", "epoch_audit",
+        "certify.enabled", "certify_enabled", "certify.cdg_budget", "certify_cdg_budget",
+        "response.memo_cap", "response_memo_cap", "routed", "routed_queue_cap", "routed_slice",
+        "routed_flap_penalty", "routed_flap_suppress", "routed_flap_reuse",
+        "routed_flap_half_life", "routed_retry_base", "routed_retry_cap", "routed_retry_max",
+        "routed_heal_hysteresis", "routed_deadline", "traffic.load", "traffic.mcast_fraction",
+        "traffic.degree", "traffic.len", "traffic.pattern", "run.warmup", "run.measure",
+        "fault.seed", "fault.drop_rate", "fault.corrupt_rate", "fault.down_every",
+        "fault.down_len", "fault.credit_leak",
+    ];
+
+    /// Values at and past the edges of every key's range, every choice
+    /// word, and junk.
+    #[rustfmt::skip]
+    const VALUES: &[&str] = &[
+        "0", "1", "2", "-1", "0.5", "1.5", "1e300", "NaN", "inf", "-0", "0x10", "65536",
+        "18446744073709551616", "", "on", "off", "true", "maybe", "cb", "ib", "hw", "mp", "sw",
+        "karytree", "unimin", "irregular", "uniform", "bitrev", "sync", "exact", "return-only",
+        "deterministic", "=", "#", "\u{e9}", " 3 ",
+    ];
+
+    /// Seeded fuzz loop: random lines of known keys and drawn values, plus
+    /// random byte strings, through the file path and the `--set` path.
+    /// Nothing panics, and every error names its line or its pair.
+    #[test]
+    fn fuzzed_lines_never_panic_and_errors_name_their_source() {
+        use netsim::rng::SimRng;
+        for key in KEYS {
+            assert!(
+                VALUES
+                    .iter()
+                    .any(|v| parse_spec(&format!("{key} = {v}")).is_ok()),
+                "{key} accepts no drawn value"
+            );
+        }
+        let mut rng = SimRng::new(0xCF6_7E47);
+        let mut pick = |n: usize| rng.below(n);
+        const BYTES: &[u8] = b"ak=.# \t\n\r0-9e\xff\xc3";
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..20_000 {
+            let lines: Vec<String> = (0..1 + pick(5))
+                .map(|_| {
+                    if pick(4) == 0 {
+                        let bytes: Vec<u8> =
+                            (0..pick(12)).map(|_| BYTES[pick(BYTES.len())]).collect();
+                        String::from_utf8_lossy(&bytes).into_owned()
+                    } else {
+                        let sep = ["=", " = ", "= ", " ="][pick(4)];
+                        format!(
+                            "{}{sep}{}",
+                            KEYS[pick(KEYS.len())],
+                            VALUES[pick(VALUES.len())]
+                        )
+                    }
+                })
+                .collect();
+            let text = lines.join("\n");
+            match parse_spec(&text) {
+                Ok(_) => accepted += 1,
+                Err(e) => {
+                    rejected += 1;
+                    let lineno = e
+                        .strip_prefix("line ")
+                        .and_then(|rest| rest.split(':').next())
+                        .and_then(|n| n.parse::<usize>().ok());
+                    assert!(
+                        lineno.is_some_and(|n| (1..=text.lines().count()).contains(&n)),
+                        "{e:?} names no line of {text:?}"
+                    );
+                }
+            }
+            let mut parser = SpecParser::new(RunSpec::default());
+            for pair in &lines {
+                if let Err(e) = parser.set(pair) {
+                    assert!(e.starts_with(&format!("--set `{pair}`: ")), "{e:?}");
+                }
+            }
+            parser.finish();
+        }
+        assert!(accepted > 300 && rejected > 300, "{accepted} / {rejected}");
     }
 
     #[test]

@@ -334,6 +334,18 @@ impl SystemConfig {
                 ),
             );
         }
+        // `netsim::Link::new` asserts both: a zero-cycle link would make
+        // component order observable, a zero credit window sends nothing.
+        if self.link_delay == 0 {
+            report.error("link-delay-zero", "link_delay must be at least one cycle");
+        }
+        if self.host_eject_credits == 0 {
+            report.error(
+                "host-eject-credits-zero",
+                "host_eject_credits must be at least one flit — a zero credit \
+                 window never ejects a flit",
+            );
+        }
         let n = self.n_hosts();
         if self.bits_per_flit == 0 {
             report.error(
@@ -742,18 +754,32 @@ mod tests {
         }
     }
 
-    /// Values the sizing arithmetic would divide by are an error, not a
-    /// panic.
+    /// Values the sizing arithmetic would divide by, or that
+    /// `netsim::Link::new` asserts on, are an error, not a panic.
     #[test]
     fn zero_bits_per_flit_fails_validation() {
-        let c = SystemConfig {
+        let zero_bits = SystemConfig {
             bits_per_flit: 0,
             ..SystemConfig::default()
         };
-        let r = c.report();
-        assert_eq!(r.first_error().map(|d| d.code), Some("bits-per-flit-zero"));
-        assert_eq!(r.stats.channels, 0, "fabric pass must not run");
-        assert!(c.validate().is_err());
+        let zero_delay = SystemConfig {
+            link_delay: 0,
+            ..SystemConfig::default()
+        };
+        let zero_credits = SystemConfig {
+            host_eject_credits: 0,
+            ..SystemConfig::default()
+        };
+        for (c, code) in [
+            (zero_bits, "bits-per-flit-zero"),
+            (zero_delay, "link-delay-zero"),
+            (zero_credits, "host-eject-credits-zero"),
+        ] {
+            let r = c.report();
+            assert_eq!(r.first_error().map(|d| d.code), Some(code));
+            assert_eq!(r.stats.channels, 0, "fabric pass must not run");
+            assert!(c.validate().is_err());
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! so tables are bit-identical to a serial run.
 
 use crate::build::build_system;
+use crate::cfgtext::RunSpec;
 use crate::config::{McastImpl, SwitchArch, SystemConfig, TopologyKind};
 use crate::report::{f, TableRow};
 use crate::respond::{FaultResponder, ResponseConfig};
@@ -37,34 +38,23 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use switches::UpSelect;
 
+/// The three schemes of the paper, as the spec lines that select each.
+pub const SCHEMES: [(&str, &str); 3] = [
+    ("CB-HW", "arch = cb\nmcast = hw\n"),
+    ("IB-HW", "arch = ib\nmcast = hw\n"),
+    ("SW-CB", "arch = cb\nmcast = sw\n"),
+];
+
 /// The three schemes of the paper, derived from a base configuration.
 pub fn scheme_configs(base: &SystemConfig) -> Vec<(&'static str, SystemConfig)> {
-    vec![
-        (
-            "CB-HW",
-            SystemConfig {
-                arch: SwitchArch::CentralBuffer,
-                mcast: McastImpl::HwBitString,
-                ..base.clone()
-            },
-        ),
-        (
-            "IB-HW",
-            SystemConfig {
-                arch: SwitchArch::InputBuffered,
-                mcast: McastImpl::HwBitString,
-                ..base.clone()
-            },
-        ),
-        (
-            "SW-CB",
-            SystemConfig {
-                arch: SwitchArch::CentralBuffer,
-                mcast: McastImpl::SwBinomial,
-                ..base.clone()
-            },
-        ),
-    ]
+    let base = RunSpec {
+        system: base.clone(),
+        ..RunSpec::default()
+    };
+    SCHEMES
+        .iter()
+        .map(|&(label, lines)| (label, base.with(lines).expect("scheme lines parse").system))
+        .collect()
 }
 
 /// Fans a labeled [`run_experiment`] job list out over the sweep worker
@@ -134,8 +124,20 @@ pub fn e1_parameters(cfg: &SystemConfig, run: &RunConfig) -> Vec<ParamRow> {
 }
 
 // ---------------------------------------------------------------------
-// Sweep rows shared by E2/E3, E6, E7, E8
+// E2/E3, E6, E7, E8: one base spec, one swept key
 // ---------------------------------------------------------------------
+
+/// The spec every E2/E3, E6, E7 and E8 point starts from: the paper's
+/// multiple multicast (every message a multicast) at load 0.4, degree 16
+/// and 64 flits on the default 64-host fabric. A row's whole spec is this
+/// text, the run window, its scheme's [`SCHEMES`] lines and its point's
+/// lines.
+pub const SWEEP_BASE: &str = "\
+traffic.load = 0.4
+traffic.mcast_fraction = 1
+traffic.degree = 16
+traffic.len = 64
+";
 
 /// One point of a latency/throughput sweep.
 #[derive(Debug, Clone)]
@@ -163,7 +165,8 @@ pub struct SweepRow {
 }
 
 impl SweepRow {
-    fn from_outcome(scheme: &str, x_name: &str, x: f64, o: &RunOutcome) -> Self {
+    /// The row of `scheme`'s run at sweep point `x`.
+    pub fn from_outcome(scheme: &str, x_name: &str, x: f64, o: &RunOutcome) -> Self {
         SweepRow {
             scheme: scheme.to_string(),
             x_name: x_name.to_string(),
@@ -210,95 +213,29 @@ impl TableRow for SweepRow {
     }
 }
 
-/// E2 + E3: multiple-multicast traffic — multicast latency and delivered
-/// throughput versus offered load, for all three schemes.
-pub fn e2_e3_multiple_multicast(
-    base: &SystemConfig,
-    run: &RunConfig,
-    loads: &[f64],
-    degree: usize,
-    len: u16,
-) -> Vec<SweepRow> {
+/// E2/E3 (load), E6 (degree), E7 (message length) and E8 (system size):
+/// runs `base` once per scheme of [`SCHEMES`] and point, scheme by
+/// scheme. A point is its `x` and the spec lines that differ from `base`.
+///
+/// # Panics
+///
+/// Panics if a point's lines do not parse.
+pub fn spec_sweep(base: &RunSpec, x_name: &str, points: &[(f64, String)]) -> Vec<SweepRow> {
     let mut jobs = Vec::new();
-    for (label, cfg) in scheme_configs(base) {
-        for &load in loads {
-            let spec = TrafficSpec::multiple_multicast(load, degree, len);
-            jobs.push(((label, load), SweepJob::new(cfg.clone(), spec, run.clone())));
+    for (label, scheme) in SCHEMES {
+        for (x, lines) in points {
+            let spec = base
+                .with(&format!("{scheme}{lines}"))
+                .unwrap_or_else(|e| panic!("{x_name} = {x}: {e}"));
+            jobs.push((
+                (label, *x),
+                SweepJob::new(spec.system, spec.traffic, spec.run),
+            ));
         }
     }
     sweep_outcomes(jobs)
         .iter()
-        .map(|((label, load), o)| SweepRow::from_outcome(label, "load", *load, o))
-        .collect()
-}
-
-/// E6: multicast latency versus degree at a fixed load.
-pub fn e6_degree_sweep(
-    base: &SystemConfig,
-    run: &RunConfig,
-    load: f64,
-    degrees: &[usize],
-    len: u16,
-) -> Vec<SweepRow> {
-    let mut jobs = Vec::new();
-    for (label, cfg) in scheme_configs(base) {
-        for &d in degrees {
-            let spec = TrafficSpec::multiple_multicast(load, d, len);
-            jobs.push(((label, d), SweepJob::new(cfg.clone(), spec, run.clone())));
-        }
-    }
-    sweep_outcomes(jobs)
-        .iter()
-        .map(|((label, d), o)| SweepRow::from_outcome(label, "degree", *d as f64, o))
-        .collect()
-}
-
-/// E7: multicast latency versus message length at a fixed load.
-pub fn e7_length_sweep(
-    base: &SystemConfig,
-    run: &RunConfig,
-    load: f64,
-    lens: &[u16],
-    degree: usize,
-) -> Vec<SweepRow> {
-    let mut jobs = Vec::new();
-    for (label, cfg) in scheme_configs(base) {
-        for &len in lens {
-            let spec = TrafficSpec::multiple_multicast(load, degree, len);
-            jobs.push(((label, len), SweepJob::new(cfg.clone(), spec, run.clone())));
-        }
-    }
-    sweep_outcomes(jobs)
-        .iter()
-        .map(|((label, len), o)| SweepRow::from_outcome(label, "len", f64::from(*len), o))
-        .collect()
-}
-
-/// E8: multicast latency versus system size (4-ary trees of `n` stages;
-/// degree scales as N/4).
-pub fn e8_size_sweep(
-    base: &SystemConfig,
-    run: &RunConfig,
-    load: f64,
-    stages: &[usize],
-    len: u16,
-) -> Vec<SweepRow> {
-    let mut jobs = Vec::new();
-    for &n in stages {
-        let size_base = SystemConfig {
-            topology: TopologyKind::KaryTree { k: 4, n },
-            ..base.clone()
-        };
-        let n_hosts = size_base.n_hosts();
-        let degree = (n_hosts / 4).max(1);
-        for (label, cfg) in scheme_configs(&size_base) {
-            let spec = TrafficSpec::multiple_multicast(load, degree, len);
-            jobs.push(((label, n_hosts), SweepJob::new(cfg, spec, run.clone())));
-        }
-    }
-    sweep_outcomes(jobs)
-        .iter()
-        .map(|((label, n_hosts), o)| SweepRow::from_outcome(label, "N", *n_hosts as f64, o))
+        .map(|((label, x), o)| SweepRow::from_outcome(label, x_name, *x, o))
         .collect()
 }
 
@@ -1952,11 +1889,60 @@ mod tests {
 
     #[test]
     fn e2_rows_cover_all_schemes_and_loads() {
-        let rows =
-            e2_e3_multiple_multicast(&tiny_base(), &RunConfig::quick(), &[0.02, 0.05], 4, 16);
+        let base = RunSpec {
+            system: tiny_base(),
+            run: RunConfig::quick(),
+            ..RunSpec::default()
+        }
+        .with("traffic.degree = 4\ntraffic.len = 16")
+        .expect("parses");
+        let points = [0.02, 0.05].map(|l| (l, format!("traffic.load = {l}")));
+        let rows = spec_sweep(&base, "load", &points);
         assert_eq!(rows.len(), 6);
         assert!(rows.iter().all(|r| !r.deadlocked));
         assert!(rows.iter().all(|r| r.mcasts > 0));
+        // The spec path runs exactly what the hand-built configs do.
+        let (label, cfg) = &scheme_configs(&tiny_base())[1];
+        let direct = crate::sim::run_experiment(
+            cfg,
+            &TrafficSpec::multiple_multicast(0.05, 4, 16),
+            &RunConfig::quick(),
+        );
+        let row = SweepRow::from_outcome(label, "load", 0.05, &direct);
+        assert_eq!(rows[3].cells(), row.cells());
+    }
+
+    #[test]
+    fn scheme_configs_set_arch_and_mcast_only() {
+        let base = tiny_base();
+        let got: Vec<_> = scheme_configs(&base)
+            .into_iter()
+            .map(|(label, c)| (label, c.arch, c.mcast, c.topology))
+            .collect();
+        let tree = base.topology;
+        assert_eq!(
+            got,
+            [
+                (
+                    "CB-HW",
+                    SwitchArch::CentralBuffer,
+                    McastImpl::HwBitString,
+                    tree
+                ),
+                (
+                    "IB-HW",
+                    SwitchArch::InputBuffered,
+                    McastImpl::HwBitString,
+                    tree
+                ),
+                (
+                    "SW-CB",
+                    SwitchArch::CentralBuffer,
+                    McastImpl::SwBinomial,
+                    tree
+                ),
+            ]
+        );
     }
 
     #[test]

@@ -64,12 +64,28 @@ fn bad_config_files_exit_2_with_the_path() {
         "need at least one switch",
     );
 
-    let zero_bits = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("routed_cli_zero_bits.mdw");
-    std::fs::write(&zero_bits, "bits_per_flit = 0\n").expect("written");
-    let zero_bits = zero_bits.to_str().expect("utf-8 temp path");
-    assert_rejected(&["--config", zero_bits, "--script", "s.txt"], zero_bits);
-    assert_rejected(
-        &["--config", zero_bits, "--script", "s.txt"],
-        "bits_per_flit must be positive",
-    );
+    for (name, text, want) in [
+        (
+            "zero_bits",
+            "bits_per_flit = 0\n",
+            "bits_per_flit must be positive",
+        ),
+        (
+            "zero_delay",
+            "link_delay = 0\n",
+            "link_delay must be at least one cycle",
+        ),
+        (
+            "zero_credits",
+            "host_eject_credits = 0\n",
+            "host_eject_credits must be at least one flit",
+        ),
+    ] {
+        let path =
+            PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("routed_cli_{name}.mdw"));
+        std::fs::write(&path, text).expect("written");
+        let path = path.to_str().expect("utf-8 temp path");
+        assert_rejected(&["--config", path, "--script", "s.txt"], path);
+        assert_rejected(&["--config", path, "--script", "s.txt"], want);
+    }
 }

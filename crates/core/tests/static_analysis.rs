@@ -298,6 +298,18 @@ fn mdw_lint_cli_flags_the_shipped_deadlock_config() {
             "bits-per-flit-zero",
             "bits_per_flit must be positive",
         ),
+        (
+            "zero_link_delay",
+            "link_delay = 0\n",
+            "link-delay-zero",
+            "link_delay must be at least one cycle",
+        ),
+        (
+            "zero_eject_credits",
+            "host_eject_credits = 0\n",
+            "host-eject-credits-zero",
+            "host_eject_credits must be at least one flit",
+        ),
     ] {
         let path = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
             .join(format!("lint_cli_{name}.mdw"));

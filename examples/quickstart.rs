@@ -6,24 +6,24 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use mdworm::experiments::{e1_parameters, e2_e3_multiple_multicast};
+use mdworm::cfgtext::parse_spec;
+use mdworm::experiments::{e1_parameters, spec_sweep};
 use mdworm::report::markdown_table;
-use mdworm::sim::RunConfig;
-use mdworm::SystemConfig;
 
 fn main() {
-    let base = SystemConfig::default();
-    let run = RunConfig {
-        warmup: 2_000,
-        measure: 10_000,
-        ..RunConfig::default()
-    };
+    // The default system and multiple-multicast workload (degree 16, 64
+    // flits) over a shortened window.
+    let spec = parse_spec("run.warmup = 2000\nrun.measure = 10000").expect("valid spec");
 
     println!("# Simulation parameters (paper defaults)\n");
-    println!("{}", markdown_table(&e1_parameters(&base, &run)));
+    println!(
+        "{}",
+        markdown_table(&e1_parameters(&spec.system, &spec.run))
+    );
 
     println!("\n# Multiple multicast: 64 processors, degree 16, 64-flit messages\n");
-    let rows = e2_e3_multiple_multicast(&base, &run, &[0.05, 0.15, 0.30], 16, 64);
+    let points = [0.05, 0.15, 0.30].map(|l| (l, format!("traffic.load = {l}")));
+    let rows = spec_sweep(&spec, "load", &points);
     println!("{}", markdown_table(&rows));
     println!(
         "\nCB-HW is the paper's central-buffer hardware multicast, IB-HW the\n\

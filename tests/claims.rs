@@ -158,3 +158,35 @@ fn central_buffer_matches_or_beats_input_buffer_except_two_named_rows() {
         ]
     );
 }
+
+/// E2 at load 0.4, E6 at degree 16, E7 at 64 flits and E8 at N = 64 are
+/// one run, the sweeps' shared base spec: each scheme's row is the same in
+/// all four tables apart from `x_name` and `x`.
+#[test]
+fn the_four_sweeps_share_their_base_point() {
+    for scheme in ["CB-HW", "IB-HW", "SW-CB"] {
+        let rows: Vec<(&str, Vec<String>)> = SWEEPS
+            .into_iter()
+            .zip([0.4, 16.0, 64.0, 64.0])
+            .map(|(name, x)| {
+                let t = Table::load(name);
+                let (s, xn, xi) = (t.col("scheme"), t.col("x_name"), t.col("x"));
+                let row = t
+                    .rows
+                    .iter()
+                    .find(|r| r[s] == scheme && r[xi].parse::<f64>() == Ok(x))
+                    .unwrap_or_else(|| panic!("{name}: no {scheme} row at x = {x}"));
+                let rest = row
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != xn && i != xi)
+                    .map(|(_, cell)| cell.clone())
+                    .collect();
+                (name, rest)
+            })
+            .collect();
+        for (name, row) in &rows[1..] {
+            assert_eq!(row, &rows[0].1, "{scheme}: {name} vs {}", rows[0].0);
+        }
+    }
+}
