@@ -168,6 +168,9 @@ pub struct Host {
     /// next cycle, so sleeping would only churn the wake heap.
     rx_mid_worm: bool,
     outstanding: HashMap<MessageId, OutstandingSend>,
+    /// A lower bound on the outstanding deadlines: exact after each retry
+    /// scan, lowered by each new send.
+    next_deadline: Cycle,
     /// Fault-response mode (injection gate + degradation planner); `None`
     /// keeps the fault-oblivious fast path.
     mode: Option<Rc<FabricMode>>,
@@ -201,6 +204,7 @@ impl Host {
             worm_corrupt: false,
             rx_mid_worm: false,
             outstanding: HashMap::new(),
+            next_deadline: Cycle::MAX,
             mode: None,
         }
     }
@@ -258,13 +262,15 @@ impl Host {
     /// ACKs from `dests`. No-op unless recovery is enabled.
     fn track_send(&mut self, now: Cycle, msg: &Message, dests: DestSet) {
         if let Some(rcfg) = &self.cfg.recovery {
+            let deadline = rcfg.deadline_after(now, 0);
+            self.next_deadline = self.next_deadline.min(deadline);
             self.outstanding.insert(
                 msg.id(),
                 OutstandingSend {
                     msg: msg.clone(),
                     remaining: dests,
                     attempts: 0,
-                    deadline: rcfg.deadline_after(now, 0),
+                    deadline,
                 },
             );
         }
@@ -554,6 +560,7 @@ impl Host {
             return;
         }
         let mut fire = Vec::new();
+        let mut earliest = Cycle::MAX;
         {
             let mut rec = self.shared.recovery.borrow_mut();
             self.outstanding.retain(|id, o| {
@@ -574,21 +581,27 @@ impl Host {
                         return false;
                     }
                     fire.push(*id);
+                } else {
+                    earliest = earliest.min(o.deadline);
                 }
                 true
             });
         }
+        // Exact for the entries that did not fire; fired entries and the
+        // sends their retransmissions track lower it below.
+        self.next_deadline = earliest;
         // `retain` visits entries in hash order, which varies per process
         // and per thread; retransmission order feeds the shared packet-id
         // stream, so it must not. Fire in message-id order.
         fire.sort_unstable();
         for id in fire {
-            let (msg, remaining) = {
+            let (msg, remaining, deadline) = {
                 let o = self.outstanding.get_mut(&id).expect("entry retained");
                 o.attempts += 1;
                 o.deadline = rcfg.deadline_after(now, o.attempts);
-                (o.msg.clone(), o.remaining.clone())
+                (o.msg.clone(), o.remaining.clone(), o.deadline)
             };
+            self.next_deadline = self.next_deadline.min(deadline);
             let (n_packets, offloaded) = self.retransmit(now, &msg, &remaining);
             // Destinations handed to the U-Min fallback ride their own hop
             // ledger entries; leaving them here would retransmit the worm
@@ -750,7 +763,10 @@ impl Component for Host {
 
     /// An idle host — nothing to inject, no worm mid-way through its
     /// ejection port — sleeps until its source may fire next or, with
-    /// messages awaiting ACKs, until the next retransmission scan.
+    /// messages awaiting ACKs, until the first retransmission scan at or
+    /// after the earliest deadline. Earlier scans could only prune
+    /// acknowledged destinations, and ACKs are never withdrawn, so the
+    /// first scan that fires or gives up prunes exactly as much.
     /// Arriving flits wake it through the engine. Nothing else in a tick
     /// depends on the cycle, so the skipped ticks were no-ops.
     fn sleep_until(&mut self, now: Cycle) -> Option<Cycle> {
@@ -760,7 +776,12 @@ impl Component for Host {
         }
         let mut wake = self.source.next_fire(now);
         if self.cfg.recovery.is_some() && !self.outstanding.is_empty() {
-            wake = wake.min((now / RETRY_SCAN_INTERVAL + 1) * RETRY_SCAN_INTERVAL);
+            let next_scan = (now / RETRY_SCAN_INTERVAL + 1) * RETRY_SCAN_INTERVAL;
+            let due = self
+                .next_deadline
+                .checked_next_multiple_of(RETRY_SCAN_INTERVAL)
+                .unwrap_or(Cycle::MAX);
+            wake = wake.min(due.max(next_scan));
         }
         (wake > now + 1).then_some(wake)
     }
@@ -1004,5 +1025,61 @@ mod tests {
         let last = t.mcast_last.summary().max;
         let avg = t.mcast_avg.summary().max;
         assert!(last >= avg);
+    }
+
+    /// A source that never fires and lets its host sleep indefinitely.
+    struct Idle;
+    impl TrafficSource for Idle {
+        fn poll(&mut self, _now: Cycle) -> Option<MessageSpec> {
+            None
+        }
+        fn next_fire(&mut self, _now: Cycle) -> Cycle {
+            Cycle::MAX
+        }
+    }
+
+    #[test]
+    fn idle_host_sleeps_until_the_scan_at_or_after_its_earliest_deadline() {
+        let rcfg = RecoveryConfig {
+            timeout: 100,
+            ..RecoveryConfig::default()
+        };
+        let cfg = HostConfig {
+            node: NodeId(0),
+            n_hosts: 4,
+            bits_per_flit: 8,
+            max_packet_flits: 128,
+            send_overhead: 40,
+            recv_overhead: 20,
+            scheme: McastScheme::HardwareBitString,
+            recovery: Some(rcfg),
+        };
+        let mut host = Host::new(cfg, HostShared::new(4), Box::new(Idle));
+        assert_eq!(host.sleep_until(5), Some(Cycle::MAX), "nothing outstanding");
+        let msg = |id| {
+            Message::new(
+                MessageId(id),
+                NodeId(0),
+                MessageKind::Unicast(NodeId(1)),
+                4,
+                0,
+            )
+        };
+        let to_1 = || DestSet::from_nodes(4, [NodeId(1)]);
+        host.track_send(5, &msg(1), to_1()); // deadline 105
+        host.track_send(9, &msg(2), to_1()); // deadline 109
+        assert_eq!(host.sleep_until(9), Some(112), "first scan at or after 105");
+        assert_eq!(host.sleep_until(110), Some(112));
+        assert_eq!(
+            host.sleep_until(112),
+            Some(128),
+            "a past deadline waits for the next scan"
+        );
+        host.next_deadline = Cycle::MAX - 3;
+        assert_eq!(
+            host.sleep_until(9),
+            Some(Cycle::MAX),
+            "no wrap past the last cycle"
+        );
     }
 }

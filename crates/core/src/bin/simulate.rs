@@ -67,6 +67,15 @@ fn check_ranges(spec: &RunSpec) -> Result<(), String> {
     if t.mcast_len == 0 {
         return Err("traffic.len 0: messages must carry at least one flit".into());
     }
+    // A host starts at most one message per cycle, so a higher load would
+    // run as a lower one while the tracker piles up undelivered messages.
+    if !t.load.is_finite() || t.load / t.mean_payload() > 1.0 {
+        return Err(format!(
+            "traffic.load {} exceeds one message per host per cycle (at most {})",
+            t.load,
+            t.mean_payload()
+        ));
+    }
     if spec.run.measure == 0 {
         return Err("run.measure 0: throughput needs a measurement window".into());
     }

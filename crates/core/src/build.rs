@@ -245,7 +245,7 @@ pub fn build_system(
         let id = SwitchId::from(s);
         let stats = Rc::new(RefCell::new(SwitchStats::default()));
         switch_stats.push(stats.clone());
-        let ctl = SwitchCtl::new();
+        let ctl = SwitchCtl::with_epoch_changes(engine.epoch_changes());
         switch_ctls.push(ctl.clone());
         let sem = SemTrace::handle();
         sem_traces.push(sem.clone());

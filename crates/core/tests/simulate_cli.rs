@@ -67,6 +67,8 @@ fn bad_arguments_exit_2_with_usage() {
         &["--set", "traffic.mcast_fraction=-0.5"],
         &["--set", "traffic.load=-1"],
         &["--set", "traffic.load=NaN"],
+        &["--set", "traffic.load=inf"],
+        &["--set", "traffic.load=5000"],
         &["--set", "link_delay=0"],
         &["--set", "host_eject_credits=0"],
         &["--set", "recovery_timeout=0"],
@@ -98,6 +100,7 @@ fn bad_arguments_exit_2_with_usage() {
     let stderr = |args: &[&str]| String::from_utf8_lossy(&simulate(args).stderr).into_owned();
     assert!(stderr(&["--config", &bad_line]).contains(&format!("{bad_line}: line 2")));
     assert!(stderr(&["--set", "k=-1"]).contains("--set `k=-1`"));
+    assert!(stderr(&["--set", "traffic.load=inf"]).contains("traffic.load inf"));
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! The deterministic cycle engine.
 //!
 //! The engine owns all [`Link`]s and all [`Component`]s (switches, hosts).
-//! Every cycle it (1) advances the links with timed state (fault streams,
-//! scripted outages), then (2) ticks each awake component once, in
+//! Every cycle it (1) advances the links with timed state (fault streams
+//! every cycle, scripted outages at their window edges), then (2) ticks
+//! each awake component once, in
 //! registration order. Flits become visible by arrival time and returned
 //! credits fold when the sender asks, so no other link is visited.
 //! Because links impose at least one cycle of delay, a component never
@@ -15,7 +16,8 @@
 //! The cycle loop skips every component that declared, after its last
 //! tick, that ticking it is a no-op until some cycle or until input
 //! arrives ([`Component::sleep_until`]; DESIGN.md §13). A schedule compiled
-//! lazily at the first step holds a sleep bitset and one min-heap of
+//! lazily at the first step holds `u64` words of awake bits, which the tick
+//! phase walks set bit by set bit, and one min-heap of
 //! `(wake_at, component)` events: a sleeping component wakes at its own
 //! timer, at the arrival of the earliest flit already on its input links,
 //! or — through wake-on-send, which finds the receiver in the engine's
@@ -26,8 +28,14 @@
 //! links hold flits ([`PortIo::occupied_inputs`]), so receives, switch
 //! input passes and arrival scans visit only those.
 //!
-//! The plain loop that ticks every component every cycle survives only as
-//! the reference the schedule is tested and measured against
+//! The same loop keeps its other per-cycle bookkeeping off the hot path:
+//! a scripted outage window puts its two edges on an edge heap, and the
+//! torn-install audit recomputes its verdict only after an
+//! [`EpochChanges`] counter moves.
+//!
+//! The plain loop that ticks every component every cycle, polls every
+//! scripted link and recomputes the audit every cycle survives only as the
+//! reference the schedule is tested and measured against
 //! ([`reference_loop`]); both produce bit-identical runs.
 
 use crate::fault::{FaultCounters, FaultPlan};
@@ -35,8 +43,10 @@ use crate::flit::Flit;
 use crate::ids::LinkId;
 use crate::link::{Link, LinkEvent};
 use crate::Cycle;
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A simulated hardware component (switch, host NIC, ...).
@@ -81,7 +91,9 @@ pub trait Component {
     /// routing-table installs (DESIGN.md §15): the epoch of its active
     /// table set plus any commit armed but not yet activated. `None`
     /// (the default) opts the component out of the torn-install audit —
-    /// hosts and test fixtures never appear in it.
+    /// hosts and test fixtures never appear in it. Whoever changes either
+    /// value must bump the engine's [`Engine::epoch_changes`] counter, or
+    /// the scheduled loop keeps its previous verdict.
     fn epoch_status(&self) -> Option<EpochStatus> {
         None
     }
@@ -98,6 +110,26 @@ pub struct EpochStatus {
     /// yet swapped in — the component is mid-activation, typically
     /// waiting to find itself empty.
     pub pending: Option<u64>,
+}
+
+/// Change counter of the two-phase install state behind
+/// [`Component::epoch_status`]. The engine hands out clones of its own
+/// ([`Engine::epoch_changes`]); every change to a component's committed or
+/// armed epoch bumps it, and the scheduled loop recomputes the
+/// torn-install verdict only after the count moves.
+#[derive(Debug, Clone, Default)]
+pub struct EpochChanges(Rc<Cell<u64>>);
+
+impl EpochChanges {
+    /// Records one change of some component's committed or armed epoch.
+    pub fn bump(&self) {
+        self.0.set(self.0.get().wrapping_add(1));
+    }
+
+    /// Changes recorded so far (wrapping).
+    pub fn count(&self) -> u64 {
+        self.0.get()
+    }
 }
 
 /// Running result of the per-cycle torn-install audit (see
@@ -135,10 +167,18 @@ struct Binding {
 #[derive(Debug, Default)]
 struct Ledger {
     /// Indices of the links [`Link::needs_begin_cycle`] holds for: those
-    /// [`Engine::install_faults`] and [`Engine::script_outage`] marked.
-    /// Every other link folds returned credits when its sender asks, so
-    /// sends and credit returns never touch this list.
+    /// [`Engine::install_faults`] gave a fault stream. Every other link
+    /// folds returned credits when its sender asks, so sends and credit
+    /// returns never touch this list.
     timed: Vec<u32>,
+    /// Reference loop only: indices of the links [`Engine::script_outage`]
+    /// gave windows, polled every cycle.
+    scripted: Vec<u32>,
+    /// Scheduled loop only: pending `(cycle, link)` window edges of
+    /// scripted links, the only cycles at which a scripted link's down
+    /// state can change apart from forced toggles, which publish their
+    /// own edges. A scripted link advances only when one matures.
+    edges: BinaryHeap<Reverse<(Cycle, u32)>>,
     /// Link index → the `(component, input port)` receiving it;
     /// component `u32::MAX` while no component has bound the link.
     receiver: Vec<(u32, u32)>,
@@ -181,11 +221,17 @@ pub fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
 /// The reference loop passes `None` and pays nothing.
 #[derive(Debug)]
 struct WakeCtx<'a> {
-    /// Which components are currently asleep.
-    asleep: &'a [bool],
+    /// Which components are currently awake (see [`Schedule::awake`]).
+    awake: &'a [u64],
     /// Pending `(wake_at, component)` events.
     heap: &'a mut BinaryHeap<Reverse<(Cycle, u32)>>,
 }
+
+/// `true` if bit `c` of the word-packed bitset `words` is set.
+fn bit(words: &[u64], c: usize) -> bool {
+    words[c / 64] & (1 << (c % 64)) != 0
+}
+
 /// Access to a component's ports during its tick.
 ///
 /// Input ports are numbered `0..n_inputs()`, output ports `0..n_outputs()`,
@@ -304,7 +350,7 @@ impl PortIo<'_> {
         // this — if they go to sleep later they scan their occupied inputs
         // (this link among them) for the earliest arrival.
         if let Some(w) = self.wake.as_mut() {
-            if w.asleep[rc as usize] {
+            if !bit(w.awake, rc as usize) {
                 let at = self.now + Cycle::from(self.links[idx].delay());
                 w.heap.push(Reverse((at, rc)));
             }
@@ -318,9 +364,11 @@ impl PortIo<'_> {
 /// a component drops it, to be recompiled with every component awake.
 #[derive(Debug)]
 struct Schedule {
-    /// Sleep bitset: `asleep[c]` ⇒ ticking `c` is provably a no-op until a
-    /// wake event for it matures (or `wake_component` clears it).
-    asleep: Vec<bool>,
+    /// Awake bitset, 64 components per word: a clear bit `c` ⇒ ticking
+    /// `c` is provably a no-op until a wake event for it matures (or
+    /// `wake_component` sets it). Bits past the last component stay clear,
+    /// so the tick phase walks set bits only.
+    awake: Vec<u64>,
     /// Min-heap of pending `(wake_at, component)` events. Stale entries
     /// (for components already awake) only cause a harmless early tick.
     heap: BinaryHeap<Reverse<(Cycle, u32)>>,
@@ -378,7 +426,21 @@ pub struct Engine {
     /// Step with the reference loop (see [`reference_loop`]).
     reference: bool,
     /// Torn-install audit state; `None` keeps the audit off the hot path.
-    epoch_audit: Option<EpochAudit>,
+    epoch_audit: Option<EpochWatch>,
+    /// Bumped on every change of an epoch the audit reads.
+    epoch_changes: EpochChanges,
+}
+
+/// The torn-install audit between cycles: the running result plus the
+/// verdict of its last recomputation.
+#[derive(Debug, Default)]
+struct EpochWatch {
+    audit: EpochAudit,
+    /// [`EpochChanges`] count the verdict was computed at; `None` until
+    /// the first computation.
+    seen: Option<u64>,
+    /// Whether the fabric was torn at that count.
+    torn: bool,
 }
 
 impl Engine {
@@ -446,6 +508,8 @@ impl Engine {
         // Catch sleepers up before the schedule (and who sleeps) is lost.
         self.flush();
         self.sched = None;
+        // The newcomer may report an epoch.
+        self.epoch_changes.bump();
         self.bindings.push(Binding {
             in_start,
             in_len: inputs.len() as u32,
@@ -487,9 +551,11 @@ impl Engine {
         }
         // Faulty links tick every cycle from now on: outage schedules and
         // condemned-flit evaporation advance with time.
-        self.give_timed_state(link.index(), |l| {
-            l.install_faults(plan.for_link(link));
-        });
+        let l = &mut self.links[link.index()];
+        if !l.needs_begin_cycle() {
+            self.ledger.timed.push(link.index() as u32);
+        }
+        l.install_faults(plan.for_link(link));
     }
 
     /// Schedules a deterministic outage on one link: it refuses new flits
@@ -502,19 +568,21 @@ impl Engine {
     ///
     /// Panics if `until <= from`.
     pub fn script_outage(&mut self, link: LinkId, from: Cycle, until: Cycle) {
-        // Edge detection needs begin_cycle every cycle from now on.
-        self.give_timed_state(link.index(), |l| l.script_outage(from, until));
-    }
-
-    /// Applies `add` to link `idx` and lists the link in the ledger's
-    /// timed links, unless it was listed already.
-    fn give_timed_state(&mut self, idx: usize, add: impl FnOnce(&mut Link)) {
-        let link = &mut self.links[idx];
-        let listed = link.needs_begin_cycle();
-        add(link);
-        if !listed {
-            self.ledger.timed.push(idx as u32);
+        let idx = link.index();
+        let l = &mut self.links[idx];
+        if self.reference {
+            if !l.has_scripted_outages() {
+                self.ledger.scripted.push(idx as u32);
+            }
+        } else {
+            // The window's down state can only change at its two edges. An
+            // edge already past matures at the next step, where the
+            // reference loop's polling sees the change too.
+            for at in [from, until] {
+                self.ledger.edges.push(Reverse((at, idx as u32)));
+            }
         }
+        l.script_outage(from, until);
     }
 
     /// Sets the administrative down state of one link, as driven by a
@@ -637,18 +705,18 @@ impl Engine {
     /// such changes are invisible to the wake protocol.
     pub fn wake_component(&mut self, index: usize) {
         if let Some(s) = self.sched.as_mut() {
-            if index < s.asleep.len() {
-                s.asleep[index] = false;
+            if index < s.ticks_run.len() {
+                s.awake[index / 64] |= 1 << (index % 64);
             }
         }
     }
 
     /// Wakes every sleeping component (see [`Engine::wake_component`]).
-    /// Cheap: one pass over the sleep bitset; spurious wakes cost one tick
+    /// Cheap: one pass over the awake words; spurious wakes cost one tick
     /// each and components immediately re-sleep if still idle.
     pub fn wake_all(&mut self) {
         if let Some(s) = self.sched.as_mut() {
-            s.asleep.fill(false);
+            s.awake = all_awake(s.ticks_run.len());
         }
     }
 
@@ -658,17 +726,20 @@ impl Engine {
     pub fn flush(&mut self) {
         let now = self.now;
         if let Some(s) = self.sched.as_mut() {
-            for (comp, &asleep) in self.comps.iter_mut().zip(&s.asleep) {
-                if asleep {
+            for (c, comp) in self.comps.iter_mut().enumerate() {
+                if c < s.ticks_run.len() && !bit(&s.awake, c) {
                     comp.flush(now);
                 }
             }
         }
     }
 
-    /// Advances every link with timed state (outage schedules, condemned
-    /// flits) to the current cycle — the link phase shared by both cycle
-    /// loops. Links without timed state cost nothing here: flits become
+    /// Advances every link with timed state to the current cycle — the
+    /// link phase of both cycle loops. Faulty links advance every cycle
+    /// (outage schedules, condemned flits). Scripted links advance every
+    /// cycle on the reference loop and only at their window edges on the
+    /// scheduled loop; a scripted link that also has faults advances with
+    /// the faulty ones. Other links cost nothing here: flits become
     /// visible by arrival time and credits fold when the sender asks.
     fn begin_links(&mut self) {
         let now = self.now;
@@ -679,6 +750,27 @@ impl Engine {
             if evaporated > 0 {
                 self.ledger.in_flight -= evaporated;
                 self.ledger.note_drain(idx, link);
+            }
+        }
+        // A link without faults evaporates nothing, so these calls only
+        // detect and publish edges.
+        if self.reference {
+            for &idx in &self.ledger.scripted {
+                let link = &mut self.links[idx as usize];
+                if !link.needs_begin_cycle() {
+                    link.begin_cycle(now);
+                }
+            }
+        } else {
+            while let Some(&Reverse((at, idx))) = self.ledger.edges.peek() {
+                if at > now {
+                    break;
+                }
+                self.ledger.edges.pop();
+                let link = &mut self.links[idx as usize];
+                if !link.needs_begin_cycle() {
+                    link.begin_cycle(now);
+                }
             }
         }
     }
@@ -722,7 +814,7 @@ impl Engine {
     fn compile_schedule(&self) -> Schedule {
         let n_comps = self.comps.len();
         Schedule {
-            asleep: vec![false; n_comps],
+            awake: all_awake(n_comps),
             heap: BinaryHeap::new(),
             ticks_run: vec![0; n_comps],
             steps: 0,
@@ -746,11 +838,10 @@ impl Engine {
         self.begin_links();
         let now = self.now;
         let Schedule {
-            asleep,
+            awake,
             heap,
             ticks_run,
             steps,
-            ..
         } = self.sched.as_mut().expect("compiled above");
         *steps += 1;
         // Wake phase.
@@ -759,42 +850,45 @@ impl Engine {
                 break;
             }
             heap.pop();
-            asleep[comp as usize] = false;
+            awake[comp as usize / 64] |= 1 << (comp % 64);
         }
-        // Tick phase.
+        // Tick phase. Wakes raised during it go on the heap, never into
+        // `awake`, so each word's bits can be read once up front.
         let links = &mut self.links[..];
         let ports = &self.ports[..];
         let ledger = &mut self.ledger;
-        for (c, comp) in self.comps.iter_mut().enumerate() {
-            if asleep[c] {
-                continue;
-            }
-            ticks_run[c] += 1;
-            let b = self.bindings[c];
-            let inputs = &ports[b.in_start as usize..(b.in_start + b.in_len) as usize];
-            let mut io = PortIo {
-                now,
-                comp: c,
-                links: &mut *links,
-                inputs,
-                outputs: &ports[b.out_start as usize..(b.out_start + b.out_len) as usize],
-                ledger: &mut *ledger,
-                wake: Some(WakeCtx {
-                    asleep,
-                    heap: &mut *heap,
-                }),
-            };
-            comp.tick(now, &mut io);
-            if let Some(until) = comp.sleep_until(now) {
-                asleep[c] = true;
-                // The earliest in-flight arrival on any occupied input
-                // bounds the sleep. Senders that tick later this cycle
-                // find the sleep bit set and wake-on-send instead.
-                let wake = set_bits(ledger.occupied[c])
-                    .filter_map(|p| links[inputs[p].index()].next_arrival())
-                    .fold(until, Cycle::min);
-                if wake != Cycle::MAX {
-                    heap.push(Reverse((wake.max(now + 1), c as u32)));
+        for w in 0..awake.len() {
+            for b in set_bits(awake[w]) {
+                let c = w * 64 + b;
+                ticks_run[c] += 1;
+                let comp = &mut self.comps[c];
+                let bind = self.bindings[c];
+                let inputs = &ports[bind.in_start as usize..(bind.in_start + bind.in_len) as usize];
+                let mut io = PortIo {
+                    now,
+                    comp: c,
+                    links: &mut *links,
+                    inputs,
+                    outputs: &ports
+                        [bind.out_start as usize..(bind.out_start + bind.out_len) as usize],
+                    ledger: &mut *ledger,
+                    wake: Some(WakeCtx {
+                        awake,
+                        heap: &mut *heap,
+                    }),
+                };
+                comp.tick(now, &mut io);
+                if let Some(until) = comp.sleep_until(now) {
+                    awake[w] &= !(1 << b);
+                    // The earliest in-flight arrival on any occupied input
+                    // bounds the sleep. Senders that tick later this cycle
+                    // find the awake bit clear and wake-on-send instead.
+                    let wake = set_bits(ledger.occupied[c])
+                        .filter_map(|p| links[inputs[p].index()].next_arrival())
+                        .fold(until, Cycle::min);
+                    if wake != Cycle::MAX {
+                        heap.push(Reverse((wake.max(now + 1), c as u32)));
+                    }
                 }
             }
         }
@@ -810,42 +904,40 @@ impl Engine {
     /// counted as *torn*. A switch lagging behind the fleet *with* an
     /// armed commit for the newest epoch is the legitimate in-flight
     /// activation window (it swaps the moment it finds itself empty) and
-    /// is not flagged. Off by default; O(components) per cycle when on.
+    /// is not flagged. Off by default. The reference loop recomputes the
+    /// verdict every cycle in O(components); the scheduled loop only in
+    /// cycles after [`Engine::epoch_changes`] moved, and otherwise carries
+    /// the previous verdict forward.
     pub fn enable_epoch_audit(&mut self) {
-        self.epoch_audit.get_or_insert_with(EpochAudit::default);
+        self.epoch_audit.get_or_insert_with(EpochWatch::default);
     }
 
     /// The torn-install audit's running result, or `None` if the audit
     /// was never enabled.
     pub fn epoch_audit(&self) -> Option<EpochAudit> {
-        self.epoch_audit
+        self.epoch_audit.as_ref().map(|w| w.audit)
+    }
+
+    /// The change counter components bump whenever their committed or
+    /// armed epoch changes (see [`Component::epoch_status`]). The system
+    /// builder hands a clone to each switch's control cell.
+    pub fn epoch_changes(&self) -> EpochChanges {
+        self.epoch_changes.clone()
     }
 
     /// The per-cycle pass behind [`Engine::enable_epoch_audit`].
     fn audit_epochs(&mut self) {
-        if self.epoch_audit.is_none() {
+        let Some(w) = self.epoch_audit.as_mut() else {
             return;
+        };
+        let count = self.epoch_changes.count();
+        if self.reference || w.seen != Some(count) {
+            w.seen = Some(count);
+            (w.torn, w.audit.max_committed) = torn_verdict(&self.comps);
         }
-        let mut max_committed = 0u64;
-        let mut any = false;
-        let mut torn = false;
-        for st in self.comps.iter().filter_map(|c| c.epoch_status()) {
-            any = true;
-            max_committed = max_committed.max(st.committed);
-        }
-        if any {
-            for st in self.comps.iter().filter_map(|c| c.epoch_status()) {
-                if st.committed < max_committed && st.pending.is_none_or(|p| p < max_committed) {
-                    torn = true;
-                    break;
-                }
-            }
-        }
-        let audit = self.epoch_audit.as_mut().expect("checked above");
-        audit.max_committed = max_committed;
-        if torn {
-            audit.torn_cycles += 1;
-            audit.first_torn.get_or_insert(self.now);
+        if w.torn {
+            w.audit.torn_cycles += 1;
+            w.audit.first_torn.get_or_insert(self.now);
         }
     }
 
@@ -888,6 +980,32 @@ impl Engine {
             self.step();
         }
     }
+}
+
+/// Whether the components' committed epochs are torn — some component
+/// lags the newest committed epoch with no armed commit for it — plus
+/// that newest epoch.
+fn torn_verdict(comps: &[Box<dyn Component>]) -> (bool, u64) {
+    let max_committed = comps
+        .iter()
+        .filter_map(|c| c.epoch_status())
+        .map(|st| st.committed)
+        .max()
+        .unwrap_or(0);
+    let torn = comps
+        .iter()
+        .filter_map(|c| c.epoch_status())
+        .any(|st| st.committed < max_committed && st.pending.is_none_or(|p| p < max_committed));
+    (torn, max_committed)
+}
+
+/// Awake words with bits `0..n` set.
+fn all_awake(n: usize) -> Vec<u64> {
+    let mut words = vec![u64::MAX; n.div_ceil(64)];
+    if !n.is_multiple_of(64) {
+        words[n / 64] = (1 << (n % 64)) - 1;
+    }
+    words
 }
 
 impl std::fmt::Debug for Engine {
@@ -1017,6 +1135,59 @@ mod tests {
             ]
         );
         assert!(e.drain_link_events().is_empty());
+    }
+
+    /// Scripted links advance only at their window edges on the scheduled
+    /// loop and every cycle on the reference loop; both must publish the
+    /// same events and report the same down state every cycle, through
+    /// overlapping and abutting windows, forced toggles inside and outside
+    /// windows, and windows registered mid-run with edges already past.
+    #[test]
+    fn scripted_edges_publish_what_polling_publishes() {
+        let run = |reference: bool| {
+            let (mut e, _) = pipeline(0, 4);
+            e.reference = reference;
+            let link = LinkId::from(0usize);
+            let mut down = Vec::new();
+            while e.now() < 150 {
+                match e.now() {
+                    0 => {
+                        for (from, until) in [(5, 40), (30, 60), (60, 70), (95, 110)] {
+                            e.script_outage(link, from, until);
+                        }
+                    }
+                    80 | 100 => e.set_link_forced_down(link, true),
+                    85 | 105 => e.set_link_forced_down(link, false),
+                    120 => {
+                        e.script_outage(link, 115, 130);
+                        e.script_outage(link, 125, 126);
+                    }
+                    140 => e.script_outage(link, 100, 135),
+                    _ => {}
+                }
+                e.step();
+                down.push(e.link_is_down(link));
+            }
+            (e.drain_link_events(), down)
+        };
+        let (polled, edged) = (run(true), run(false));
+        assert_eq!(polled, edged);
+        let link = LinkId::from(0usize);
+        let events: Vec<(Cycle, bool)> = edged.0.iter().map(|ev| (ev.at, ev.down)).collect();
+        assert!(edged.0.iter().all(|ev| ev.link == link));
+        assert_eq!(
+            events,
+            [
+                (5, true),
+                (70, false),
+                (80, true),
+                (85, false),
+                (95, true),
+                (110, false),
+                (121, true),
+                (130, false),
+            ]
+        );
     }
 
     #[test]

@@ -238,8 +238,12 @@ impl Link {
     /// maintain in-flight counters.
     ///
     /// The [`crate::engine::Engine`] calls this every cycle on the links
-    /// that have timed state ([`Link::needs_begin_cycle`]) and never on the
-    /// others. Credits are not folded here: they fold when the sender asks.
+    /// with a fault stream ([`Link::needs_begin_cycle`]), on links with
+    /// scripted windows at the windows' edges, and never on the others.
+    /// Without a fault stream the down state changes only at those edges
+    /// and on forced toggles, which publish their own, so calling it at
+    /// other cycles changes nothing. Credits are not folded here: they
+    /// fold when the sender asks.
     pub fn begin_cycle(&mut self, now: Cycle) -> usize {
         let mut evaporated = 0;
         if let Some(f) = self.faults.as_deref_mut() {
@@ -266,9 +270,14 @@ impl Link {
 
     /// `true` if this link needs [`Link::begin_cycle`] every cycle: a fault
     /// stream is installed (outage schedules and condemned-flit evaporation
-    /// advance with time) or scripted outage windows need edge detection.
+    /// advance with time). Scripted windows need it only at their edges.
     pub fn needs_begin_cycle(&self) -> bool {
-        self.faults.is_some() || !self.scripted.is_empty()
+        self.faults.is_some()
+    }
+
+    /// `true` once [`Link::script_outage`] scheduled a window.
+    pub fn has_scripted_outages(&self) -> bool {
+        !self.scripted.is_empty()
     }
 
     /// Sender side: `true` if a flit may be sent this cycle.
@@ -501,14 +510,6 @@ mod tests {
             }
             assert!(l.recv(3).is_some(), "flit sent before outage arrives");
             assert!(!l.can_send(3), "but the sender is blocked");
-        }
-
-        #[test]
-        fn needs_begin_cycle_while_scripted() {
-            let mut l = Link::new(1, 4);
-            assert!(!l.needs_begin_cycle());
-            l.script_outage(5, 6);
-            assert!(l.needs_begin_cycle());
         }
 
         #[test]

@@ -135,6 +135,16 @@ struct OutputPort {
     state: TxState,
 }
 
+/// Congestion of an output as adaptive up-port selection sees it: 4 per
+/// queued branch plus 2 while a worm is transmitting.
+fn congestion(o: &OutputPort) -> u64 {
+    o.queue.len() as u64 * 4
+        + match o.state {
+            TxState::Idle => 0,
+            _ => 2,
+        }
+}
+
 /// Per-switch barrier-gather combining state (the hardware-barrier
 /// extension: §9 outlook / companion work \[34\]).
 ///
@@ -523,17 +533,9 @@ impl Component for CentralBufferSwitch {
                         .build(),
                 );
                 let branches = if is_root {
-                    let metrics: Vec<u64> = outputs
-                        .iter()
-                        .map(|o| {
-                            o.queue.len() as u64 * 4
-                                + match o.state {
-                                    TxState::Idle => 0,
-                                    _ => 2,
-                                }
-                        })
-                        .collect();
-                    resolve_branches(&pkt, table, cfg.policy, cfg.up_select, |p| metrics[p])
+                    resolve_branches(&pkt, table, cfg.policy, cfg.up_select, |p| {
+                        congestion(&outputs[p])
+                    })
                 } else {
                     vec![(table.up_ports()[0], pkt.clone())]
                 };
@@ -664,18 +666,9 @@ impl Component for CentralBufferSwitch {
                     .done_at(pkt.id())
                     .is_some_and(|t| now >= t.max(*entered) + u64::from(cfg.route_delay));
                 if ready {
-                    let metrics: Vec<u64> = outputs
-                        .iter()
-                        .map(|o| {
-                            o.queue.len() as u64 * 4
-                                + match o.state {
-                                    TxState::Idle => 0,
-                                    _ => 2,
-                                }
-                        })
-                        .collect();
-                    let branches =
-                        resolve_branches(pkt, table, cfg.policy, cfg.up_select, |p| metrics[p]);
+                    let branches = resolve_branches(pkt, table, cfg.policy, cfg.up_select, |p| {
+                        congestion(&outputs[p])
+                    });
                     debug_assert_eq!(branches.len(), 1, "unicast has one branch");
                     let (port, bpkt) = branches.into_iter().next().expect("one branch");
                     stats.borrow_mut().branches_created += 1;
@@ -754,18 +747,10 @@ impl Component for CentralBufferSwitch {
                         .done_at(pkt.id())
                         .is_some_and(|t| now >= t.max(*entered) + u64::from(cfg.route_delay));
                     if ready {
-                        let metrics: Vec<u64> = outputs
-                            .iter()
-                            .map(|o| {
-                                o.queue.len() as u64 * 4
-                                    + match o.state {
-                                        TxState::Idle => 0,
-                                        _ => 2,
-                                    }
-                            })
-                            .collect();
                         let branches =
-                            resolve_branches(pkt, table, cfg.policy, cfg.up_select, |p| metrics[p]);
+                            resolve_branches(pkt, table, cfg.policy, cfg.up_select, |p| {
+                                congestion(&outputs[p])
+                            });
                         write.borrow_mut().repl.set_branches(branches.len());
                         let mut st = stats.borrow_mut();
                         st.branches_created += branches.len() as u64;

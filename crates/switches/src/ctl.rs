@@ -36,9 +36,13 @@
 //! a mix of old and new tables; epoch stamps make the complementary
 //! cross-switch property auditable (no cycle may see two switches on
 //! diverging committed epochs unless the laggard has an armed commit
-//! pending — see `netsim::engine::Engine::enable_epoch_audit`).
+//! pending — see `netsim::engine::Engine::enable_epoch_audit`). Every
+//! change of the committed or armed epoch bumps the engine's
+//! [`EpochChanges`] counter the cell was built with, so the audit
+//! recomputes its verdict only when an epoch moved.
 
 use mintopo::route::RouteTables;
+use netsim::engine::EpochChanges;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -56,12 +60,26 @@ pub struct SwitchCtl {
     /// Epoch armed for activation by a `commit`; always matches the
     /// staged epoch while `Some`.
     armed: Cell<Option<u64>>,
+    /// Bumped whenever `committed` or `armed` changes.
+    changes: EpochChanges,
 }
 
 impl SwitchCtl {
-    /// Creates a control cell (no purge raised, nothing staged, epoch 0).
+    /// Creates a control cell (no purge raised, nothing staged, epoch 0)
+    /// whose epoch changes no engine watches.
     pub fn new() -> Rc<Self> {
         Rc::new(SwitchCtl::default())
+    }
+
+    /// Creates a control cell that bumps `changes` on every change of its
+    /// committed or armed epoch — the engine's
+    /// [`netsim::engine::Engine::epoch_changes`], so its torn-install
+    /// audit sees the change.
+    pub fn with_epoch_changes(changes: EpochChanges) -> Rc<Self> {
+        Rc::new(SwitchCtl {
+            changes,
+            ..SwitchCtl::default()
+        })
     }
 
     /// Raises the purge command; the switch clears itself on its next tick
@@ -108,6 +126,7 @@ impl SwitchCtl {
                 return; // idempotent re-prepare of an armed epoch
             }
             self.armed.set(None); // newer epoch supersedes the armed swap
+            self.changes.bump();
         }
         *self.staged.borrow_mut() = Some((epoch, tables));
     }
@@ -127,6 +146,7 @@ impl SwitchCtl {
         match &*staged {
             Some((e, _)) if *e == epoch => {
                 self.armed.set(Some(epoch));
+                self.changes.bump();
                 true
             }
             _ => false,
@@ -195,6 +215,7 @@ impl SwitchCtl {
         debug_assert_eq!(e, epoch);
         self.armed.set(None);
         self.committed.set(epoch);
+        self.changes.bump();
         Some((epoch, tables))
     }
 
@@ -322,6 +343,29 @@ mod tests {
         ctl.install_tables(tables());
         assert_eq!(ctl.take_committed().map(|(e, _)| e), Some(2));
         assert_eq!(ctl.committed_epoch(), 2);
+    }
+
+    #[test]
+    fn epoch_changes_count_every_committed_or_armed_change() {
+        let changes = EpochChanges::default();
+        let ctl = SwitchCtl::with_epoch_changes(changes.clone());
+        ctl.prepare(1, tables());
+        assert_eq!(changes.count(), 0, "staging alone changes no epoch");
+        ctl.commit(1);
+        assert_eq!(changes.count(), 1, "commit arms");
+        ctl.commit(1);
+        assert_eq!(changes.count(), 1, "a re-driven commit changes nothing");
+        ctl.prepare(2, tables());
+        assert_eq!(changes.count(), 2, "a newer prepare disarms");
+        assert!(ctl.abort(2));
+        assert_eq!(changes.count(), 2, "abort drops an unarmed stage only");
+        ctl.install_tables(tables());
+        assert_eq!(changes.count(), 3, "the fused install arms");
+        ctl.take_committed();
+        assert_eq!(changes.count(), 4, "activation commits and disarms");
+        ctl.begin_purge();
+        ctl.end_purge();
+        assert_eq!(changes.count(), 4, "purges touch no epoch");
     }
 
     #[test]

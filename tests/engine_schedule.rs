@@ -6,13 +6,13 @@
 //! control-plane-storm and crash-sweep runs, while actually skipping host
 //! and switch ticks.
 
-use mdworm::build::build_system;
+use mdworm::build::{build_system, System};
 use mdworm::chaos::run_crash_sweep;
 use mdworm::config::{McastImpl, SwitchArch, SystemConfig, TopologyKind};
 use mdworm::report::TableRow;
 use mdworm::sim::{run_experiment, RunConfig, RunOutcome};
 use mdworm::workload::{make_sources, TrafficSpec};
-use netsim::engine::reference_loop;
+use netsim::engine::{reference_loop, EpochAudit};
 use netsim::FaultPlan;
 use std::sync::{Mutex, MutexGuard};
 
@@ -183,6 +183,83 @@ fn e19_crash_sweep_identical_to_reference() {
             "{arch:?}"
         );
         assert_outcomes_identical(&reference.oracle, &scheduled.oracle, &format!("{arch:?}"));
+    }
+}
+
+/// The torn-install audit fires exactly when a switch lags the newest
+/// committed epoch with no armed commit for it, on both loops. Epoch 1 is
+/// prepared everywhere and committed everywhere, but only switch 0 is
+/// free to activate it: the others are purging, so they stay armed
+/// laggards and are not flagged. A newer prepare on switch 3 then drops
+/// its armed epoch (torn from cycle 21), its commit of epoch 2 arms it
+/// past the fleet (not torn), and lifting the purges activates epoch 1 on
+/// switches 1 and 2 and epoch 2 on switch 3, leaving switches 0–2 behind
+/// with nothing armed (torn from cycle 41). The scheduled loop recomputes
+/// its verdict only after an epoch change, so every step above must bump
+/// the engine's change counter for the two loops to agree.
+#[test]
+fn torn_install_audit_counts_exactly_the_torn_cycles() {
+    for arch in [SwitchArch::CentralBuffer, SwitchArch::InputBuffered] {
+        let run = || {
+            let cfg = SystemConfig {
+                topology: TopologyKind::KaryTree { k: 2, n: 2 },
+                arch,
+                ..SystemConfig::default()
+            };
+            let spec = TrafficSpec::multiple_multicast(0.02, 2, 8);
+            let sources = make_sources(&spec, cfg.n_hosts(), cfg.seed, Some(0));
+            let mut sys = build_system(cfg, sources, None);
+            sys.engine.enable_epoch_audit();
+            let (ctls, tables) = (sys.switch_ctls.clone(), sys.tables.clone());
+            let mut audits = Vec::new();
+            let mut run_until = |sys: &mut System, cycle| {
+                sys.engine.wake_all();
+                sys.engine.run_until(cycle);
+                audits.push(sys.engine.epoch_audit().expect("audit enabled"));
+            };
+            run_until(&mut sys, 10);
+            for ctl in &ctls {
+                ctl.prepare(1, tables.clone());
+            }
+            for ctl in &ctls[1..] {
+                ctl.begin_purge();
+            }
+            for ctl in &ctls {
+                assert!(ctl.commit(1));
+            }
+            run_until(&mut sys, 20);
+            ctls[3].prepare(2, tables.clone());
+            run_until(&mut sys, 30);
+            assert!(ctls[3].commit(2));
+            run_until(&mut sys, 40);
+            for ctl in &ctls[1..] {
+                ctl.end_purge();
+            }
+            run_until(&mut sys, 50);
+            let committed: Vec<u64> = ctls.iter().map(|c| c.committed_epoch()).collect();
+            (audits, committed)
+        };
+        let (reference, scheduled) = both(run);
+        assert_eq!(reference, scheduled, "{arch:?}: the loops disagree");
+        let audit = |torn_cycles, first_torn, max_committed| EpochAudit {
+            torn_cycles,
+            first_torn,
+            max_committed,
+        };
+        assert_eq!(
+            scheduled,
+            (
+                vec![
+                    audit(0, None, 0),
+                    audit(0, None, 1),
+                    audit(10, Some(21), 1),
+                    audit(10, Some(21), 1),
+                    audit(20, Some(21), 2),
+                ],
+                vec![1, 1, 1, 2],
+            ),
+            "{arch:?}"
+        );
     }
 }
 
