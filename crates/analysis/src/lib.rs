@@ -38,7 +38,6 @@ pub mod replay;
 pub mod report;
 pub mod roundtrip;
 pub mod scc;
-mod symmetry;
 pub mod timing;
 
 pub use cdg::{build_cdg, build_cdg_budgeted, Channel, ChannelGraph, Dependency, ShapeClass};

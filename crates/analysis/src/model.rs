@@ -35,35 +35,21 @@
 //! (synchronous-replication) variant, whose crossed-grant deadlock the
 //! checker finds with a 4-step counterexample.
 //!
-//! ## Scale (DESIGN.md §14)
+//! ## Modes (DESIGN.md §14)
 //!
-//! [`check_model`] is the *sequential oracle*: plain BFS, one state per
-//! concrete configuration. [`check_model_opts`] layers three reductions
-//! on top without changing verdicts:
-//!
-//! * **Symmetry** ([`crate::symmetry`]): states are deduplicated by a
-//!   canonical key under the plan's port/branch/worm permutation group,
-//!   so isomorphic worms collapse to one representative per orbit. The
-//!   stored representative is always the first *concrete* state found, and
-//!   parent edges record the concrete discovering transition — so every
-//!   counterexample trace is already de-canonicalized and replays as is.
-//! * **Partial order**: when a worm's switch footprint is disjoint from
-//!   every other worm's, its transitions commute with theirs; an ample-set
-//!   rule explores only the lowest such worm at each state. Every
-//!   transition strictly increases a bounded progress measure, so the
-//!   deferred interleavings cannot hide a deadlock or livelock.
-//! * **Parallel frontier**: each BFS level is expanded by a scoped worker
-//!   pool in per-worker stripes, then merged sequentially in id order, so
-//!   state numbering, counterexample selection, and stats are independent
-//!   of worker interleaving (byte-identical verdicts at any `jobs`).
-//!
-//! The **compositional mode** ([`crate::compose`]) decomposes a scenario
-//! per switch: cross-switch branches become one-way environment stubs and
-//! upstream feeds become nondeterministic monotone chunk sources, and each
-//! structurally distinct per-switch plan is proved once.
+//! [`check_model`] is the *oracle*: a plain sequential BFS that stores
+//! one state per concrete configuration, deduplicated by an injective
+//! byte encoding. [`check_model_opts`] picks a [`ModelMode`]: `Exact`
+//! runs the oracle, `Compositional` ([`crate::compose`]) decomposes each
+//! scenario per switch — cross-switch branches become one-way
+//! environment stubs, upstream feeds become nondeterministic monotone
+//! chunk sources, and each structurally distinct per-switch plan is
+//! proved once — and `Auto` runs the oracle up to
+//! [`ModelOptions::AUTO_EXACT_MAX_SWITCHES`] switches and compositional
+//! mode beyond. Both paths share one explorer, so every counterexample
+//! is a concrete trace that replays as is.
 
 use crate::checks::ArchClass;
-use crate::symmetry::{self, SymPlan};
 use mintopo::reach::PortClass;
 use mintopo::route::{pick_deterministic, McastRoute, ReplicatePolicy, RouteTables, UnicastRoute};
 use mintopo::topology::{Attach, Topology, TopologyBuilder};
@@ -118,18 +104,15 @@ pub enum ModelMode {
     Auto,
 }
 
-/// Reduction and parallelism knobs layered over [`ModelBounds`].
+/// How a check explores, layered over [`ModelBounds`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ModelOptions {
     /// Exact, compositional, or size-driven automatic selection.
     pub mode: ModelMode,
-    /// Deduplicate states by canonical key under the plan's symmetry
-    /// group (one representative per orbit).
-    pub symmetry: bool,
-    /// Ample-set partial-order reduction over switch-disjoint worms.
-    pub por: bool,
-    /// Worker threads expanding each BFS level (1 = serial). Verdicts are
-    /// byte-identical at any value.
+    /// Unused: the checker always explores on the calling thread. Kept
+    /// only because the benchmark package (`perfbench/src/traced.rs`)
+    /// sets it and changes only together with the benchmark; ROADMAP
+    /// item 5 removes it then.
     pub jobs: usize,
 }
 
@@ -138,13 +121,11 @@ impl ModelOptions {
     /// exactly.
     pub const AUTO_EXACT_MAX_SWITCHES: usize = 4;
 
-    /// The unreduced sequential oracle: exact mode, no reductions, one
-    /// worker. [`check_model`] uses exactly these options.
+    /// The oracle: exact mode. [`check_model`] uses exactly these
+    /// options.
     pub fn oracle() -> Self {
         ModelOptions {
             mode: ModelMode::Exact,
-            symmetry: false,
-            por: false,
             jobs: 1,
         }
     }
@@ -154,8 +135,6 @@ impl Default for ModelOptions {
     fn default() -> Self {
         ModelOptions {
             mode: ModelMode::Auto,
-            symmetry: true,
-            por: true,
             jobs: 1,
         }
     }
@@ -263,16 +242,11 @@ impl std::fmt::Display for Violation {
 pub struct ModelStats {
     /// Scenarios (fabric + worm set combinations) explored.
     pub scenarios: usize,
-    /// Reachable states (orbit representatives) across all scenarios.
+    /// Reachable states across all scenarios (per-switch sub-plans in
+    /// compositional mode).
     pub states: usize,
     /// Transitions across all scenarios.
     pub transitions: usize,
-    /// Successor states folded into an existing orbit representative that
-    /// differs concretely — each one a state the unreduced oracle would
-    /// have explored separately.
-    pub orbit_hits: usize,
-    /// Transitions pruned by the ample-set partial-order rule.
-    pub ample_skips: usize,
 }
 
 /// Result of a model check.
@@ -293,8 +267,8 @@ impl CheckOutcome {
 }
 
 /// Checks the given switch architecture (with synchronous or asynchronous
-/// replication) against every bounded scenario with the **unreduced
-/// sequential oracle** ([`ModelOptions::oracle`]).
+/// replication) against every bounded scenario with the **oracle**
+/// ([`ModelOptions::oracle`]).
 ///
 /// Scenarios cover a single switch with crossed multicasts, and a
 /// two-switch parent/child fabric with ascending, descending, and
@@ -318,10 +292,10 @@ pub fn check_model(
     )
 }
 
-/// [`check_model`] with reduction, parallelism, and decomposition knobs
-/// (DESIGN.md §14). With [`ModelOptions::oracle`] this *is* the oracle;
-/// with reductions on, verdicts agree with the oracle while exploring one
-/// representative per symmetry orbit and pruning commuting interleavings.
+/// [`check_model`] in the given [`ModelMode`] (DESIGN.md §14). With
+/// [`ModelOptions::oracle`] this *is* the oracle; compositional mode
+/// proves each distinct per-switch plan against an abstracted
+/// environment instead of exploring the joint state space.
 pub fn check_model_opts(
     arch: ArchClass,
     sync_replication: bool,
@@ -350,17 +324,15 @@ pub fn check_model_opts(
             ModelMode::Auto => scenario.n_switches <= ModelOptions::AUTO_EXACT_MAX_SWITCHES,
         };
         let result = if exact {
-            run_plan(scenario.name, &plan, arch, sync, bounds, opts, true)
+            run_plan(scenario.name, &plan, arch, sync, bounds)
         } else {
-            crate::compose::check_scenario(scenario.name, &plan, arch, sync, bounds, opts)
+            crate::compose::check_scenario(scenario.name, &plan, arch, sync, bounds)
         };
         match result {
             Ok(s) => {
                 stats.scenarios += 1;
                 stats.states += s.states;
                 stats.transitions += s.transitions;
-                stats.orbit_hits += s.orbit_hits;
-                stats.ample_skips += s.ample_skips;
             }
             Err(v) => return CheckOutcome::Violated(v),
         }
@@ -373,16 +345,16 @@ pub fn check_model_opts(
 // ---------------------------------------------------------------------
 
 #[derive(Clone)]
-pub(crate) enum WormKind {
+enum WormKind {
     Unicast(NodeId),
     Mcast(DestSet),
 }
 
-pub(crate) struct Scenario {
-    pub(crate) name: &'static str,
-    pub(crate) topo: Topology,
-    pub(crate) n_switches: usize,
-    pub(crate) worms: Vec<(NodeId, WormKind)>,
+struct Scenario {
+    name: &'static str,
+    topo: Topology,
+    n_switches: usize,
+    worms: Vec<(NodeId, WormKind)>,
 }
 
 /// One switch, four hosts: the crossed-multicast scenario that separates
@@ -428,12 +400,12 @@ fn quad() -> Topology {
     b.build()
 }
 
-/// `leaves` identical 2-host leaf switches under one root: the symmetry
-/// stress fabric. One leaf-local unicast worm per leaf, all isomorphic
-/// and pairwise switch-disjoint, so the joint space is a product the
-/// oracle must enumerate while the reduced checker collapses it to a
-/// multiset of per-worm phases.
-pub(crate) fn star_of_leaves(leaves: usize) -> Topology {
+/// `leaves` identical 2-host leaf switches under one root: the scale
+/// fabric. One leaf-local unicast worm per leaf, pairwise switch-disjoint,
+/// so the joint space is a product of per-worm phases the oracle must
+/// enumerate, while compositional mode proves the one distinct leaf plan
+/// once.
+fn star_of_leaves(leaves: usize) -> Topology {
     let mut b = TopologyBuilder::new(2 * leaves);
     let root = b.add_switch(leaves, 0);
     for i in 0..leaves {
@@ -455,7 +427,7 @@ fn mcast(n: usize, nodes: &[u32]) -> WormKind {
     WormKind::Mcast(DestSet::from_nodes(n, nodes.iter().map(|&h| NodeId(h))))
 }
 
-pub(crate) fn scenarios(max_switches: usize) -> Vec<Scenario> {
+fn scenarios(max_switches: usize) -> Vec<Scenario> {
     let mut v = vec![
         Scenario {
             name: "single-crossed-mcast",
@@ -569,13 +541,13 @@ pub(crate) struct Plan {
 
 impl Plan {
     /// `true` when the plan abstracts its surroundings (compositional
-    /// sub-plan): symmetry reduction is disabled for such plans.
-    pub(crate) fn has_env(&self) -> bool {
+    /// sub-plan).
+    fn has_env(&self) -> bool {
         self.env_slots > 0 || self.visits.iter().any(|v| v.env_fed)
     }
 }
 
-pub(crate) fn build_plan(
+fn build_plan(
     scenario: &Scenario,
     policy: ReplicatePolicy,
     worm_chunks: usize,
@@ -718,42 +690,13 @@ fn add_visit(
     Ok(idx)
 }
 
-/// Per-worm set of visited switches, sorted and deduplicated.
-pub(crate) fn worm_switches(plan: &Plan) -> Vec<Vec<usize>> {
-    let n_worms = plan.worm_desc.len();
-    let mut sets = vec![Vec::new(); n_worms];
-    for v in &plan.visits {
-        if !sets[v.worm].contains(&v.sw) {
-            sets[v.worm].push(v.sw);
-        }
-    }
-    for s in &mut sets {
-        s.sort_unstable();
-    }
-    sets
-}
-
-/// `safe[w]` — worm `w`'s switch footprint is disjoint from every other
-/// worm's, so its transitions commute with all of theirs (the ample-set
-/// premise of the partial-order reduction).
-pub(crate) fn safe_worms(plan: &Plan) -> Vec<bool> {
-    let sets = worm_switches(plan);
-    (0..sets.len())
-        .map(|w| {
-            sets.iter().enumerate().all(|(o, other)| {
-                o == w || !other.iter().any(|sw| sets[w].binary_search(sw).is_ok())
-            })
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------
 // Exploration.
 // ---------------------------------------------------------------------
 
 /// Status of one planned visit inside a model state.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum VState {
+enum VState {
     /// Head has not reached this switch yet.
     Pending,
     /// Central buffer only: head presented, full-packet reservation not
@@ -770,26 +713,26 @@ pub(crate) enum VState {
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct MState {
+struct MState {
     /// Per-switch central-queue accounting (central buffer only).
-    pub(crate) cq: Vec<CqState>,
-    pub(crate) visits: Vec<VState>,
+    cq: Vec<CqState>,
+    visits: Vec<VState>,
     /// Central buffer: per switch, per output port, FIFO of (visit,
     /// branch) — the central-queue branch lists.
-    pub(crate) queues: Vec<Vec<VecDeque<(u32, u8)>>>,
+    queues: Vec<Vec<VecDeque<(u32, u8)>>>,
     /// Input buffer: per switch, per output port, owning (visit, branch).
-    pub(crate) owners: Vec<Vec<Option<(u32, u8)>>>,
+    owners: Vec<Vec<Option<(u32, u8)>>>,
     /// Input buffer: per switch, per input port, resident visit.
-    pub(crate) occupants: Vec<Vec<Option<u32>>>,
+    occupants: Vec<Vec<Option<u32>>>,
     /// Compositional mode: chunks the upstream environment has delivered
     /// into each env-fed visit (empty when the plan has no environment).
-    pub(crate) env_fill: Vec<u16>,
+    env_fill: Vec<u16>,
     /// Compositional mode: one-way accept bit per downstream stub slot.
-    pub(crate) env_ready: Vec<bool>,
+    env_ready: Vec<bool>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Label {
+enum Label {
     Inject(usize),
     Present(usize),
     Admit(usize),
@@ -801,21 +744,7 @@ pub(crate) enum Label {
 }
 
 impl Label {
-    /// The plan visit the transition belongs to (ample-set grouping).
-    pub(crate) fn visit(self) -> usize {
-        match self {
-            Label::Inject(v)
-            | Label::Present(v)
-            | Label::Admit(v)
-            | Label::AdvanceSync(v)
-            | Label::EnvDeliver(v)
-            | Label::Advance(v, _)
-            | Label::Grant(v, _)
-            | Label::EnvAccept(v, _) => v,
-        }
-    }
-
-    pub(crate) fn op(self) -> TraceOp {
+    fn op(self) -> TraceOp {
         match self {
             Label::Inject(visit) => TraceOp::Inject { visit },
             Label::Present(visit) => TraceOp::Present { visit },
@@ -828,7 +757,7 @@ impl Label {
         }
     }
 
-    pub(crate) fn from_op(op: TraceOp) -> Label {
+    fn from_op(op: TraceOp) -> Label {
         match op {
             TraceOp::Inject { visit } => Label::Inject(visit),
             TraceOp::Present { visit } => Label::Present(visit),
@@ -847,44 +776,17 @@ impl Label {
 pub(crate) struct ScenarioStats {
     pub(crate) states: usize,
     pub(crate) transitions: usize,
-    pub(crate) orbit_hits: usize,
-    pub(crate) ample_skips: usize,
 }
 
-/// Explores one plan under the given options. `allow_symmetry` lets the
-/// compositional driver force symmetry off for sub-plans (whose worms all
-/// share the one checked switch, so the group would be rebuilt per
-/// sub-plan for no reduction).
+/// Explores one plan (a whole scenario or a compositional sub-plan).
 pub(crate) fn run_plan(
     scenario: &str,
     plan: &Plan,
     arch: ArchClass,
     sync: bool,
     bounds: &ModelBounds,
-    opts: &ModelOptions,
-    allow_symmetry: bool,
 ) -> Result<ScenarioStats, Box<Violation>> {
-    let sym_built = if opts.symmetry && allow_symmetry && !plan.has_env() {
-        Some(symmetry::build(plan))
-    } else {
-        None
-    };
-    let sym = sym_built.as_ref().filter(|s| !s.is_trivial());
-    let ctx = Ctx {
-        plan,
-        arch,
-        sync,
-        len: bounds.worm_chunks as u16,
-        cq_chunks: bounds.cq_chunks,
-        cq_reserve: bounds.cq_reserve,
-        max_states: bounds.max_states,
-        scenario,
-        por: opts.por,
-        jobs: opts.jobs.max(1),
-        safe: safe_worms(plan),
-        sym,
-    };
-    ctx.explore()
+    Ctx::new(scenario, plan, arch, sync, bounds).explore()
 }
 
 /// Re-executes a violation's trace against a freshly rebuilt model and
@@ -929,20 +831,7 @@ pub(crate) fn reexecute_violation(
                 .plan
         }
     };
-    let ctx = Ctx {
-        plan: &plan,
-        arch,
-        sync,
-        len: bounds.worm_chunks as u16,
-        cq_chunks: bounds.cq_chunks,
-        cq_reserve: bounds.cq_reserve,
-        max_states: bounds.max_states,
-        scenario: base,
-        por: false,
-        jobs: 1,
-        safe: safe_worms(&plan),
-        sym: None,
-    };
+    let ctx = Ctx::new(base, &plan, arch, sync, bounds);
     let mut state = ctx.initial();
     for (i, step) in v.trace.iter().enumerate() {
         let label = Label::from_op(step.op);
@@ -965,32 +854,20 @@ pub(crate) fn reexecute_violation(
     Ok(v.trace.len())
 }
 
-/// One level state expanded by a worker: invariant verdict, ample-set
-/// filtered successors with canonical keys, and the pruned count.
-struct Expanded {
-    invariant: Option<String>,
-    succs: Vec<(Label, MState, Vec<u8>)>,
-    skipped: usize,
-}
-
-pub(crate) struct Ctx<'a> {
-    pub(crate) plan: &'a Plan,
-    pub(crate) arch: ArchClass,
-    pub(crate) sync: bool,
-    pub(crate) len: u16,
-    pub(crate) cq_chunks: usize,
-    pub(crate) cq_reserve: usize,
-    pub(crate) max_states: usize,
-    pub(crate) scenario: &'a str,
-    pub(crate) por: bool,
-    pub(crate) jobs: usize,
-    pub(crate) safe: Vec<bool>,
-    pub(crate) sym: Option<&'a SymPlan>,
+struct Ctx<'a> {
+    plan: &'a Plan,
+    arch: ArchClass,
+    sync: bool,
+    len: u16,
+    cq_chunks: usize,
+    cq_reserve: usize,
+    max_states: usize,
+    scenario: &'a str,
 }
 
 /// Geometry of a plan: switch count and per-switch port-vector width
 /// (widest port index any visit touches, +1).
-pub(crate) fn plan_geometry(plan: &Plan) -> (usize, Vec<usize>) {
+fn plan_geometry(plan: &Plan) -> (usize, Vec<usize>) {
     let n_sw = plan.visits.iter().map(|v| v.sw + 1).max().unwrap_or(0);
     let mut ports = vec![0usize; n_sw];
     for v in &plan.visits {
@@ -1006,7 +883,26 @@ pub(crate) fn plan_geometry(plan: &Plan) -> (usize, Vec<usize>) {
     (n_sw, ports)
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    fn new(
+        scenario: &'a str,
+        plan: &'a Plan,
+        arch: ArchClass,
+        sync: bool,
+        bounds: &ModelBounds,
+    ) -> Self {
+        Ctx {
+            plan,
+            arch,
+            sync,
+            len: bounds.worm_chunks as u16,
+            cq_chunks: bounds.cq_chunks,
+            cq_reserve: bounds.cq_reserve,
+            max_states: bounds.max_states,
+            scenario,
+        }
+    }
+
     fn n_switches(&self) -> usize {
         plan_geometry(self.plan).0
     }
@@ -1015,7 +911,7 @@ impl Ctx<'_> {
         plan_geometry(self.plan).1[sw]
     }
 
-    pub(crate) fn initial(&self) -> MState {
+    fn initial(&self) -> MState {
         let n_sw = self.n_switches();
         let cb = self.arch == ArchClass::CentralBuffer;
         let env = self.plan.has_env();
@@ -1072,7 +968,7 @@ impl Ctx<'_> {
         }
     }
 
-    pub(crate) fn all_done(&self, state: &MState) -> bool {
+    fn all_done(&self, state: &MState) -> bool {
         state.visits.iter().all(|v| *v == VState::Done)
     }
 
@@ -1121,7 +1017,7 @@ impl Ctx<'_> {
     }
 
     /// Per-state safety invariants. Returns a violation description.
-    pub(crate) fn check_invariants(&self, state: &MState) -> Option<String> {
+    fn check_invariants(&self, state: &MState) -> Option<String> {
         if self.arch == ArchClass::CentralBuffer {
             let n_sw = state.cq.len();
             for sw in 0..n_sw {
@@ -1164,7 +1060,7 @@ impl Ctx<'_> {
         None
     }
 
-    pub(crate) fn successors(&self, state: &MState) -> Vec<(Label, MState)> {
+    fn successors(&self, state: &MState) -> Vec<(Label, MState)> {
         let mut out = Vec::new();
         for (v, vs) in state.visits.iter().enumerate() {
             if *vs != VState::Pending || self.plan.visits[v].parent.is_some() {
@@ -1444,9 +1340,8 @@ impl Ctx<'_> {
 
     /// Applies one labeled transition to a state, via the same successor
     /// enumeration the explorer uses. `None` when the label is not
-    /// enabled. (Partial-order reduction prunes *exploration*, not
-    /// enabledness, so counterexample edges always re-apply.)
-    pub(crate) fn apply_label(&self, state: &MState, label: Label) -> Option<MState> {
+    /// enabled.
+    fn apply_label(&self, state: &MState, label: Label) -> Option<MState> {
         self.successors(state)
             .into_iter()
             .find(|(l, _)| *l == label)
@@ -1537,94 +1432,13 @@ impl Ctx<'_> {
         })
     }
 
-    /// Canonical dedup key of a state: its symmetry-canonical byte
-    /// encoding when reduction is on, its plain (injective) encoding
-    /// otherwise — so the oracle path keys on exact state identity.
-    fn canon_key(&self, state: &MState) -> Vec<u8> {
-        match self.sym {
-            Some(sym) => sym.canonical_key(self.plan, state),
-            None => symmetry::encode_state(state),
-        }
-    }
-
-    /// Invariant check + ample-set filtered successors of one state.
-    fn expand_state(&self, state: &MState) -> Expanded {
-        let invariant = self.check_invariants(state);
-        let mut succs = self.successors(state);
-        let mut skipped = 0;
-        if self.por {
-            // Ample rule: if any enabled transition belongs to a worm
-            // whose switch footprint is disjoint from every other worm's,
-            // explore only the lowest such worm here — its transitions
-            // commute with everything else and strictly increase its
-            // progress measure, so the deferred interleavings reach the
-            // same terminal states.
-            let ample = succs
-                .iter()
-                .map(|(l, _)| self.plan.visits[l.visit()].worm)
-                .filter(|&w| self.safe[w])
-                .min();
-            if let Some(w) = ample {
-                let before = succs.len();
-                succs.retain(|(l, _)| self.plan.visits[l.visit()].worm == w);
-                skipped = before - succs.len();
-            }
-        }
-        let succs = succs
-            .into_iter()
-            .map(|(l, s)| {
-                let key = self.canon_key(&s);
-                (l, s, key)
-            })
-            .collect();
-        Expanded {
-            invariant,
-            succs,
-            skipped,
-        }
-    }
-
-    /// Expands one BFS level, striping it across `jobs` scoped workers.
-    /// Results come back in level order, so the sequential merge — and
-    /// with it state numbering, violation selection, and stats — is
-    /// independent of worker interleaving.
-    fn expand_level(&self, states: &[MState], level: &[usize]) -> Vec<Expanded> {
-        if self.jobs <= 1 || level.len() < self.jobs * 2 {
-            return level
-                .iter()
-                .map(|&id| self.expand_state(&states[id]))
-                .collect();
-        }
-        let chunk = level.len().div_ceil(self.jobs);
-        let mut stripes: Vec<Vec<Expanded>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = level
-                .chunks(chunk)
-                .map(|stripe| {
-                    scope.spawn(move || {
-                        stripe
-                            .iter()
-                            .map(|&id| self.expand_state(&states[id]))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            stripes = handles
-                .into_iter()
-                .map(|h| h.join().expect("model-check worker panicked"))
-                .collect();
-        });
-        stripes.into_iter().flatten().collect()
-    }
-
     fn explore(&self) -> Result<ScenarioStats, Box<Violation>> {
         let initial = self.initial();
         let mut ids: HashMap<Vec<u8>, usize> = HashMap::new();
         let mut states: Vec<MState> = vec![initial.clone()];
         let mut parents: Vec<Option<(usize, Label)>> = vec![None];
         let mut adj: Vec<Vec<usize>> = Vec::new();
-        ids.insert(self.canon_key(&initial), 0);
-        let mut level: Vec<usize> = vec![0];
+        ids.insert(encode_state(&initial), 0);
         let mut stats = ScenarioStats::default();
 
         let trace_to = |parents: &[Option<(usize, Label)>], mut id: usize| {
@@ -1637,84 +1451,73 @@ impl Ctx<'_> {
             labels
         };
 
-        while !level.is_empty() {
-            let expanded = self.expand_level(&states, &level);
-            let mut next_level = Vec::new();
-            for (exp, &id) in expanded.iter().zip(level.iter()) {
-                if let Some(detail) = &exp.invariant {
-                    return Err(self.violation(
-                        "invariant",
-                        detail.clone(),
-                        trace_to(&parents, id),
-                    ));
-                }
-                if exp.succs.is_empty() && !self.all_done(&states[id]) {
-                    let undelivered: Vec<String> = states[id]
-                        .visits
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, vs)| **vs != VState::Done)
-                        .map(|(v, _)| {
-                            let visit = &self.plan.visits[v];
-                            format!("worm {} at s{}", visit.worm, visit.sw)
-                        })
-                        .collect();
-                    return Err(self.violation(
-                        "deadlock",
-                        format!(
-                            "no transition enabled but packets are undelivered \
-                             ({}): an accepted packet can no longer be completely \
-                             buffered",
-                            undelivered.join(", ")
-                        ),
-                        trace_to(&parents, id),
-                    ));
-                }
-                stats.ample_skips += exp.skipped;
-                let mut edges = Vec::with_capacity(exp.succs.len());
-                for (label, next, key) in &exp.succs {
-                    stats.transitions += 1;
-                    let next_id = match ids.get(key) {
-                        Some(&n) => {
-                            if states[n] != *next {
-                                stats.orbit_hits += 1;
-                            }
-                            n
-                        }
-                        None => {
-                            let n = states.len();
-                            if n >= self.max_states {
-                                return Err(self.violation(
-                                    "state-bound",
-                                    format!(
-                                        "exploration exceeded the {}-state bound; \
-                                         raise ModelBounds::max_states",
-                                        self.max_states
-                                    ),
-                                    Vec::new(),
-                                ));
-                            }
-                            states.push(next.clone());
-                            ids.insert(key.clone(), n);
-                            parents.push(Some((id, *label)));
-                            next_level.push(n);
-                            n
-                        }
-                    };
-                    edges.push(next_id);
-                }
-                adj.push(edges);
-                debug_assert_eq!(adj.len() - 1, id, "levels merge in id order");
+        // `states` is the BFS queue: ids are assigned in discovery order
+        // and expanded in id order, so `adj[id]` belongs to state `id`.
+        let mut id = 0;
+        while id < states.len() {
+            if let Some(detail) = self.check_invariants(&states[id]) {
+                return Err(self.violation("invariant", detail, trace_to(&parents, id)));
             }
-            level = next_level;
+            let succs = self.successors(&states[id]);
+            if succs.is_empty() && !self.all_done(&states[id]) {
+                let undelivered: Vec<String> = states[id]
+                    .visits
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, vs)| **vs != VState::Done)
+                    .map(|(v, _)| {
+                        let visit = &self.plan.visits[v];
+                        format!("worm {} at s{}", visit.worm, visit.sw)
+                    })
+                    .collect();
+                return Err(self.violation(
+                    "deadlock",
+                    format!(
+                        "no transition enabled but packets are undelivered \
+                         ({}): an accepted packet can no longer be completely \
+                         buffered",
+                        undelivered.join(", ")
+                    ),
+                    trace_to(&parents, id),
+                ));
+            }
+            let mut edges = Vec::with_capacity(succs.len());
+            for (label, next) in succs {
+                stats.transitions += 1;
+                let key = encode_state(&next);
+                let next_id = match ids.get(&key) {
+                    Some(&n) => n,
+                    None => {
+                        let n = states.len();
+                        if n >= self.max_states {
+                            return Err(self.violation(
+                                "state-bound",
+                                format!(
+                                    "exploration exceeded the {}-state bound; \
+                                     raise ModelBounds::max_states",
+                                    self.max_states
+                                ),
+                                Vec::new(),
+                            ));
+                        }
+                        states.push(next);
+                        ids.insert(key, n);
+                        parents.push(Some((id, label)));
+                        n
+                    }
+                };
+                edges.push(next_id);
+            }
+            adj.push(edges);
+            id += 1;
         }
 
         // Buffered-eventually liveness: every terminal SCC must be the
         // all-delivered quiescent state. (Deadlocks are caught above; this
         // rules out livelocks — cycles no path escapes.) Every transition
-        // strictly increases a bounded progress measure, so with
-        // reductions on the quotient graph is still a DAG and this pass is
-        // a defensive re-check rather than the primary argument.
+        // strictly increases a bounded progress measure, so the graph is a
+        // DAG and this pass is a defensive re-check rather than the
+        // primary argument.
         let sccs = crate::scc::tarjan_sccs(states.len(), &adj);
         for component in &sccs {
             let escapes = component
@@ -1742,127 +1545,114 @@ impl Ctx<'_> {
     }
 }
 
+fn push(out: &mut Vec<u8>, x: usize) {
+    out.extend_from_slice(&(x as u32).to_le_bytes());
+}
+
+fn encode_vstate(out: &mut Vec<u8>, vs: &VState) {
+    match vs {
+        VState::Pending => out.push(0),
+        VState::Waiting => out.push(1),
+        VState::StoredCb { reads } => {
+            out.push(2);
+            push(out, reads.len());
+            for &r in reads {
+                push(out, usize::from(r));
+            }
+        }
+        VState::StoredIb { head } => {
+            out.push(3);
+            push(out, usize::from(head.total));
+            push(out, usize::from(head.freed));
+            push(out, head.branches.len());
+            for b in &head.branches {
+                push(out, b.port);
+                push(out, usize::from(b.read));
+                out.push(u8::from(b.granted));
+                out.push(u8::from(b.done));
+            }
+        }
+        VState::Done => out.push(4),
+    }
+}
+
+/// Injective byte encoding of a model state — the explorer's dedup key.
+fn encode_state(s: &MState) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    push(&mut out, s.visits.len());
+    for vs in &s.visits {
+        encode_vstate(&mut out, vs);
+    }
+    push(&mut out, s.cq.len());
+    for cq in &s.cq {
+        push(&mut out, cq.free);
+        for slot in [&cq.resv_desc, &cq.resv_asc] {
+            match slot {
+                None => out.push(0),
+                Some(r) => {
+                    out.push(1);
+                    push(&mut out, r.input);
+                    push(&mut out, r.need);
+                    push(&mut out, r.got);
+                }
+            }
+        }
+    }
+    push(&mut out, s.queues.len());
+    for qs in &s.queues {
+        push(&mut out, qs.len());
+        for queue in qs {
+            push(&mut out, queue.len());
+            for &(v, b) in queue {
+                push(&mut out, v as usize);
+                out.push(b);
+            }
+        }
+    }
+    push(&mut out, s.owners.len());
+    for os in &s.owners {
+        push(&mut out, os.len());
+        for o in os {
+            match o {
+                None => out.push(0),
+                Some((v, b)) => {
+                    out.push(1);
+                    push(&mut out, *v as usize);
+                    out.push(*b);
+                }
+            }
+        }
+    }
+    push(&mut out, s.occupants.len());
+    for os in &s.occupants {
+        push(&mut out, os.len());
+        for o in os {
+            match o {
+                None => out.push(0),
+                Some(v) => {
+                    out.push(1);
+                    push(&mut out, *v as usize);
+                }
+            }
+        }
+    }
+    push(&mut out, s.env_fill.len());
+    for &f in &s.env_fill {
+        push(&mut out, usize::from(f));
+    }
+    push(&mut out, s.env_ready.len());
+    for &r in &s.env_ready {
+        out.push(u8::from(r));
+    }
+    out
+}
+
 /// Property-test probes over the checker's internals, exposed for the
 /// `proptests` integration suite. Not part of the public API.
 #[doc(hidden)]
 pub mod testkit {
     use super::*;
     use netsim::rng::SimRng;
-
-    fn probe_ctx<'a>(plan: &'a Plan, arch: ArchClass, scenario: &'a str) -> Ctx<'a> {
-        Ctx {
-            plan,
-            arch,
-            sync: false,
-            len: 2,
-            cq_chunks: 4,
-            cq_reserve: 2,
-            max_states: 200_000,
-            scenario,
-            por: false,
-            jobs: 1,
-            safe: safe_worms(plan),
-            sym: None,
-        }
-    }
-
-    fn probe_scenarios() -> Vec<Scenario> {
-        let mut v = scenarios(4);
-        v.push(Scenario {
-            name: "star-3-leaf-local",
-            topo: star_of_leaves(3),
-            n_switches: 4,
-            worms: star_worms(3),
-        });
-        v
-    }
-
-    /// Asserts, along a random walk of every symmetric scenario, that the
-    /// canonical key is constant on orbits: a random permutation of a
-    /// reachable state canonicalizes to the same key as the state itself.
-    /// Returns the number of states checked.
-    pub fn canonical_quotient_probe(arch: ArchClass, seed: u64) -> usize {
-        let mut rng = SimRng::new(seed);
-        let mut checked = 0;
-        for scenario in &probe_scenarios() {
-            let plan = build_plan(scenario, ReplicatePolicy::ReturnOnly, 2).expect("plan");
-            let sym = symmetry::build(&plan);
-            if sym.is_trivial() {
-                continue;
-            }
-            let ctx = probe_ctx(&plan, arch, scenario.name);
-            let mut state = ctx.initial();
-            for _ in 0..40 {
-                let perm = sym.random_element(&mut rng);
-                let permuted = symmetry::apply(&plan, &perm, &state);
-                assert_eq!(
-                    sym.canonical_key(&plan, &permuted),
-                    sym.canonical_key(&plan, &state),
-                    "canonical key must be constant on the orbit \
-                     (scenario {}, arch {arch:?})",
-                    scenario.name
-                );
-                checked += 1;
-                let succs = ctx.successors(&state);
-                if succs.is_empty() {
-                    break;
-                }
-                let pick = rng.below(succs.len());
-                state = succs.into_iter().nth(pick).expect("picked").1;
-            }
-        }
-        assert!(checked > 0, "at least one scenario must be symmetric");
-        checked
-    }
-
-    /// Asserts, along random walks, the ample-set premise: two enabled
-    /// transitions of different worms, at least one of which is
-    /// switch-disjoint from every other worm, commute — both orders stay
-    /// enabled and land in the same state. Returns the number of pairs
-    /// checked.
-    pub fn commutation_probe(arch: ArchClass, seed: u64) -> usize {
-        let mut rng = SimRng::new(seed ^ 0x00C0_FFEE);
-        let mut checked = 0;
-        for scenario in &probe_scenarios() {
-            let plan = build_plan(scenario, ReplicatePolicy::ReturnOnly, 2).expect("plan");
-            let ctx = probe_ctx(&plan, arch, scenario.name);
-            let safe = &ctx.safe;
-            let mut state = ctx.initial();
-            for _ in 0..60 {
-                let succs = ctx.successors(&state);
-                if succs.is_empty() {
-                    break;
-                }
-                for (i, (la, sa)) in succs.iter().enumerate() {
-                    for (lb, sb) in succs.iter().skip(i + 1) {
-                        let wa = plan.visits[la.visit()].worm;
-                        let wb = plan.visits[lb.visit()].worm;
-                        if wa == wb || (!safe[wa] && !safe[wb]) {
-                            continue;
-                        }
-                        let ab = ctx.apply_label(sa, *lb).unwrap_or_else(|| {
-                            panic!(
-                                "independent step must stay enabled ({scenario:?})",
-                                scenario = scenario.name
-                            )
-                        });
-                        let ba = ctx.apply_label(sb, *la).unwrap_or_else(|| {
-                            panic!(
-                                "independent step must stay enabled ({scenario:?})",
-                                scenario = scenario.name
-                            )
-                        });
-                        assert_eq!(ab, ba, "independent steps must commute");
-                        checked += 1;
-                    }
-                }
-                let pick = rng.below(succs.len());
-                state = succs.into_iter().nth(pick).expect("picked").1;
-            }
-        }
-        assert!(checked > 0, "some scenario must have independent steps");
-        checked
-    }
 
     /// A random 1–3-leaf tree fabric with 1–3 random worms.
     fn random_fabric(rng: &mut SimRng) -> Scenario {
@@ -1906,10 +1696,13 @@ pub mod testkit {
         }
     }
 
-    /// Generates a random fabric + worm set, then asserts (per
-    /// architecture) that the reduced checker agrees with the unreduced
-    /// oracle on it, and that canonicalization is a sound quotient along
-    /// a random walk. Returns the number of checks performed.
+    /// Generates a random fabric + worm set, then asserts that the
+    /// oracle and compositional mode reach the same verdict, and the same
+    /// violation kind, on it for both architectures with synchronous
+    /// replication off and on. State counts are not compared: a
+    /// compositional sub-plan can explore more states than the joint
+    /// space (its environment is nondeterministic). Returns the number of
+    /// checks performed.
     pub fn random_scenario_probe(seed: u64) -> usize {
         let mut rng = SimRng::new(seed ^ 0x5CE0_0BE5);
         let scenario = random_fabric(&mut rng);
@@ -1918,64 +1711,29 @@ pub mod testkit {
             max_states: 200_000,
             ..ModelBounds::default()
         };
+        let plan =
+            build_plan(&scenario, ReplicatePolicy::ReturnOnly, 2).expect("tree fabrics route");
         let mut checked = 0;
         for arch in [ArchClass::CentralBuffer, ArchClass::InputBuffered] {
-            let plan =
-                build_plan(&scenario, ReplicatePolicy::ReturnOnly, 2).expect("tree fabrics route");
-            let oracle = run_plan(
-                scenario.name,
-                &plan,
-                arch,
-                false,
-                &bounds,
-                &ModelOptions::oracle(),
-                true,
-            );
-            let reduced = run_plan(
-                scenario.name,
-                &plan,
-                arch,
-                false,
-                &bounds,
-                &ModelOptions::default(),
-                true,
-            );
-            match (&oracle, &reduced) {
-                (Ok(o), Ok(r)) => {
-                    assert!(
-                        r.states <= o.states,
-                        "reduction must never explore more states ({arch:?})"
-                    );
+            for sync in [false, true] {
+                let oracle = run_plan(scenario.name, &plan, arch, sync, &bounds);
+                let comp =
+                    crate::compose::check_scenario(scenario.name, &plan, arch, sync, &bounds);
+                match (&oracle, &comp) {
+                    (Ok(_), Ok(_)) => {}
+                    (Err(o), Err(c)) => assert_eq!(
+                        o.kind, c.kind,
+                        "violation kinds must agree ({arch:?}, sync={sync}): {o} vs {c}"
+                    ),
+                    (o, c) => panic!(
+                        "oracle and compositional mode disagree ({arch:?}, sync={sync}) \
+                         on {:?}: {:?} vs {:?}",
+                        plan.worm_desc,
+                        o.as_ref().map(|s| s.states).map_err(|v| &v.kind),
+                        c.as_ref().map(|s| s.states).map_err(|v| &v.kind),
+                    ),
                 }
-                (Err(o), Err(r)) => assert_eq!(o.kind, r.kind, "verdicts must agree ({arch:?})"),
-                (o, r) => panic!(
-                    "oracle and reduced checker disagree ({arch:?}): {:?} vs {:?}",
-                    o.as_ref().map(|s| s.states).map_err(|v| &v.kind),
-                    r.as_ref().map(|s| s.states).map_err(|v| &v.kind),
-                ),
-            }
-            checked += 1;
-            let sym = symmetry::build(&plan);
-            if sym.is_trivial() {
-                continue;
-            }
-            let ctx = probe_ctx(&plan, arch, scenario.name);
-            let mut state = ctx.initial();
-            for _ in 0..20 {
-                let perm = sym.random_element(&mut rng);
-                let permuted = symmetry::apply(&plan, &perm, &state);
-                assert_eq!(
-                    sym.canonical_key(&plan, &permuted),
-                    sym.canonical_key(&plan, &state),
-                    "random fabric: canonical key must be constant on the orbit"
-                );
                 checked += 1;
-                let succs = ctx.successors(&state);
-                if succs.is_empty() {
-                    break;
-                }
-                let pick = rng.below(succs.len());
-                state = succs.into_iter().nth(pick).expect("picked").1;
             }
         }
         checked
@@ -2136,169 +1894,37 @@ mod tests {
         assert_eq!(v.kind, "state-bound");
     }
 
-    // --- PR 8: reduction, parallelism, composition -------------------
-
-    fn star_plan(leaves: usize, worm_chunks: usize) -> Plan {
-        let scenario = Scenario {
-            name: "star-test",
-            topo: star_of_leaves(leaves),
-            n_switches: leaves + 1,
-            worms: star_worms(leaves),
-        };
-        build_plan(&scenario, ReplicatePolicy::ReturnOnly, worm_chunks).expect("plan")
-    }
+    // --- Modes --------------------------------------------------------
 
     #[test]
-    fn reduced_checker_agrees_with_the_oracle_on_defaults() {
-        for arch in [ArchClass::CentralBuffer, ArchClass::InputBuffered] {
-            for sync in [false, true] {
-                let oracle = check_model(
-                    arch,
-                    sync,
-                    ReplicatePolicy::ReturnOnly,
-                    &ModelBounds::default(),
-                );
-                let reduced = check_model_opts(
-                    arch,
-                    sync,
-                    ReplicatePolicy::ReturnOnly,
-                    &ModelBounds::default(),
-                    &ModelOptions::default(),
-                );
-                assert_eq!(
-                    oracle.is_verified(),
-                    reduced.is_verified(),
-                    "{arch:?} sync={sync}: oracle {oracle:?} vs reduced {reduced:?}"
-                );
-                if let (CheckOutcome::Violated(o), CheckOutcome::Violated(r)) = (&oracle, &reduced)
-                {
-                    assert_eq!(o.kind, r.kind);
-                    assert_eq!(o.scenario, r.scenario);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn verdicts_are_byte_identical_across_worker_counts() {
-        for arch in [ArchClass::CentralBuffer, ArchClass::InputBuffered] {
-            for sync in [false, true] {
-                let runs: Vec<String> = [1usize, 2, 4]
-                    .into_iter()
-                    .map(|jobs| {
-                        let opts = ModelOptions {
-                            jobs,
-                            ..ModelOptions::default()
-                        };
-                        format!(
-                            "{:?}",
-                            check_model_opts(
-                                arch,
-                                sync,
-                                ReplicatePolicy::ReturnOnly,
-                                &ModelBounds::default(),
-                                &opts,
-                            )
-                        )
-                    })
-                    .collect();
-                assert_eq!(runs[0], runs[1], "{arch:?} sync={sync}: jobs 1 vs 2");
-                assert_eq!(runs[0], runs[2], "{arch:?} sync={sync}: jobs 1 vs 4");
-            }
-        }
-    }
-
-    #[test]
-    fn symmetry_and_por_reduce_the_star_fabric_at_least_10x() {
-        // 7 isomorphic leaf-local worms: the oracle enumerates the full
-        // product of per-worm phases; the reduced checker collapses it.
-        // worm_chunks = 1 keeps the oracle affordable in debug builds.
-        let plan = star_plan(7, 1);
-        let bounds = ModelBounds {
-            max_switches: 8,
-            worm_chunks: 1,
-            ..ModelBounds::default()
-        };
-        for arch in [ArchClass::CentralBuffer, ArchClass::InputBuffered] {
-            let oracle = run_plan(
-                "star",
-                &plan,
-                arch,
-                false,
-                &bounds,
-                &ModelOptions::oracle(),
-                true,
-            )
-            .expect("oracle verifies");
-            let reduced = run_plan(
-                "star",
-                &plan,
-                arch,
-                false,
-                &bounds,
-                &ModelOptions::default(),
-                true,
-            )
-            .expect("reduced verifies");
-            assert!(
-                reduced.states * 10 <= oracle.states,
-                "{arch:?}: reduced {} vs oracle {} states",
-                reduced.states,
-                oracle.states
-            );
-            assert!(reduced.orbit_hits > 0 || reduced.ample_skips > 0);
-        }
-    }
-
-    #[test]
-    fn oracle_state_bounds_where_the_reduced_checker_verifies() {
-        // At 16 switches the joint space is ~5^15 states: the oracle must
-        // hit the bound, exact+reduced and compositional must verify.
+    fn auto_and_compositional_verify_the_16_switch_tier() {
+        // At 16 switches the joint space is ~5^15 states, far past this
+        // budget; auto (compositional beyond 4 switches) and compositional
+        // mode prove it per switch.
         let bounds = ModelBounds {
             max_switches: 16,
             max_states: 50_000,
             ..ModelBounds::default()
         };
-        let oracle = check_model(
-            ArchClass::CentralBuffer,
-            false,
-            ReplicatePolicy::ReturnOnly,
-            &bounds,
-        );
-        let CheckOutcome::Violated(v) = &oracle else {
-            panic!("oracle must exhaust the state bound: {oracle:?}");
-        };
-        assert_eq!(v.kind, "state-bound");
-
-        let exact_reduced = check_model_opts(
-            ArchClass::CentralBuffer,
-            false,
-            ReplicatePolicy::ReturnOnly,
-            &bounds,
-            &ModelOptions {
-                mode: ModelMode::Exact,
-                ..ModelOptions::default()
-            },
-        );
-        let CheckOutcome::Verified(stats) = exact_reduced else {
-            panic!("reduced exact checker must verify: {exact_reduced:?}");
-        };
-        assert!(
-            stats.states * 10 <= bounds.max_states,
-            "≥10× under the bound the oracle exhausted: {stats:?}"
-        );
-
-        let auto = check_model_opts(
-            ArchClass::CentralBuffer,
-            false,
-            ReplicatePolicy::ReturnOnly,
-            &bounds,
-            &ModelOptions::default(),
-        );
-        assert!(
-            auto.is_verified(),
-            "auto (compositional beyond 4 switches) must verify: {auto:?}"
-        );
+        for mode in [ModelMode::Auto, ModelMode::Compositional] {
+            let out = check_model_opts(
+                ArchClass::CentralBuffer,
+                false,
+                ReplicatePolicy::ReturnOnly,
+                &bounds,
+                &ModelOptions {
+                    mode,
+                    ..ModelOptions::default()
+                },
+            );
+            let CheckOutcome::Verified(stats) = out else {
+                panic!("{mode:?} must verify the 16-switch tier: {out:?}");
+            };
+            assert!(
+                stats.states * 10 <= bounds.max_states,
+                "{mode:?}: ≥10× under the budget: {stats:?}"
+            );
+        }
     }
 
     #[test]

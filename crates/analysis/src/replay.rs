@@ -185,10 +185,9 @@ pub struct ModelReplay {
 /// 1. rebuilds the violating scenario's plan (resolving compositional
 ///    `@s<switch>` sub-scenarios to the same per-switch decomposition)
 ///    and re-executes the trace transition by transition with the
-///    *unreduced* successor relation, confirming every step is enabled
-///    and the final state exhibits the claimed violation — this is what
-///    makes reduced-mode traces trustworthy: whatever canonicalization
-///    found them, the shipped trace is concrete and executable;
+///    explorer's successor relation, confirming every step is enabled
+///    and the final state exhibits the claimed violation, so the shipped
+///    trace is concrete and executable in whichever mode found it;
 /// 2. when the violation carries [`SemEvent`]s, folds them through
 ///    [`replay_cq_trace`] so the counterexample's central-queue behavior
 ///    is also conformant with the pure machine the live switches run.

@@ -14,6 +14,11 @@ use std::time::Instant;
 /// Cycles each cell of the [`bench_scale`] grid simulates per loop.
 const SCALE_CYCLES: u64 = 20_000;
 
+/// Timed runs of each loop per [`bench_scale`] cell. One run can swing 2×
+/// on a shared host, so a cell reports the median and interquartile
+/// range of its runs.
+const SCALE_RUNS: usize = 5;
+
 /// Outcome of one `figures --bench` run.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
@@ -62,7 +67,7 @@ pub struct BenchReport {
     /// Reference vs scheduled engine loop over the architecture ×
     /// fabric-size × load grid ([`bench_scale`]).
     pub bench_scale: Vec<ScaleCell>,
-    /// Reduced-vs-unreduced model-check state counts and wall time per
+    /// Oracle-vs-compositional model-check state counts and wall time per
     /// architecture and fabric-size tier (DESIGN.md §11, §14).
     pub bench_model_check: Vec<ModelCheckBench>,
     /// Certificate-vs-explicit deadlock-verdict wall times at the
@@ -113,30 +118,22 @@ pub struct CertifyBench {
     pub verdicts_agree: bool,
 }
 
-/// One tier of the model-check benchmark: the unreduced oracle, the
-/// symmetry+POR-reduced exact checker, and the compositional checker over
-/// the same scenarios and state budget.
+/// One tier of the model-check benchmark: the exact oracle and the
+/// compositional checker over the same scenarios and state budget.
 #[derive(Debug, Clone)]
 pub struct ModelCheckBench {
     /// Switch architecture checked (`CB` / `IB`).
     pub arch: &'static str,
     /// Fabric-size bound of the tier (largest scenario explored).
     pub switches: usize,
-    /// States the unreduced oracle explored before finishing or
-    /// exhausting the budget.
-    pub unreduced_states: usize,
+    /// States the exact oracle explored before finishing or exhausting the
+    /// budget.
+    pub oracle_states: usize,
     /// Whether the oracle delivered a verdict (`false` = state-bound
-    /// exhausted; `unreduced_states` is then the budget it burned).
-    pub unreduced_completed: bool,
-    /// Wall time of the unreduced run, seconds.
-    pub unreduced_secs: f64,
-    /// States the symmetry+POR-reduced exact checker explored.
-    pub reduced_states: usize,
-    /// Wall time of the reduced run, seconds.
-    pub reduced_secs: f64,
-    /// `unreduced_states / reduced_states` — a lower bound on the true
-    /// reduction when the oracle did not complete.
-    pub reduction_factor: f64,
+    /// exhausted; `oracle_states` is then the budget it burned).
+    pub oracle_completed: bool,
+    /// Wall time of the oracle run, seconds.
+    pub oracle_secs: f64,
     /// States the compositional (per-switch) checker explored.
     pub compositional_states: usize,
     /// Wall time of the compositional run, seconds.
@@ -158,10 +155,16 @@ pub struct ScaleCell {
     pub load: f64,
     /// Cycles each measurement simulated.
     pub cycles: u64,
-    /// Reference-loop cycles/sec.
+    /// Timed runs of each loop, interleaved reference/scheduled.
+    pub runs: usize,
+    /// Reference-loop cycles/sec, median over the runs.
     pub reference_cycles_per_sec: f64,
-    /// Scheduled-loop cycles/sec.
+    /// Interquartile range of the reference-loop cycles/sec.
+    pub reference_iqr: f64,
+    /// Scheduled-loop cycles/sec, median over the runs.
     pub scheduled_cycles_per_sec: f64,
+    /// Interquartile range of the scheduled-loop cycles/sec.
+    pub scheduled_iqr: f64,
     /// Host ticks the scheduled loop skipped (of `hosts × cycles`).
     pub host_ticks_skipped: u64,
     /// Switch ticks the scheduled loop skipped (of `switches × cycles`).
@@ -176,16 +179,20 @@ impl BenchReport {
         for (i, c) in self.bench_scale.iter().enumerate() {
             cells.push_str(&format!(
                 "    {{\"arch\": \"{}\", \"hosts\": {}, \"switches\": {}, \"load\": {}, \
-                 \"cycles\": {}, \"reference_cycles_per_sec\": {:.0}, \
-                 \"scheduled_cycles_per_sec\": {:.0}, \"speedup\": {:.2}, \
+                 \"cycles\": {}, \"runs\": {}, \"reference_cycles_per_sec\": {:.0}, \
+                 \"reference_iqr\": {:.0}, \"scheduled_cycles_per_sec\": {:.0}, \
+                 \"scheduled_iqr\": {:.0}, \"speedup\": {:.2}, \
                  \"host_ticks_skipped\": {}, \"switch_ticks_skipped\": {}}}{}\n",
                 c.arch,
                 c.hosts,
                 c.switches,
                 c.load,
                 c.cycles,
+                c.runs,
                 c.reference_cycles_per_sec,
+                c.reference_iqr,
                 c.scheduled_cycles_per_sec,
+                c.scheduled_iqr,
                 c.scheduled_cycles_per_sec / c.reference_cycles_per_sec.max(1e-9),
                 c.host_ticks_skipped,
                 c.switch_ticks_skipped,
@@ -199,19 +206,14 @@ impl BenchReport {
         let mut model_rows = String::new();
         for (i, m) in self.bench_model_check.iter().enumerate() {
             model_rows.push_str(&format!(
-                "    {{\"arch\": \"{}\", \"switches\": {}, \"unreduced_states\": {}, \
-                 \"unreduced_completed\": {}, \"unreduced_secs\": {:.3}, \
-                 \"reduced_states\": {}, \"reduced_secs\": {:.3}, \
-                 \"reduction_factor\": {:.1}, \"compositional_states\": {}, \
-                 \"compositional_secs\": {:.3}}}{}\n",
+                "    {{\"arch\": \"{}\", \"switches\": {}, \"oracle_states\": {}, \
+                 \"oracle_completed\": {}, \"oracle_secs\": {:.3}, \
+                 \"compositional_states\": {}, \"compositional_secs\": {:.3}}}{}\n",
                 m.arch,
                 m.switches,
-                m.unreduced_states,
-                m.unreduced_completed,
-                m.unreduced_secs,
-                m.reduced_states,
-                m.reduced_secs,
-                m.reduction_factor,
+                m.oracle_states,
+                m.oracle_completed,
+                m.oracle_secs,
                 m.compositional_states,
                 m.compositional_secs,
                 if i + 1 < self.bench_model_check.len() {
@@ -396,11 +398,20 @@ fn scale_run(
     (secs, host_skipped, switch_skipped, n_sw)
 }
 
+/// Median and interquartile range of a sample, by nearest rank.
+fn median_iqr(mut xs: Vec<f64>) -> (f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    let rank = |q: f64| xs[((q * xs.len() as f64).ceil() as usize).clamp(1, xs.len()) - 1];
+    (rank(0.5), rank(0.75) - rank(0.25))
+}
+
 /// Times the reference loop against the scheduled loop on the grid
 /// {64, 256} central-buffer hosts and 64 input-buffered hosts × loads
 /// {0.02, 0.1, 0.3} of the multiple-multicast workload (degree 16, 64
 /// flits). Both loops run the identical workload, so the ratio is purely
-/// the ticks the schedule avoids against its bookkeeping.
+/// the ticks the schedule avoids against its bookkeeping. Each cell runs
+/// each loop [`SCALE_RUNS`] times, alternating reference and scheduled,
+/// and reports medians with interquartile ranges.
 pub fn bench_scale(cycles: u64) -> Vec<ScaleCell> {
     // 4-ary trees: 3 stages is the default 64-host fabric, 4 is 256 hosts.
     let tree = |n| TopologyKind::KaryTree { k: 4, n };
@@ -417,17 +428,30 @@ pub fn bench_scale(cycles: u64) -> Vec<ScaleCell> {
             ..SystemConfig::default()
         };
         for load in [0.02, 0.1, 0.3] {
-            let (ref_secs, ..) = scale_run(&cfg, load, cycles, true);
-            let (secs, host_ticks_skipped, switch_ticks_skipped, switches) =
-                scale_run(&cfg, load, cycles, false);
+            let rate = |secs: f64| cycles as f64 / secs.max(1e-9);
+            let mut reference = Vec::with_capacity(SCALE_RUNS);
+            let mut scheduled = Vec::with_capacity(SCALE_RUNS);
+            let mut skips = (0, 0, 0);
+            for _ in 0..SCALE_RUNS {
+                reference.push(rate(scale_run(&cfg, load, cycles, true).0));
+                let (secs, host, switch, switches) = scale_run(&cfg, load, cycles, false);
+                scheduled.push(rate(secs));
+                skips = (host, switch, switches);
+            }
+            let (host_ticks_skipped, switch_ticks_skipped, switches) = skips;
+            let (reference_cycles_per_sec, reference_iqr) = median_iqr(reference);
+            let (scheduled_cycles_per_sec, scheduled_iqr) = median_iqr(scheduled);
             cells.push(ScaleCell {
                 arch: arch.label(),
                 hosts: cfg.n_hosts(),
                 switches,
                 load,
                 cycles,
-                reference_cycles_per_sec: cycles as f64 / ref_secs.max(1e-9),
-                scheduled_cycles_per_sec: cycles as f64 / secs.max(1e-9),
+                runs: SCALE_RUNS,
+                reference_cycles_per_sec,
+                reference_iqr,
+                scheduled_cycles_per_sec,
+                scheduled_iqr,
                 host_ticks_skipped,
                 switch_ticks_skipped,
             });
@@ -437,15 +461,13 @@ pub fn bench_scale(cycles: u64) -> Vec<ScaleCell> {
 }
 
 /// Times the model checker (DESIGN.md §11, §14) on asynchronous,
-/// return-only replication with a 50k-state budget: the unreduced
-/// sequential oracle against the symmetry+POR-reduced exact checker and
-/// the compositional per-switch checker. The tiers are central-buffer
-/// switches at fabric bounds 2, 4, 8 and 16 and input-buffered switches
-/// at 2. The 2-switch bound is the one `mdw-lint --model-check` and the
-/// reroute deep vet run. The oracle is *expected* to exhaust the budget
-/// at the 8/16-switch tiers — that is recorded honestly
-/// (`unreduced_completed: false`) rather than hidden, and the reduction
-/// factor is then a lower bound.
+/// return-only replication with a 50k-state budget: the exact oracle
+/// against the compositional per-switch checker. The tiers are
+/// central-buffer switches at fabric bounds 2, 4, 8 and 16 and
+/// input-buffered switches at 2. The 2-switch bound is the one
+/// `mdw-lint --model-check` and the reroute deep vet run. The oracle is
+/// *expected* to exhaust the budget at the 8/16-switch tiers — that is
+/// recorded honestly (`oracle_completed: false`) rather than hidden.
 pub fn bench_model_check() -> Vec<ModelCheckBench> {
     use mdw_analysis::{check_model_opts, ArchClass, CheckOutcome, ModelBounds, ModelOptions};
     use mintopo::route::ReplicatePolicy;
@@ -470,23 +492,13 @@ pub fn bench_model_check() -> Vec<ModelCheckBench> {
                 max_states: 50_000,
                 ..ModelBounds::default()
             };
-            let (oracle, unreduced_secs) = timed(&bounds, &ModelOptions::oracle());
-            let (unreduced_states, unreduced_completed) = match &oracle {
+            let (oracle, oracle_secs) = timed(&bounds, &ModelOptions::oracle());
+            let (oracle_states, oracle_completed) = match &oracle {
                 CheckOutcome::Verified(stats) => (stats.states, true),
                 // The only violation the known-good default config can
                 // produce is the state-bound; the budget it burned is
                 // the honest state count.
                 CheckOutcome::Violated(_) => (bounds.max_states, false),
-            };
-            let exact = ModelOptions {
-                mode: mdw_analysis::ModelMode::Exact,
-                ..ModelOptions::default()
-            };
-            let (reduced, reduced_secs) = timed(&bounds, &exact);
-            let CheckOutcome::Verified(reduced_stats) = reduced else {
-                panic!(
-                    "reduced checker must verify the {label} {switches}-switch tier: {reduced:?}"
-                );
             };
             let compositional = ModelOptions {
                 mode: mdw_analysis::ModelMode::Compositional,
@@ -501,12 +513,9 @@ pub fn bench_model_check() -> Vec<ModelCheckBench> {
             ModelCheckBench {
                 arch: label,
                 switches,
-                unreduced_states,
-                unreduced_completed,
-                unreduced_secs,
-                reduced_states: reduced_stats.states,
-                reduced_secs,
-                reduction_factor: unreduced_states as f64 / reduced_stats.states.max(1) as f64,
+                oracle_states,
+                oracle_completed,
+                oracle_secs,
                 compositional_states: comp_stats.states,
                 compositional_secs,
             }
@@ -680,20 +689,20 @@ mod tests {
                 switches: 48,
                 load: 0.02,
                 cycles: 20_000,
+                runs: 5,
                 reference_cycles_per_sec: 50_000.0,
+                reference_iqr: 4_000.0,
                 scheduled_cycles_per_sec: 90_000.0,
+                scheduled_iqr: 6_000.0,
                 host_ticks_skipped: 1_000,
                 switch_ticks_skipped: 9_000,
             }],
             bench_model_check: vec![ModelCheckBench {
                 arch: "CB",
                 switches: 16,
-                unreduced_states: 50_000,
-                unreduced_completed: false,
-                unreduced_secs: 1.25,
-                reduced_states: 2_000,
-                reduced_secs: 0.05,
-                reduction_factor: 25.0,
+                oracle_states: 50_000,
+                oracle_completed: false,
+                oracle_secs: 1.25,
                 compositional_states: 500,
                 compositional_secs: 0.01,
             }],
@@ -725,12 +734,15 @@ mod tests {
         assert!(j.contains("\"crash_boundaries\": 40"));
         assert!(j.contains("\"bench_scale\": ["));
         assert!(j.contains("{\"arch\": \"IB\", \"hosts\": 64, \"switches\": 48, \"load\": 0.02"));
-        assert!(j.contains("\"scheduled_cycles_per_sec\": 90000, \"speedup\": 1.80"));
+        assert!(j.contains("\"cycles\": 20000, \"runs\": 5, \"reference_cycles_per_sec\": 50000"));
+        assert!(j.contains("\"reference_iqr\": 4000, \"scheduled_cycles_per_sec\": 90000"));
+        assert!(j.contains("\"scheduled_iqr\": 6000, \"speedup\": 1.80"));
         assert!(j.contains("\"switch_ticks_skipped\": 9000}"));
         assert!(j.contains("\"bench_model_check\": ["));
-        assert!(j.contains("{\"arch\": \"CB\", \"switches\": 16, \"unreduced_states\": 50000"));
-        assert!(j.contains("\"unreduced_completed\": false"));
-        assert!(j.contains("\"reduction_factor\": 25.0"));
+        assert!(j.contains("{\"arch\": \"CB\", \"switches\": 16, \"oracle_states\": 50000"));
+        assert!(j.contains("\"oracle_completed\": false"));
+        assert!(j.contains("\"oracle_secs\": 1.250, \"compositional_states\": 500"));
+        assert!(!j.contains("\"reduced_states\"") && !j.contains("reduction_factor"));
         assert!(j.contains("\"bench_certify\": ["));
         assert!(j.contains("{\"hosts\": 65536, \"switches\": 131072"));
         assert!(j.contains("\"dense_feasible\": false"));
@@ -763,12 +775,11 @@ mod tests {
 
     /// The model-check benchmark covers CB at 2/4/8/16 switches and IB at
     /// the 2-switch default bound. The oracle verifies the small tiers
-    /// inside the budget, and the reductions never explore more states
-    /// than it does. At the 8/16-switch tiers it records the §14 claim:
-    /// the oracle exhausts its budget while the reduced and compositional
-    /// checkers verify with ≥10× fewer states.
+    /// inside the budget. At the 8/16-switch tiers it records the §14
+    /// claim: the oracle exhausts its budget while the compositional
+    /// checker verifies with ≥10× fewer states.
     #[test]
-    fn bench_model_check_shows_the_reduction() {
+    fn bench_model_check_times_the_oracle_against_compositional() {
         let rows = bench_model_check();
         let tiers: Vec<_> = rows.iter().map(|r| (r.arch, r.switches)).collect();
         assert_eq!(
@@ -777,18 +788,19 @@ mod tests {
         );
         for row in &rows {
             assert!(row.compositional_states > 0, "{row:?}");
-            assert!(row.reduced_states <= row.unreduced_states, "{row:?}");
             if row.switches <= 4 {
-                assert!(row.unreduced_completed, "{row:?}");
+                assert!(row.oracle_completed, "{row:?}");
                 continue;
             }
             assert!(
-                !row.unreduced_completed,
+                !row.oracle_completed,
                 "{}-switch tier: the oracle finishing means the tier is too easy",
                 row.switches
             );
-            assert!(row.reduction_factor >= 10.0, "{row:?}");
-            assert!(row.reduced_states * 10 <= row.unreduced_states, "{row:?}");
+            assert!(
+                row.compositional_states * 10 <= row.oracle_states,
+                "{row:?}"
+            );
         }
     }
 
@@ -809,7 +821,9 @@ mod tests {
             .concat()
         );
         for c in &cells {
+            assert_eq!(c.runs, SCALE_RUNS, "{c:?}");
             assert!(c.reference_cycles_per_sec > 0.0 && c.scheduled_cycles_per_sec > 0.0);
+            assert!(c.reference_iqr >= 0.0 && c.scheduled_iqr >= 0.0, "{c:?}");
             assert!(c.host_ticks_skipped > 0, "{c:?}");
             assert!(c.switch_ticks_skipped > 0, "{c:?}");
             assert!(c.host_ticks_skipped < c.hosts as u64 * c.cycles, "{c:?}");
@@ -818,6 +832,12 @@ mod tests {
                 "{c:?}"
             );
         }
+    }
+
+    #[test]
+    fn median_iqr_uses_nearest_ranks() {
+        assert_eq!(median_iqr(vec![5.0, 1.0, 4.0, 2.0, 3.0]), (3.0, 2.0));
+        assert_eq!(median_iqr(vec![7.0]), (7.0, 0.0));
     }
 
     #[test]

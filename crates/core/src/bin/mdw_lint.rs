@@ -11,7 +11,7 @@
 //! cargo run --release -p mdworm --bin mdw-lint -- --default
 //! cargo run --release -p mdworm --bin mdw-lint -- --model-check configs/*.mdw
 //! cargo run --release -p mdworm --bin mdw-lint -- --model-check \
-//!     --model-switches 16 --model-jobs 4 --model-stats configs/sp2-default.mdw
+//!     --model-switches 16 --model-stats configs/sp2-default.mdw
 //! cargo run --release -p mdworm --bin mdw-lint -- --certify configs/fat-tree-4k.mdw
 //! ```
 //!
@@ -26,17 +26,16 @@
 //! over small fabrics, verifying chunk conservation and the paper's
 //! buffered-eventually liveness condition on the state machines the
 //! simulator actually runs. A violation prints a minimal counterexample
-//! trace and fails the lint. The exploration runs symmetry-reduced with
-//! partial-order reduction (DESIGN.md §14); knobs:
+//! trace and fails the lint (DESIGN.md §14); knobs:
 //!
-//! * `--model-mode exact|compositional|auto` — joint exploration, the
-//!   per-switch assume-guarantee decomposition, or size-driven selection
+//! * `--model-mode exact|compositional|auto` — the exact oracle over each
+//!   scenario's joint state space, the per-switch assume-guarantee
+//!   decomposition, or exact up to 4 switches and compositional beyond
 //!   (the default; overrides the config's `model.mode` key when given);
-//! * `--model-switches N` — largest scenario fabric explored (default 2);
-//! * `--model-jobs N` — worker threads per BFS level (verdicts are
-//!   byte-identical at any value);
-//! * `--model-stats` — one JSON line per config with state counts, the
-//!   orbit-reduction factor, ample-set skips and wall time.
+//! * `--model-switches N` — largest scenario fabric explored (default 2,
+//!   at least 1: the smallest scenario has one switch);
+//! * `--model-stats` — one JSON line per config with the verdict, state
+//!   and transition counts and wall time.
 //!
 //! `--certify` runs *both* deadlock-verdict paths over each statically
 //! sound config — the O(routes) rank-certificate checker
@@ -59,7 +58,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let usage = "usage: mdw-lint [--json] [--default] [--model-check] \
                  [--model-mode exact|compositional|auto] [--model-switches N] \
-                 [--model-jobs N] [--model-stats] [--certify] <config.mdw>...";
+                 [--model-stats] [--certify] <config.mdw>...";
     let mut json = false;
     let mut lint_default = false;
     let mut model_check = false;
@@ -67,7 +66,6 @@ fn main() {
     let mut model_stats = false;
     let mut model_mode: Option<ModelMode> = None;
     let mut model_switches: Option<usize> = None;
-    let mut model_jobs: usize = 1;
     let mut files: Vec<String> = Vec::new();
     let mut i = 0;
     while i < argv.len() {
@@ -96,16 +94,15 @@ fn main() {
                 })
             }
             "--model-switches" => {
-                model_switches = Some(value_of(&mut i).parse().unwrap_or_else(|_| {
-                    eprintln!("bad --model-switches value\n{usage}");
-                    std::process::exit(2);
-                }))
-            }
-            "--model-jobs" => {
-                model_jobs = value_of(&mut i).parse().unwrap_or_else(|_| {
-                    eprintln!("bad --model-jobs value\n{usage}");
-                    std::process::exit(2);
-                })
+                // The smallest scenario has one switch: a bound of 0
+                // would check nothing and pass.
+                match value_of(&mut i).parse::<usize>() {
+                    Ok(n) if n >= 1 => model_switches = Some(n),
+                    _ => {
+                        eprintln!("bad --model-switches value (at least 1)\n{usage}");
+                        std::process::exit(2);
+                    }
+                }
             }
             "--help" | "-h" => {
                 eprintln!("{usage}");
@@ -212,7 +209,6 @@ fn main() {
             let mode = model_mode.unwrap_or(cfg.model_mode);
             let opts = ModelOptions {
                 mode,
-                jobs: model_jobs.max(1),
                 ..ModelOptions::default()
             };
             let start = std::time::Instant::now();
@@ -230,23 +226,12 @@ fn main() {
                     CheckOutcome::Verified(st) => (true, Some(st)),
                     CheckOutcome::Violated(_) => (false, None),
                 };
-                let states = st.map_or(0, |s| s.states);
-                let orbit_hits = st.map_or(0, |s| s.orbit_hits);
-                let reduction = if states > 0 {
-                    (states + orbit_hits) as f64 / states as f64
-                } else {
-                    1.0
-                };
                 println!(
                     "{{\"config\":\"{name}\",\"mode\":\"{mode_str}\",\
-                     \"verified\":{verified},\"states\":{states},\
-                     \"transitions\":{},\"orbit_hits\":{orbit_hits},\
-                     \"orbit_reduction_factor\":{reduction:.3},\
-                     \"ample_skips\":{},\"frontier_workers\":{},\
-                     \"wall_ms\":{wall_ms:.3}}}",
+                     \"verified\":{verified},\"states\":{},\
+                     \"transitions\":{},\"wall_ms\":{wall_ms:.3}}}",
+                    st.map_or(0, |s| s.states),
                     st.map_or(0, |s| s.transitions),
-                    st.map_or(0, |s| s.ample_skips),
-                    opts.jobs,
                 );
             }
             match outcome {

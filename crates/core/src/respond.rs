@@ -553,8 +553,8 @@ pub struct FaultResponder {
     /// serving a stale answer.
     vetted: BoundedMemo<VetKey, VetVerdict>,
     /// Cached verdicts of the bounded model check (the deep half of the
-    /// reroute gate), keyed by the exploration bounds and reduction
-    /// options the check actually ran under and LRU-bounded at
+    /// reroute gate), keyed by the exploration bounds and mode options
+    /// the check actually ran under and LRU-bounded at
     /// `cfg.memo_cap`. The verdict never depends on the candidate tables,
     /// so one exploration per key covers every reroute of the run — but a
     /// verdict obtained under loose bounds (small fabric, shallow state

@@ -1,16 +1,15 @@
-//! Differential validation of the scaled model checker over every
+//! Differential validation of the model checker's modes over every
 //! shipped config (DESIGN.md §14).
 //!
-//! The reductions — symmetry quotient, ample-set partial-order
-//! reduction, worker-striped frontiers, and the compositional
-//! per-switch decomposition — are only admissible if they never change
-//! a verdict. This suite pins that contract to the artifacts users
-//! actually lint: for each `configs/*.mdw`, the unreduced sequential
-//! oracle and every reduced/parallel/compositional configuration must
-//! agree, verdicts must be byte-identical across worker counts, and
-//! every counterexample must re-execute against the rebuilt unreduced
-//! model (and, for central-buffer scenarios, replay through the pure
-//! `cq_step` machine).
+//! Compositional mode — the per-switch assume-guarantee decomposition,
+//! and the path `auto` takes beyond 4 switches — is only admissible if
+//! it never changes a verdict. This suite pins that contract to the
+//! artifacts users actually lint: for each `configs/*.mdw`, the exact
+//! oracle, compositional mode and `auto` must agree, and every
+//! counterexample must re-execute against the rebuilt model (and, for
+//! central-buffer scenarios, replay through the pure `cq_step` machine).
+//! At the 16-switch tier the oracle exhausts its budget and
+//! compositional mode carries the verdict.
 
 use mdw_analysis::{
     check_model_opts, replay_model_violation, ArchClass, CheckOutcome, ModelBounds, ModelMode,
@@ -56,8 +55,8 @@ fn model_inputs(cfg: &SystemConfig) -> (ArchClass, bool) {
     (arch, cfg.switch.replication == ReplicationMode::Synchronous)
 }
 
-/// Every reduced/parallel/compositional configuration reaches the same
-/// verdict as the unreduced oracle on every shipped config, at the
+/// Every mode reaches the same verdict as the oracle on every shipped
+/// config, at the
 /// default bounds: verified configs stay verified, and the crafted
 /// `sync-replication-hazard.mdw` fails in every mode with a
 /// counterexample that re-executes cleanly against the rebuilt model.
@@ -75,25 +74,20 @@ fn every_mode_agrees_with_the_oracle_on_shipped_configs() {
             &ModelOptions::oracle(),
         );
         for mode in modes {
-            for jobs in [1, 4] {
-                let opts = ModelOptions {
-                    mode,
-                    jobs,
-                    ..ModelOptions::default()
-                };
-                let out = check_model_opts(arch, sync, cfg.switch.policy, &bounds, &opts);
-                assert_eq!(
-                    out.is_verified(),
-                    oracle.is_verified(),
-                    "{name} ({mode:?}, jobs={jobs}) disagrees with the oracle: {out:?}"
-                );
-                if let CheckOutcome::Violated(v) = &out {
-                    let replay = replay_model_violation(arch, sync, cfg.switch.policy, &bounds, v)
-                        .unwrap_or_else(|e| {
-                            panic!("{name} ({mode:?}, jobs={jobs}): counterexample rejected: {e}")
-                        });
-                    assert_eq!(replay.steps, v.trace.len(), "{name} ({mode:?})");
-                }
+            let opts = ModelOptions {
+                mode,
+                ..ModelOptions::default()
+            };
+            let out = check_model_opts(arch, sync, cfg.switch.policy, &bounds, &opts);
+            assert_eq!(
+                out.is_verified(),
+                oracle.is_verified(),
+                "{name} ({mode:?}) disagrees with the oracle: {out:?}"
+            );
+            if let CheckOutcome::Violated(v) = &out {
+                let replay = replay_model_violation(arch, sync, cfg.switch.policy, &bounds, v)
+                    .unwrap_or_else(|e| panic!("{name} ({mode:?}): counterexample rejected: {e}"));
+                assert_eq!(replay.steps, v.trace.len(), "{name} ({mode:?})");
             }
         }
         // The one shipped hazard config must actually be caught.
@@ -105,41 +99,12 @@ fn every_mode_agrees_with_the_oracle_on_shipped_configs() {
     }
 }
 
-/// Worker striping is an implementation detail: the complete outcome —
-/// stats on verification, the minimal counterexample (scenario, kind,
-/// trace, events) on violation — is byte-identical at 1, 2 and 4 jobs
-/// on every shipped config.
+/// The scale tier compositional mode exists for: at a 16-switch fabric
+/// bound with a 50k-state budget the exact oracle exhausts its bound,
+/// while compositional mode and `auto` (compositional beyond 4 switches)
+/// verify the shipped default config with ≥10× headroom.
 #[test]
-fn verdicts_are_byte_identical_across_worker_counts_on_shipped_configs() {
-    let bounds = ModelBounds::default();
-    for (name, cfg) in shipped_configs() {
-        let (arch, sync) = model_inputs(&cfg);
-        for mode in [ModelMode::Exact, ModelMode::Auto] {
-            let render = |jobs: usize| {
-                let opts = ModelOptions {
-                    mode,
-                    jobs,
-                    ..ModelOptions::default()
-                };
-                format!(
-                    "{:?}",
-                    check_model_opts(arch, sync, cfg.switch.policy, &bounds, &opts)
-                )
-            };
-            let one = render(1);
-            assert_eq!(one, render(2), "{name} ({mode:?}): jobs=2 diverged");
-            assert_eq!(one, render(4), "{name} ({mode:?}): jobs=4 diverged");
-        }
-    }
-}
-
-/// The scale tier the reductions exist for: at a 16-switch fabric bound
-/// with a 50k-state budget the unreduced oracle exhausts its bound,
-/// while the reduced exact checker and the auto (compositional beyond 4
-/// switches) checker both verify the shipped default config well inside
-/// it.
-#[test]
-fn reduced_checker_verifies_where_the_oracle_exhausts_its_state_budget() {
+fn compositional_checker_verifies_where_the_oracle_exhausts_its_state_budget() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");
     let text = std::fs::read_to_string(format!("{dir}/sp2-default.mdw")).expect("read config");
     let cfg = parse_config(&text).expect("parse");
@@ -158,18 +123,18 @@ fn reduced_checker_verifies_where_the_oracle_exhausts_its_state_budget() {
         &ModelOptions::oracle(),
     );
     let CheckOutcome::Violated(v) = &oracle else {
-        panic!("the unreduced oracle must exhaust 50k states at 16 switches: {oracle:?}");
+        panic!("the exact oracle must exhaust 50k states at 16 switches: {oracle:?}");
     };
     assert_eq!(v.kind, "state-bound", "{v}");
 
-    for mode in [ModelMode::Exact, ModelMode::Auto] {
+    for mode in [ModelMode::Compositional, ModelMode::Auto] {
         let opts = ModelOptions {
             mode,
             ..ModelOptions::default()
         };
         let out = check_model_opts(arch, sync, cfg.switch.policy, &bounds, &opts);
         let CheckOutcome::Verified(stats) = &out else {
-            panic!("reduced {mode:?} must verify the 16-switch tier: {out:?}");
+            panic!("{mode:?} must verify the 16-switch tier: {out:?}");
         };
         assert!(
             stats.states * 10 <= bounds.max_states,

@@ -322,6 +322,52 @@ fn mdw_lint_cli_flags_the_shipped_deadlock_config() {
     }
 }
 
+/// `mdw-lint --model-check` flag handling: a `--model-switches` bound
+/// that selects no scenario is a usage error rather than a vacuous pass,
+/// the removed `--model-jobs` flag is unknown, and the 16-switch tier
+/// verifies through compositional mode with a stats line that carries
+/// only the verdict, counts and wall time.
+#[test]
+fn mdw_lint_model_check_flags() {
+    let config = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs/sp2-default.mdw");
+    let run = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_mdw-lint"))
+            .args(["--model-check"])
+            .args(args)
+            .arg(config)
+            .output()
+            .expect("run mdw-lint")
+    };
+
+    for args in [["--model-switches", "0"], ["--model-jobs", "4"]] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage: mdw-lint"), "{args:?}: {err}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} must check nothing: {out:?}"
+        );
+    }
+
+    let out = run(&["--model-switches", "16", "--model-stats"]);
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    let stats = text
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .unwrap_or_else(|| panic!("no stats line: {text}"));
+    assert!(stats.contains("\"verified\":true"), "{stats}");
+    for removed in [
+        "orbit_hits",
+        "orbit_reduction_factor",
+        "ample_skips",
+        "frontier_workers",
+    ] {
+        assert!(!stats.contains(removed), "{removed} in {stats}");
+    }
+}
+
 /// `mdw-lint --certify` end-to-end: on the paper-scale default both
 /// verdict paths run and agree; on the shipped 4K fat-tree the explicit
 /// CDG honestly exhausts its budget and the certificate carries the
