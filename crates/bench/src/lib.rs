@@ -53,8 +53,9 @@ impl Scale {
         }
     }
 
-    /// The spec every E2/E3, E6, E7 and E8 point starts from:
-    /// [`SWEEP_BASE`] over this scale's run window.
+    /// The spec every row of the eight spec tables (E2/E3, E4/E5, E6, E7,
+    /// E8, E9, E15 and E16) starts from: [`SWEEP_BASE`] over this scale's
+    /// run window.
     pub fn sweep_spec(self) -> String {
         let run = self.run();
         format!(
@@ -198,18 +199,6 @@ pub fn base_system() -> SystemConfig {
     SystemConfig::default()
 }
 
-/// Default workload constants shared by the experiments.
-pub mod defaults {
-    /// Multicast degree for the load sweeps.
-    pub const DEGREE: usize = 16;
-    /// Message payload length in flits.
-    pub const LEN: u16 = 64;
-    /// Multicast share of bimodal traffic.
-    pub const MCAST_FRACTION: f64 = 0.10;
-    /// Fixed load for the degree/length/size sweeps.
-    pub const SWEEP_LOAD: f64 = 0.4;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,11 +215,7 @@ mod tests {
         let spec = mdworm::cfgtext::parse_spec(&Scale::Quick.sweep_spec()).expect("parses");
         assert_eq!(
             spec.traffic,
-            mdworm::TrafficSpec::multiple_multicast(
-                defaults::SWEEP_LOAD,
-                defaults::DEGREE,
-                defaults::LEN
-            )
+            mdworm::TrafficSpec::multiple_multicast(0.4, 16, 64)
         );
         assert_eq!(
             (spec.run.warmup, spec.run.measure),

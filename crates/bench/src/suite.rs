@@ -6,9 +6,9 @@
 //! compares the strings byte-for-byte to prove the parallel sweep harness
 //! changes nothing but wall-clock time.
 
-use crate::{defaults, Axis, Scale};
+use crate::{Axis, Scale};
 use mdworm::cfgtext::RunSpec;
-use mdworm::experiments as exp;
+use mdworm::experiments::{self as exp, AblationRow, BimodalRow, FaultRow, SweepRow, SCHEMES};
 use mdworm::report::{csv, markdown_table, TableRow};
 use mdworm::{SystemConfig, TopologyKind};
 use std::time::Instant;
@@ -73,6 +73,8 @@ pub fn run_suite_timed(base: &SystemConfig, scale: Scale, exp_filter: &str) -> V
     .with(&scale.sweep_spec())
     .expect("the sweep base parses");
     let sweep = |axis: Axis| exp::spec_sweep(&sweep_base, axis.x_name(), &axis.points(scale));
+    let over_sweep_base = |lines: &str| sweep_base.with(lines).expect("the table base parses");
+    let len = sweep_base.traffic.mcast_len;
     let mut tables = Vec::new();
 
     if want("e1") {
@@ -91,14 +93,30 @@ pub fn run_suite_timed(base: &SystemConfig, scale: Scale, exp_filter: &str) -> V
         tables.push(timed(
             "e4_e5_bimodal",
             "E4+E5: bimodal traffic — background unicast & multicast latency vs load (10% multicast, degree 16)",
-            || exp::e4_e5_bimodal(
-                base,
-                &run,
-                &scale.bimodal_loads(),
-                defaults::MCAST_FRACTION,
-                defaults::DEGREE,
-                defaults::LEN,
-            ),
+            || {
+                let base = over_sweep_base(exp::BIMODAL);
+                let loads: Vec<_> = scale
+                    .bimodal_loads()
+                    .into_iter()
+                    .map(|load| (load, format!("traffic.load = {load}\n")))
+                    .collect();
+                let mut rows = exp::scheme_rows(&SCHEMES, &loads);
+                // `{}` round-trips the f64, so the reference offers exactly
+                // the unicast share of each load.
+                let unicast_share = 1.0 - base.traffic.mcast_fraction;
+                for &(load, _) in &loads {
+                    let lines = format!(
+                        "{}traffic.mcast_fraction = 0\ntraffic.load = {}\n",
+                        SCHEMES[0].1,
+                        load * unicast_share
+                    );
+                    rows.push((("CB-none", load), lines));
+                }
+                exp::spec_rows(&base, rows)
+                    .iter()
+                    .map(|((label, load), o)| BimodalRow::from_outcome(label, *load, o))
+                    .collect::<Vec<_>>()
+            },
         ));
     }
     if want("e6") {
@@ -131,14 +149,23 @@ pub fn run_suite_timed(base: &SystemConfig, scale: Scale, exp_filter: &str) -> V
         tables.push(timed(
             "e9_ablations",
             "E9: central-buffer design ablations (bimodal load 0.4)",
-            || exp::e9_ablations(base, &run, defaults::SWEEP_LOAD),
+            || {
+                let base = over_sweep_base(&format!("{}{}", exp::BIMODAL, SCHEMES[0].1));
+                let rows = exp::ABLATIONS
+                    .iter()
+                    .map(|&(v, lines)| (v, lines.to_string()));
+                exp::spec_rows(&base, rows.collect())
+                    .iter()
+                    .map(|(variant, o)| AblationRow::from_outcome(variant, o))
+                    .collect::<Vec<_>>()
+            },
         ));
     }
     if want("e10") {
         tables.push(timed(
             "e10_single_multicast",
             "E10: single multicast on an idle network — latency vs degree",
-            || exp::e10_single_multicast(base, &scale.degrees(), defaults::LEN),
+            || exp::e10_single_multicast(base, &scale.degrees(), len),
         ));
     }
     if want("e11") {
@@ -152,7 +179,7 @@ pub fn run_suite_timed(base: &SystemConfig, scale: Scale, exp_filter: &str) -> V
         tables.push(timed(
             "e12_hotspot",
             "E12 (extension): hot-spot unicast traffic — latency vs hot-spot fraction (load 0.2)",
-            || exp::e12_hotspot(base, &run, 0.2, &scale.hotspot_fractions(), defaults::LEN),
+            || exp::e12_hotspot(base, &run, 0.2, &scale.hotspot_fractions(), len),
         ));
     }
     if want("e13") {
@@ -173,14 +200,42 @@ pub fn run_suite_timed(base: &SystemConfig, scale: Scale, exp_filter: &str) -> V
         tables.push(timed(
             "e15_patterns",
             "E15 (extension): permutation unicast patterns at load 0.5 — CB vs IB",
-            || exp::e15_patterns(base, &run, 0.5, defaults::LEN),
+            || {
+                let base = over_sweep_base("traffic.mcast_fraction = 0\ntraffic.load = 0.5\n");
+                let mut rows = Vec::new();
+                for (pi, (name, pattern)) in exp::PATTERNS.iter().enumerate() {
+                    for (label, arch) in [("CB", SCHEMES[0].1), ("IB", SCHEMES[1].1)] {
+                        rows.push(((format!("{label}/{name}"), pi), format!("{arch}{pattern}")));
+                    }
+                }
+                exp::spec_rows(&base, rows)
+                    .iter()
+                    .map(|((scheme, pi), o)| {
+                        SweepRow::from_outcome(scheme, "pattern", *pi as f64, o)
+                    })
+                    .collect::<Vec<_>>()
+            },
         ));
     }
     if want("e16") {
         tables.push(timed(
             "e16_fault_sweep",
             "E16 (robustness extension): degradation vs per-flit drop rate with end-to-end recovery (load 0.2)",
-            || exp::e16_fault_sweep(base, &run, 0.2, &scale.drop_rates(), defaults::DEGREE, defaults::LEN),
+            || {
+                let base = over_sweep_base("traffic.load = 0.2\nrecovery = on\n");
+                // The seed goes in every row: on a base without a drop rate
+                // the spec keeps no fault plan to carry it.
+                let seed = base.system.seed ^ 0xE16;
+                let rates: Vec<_> = scale
+                    .drop_rates()
+                    .into_iter()
+                    .map(|r| (r, format!("fault.seed = {seed}\nfault.drop_rate = {r}\n")))
+                    .collect();
+                exp::spec_rows(&base, exp::scheme_rows(&SCHEMES[..2], &rates))
+                    .iter()
+                    .map(|((label, rate), o)| FaultRow::from_outcome(label, *rate, o))
+                    .collect::<Vec<_>>()
+            },
         ));
     }
     if want("e17") {

@@ -16,7 +16,6 @@
 
 use mdworm::cfgtext::{RunSpec, SpecParser};
 use mdworm::sim::run_experiment;
-use mdworm::workload::Pattern;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: simulate [--config FILE] [--set key=value]...\n\
@@ -46,56 +45,6 @@ fn spec_from_args(argv: &[String]) -> Result<Option<RunSpec>, String> {
     Ok(Some(parser.finish()))
 }
 
-/// Rejects values that parse but that no run can use: a fabric that
-/// fails [`mdworm::SystemConfig::validate`], an empty measurement
-/// window, or a traffic mix no source can generate on its host count.
-fn check_ranges(spec: &RunSpec) -> Result<(), String> {
-    let (cfg, t) = (&spec.system, &spec.traffic);
-    cfg.validate().map_err(|e| format!("invalid system: {e}"))?;
-    if !(0.0..=1.0).contains(&t.mcast_fraction) {
-        return Err(format!(
-            "traffic.mcast_fraction {} is outside [0, 1]",
-            t.mcast_fraction
-        ));
-    }
-    if !(0.0..).contains(&t.load) {
-        return Err(format!(
-            "traffic.load {} is not a load (at least 0)",
-            t.load
-        ));
-    }
-    if t.mcast_len == 0 {
-        return Err("traffic.len 0: messages must carry at least one flit".into());
-    }
-    // A host starts at most one message per cycle, so a higher load would
-    // run as a lower one while the tracker piles up undelivered messages.
-    if !t.load.is_finite() || t.load / t.mean_payload() > 1.0 {
-        return Err(format!(
-            "traffic.load {} exceeds one message per host per cycle (at most {})",
-            t.load,
-            t.mean_payload()
-        ));
-    }
-    if spec.run.measure == 0 {
-        return Err("run.measure 0: throughput needs a measurement window".into());
-    }
-    let hosts = cfg.n_hosts();
-    if t.mcast_fraction > 0.0 && !(1..hosts).contains(&t.degree) {
-        return Err(format!(
-            "traffic.degree {} impossible with {hosts} hosts (1 to {})",
-            t.degree,
-            hosts - 1
-        ));
-    }
-    if t.mcast_fraction < 1.0 && t.pattern != Pattern::Uniform && !hosts.is_power_of_two() {
-        return Err(format!(
-            "traffic.pattern {:?} permutes unicasts over a power-of-two host count, not {hosts}",
-            t.pattern
-        ));
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let spec = match spec_from_args(&argv) {
@@ -109,7 +58,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Err(e) = check_ranges(&spec) {
+    if let Err(e) = spec.check() {
         eprintln!("simulate: {e}\n{USAGE}");
         return ExitCode::from(2);
     }

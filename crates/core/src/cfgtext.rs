@@ -50,6 +50,63 @@ impl RunSpec {
         parser.text(text)?;
         Ok(parser.finish())
     }
+
+    /// Rejects values that parse but that no run can use: a fabric that
+    /// fails [`SystemConfig::validate`], an empty measurement window, or a
+    /// traffic mix no source can generate on its host count.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending key and value.
+    pub fn check(&self) -> Result<(), String> {
+        let (cfg, t) = (&self.system, &self.traffic);
+        cfg.validate().map_err(|e| format!("invalid system: {e}"))?;
+        if !(0.0..=1.0).contains(&t.mcast_fraction) {
+            return Err(format!(
+                "traffic.mcast_fraction {} is outside [0, 1]",
+                t.mcast_fraction
+            ));
+        }
+        if !(0.0..).contains(&t.load) {
+            return Err(format!(
+                "traffic.load {} is not a load (at least 0)",
+                t.load
+            ));
+        }
+        if t.mcast_len == 0 {
+            return Err("traffic.len 0: messages must carry at least one flit".into());
+        }
+        // The degree goes first: a zero degree zeroes the mean payload the
+        // load bound divides by.
+        let hosts = cfg.n_hosts();
+        if t.mcast_fraction > 0.0 && !(1..hosts).contains(&t.degree) {
+            return Err(format!(
+                "traffic.degree {} impossible with {hosts} hosts (1 to {})",
+                t.degree,
+                hosts - 1
+            ));
+        }
+        // A host starts at most one message per cycle, so a higher load
+        // would run as a lower one while the tracker piles up undelivered
+        // messages.
+        if !t.load.is_finite() || t.load / t.mean_payload() > 1.0 {
+            return Err(format!(
+                "traffic.load {} exceeds one message per host per cycle (at most {})",
+                t.load,
+                t.mean_payload()
+            ));
+        }
+        if self.run.measure == 0 {
+            return Err("run.measure 0: throughput needs a measurement window".into());
+        }
+        if t.mcast_fraction < 1.0 && t.pattern != Pattern::Uniform && !hosts.is_power_of_two() {
+            return Err(format!(
+                "traffic.pattern {:?} permutes unicasts over a power-of-two host count, not {hosts}",
+                t.pattern
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Parses config text into a [`RunSpec`], starting from its defaults.

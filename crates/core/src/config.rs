@@ -12,7 +12,7 @@ use crate::respond::ResponseConfig;
 use collectives::RecoveryConfig;
 use mdw_analysis::{
     analyze_fabric, analyze_fabric_budgeted, certify_fabric, switch_sizing, ArchClass, Certificate,
-    CompactTables, ConfigReport, ModelMode,
+    CompactTables, ConfigReport, ModelMode, ModelOptions,
 };
 use mintopo::irregular::Irregular;
 use mintopo::route::RouteTables;
@@ -485,6 +485,22 @@ impl SystemConfig {
 
         if !report.has_errors() {
             let (topology, tree) = crate::build::build_topology(self.topology);
+            let vet_switches = crate::respond::deep_vet_switches(topology.n_switches());
+            if self.response.is_some()
+                && self.model_mode == ModelMode::Exact
+                && vet_switches > ModelOptions::AUTO_EXACT_MAX_SWITCHES
+            {
+                report.warning(
+                    "model-exact-vet-bound",
+                    format!(
+                        "model.mode = exact runs the fault responder's deep reroute \
+                         vet as the unreduced oracle at {vet_switches} switches, past \
+                         the {} that `auto` checks exactly: it can exhaust its state \
+                         budget and reject every reroute — use model.mode = auto",
+                        ModelOptions::AUTO_EXACT_MAX_SWITCHES
+                    ),
+                );
+            }
             let tables = RouteTables::build(&topology);
             if self.certify.enabled {
                 let completed = analyze_fabric_budgeted(

@@ -23,20 +23,17 @@ use crate::config::{McastImpl, SwitchArch, SystemConfig, TopologyKind};
 use crate::report::{f, TableRow};
 use crate::respond::{FaultResponder, ResponseConfig};
 use crate::sim::{RunConfig, RunOutcome};
-use crate::sweep::{self, SweepJob};
+use crate::sweep;
 use crate::workload::TrafficSpec;
 use collectives::traffic::DeliveryHook;
 use collectives::{
     BarrierEngine, MessageSpec, RecoveryConfig, ScheduledSource, SilentSource, TrafficSource,
 };
-use mintopo::route::ReplicatePolicy;
 use netsim::ids::NodeId;
 use netsim::message::MessageKind;
 use netsim::rng::SimRng;
-use netsim::FaultPlan;
 use std::cell::RefCell;
 use std::rc::Rc;
-use switches::UpSelect;
 
 /// The three schemes of the paper, as the spec lines that select each.
 pub const SCHEMES: [(&str, &str); 3] = [
@@ -54,15 +51,6 @@ pub fn scheme_configs(base: &SystemConfig) -> Vec<(&'static str, SystemConfig)> 
     SCHEMES
         .iter()
         .map(|&(label, lines)| (label, base.with(lines).expect("scheme lines parse").system))
-        .collect()
-}
-
-/// Fans a labeled [`run_experiment`] job list out over the sweep worker
-/// pool and zips each outcome back to its metadata, in submission order.
-fn sweep_outcomes<M>(labeled: Vec<(M, SweepJob)>) -> Vec<(M, RunOutcome)> {
-    let (meta, jobs_list): (Vec<M>, Vec<SweepJob>) = labeled.into_iter().unzip();
-    meta.into_iter()
-        .zip(sweep::run_sweep_auto(jobs_list))
         .collect()
 }
 
@@ -124,14 +112,15 @@ pub fn e1_parameters(cfg: &SystemConfig, run: &RunConfig) -> Vec<ParamRow> {
 }
 
 // ---------------------------------------------------------------------
-// E2/E3, E6, E7, E8: one base spec, one swept key
+// Spec tables: E2/E3, E4/E5, E6, E7, E8, E9, E15 and E16
 // ---------------------------------------------------------------------
 
-/// The spec every E2/E3, E6, E7 and E8 point starts from: the paper's
+/// The spec every row of the spec tables starts from: the paper's
 /// multiple multicast (every message a multicast) at load 0.4, degree 16
 /// and 64 flits on the default 64-host fabric. A row's whole spec is this
-/// text, the run window, its scheme's [`SCHEMES`] lines and its point's
-/// lines.
+/// text, the run window, its table's lines and its own lines; an E2/E3,
+/// E6, E7 or E8 row's own lines are its scheme's [`SCHEMES`] lines and
+/// its point's.
 pub const SWEEP_BASE: &str = "\
 traffic.load = 0.4
 traffic.mcast_fraction = 1
@@ -213,27 +202,56 @@ impl TableRow for SweepRow {
     }
 }
 
+/// Runs one row per `(label, lines)` pair: `base` with the row's spec
+/// lines applied, fanned out over the sweep worker pool. Outcomes come
+/// back in row order, each with its label.
+///
+/// # Panics
+///
+/// Panics if a row's lines do not parse, or if they parse to a spec that
+/// [`RunSpec::check`] (and so `simulate`) rejects.
+pub fn spec_rows<L>(base: &RunSpec, rows: Vec<(L, String)>) -> Vec<(L, RunOutcome)> {
+    let (labels, specs): (Vec<L>, Vec<RunSpec>) = rows
+        .into_iter()
+        .map(|(label, lines)| {
+            let spec = base
+                .with(&lines)
+                .and_then(|spec| spec.check().map(|()| spec))
+                .unwrap_or_else(|e| panic!("{e}; row lines:\n{lines}"));
+            (label, spec)
+        })
+        .unzip();
+    labels
+        .into_iter()
+        .zip(sweep::run_sweep_auto(specs))
+        .collect()
+}
+
+/// The rows of every scheme at every point, scheme by scheme: each
+/// labeled `(scheme, x)`, its lines the scheme's then the point's.
+pub fn scheme_rows<'a, X: Copy>(
+    schemes: &[(&'a str, &str)],
+    points: &[(X, String)],
+) -> Vec<((&'a str, X), String)> {
+    let mut rows = Vec::new();
+    for &(label, scheme) in schemes {
+        for (x, lines) in points {
+            rows.push(((label, *x), format!("{scheme}{lines}")));
+        }
+    }
+    rows
+}
+
 /// E2/E3 (load), E6 (degree), E7 (message length) and E8 (system size):
-/// runs `base` once per scheme of [`SCHEMES`] and point, scheme by
+/// [`spec_rows`] over every scheme of [`SCHEMES`] and point, scheme by
 /// scheme. A point is its `x` and the spec lines that differ from `base`.
 ///
 /// # Panics
 ///
-/// Panics if a point's lines do not parse.
+/// Panics if a point's lines do not parse or do not pass
+/// [`RunSpec::check`].
 pub fn spec_sweep(base: &RunSpec, x_name: &str, points: &[(f64, String)]) -> Vec<SweepRow> {
-    let mut jobs = Vec::new();
-    for (label, scheme) in SCHEMES {
-        for (x, lines) in points {
-            let spec = base
-                .with(&format!("{scheme}{lines}"))
-                .unwrap_or_else(|e| panic!("{x_name} = {x}: {e}"));
-            jobs.push((
-                (label, *x),
-                SweepJob::new(spec.system, spec.traffic, spec.run),
-            ));
-        }
-    }
-    sweep_outcomes(jobs)
+    spec_rows(base, scheme_rows(&SCHEMES, points))
         .iter()
         .map(|((label, x), o)| SweepRow::from_outcome(label, x_name, *x, o))
         .collect()
@@ -249,30 +267,46 @@ pub fn e12_hotspot(
     fractions: &[f64],
     len: u16,
 ) -> Vec<SweepRow> {
-    let mut jobs = Vec::new();
+    let mut labels = Vec::new();
+    let mut specs = Vec::new();
     for (label, arch) in [
         ("CB", SwitchArch::CentralBuffer),
         ("IB", SwitchArch::InputBuffered),
     ] {
-        let cfg = SystemConfig {
+        let system = SystemConfig {
             arch,
             mcast: McastImpl::HwBitString,
             ..base.clone()
         };
         for &frac in fractions {
-            let spec = TrafficSpec::unicast(load, len).with_hotspot(frac, 0);
-            jobs.push(((label, frac), SweepJob::new(cfg.clone(), spec, run.clone())));
+            labels.push((label, frac));
+            specs.push(RunSpec {
+                system: system.clone(),
+                traffic: TrafficSpec::unicast(load, len).with_hotspot(frac, 0),
+                run: run.clone(),
+            });
         }
     }
-    sweep_outcomes(jobs)
+    labels
         .iter()
-        .map(|((label, frac), o)| SweepRow::from_outcome(label, "hotspot_frac", *frac, o))
+        .zip(sweep::run_sweep_auto(specs))
+        .map(|((label, frac), o)| SweepRow::from_outcome(label, "hotspot_frac", *frac, &o))
         .collect()
 }
 
 // ---------------------------------------------------------------------
 // E4/E5: bimodal traffic
 // ---------------------------------------------------------------------
+
+/// E4 + E5, bimodal traffic: how does each multicast implementation
+/// affect the *background unicast* latency (the abstract's headline
+/// bimodal claim), and what multicast latency does it achieve meanwhile?
+/// Every row is [`SWEEP_BASE`] plus these lines, its scheme's [`SCHEMES`]
+/// lines and its `traffic.load`. A fourth series, `CB-none`, is the same
+/// unicast background with the multicast share removed entirely: CB-HW
+/// lines, `traffic.mcast_fraction = 0` and the load scaled by the
+/// unicast share.
+pub const BIMODAL: &str = "traffic.mcast_fraction = 0.1\n";
 
 /// One point of the bimodal-traffic comparison.
 #[derive(Debug, Clone)]
@@ -293,6 +327,22 @@ pub struct BimodalRow {
     pub saturated: bool,
     /// Deadlocked?
     pub deadlocked: bool,
+}
+
+impl BimodalRow {
+    /// The row of `scheme`'s run at offered load `load`.
+    pub fn from_outcome(scheme: &str, load: f64, o: &RunOutcome) -> Self {
+        BimodalRow {
+            scheme: scheme.to_string(),
+            load,
+            unicast_mean: o.unicast.mean,
+            unicast_p95: o.unicast.p95,
+            mcast_mean: o.mcast_last.mean,
+            throughput: o.throughput,
+            saturated: o.saturated,
+            deadlocked: o.deadlocked,
+        }
+    }
 }
 
 impl TableRow for BimodalRow {
@@ -322,59 +372,45 @@ impl TableRow for BimodalRow {
     }
 }
 
-/// E4 + E5: bimodal traffic — how does each multicast implementation
-/// affect the *background unicast* latency (the abstract's headline
-/// bimodal claim), and what multicast latency does it achieve meanwhile?
-///
-/// A fourth series, `CB-none`, replaces the multicast fraction with
-/// nothing (same unicast background only) as the no-multicast reference.
-pub fn e4_e5_bimodal(
-    base: &SystemConfig,
-    run: &RunConfig,
-    loads: &[f64],
-    mcast_fraction: f64,
-    degree: usize,
-    len: u16,
-) -> Vec<BimodalRow> {
-    let mut jobs = Vec::new();
-    for (label, cfg) in scheme_configs(base) {
-        for &load in loads {
-            let spec = TrafficSpec::bimodal(load, mcast_fraction, degree, len);
-            jobs.push(((label, load), SweepJob::new(cfg.clone(), spec, run.clone())));
-        }
-    }
-    // Reference: the same unicast background with the multicast share
-    // removed entirely.
-    let cfg = SystemConfig {
-        arch: SwitchArch::CentralBuffer,
-        mcast: McastImpl::HwBitString,
-        ..base.clone()
-    };
-    for &load in loads {
-        let spec = TrafficSpec::unicast(load * (1.0 - mcast_fraction), len);
-        jobs.push((
-            ("CB-none", load),
-            SweepJob::new(cfg.clone(), spec, run.clone()),
-        ));
-    }
-    sweep_outcomes(jobs)
-        .iter()
-        .map(|((label, load), o)| BimodalRow {
-            scheme: label.to_string(),
-            load: *load,
-            unicast_mean: o.unicast.mean,
-            unicast_p95: o.unicast.p95,
-            mcast_mean: o.mcast_last.mean,
-            throughput: o.throughput,
-            saturated: o.saturated,
-            deadlocked: o.deadlocked,
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------
 // E9: ablations
 // ---------------------------------------------------------------------
+
+/// E9: design-choice ablations of the central-buffer switch under the
+/// bimodal workload ([`BIMODAL`] at load 0.4): bypass crossbar, up-path
+/// selection, replication policy, central-queue sizing, chunk size, the
+/// multiport encoding, flit width, and the input-buffered references.
+/// Each variant is its label and the spec lines it changes on a CB-HW
+/// system.
+pub const ABLATIONS: [(&str, &str); 13] = [
+    ("CB baseline", ""),
+    ("CB no bypass crossbar", "bypass_crossbar = false"),
+    ("CB deterministic up-path", "up_select = deterministic"),
+    (
+        "CB forward-and-return replication",
+        "policy = forward-and-return",
+    ),
+    ("CB central queue 32 chunks", "cq_chunks = 32"),
+    ("CB central queue 64 chunks", "cq_chunks = 64"),
+    ("CB central queue 256 chunks", "cq_chunks = 256"),
+    // The chunk-size rows keep the queue at 1 KB.
+    ("CB chunk size 4 flits", "chunk_flits = 4\ncq_chunks = 256"),
+    ("CB chunk size 16 flits", "chunk_flits = 16\ncq_chunks = 64"),
+    ("CB multiport encoding", "mcast = mp"),
+    // Wider flits halve the bit-string header's serialization cost (and
+    // double every payload's, in flit terms — lengths here are in flits,
+    // so this isolates the header-size effect).
+    ("CB 16-bit flits (half-size headers)", "bits_per_flit = 16"),
+    ("IB same-storage reference", "arch = ib"),
+    // The rejected alternative of §3: lock-step branch progress. This
+    // variant is *expected* to report deadlocked=true under multicast
+    // load — crossed partial grants between overlapping worms — which is
+    // the paper's argument for asynchronous replication.
+    (
+        "IB synchronous replication (rejected; may deadlock)",
+        "arch = ib\nreplication = sync",
+    ),
+];
 
 /// One ablation variant's outcome.
 #[derive(Debug, Clone)]
@@ -391,6 +427,20 @@ pub struct AblationRow {
     pub saturated: bool,
     /// Deadlocked?
     pub deadlocked: bool,
+}
+
+impl AblationRow {
+    /// The row of `variant`'s run.
+    pub fn from_outcome(variant: &str, o: &RunOutcome) -> Self {
+        AblationRow {
+            variant: variant.to_string(),
+            mcast_mean: o.mcast_last.mean,
+            unicast_mean: o.unicast.mean,
+            throughput: o.throughput,
+            saturated: o.saturated,
+            deadlocked: o.deadlocked,
+        }
+    }
 }
 
 impl TableRow for AblationRow {
@@ -414,97 +464,6 @@ impl TableRow for AblationRow {
             self.deadlocked.to_string(),
         ]
     }
-}
-
-/// E9: design-choice ablations of the central-buffer switch under a fixed
-/// bimodal workload: bypass crossbar, up-path selection, replication
-/// policy, central-queue sizing, chunk size, and the multiport encoding.
-pub fn e9_ablations(base: &SystemConfig, run: &RunConfig, load: f64) -> Vec<AblationRow> {
-    let degree = 16.min(base.n_hosts() / 2).max(1);
-    let spec = TrafficSpec::bimodal(load, 0.1, degree, 64);
-    let mut variants: Vec<(String, SystemConfig)> = Vec::new();
-    let cb = SystemConfig {
-        arch: SwitchArch::CentralBuffer,
-        mcast: McastImpl::HwBitString,
-        ..base.clone()
-    };
-    variants.push(("CB baseline".into(), cb.clone()));
-    {
-        let mut c = cb.clone();
-        c.switch.bypass_crossbar = false;
-        variants.push(("CB no bypass crossbar".into(), c));
-    }
-    {
-        let mut c = cb.clone();
-        c.switch.up_select = UpSelect::Deterministic;
-        variants.push(("CB deterministic up-path".into(), c));
-    }
-    {
-        let mut c = cb.clone();
-        c.switch.policy = ReplicatePolicy::ForwardAndReturn;
-        variants.push(("CB forward-and-return replication".into(), c));
-    }
-    for chunks in [32usize, 64, 256] {
-        let mut c = cb.clone();
-        c.switch.cq_chunks = chunks;
-        if c.switch.cq_flits() < u32::from(c.switch.max_packet_flits) {
-            c.switch.max_packet_flits = c.switch.cq_flits() as u16;
-        }
-        variants.push((format!("CB central queue {chunks} chunks"), c));
-    }
-    for chunk_flits in [4u16, 16] {
-        let mut c = cb.clone();
-        c.switch.chunk_flits = chunk_flits;
-        c.switch.cq_chunks = 1024 / usize::from(chunk_flits); // keep 1 KB total
-        variants.push((format!("CB chunk size {chunk_flits} flits"), c));
-    }
-    if matches!(base.topology, TopologyKind::KaryTree { .. }) {
-        let mut c = cb.clone();
-        c.mcast = McastImpl::HwMultiport;
-        variants.push(("CB multiport encoding".into(), c));
-    }
-    {
-        // Wider flits halve the bit-string header's serialization cost
-        // (and double every payload's, in flit terms — lengths here are in
-        // flits, so this isolates the header-size effect).
-        let mut c = cb.clone();
-        c.bits_per_flit = 16;
-        variants.push(("CB 16-bit flits (half-size headers)".into(), c));
-    }
-    {
-        let mut c = cb.clone();
-        c.arch = SwitchArch::InputBuffered;
-        variants.push(("IB same-storage reference".into(), c));
-    }
-    {
-        // The rejected alternative of §3: lock-step branch progress. This
-        // variant is *expected* to report deadlocked=true under multicast
-        // load — crossed partial grants between overlapping worms — which
-        // is the paper's argument for asynchronous replication.
-        let mut c = cb.clone();
-        c.arch = SwitchArch::InputBuffered;
-        c.switch.replication = switches::ReplicationMode::Synchronous;
-        variants.push((
-            "IB synchronous replication (rejected; may deadlock)".into(),
-            c,
-        ));
-    }
-
-    let jobs = variants
-        .into_iter()
-        .map(|(variant, cfg)| (variant, SweepJob::new(cfg, spec.clone(), run.clone())))
-        .collect();
-    sweep_outcomes(jobs)
-        .into_iter()
-        .map(|(variant, out)| AblationRow {
-            variant,
-            mcast_mean: out.mcast_last.mean,
-            unicast_mean: out.unicast.mean,
-            throughput: out.throughput,
-            saturated: out.saturated,
-            deadlocked: out.deadlocked,
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -707,41 +666,15 @@ pub fn e11_barrier(base: &SystemConfig, stages: &[usize], rounds: u64) -> Vec<Ba
 }
 
 /// E15 (extension; "other traffic patterns" in the paper's §9 outlook):
-/// permutation unicast traffic — how each buffer organization handles the
-/// classic MIN stress patterns at a fixed load.
-pub fn e15_patterns(base: &SystemConfig, run: &RunConfig, load: f64, len: u16) -> Vec<SweepRow> {
-    use crate::workload::Pattern;
-    let mut jobs = Vec::new();
-    for (pi, (pname, pattern)) in [
-        ("uniform", Pattern::Uniform),
-        ("bit-reversal", Pattern::BitReversal),
-        ("transpose", Pattern::Transpose),
-        ("near-neighbor", Pattern::NearNeighbor),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        for (label, arch) in [
-            ("CB", SwitchArch::CentralBuffer),
-            ("IB", SwitchArch::InputBuffered),
-        ] {
-            let cfg = SystemConfig {
-                arch,
-                mcast: McastImpl::HwBitString,
-                ..base.clone()
-            };
-            let spec = TrafficSpec::unicast(load, len).with_pattern(pattern);
-            jobs.push((
-                (format!("{label}/{pname}"), pi),
-                SweepJob::new(cfg, spec, run.clone()),
-            ));
-        }
-    }
-    sweep_outcomes(jobs)
-        .iter()
-        .map(|((scheme, pi), o)| SweepRow::from_outcome(scheme, "pattern", *pi as f64, o))
-        .collect()
-}
+/// permutation unicast traffic — how each buffer organization handles
+/// the classic MIN stress patterns at a fixed load. Each pattern is its
+/// table name and its spec line; a row's `x` is the pattern's index here.
+pub const PATTERNS: [(&str, &str); 4] = [
+    ("uniform", "traffic.pattern = uniform\n"),
+    ("bit-reversal", "traffic.pattern = bitrev\n"),
+    ("transpose", "traffic.pattern = transpose\n"),
+    ("near-neighbor", "traffic.pattern = neighbor\n"),
+];
 
 // ---------------------------------------------------------------------
 // E13: reduction / all-reduce extension
@@ -935,7 +868,12 @@ pub fn e14_combining_barrier(
 // E16: graceful degradation under link faults
 // ---------------------------------------------------------------------
 
-/// One point of the fault-rate degradation sweep.
+/// One point of the E16 fault-rate degradation sweep (robustness
+/// extension): latency and delivered throughput versus the per-flit drop
+/// rate, with end-to-end recovery on (`recovery = on`), for both buffer
+/// organizations. Shows how gracefully each architecture degrades as
+/// links get lossy — and that the retransmission protocol keeps delivery
+/// lossless until it can no longer keep up.
 #[derive(Debug, Clone)]
 pub struct FaultRow {
     /// Scheme label (CB-HW / IB-HW).
@@ -957,6 +895,23 @@ pub struct FaultRow {
     pub leftover: usize,
     /// Saturated (could not drain)?
     pub saturated: bool,
+}
+
+impl FaultRow {
+    /// The row of `scheme`'s run at per-flit drop rate `drop_rate`.
+    pub fn from_outcome(scheme: &str, drop_rate: f64, o: &RunOutcome) -> Self {
+        FaultRow {
+            scheme: scheme.to_string(),
+            drop_rate,
+            mcast_mean: o.mcast_last.mean,
+            throughput: o.throughput,
+            worms_dropped: o.faults.worms_dropped,
+            retransmits: o.recovery.retransmits,
+            gave_up: o.recovery.gave_up,
+            leftover: o.leftover,
+            saturated: o.saturated,
+        }
+    }
 }
 
 impl TableRow for FaultRow {
@@ -986,55 +941,6 @@ impl TableRow for FaultRow {
             self.saturated.to_string(),
         ]
     }
-}
-
-/// E16 (robustness extension): latency and delivered throughput versus the
-/// per-flit drop rate, with end-to-end recovery enabled, for both buffer
-/// organizations. Shows how gracefully each architecture degrades as links
-/// get lossy — and that the retransmission protocol keeps delivery
-/// lossless until it can no longer keep up.
-pub fn e16_fault_sweep(
-    base: &SystemConfig,
-    run: &RunConfig,
-    load: f64,
-    drop_rates: &[f64],
-    degree: usize,
-    len: u16,
-) -> Vec<FaultRow> {
-    let mut jobs = Vec::new();
-    for (label, arch) in [
-        ("CB-HW", SwitchArch::CentralBuffer),
-        ("IB-HW", SwitchArch::InputBuffered),
-    ] {
-        let cfg = SystemConfig {
-            arch,
-            mcast: McastImpl::HwBitString,
-            recovery: Some(RecoveryConfig::default()),
-            ..base.clone()
-        };
-        for &rate in drop_rates {
-            let spec = TrafficSpec::multiple_multicast(load, degree, len);
-            let frun = RunConfig {
-                faults: (rate > 0.0).then(|| FaultPlan::drops(base.seed ^ 0xE16, rate)),
-                ..run.clone()
-            };
-            jobs.push(((label, rate), SweepJob::new(cfg.clone(), spec, frun)));
-        }
-    }
-    sweep_outcomes(jobs)
-        .iter()
-        .map(|((label, rate), out)| FaultRow {
-            scheme: label.to_string(),
-            drop_rate: *rate,
-            mcast_mean: out.mcast_last.mean,
-            throughput: out.throughput,
-            worms_dropped: out.faults.worms_dropped,
-            retransmits: out.recovery.retransmits,
-            gave_up: out.recovery.gave_up,
-            leftover: out.leftover,
-            saturated: out.saturated,
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1694,9 +1600,9 @@ pub(crate) fn e19_run(phase_len: netsim::Cycle) -> RunConfig {
 }
 
 /// Drives one scheme through the exhaustive crash sweep: a seeded
-/// [`FaultPlan`] outage schedule forces reroute and heal episodes, the
-/// oracle pass counts the protocol boundaries, and one injected run per
-/// (boundary, tear) pair crashes the responder there.
+/// [`netsim::FaultPlan`] outage schedule forces reroute and heal
+/// episodes, the oracle pass counts the protocol boundaries, and one
+/// injected run per (boundary, tear) pair crashes the responder there.
 fn e19_drive(
     label: &str,
     cfg: SystemConfig,
@@ -1767,6 +1673,27 @@ mod tests {
             topology: TopologyKind::KaryTree { k: 2, n: 3 }, // 8 hosts
             ..SystemConfig::default()
         }
+    }
+
+    /// The 8-host tree under [`SWEEP_BASE`] over `run`, with `lines`
+    /// applied.
+    fn tiny_spec(run: RunConfig, lines: &str) -> RunSpec {
+        RunSpec {
+            system: tiny_base(),
+            run,
+            ..RunSpec::default()
+        }
+        .with(&format!("{SWEEP_BASE}{lines}"))
+        .expect("parses")
+    }
+
+    #[test]
+    #[should_panic(expected = "traffic.degree 16 impossible with 8 hosts")]
+    fn spec_rows_refuses_a_row_simulate_would_reject() {
+        spec_rows(
+            &tiny_spec(RunConfig::quick(), ""),
+            vec![((), String::new())],
+        );
     }
 
     #[test]
@@ -1889,13 +1816,7 @@ mod tests {
 
     #[test]
     fn e2_rows_cover_all_schemes_and_loads() {
-        let base = RunSpec {
-            system: tiny_base(),
-            run: RunConfig::quick(),
-            ..RunSpec::default()
-        }
-        .with("traffic.degree = 4\ntraffic.len = 16")
-        .expect("parses");
+        let base = tiny_spec(RunConfig::quick(), "traffic.degree = 4\ntraffic.len = 16");
         let points = [0.02, 0.05].map(|l| (l, format!("traffic.load = {l}")));
         let rows = spec_sweep(&base, "load", &points);
         assert_eq!(rows.len(), 6);
@@ -1978,7 +1899,20 @@ mod tests {
 
     #[test]
     fn e15_patterns_run_clean_on_16_hosts() {
-        let rows = e15_patterns(&tiny_base(), &RunConfig::quick(), 0.2, 32);
+        let base = tiny_spec(
+            RunConfig::quick(),
+            "traffic.mcast_fraction = 0\ntraffic.load = 0.2\ntraffic.len = 32",
+        );
+        let mut rows = Vec::new();
+        for (pi, (name, pattern)) in PATTERNS.iter().enumerate() {
+            for (label, arch) in [("CB", SCHEMES[0].1), ("IB", SCHEMES[1].1)] {
+                rows.push(((format!("{label}/{name}"), pi), format!("{arch}{pattern}")));
+            }
+        }
+        let rows: Vec<SweepRow> = spec_rows(&base, rows)
+            .iter()
+            .map(|((scheme, pi), o)| SweepRow::from_outcome(scheme, "pattern", *pi as f64, o))
+            .collect();
         assert_eq!(rows.len(), 8);
         assert!(rows.iter().all(|r| !r.deadlocked), "{rows:?}");
         assert!(rows.iter().all(|r| r.unicast_mean > 0.0));
@@ -2029,7 +1963,21 @@ mod tests {
             drain_max: 400_000,
             ..RunConfig::default()
         };
-        let rows = e16_fault_sweep(&tiny_base(), &run, 0.05, &[0.0, 1e-4, 1e-3], 4, 32);
+        let base = tiny_spec(
+            run,
+            "recovery = on\ntraffic.load = 0.05\ntraffic.degree = 4\ntraffic.len = 32",
+        );
+        let seed = base.system.seed ^ 0xE16;
+        let rates = [0.0, 1e-4, 1e-3].map(|rate| {
+            (
+                rate,
+                format!("fault.seed = {seed}\nfault.drop_rate = {rate}\n"),
+            )
+        });
+        let rows: Vec<FaultRow> = spec_rows(&base, scheme_rows(&SCHEMES[..2], &rates))
+            .iter()
+            .map(|((label, rate), o)| FaultRow::from_outcome(label, *rate, o))
+            .collect();
         assert_eq!(rows.len(), 6);
         // Lossless delivery at every probed rate, for both architectures.
         assert!(
@@ -2052,8 +2000,20 @@ mod tests {
 
     #[test]
     fn e9_ablations_all_run_clean() {
-        let rows = e9_ablations(&tiny_base(), &RunConfig::quick(), 0.05);
-        assert!(rows.len() >= 8);
+        // The base's 16 destinations do not fit 8 hosts.
+        let base = tiny_spec(
+            RunConfig::quick(),
+            &format!(
+                "{BIMODAL}{}traffic.load = 0.05\ntraffic.degree = 4",
+                SCHEMES[0].1
+            ),
+        );
+        let rows = ABLATIONS.iter().map(|&(v, lines)| (v, lines.to_string()));
+        let rows: Vec<AblationRow> = spec_rows(&base, rows.collect())
+            .iter()
+            .map(|(variant, o)| AblationRow::from_outcome(variant, o))
+            .collect();
+        assert_eq!(rows.len(), ABLATIONS.len());
         // Every variant except the deliberately unsafe synchronous-
         // replication one must be deadlock-free.
         assert!(

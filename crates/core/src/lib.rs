@@ -65,5 +65,5 @@ pub use mdw_analysis::{ConfigReport, Diagnostic, Severity};
 pub use respond::{FaultResponder, MemoStats, ResponseConfig, ResponseCounters, ResponseEvent};
 pub use routed::{RoutedConfig, RoutedService, StormResponder};
 pub use sim::{run_experiment, RunConfig, RunOutcome};
-pub use sweep::{parallel_map, run_sweep, SweepJob};
+pub use sweep::{parallel_map, run_sweep};
 pub use workload::{make_sources, RandomTraffic, TrafficSpec};

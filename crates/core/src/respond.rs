@@ -511,6 +511,12 @@ pub(crate) fn model_checks_run() -> usize {
     MODEL_VERDICTS.with(|t| t.borrow().len())
 }
 
+/// The fabric-size bound of the deep vet's model check: the live switch
+/// count, clamped to the checker's scenario range.
+pub(crate) fn deep_vet_switches(n_switches: usize) -> usize {
+    n_switches.clamp(2, 16)
+}
+
 /// The fault-response orchestrator. Owns the debounced health view, the
 /// write-ahead journal, and drives the gate/purge/two-phase-install
 /// protocol against a [`System`].
@@ -857,7 +863,7 @@ impl FaultResponder {
     /// and the switch state machines (behavioral) are deadlock-free.
     fn deep_vet(&mut self, config: &SystemConfig, n_switches: usize) -> Result<(), String> {
         let bounds = ModelBounds {
-            max_switches: n_switches.clamp(2, 16),
+            max_switches: deep_vet_switches(n_switches),
             ..ModelBounds::default()
         };
         let opts = ModelOptions {

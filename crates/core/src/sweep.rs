@@ -2,10 +2,10 @@
 //! a fixed-size worker pool.
 //!
 //! The evaluation is a large cross-product of *independent* runs — every
-//! `(SystemConfig, TrafficSpec, RunConfig)` job builds its own engine,
-//! measures it, and returns a [`RunOutcome`]. The simulator internals are
-//! deliberately single-threaded (`Rc`/`RefCell` everywhere), so the fan-out
-//! happens strictly **above** the engine:
+//! [`RunSpec`] builds its own engine, measures it, and returns a
+//! [`RunOutcome`]. The simulator internals are deliberately
+//! single-threaded (`Rc`/`RefCell` everywhere), so the fan-out happens
+//! strictly **above** the engine:
 //!
 //! * only the plain-data job descriptions (all `Send`) cross into worker
 //!   threads;
@@ -22,9 +22,8 @@
 //! host's CPU count, since oversubscribing a CPU-bound sweep only adds
 //! overhead.
 
-use crate::config::SystemConfig;
-use crate::sim::{run_experiment, RunConfig, RunOutcome};
-use crate::workload::TrafficSpec;
+use crate::cfgtext::RunSpec;
+use crate::sim::{run_experiment, RunOutcome};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -110,51 +109,33 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// One simulation run of a sweep: everything [`run_experiment`] needs,
-/// as plain `Send` data.
-#[derive(Debug, Clone)]
-pub struct SweepJob {
-    /// System to build.
-    pub config: SystemConfig,
-    /// Workload to offer.
-    pub spec: TrafficSpec,
-    /// Run-length parameters.
-    pub run: RunConfig,
-}
-
-impl SweepJob {
-    /// Bundles one run's parameters.
-    pub fn new(config: SystemConfig, spec: TrafficSpec, run: RunConfig) -> Self {
-        SweepJob { config, spec, run }
-    }
-}
-
-// The whole scheme rests on job descriptions and outcomes being Send while
-// the engine internals are not; make the former a compile-time guarantee.
+// The whole scheme rests on run specs and outcomes being Send while the
+// engine internals are not; make the former a compile-time guarantee.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<SweepJob>();
+    assert_send::<RunSpec>();
     assert_send::<RunOutcome>();
 };
 
-/// Runs every job through [`run_experiment`] on `n_workers` threads,
+/// Runs every spec through [`run_experiment`] on `n_workers` threads,
 /// returning outcomes in submission order.
-pub fn run_sweep(jobs_list: Vec<SweepJob>, n_workers: usize) -> Vec<RunOutcome> {
-    parallel_map(jobs_list, n_workers, |j| {
-        run_experiment(&j.config, &j.spec, &j.run)
+pub fn run_sweep(specs: Vec<RunSpec>, n_workers: usize) -> Vec<RunOutcome> {
+    parallel_map(specs, n_workers, |s| {
+        run_experiment(&s.system, &s.traffic, &s.run)
     })
 }
 
 /// [`run_sweep`] with the pool size from [`jobs`].
-pub fn run_sweep_auto(jobs_list: Vec<SweepJob>) -> Vec<RunOutcome> {
-    let n = jobs();
-    run_sweep(jobs_list, n)
+pub fn run_sweep_auto(specs: Vec<RunSpec>) -> Vec<RunOutcome> {
+    run_sweep(specs, jobs())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{McastImpl, SwitchArch, SystemConfig, TopologyKind};
+    use crate::sim::RunConfig;
+    use crate::workload::TrafficSpec;
 
     #[test]
     fn results_come_back_in_submission_order() {
@@ -203,7 +184,7 @@ mod tests {
         });
     }
 
-    fn e2_style_jobs(seed: u64) -> Vec<SweepJob> {
+    fn e2_style_jobs(seed: u64) -> Vec<RunSpec> {
         let base = SystemConfig {
             topology: TopologyKind::KaryTree { k: 2, n: 3 }, // 8 hosts
             seed,
@@ -216,15 +197,15 @@ mod tests {
             (SwitchArch::CentralBuffer, McastImpl::SwBinomial),
         ] {
             for load in [0.03, 0.08] {
-                jobs_list.push(SweepJob::new(
-                    SystemConfig {
+                jobs_list.push(RunSpec {
+                    system: SystemConfig {
                         arch,
                         mcast,
                         ..base.clone()
                     },
-                    TrafficSpec::multiple_multicast(load, 4, 16),
-                    RunConfig::quick(),
-                ));
+                    traffic: TrafficSpec::multiple_multicast(load, 4, 16),
+                    run: RunConfig::quick(),
+                });
             }
         }
         jobs_list

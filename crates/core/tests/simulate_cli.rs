@@ -101,6 +101,12 @@ fn bad_arguments_exit_2_with_usage() {
     assert!(stderr(&["--config", &bad_line]).contains(&format!("{bad_line}: line 2")));
     assert!(stderr(&["--set", "k=-1"]).contains("--set `k=-1`"));
     assert!(stderr(&["--set", "traffic.load=inf"]).contains("traffic.load inf"));
+    // A zero degree is named as such, not as the load it makes unbounded.
+    let zero_degree = stderr(&["--set", "traffic.degree=0"]);
+    assert!(
+        zero_degree.contains("traffic.degree 0") && !zero_degree.contains("traffic.load"),
+        "{zero_degree}"
+    );
 }
 
 #[test]

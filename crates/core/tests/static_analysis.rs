@@ -181,6 +181,32 @@ fn shipped_experiment_configs_pass_clean() {
     }
 }
 
+/// With the fault responder on, `model.mode = exact` runs the deep
+/// reroute vet as the unreduced oracle at the fabric's switch count (at
+/// most 16). On `configs/fault-response.mdw` that bound is past what
+/// `auto` checks exactly, so the lint warns before the run; `auto`, and
+/// `exact` on a one-switch fabric, stay silent.
+#[test]
+fn exact_model_mode_past_the_auto_range_warns_before_the_run() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../configs/fault-response.mdw"
+    );
+    let text = std::fs::read_to_string(path).expect("shipped config");
+    let warns = |extra: &str| {
+        let cfg = mdworm::cfgtext::parse_config(&format!("{text}\n{extra}")).expect("parses");
+        let report = cfg.report();
+        assert!(!report.has_errors(), "{extra}: {:?}", report.diagnostics);
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == "model-exact-vet-bound")
+    };
+    assert!(warns("model.mode = exact"));
+    assert!(!warns("model.mode = auto"));
+    assert!(!warns("stages = 1\nmodel.mode = exact"));
+}
+
 /// The differential contract behind `mdw-lint --certify`, over every
 /// shipped config file: each parses; on every statically sound one the
 /// certificate checker accepts and agrees with the explicit CDG

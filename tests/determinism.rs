@@ -81,45 +81,44 @@ fn faulty_runs_with_recovery_are_bit_identical() {
 #[test]
 fn fault_response_sweep_is_identical_across_worker_counts() {
     use collectives::RecoveryConfig;
+    use mdworm::cfgtext::RunSpec;
     use mdworm::respond::ResponseConfig;
-    use mdworm::sweep::{run_sweep, SweepJob};
+    use mdworm::sweep::run_sweep;
     use netsim::FaultPlan;
 
     // Seeded link outages (longer than the responder's debounce window)
     // with the full recovery + online-response pipeline armed: the
     // detect/reroute/quiesce/degrade protocol must replay byte-identically
     // whatever the sweep pool size.
-    let jobs = || -> Vec<SweepJob> {
+    let jobs = || -> Vec<RunSpec> {
         [SwitchArch::CentralBuffer, SwitchArch::InputBuffered]
             .into_iter()
-            .map(|arch| {
-                SweepJob::new(
-                    SystemConfig {
-                        // Wide leaves (4 up links each): the random
-                        // outages degrade paths without ever partitioning
-                        // a subtree outright, which no reroute can mask.
-                        topology: TopologyKind::KaryTree { k: 4, n: 2 },
-                        arch,
-                        recovery: Some(RecoveryConfig::default()),
-                        response: Some(ResponseConfig::default()),
-                        ..cfg(31)
-                    },
-                    TrafficSpec::multiple_multicast(0.04, 4, 16),
-                    RunConfig {
-                        warmup: 200,
-                        measure: 4_000,
-                        drain_max: 400_000,
-                        faults: Some(FaultPlan {
-                            seed: 99,
-                            flit_drop: 0.0,
-                            flit_corrupt: 0.0,
-                            down_every: 2_500,
-                            down_len: 200,
-                            credit_leak: 0.0,
-                        }),
-                        ..RunConfig::default()
-                    },
-                )
+            .map(|arch| RunSpec {
+                system: SystemConfig {
+                    // Wide leaves (4 up links each): the random outages
+                    // degrade paths without ever partitioning a subtree
+                    // outright, which no reroute can mask.
+                    topology: TopologyKind::KaryTree { k: 4, n: 2 },
+                    arch,
+                    recovery: Some(RecoveryConfig::default()),
+                    response: Some(ResponseConfig::default()),
+                    ..cfg(31)
+                },
+                traffic: TrafficSpec::multiple_multicast(0.04, 4, 16),
+                run: RunConfig {
+                    warmup: 200,
+                    measure: 4_000,
+                    drain_max: 400_000,
+                    faults: Some(FaultPlan {
+                        seed: 99,
+                        flit_drop: 0.0,
+                        flit_corrupt: 0.0,
+                        down_every: 2_500,
+                        down_len: 200,
+                        credit_leak: 0.0,
+                    }),
+                    ..RunConfig::default()
+                },
             })
             .collect()
     };

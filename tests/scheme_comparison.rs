@@ -1,9 +1,11 @@
 //! Qualitative reproduction checks: the orderings the paper reports must
 //! hold in the simulator (not the absolute numbers — the shapes).
 
+use mdworm::cfgtext::RunSpec;
 use mdworm::config::{McastImpl, SwitchArch, SystemConfig, TopologyKind};
 use mdworm::experiments::{
-    e10_single_multicast, e4_e5_bimodal, run_barrier, single_multicast_latency,
+    e10_single_multicast, run_barrier, single_multicast_latency, spec_rows, BIMODAL, SCHEMES,
+    SWEEP_BASE,
 };
 use mdworm::sim::{run_experiment, RunConfig};
 use mdworm::workload::TrafficSpec;
@@ -64,12 +66,37 @@ fn bimodal_background_unicast_suffers_least_under_cb_hardware() {
         measure: 10_000,
         ..RunConfig::default()
     };
-    let rows = e4_e5_bimodal(&base64(), &run, &[0.5], 0.10, 16, 64);
+    // E4/E5's rows at load 0.5: the bimodal base on the 64-host fabric,
+    // and the same unicast background without the multicast share.
+    let base = RunSpec {
+        run,
+        ..RunSpec::default()
+    }
+    .with(&format!("{SWEEP_BASE}{BIMODAL}"))
+    .expect("parses");
+    let load = 0.5;
+    let rows = spec_rows(
+        &base,
+        vec![
+            ("CB-HW", format!("{}traffic.load = {load}", SCHEMES[0].1)),
+            ("SW-CB", format!("{}traffic.load = {load}", SCHEMES[2].1)),
+            (
+                "CB-none",
+                format!(
+                    "{}traffic.mcast_fraction = 0\ntraffic.load = {}",
+                    SCHEMES[0].1,
+                    load * (1.0 - base.traffic.mcast_fraction)
+                ),
+            ),
+        ],
+    );
     let uni = |scheme: &str| {
         rows.iter()
-            .find(|r| r.scheme == scheme)
+            .find(|(label, _)| *label == scheme)
             .expect("row exists")
-            .unicast_mean
+            .1
+            .unicast
+            .mean
     };
     let cb_hw = uni("CB-HW");
     let sw = uni("SW-CB");
