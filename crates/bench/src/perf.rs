@@ -11,7 +11,8 @@ use mdworm::{
 };
 use std::time::Instant;
 
-/// Cycles each cell of the [`bench_scale`] grid simulates per loop.
+/// Cycles each load-0.3 cell of the [`bench_scale`] grid simulates per
+/// loop; lighter cells run proportionally longer.
 const SCALE_CYCLES: u64 = 20_000;
 
 /// Timed runs of each loop per [`bench_scale`] cell. One run can swing 2×
@@ -406,12 +407,15 @@ fn median_iqr(mut xs: Vec<f64>) -> (f64, f64) {
 }
 
 /// Times the reference loop against the scheduled loop on the grid
-/// {64, 256} central-buffer hosts and 64 input-buffered hosts × loads
+/// {64, 256} central-buffer and {64, 256} input-buffered hosts × loads
 /// {0.02, 0.1, 0.3} of the multiple-multicast workload (degree 16, 64
 /// flits). Both loops run the identical workload, so the ratio is purely
 /// the ticks the schedule avoids against its bookkeeping. Each cell runs
 /// each loop [`SCALE_RUNS`] times, alternating reference and scheduled,
-/// and reports medians with interquartile ranges.
+/// and reports medians with interquartile ranges. A cell at load `l`
+/// simulates `cycles · 0.3 / l` cycles, so light cells, which run fastest,
+/// still last long enough that timer and scheduler noise stay small; the
+/// count depends on the load alone, never on the host.
 pub fn bench_scale(cycles: u64) -> Vec<ScaleCell> {
     // 4-ary trees: 3 stages is the default 64-host fabric, 4 is 256 hosts.
     let tree = |n| TopologyKind::KaryTree { k: 4, n };
@@ -419,6 +423,7 @@ pub fn bench_scale(cycles: u64) -> Vec<ScaleCell> {
         (SwitchArch::CentralBuffer, tree(3)),
         (SwitchArch::CentralBuffer, tree(4)),
         (SwitchArch::InputBuffered, tree(3)),
+        (SwitchArch::InputBuffered, tree(4)),
     ];
     let mut cells = Vec::new();
     for (arch, topology) in fabrics {
@@ -428,6 +433,7 @@ pub fn bench_scale(cycles: u64) -> Vec<ScaleCell> {
             ..SystemConfig::default()
         };
         for load in [0.02, 0.1, 0.3] {
+            let cycles = (cycles as f64 * 0.3 / load).round() as u64;
             let rate = |secs: f64| cycles as f64 / secs.max(1e-9);
             let mut reference = Vec::with_capacity(SCALE_RUNS);
             let mut scheduled = Vec::with_capacity(SCALE_RUNS);
@@ -804,22 +810,25 @@ mod tests {
         }
     }
 
-    /// The grid covers the CB fabrics and the 64-host IB fabric at all
-    /// three loads, and the scheduled loop skips host and switch ticks in
-    /// every cell.
+    /// The grid covers the 64- and 256-host CB and IB fabrics at all
+    /// three loads, lighter loads run proportionally more cycles, and the
+    /// scheduled loop skips host and switch ticks in every cell.
     #[test]
     fn bench_scale_skips_host_and_switch_ticks_in_every_cell() {
-        let cells = bench_scale(400);
+        let cells = bench_scale(40);
         let fabrics: Vec<_> = cells.iter().map(|c| (c.arch, c.hosts)).collect();
         assert_eq!(
             fabrics,
             [
                 [("CB", 64); 3].as_slice(),
                 &[("CB", 256); 3],
-                &[("IB", 64); 3]
+                &[("IB", 64); 3],
+                &[("IB", 256); 3]
             ]
             .concat()
         );
+        let cycles: Vec<_> = cells.iter().map(|c| c.cycles).collect();
+        assert_eq!(cycles, [600, 120, 40].repeat(4));
         for c in &cells {
             assert_eq!(c.runs, SCALE_RUNS, "{c:?}");
             assert!(c.reference_cycles_per_sec > 0.0 && c.scheduled_cycles_per_sec > 0.0);

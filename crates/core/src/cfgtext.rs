@@ -194,9 +194,15 @@ impl Shape {
 pub struct SpecParser {
     spec: RunSpec,
     shape: Shape,
-    /// The `fault.*` keys; [`RunConfig::faults`] holds the plan only when
-    /// it can inject a fault, so the fault-free fast path stays on.
-    faults: FaultPlan,
+}
+
+/// The spec's fault plan, created by the first `fault.*` key. It stays
+/// even when it cannot inject a fault, so a seed set before any rate
+/// survives a later layer; a no-op plan installs nothing, so the
+/// fault-free fast path stays on.
+fn plan(faults: &mut Option<FaultPlan>) -> &mut FaultPlan {
+    // 0xFA17 is the default `fault.seed`.
+    faults.get_or_insert_with(|| FaultPlan::none(0xFA17))
 }
 
 /// Parses `value` as the value of `key`.
@@ -220,8 +226,6 @@ impl SpecParser {
     pub fn new(start: RunSpec) -> Self {
         SpecParser {
             shape: Shape::of(start.system.topology),
-            // 0xFA17 is the default `fault.seed`.
-            faults: start.run.faults.clone().unwrap_or(FaultPlan::none(0xFA17)),
             spec: start,
         }
     }
@@ -255,7 +259,6 @@ impl SpecParser {
     /// The spec with every applied key.
     pub fn finish(mut self) -> RunSpec {
         self.spec.system.topology = self.shape.topology();
-        self.spec.run.faults = (!self.faults.is_noop()).then_some(self.faults);
         self.spec
     }
 
@@ -267,6 +270,7 @@ impl SpecParser {
         // The optional blocks; a tuning key turns its block on.
         let (recovery, response, routed) = (&mut cfg.recovery, &mut cfg.response, &mut cfg.routed);
         let traffic = &mut self.spec.traffic;
+        let faults = &mut self.spec.run.faults;
         match key {
             "topology" => {
                 self.shape.kind = match value {
@@ -451,12 +455,12 @@ impl SpecParser {
             "run.warmup" => self.spec.run.warmup = num(key, value)?,
             "run.measure" => self.spec.run.measure = num(key, value)?,
             // Injected link faults (`netsim::FaultPlan`).
-            "fault.seed" => self.faults.seed = num(key, value)?,
-            "fault.drop_rate" => self.faults.flit_drop = probability(key, value)?,
-            "fault.corrupt_rate" => self.faults.flit_corrupt = probability(key, value)?,
-            "fault.down_every" => self.faults.down_every = num(key, value)?,
-            "fault.down_len" => self.faults.down_len = num(key, value)?,
-            "fault.credit_leak" => self.faults.credit_leak = probability(key, value)?,
+            "fault.seed" => plan(faults).seed = num(key, value)?,
+            "fault.drop_rate" => plan(faults).flit_drop = probability(key, value)?,
+            "fault.corrupt_rate" => plan(faults).flit_corrupt = probability(key, value)?,
+            "fault.down_every" => plan(faults).down_every = num(key, value)?,
+            "fault.down_len" => plan(faults).down_len = num(key, value)?,
+            "fault.credit_leak" => plan(faults).credit_leak = probability(key, value)?,
             _ => return Err(format!("unknown key `{key}`")),
         }
         Ok(())
@@ -784,10 +788,20 @@ mod tests {
         );
 
         // The defaults are the sweep workload over the default window; a
-        // plan that cannot inject a fault keeps the fault-free path.
+        // plan that cannot inject a fault is kept (it installs nothing).
         let spec = parse_spec("fault.seed = 9\nfault.down_every = 100").expect("parses");
         assert_eq!(spec.traffic, TrafficSpec::multiple_multicast(0.4, 16, 64));
-        assert_eq!(spec.run, RunConfig::default());
+        let plan = spec.run.faults.clone().expect("a fault key keeps the plan");
+        assert!(plan.is_noop() && plan.seed == 9 && plan.down_every == 100);
+        let no_faults = RunConfig {
+            faults: None,
+            ..spec.run
+        };
+        assert_eq!(no_faults, RunConfig::default());
+        assert_eq!(
+            parse_spec("run.warmup = 5").expect("parses").run.faults,
+            None
+        );
 
         for key in ["fault.drop_rate", "fault.corrupt_rate", "fault.credit_leak"] {
             for value in ["NaN", "-1", "1.5", "inf", ""] {
@@ -796,6 +810,18 @@ mod tests {
             }
             assert!(parse_spec(&format!("{key} = 1")).is_ok());
         }
+    }
+
+    /// A fault seed set in one layer survives a rate set in the next.
+    #[test]
+    fn fault_seed_survives_a_later_rate_layer() {
+        let layered = parse_spec("fault.seed = 9")
+            .expect("parses")
+            .with("fault.drop_rate = 0.001")
+            .expect("parses");
+        let at_once = parse_spec("fault.seed = 9\nfault.drop_rate = 0.001").expect("parses");
+        assert_eq!(layered.run.faults, Some(FaultPlan::drops(9, 0.001)));
+        assert_eq!(layered.run, at_once.run);
     }
 
     #[test]

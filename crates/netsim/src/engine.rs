@@ -290,8 +290,9 @@ impl PortIo<'_> {
 
     /// Consumes the flit arriving on input `port` (at most one per cycle).
     ///
-    /// The caller must eventually call [`PortIo::return_credit`] for the
-    /// same port, once per consumed flit.
+    /// The caller must eventually return one credit on the same port per
+    /// consumed flit ([`PortIo::return_credit`] or
+    /// [`PortIo::return_credits`]).
     ///
     /// # Panics
     ///
@@ -318,6 +319,20 @@ impl PortIo<'_> {
     /// Panics if `port` is out of range.
     pub fn return_credit(&mut self, port: usize) {
         self.links[self.inputs[port].index()].return_credit(self.now);
+    }
+
+    /// Returns `n` credits on input `port` at once, exactly as `n` calls
+    /// of [`PortIo::return_credit`] would (see [`Link::return_credits`]);
+    /// `n == 0` reads nothing of the link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is out of range.
+    pub fn return_credits(&mut self, port: usize, n: u32) {
+        let link = &mut self.links[self.inputs[port].index()];
+        if n > 0 {
+            link.return_credits(self.now, n);
+        }
     }
 
     /// `true` if output `port` can accept a flit this cycle.

@@ -2,17 +2,28 @@
 //! control.
 //!
 //! Each link moves at most one flit per cycle in the forward direction and
-//! one credit per cycle in the reverse direction. The credit window equals
+//! returns credits in the reverse direction. The credit window equals
 //! the receiver-side staging buffer the downstream component exposes: the
 //! sender spends one credit per flit, and the receiver returns a credit when
 //! it frees the corresponding staging slot. A full-duplex physical cable is
 //! modeled as two `Link`s.
+//!
+//! A link stores what is on the wire, not its whole window. Every
+//! production receiver (host, central-buffer staging, input buffer) takes
+//! each flit in the cycle it lands, so a link holds at most `delay + 1`
+//! flits, and returned credits travel as `(arrival, count)` runs, at most
+//! `delay` of them. Fault, outage and publication state lives in one
+//! lazily boxed cold struct that fault-free links never allocate.
 
 use crate::fault::{FaultCounters, LinkFaults};
 use crate::flit::Flit;
 use crate::ids::LinkId;
 use crate::Cycle;
 use std::collections::VecDeque;
+
+/// `last_send`/`last_recv` before the first send/receive: no simulated
+/// cycle reaches it.
+const NEVER: Cycle = Cycle::MAX;
 
 /// One queued flit with its arrival time and injected fate.
 #[derive(Debug)]
@@ -46,19 +57,35 @@ pub struct LinkEvent {
 ///
 /// An optional [`LinkFaults`] stream (installed via
 /// [`Link::install_faults`]) can condemn worms, corrupt flits, take the
-/// link down for intervals, and leak returned credits. Fault-free links
-/// pay only an `Option` check on these paths.
+/// link down for intervals, and leak returned credits. It lives with the
+/// scripted and administrative outage state in a cold struct that is
+/// allocated on first use, so a fault-free link pays one `Option` test
+/// on these paths.
 #[derive(Debug)]
 pub struct Link {
     delay: u32,
+    /// Credits folded into the sender's count.
     credits: u32,
     max_credits: u32,
+    /// When set, up/down transitions are recorded for
+    /// [`Link::take_transitions`]. Kept here, in the padding after the
+    /// three counters, so enabling publication on every link of a fabric
+    /// allocates no cold state for links that can never go down.
+    publish: bool,
     flit_q: VecDeque<InFlight>,
-    credit_q: VecDeque<Cycle>,
-    last_recv: Option<Cycle>,
-    last_send: Option<Cycle>,
+    /// Returned credits still propagating, as `(arrives, count)` runs in
+    /// arrival order; every run holds at least one credit.
+    credit_q: VecDeque<(Cycle, u32)>,
+    last_send: Cycle,
+    last_recv: Cycle,
     total_flits: u64,
-    faults: Option<Box<LinkFaults>>,
+    cold: Option<Box<Cold>>,
+}
+
+/// The outage and fault state of a link, boxed on first use.
+#[derive(Debug, Default)]
+struct Cold {
+    faults: Option<LinkFaults>,
     /// Scripted outage windows `[from, until)`, in schedule order.
     scripted: Vec<(Cycle, Cycle)>,
     /// Administrative down state, toggled by a control plane
@@ -66,15 +93,45 @@ pub struct Link {
     forced_down: bool,
     /// Raw up/down state at the last `begin_cycle`, for edge detection.
     was_down: bool,
-    /// When set, up/down transitions are appended to `transitions`.
-    publish: bool,
     /// Recorded transitions awaiting [`Link::take_transitions`].
     transitions: Vec<(Cycle, bool)>,
+}
+
+impl Cold {
+    /// `true` if the link refuses new flits at `now`: an administrative
+    /// hold, a scripted window, or the fault stream's outage schedule.
+    fn is_down(&self, now: Cycle) -> bool {
+        self.forced_down
+            || self
+                .scripted
+                .iter()
+                .any(|&(from, until)| (from..until).contains(&now))
+            || self.faults.as_ref().is_some_and(|f| f.is_down(now))
+    }
+
+    /// Records an up/down edge if the raw state at `now` differs from the
+    /// last one seen.
+    fn detect_edge(&mut self, now: Cycle, publish: bool) {
+        let down = self.is_down(now);
+        if down != self.was_down {
+            self.was_down = down;
+            if publish {
+                self.transitions.push((now, down));
+            }
+        }
+    }
 }
 
 impl Link {
     /// Creates a link with `delay ≥ 1` cycles of propagation and a credit
     /// window of `credits` flits.
+    ///
+    /// Both queues start with room for `min(delay + 1, credits)` entries:
+    /// when the receiver takes each flit in the cycle it lands, as every
+    /// production receiver does, at most `delay + 1` flits are on the
+    /// wire (sent at `now - delay ..= now`) and at most `delay` credit
+    /// runs propagate back, so neither queue reallocates. A receiver that
+    /// leaves arrivals on the link grows the flit queue, up to `credits`.
     ///
     /// # Panics
     ///
@@ -83,30 +140,34 @@ impl Link {
     pub fn new(delay: u32, credits: u32) -> Self {
         assert!(delay >= 1, "link delay must be at least one cycle");
         assert!(credits >= 1, "credit window must be at least one flit");
+        let wire = delay.saturating_add(1).min(credits) as usize;
         Link {
             delay,
             credits,
             max_credits: credits,
-            // At most `credits` flits can be in flight (each send spends a
-            // credit) and at most `credits` credits can be propagating
-            // back, so both queues never reallocate after this.
-            flit_q: VecDeque::with_capacity(credits as usize),
-            credit_q: VecDeque::with_capacity(credits as usize),
-            last_recv: None,
-            last_send: None,
-            total_flits: 0,
-            faults: None,
-            scripted: Vec::new(),
-            forced_down: false,
-            was_down: false,
             publish: false,
-            transitions: Vec::new(),
+            flit_q: VecDeque::with_capacity(wire),
+            credit_q: VecDeque::with_capacity(wire),
+            last_send: NEVER,
+            last_recv: NEVER,
+            total_flits: 0,
+            cold: None,
         }
+    }
+
+    /// The cold state, allocated on first use.
+    fn cold_mut(&mut self) -> &mut Cold {
+        self.cold.get_or_insert_with(Box::default)
+    }
+
+    /// The installed fault stream, if any.
+    fn faults_mut(&mut self) -> Option<&mut LinkFaults> {
+        self.cold.as_deref_mut().and_then(|c| c.faults.as_mut())
     }
 
     /// Installs a fault stream on this link (see [`crate::fault`]).
     pub fn install_faults(&mut self, faults: LinkFaults) {
-        self.faults = Some(Box::new(faults));
+        self.cold_mut().faults = Some(faults);
     }
 
     /// Schedules a deterministic outage: the link refuses new flits during
@@ -120,7 +181,7 @@ impl Link {
     /// Panics if `until <= from`.
     pub fn script_outage(&mut self, from: Cycle, until: Cycle) {
         assert!(until > from, "outage window must be non-empty");
-        self.scripted.push((from, until));
+        self.cold_mut().scripted.push((from, until));
         self.publish = true;
     }
 
@@ -136,44 +197,35 @@ impl Link {
     /// can drive link state from a command stream on a link the engine
     /// never advances with [`Link::begin_cycle`].
     pub fn set_forced_down(&mut self, now: Cycle, down: bool) {
-        self.forced_down = down;
         self.publish = true;
-        let raw = self.is_down(now);
-        if raw != self.was_down {
-            self.was_down = raw;
-            self.transitions.push((now, raw));
-        }
+        let cold = self.cold_mut();
+        cold.forced_down = down;
+        cold.detect_edge(now, true);
     }
 
     /// `true` while the administrative down state is set.
     pub fn forced_down(&self) -> bool {
-        self.forced_down
+        self.cold.as_deref().is_some_and(|c| c.forced_down)
     }
 
     /// Drains the recorded up/down transitions as `(cycle, down)` pairs.
     pub fn take_transitions(&mut self) -> Vec<(Cycle, bool)> {
-        std::mem::take(&mut self.transitions)
-    }
-
-    /// `true` while a scripted outage window covers `now`.
-    fn scripted_down(&self, now: Cycle) -> bool {
-        self.scripted
-            .iter()
-            .any(|&(from, until)| (from..until).contains(&now))
+        self.cold
+            .as_deref_mut()
+            .map_or_else(Vec::new, |c| std::mem::take(&mut c.transitions))
     }
 
     /// `true` if the link refuses new flits this cycle, from an
     /// administrative hold, a scripted window, or the installed fault
     /// stream's outage schedule.
     pub fn is_down(&self, now: Cycle) -> bool {
-        self.forced_down
-            || self.scripted_down(now)
-            || self.faults.as_deref().is_some_and(|f| f.is_down(now))
+        self.cold.as_deref().is_some_and(|c| c.is_down(now))
     }
 
     /// Injection totals for this link, if faults are installed.
     pub fn fault_counters(&self) -> Option<&FaultCounters> {
-        self.faults.as_deref().map(|f| &f.counters)
+        let faults = self.cold.as_deref()?.faults.as_ref()?;
+        Some(&faults.counters)
     }
 
     /// Propagation delay in cycles.
@@ -184,8 +236,13 @@ impl Link {
     /// Credits available to the sender at `now`: the folded count plus
     /// every returned credit that has propagated back by `now`.
     pub fn credits(&self, now: Cycle) -> u32 {
-        let matured = self.credit_q.iter().take_while(|&&arr| arr <= now).count();
-        self.credits + matured as u32
+        let matured: u32 = self
+            .credit_q
+            .iter()
+            .take_while(|&&(arr, _)| arr <= now)
+            .map(|&(_, n)| n)
+            .sum();
+        self.credits + matured
     }
 
     /// Configured credit window.
@@ -214,20 +271,32 @@ impl Link {
 
     /// Folds every returned credit that has propagated back by `now` into
     /// the sender's count. [`Link::can_send`], [`Link::send`] and
-    /// [`Link::credits`] see matured credits without it, so nothing has to
-    /// call this every cycle; it exists as the eager reference the lazy
-    /// fold is tested against.
+    /// [`Link::credits`] see matured credits without it, and returning a
+    /// credit folds first, so nothing has to call this every cycle; it
+    /// exists as the eager reference the lazy fold is tested against.
     pub fn fold_credits(&mut self, now: Cycle) {
-        while let Some(&arr) = self.credit_q.front() {
+        while let Some(&(arr, n)) = self.credit_q.front() {
             if arr > now {
                 break;
             }
             self.credit_q.pop_front();
-            self.credits += 1;
+            self.credits += n;
             debug_assert!(
                 self.credits <= self.max_credits,
                 "credit overflow: more credits returned than spent"
             );
+        }
+    }
+
+    /// Starts `n ≥ 1` credits back toward the sender at `now`. Matured
+    /// runs fold first, so the queue holds runs arriving in
+    /// `now + 1 ..= now + delay` only: at most `delay` of them.
+    fn push_credits(&mut self, now: Cycle, n: u32) {
+        self.fold_credits(now);
+        let at = now + Cycle::from(self.delay);
+        match self.credit_q.back_mut() {
+            Some((arr, count)) if *arr == at => *count += n,
+            _ => self.credit_q.push_back((at, n)),
         }
     }
 
@@ -245,25 +314,26 @@ impl Link {
     /// other cycles changes nothing. Credits are not folded here: they
     /// fold when the sender asks.
     pub fn begin_cycle(&mut self, now: Cycle) -> usize {
+        let Some(cold) = self.cold.as_deref_mut() else {
+            return 0;
+        };
+        let Some(f) = cold.faults.as_mut() else {
+            cold.detect_edge(now, self.publish);
+            return 0;
+        };
+        f.tick_outages(now);
+        cold.detect_edge(now, self.publish);
+        // Condemned flits evaporate on arrival: the link consumes them
+        // itself and frees their staging slots, so downstream never sees
+        // any part of a dropped worm. Arrival times are monotone, so
+        // only front entries can have arrived.
         let mut evaporated = 0;
-        if let Some(f) = self.faults.as_deref_mut() {
-            f.tick_outages(now);
-            // Condemned flits evaporate on arrival: the link consumes them
-            // itself and frees their staging slots, so downstream never sees
-            // any part of a dropped worm. Arrival times are monotone, so
-            // only front entries can have arrived.
-            while matches!(self.flit_q.front(), Some(q) if q.arrives <= now && q.dropped) {
-                self.flit_q.pop_front();
-                self.credit_q.push_back(now + self.delay as Cycle);
-                evaporated += 1;
-            }
+        while matches!(self.flit_q.front(), Some(q) if q.arrives <= now && q.dropped) {
+            self.flit_q.pop_front();
+            evaporated += 1;
         }
-        let down = self.is_down(now);
-        if down != self.was_down {
-            self.was_down = down;
-            if self.publish {
-                self.transitions.push((now, down));
-            }
+        if evaporated > 0 {
+            self.push_credits(now, evaporated as u32);
         }
         evaporated
     }
@@ -272,18 +342,18 @@ impl Link {
     /// stream is installed (outage schedules and condemned-flit evaporation
     /// advance with time). Scripted windows need it only at their edges.
     pub fn needs_begin_cycle(&self) -> bool {
-        self.faults.is_some()
+        self.cold.as_deref().is_some_and(|c| c.faults.is_some())
     }
 
     /// `true` once [`Link::script_outage`] scheduled a window.
     pub fn has_scripted_outages(&self) -> bool {
-        !self.scripted.is_empty()
+        self.cold.as_deref().is_some_and(|c| !c.scripted.is_empty())
     }
 
     /// Sender side: `true` if a flit may be sent this cycle.
     pub fn can_send(&self, now: Cycle) -> bool {
-        let credit = self.credits > 0 || self.credit_q.front().is_some_and(|&arr| arr <= now);
-        credit && self.last_send != Some(now) && !self.is_down(now)
+        let credit = self.credits > 0 || self.credit_q.front().is_some_and(|&(arr, _)| arr <= now);
+        credit && self.last_send != now && !self.is_down(now)
     }
 
     /// Sender side: sends a flit, consuming a credit.
@@ -295,19 +365,19 @@ impl Link {
     pub fn send(&mut self, now: Cycle, mut flit: Flit) {
         self.fold_credits(now);
         assert!(self.credits > 0, "send without credit");
-        assert_ne!(self.last_send, Some(now), "link bandwidth exceeded");
+        assert_ne!(self.last_send, now, "link bandwidth exceeded");
         let mut dropped = false;
-        if let Some(f) = self.faults.as_deref_mut() {
+        if let Some(f) = self.faults_mut() {
             dropped = f.roll_drop(flit.is_head(), flit.packet().total_flits());
             if !dropped && f.roll_corrupt() {
                 flit.mark_corrupt();
             }
         }
         self.credits -= 1;
-        self.last_send = Some(now);
+        self.last_send = now;
         self.total_flits += 1;
         self.flit_q.push_back(InFlight {
-            arrives: now + self.delay as Cycle,
+            arrives: now + Cycle::from(self.delay),
             flit,
             dropped,
         });
@@ -324,15 +394,16 @@ impl Link {
 
     /// Receiver side: consumes the arrived flit (at most one per cycle).
     ///
-    /// The receiver must eventually call [`Link::return_credit`] once per
-    /// consumed flit, when the staging slot it occupied frees up.
+    /// The receiver must eventually return one credit per consumed flit
+    /// ([`Link::return_credit`] or [`Link::return_credits`]), when the
+    /// staging slot it occupied frees up.
     pub fn recv(&mut self, now: Cycle) -> Option<Flit> {
-        if self.last_recv == Some(now) {
+        if self.last_recv == now {
             return None;
         }
         match self.flit_q.front() {
             Some(q) if q.arrives <= now && !q.dropped => {
-                self.last_recv = Some(now);
+                self.last_recv = now;
                 Some(self.flit_q.pop_front().expect("front exists").flit)
             }
             _ => None,
@@ -351,19 +422,16 @@ impl Link {
     /// feature; cheap enough to call from tests directly.
     pub fn audit_credit_conservation(&self) {
         let leaked = self.fault_counters().map_or(0, |c| c.credits_leaked);
-        let accounted = u64::from(self.credits)
-            + self.flit_q.len() as u64
-            + self.credit_q.len() as u64
-            + leaked;
+        let returning: u64 = self.credit_q.iter().map(|&(_, n)| u64::from(n)).sum();
+        let accounted = u64::from(self.credits) + self.flit_q.len() as u64 + returning + leaked;
         assert!(
             accounted <= u64::from(self.max_credits),
             "credit conservation violated: {} credits accounted \
-             (available {} + in-flight {} + returning {} + leaked {leaked}) \
+             (available {} + in-flight {} + returning {returning} + leaked {leaked}) \
              exceed window {}",
             accounted,
             self.credits,
             self.flit_q.len(),
-            self.credit_q.len(),
             self.max_credits,
         );
     }
@@ -375,14 +443,24 @@ impl Link {
     /// never below a window of one — a fully wedged link would be a cut
     /// cable, which is outside the recoverable fault model.
     pub fn return_credit(&mut self, now: Cycle) {
-        if let Some(f) = self.faults.as_deref_mut() {
-            // At most max_credits - 1 may ever leak, so one credit always
-            // keeps circulating and the link retains forward progress.
-            if f.roll_credit_leak(u64::from(self.max_credits - 1)) {
-                return;
-            }
+        self.return_credits(now, 1);
+    }
+
+    /// Receiver side: returns `n` credits at once, exactly as `n` calls of
+    /// [`Link::return_credit`] in the same cycle would: under a fault
+    /// stream each credit rolls its own leak, in order, and the survivors
+    /// travel back as one run.
+    pub fn return_credits(&mut self, now: Cycle, n: u32) {
+        // At most max_credits - 1 may ever leak, so one credit always
+        // keeps circulating and the link retains forward progress.
+        let budget = u64::from(self.max_credits - 1);
+        let kept = match self.faults_mut() {
+            Some(f) => (0..n).filter(|_| !f.roll_credit_leak(budget)).count() as u32,
+            None => n,
+        };
+        if kept > 0 {
+            self.push_credits(now, kept);
         }
-        self.credit_q.push_back(now + self.delay as Cycle);
     }
 }
 
@@ -451,6 +529,67 @@ mod tests {
         assert!(l.can_send(3));
         l.fold_credits(3);
         assert_eq!(l.credits(3), 1);
+    }
+
+    /// The hot link fits two cache lines, and a link that never saw a
+    /// fault, a window or a toggle carries no cold state, even with
+    /// publication on and after traffic.
+    #[test]
+    fn hot_link_is_compact_and_fault_free_links_stay_cold_free() {
+        assert!(
+            std::mem::size_of::<Link>() <= 128,
+            "{}",
+            std::mem::size_of::<Link>()
+        );
+        let mut l = Link::new(2, 128);
+        l.publish_transitions();
+        for now in 0..40 {
+            l.begin_cycle(now);
+            if l.can_send(now) {
+                l.send(now, flit());
+            }
+            if l.recv(now).is_some() {
+                l.return_credit(now);
+            }
+        }
+        assert!(l.cold.is_none());
+        assert!(!l.needs_begin_cycle() && !l.is_down(40));
+        assert!(l.fault_counters().is_none() && l.take_transitions().is_empty());
+        l.set_forced_down(40, false);
+        assert!(l.cold.is_some(), "a toggle allocates the cold state");
+    }
+
+    /// A receiver that drains every arrival keeps at most `delay + 1`
+    /// flits and `delay` credit runs on the link, so the queues sized by
+    /// delay never grow; credits returned together travel as one run.
+    #[test]
+    fn prompt_receiver_keeps_queues_within_delay() {
+        for delay in 1..=4u32 {
+            let mut l = Link::new(delay, 64);
+            let (flits, runs) = (l.flit_q.capacity(), l.credit_q.capacity());
+            for now in 0..200 {
+                if l.can_send(now) {
+                    l.send(now, flit());
+                }
+                assert!(l.in_flight() <= delay as usize + 1);
+                if l.recv(now).is_some() {
+                    l.return_credit(now);
+                }
+                assert!(l.credit_q.len() <= delay as usize);
+            }
+            assert_eq!((l.flit_q.capacity(), l.credit_q.capacity()), (flits, runs));
+        }
+        let mut l = Link::new(3, 8);
+        for now in 0..5 {
+            l.send(now, flit());
+        }
+        for now in 5..8 {
+            l.recv(now);
+        }
+        l.return_credits(8, 3);
+        assert_eq!(l.credit_q.iter().copied().collect::<Vec<_>>(), [(11, 3)]);
+        assert_eq!(l.credits(10), 3);
+        assert_eq!(l.credits(11), 6);
     }
 
     #[test]

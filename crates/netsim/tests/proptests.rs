@@ -228,13 +228,19 @@ fn link_flow_control_invariants() {
     }
 }
 
-/// Credits fold lazily, when the sender asks, and that is unobservable:
-/// a link the engine never ticks and a link whose credits fold eagerly
-/// every cycle agree on `can_send` and `credits` at every cycle under the
-/// same random send/receive schedule. Odd cases install the same fault
-/// plan (drops, corruption, outages, credit leaks) on both links; those
-/// links need `begin_cycle` every cycle either way, so the lazy one gets
-/// exactly that and no fold.
+/// Credits fold lazily and travel back in runs, and neither is
+/// observable: a link the engine never ticks, returning each cycle's freed
+/// slots with one `return_credits(n)`, and a link whose credits fold
+/// eagerly every cycle, returning the same slots with `n` calls of
+/// `return_credit`, agree on `credits`, `can_send`, `in_flight`,
+/// `next_arrival` and the fault counters at every cycle under the same
+/// random schedule. The receiver holds what it takes and frees a random
+/// share of its held slots each cycle, so several credits return in one
+/// cycle. Odd cases install the same fault plan (drops, corruption,
+/// outages, credit leaks) on both links; those links need `begin_cycle`
+/// every cycle either way, so the lazy one gets exactly that and no fold.
+/// Even cases also check both against a model of the window: every
+/// returned credit arrives exactly `delay` cycles after its return.
 #[test]
 fn lazy_credit_fold_matches_eager_fold() {
     for case in 0..CASES {
@@ -257,34 +263,58 @@ fn lazy_credit_fold_matches_eager_fold() {
         }
         let pkt = std::rc::Rc::new(PacketBuilder::unicast(NodeId(0), NodeId(1), 4, 16).build());
         let mut next = 0u16;
+        let mut held = 0u32;
+        // Fault-free model: credits spent, and each return's arrival cycle.
+        let (mut spent, mut returned) = (0u32, Vec::new());
         for now in 0..400u64 {
             if lazy.needs_begin_cycle() {
                 lazy.begin_cycle(now);
             }
             eager.fold_credits(now);
             eager.begin_cycle(now);
-            let at = format!("case {case}, cycle {now}");
+            let at = format!("case {case}, delay {delay}, cycle {now}");
             assert_eq!(lazy.credits(now), eager.credits(now), "{at}");
             assert_eq!(lazy.can_send(now), eager.can_send(now), "{at}");
+            assert_eq!(lazy.in_flight(), eager.in_flight(), "{at}");
+            assert_eq!(lazy.next_arrival(), eager.next_arrival(), "{at}");
+            assert_eq!(lazy.fault_counters(), eager.fault_counters(), "{at}");
+            if case % 2 == 0 {
+                let arrived = returned.iter().filter(|&&a| a <= now).count() as u32;
+                assert_eq!(lazy.credits(now), credits + arrived - spent, "{at}: model");
+            }
             if r.chance(0.7) && eager.can_send(now) {
                 lazy.send(now, Flit::new(pkt.clone(), next));
                 eager.send(now, Flit::new(pkt.clone(), next));
+                spent += 1;
                 next = (next + 1) % pkt.total_flits();
                 assert_eq!(lazy.credits(now), eager.credits(now), "{at}, after send");
                 assert!(!lazy.can_send(now), "{at}: one send per cycle");
             }
-            if r.chance(0.5) {
+            if r.chance(0.6) {
                 let got = (lazy.recv(now), eager.recv(now));
                 assert_eq!(
                     got.0.as_ref().map(|f| (f.idx(), f.corrupted())),
                     got.1.as_ref().map(|f| (f.idx(), f.corrupted())),
                     "{at}"
                 );
-                if got.0.is_some() {
-                    lazy.return_credit(now);
-                    eager.return_credit(now);
-                }
+                held += u32::from(got.0.is_some());
             }
+            let freed = if r.chance(0.4) {
+                r.below(held as usize + 1) as u32
+            } else {
+                0
+            };
+            held -= freed;
+            returned.extend((0..freed).map(|_| now + u64::from(delay)));
+            lazy.return_credits(now, freed);
+            for _ in 0..freed {
+                eager.return_credit(now);
+            }
+            assert_eq!(
+                lazy.fault_counters(),
+                eager.fault_counters(),
+                "{at}, after return"
+            );
             lazy.audit_credit_conservation();
             eager.audit_credit_conservation();
         }

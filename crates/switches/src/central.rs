@@ -311,14 +311,10 @@ impl CentralBufferSwitch {
         let mut flits = 0u64;
         let mut worms = 0u64;
         for (i, input) in self.inputs.iter_mut().enumerate() {
-            if io.recv(i).is_some() {
-                io.return_credit(i);
-                flits += 1;
-            }
-            while input.staging.pop_front().is_some() {
-                io.return_credit(i);
-                flits += 1;
-            }
+            let purged = u32::from(io.recv(i).is_some()) + input.staging.len() as u32;
+            input.staging.clear();
+            io.return_credits(i, purged);
+            flits += u64::from(purged);
             if !matches!(input.state, InState::Idle) {
                 worms += 1;
                 input.state = InState::Idle;

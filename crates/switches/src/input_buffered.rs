@@ -65,6 +65,10 @@ struct IbInput {
 struct IbOutput {
     /// Input index whose branch currently owns this transmitter.
     owner: Option<usize>,
+    /// Index of the owning branch in the owner's head-packet branch list,
+    /// meaningful while `owner` is set; saves the transmit pass a branch
+    /// scan per owned output.
+    branch: usize,
     /// Round-robin pointer for grant arbitration.
     rr: usize,
     /// Request vector: bit `i` is set while input `i`'s head packet has an
@@ -218,14 +222,9 @@ impl InputBufferedSwitch {
         let mut flits = 0u64;
         let mut worms = 0u64;
         for (i, input) in self.inputs.iter_mut().enumerate() {
-            if io.recv(i).is_some() {
-                io.return_credit(i);
-                flits += 1;
-            }
-            for _ in 0..input.occupied {
-                io.return_credit(i);
-            }
-            flits += u64::from(input.occupied);
+            let arrived = u32::from(io.recv(i).is_some());
+            io.return_credits(i, arrived + input.occupied);
+            flits += u64::from(arrived + input.occupied);
             worms += input.packets.len() as u64;
             input.occupied = 0;
             input.packets.clear();
@@ -379,6 +378,7 @@ impl Component for InputBufferedSwitch {
                 .expect("request bit implies an ungranted branch");
             sem.grant(b);
             out.owner = Some(i);
+            out.branch = b;
             out.rr = (i + 1) % ports;
             if !requests_port(&inputs[i], p) {
                 out.requests &= !(1 << i);
@@ -395,12 +395,15 @@ impl Component for InputBufferedSwitch {
                     let stored = inputs[i].packets.front().expect("owner has head");
                     let (received, mark) = (stored.received, stored.mark);
                     let head = inputs[i].head.as_mut().expect("owner has branches");
-                    let b = head
-                        .sem
-                        .branches
-                        .iter()
-                        .position(|b| b.port == p && b.granted && !b.done)
-                        .expect("owner has an active branch");
+                    let b = outputs[p].branch;
+                    debug_assert_eq!(
+                        head.sem
+                            .branches
+                            .iter()
+                            .position(|b| b.port == p && b.granted && !b.done),
+                        Some(b),
+                        "output {p} records the wrong owning branch"
+                    );
                     if io.can_send(p) && head.sem.branches[b].read < received {
                         let read = head.sem.branches[b].read;
                         io.send(p, mark.flit(head.pkts[b].1.clone(), read));
@@ -449,9 +452,7 @@ impl Component for InputBufferedSwitch {
             let input = &mut inputs[i];
             if let Some(head) = &mut input.head {
                 let newly = head.sem.recycle();
-                for _ in 0..newly {
-                    io.return_credit(i);
-                }
+                io.return_credits(i, u32::from(newly));
                 input.occupied -= u32::from(newly);
                 if head.sem.all_done() {
                     let retired = input.packets.pop_front().expect("head exists");
