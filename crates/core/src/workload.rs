@@ -184,6 +184,9 @@ const LOOKAHEAD: Cycle = 4096;
 #[derive(Debug)]
 pub struct RandomTraffic {
     spec: TrafficSpec,
+    /// `spec.message_probability()`, computed once: every cycle an awake
+    /// host polls past `drawn_to` draws against it.
+    p: f64,
     rng: SimRng,
     me: NodeId,
     n_hosts: usize,
@@ -202,7 +205,9 @@ impl RandomTraffic {
     ///
     /// # Panics
     ///
-    /// Panics if the degree cannot be satisfied (`degree > n_hosts - 1`).
+    /// Panics if the degree cannot be satisfied (`degree > n_hosts - 1`),
+    /// or if the spec has no message probability (see
+    /// [`TrafficSpec::message_probability`]).
     pub fn new(
         spec: TrafficSpec,
         rng: SimRng,
@@ -217,6 +222,7 @@ impl RandomTraffic {
             n_hosts
         );
         RandomTraffic {
+            p: spec.message_probability(),
             spec,
             rng,
             me,
@@ -249,7 +255,7 @@ impl TrafficSource for RandomTraffic {
                 return None;
             }
             self.hit = None;
-        } else if !self.rng.chance(self.spec.message_probability()) {
+        } else if !self.rng.chance(self.p) {
             return None;
         }
         self.generated += 1;
@@ -290,7 +296,7 @@ impl TrafficSource for RandomTraffic {
             return at;
         }
         let stop = self.stop_at.unwrap_or(Cycle::MAX);
-        let p = self.spec.message_probability();
+        let p = self.p;
         let mut t = self.drawn_to.max(now + 1);
         let end = stop.min(now.saturating_add(LOOKAHEAD + 1));
         while t < end {

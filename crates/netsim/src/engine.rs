@@ -352,8 +352,11 @@ impl PortIo<'_> {
     /// guard with [`PortIo::can_send`].
     pub fn send(&mut self, port: usize, flit: Flit) {
         let idx = self.outputs[port].index();
-        self.links[idx].send(self.now, flit);
+        // One counter on each side of the call: adjacent, the two
+        // increments merge into one 16-byte load of both, which stalls
+        // behind `recv`'s recent 8-byte store to `in_flight`.
         self.ledger.total_moves += 1;
+        self.links[idx].send(self.now, flit);
         self.ledger.in_flight += 1;
         let (rc, rp) = self.ledger.receiver[idx];
         if rc == u32::MAX {

@@ -1,9 +1,14 @@
 //! Flits: the flow-control unit moving across links, one per cycle.
 //!
-//! A flit is a cheap `(Rc<Packet>, index)` pair. Replicating a worm at a
+//! A flit is a cheap `(Rc<Packet>, word)` pair. Replicating a worm at a
 //! switch replicates flits, which is just a reference-count bump — matching
 //! the hardware reality that replication copies pointers/flits inside the
 //! switch, not whole packets.
+//!
+//! The word packs the flit's index with the packet's total and header flit
+//! counts and the flit's marks, so classifying a flit reads no packet, and
+//! a `Flit` (or `Option<Flit>`) is two machine words that travel in
+//! registers rather than through the stack (DESIGN.md §13).
 
 use crate::packet::Packet;
 use std::fmt;
@@ -22,12 +27,27 @@ pub enum FlitKind {
     Tail,
 }
 
+/// Bit offsets of the fields packed into [`Flit`]'s word: three 16-bit
+/// counts, then one bit per mark.
+const TOTAL_SHIFT: u32 = 16;
+const HEADER_SHIFT: u32 = 32;
+const CORRUPT: u64 = 1 << 48;
+/// Set by a faulty link on a flit it condemned; such a flit evaporates
+/// on the link and never reaches a receiver.
+const DROPPED: u64 = 1 << 49;
+
 /// One flit of a packet.
 #[derive(Clone)]
 pub struct Flit {
     pkt: Rc<Packet>,
-    idx: u16,
-    corrupt: bool,
+    /// `idx | total << 16 | header << 32`, plus the mark bits.
+    word: u64,
+}
+
+/// The packed word of flit `idx` of a packet with `total` flits, `header`
+/// of them routing header.
+fn pack(idx: u16, total: u16, header: u16) -> u64 {
+    u64::from(idx) | u64::from(total) << TOTAL_SHIFT | u64::from(header) << HEADER_SHIFT
 }
 
 impl Flit {
@@ -37,15 +57,14 @@ impl Flit {
     ///
     /// Panics if `idx` is out of range for the packet.
     pub fn new(pkt: Rc<Packet>, idx: u16) -> Self {
+        let (total, header) = (pkt.total_flits(), pkt.header_flits());
         assert!(
-            idx < pkt.total_flits(),
-            "flit index {idx} out of range for {} flits",
-            pkt.total_flits()
+            idx < total,
+            "flit index {idx} out of range for {total} flits"
         );
         Flit {
             pkt,
-            idx,
-            corrupt: false,
+            word: pack(idx, total, header),
         }
     }
 
@@ -56,16 +75,21 @@ impl Flit {
 
     /// Zero-based position within the packet.
     pub fn idx(&self) -> u16 {
-        self.idx
+        self.word as u16
+    }
+
+    /// The packet's flit count.
+    fn total(&self) -> u16 {
+        (self.word >> TOTAL_SHIFT) as u16
     }
 
     /// Position classification.
     pub fn kind(&self) -> FlitKind {
-        if self.idx + 1 == self.pkt.total_flits() {
+        if self.is_tail() {
             FlitKind::Tail
-        } else if self.idx == 0 {
+        } else if self.is_head() {
             FlitKind::Head
-        } else if self.idx < self.pkt.header_flits() {
+        } else if self.is_header() {
             FlitKind::Header
         } else {
             FlitKind::Payload
@@ -74,17 +98,17 @@ impl Flit {
 
     /// `true` for the packet's first flit.
     pub fn is_head(&self) -> bool {
-        self.idx == 0
+        self.idx() == 0
     }
 
     /// `true` for the packet's last flit.
     pub fn is_tail(&self) -> bool {
-        self.idx + 1 == self.pkt.total_flits()
+        self.idx() + 1 == self.total()
     }
 
     /// `true` while the flit is part of the routing header.
     pub fn is_header(&self) -> bool {
-        self.idx < self.pkt.header_flits()
+        self.idx() < (self.word >> HEADER_SHIFT) as u16
     }
 
     /// `true` if the flit was corrupted in transit (fault injection).
@@ -92,12 +116,22 @@ impl Flit {
     /// Switches forward corrupt flits unknowingly — only endpoints check,
     /// via the packet checksum, when the worm completes.
     pub fn corrupted(&self) -> bool {
-        self.corrupt
+        self.word & CORRUPT != 0
     }
 
     /// Marks the flit as corrupted (called by a faulty [`crate::link::Link`]).
     pub fn mark_corrupt(&mut self) {
-        self.corrupt = true;
+        self.word |= CORRUPT;
+    }
+
+    /// `true` if a faulty link condemned the flit.
+    pub(crate) fn dropped(&self) -> bool {
+        self.word & DROPPED != 0
+    }
+
+    /// Condemns the flit on the link carrying it.
+    pub(crate) fn mark_dropped(&mut self) {
+        self.word |= DROPPED;
     }
 
     /// Returns the same flit position re-bound to a (branch-rewritten) packet
@@ -107,16 +141,10 @@ impl Flit {
     ///
     /// Panics if the replacement packet has a different flit count.
     pub fn rebind(&self, pkt: Rc<Packet>) -> Flit {
-        assert_eq!(
-            pkt.total_flits(),
-            self.pkt.total_flits(),
-            "rebind must preserve packet length"
-        );
-        Flit {
-            pkt,
-            idx: self.idx,
-            corrupt: self.corrupt,
-        }
+        let total = pkt.total_flits();
+        assert_eq!(total, self.total(), "rebind must preserve packet length");
+        let word = pack(self.idx(), total, pkt.header_flits()) | self.word & CORRUPT;
+        Flit { pkt, word }
     }
 }
 
@@ -126,8 +154,8 @@ impl fmt::Debug for Flit {
             f,
             "Flit({} {}/{} {:?})",
             self.pkt.id(),
-            self.idx,
-            self.pkt.total_flits(),
+            self.idx(),
+            self.total(),
             self.kind()
         )
     }
@@ -136,6 +164,7 @@ impl fmt::Debug for Flit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::destset::DestSet;
     use crate::ids::NodeId;
     use crate::packet::PacketBuilder;
 
@@ -182,6 +211,62 @@ mod tests {
         let g = f.rebind(q);
         assert_eq!(g.idx(), 3);
         assert!(g.is_tail());
+    }
+
+    /// Two words, with `None` in the `Rc`'s niche: a field added to
+    /// `Flit` sends every flit hop back through the stack.
+    #[test]
+    fn flit_and_option_flit_are_two_words() {
+        assert_eq!(std::mem::size_of::<Flit>(), 16);
+        assert_eq!(std::mem::size_of::<Option<Flit>>(), 16);
+    }
+
+    /// The packed word answers exactly what the packet says, for every
+    /// index of packets with several header and payload lengths, and
+    /// keeps answering it after `clone`, `rebind` and `mark_corrupt`.
+    #[test]
+    fn packed_word_matches_the_packet_at_every_index() {
+        fn check(f: &Flit, idx: u16, corrupt: bool) {
+            let p = f.packet();
+            let kind = if idx + 1 == p.total_flits() {
+                FlitKind::Tail
+            } else if idx == 0 {
+                FlitKind::Head
+            } else if idx < p.header_flits() {
+                FlitKind::Header
+            } else {
+                FlitKind::Payload
+            };
+            assert_eq!(f.kind(), kind, "{f:?}");
+            assert_eq!(f.idx(), idx);
+            assert_eq!(f.is_head(), idx == 0);
+            assert_eq!(f.is_tail(), idx + 1 == p.total_flits());
+            assert_eq!(f.is_header(), idx < p.header_flits());
+            assert_eq!(f.corrupted(), corrupt);
+            assert!(!f.dropped());
+        }
+        // System sizes and flit widths give 1 to 33 header flits.
+        for (hosts, bits) in [(2, 64), (16, 8), (64, 8), (256, 8), (256, 32)] {
+            for payload in [0u16, 1, 2, 7, 64] {
+                let dests = DestSet::from_nodes(hosts, (1..hosts as u32).step_by(3).map(NodeId));
+                let unicast = PacketBuilder::unicast(NodeId(0), NodeId(1), payload, hosts);
+                let multicast = PacketBuilder::multicast(NodeId(0), dests, payload);
+                for b in [unicast, multicast] {
+                    let p = Rc::new(b.bits_per_flit(bits).build());
+                    let q = Rc::new(p.with_header(p.header().clone()));
+                    for idx in 0..p.total_flits() {
+                        let mut f = Flit::new(p.clone(), idx);
+                        check(&f, idx, false);
+                        check(&f.clone(), idx, false);
+                        check(&f.rebind(q.clone()), idx, false);
+                        f.mark_corrupt();
+                        check(&f, idx, true);
+                        check(&f.clone(), idx, true);
+                        check(&f.rebind(q.clone()), idx, true);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

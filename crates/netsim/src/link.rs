@@ -12,25 +12,128 @@
 //! production receiver (host, central-buffer staging, input buffer) takes
 //! each flit in the cycle it lands, so a link holds at most `delay + 1`
 //! flits, and returned credits travel as `(arrival, count)` runs, at most
-//! `delay` of them. Fault, outage and publication state lives in one
-//! lazily boxed cold struct that fault-free links never allocate.
+//! `delay` of them. Both live in fixed rings of `min(delay + 1, credits)`
+//! slots, written in place; only a receiver that leaves arrivals on the
+//! link takes the cold path that enlarges the flit ring. Fault, outage and
+//! publication state lives in one lazily boxed cold struct that fault-free
+//! links never allocate.
 
 use crate::fault::{FaultCounters, LinkFaults};
 use crate::flit::Flit;
 use crate::ids::LinkId;
 use crate::Cycle;
-use std::collections::VecDeque;
 
 /// `last_send`/`last_recv` before the first send/receive: no simulated
 /// cycle reaches it.
 const NEVER: Cycle = Cycle::MAX;
 
-/// One queued flit with its arrival time and injected fate.
+/// One queued flit with its arrival time: three words. A condemned flit
+/// carries its drop mark in its own word ([`Flit::dropped`]).
 #[derive(Debug)]
 struct InFlight {
     arrives: Cycle,
     flit: Flit,
-    dropped: bool,
+}
+
+/// A FIFO in one boxed slice of slots that never reallocates while it has
+/// room: a push writes its entry straight into the next slot. Only a push
+/// into a full ring takes the cold [`Ring::spill`] path.
+#[derive(Debug)]
+struct Ring<T> {
+    slots: Box<[Option<T>]>,
+    /// Slot of the front entry.
+    head: u32,
+    len: u32,
+}
+
+impl<T> Ring<T> {
+    fn with_capacity(cap: usize) -> Self {
+        Ring {
+            slots: std::iter::repeat_with(|| None).take(cap).collect(),
+            head: 0,
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Slot of the `i`-th entry from the front, for `i` below the slot count.
+    fn slot(&self, i: u32) -> usize {
+        let at = (self.head + i) as usize;
+        let cap = self.slots.len();
+        if at >= cap {
+            at - cap
+        } else {
+            at
+        }
+    }
+
+    fn front(&self) -> Option<&T> {
+        if self.len == 0 {
+            return None;
+        }
+        self.slots[self.head as usize].as_ref()
+    }
+
+    fn back_mut(&mut self) -> Option<&mut T> {
+        let last = self.len.checked_sub(1)?;
+        let at = self.slot(last);
+        self.slots[at].as_mut()
+    }
+
+    fn pop_front(&mut self) -> Option<T> {
+        if self.len == 0 {
+            return None;
+        }
+        let v = self.slots[self.head as usize].take();
+        self.head = self.slot(1) as u32;
+        self.len -= 1;
+        v
+    }
+
+    fn push_back(&mut self, v: T) {
+        fill(self.push_slot(), v);
+    }
+
+    /// Counts one more entry and returns its slot, still empty, for
+    /// [`fill`]. A full ring spills first: a caller that builds the entry
+    /// after this returns builds it in registers, where one held across
+    /// the spill call would wait on the stack and reach its slot through
+    /// a wide reload that store forwarding cannot serve.
+    fn push_slot(&mut self) -> &mut Option<T> {
+        if self.len() == self.slots.len() {
+            self.spill();
+        }
+        let at = self.slot(self.len);
+        self.len += 1;
+        &mut self.slots[at]
+    }
+
+    /// Doubles a full ring, front entry first. A receiver that takes each
+    /// flit as it lands never gets here.
+    #[cold]
+    #[inline(never)]
+    fn spill(&mut self) {
+        let mut bigger = Ring::with_capacity(2 * self.slots.len());
+        while let Some(v) = self.pop_front() {
+            bigger.push_back(v);
+        }
+        *self = bigger;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        (0..self.len).filter_map(|i| self.slots[self.slot(i)].as_ref())
+    }
+}
+
+/// Writes `v` into an empty ring slot without the drop check (and call)
+/// a plain assignment would make.
+fn fill<T>(slot: &mut Option<T>, v: T) {
+    let empty = slot.replace(v);
+    debug_assert!(empty.is_none(), "ring slot past the back is occupied");
+    std::mem::forget(empty);
 }
 
 /// One observed link up/down transition, published by the engine.
@@ -72,10 +175,10 @@ pub struct Link {
     /// three counters, so enabling publication on every link of a fabric
     /// allocates no cold state for links that can never go down.
     publish: bool,
-    flit_q: VecDeque<InFlight>,
+    flit_q: Ring<InFlight>,
     /// Returned credits still propagating, as `(arrives, count)` runs in
     /// arrival order; every run holds at least one credit.
-    credit_q: VecDeque<(Cycle, u32)>,
+    credit_q: Ring<(Cycle, u32)>,
     last_send: Cycle,
     last_recv: Cycle,
     total_flits: u64,
@@ -126,12 +229,15 @@ impl Link {
     /// Creates a link with `delay ≥ 1` cycles of propagation and a credit
     /// window of `credits` flits.
     ///
-    /// Both queues start with room for `min(delay + 1, credits)` entries:
-    /// when the receiver takes each flit in the cycle it lands, as every
-    /// production receiver does, at most `delay + 1` flits are on the
-    /// wire (sent at `now - delay ..= now`) and at most `delay` credit
-    /// runs propagate back, so neither queue reallocates. A receiver that
-    /// leaves arrivals on the link grows the flit queue, up to `credits`.
+    /// Both rings hold `min(delay + 1, credits)` entries: when the
+    /// receiver takes each flit in the cycle it lands, as every production
+    /// receiver does, at most `delay + 1` flits are on the wire (sent at
+    /// `now - delay ..= now`). Credit runs arrive in `now + 1 ..= now +
+    /// delay` and hold one credit or more each, so at most
+    /// `min(delay, credits)` of them propagate back, whatever the
+    /// receiver does. Only a receiver that leaves arrivals on the link
+    /// spills the flit ring into a larger one; it never holds more than
+    /// `credits` flits.
     ///
     /// # Panics
     ///
@@ -146,8 +252,8 @@ impl Link {
             credits,
             max_credits: credits,
             publish: false,
-            flit_q: VecDeque::with_capacity(wire),
-            credit_q: VecDeque::with_capacity(wire),
+            flit_q: Ring::with_capacity(wire),
+            credit_q: Ring::with_capacity(wire),
             last_send: NEVER,
             last_recv: NEVER,
             total_flits: 0,
@@ -328,7 +434,7 @@ impl Link {
         // any part of a dropped worm. Arrival times are monotone, so
         // only front entries can have arrived.
         let mut evaporated = 0;
-        while matches!(self.flit_q.front(), Some(q) if q.arrives <= now && q.dropped) {
+        while matches!(self.flit_q.front(), Some(q) if q.arrives <= now && q.flit.dropped()) {
             self.flit_q.pop_front();
             evaporated += 1;
         }
@@ -366,28 +472,25 @@ impl Link {
         self.fold_credits(now);
         assert!(self.credits > 0, "send without credit");
         assert_ne!(self.last_send, now, "link bandwidth exceeded");
-        let mut dropped = false;
         if let Some(f) = self.faults_mut() {
-            dropped = f.roll_drop(flit.is_head(), flit.packet().total_flits());
-            if !dropped && f.roll_corrupt() {
+            if f.roll_drop(flit.is_head(), flit.packet().total_flits()) {
+                flit.mark_dropped();
+            } else if f.roll_corrupt() {
                 flit.mark_corrupt();
             }
         }
         self.credits -= 1;
         self.last_send = now;
         self.total_flits += 1;
-        self.flit_q.push_back(InFlight {
-            arrives: now + Cycle::from(self.delay),
-            flit,
-            dropped,
-        });
+        let arrives = now + Cycle::from(self.delay);
+        fill(self.flit_q.push_slot(), InFlight { arrives, flit });
     }
 
     /// Receiver side: the flit arriving this cycle, if any, without
     /// consuming it.
     pub fn peek(&self, now: Cycle) -> Option<&Flit> {
         match self.flit_q.front() {
-            Some(q) if q.arrives <= now && !q.dropped => Some(&q.flit),
+            Some(q) if q.arrives <= now && !q.flit.dropped() => Some(&q.flit),
             _ => None,
         }
     }
@@ -402,7 +505,7 @@ impl Link {
             return None;
         }
         match self.flit_q.front() {
-            Some(q) if q.arrives <= now && !q.dropped => {
+            Some(q) if q.arrives <= now && !q.flit.dropped() => {
                 self.last_recv = now;
                 Some(self.flit_q.pop_front().expect("front exists").flit)
             }
@@ -560,29 +663,38 @@ mod tests {
     }
 
     /// A receiver that drains every arrival keeps at most `delay + 1`
-    /// flits and `delay` credit runs on the link, so the queues sized by
-    /// delay never grow; credits returned together travel as one run.
+    /// flits and `delay` credit runs on the link, so it never spills
+    /// either ring, at any delay or window; credits returned together
+    /// travel as one run.
     #[test]
     fn prompt_receiver_keeps_queues_within_delay() {
-        for delay in 1..=4u32 {
-            let mut l = Link::new(delay, 64);
-            let (flits, runs) = (l.flit_q.capacity(), l.credit_q.capacity());
-            for now in 0..200 {
-                if l.can_send(now) {
-                    l.send(now, flit());
+        for delay in 1..=8u32 {
+            for window in [1, 2, 3, 8, 64] {
+                let mut l = Link::new(delay, window);
+                let wire = (delay as usize + 1).min(window as usize);
+                for now in 0..200 {
+                    if l.can_send(now) {
+                        l.send(now, flit());
+                    }
+                    assert!(l.in_flight() <= delay as usize + 1);
+                    if l.recv(now).is_some() {
+                        l.return_credit(now);
+                    }
+                    assert!(l.credit_q.len() <= delay as usize);
                 }
-                assert!(l.in_flight() <= delay as usize + 1);
-                if l.recv(now).is_some() {
-                    l.return_credit(now);
-                }
-                assert!(l.credit_q.len() <= delay as usize);
+                assert!(l.total_flits() > 0);
+                assert_eq!(
+                    (l.flit_q.slots.len(), l.credit_q.slots.len()),
+                    (wire, wire),
+                    "delay {delay}, window {window} spilled"
+                );
             }
-            assert_eq!((l.flit_q.capacity(), l.credit_q.capacity()), (flits, runs));
         }
         let mut l = Link::new(3, 8);
         for now in 0..5 {
             l.send(now, flit());
         }
+        assert!(l.flit_q.slots.len() > 4, "a lazy receiver spills");
         for now in 5..8 {
             l.recv(now);
         }
@@ -590,6 +702,172 @@ mod tests {
         assert_eq!(l.credit_q.iter().copied().collect::<Vec<_>>(), [(11, 3)]);
         assert_eq!(l.credits(10), 3);
         assert_eq!(l.credits(11), 6);
+    }
+
+    /// The rings against a `VecDeque` model of the same link that keeps
+    /// one entry per returning credit: seeded random traffic over delays
+    /// 1–4 and windows 1–16, prompt and lazy receivers, with and without
+    /// a fault plan that drops worms, corrupts flits and leaks credits.
+    /// Flit order, arrival cycles, credits, occupancy and the next arrival
+    /// agree every cycle.
+    #[test]
+    fn rings_match_a_vecdeque_model() {
+        use crate::fault::FaultPlan;
+        use crate::rng::SimRng;
+        use std::collections::VecDeque;
+
+        /// The model: `(arrives, flit, dropped)` per flit on the wire and
+        /// the arrival cycle of each returning credit.
+        struct Model {
+            delay: Cycle,
+            max_credits: u32,
+            credits: u32,
+            wire: VecDeque<(Cycle, Flit, bool)>,
+            returning: VecDeque<Cycle>,
+            faults: Option<LinkFaults>,
+            last_recv: Cycle,
+        }
+
+        impl Model {
+            fn credits(&self, now: Cycle) -> u32 {
+                self.credits + self.returning.iter().filter(|&&at| at <= now).count() as u32
+            }
+            fn fold(&mut self, now: Cycle) {
+                while self.returning.front().is_some_and(|&at| at <= now) {
+                    self.returning.pop_front();
+                    self.credits += 1;
+                }
+            }
+            fn give_back(&mut self, now: Cycle, n: u32) {
+                self.fold(now);
+                for _ in 0..n {
+                    self.returning.push_back(now + self.delay);
+                }
+            }
+            fn begin_cycle(&mut self, now: Cycle) -> usize {
+                let mut evaporated = 0;
+                while self.wire.front().is_some_and(|q| q.0 <= now && q.2) {
+                    self.wire.pop_front();
+                    evaporated += 1;
+                }
+                self.give_back(now, evaporated as u32);
+                evaporated
+            }
+            fn send(&mut self, now: Cycle, mut flit: Flit) {
+                self.fold(now);
+                assert!(self.credits > 0);
+                self.credits -= 1;
+                let mut dropped = false;
+                if let Some(f) = self.faults.as_mut() {
+                    dropped = f.roll_drop(flit.is_head(), flit.packet().total_flits());
+                    if !dropped && f.roll_corrupt() {
+                        flit.mark_corrupt();
+                    }
+                }
+                self.wire.push_back((now + self.delay, flit, dropped));
+            }
+            fn recv(&mut self, now: Cycle) -> Option<Flit> {
+                match self.wire.front() {
+                    Some(q) if q.0 <= now && !q.2 && self.last_recv != now => {
+                        self.last_recv = now;
+                        self.wire.pop_front().map(|q| q.1)
+                    }
+                    _ => None,
+                }
+            }
+            fn return_credits(&mut self, now: Cycle, n: u32) {
+                let budget = u64::from(self.max_credits - 1);
+                let kept = match self.faults.as_mut() {
+                    Some(f) => (0..n).filter(|_| !f.roll_credit_leak(budget)).count() as u32,
+                    None => n,
+                };
+                self.give_back(now, kept);
+            }
+        }
+
+        let plan = FaultPlan {
+            flit_drop: 0.02,
+            flit_corrupt: 0.05,
+            credit_leak: 0.01,
+            ..FaultPlan::none(7)
+        };
+        let cycles = if cfg!(miri) { 40 } else { 400 };
+        let mut rng = SimRng::new(24);
+        let p = Rc::new(PacketBuilder::unicast(NodeId(0), NodeId(1), 3, 16).build());
+        let mut spilled = 0;
+        for delay in 1..=4u32 {
+            for window in 1..=16u32 {
+                for lazy in [false, true] {
+                    for faulty in [false, true] {
+                        let mut l = Link::new(delay, window);
+                        let mut m = Model {
+                            delay: Cycle::from(delay),
+                            max_credits: window,
+                            credits: window,
+                            wire: VecDeque::new(),
+                            returning: VecDeque::new(),
+                            faults: None,
+                            last_recv: NEVER,
+                        };
+                        if faulty {
+                            let id = LinkId::from(window as usize);
+                            l.install_faults(plan.for_link(id));
+                            m.faults = Some(plan.for_link(id));
+                        }
+                        let (mut next, mut held) = (0u16, 0u32);
+                        for now in 0..cycles {
+                            // Printed on a mismatch only: no formatting per cycle.
+                            let case = (delay, window, lazy, faulty, now);
+                            assert_eq!(l.begin_cycle(now), m.begin_cycle(now), "{case:?}");
+                            let can = l.can_send(now);
+                            assert_eq!(can, m.credits(now) > 0, "{case:?}");
+                            if can && rng.chance(0.8) {
+                                let f = Flit::new(p.clone(), next);
+                                next = (next + 1) % p.total_flits();
+                                l.send(now, f.clone());
+                                m.send(now, f);
+                            }
+                            if !lazy || rng.chance(0.3) {
+                                let peeked = l.peek(now).map(|f| (f.idx(), f.corrupted()));
+                                let (got, want) = (l.recv(now), m.recv(now));
+                                let got = got.map(|f| (f.idx(), f.corrupted()));
+                                assert_eq!(got, want.map(|f| (f.idx(), f.corrupted())), "{case:?}");
+                                assert_eq!(peeked, got, "{case:?}");
+                                held += u32::from(got.is_some());
+                            }
+                            if held > 0 && (!lazy || rng.chance(0.3)) {
+                                let n = if lazy {
+                                    1 + rng.below(held as usize) as u32
+                                } else {
+                                    held
+                                };
+                                l.return_credits(now, n);
+                                m.return_credits(now, n);
+                                held -= n;
+                            }
+                            assert_eq!(l.credits(now), m.credits(now), "{case:?}");
+                            assert_eq!(l.credits(now + 2), m.credits(now + 2), "{case:?}");
+                            assert_eq!(l.in_flight(), m.wire.len(), "{case:?}");
+                            assert_eq!(l.next_arrival(), m.wire.front().map(|q| q.0), "{case:?}");
+                            let arrivals = l
+                                .flit_q
+                                .iter()
+                                .map(|q| (q.arrives, q.flit.idx(), q.flit.dropped()));
+                            let model = m.wire.iter().map(|q| (q.0, q.1.idx(), q.2));
+                            assert!(arrivals.eq(model), "{case:?}");
+                            l.audit_credit_conservation();
+                        }
+                        let wire = (delay as usize + 1).min(window as usize);
+                        if !lazy {
+                            assert_eq!(l.flit_q.slots.len(), wire, "a prompt receiver spilled");
+                        }
+                        spilled += usize::from(l.flit_q.slots.len() > wire);
+                        assert_eq!(l.credit_q.slots.len(), wire, "credit runs spilled");
+                    }
+                }
+            }
+        }
+        assert!(spilled > 0, "no lazy receiver reached the spill path");
     }
 
     #[test]
