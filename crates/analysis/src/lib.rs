@@ -33,6 +33,7 @@ pub mod certify;
 pub mod checks;
 mod compose;
 pub mod destset;
+pub mod json;
 pub mod model;
 pub mod replay;
 pub mod report;
@@ -44,6 +45,7 @@ pub use cdg::{build_cdg, build_cdg_budgeted, Channel, ChannelGraph, Dependency, 
 pub use certify::{certify_fabric, vet_reroute_certified, Certificate, CertifyOutcome, RankRule};
 pub use checks::{switch_sizing, ArchClass};
 pub use destset::{CompactPort, CompactTable, CompactTables, RunSet};
+pub use json::Json;
 pub use model::{
     check_model, check_model_opts, CheckOutcome, ModelBounds, ModelMode, ModelOptions, ModelStats,
     TraceOp, TraceStep, Violation,

@@ -12,6 +12,7 @@
 //!   workloads (e.g. synchronous replication's grant-wait cycles) but is
 //!   not unconditionally broken; runs proceed at the user's risk.
 
+use crate::json::Json;
 use std::fmt;
 
 /// How bad a finding is.
@@ -185,69 +186,36 @@ impl ConfigReport {
 
     /// Renders the report as a self-contained JSON object.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"clean\": {},\n  \"errors\": {},\n  \"warnings\": {},\n",
-            self.is_clean(),
-            self.errors().count(),
-            self.warnings().count()
-        ));
-        out.push_str(&format!(
-            "  \"stats\": {{\"channels\": {}, \"dependencies\": {}, \"sccs\": {}, \"roundtrips\": {}}},\n",
-            self.stats.channels, self.stats.dependencies, self.stats.sccs, self.stats.roundtrips
-        ));
-        out.push_str("  \"diagnostics\": [");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"code\": \"{}\", \"severity\": \"{}\", \"message\": \"{}\"}}",
-                d.code,
-                d.severity.label(),
-                json_escape(&d.message)
-            ));
-        }
-        out.push_str("\n  ],\n  \"cycles\": [");
-        for (i, c) in self.cycles.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"channels\": [");
-            for (j, ch) in c.channels.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\"", json_escape(ch)));
-            }
-            out.push_str("], \"edges\": [");
-            for (j, e) in c.edges.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\"", json_escape(e)));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let strs = |v: &[String]| Json::Arr(v.iter().map(Json::str).collect());
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            Json::Obj(vec![
+                ("code", Json::str(d.code)),
+                ("severity", Json::str(d.severity.label())),
+                ("message", Json::str(&d.message)),
+            ])
+        });
+        let cycles = self.cycles.iter().map(|c| {
+            Json::Obj(vec![
+                ("channels", strs(&c.channels)),
+                ("edges", strs(&c.edges)),
+            ])
+        });
+        let stats = Json::Obj(vec![
+            ("channels", Json::raw(self.stats.channels)),
+            ("dependencies", Json::raw(self.stats.dependencies)),
+            ("sccs", Json::raw(self.stats.sccs)),
+            ("roundtrips", Json::raw(self.stats.roundtrips)),
+        ]);
+        Json::Obj(vec![
+            ("clean", Json::raw(self.is_clean())),
+            ("errors", Json::raw(self.errors().count())),
+            ("warnings", Json::raw(self.warnings().count())),
+            ("stats", stats),
+            ("diagnostics", Json::Arr(diagnostics.collect())),
+            ("cycles", Json::Arr(cycles.collect())),
+        ])
+        .document()
     }
-}
-
-/// Escapes a string for embedding in JSON.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 
 use crate::suite::{run_suite, run_suite_timed, Table};
 use crate::Scale;
+use mdw_analysis::Json;
 use mdworm::{
     build_system, make_sources, sweep, SwitchArch, SystemConfig, TopologyKind, TrafficSpec,
 };
@@ -173,125 +174,85 @@ pub struct ScaleCell {
 }
 
 impl BenchReport {
-    /// Serializes the report as pretty-printed JSON (hand-rolled; the
-    /// workspace carries no serde dependency).
+    /// Serializes the report as a JSON document, one table row per line.
     pub fn json(&self) -> String {
-        let mut cells = String::new();
-        for (i, c) in self.bench_scale.iter().enumerate() {
-            cells.push_str(&format!(
-                "    {{\"arch\": \"{}\", \"hosts\": {}, \"switches\": {}, \"load\": {}, \
-                 \"cycles\": {}, \"runs\": {}, \"reference_cycles_per_sec\": {:.0}, \
-                 \"reference_iqr\": {:.0}, \"scheduled_cycles_per_sec\": {:.0}, \
-                 \"scheduled_iqr\": {:.0}, \"speedup\": {:.2}, \
-                 \"host_ticks_skipped\": {}, \"switch_ticks_skipped\": {}}}{}\n",
-                c.arch,
-                c.hosts,
-                c.switches,
-                c.load,
-                c.cycles,
-                c.runs,
-                c.reference_cycles_per_sec,
-                c.reference_iqr,
-                c.scheduled_cycles_per_sec,
-                c.scheduled_iqr,
-                c.scheduled_cycles_per_sec / c.reference_cycles_per_sec.max(1e-9),
-                c.host_ticks_skipped,
-                c.switch_ticks_skipped,
-                if i + 1 < self.bench_scale.len() {
-                    ","
-                } else {
-                    ""
-                },
-            ));
-        }
-        let mut model_rows = String::new();
-        for (i, m) in self.bench_model_check.iter().enumerate() {
-            model_rows.push_str(&format!(
-                "    {{\"arch\": \"{}\", \"switches\": {}, \"oracle_states\": {}, \
-                 \"oracle_completed\": {}, \"oracle_secs\": {:.3}, \
-                 \"compositional_states\": {}, \"compositional_secs\": {:.3}}}{}\n",
-                m.arch,
-                m.switches,
-                m.oracle_states,
-                m.oracle_completed,
-                m.oracle_secs,
-                m.compositional_states,
-                m.compositional_secs,
-                if i + 1 < self.bench_model_check.len() {
-                    ","
-                } else {
-                    ""
-                },
-            ));
-        }
-        let mut certify_rows = String::new();
-        for (i, c) in self.bench_certify.iter().enumerate() {
-            certify_rows.push_str(&format!(
-                "    {{\"hosts\": {}, \"switches\": {}, \"channels\": {}, \
-                 \"dependencies\": {}, \"certify_ok\": {}, \
-                 \"certify_secs\": {:.3}, \"explicit_budget\": {}, \
-                 \"explicit_deps\": {}, \"explicit_completed\": {}, \
-                 \"explicit_ok\": {}, \"explicit_secs\": {:.3}, \
-                 \"dense_feasible\": {}, \"verdicts_agree\": {}}}{}\n",
-                c.hosts,
-                c.switches,
-                c.channels,
-                c.dependencies,
-                c.certify_ok,
-                c.certify_secs,
-                c.explicit_budget,
-                c.explicit_deps,
-                c.explicit_completed,
-                c.explicit_ok,
-                c.explicit_secs,
-                c.dense_feasible,
-                c.verdicts_agree,
-                if i + 1 < self.bench_certify.len() {
-                    ","
-                } else {
-                    ""
-                },
-            ));
-        }
-        let suite_secs = self
-            .suite_secs
-            .iter()
-            .map(|(name, secs)| format!("\"{name}\": {secs:.3}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\n  \"scale\": \"{}\",\n  \"exp\": \"{}\",\n  \"jobs_serial\": 1,\n  \
-             \"jobs_parallel\": {},\n  \"host_cpus\": {},\n  \"serial_secs\": {:.3},\n  \
-             \"parallel_secs\": {:.3},\n  \"speedup\": {:.3},\n  \
-             \"outputs_identical\": {},\n  \"tables\": {},\n  \
-             \"suite_secs\": {{{suite_secs}}},\n  \
-             \"storm_episodes\": {},\n  \"storm_p50_cycles\": {},\n  \
-             \"storm_p99_cycles\": {},\n  \"storm_vet_p50_ns\": {},\n  \
-             \"storm_vet_p99_ns\": {},\n  \
-             \"crash_boundaries\": {},\n  \"crash_recoveries\": {},\n  \
-             \"crash_recovery_p50_ns\": {},\n  \"crash_recovery_p99_ns\": {},\n  \
-             \"bench_scale\": [\n{cells}  ],\n  \
-             \"bench_model_check\": [\n{model_rows}  ],\n  \
-             \"bench_certify\": [\n{certify_rows}  ]\n}}\n",
-            self.scale,
-            self.exp,
-            self.jobs_parallel,
-            self.host_cpus,
-            self.serial_secs,
-            self.parallel_secs,
-            self.speedup,
-            self.outputs_identical,
-            self.tables,
-            self.storm_episodes,
-            self.storm_p50_cycles,
-            self.storm_p99_cycles,
-            self.storm_vet_p50_ns,
-            self.storm_vet_p99_ns,
-            self.crash_boundaries,
-            self.crash_recoveries,
-            self.crash_recovery_p50_ns,
-            self.crash_recovery_p99_ns,
-        )
+        let secs = |s: f64| Json::raw(format!("{s:.3}"));
+        let per_sec = |r: f64| Json::raw(format!("{r:.0}"));
+        let cells = self.bench_scale.iter().map(|c| {
+            let (reference, scheduled) = (c.reference_cycles_per_sec, c.scheduled_cycles_per_sec);
+            let speedup = scheduled / reference.max(1e-9);
+            Json::Obj(vec![
+                ("arch", Json::str(c.arch)),
+                ("hosts", Json::raw(c.hosts)),
+                ("switches", Json::raw(c.switches)),
+                ("load", Json::raw(c.load)),
+                ("cycles", Json::raw(c.cycles)),
+                ("runs", Json::raw(c.runs)),
+                ("reference_cycles_per_sec", per_sec(reference)),
+                ("reference_iqr", per_sec(c.reference_iqr)),
+                ("scheduled_cycles_per_sec", per_sec(scheduled)),
+                ("scheduled_iqr", per_sec(c.scheduled_iqr)),
+                ("speedup", Json::raw(format!("{speedup:.2}"))),
+                ("host_ticks_skipped", Json::raw(c.host_ticks_skipped)),
+                ("switch_ticks_skipped", Json::raw(c.switch_ticks_skipped)),
+            ])
+        });
+        let model_rows = self.bench_model_check.iter().map(|m| {
+            Json::Obj(vec![
+                ("arch", Json::str(m.arch)),
+                ("switches", Json::raw(m.switches)),
+                ("oracle_states", Json::raw(m.oracle_states)),
+                ("oracle_completed", Json::raw(m.oracle_completed)),
+                ("oracle_secs", secs(m.oracle_secs)),
+                ("compositional_states", Json::raw(m.compositional_states)),
+                ("compositional_secs", secs(m.compositional_secs)),
+            ])
+        });
+        let certify_rows = self.bench_certify.iter().map(|c| {
+            Json::Obj(vec![
+                ("hosts", Json::raw(c.hosts)),
+                ("switches", Json::raw(c.switches)),
+                ("channels", Json::raw(c.channels)),
+                ("dependencies", Json::raw(c.dependencies)),
+                ("certify_ok", Json::raw(c.certify_ok)),
+                ("certify_secs", secs(c.certify_secs)),
+                ("explicit_budget", Json::raw(c.explicit_budget)),
+                ("explicit_deps", Json::raw(c.explicit_deps)),
+                ("explicit_completed", Json::raw(c.explicit_completed)),
+                ("explicit_ok", Json::raw(c.explicit_ok)),
+                ("explicit_secs", secs(c.explicit_secs)),
+                ("dense_feasible", Json::raw(c.dense_feasible)),
+                ("verdicts_agree", Json::raw(c.verdicts_agree)),
+            ])
+        });
+        let suite_secs = self.suite_secs.iter().map(|&(name, s)| (name, secs(s)));
+        let (recovery_p50, recovery_p99) = (self.crash_recovery_p50_ns, self.crash_recovery_p99_ns);
+        Json::Obj(vec![
+            ("scale", Json::str(&self.scale)),
+            ("exp", Json::str(&self.exp)),
+            ("jobs_serial", Json::raw(1)),
+            ("jobs_parallel", Json::raw(self.jobs_parallel)),
+            ("host_cpus", Json::raw(self.host_cpus)),
+            ("serial_secs", secs(self.serial_secs)),
+            ("parallel_secs", secs(self.parallel_secs)),
+            ("speedup", secs(self.speedup)),
+            ("outputs_identical", Json::raw(self.outputs_identical)),
+            ("tables", Json::raw(self.tables)),
+            ("suite_secs", Json::Obj(suite_secs.collect())),
+            ("storm_episodes", Json::raw(self.storm_episodes)),
+            ("storm_p50_cycles", Json::raw(self.storm_p50_cycles)),
+            ("storm_p99_cycles", Json::raw(self.storm_p99_cycles)),
+            ("storm_vet_p50_ns", Json::raw(self.storm_vet_p50_ns)),
+            ("storm_vet_p99_ns", Json::raw(self.storm_vet_p99_ns)),
+            ("crash_boundaries", Json::raw(self.crash_boundaries)),
+            ("crash_recoveries", Json::raw(self.crash_recoveries)),
+            ("crash_recovery_p50_ns", Json::raw(recovery_p50)),
+            ("crash_recovery_p99_ns", Json::raw(recovery_p99)),
+            ("bench_scale", Json::Arr(cells.collect())),
+            ("bench_model_check", Json::Arr(model_rows.collect())),
+            ("bench_certify", Json::Arr(certify_rows.collect())),
+        ])
+        .document()
     }
 }
 
@@ -667,8 +628,11 @@ pub fn bench_sweep(
 mod tests {
     use super::*;
 
+    /// `BENCH_sweep.json`'s layout, byte for byte, on one row in each
+    /// table and a two-entry `suite_secs` map: one top-level key per line,
+    /// one table row per line, rows inline.
     #[test]
-    fn report_json_is_wellformed() {
+    fn report_json_layout_is_pinned() {
         let r = BenchReport {
             scale: "quick".into(),
             exp: "all".into(),
@@ -728,33 +692,39 @@ mod tests {
                 verdicts_agree: true,
             }],
         };
-        let j = r.json();
-        assert!(j.contains("\"speedup\": 2.500"));
-        assert!(j.contains("\"outputs_identical\": true"));
-        assert!(j.contains("\"jobs_serial\": 1"));
-        assert!(
-            j.contains("\"suite_secs\": {\"e1_parameters\": 0.012, \"e19_crash_storm\": 0.250},")
-        );
-        assert!(j.contains("\"storm_p99_cycles\": 257"));
-        assert!(j.contains("\"crash_recovery_p99_ns\": 48000"));
-        assert!(j.contains("\"crash_boundaries\": 40"));
-        assert!(j.contains("\"bench_scale\": ["));
-        assert!(j.contains("{\"arch\": \"IB\", \"hosts\": 64, \"switches\": 48, \"load\": 0.02"));
-        assert!(j.contains("\"cycles\": 20000, \"runs\": 5, \"reference_cycles_per_sec\": 50000"));
-        assert!(j.contains("\"reference_iqr\": 4000, \"scheduled_cycles_per_sec\": 90000"));
-        assert!(j.contains("\"scheduled_iqr\": 6000, \"speedup\": 1.80"));
-        assert!(j.contains("\"switch_ticks_skipped\": 9000}"));
-        assert!(j.contains("\"bench_model_check\": ["));
-        assert!(j.contains("{\"arch\": \"CB\", \"switches\": 16, \"oracle_states\": 50000"));
-        assert!(j.contains("\"oracle_completed\": false"));
-        assert!(j.contains("\"oracle_secs\": 1.250, \"compositional_states\": 500"));
-        assert!(!j.contains("\"reduced_states\"") && !j.contains("reduction_factor"));
-        assert!(j.contains("\"bench_certify\": ["));
-        assert!(j.contains("{\"hosts\": 65536, \"switches\": 131072"));
-        assert!(j.contains("\"dense_feasible\": false"));
-        assert!(j.contains("\"verdicts_agree\": true}"));
-        assert!(!j.contains("engine_"), "no single-engine scalars: {j}");
-        assert!(j.ends_with("}\n"));
+        let golden = r#"{
+  "scale": "quick",
+  "exp": "all",
+  "jobs_serial": 1,
+  "jobs_parallel": 4,
+  "host_cpus": 8,
+  "serial_secs": 10.000,
+  "parallel_secs": 4.000,
+  "speedup": 2.500,
+  "outputs_identical": true,
+  "tables": 14,
+  "suite_secs": {"e1_parameters": 0.012, "e19_crash_storm": 0.250},
+  "storm_episodes": 8,
+  "storm_p50_cycles": 256,
+  "storm_p99_cycles": 257,
+  "storm_vet_p50_ns": 1000,
+  "storm_vet_p99_ns": 2000,
+  "crash_boundaries": 40,
+  "crash_recoveries": 80,
+  "crash_recovery_p50_ns": 12000,
+  "crash_recovery_p99_ns": 48000,
+  "bench_scale": [
+    {"arch": "IB", "hosts": 64, "switches": 48, "load": 0.02, "cycles": 20000, "runs": 5, "reference_cycles_per_sec": 50000, "reference_iqr": 4000, "scheduled_cycles_per_sec": 90000, "scheduled_iqr": 6000, "speedup": 1.80, "host_ticks_skipped": 1000, "switch_ticks_skipped": 9000}
+  ],
+  "bench_model_check": [
+    {"arch": "CB", "switches": 16, "oracle_states": 50000, "oracle_completed": false, "oracle_secs": 1.250, "compositional_states": 500, "compositional_secs": 0.010}
+  ],
+  "bench_certify": [
+    {"hosts": 65536, "switches": 131072, "channels": 1310720, "dependencies": 5242880, "certify_ok": true, "certify_secs": 0.420, "explicit_budget": 0, "explicit_deps": 0, "explicit_completed": false, "explicit_ok": false, "explicit_secs": 0.000, "dense_feasible": false, "verdicts_agree": true}
+  ]
+}
+"#;
+        assert_eq!(r.json(), golden);
     }
 
     /// The small dense tier runs both verdict paths to completion and

@@ -48,7 +48,7 @@
 //! directly.
 
 use mdw_analysis::{
-    check_model_opts, ArchClass, CheckOutcome, ModelBounds, ModelMode, ModelOptions,
+    check_model_opts, ArchClass, CheckOutcome, Json, ModelBounds, ModelMode, ModelOptions,
 };
 use mdworm::cfgtext::parse_config;
 use mdworm::config::{SwitchArch, SystemConfig};
@@ -105,7 +105,7 @@ fn main() {
                 }
             }
             "--help" | "-h" => {
-                eprintln!("{usage}");
+                println!("{usage}");
                 return;
             }
             flag if flag.starts_with("--") => {
@@ -139,6 +139,12 @@ fn main() {
         }
     }
 
+    // Under `--json` stdout is pure JSON: passes go unsaid, failures to stderr.
+    let say = |line: String, failed: bool| match (json, failed) {
+        (false, _) => println!("{line}"),
+        (true, true) => eprintln!("{line}"),
+        (true, false) => {}
+    };
     let mut any_errors = false;
     for (i, (name, cfg)) in targets.iter().enumerate() {
         let report = cfg.report();
@@ -173,13 +179,12 @@ fn main() {
                 )
             };
             if cmp.certify_ok && cmp.agree {
-                if !json {
-                    println!(
-                        "{name}: certify passed — {} channels, {} dependencies \
-                         descend the rank in {:.3}s; {explicit_part}",
-                        cmp.channels, cmp.dependencies, cmp.certify_secs
-                    );
-                }
+                let line = format!(
+                    "{name}: certify passed — {} channels, {} dependencies \
+                     descend the rank in {:.3}s; {explicit_part}",
+                    cmp.channels, cmp.dependencies, cmp.certify_secs
+                );
+                say(line, false);
             } else {
                 any_errors = true;
                 let why = if !cmp.certify_ok {
@@ -187,11 +192,10 @@ fn main() {
                 } else {
                     "certificate and explicit CDG verdicts disagree"
                 };
-                if json {
-                    eprintln!("{name}: certify FAILED: {why}; {explicit_part}");
-                } else {
-                    println!("{name}: certify FAILED: {why}; {explicit_part}");
-                }
+                say(
+                    format!("{name}: certify FAILED: {why}; {explicit_part}"),
+                    true,
+                );
             }
         }
         if model_check && !report.has_errors() {
@@ -214,11 +218,6 @@ fn main() {
             let start = std::time::Instant::now();
             let outcome = check_model_opts(arch, sync, cfg.switch.policy, &bounds, &opts);
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            let mode_str = match mode {
-                ModelMode::Exact => "exact",
-                ModelMode::Compositional => "compositional",
-                ModelMode::Auto => "auto",
-            };
             if model_stats {
                 // Violations carry a counterexample, not counters; the
                 // stats line then reports the verdict with zeroed counts.
@@ -226,31 +225,28 @@ fn main() {
                     CheckOutcome::Verified(st) => (true, Some(st)),
                     CheckOutcome::Violated(_) => (false, None),
                 };
-                println!(
-                    "{{\"config\":\"{name}\",\"mode\":\"{mode_str}\",\
-                     \"verified\":{verified},\"states\":{},\
-                     \"transitions\":{},\"wall_ms\":{wall_ms:.3}}}",
-                    st.map_or(0, |s| s.states),
-                    st.map_or(0, |s| s.transitions),
-                );
+                let stats = Json::Obj(vec![
+                    ("config", Json::str(name)),
+                    ("mode", Json::str(format!("{mode:?}").to_lowercase())),
+                    ("verified", Json::raw(verified)),
+                    ("states", Json::raw(st.map_or(0, |s| s.states))),
+                    ("transitions", Json::raw(st.map_or(0, |s| s.transitions))),
+                    ("wall_ms", Json::raw(format!("{wall_ms:.3}"))),
+                ]);
+                println!("{}", stats.line());
             }
             match outcome {
-                CheckOutcome::Verified(stats) => {
-                    if !json {
-                        println!(
-                            "{name}: model check passed — {} states, {} \
-                             transitions over {} scenario(s)",
-                            stats.states, stats.transitions, stats.scenarios
-                        );
-                    }
-                }
+                CheckOutcome::Verified(stats) => say(
+                    format!(
+                        "{name}: model check passed — {} states, {} \
+                         transitions over {} scenario(s)",
+                        stats.states, stats.transitions, stats.scenarios
+                    ),
+                    false,
+                ),
                 CheckOutcome::Violated(v) => {
                     any_errors = true;
-                    if json {
-                        eprintln!("{name}: model check FAILED: {v}");
-                    } else {
-                        println!("{name}: model check FAILED: {v}");
-                    }
+                    say(format!("{name}: model check FAILED: {v}"), true);
                 }
             }
         }

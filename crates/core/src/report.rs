@@ -2,6 +2,8 @@
 //! JSON for deadlock forensics.
 
 use crate::forensics::DeadlockReport;
+use mdw_analysis::Json;
+use std::fmt::Display;
 
 /// A result row that knows how to print itself.
 pub trait TableRow {
@@ -65,82 +67,49 @@ pub fn csv<T: TableRow>(rows: &[T]) -> String {
     out
 }
 
-/// Serializes a [`DeadlockReport`] as pretty-printed JSON.
-///
-/// Hand-rolled (the workspace carries no serde dependency); every value is
-/// a number, an array of numbers, or one of a fixed set of state labels,
-/// so no string escaping is needed.
+/// Serializes a [`DeadlockReport`] as a JSON document, one line per wait
+/// edge and per switch dump (its blocked worms inline).
 pub fn deadlock_json(r: &DeadlockReport) -> String {
-    fn ints<T: ToString, I: IntoIterator<Item = T>>(v: I) -> String {
-        let body: Vec<String> = v.into_iter().map(|x| x.to_string()).collect();
-        format!("[{}]", body.join(","))
+    fn ints<T: Display>(v: &[T]) -> Json {
+        Json::Arr(v.iter().map(Json::raw).collect())
     }
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"at_cycle\": {},\n", r.at_cycle));
-    out.push_str(&format!(
-        "  \"last_progress_cycle\": {},\n",
-        r.last_progress_cycle
-    ));
-    out.push_str(&format!(
-        "  \"outstanding_messages\": {},\n",
-        r.outstanding_messages
-    ));
-    out.push_str(&format!("  \"cycle\": {},\n", ints(r.cycle.iter())));
-    let edges: Vec<String> = r
-        .wait_edges
-        .iter()
-        .map(|e| {
-            format!(
-                "    {{\"from_link\": {}, \"to_link\": {}, \"switch\": {}}}",
-                e.from_link, e.to_link, e.switch
-            )
-        })
-        .collect();
-    out.push_str(&format!(
-        "  \"wait_edges\": [\n{}\n  ],\n",
-        edges.join(",\n")
-    ));
-    let switches: Vec<String> = r
-        .switches
-        .iter()
-        .map(|d| {
-            let worms: Vec<String> = d
-                .snapshot
-                .blocked
-                .iter()
-                .map(|w| {
-                    format!(
-                        "      {{\"input\": {}, \"packet\": {}, \"msg\": {}, \
-                         \"src\": {}, \"state\": \"{}\", \"remaining_dests\": {}, \
-                         \"holds_outputs\": {}, \"waits_outputs\": {}}}",
-                        w.input.map_or("null".to_string(), |i| i.to_string()),
-                        w.packet,
-                        w.msg,
-                        w.src,
-                        w.state,
-                        ints(w.remaining_dests.iter()),
-                        ints(w.holds_outputs.iter()),
-                        ints(w.waits_outputs.iter()),
-                    )
-                })
-                .collect();
-            format!(
-                "    {{\"switch\": {}, \"cq_used_chunks\": {}, \
-                 \"cq_free_chunks\": {}, \"input_occupancy\": {},\n\
-                 \"blocked_worms\": [\n{}\n    ]}}",
-                d.switch,
-                d.snapshot.cq_used_chunks,
-                d.snapshot.cq_free_chunks,
-                ints(d.snapshot.input_occupancy.iter()),
-                worms.join(",\n"),
-            )
-        })
-        .collect();
-    out.push_str(&format!(
-        "  \"switches\": [\n{}\n  ]\n}}\n",
-        switches.join(",\n")
-    ));
-    out
+    let edges = r.wait_edges.iter().map(|e| {
+        Json::Obj(vec![
+            ("from_link", Json::raw(e.from_link)),
+            ("to_link", Json::raw(e.to_link)),
+            ("switch", Json::raw(e.switch)),
+        ])
+    });
+    let switches = r.switches.iter().map(|d| {
+        let worms = d.snapshot.blocked.iter().map(|w| {
+            Json::Obj(vec![
+                ("input", w.input.map_or(Json::raw("null"), Json::raw)),
+                ("packet", Json::raw(w.packet)),
+                ("msg", Json::raw(w.msg)),
+                ("src", Json::raw(w.src)),
+                ("state", Json::str(w.state)),
+                ("remaining_dests", ints(&w.remaining_dests)),
+                ("holds_outputs", ints(&w.holds_outputs)),
+                ("waits_outputs", ints(&w.waits_outputs)),
+            ])
+        });
+        Json::Obj(vec![
+            ("switch", Json::raw(d.switch)),
+            ("cq_used_chunks", Json::raw(d.snapshot.cq_used_chunks)),
+            ("cq_free_chunks", Json::raw(d.snapshot.cq_free_chunks)),
+            ("input_occupancy", ints(&d.snapshot.input_occupancy)),
+            ("blocked_worms", Json::Arr(worms.collect())),
+        ])
+    });
+    Json::Obj(vec![
+        ("at_cycle", Json::raw(r.at_cycle)),
+        ("last_progress_cycle", Json::raw(r.last_progress_cycle)),
+        ("outstanding_messages", Json::raw(r.outstanding_messages)),
+        ("cycle", ints(&r.cycle)),
+        ("wait_edges", Json::Arr(edges.collect())),
+        ("switches", Json::Arr(switches.collect())),
+    ])
+    .document()
 }
 
 /// Formats a float with sensible precision for tables.

@@ -106,7 +106,7 @@ impl RoutedService {
     /// purge) count toward the budget, so a `step` during a storm
     /// returns close to, not far past, the requested cycle.
     pub fn advance(&mut self, cycles: Cycle) {
-        let end = self.sys.engine.now() + cycles;
+        let end = self.sys.engine.now().saturating_add(cycles);
         while self.sys.engine.now() < end {
             let step = self.routed.slice.min(end - self.sys.engine.now());
             self.sys.engine.run_for(step);
@@ -291,6 +291,10 @@ impl RoutedService {
                 format!("ok {}", self.metrics().render())
             }
             Request::Step(n) => {
+                let now = self.sys.engine.now();
+                if now.checked_add(*n).is_none() {
+                    return format!("err step {n} overflows the cycle counter at now={now}");
+                }
                 self.events_in += 1;
                 self.advance(*n);
                 format!("ok now={}", self.sys.engine.now())

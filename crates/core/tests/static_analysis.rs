@@ -383,7 +383,7 @@ fn mdw_lint_model_check_flags() {
         .lines()
         .find(|l| l.starts_with('{'))
         .unwrap_or_else(|| panic!("no stats line: {text}"));
-    assert!(stats.contains("\"verified\":true"), "{stats}");
+    assert!(stats.contains("\"verified\": true"), "{stats}");
     for removed in [
         "orbit_hits",
         "orbit_reduction_factor",
@@ -391,6 +391,90 @@ fn mdw_lint_model_check_flags() {
         "frontier_workers",
     ] {
         assert!(!stats.contains(removed), "{removed} in {stats}");
+    }
+}
+
+/// The `--model-stats` line names the config by its path, escaped: a
+/// path holding `"` and `\` still makes one valid JSON line.
+#[test]
+fn mdw_lint_model_stats_escapes_the_config_path() {
+    let shipped = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs/sp2-default.mdw");
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("lint \"q\\uoted\"");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("cfg.mdw");
+    std::fs::copy(shipped, &path).expect("config copied");
+    let path = path.to_str().expect("utf-8 temp path");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mdw-lint"))
+        .args(["--model-check", "--model-stats", path])
+        .output()
+        .expect("run mdw-lint");
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    let stats = text
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .unwrap_or_else(|| panic!("no stats line: {text}"));
+    assert!(stats.starts_with("{\"config\": \""), "{stats}");
+    assert!(
+        stats.contains(r#"/lint \"q\\uoted\"/cfg.mdw", "mode": "#),
+        "{stats}"
+    );
+}
+
+/// `mdw-lint --json` layout, byte for byte, on two configs: one document
+/// per config separated by a blank line, one top-level key per line, one
+/// diagnostic per line, and empty tables as `[` and `  ]` on two lines.
+#[test]
+fn mdw_lint_json_layout_is_pinned() {
+    let configs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mdw-lint"))
+        .args([
+            "--json",
+            &format!("{configs}/undersized-central-buffer.mdw"),
+            &format!("{configs}/sync-replication-hazard.mdw"),
+        ])
+        .output()
+        .expect("run mdw-lint --json");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let golden = r#"{
+  "clean": false,
+  "errors": 2,
+  "warnings": 0,
+  "stats": {"channels": 0, "dependencies": 0, "sccs": 0, "roundtrips": 0},
+  "diagnostics": [
+    {"code": "cb-packet-exceeds-cq", "severity": "error", "message": "max packet (128 flits) exceeds central queue (32 flits): deadlock-freedom guarantee impossible"},
+    {"code": "cb-no-descending-reserve", "severity": "error", "message": "central queue (4 chunks) must hold at least two max packets (16 chunks each): one is reserved for descending traffic"}
+  ],
+  "cycles": [
+  ]
+}
+
+{
+  "clean": false,
+  "errors": 0,
+  "warnings": 1,
+  "stats": {"channels": 8, "dependencies": 16, "sccs": 8, "roundtrips": 8},
+  "diagnostics": [
+    {"code": "sync-replication-hazard", "severity": "warning", "message": "synchronous (lock-step) replication on the input-buffered switch admits grant-wait cycles between partially granted multidestination worms (paper §3): two worms can each hold a subset of the other's output ports and neither ever streams; use Asynchronous replication for a deadlock-freedom guarantee"}
+  ],
+  "cycles": [
+  ]
+}
+"#;
+    assert_eq!(String::from_utf8_lossy(&out.stdout), golden);
+}
+
+/// `--help` prints the usage on stdout and succeeds, like the other
+/// binaries.
+#[test]
+fn help_prints_usage_and_succeeds() {
+    for flag in ["--help", "-h"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_mdw-lint"))
+            .arg(flag)
+            .output()
+            .expect("run mdw-lint");
+        assert!(out.status.success(), "{flag}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: mdw-lint"));
     }
 }
 

@@ -244,3 +244,84 @@ fn backoff_is_capped_and_budgeted_under_random_seeds() {
         );
     }
 }
+
+/// `step` past the end of the cycle counter is an `err` reply — not an
+/// overflow panic in debug builds or a wrapped no-op in release ones —
+/// and the clock stays where it was.
+#[test]
+fn step_past_the_end_of_the_cycle_counter_is_an_err_reply() {
+    let mut service = RoutedService::new(service_cfg()).expect("config is clean");
+    let mut send = |line: &str| service.handle(&Request::parse(line).expect(line));
+    assert_eq!(send("step 1"), "ok now=1");
+    let reply = send(&format!("step {}", u64::MAX));
+    assert!(
+        reply.starts_with("err ") && reply.contains("overflows"),
+        "{reply}"
+    );
+    assert_eq!(send("step 1"), "ok now=2");
+}
+
+/// Seeded fuzz over the line protocol: random lines of command words,
+/// junk tokens and numbers up to `u64::MAX` never panic the parser or
+/// the service, and every parsed request gets a reply starting `ok ` or
+/// `err `. Steps run only over small counts, so the loop stays fast; the
+/// one exception is a step that would overflow the cycle counter, which
+/// must be refused with `err`.
+#[test]
+fn random_protocol_lines_never_panic_and_reply_ok_or_err() {
+    const COMMANDS: [&str; 10] = [
+        "link", "join", "leave", "route", "reach", "health", "metrics", "step", "quit", "exit",
+    ];
+    const WORDS: [&str; 4] = ["down", "up", "group", "f"];
+    const JUNK: [&str; 6] = ["-1", "f-3", "1.5", "x9", "\u{fffd}", "18446744073709551616"];
+    const MAX_STEP: u64 = 64;
+    let mut service = RoutedService::new(service_cfg()).expect("config is clean");
+    let mut rng = SimRng::new(0xF022);
+    let number = |rng: &mut SimRng| match rng.below(3) {
+        0 => rng.below(20) as u64,
+        1 => u64::MAX - rng.below(4) as u64,
+        _ => rng.below(usize::MAX) as u64,
+    };
+    let (mut handled, mut overflows) = (0, 0);
+    for case in 0..20_000 {
+        let mut tokens = vec![COMMANDS[rng.below(COMMANDS.len())].to_string()];
+        for _ in 0..rng.below(4) {
+            tokens.push(match rng.below(6) {
+                0 | 1 => WORDS[rng.below(WORDS.len())].to_string(),
+                2 => format!("f{}", number(&mut rng)),
+                3 => JUNK[rng.below(JUNK.len())].to_string(),
+                _ => number(&mut rng).to_string(),
+            });
+        }
+        if rng.below(8) == 0 {
+            let j = rng.below(tokens.len());
+            tokens.swap(0, j);
+        }
+        let line = tokens.join(" ");
+        let Ok(req) = Request::parse(&line) else {
+            continue;
+        };
+        let now = service.system().engine.now();
+        let overflow = match req {
+            Request::Step(n) if now.checked_add(n).is_none() => true,
+            Request::Step(n) if n > MAX_STEP => continue,
+            _ => false,
+        };
+        let reply = service.handle(&req);
+        handled += 1;
+        assert!(
+            reply.starts_with("ok ") || reply.starts_with("err "),
+            "case {case}: `{line}` → `{reply}`"
+        );
+        if overflow {
+            overflows += 1;
+            assert!(
+                reply.starts_with("err "),
+                "case {case}: `{line}` → `{reply}`"
+            );
+            assert_eq!(service.system().engine.now(), now, "case {case}");
+        }
+    }
+    assert!(handled >= 2000, "only {handled} lines parsed");
+    assert!(overflows > 0, "no overflowing step was drawn");
+}
