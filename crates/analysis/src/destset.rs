@@ -257,20 +257,6 @@ impl RunSet {
     }
 }
 
-impl switches::ReachEncoding for RunSet {
-    fn universe(&self) -> usize {
-        self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        RunSet::is_empty(self)
-    }
-
-    fn to_dense(&self) -> DestSet {
-        RunSet::to_dense(self)
-    }
-}
-
 /// Classification and compressed reach set of one output port: the
 /// run-encoded mirror of [`mintopo::reach::PortInfo`].
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -56,10 +56,7 @@ pub use replay::{
 pub use report::{AnalysisStats, ConfigReport, CycleReport, Diagnostic, Severity};
 pub use roundtrip::lint_roundtrips;
 pub use scc::tarjan_sccs;
-pub use timing::{
-    check_model_opts_timed, check_model_timed, vet_reroute_certified_timed, vet_reroute_timed,
-    Samples, VetStats,
-};
+pub use timing::{Samples, VetStats};
 
 use mintopo::route::{ReplicatePolicy, RouteTables};
 use mintopo::topology::Topology;

@@ -63,16 +63,13 @@ fn shapes_for(tables: &RouteTables, sw: SwitchId) -> Vec<DestSet> {
 /// Round-trips every representative shape through every switch's decode
 /// under `policy`, appending an error per inconsistency and counting the
 /// checks in `report.stats.roundtrips`.
-///
-/// Shapes enter the decode through the [`switches::ReachEncoding`] seam,
-/// so the same lint body serves dense strings and compressed run sets.
 pub fn lint_roundtrips(tables: &RouteTables, policy: ReplicatePolicy, report: &mut ConfigReport) {
     for s in 0..tables.n_switches() {
         let sw = SwitchId::from(s);
         let table = tables.table(sw);
         for dests in shapes_for(tables, sw) {
             report.stats.roundtrips += 1;
-            if let Err(e) = switches::verify_roundtrip_encoded(table, &dests, policy) {
+            if let Err(e) = switches::verify_bitstring_roundtrip(table, &dests, policy) {
                 report.error(
                     "header-roundtrip-mismatch",
                     format!("{sw}: reach string fails to round-trip through decode: {e}"),

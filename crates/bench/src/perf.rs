@@ -264,14 +264,13 @@ impl BenchReport {
 /// Returns `(episodes, p50_cycles, p99_cycles, vet_p50_ns, vet_p99_ns)`.
 pub fn storm_latency() -> (usize, u64, u64, u64, u64) {
     use mdworm::respond::ResponseConfig;
-    use mdworm::routed::{RoutedConfig, StormResponder};
+    use mdworm::routed::{StormResponder, SLICE};
     use mdworm::TopologyKind;
 
     let cfg = SystemConfig {
         topology: TopologyKind::KaryTree { k: 4, n: 2 },
         recovery: Some(collectives::RecoveryConfig::default()),
         response: Some(ResponseConfig::default()),
-        routed: Some(RoutedConfig::default()),
         ..SystemConfig::default()
     };
     let spec = TrafficSpec::multiple_multicast(0.04, 4, 16);
@@ -284,11 +283,10 @@ pub fn storm_latency() -> (usize, u64, u64, u64, u64) {
         let start = 1_000 + 3_000 * i as u64;
         sys.engine.script_outage(*link, start, start + 1_500);
     }
-    let mut storm =
-        StormResponder::new(RoutedConfig::default(), ResponseConfig::default(), &mut sys);
+    let mut storm = StormResponder::new(ResponseConfig::default(), &mut sys);
     let end = 1_000 + 3_000 * fabric.len() as u64 + 4_000;
     while sys.engine.now() < end {
-        sys.engine.run_for(32);
+        sys.engine.run_for(SLICE);
         storm.tick(&mut sys);
     }
     let resp = storm.responder();

@@ -16,7 +16,12 @@
 //! ```
 //!
 //! Config files are `key = value` lines (`#` starts a comment); unknown
-//! keys are rejected. See `configs/` for annotated examples. Exit status
+//! keys are rejected, and each key has one spelling. The control plane's
+//! timing and storm tuning are constants of `mdworm::respond` and
+//! `mdworm::routed` whose invariants are checked at compile time, so no
+//! lint rule guards them; the journal cadence `journal.snapshot_every`
+//! is the one control-plane number a config sets. See `configs/` for
+//! annotated examples. Exit status
 //! is non-zero iff any linted config has an error-severity finding, so
 //! the tool slots directly into CI and sweep-launcher scripts.
 //!

@@ -11,7 +11,9 @@
 //! ```
 //!
 //! * `--config FILE` — `key = value` config text (see `configs/*.mdw`);
-//!   the `response` and `routed` blocks default on when absent.
+//!   the `response` block defaults on when absent. The storm-control
+//!   tuning (damping, backoff, ladder, watchdog, slice and queue sizes)
+//!   is the constants of [`mdworm::routed`], not config keys.
 //! * `--script FILE` — run the requests in FILE, echo each with its
 //!   reply, print the final metrics line, and exit.
 //! * `--listen ADDR` — accept line-protocol clients on `ADDR`
@@ -20,6 +22,10 @@
 //! * `--p99-budget CYCLES` — exit non-zero if the final p99
 //!   detect→install latency exceeds the budget (CI smoke gate).
 //!
+//! One `step N` request advances the fabric at most
+//! [`MAX_STEP`](mdworm::routed::MAX_STEP) = 1 000 000 cycles; a larger
+//! `N` gets an `err` reply.
+//!
 //! Exit status: 0 on clean shutdown within budget (and on `--help`,
 //! which prints the usage to stdout), 1 on budget breach, 2 on
 //! usage/config errors.
@@ -27,7 +33,7 @@
 use mdworm::cfgtext::parse_config;
 use mdworm::config::SystemConfig;
 use mdworm::routed::queue::{submit, Envelope, ShedCounter};
-use mdworm::routed::{Request, RoutedService};
+use mdworm::routed::{Request, RoutedService, QUEUE_CAP};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{self, SyncSender};
@@ -40,7 +46,9 @@ struct Args {
 }
 
 const USAGE: &str = "usage: mdw-routed [--config FILE] [--script FILE] \
-                     [--listen ADDR] [--p99-budget CYCLES]";
+                     [--listen ADDR] [--p99-budget CYCLES]\n\
+                     requests: one per line (link, join, leave, route, reach, health, \
+                     metrics, step, quit); `step N` takes N <= 1000000 cycles";
 
 /// Parses the command line; `Ok(None)` means `--help` was asked for.
 fn parse_args() -> Result<Option<Args>, String> {
@@ -204,7 +212,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let queue_cap = service.queue_cap();
     let shed = service.shed_counter();
 
     if let Some(script) = &args.script {
@@ -213,7 +220,7 @@ fn main() {
             std::process::exit(2);
         }
     } else {
-        let (tx, rx) = mpsc::sync_channel::<Envelope>(queue_cap);
+        let (tx, rx) = mpsc::sync_channel::<Envelope>(QUEUE_CAP);
         if let Some(addr) = args.listen.clone() {
             let shed = shed.clone();
             std::thread::spawn(move || {

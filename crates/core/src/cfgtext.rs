@@ -268,7 +268,7 @@ impl SpecParser {
         let bad = |what: &str| format!("bad {what} value `{value}`");
         let cfg = &mut self.spec.system;
         // The optional blocks; a tuning key turns its block on.
-        let (recovery, response, routed) = (&mut cfg.recovery, &mut cfg.response, &mut cfg.routed);
+        let (recovery, response) = (&mut cfg.recovery, &mut cfg.response);
         let traffic = &mut self.spec.traffic;
         let faults = &mut self.spec.run.faults;
         match key {
@@ -340,8 +340,8 @@ impl SpecParser {
             "barrier_combining" => cfg.barrier_combining = num(key, value)?,
             "seed" => cfg.seed = num(key, value)?,
             // Model-check decomposition of the deep reroute vet
-            // (DESIGN.md §14); both spellings accepted.
-            "model.mode" | "model_mode" => {
+            // (DESIGN.md §14).
+            "model.mode" => {
                 cfg.model_mode = match value {
                     "exact" => mdw_analysis::ModelMode::Exact,
                     "compositional" => mdw_analysis::ModelMode::Compositional,
@@ -372,68 +372,26 @@ impl SpecParser {
                 "off" | "false" => *response = None,
                 _ => return Err(bad("response (on|off)")),
             },
-            "response_debounce" => response.get_or_insert_default().debounce = num(key, value)?,
-            "response_drain_wait" => response.get_or_insert_default().drain_wait = num(key, value)?,
-            "response_purge_max" => response.get_or_insert_default().purge_max = num(key, value)?,
-            "response_max_hops" => response.get_or_insert_default().max_hops = num(key, value)?,
-            "response_event_log_cap" => {
-                response.get_or_insert_default().event_log_cap = num(key, value)?
-            }
-            // Responder write-ahead journal (DESIGN.md §15); both
-            // spellings accepted. Setting either implies `response = on`.
-            "journal.snapshot_every" | "journal_snapshot_every" => {
+            // Responder write-ahead journal cadence (DESIGN.md §15);
+            // setting it implies `response = on`.
+            "journal.snapshot_every" => {
                 response.get_or_insert_default().snapshot_every = num(key, value)?
             }
-            "journal.latency_cap" | "journal_latency_cap" => {
-                response.get_or_insert_default().latency_cap = num(key, value)?
-            }
             // Engine-level torn-install audit over the two-phase epoch
-            // protocol; both spellings accepted.
-            "epoch.audit" | "epoch_audit" => match value {
+            // protocol.
+            "epoch.audit" => match value {
                 "on" | "true" => cfg.epoch_audit = true,
                 "off" | "false" => cfg.epoch_audit = false,
                 _ => return Err(bad("epoch.audit (on|off)")),
             },
             // Certificate-based deadlock-freedom checking (DESIGN.md
-            // §16); both spellings accepted.
-            "certify.enabled" | "certify_enabled" => match value {
+            // §16).
+            "certify.enabled" => match value {
                 "on" | "true" => cfg.certify.enabled = true,
                 "off" | "false" => cfg.certify.enabled = false,
                 _ => return Err(bad("certify.enabled (on|off)")),
             },
-            "certify.cdg_budget" | "certify_cdg_budget" => {
-                cfg.certify.cdg_budget = num(key, value)?
-            }
-            // LRU capacity of the fault responder's vet memos; setting it
-            // implies `response = on`.
-            "response.memo_cap" | "response_memo_cap" => {
-                response.get_or_insert_default().memo_cap = num(key, value)?
-            }
-            // Resident control plane (`mdw-routed`) storm hardening.
-            "routed" => match value {
-                "on" | "true" => {
-                    routed.get_or_insert_default();
-                }
-                "off" | "false" => *routed = None,
-                _ => return Err(bad("routed (on|off)")),
-            },
-            "routed_queue_cap" => routed.get_or_insert_default().queue_cap = num(key, value)?,
-            "routed_slice" => routed.get_or_insert_default().slice = num(key, value)?,
-            "routed_flap_penalty" => routed.get_or_insert_default().flap_penalty = num(key, value)?,
-            "routed_flap_suppress" => {
-                routed.get_or_insert_default().flap_suppress = num(key, value)?
-            }
-            "routed_flap_reuse" => routed.get_or_insert_default().flap_reuse = num(key, value)?,
-            "routed_flap_half_life" => {
-                routed.get_or_insert_default().flap_half_life = num(key, value)?
-            }
-            "routed_retry_base" => routed.get_or_insert_default().retry_base = num(key, value)?,
-            "routed_retry_cap" => routed.get_or_insert_default().retry_cap = num(key, value)?,
-            "routed_retry_max" => routed.get_or_insert_default().retry_max = num(key, value)?,
-            "routed_heal_hysteresis" => {
-                routed.get_or_insert_default().heal_hysteresis = num(key, value)?
-            }
-            "routed_deadline" => routed.get_or_insert_default().deadline = num(key, value)?,
+            "certify.cdg_budget" => cfg.certify.cdg_budget = num(key, value)?,
             // The workload (`simulate`'s traffic mix).
             "traffic.load" => traffic.load = num(key, value)?,
             "traffic.mcast_fraction" => traffic.mcast_fraction = num(key, value)?,
@@ -470,7 +428,6 @@ impl SpecParser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::respond::ResponseConfig;
     use collectives::RecoveryConfig;
 
     #[test]
@@ -478,7 +435,7 @@ mod tests {
         let cfg = parse_config("").expect("parses");
         assert_eq!(cfg.n_hosts(), 64);
         assert_eq!(cfg.arch, SwitchArch::CentralBuffer);
-        assert!(cfg.routed.is_none());
+        assert!(cfg.response.is_none());
     }
 
     #[test]
@@ -539,11 +496,8 @@ mod tests {
             recovery_timeout = 5000
             recovery = on
             recovery_max_retries = 3
-            response_debounce = 128
+            journal.snapshot_every = 128
             response = on
-            response_purge_max = 512
-            response_max_hops = 32
-            response_event_log_cap = 64
             ",
         )
         .expect("parses");
@@ -551,12 +505,7 @@ mod tests {
         assert_eq!(rec.timeout, 5_000);
         assert_eq!(rec.max_retries, 3);
         assert_eq!(rec.timeout_cap, RecoveryConfig::default().timeout_cap);
-        let resp = cfg.response.expect("response on");
-        assert_eq!(resp.debounce, 128);
-        assert_eq!(resp.purge_max, 512);
-        assert_eq!(resp.max_hops, 32);
-        assert_eq!(resp.event_log_cap, 64);
-        assert_eq!(resp.drain_wait, ResponseConfig::default().drain_wait);
+        assert_eq!(cfg.response.expect("response on").snapshot_every, 128);
 
         let cfg = parse_config("response = on\nresponse = off").expect("parses");
         assert!(cfg.response.is_none(), "later `off` wins");
@@ -564,82 +513,24 @@ mod tests {
         assert!(err.contains("response"), "{err}");
     }
 
+    /// The control plane's tuning is constants (`respond`, `routed`), and
+    /// each remaining key has one spelling: the retired keys and aliases
+    /// are unknown keys, named with their line or their `--set` pair.
     #[test]
-    fn routed_keys_materialize_and_lint() {
-        let cfg = parse_config(
-            "
-            routed = on
-            routed_queue_cap = 32
-            routed_slice = 16
-            routed_flap_penalty = 500
-            routed_flap_suppress = 1500
-            routed_flap_reuse = 400
-            routed_flap_half_life = 1024
-            routed_retry_base = 32
-            routed_retry_cap = 2048
-            routed_retry_max = 4
-            routed_heal_hysteresis = 4096
-            routed_deadline = 8192
-            response = on
-            recovery = on
-            ",
-        )
-        .expect("parses");
-        let routed = cfg.routed.clone().expect("routed on");
-        assert_eq!(routed.queue_cap, 32);
-        assert_eq!(routed.slice, 16);
-        assert_eq!(routed.flap_penalty, 500);
-        assert_eq!(routed.flap_suppress, 1_500);
-        assert_eq!(routed.flap_reuse, 400);
-        assert_eq!(routed.flap_half_life, 1_024);
-        assert_eq!(routed.retry_base, 32);
-        assert_eq!(routed.retry_cap, 2_048);
-        assert_eq!(routed.retry_max, 4);
-        assert_eq!(routed.heal_hysteresis, 4_096);
-        assert_eq!(routed.deadline, 8_192);
-        assert!(!cfg.report().has_errors(), "{:?}", cfg.report().diagnostics);
-
-        // `routed = off` later wins, like the other optional blocks.
-        let cfg = parse_config("routed = on\nrouted = off").expect("parses");
-        assert!(cfg.routed.is_none());
+    fn retired_keys_and_aliases_are_unknown() {
+        for key in RETIRED {
+            let err = parse_config(&format!("seed = 1\n{key} = 16")).unwrap_err();
+            assert_eq!(err, format!("line 2: unknown key `{key}`"));
+            let err = SpecParser::new(RunSpec::default())
+                .set(&format!("{key}=16"))
+                .unwrap_err();
+            assert_eq!(err, format!("--set `{key}=16`: unknown key `{key}`"));
+        }
     }
 
     #[test]
-    fn routed_without_response_fails_the_lint() {
-        let cfg = parse_config("routed = on").expect("parses");
-        let report = cfg.report();
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.code == "routed-needs-response"),
-            "{:?}",
-            report.diagnostics
-        );
-    }
-
-    #[test]
-    fn routed_flap_thresholds_must_leave_a_cooling_gap() {
-        let cfg = parse_config(
-            "routed = on\nresponse = on\nrecovery = on\n\
-             routed_flap_reuse = 3000\nrouted_flap_suppress = 2500",
-        )
-        .expect("parses");
-        let report = cfg.report();
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.code == "routed-flap-thresholds"),
-            "{:?}",
-            report.diagnostics
-        );
-    }
-
-    #[test]
-    fn journal_and_epoch_keys_parse_both_spellings() {
-        // Journal tuning keys materialize the response block and land in
-        // the same fields under either spelling.
+    fn journal_and_epoch_keys_parse() {
+        // The journal cadence materializes the response block.
         let cfg = parse_config("journal.snapshot_every = 128").expect("parses");
         assert_eq!(
             cfg.response
@@ -648,23 +539,17 @@ mod tests {
                 .snapshot_every,
             128
         );
-        let cfg =
-            parse_config("journal_snapshot_every = 64\njournal.latency_cap = 512").expect("parses");
-        let resp = cfg.response.clone().expect("implies response");
-        assert_eq!(resp.snapshot_every, 64);
-        assert_eq!(resp.latency_cap, 512);
         assert!(!cfg.report().has_errors(), "{:?}", cfg.report().diagnostics);
 
         let cfg = parse_config("epoch.audit = on").expect("parses");
         assert!(cfg.epoch_audit);
-        let cfg = parse_config("epoch_audit = true\nepoch.audit = off").expect("parses");
+        let cfg = parse_config("epoch.audit = true\nepoch.audit = off").expect("parses");
         assert!(!cfg.epoch_audit, "later `off` wins");
         let err = parse_config("epoch.audit = maybe").unwrap_err();
         assert!(err.contains("epoch.audit"), "{err}");
 
-        // Zero cadences are parseable but fail the lint: a zero snapshot
-        // interval would snapshot on every append, a zero latency ring
-        // records nothing.
+        // A zero cadence is parseable but fails the lint: it would
+        // snapshot on every append.
         let cfg = parse_config("journal.snapshot_every = 0").expect("parses");
         assert!(
             cfg.report()
@@ -674,34 +559,23 @@ mod tests {
             "{:?}",
             cfg.report().diagnostics
         );
-        let cfg = parse_config("journal.latency_cap = 0").expect("parses");
-        assert!(
-            cfg.report()
-                .diagnostics
-                .iter()
-                .any(|d| d.code == "journal-latency-cap-zero"),
-            "{:?}",
-            cfg.report().diagnostics
-        );
-        let err = parse_config("journal.latency_cap = many").unwrap_err();
-        assert!(err.contains("journal.latency_cap"), "{err}");
+        let err = parse_config("journal.snapshot_every = many").unwrap_err();
+        assert!(err.contains("journal.snapshot_every"), "{err}");
     }
 
     #[test]
-    fn certify_and_memo_keys_parse_both_spellings() {
+    fn certify_keys_parse() {
         let cfg = parse_config("").expect("parses");
         assert!(!cfg.certify.enabled);
         assert_eq!(cfg.certify.cdg_budget, 100_000);
 
         let cfg = parse_config("certify.enabled = on").expect("parses");
         assert!(cfg.certify.enabled);
-        let cfg = parse_config("certify_enabled = true\ncertify.enabled = off").expect("parses");
+        let cfg = parse_config("certify.enabled = true\ncertify.enabled = off").expect("parses");
         assert!(!cfg.certify.enabled, "later `off` wins");
-        let cfg = parse_config("certify.cdg_budget = 5000\ncertify_enabled = on").expect("parses");
+        let cfg = parse_config("certify.cdg_budget = 5000\ncertify.enabled = on").expect("parses");
         assert!(cfg.certify.enabled);
         assert_eq!(cfg.certify.cdg_budget, 5_000);
-        let cfg = parse_config("certify_cdg_budget = 123").expect("parses");
-        assert_eq!(cfg.certify.cdg_budget, 123);
         assert!(!cfg.report().has_errors(), "{:?}", cfg.report().diagnostics);
 
         // A zero budget is parseable but fails the lint.
@@ -718,31 +592,16 @@ mod tests {
         assert!(err.contains("certify.enabled"), "{err}");
         let err = parse_config("certify.cdg_budget = many").unwrap_err();
         assert!(err.contains("certify.cdg_budget"), "{err}");
-
-        // Memo-cap keys materialize the response block like the journal
-        // keys do.
-        let cfg = parse_config("response.memo_cap = 64").expect("parses");
-        assert_eq!(
-            cfg.response.as_ref().expect("implies response").memo_cap,
-            64
-        );
-        let cfg = parse_config("response_memo_cap = 16").expect("parses");
-        assert_eq!(
-            cfg.response.as_ref().expect("implies response").memo_cap,
-            16
-        );
-        let err = parse_config("response.memo_cap = many").unwrap_err();
-        assert!(err.contains("response.memo_cap"), "{err}");
     }
 
     #[test]
-    fn model_mode_key_parses_both_spellings() {
+    fn model_mode_key_parses() {
         use mdw_analysis::ModelMode;
         let cfg = parse_config("").expect("parses");
         assert_eq!(cfg.model_mode, ModelMode::Auto);
         let cfg = parse_config("model.mode = exact").expect("parses");
         assert_eq!(cfg.model_mode, ModelMode::Exact);
-        let cfg = parse_config("model_mode = compositional").expect("parses");
+        let cfg = parse_config("model.mode = compositional").expect("parses");
         assert_eq!(cfg.model_mode, ModelMode::Compositional);
         let cfg = parse_config("model.mode = auto").expect("parses");
         assert_eq!(cfg.model_mode, ModelMode::Auto);
@@ -860,26 +719,32 @@ mod tests {
         );
     }
 
-    /// Every key the parser knows, in every spelling.
+    /// Every key the parser knows.
     #[rustfmt::skip]
     const KEYS: &[&str] = &[
         "topology", "k", "stages", "switches", "ports", "hosts", "extra_links", "topo_seed",
         "arch", "mcast", "replication", "policy", "up_select", "chunk_flits", "cq_chunks",
         "input_buf_flits", "max_packet_flits", "staging_flits", "route_delay",
         "bypass_crossbar", "link_delay", "host_eject_credits", "bits_per_flit",
-        "barrier_combining", "seed", "model.mode", "model_mode", "recovery", "recovery_timeout",
-        "recovery_timeout_cap", "recovery_max_retries", "response", "response_debounce",
-        "response_drain_wait", "response_purge_max", "response_max_hops",
-        "response_event_log_cap", "journal.snapshot_every", "journal_snapshot_every",
-        "journal.latency_cap", "journal_latency_cap", "epoch.audit", "epoch_audit",
-        "certify.enabled", "certify_enabled", "certify.cdg_budget", "certify_cdg_budget",
+        "barrier_combining", "seed", "model.mode", "recovery", "recovery_timeout",
+        "recovery_timeout_cap", "recovery_max_retries", "response", "journal.snapshot_every",
+        "epoch.audit", "certify.enabled", "certify.cdg_budget", "traffic.load",
+        "traffic.mcast_fraction", "traffic.degree", "traffic.len", "traffic.pattern",
+        "run.warmup", "run.measure", "fault.seed", "fault.drop_rate", "fault.corrupt_rate",
+        "fault.down_every", "fault.down_len", "fault.credit_leak",
+    ];
+
+    /// Keys and second spellings that earlier versions accepted: the
+    /// control plane's tuning, now constants, and the underscore aliases.
+    #[rustfmt::skip]
+    const RETIRED: &[&str] = &[
+        "response_debounce", "response_drain_wait", "response_purge_max", "response_max_hops",
+        "response_event_log_cap", "journal.latency_cap", "journal_latency_cap",
         "response.memo_cap", "response_memo_cap", "routed", "routed_queue_cap", "routed_slice",
         "routed_flap_penalty", "routed_flap_suppress", "routed_flap_reuse",
         "routed_flap_half_life", "routed_retry_base", "routed_retry_cap", "routed_retry_max",
-        "routed_heal_hysteresis", "routed_deadline", "traffic.load", "traffic.mcast_fraction",
-        "traffic.degree", "traffic.len", "traffic.pattern", "run.warmup", "run.measure",
-        "fault.seed", "fault.drop_rate", "fault.corrupt_rate", "fault.down_every",
-        "fault.down_len", "fault.credit_leak",
+        "routed_heal_hysteresis", "routed_deadline", "model_mode", "journal_snapshot_every",
+        "epoch_audit", "certify_enabled", "certify_cdg_budget",
     ];
 
     /// Values at and past the edges of every key's range, every choice
@@ -963,7 +828,7 @@ mod tests {
         assert!(err.contains("key = value"), "{err}");
         let err = parse_config("topology = moebius").unwrap_err();
         assert!(err.contains("moebius"), "{err}");
-        let err = parse_config("routed_retry_max = many").unwrap_err();
-        assert!(err.contains("routed_retry_max"), "{err}");
+        let err = parse_config("recovery_max_retries = many").unwrap_err();
+        assert!(err.contains("recovery_max_retries"), "{err}");
     }
 }

@@ -204,10 +204,6 @@ pub struct SystemConfig {
     /// Online fault response (debounced detection, quiesce, vetted
     /// reroute, graceful degradation); `None` disables the responder.
     pub response: Option<ResponseConfig>,
-    /// Resident control-plane (`mdw-routed`) storm-hardening parameters:
-    /// flap damping, retry backoff, the degradation ladder, and the
-    /// detect→install watchdog; `None` for batch experiments.
-    pub routed: Option<crate::routed::RoutedConfig>,
     /// Decomposition strategy of the bounded model check backing the
     /// fault responder's deep reroute vet (config key `model.mode`):
     /// exact joint exploration, per-switch compositional checking, or
@@ -245,7 +241,6 @@ impl Default for SystemConfig {
             barrier_combining: false,
             recovery: None,
             response: None,
-            routed: None,
             model_mode: ModelMode::Auto,
             epoch_audit: false,
             certify: CertifyConfig::default(),
@@ -396,32 +391,12 @@ impl SystemConfig {
                      silently break the combining tree",
                 );
             }
-            if resp.max_hops < 1 {
-                report.error(
-                    "response-hops-zero",
-                    "response max_hops must be positive for coverage traces",
-                );
-            }
-            if resp.purge_max < 1 {
-                report.error(
-                    "response-purge-zero",
-                    "response purge_max must be positive: a zero-cycle purge \
-                     window can never confirm the fabric drained",
-                );
-            }
             if resp.snapshot_every < 1 {
                 report.error(
                     "journal-snapshot-zero",
-                    "journal snapshot_every must be positive: a zero cadence \
+                    "journal.snapshot_every must be positive: a zero cadence \
                      snapshots (and compacts) after every single record, \
                      turning the write-ahead log into pure snapshot churn",
-                );
-            }
-            if resp.latency_cap < 1 {
-                report.error(
-                    "journal-latency-cap-zero",
-                    "journal latency_cap must be positive — a zero-slot ring \
-                     cannot hold even the most recent episode",
                 );
             }
             if self.recovery.is_none() {
@@ -430,47 +405,6 @@ impl SystemConfig {
                     "fault response without end-to-end recovery loses every \
                      message the quiesce gate drops or the purge kills — \
                      enable recovery for lossless outage handling",
-                );
-            }
-        }
-
-        if let Some(routed) = &self.routed {
-            if self.response.is_none() {
-                report.error(
-                    "routed-needs-response",
-                    "the resident control plane drives recovery through the \
-                     fault responder; enable the response block",
-                );
-            }
-            if routed.queue_cap < 1 {
-                report.error(
-                    "routed-queue-zero",
-                    "routed queue_cap must be positive — a zero-slot queue \
-                     sheds every query and blocks every event forever",
-                );
-            }
-            if routed.slice < 1 {
-                report.error(
-                    "routed-slice-zero",
-                    "routed slice must be positive for the storm controller \
-                     to observe the fabric at all",
-                );
-            }
-            if routed.deadline < 1 {
-                report.error(
-                    "routed-deadline-zero",
-                    "routed deadline must be positive: a zero-cycle watchdog \
-                     trips on every successful response",
-                );
-            }
-            if routed.flap_reuse >= routed.flap_suppress {
-                report.error(
-                    "routed-flap-thresholds",
-                    format!(
-                        "routed flap_reuse ({}) must be below flap_suppress \
-                         ({}) or a suppressed link can never cool off",
-                        routed.flap_reuse, routed.flap_suppress
-                    ),
                 );
             }
         }

@@ -1289,7 +1289,6 @@ fn e18_drive(
     let stop_at = 6 * phase_len;
     let spec = TrafficSpec::multiple_multicast(load, degree, len);
     let sources = crate::workload::make_sources(&spec, n, cfg.seed, Some(stop_at));
-    let routed = cfg.routed.clone().unwrap_or_default();
     let response = cfg.response.clone().unwrap_or_default();
     let mut sys = build_system(cfg, sources, None);
 
@@ -1314,17 +1313,16 @@ fn e18_drive(
         .rev()
         .find(|l| Some(**l) != cut2 && **l != cut1)
         .expect("a fabric link that is not a scripted cut");
-    let blink = 2 * response.debounce.max(1);
+    let blink = 2 * crate::respond::DEBOUNCE;
     let mut t = phase_len;
     while t + blink < 3 * phase_len {
         sys.engine.script_outage(flap, t, t + blink);
         t += 2 * blink;
     }
 
-    let mut storm = crate::routed::StormResponder::new(routed, response, &mut sys);
+    let mut storm = crate::routed::StormResponder::new(response, &mut sys);
     let mut queries = 0u64;
     let mut q_worm = 0u64;
-    let max_hops = sys.config.response.as_ref().map_or(64, |r| r.max_hops);
     let mut probe = SimRng::new(sys.config.seed ^ 0xE18).fork(3);
 
     let run_to = |sys: &mut crate::build::System,
@@ -1334,26 +1332,17 @@ fn e18_drive(
                   queries: &mut u64,
                   q_worm: &mut u64| {
         while sys.engine.now() < boundary {
-            let step = 32.min(boundary - sys.engine.now());
+            let step = crate::routed::SLICE.min(boundary - sys.engine.now());
             sys.engine.run_for(step);
             storm.tick(sys);
             // The concurrent query load: one route lookup per slice from
-            // a rotating source, answered exactly the way the resident
-            // service answers it (ladder override, then planner).
+            // a rotating source, answered by the resident service's
+            // planner.
             let src = NodeId::from(probe.below(n));
             let dests = probe.dest_set(n, degree.min(n - 1), src);
             *queries += 1;
-            if storm.rung() < collectives::Rung::UMinOnly {
-                let plan = collectives::DegradePlanner {
-                    tables: sys.tables.clone(),
-                    topo: sys.topology.clone(),
-                    policy: sys.config.switch.policy,
-                    max_hops,
-                }
-                .split(src, &dests);
-                if plan.worm.count() > 0 {
-                    *q_worm += 1;
-                }
+            if storm.plan(sys, src, &dests).worm.count() > 0 {
+                *q_worm += 1;
             }
         }
     };
@@ -1458,7 +1447,6 @@ pub fn e18_fault_storm_with_jobs(
             mcast: McastImpl::HwBitString,
             recovery: Some(RecoveryConfig::default()),
             response: Some(crate::respond::ResponseConfig::default()),
-            routed: Some(crate::routed::RoutedConfig::default()),
             ..base.clone()
         };
         sweep_jobs.push((label, cfg));

@@ -936,4 +936,85 @@ mod tests {
         let (_, records) = Journal::reopen(store, JournalConfig::default());
         assert_eq!(records.len(), 2, "only records before the flip survive");
     }
+
+    /// Seeded fuzz over the reader: arbitrary tails (random characters,
+    /// newlines, ` #` checksum markers, valid record lines with one
+    /// character changed) after a valid store. `reopen` never panics,
+    /// returns exactly the records of the store without the tail,
+    /// truncates the bytes back to them, and numbers the next append
+    /// right after them.
+    #[test]
+    fn arbitrary_tails_recover_the_intact_prefix() {
+        use netsim::rng::SimRng;
+        const CHARS: &[char] = &[
+            'v', '1', ' ', '#', '\n', '0', '9', 'a', 'f', ':', ',', '%', '-', '\u{e9}', '\u{fffd}',
+        ];
+        let valid_lines: Vec<String> = {
+            let mut j = Journal::new(JournalConfig::default());
+            for r in sample_records() {
+                j.append(&r);
+            }
+            let text = j.store().borrow().clone();
+            text.lines().map(|l| format!("{l}\n")).collect()
+        };
+        let mut rng = SimRng::new(0x70A1_0F22);
+        let mut mutated = 0;
+        for case in 0..2_000 {
+            // A valid store: a prefix of the sample records, sometimes
+            // with a snapshot in the middle.
+            let mut j = Journal::new(JournalConfig::default());
+            let n = rng.below(sample_records().len() + 1);
+            let snapshot_at = (rng.below(3) == 0).then_some(n / 2);
+            for (i, r) in sample_records().iter().take(n).enumerate() {
+                if snapshot_at == Some(i) {
+                    j.append(&JournalRecord::Snapshot(Box::default()));
+                }
+                j.append(r);
+            }
+            let clean = j.store().borrow().clone();
+            let (clean_journal, expected) = Journal::reopen(
+                Rc::new(RefCell::new(clean.clone())),
+                JournalConfig::default(),
+            );
+            let expected_bytes = clean_journal.store().borrow().clone();
+
+            let mut tail = String::new();
+            for _ in 0..1 + rng.below(4) {
+                match rng.below(4) {
+                    0 => {
+                        for _ in 0..rng.below(16) {
+                            tail.push(CHARS[rng.below(CHARS.len())]);
+                        }
+                    }
+                    1 => tail.push('\n'),
+                    2 => tail.push_str(" #"),
+                    _ => {
+                        let mut line: Vec<char> =
+                            valid_lines[rng.below(valid_lines.len())].chars().collect();
+                        let at = rng.below(line.len() - 1);
+                        let other = CHARS.iter().filter(|&&c| c != line[at]);
+                        line[at] = *other.clone().nth(rng.below(other.count())).unwrap();
+                        tail.extend(line);
+                        mutated += 1;
+                    }
+                }
+            }
+            let store = Rc::new(RefCell::new(format!("{clean}{tail}")));
+            let (mut reopened, records) = Journal::reopen(store.clone(), JournalConfig::default());
+            assert_eq!(records, expected, "case {case}: tail {tail:?}");
+            assert_eq!(
+                *store.borrow(),
+                expected_bytes,
+                "case {case}: tail {tail:?}"
+            );
+            reopened.append(&JournalRecord::Committed { epoch: 99 });
+            let next = expected.last().map_or(0, |&(seq, _)| seq + 1);
+            assert_eq!(
+                reopened.records().last(),
+                Some(&(next, JournalRecord::Committed { epoch: 99 })),
+                "case {case}: tail {tail:?}"
+            );
+        }
+        assert!(mutated > 500, "only {mutated} mutated records");
+    }
 }

@@ -63,7 +63,7 @@ pub use config::{
 pub use forensics::{capture_deadlock_report, DeadlockReport};
 pub use mdw_analysis::{ConfigReport, Diagnostic, Severity};
 pub use respond::{FaultResponder, MemoStats, ResponseConfig, ResponseCounters, ResponseEvent};
-pub use routed::{RoutedConfig, RoutedService, StormResponder};
+pub use routed::{RoutedService, StormResponder};
 pub use sim::{run_experiment, RunConfig, RunOutcome};
 pub use sweep::{parallel_map, run_sweep};
 pub use workload::{make_sources, RandomTraffic, TrafficSpec};

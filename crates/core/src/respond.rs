@@ -85,8 +85,8 @@ use crate::journal::{
 };
 use collectives::DegradePlanner;
 use mdw_analysis::{
-    check_model_opts, vet_reroute_certified_timed, vet_reroute_timed, ArchClass, Certificate,
-    CheckOutcome, ModelBounds, ModelOptions, Samples, VetStats,
+    check_model_opts, vet_reroute, vet_reroute_certified, ArchClass, Certificate, CheckOutcome,
+    ModelBounds, ModelOptions, Samples, VetStats,
 };
 use mintopo::route::{ReplicatePolicy, RouteTables};
 use mintopo::topology::Topology;
@@ -99,51 +99,53 @@ use std::rc::Rc;
 use std::time::Instant;
 use switches::ReplicationMode;
 
-/// Tuning knobs of the online fault-response protocol.
+/// Cycles a link must hold a new state before the transition is
+/// confirmed (absorbs fault-injector blips).
+pub const DEBOUNCE: Cycle = 64;
+/// Gated grace window before the purge: in-flight worms get this many
+/// cycles to complete on their own.
+pub const DRAIN_WAIT: Cycle = 256;
+/// Maximum cycles the purge may take to empty the fabric before the
+/// responder gives up waiting (and records the incident).
+pub const PURGE_MAX: Cycle = 256;
+/// Hop budget for coverage traces on the degraded planner.
+pub const MAX_HOPS: usize = 64;
+/// Capacity of the bounded event log; the oldest entries are evicted
+/// (and counted) once the ring fills, so a responder embedded in a
+/// long-running service holds steady-state memory.
+pub const EVENT_LOG_CAP: usize = 1024;
+/// Capacity of the detect→install latency ring (oldest evicted and
+/// counted, like the event log).
+pub const LATENCY_CAP: usize = 4096;
+/// LRU capacity of the structural-vet and deep-vet memos. A responder
+/// embedded in a long-running service sees an unbounded stream of
+/// (epoch, dead-set) keys; the cap keeps both memos at steady-state
+/// memory, with hit/miss/eviction counters surfaced in
+/// [`crate::sim::RunOutcome::vet_memo`].
+pub const MEMO_CAP: usize = 512;
+
+const _: () = {
+    // A zero hop budget traces no coverage; a zero purge window can never
+    // confirm the fabric drained; zero-slot rings and memos hold nothing.
+    assert!(DEBOUNCE >= 1 && MAX_HOPS >= 1 && PURGE_MAX >= 1);
+    assert!(EVENT_LOG_CAP >= 1 && LATENCY_CAP >= 1 && MEMO_CAP >= 1);
+};
+
+/// The configurable part of the online fault-response protocol: the
+/// journal's snapshot cadence. The rest of its tuning is the constants
+/// above.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResponseConfig {
-    /// Cycles a link must hold a new state before the transition is
-    /// confirmed (absorbs fault-injector blips).
-    pub debounce: Cycle,
-    /// Gated grace window before the purge: in-flight worms get this many
-    /// cycles to complete on their own.
-    pub drain_wait: Cycle,
-    /// Maximum cycles the purge may take to empty the fabric before the
-    /// responder gives up waiting (and records the incident).
-    pub purge_max: Cycle,
-    /// Hop budget for coverage traces on the degraded planner.
-    pub max_hops: usize,
-    /// Capacity of the bounded event log; the oldest entries are evicted
-    /// (and counted) once the ring fills, so a responder embedded in a
-    /// long-running service holds steady-state memory.
-    pub event_log_cap: usize,
-    /// Capacity of the detect→install latency ring (oldest evicted and
-    /// counted, like the event log).
-    pub latency_cap: usize,
     /// Journal records between snapshots (config key
     /// `journal.snapshot_every`); each snapshot compacts the journal, so
     /// this bounds both replay time and journal memory.
     pub snapshot_every: u64,
-    /// LRU capacity of the structural-vet and deep-vet memos (config key
-    /// `response.memo_cap`, floor 1). A responder embedded in a
-    /// long-running service sees an unbounded stream of (epoch, dead-set)
-    /// keys; the cap keeps both memos at steady-state memory, with
-    /// hit/miss/eviction counters surfaced in
-    /// [`crate::sim::RunOutcome::vet_memo`].
-    pub memo_cap: usize,
 }
 
 impl Default for ResponseConfig {
     fn default() -> Self {
         ResponseConfig {
-            debounce: 64,
-            drain_wait: 256,
-            purge_max: 256,
-            max_hops: 64,
-            event_log_cap: 1024,
-            latency_cap: 4096,
             snapshot_every: 256,
-            memo_cap: 512,
         }
     }
 }
@@ -173,7 +175,7 @@ pub enum ResponseEvent {
     },
     /// All cuts confirmed back up; original tables restored.
     Healed,
-    /// The purge did not empty the fabric within `purge_max` cycles.
+    /// The purge did not empty the fabric within [`PURGE_MAX`] cycles.
     PurgeIncomplete {
         /// Flits still sitting in links when the responder gave up.
         flits_left: usize,
@@ -279,7 +281,7 @@ pub struct ResponseCounters {
     pub heals: u64,
     /// Quiesce windows that purged the fabric.
     pub purges: u64,
-    /// Purges that hit the `purge_max` budget with flits still in flight.
+    /// Purges that hit the [`PURGE_MAX`] budget with flits still in flight.
     pub purges_incomplete: u64,
     /// Responses abandoned because the triggering transition reverted
     /// during the quiesce (the post-purge recheck found nothing to do).
@@ -552,7 +554,7 @@ pub struct FaultResponder {
     /// Highest epoch allocated so far (0 = none; build-time tables).
     last_epoch: u64,
     /// Structural-vet verdicts keyed by *(epoch, masked-port set)*,
-    /// LRU-bounded at `cfg.memo_cap`. The epoch in the key is what makes
+    /// LRU-bounded at [`MEMO_CAP`]. The epoch in the key is what makes
     /// recovery safe: a re-driven episode reuses its own journaled
     /// verdict, while the same dead set vetted again under a fresh epoch
     /// (a storm-controller retry) always runs a fresh vet instead of
@@ -561,7 +563,7 @@ pub struct FaultResponder {
     /// Cached verdicts of the bounded model check (the deep half of the
     /// reroute gate), keyed by the exploration bounds and mode options
     /// the check actually ran under and LRU-bounded at
-    /// `cfg.memo_cap`. The verdict never depends on the candidate tables,
+    /// [`MEMO_CAP`]. The verdict never depends on the candidate tables,
     /// so one exploration per key covers every reroute of the run — but a
     /// verdict obtained under loose bounds (small fabric, shallow state
     /// cap) says nothing about a stricter vet, so differently-bounded
@@ -603,41 +605,43 @@ impl FaultResponder {
     /// given journal write end.
     fn base(cfg: ResponseConfig, sys: &mut System, journal: Journal) -> Self {
         sys.engine.publish_link_events();
-        let mut fabric_ports = HashMap::new();
+        let mut r = FaultResponder::detached(cfg, journal);
         for (s, outs) in sys.sw_out.iter().enumerate() {
             for (p, &l) in outs.iter().enumerate() {
                 if sys.links.fabric.contains(&l) {
-                    fabric_ports.insert(l, (SwitchId::from(s), p));
+                    r.fabric_ports.insert(l, (SwitchId::from(s), p));
                 }
             }
         }
-        let health = FabricHealth::new(cfg.debounce);
-        let events = EventLog::new(cfg.event_log_cap);
-        let latency = Samples::with_cap(cfg.latency_cap);
-        let memo_cap = cfg.memo_cap;
-        let certificate = sys
+        r.certificate = sys
             .config
             .certify
             .enabled
             .then(|| Certificate::for_topology(&sys.topology));
+        r
+    }
+
+    /// A fresh responder that knows no fabric ports and holds no
+    /// certificate.
+    fn detached(cfg: ResponseConfig, journal: Journal) -> Self {
         FaultResponder {
             cfg,
-            health,
+            health: FabricHealth::new(DEBOUNCE),
             masked: Vec::new(),
-            fabric_ports,
+            fabric_ports: HashMap::new(),
             builder: None,
-            events,
+            events: EventLog::new(EVENT_LOG_CAP),
             counters: ResponseCounters::default(),
             suppressed: Vec::new(),
             fresh_confirmed: Vec::new(),
             retry_requested: false,
             vet_stats: VetStats::new(),
-            latency,
+            latency: Samples::with_cap(LATENCY_CAP),
             journal,
             last_epoch: 0,
-            vetted: BoundedMemo::new(memo_cap),
-            deep_vetted: BoundedMemo::new(memo_cap),
-            certificate,
+            vetted: BoundedMemo::new(MEMO_CAP),
+            deep_vetted: BoundedMemo::new(MEMO_CAP),
+            certificate: None,
             chaos: None,
             recoveries: 0,
             recovery_ns: Samples::new(),
@@ -699,15 +703,11 @@ impl FaultResponder {
                 self.masked = s.masked;
                 self.suppressed = s.suppressed;
                 self.counters = s.counters;
-                self.latency =
-                    Samples::restore(self.cfg.latency_cap, &s.latency, s.latency_dropped);
-                self.events = EventLog::restore(self.cfg.event_log_cap, s.events, s.events_dropped);
+                self.latency = Samples::restore(LATENCY_CAP, &s.latency, s.latency_dropped);
+                self.events = EventLog::restore(EVENT_LOG_CAP, s.events, s.events_dropped);
                 self.fresh_confirmed = s.fresh;
-                self.health = FabricHealth::restore(
-                    self.cfg.debounce,
-                    &s.health_confirmed,
-                    &s.health_pending,
-                );
+                self.health =
+                    FabricHealth::restore(DEBOUNCE, &s.health_confirmed, &s.health_pending);
             }
             JournalRecord::Observed { link, at, down } => {
                 self.health.observe(netsim::LinkEvent { link, at, down });
@@ -911,16 +911,15 @@ impl FaultResponder {
         // Certificate present (certify.enabled): the O(routes) certified
         // gate replaces the explicit CDG analyzer; identical verdicts,
         // sub-second at fabric sizes the explicit pass cannot afford.
+        // Both land in the same `structural_ns` series.
+        let start = Instant::now();
         let structural = match &self.certificate {
-            Some(cert) => vet_reroute_certified_timed(
-                topo,
-                candidate,
-                config.switch.policy,
-                cert,
-                &mut self.vet_stats,
-            ),
-            None => vet_reroute_timed(topo, candidate, config.switch.policy, &mut self.vet_stats),
+            Some(cert) => vet_reroute_certified(topo, candidate, config.switch.policy, cert),
+            None => vet_reroute(topo, candidate, config.switch.policy),
         };
+        self.vet_stats
+            .structural_ns
+            .record(start.elapsed().as_nanos() as u64);
         let verdict = structural
             .map_err(|report| {
                 let d = report.first_error().expect("vet failed with no error");
@@ -939,7 +938,7 @@ impl FaultResponder {
         self.builder = Some(builder);
     }
 
-    /// The bounded event log (most recent `event_log_cap` entries, in
+    /// The bounded event log (most recent [`EVENT_LOG_CAP`] entries, in
     /// occurrence order, tagged with the cycle).
     pub fn events(&self) -> &EventLog {
         &self.events
@@ -951,7 +950,7 @@ impl FaultResponder {
     }
 
     /// Activity counters of the structural-vet memo (LRU-bounded at
-    /// `memo_cap`).
+    /// [`MEMO_CAP`]).
     pub fn vet_memo_stats(&self) -> MemoStats {
         self.vetted.stats()
     }
@@ -1231,7 +1230,7 @@ impl FaultResponder {
     fn drive(&mut self, sys: &mut System, mut ep: Episode) -> Result<(), Crashed> {
         let detect = ep.detect;
         sys.fabric_mode.gate(); // idempotent re-assert on re-drive
-        sys.engine.run_until(detect + self.cfg.drain_wait);
+        sys.engine.run_until(detect + DRAIN_WAIT);
 
         // Purge: raise on every switch (re-raising is a no-op), then loop
         // until the fabric is empty or the absolute budget expires.
@@ -1251,7 +1250,7 @@ impl FaultResponder {
         }
 
         if ep.stage.rank() < Stage::Purged.rank() {
-            let purge_end = detect + self.cfg.drain_wait + self.cfg.purge_max;
+            let purge_end = detect + DRAIN_WAIT + PURGE_MAX;
             loop {
                 let empty = sys.engine.flits_in_links() == 0
                     && sys.switch_ctls.iter().all(|c| c.is_empty());
@@ -1431,7 +1430,7 @@ impl FaultResponder {
                     tables: sys.tables.clone(),
                     topo: sys.topology.clone(),
                     policy: sys.config.switch.policy,
-                    max_hops: self.cfg.max_hops,
+                    max_hops: MAX_HOPS,
                 });
             }
         }
@@ -1509,36 +1508,10 @@ mod tests {
     /// A responder with no fabric attached — enough to exercise the
     /// memoized vets, which never touch a live engine.
     fn bare_responder() -> FaultResponder {
-        let cfg = ResponseConfig::default();
-        let memo_cap = cfg.memo_cap;
-        let events = EventLog::new(cfg.event_log_cap);
-        let health = FabricHealth::new(cfg.debounce);
-        let latency = Samples::with_cap(cfg.latency_cap);
-        let journal = Journal::new(JournalConfig {
-            snapshot_every: cfg.snapshot_every,
-        });
-        FaultResponder {
-            cfg,
-            health,
-            masked: Vec::new(),
-            fabric_ports: HashMap::new(),
-            builder: None,
-            events,
-            counters: ResponseCounters::default(),
-            suppressed: Vec::new(),
-            fresh_confirmed: Vec::new(),
-            retry_requested: false,
-            vet_stats: VetStats::new(),
-            latency,
-            journal,
-            last_epoch: 0,
-            vetted: BoundedMemo::new(memo_cap),
-            deep_vetted: BoundedMemo::new(memo_cap),
-            certificate: None,
-            chaos: None,
-            recoveries: 0,
-            recovery_ns: Samples::new(),
-        }
+        FaultResponder::detached(
+            ResponseConfig::default(),
+            Journal::new(JournalConfig::default()),
+        )
     }
 
     #[test]
@@ -1734,8 +1707,7 @@ mod tests {
     #[test]
     fn vet_memos_are_bounded_at_memo_cap() {
         let mut r = bare_responder();
-        r.cfg.memo_cap = 2;
-        r.vetted = BoundedMemo::new(r.cfg.memo_cap);
+        r.vetted = BoundedMemo::new(2);
 
         use mintopo::topology::TopologyBuilder;
         use netsim::ids::NodeId;

@@ -53,51 +53,54 @@ pub use storm::{StormCounters, StormResponder};
 
 use netsim::Cycle;
 
-/// Tuning knobs of the resident control service.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoutedConfig {
-    /// Capacity of the bounded request queue between reader threads and
-    /// the service loop. Fabric events block when it fills (backpressure);
-    /// queries are shed with an error.
-    pub queue_cap: usize,
-    /// Engine cycles advanced per service-loop slice (also the storm
-    /// controller's tick cadence).
-    pub slice: Cycle,
-    /// Flap penalty charged per debounce-confirmed link transition.
-    pub flap_penalty: u64,
-    /// Penalty at or above which a link is suppressed (treated as dead).
-    pub flap_suppress: u64,
-    /// Penalty at or below which a suppressed link is reinstated.
-    pub flap_reuse: u64,
-    /// Half-life of the flap penalty decay, in cycles.
-    pub flap_half_life: Cycle,
-    /// Base delay of the reroute retry backoff, in cycles.
-    pub retry_base: Cycle,
-    /// Cap on a single backoff delay, in cycles.
-    pub retry_cap: Cycle,
-    /// Retry attempts before the ladder drops the fabric to read-only.
-    pub retry_max: u32,
-    /// Calm cycles required before the ladder climbs one rung on heal.
-    pub heal_hysteresis: Cycle,
-    /// Watchdog deadline on a detect→vet→install episode, in cycles; an
-    /// episode running past it force-degrades the fabric to U-Min.
-    pub deadline: Cycle,
-}
+// The storm-hardening tuning (DESIGN.md §12). Every run uses these
+// values; the unit tests of `FlapDamper`, `Backoff` and `Ladder` drive
+// other values through their constructors.
 
-impl Default for RoutedConfig {
-    fn default() -> Self {
-        RoutedConfig {
-            queue_cap: 64,
-            slice: 32,
-            flap_penalty: 1_000,
-            flap_suppress: 2_500,
-            flap_reuse: 800,
-            flap_half_life: 2_048,
-            retry_base: 64,
-            retry_cap: 4_096,
-            retry_max: 5,
-            heal_hysteresis: 2_048,
-            deadline: 4_096,
-        }
-    }
-}
+/// Capacity of the bounded request queue between reader threads and the
+/// service loop. Fabric events block when it fills (backpressure);
+/// queries are shed with an error.
+pub const QUEUE_CAP: usize = 64;
+/// Engine cycles advanced per service-loop slice, which is also the storm
+/// controller's tick cadence.
+pub const SLICE: Cycle = 32;
+/// Flap penalty charged per debounce-confirmed link transition.
+pub const FLAP_PENALTY: u64 = 1_000;
+/// Penalty at or above which a link is suppressed (treated as dead).
+pub const FLAP_SUPPRESS: u64 = 2_500;
+/// Penalty at or below which a suppressed link is reinstated.
+pub const FLAP_REUSE: u64 = 800;
+/// Half-life of the flap penalty decay, in cycles.
+pub const FLAP_HALF_LIFE: Cycle = 2_048;
+/// Base delay of the reroute retry backoff, in cycles.
+pub const RETRY_BASE: Cycle = 64;
+/// Cap on a single backoff delay, in cycles.
+pub const RETRY_CAP: Cycle = 4_096;
+/// Retry attempts before the ladder drops the fabric to read-only.
+pub const RETRY_MAX: u32 = 5;
+/// Calm cycles required before the ladder climbs one rung on heal.
+pub const HEAL_HYSTERESIS: Cycle = 2_048;
+/// Watchdog deadline on a detect→vet→install episode, in cycles; an
+/// episode running past it force-degrades the fabric to U-Min.
+pub const DEADLINE: Cycle = 4_096;
+/// Largest `step` one request may ask for, in cycles. The service
+/// thread runs a step to completion before it reads the next request,
+/// so an unbounded step would make every client wait behind it; a
+/// client that needs more time sends several steps. A capped step on an
+/// idle `configs/routed.mdw` fabric takes 24–50 ms (release build,
+/// 2-CPU host).
+pub const MAX_STEP: Cycle = 1_000_000;
+
+const _: () = {
+    // A zero-slot queue sheds every query and blocks every event forever.
+    assert!(QUEUE_CAP >= 1);
+    // A zero slice never advances the fabric between ticks.
+    assert!(SLICE >= 1 && SLICE <= MAX_STEP);
+    // A zero-cycle watchdog trips on every successful response.
+    assert!(DEADLINE >= 1);
+    // A suppressed link must be able to cool off below the threshold
+    // that suppressed it.
+    assert!(FLAP_REUSE < FLAP_SUPPRESS);
+    assert!(FLAP_HALF_LIFE >= 1 && FLAP_PENALTY >= 1);
+    assert!(RETRY_BASE >= 1 && RETRY_BASE <= RETRY_CAP && RETRY_MAX >= 1);
+};

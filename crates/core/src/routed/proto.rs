@@ -14,6 +14,7 @@
 //! health                       # rung, masked/suppressed counts, totals
 //! metrics                      # p50/p99 latency + service counters
 //! step <cycles>                # advance the fabric deterministically
+//!                              # (at most MAX_STEP = 1000000 cycles)
 //! quit                         # shut the service down cleanly
 //! ```
 //!

@@ -2,7 +2,7 @@
 //!
 //! Reader threads parse client lines into [`Envelope`]s and hand them to
 //! the service loop over an `std::sync::mpsc::sync_channel` whose bound
-//! is `routed.queue_cap`. The enqueue policy differs by request class:
+//! is [`QUEUE_CAP`](super::QUEUE_CAP). The enqueue policy differs by request class:
 //!
 //! * **fabric events** (link up/down, join/leave, `step`, `quit`) use a
 //!   *blocking* send — the producer stalls until the service catches up.

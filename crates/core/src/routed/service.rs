@@ -13,12 +13,10 @@ use super::metrics::ServiceMetrics;
 use super::proto::{LinkRef, Request};
 use super::queue::{Envelope, ShedCounter};
 use super::storm::StormResponder;
-use super::RoutedConfig;
+use super::{MAX_STEP, SLICE};
 use crate::build::{build_system, System};
 use crate::config::SystemConfig;
 use crate::workload::{make_sources, TrafficSpec};
-use collectives::{DegradePlanner, Rung};
-use mintopo::route::McastPlan;
 use netsim::destset::DestSet;
 use netsim::ids::{LinkId, NodeId};
 use netsim::Cycle;
@@ -30,7 +28,6 @@ use std::time::Duration;
 pub struct RoutedService {
     sys: System,
     storm: StormResponder,
-    routed: RoutedConfig,
     groups: BTreeMap<u64, DestSet>,
     shed: ShedCounter,
     queries_served: u64,
@@ -40,7 +37,6 @@ pub struct RoutedService {
 impl std::fmt::Debug for RoutedService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RoutedService")
-            .field("routed", &self.routed)
             .field("groups", &self.groups.len())
             .field("queries_served", &self.queries_served)
             .field("events_in", &self.events_in)
@@ -51,39 +47,30 @@ impl std::fmt::Debug for RoutedService {
 impl RoutedService {
     /// Builds the service around a fresh idle fabric (hosts attached but
     /// generating no traffic — all payload movement is driven by fabric
-    /// events and the U-Min/recovery machinery). `response` and `routed`
-    /// blocks default when absent.
+    /// events and the U-Min/recovery machinery). The `response` block
+    /// defaults on when absent.
     ///
     /// # Errors
     ///
     /// The first static-analysis error of the configuration, verbatim —
     /// the service refuses to come up on a fabric the analyzer rejects.
     pub fn new(mut cfg: SystemConfig) -> Result<RoutedService, String> {
-        let routed = cfg.routed.clone().unwrap_or_default();
-        let response = cfg.response.clone().unwrap_or_default();
-        cfg.response = Some(response.clone());
-        cfg.routed = Some(routed.clone());
+        let response = cfg.response.get_or_insert_default().clone();
         if let Some(d) = cfg.report().first_error() {
             return Err(format!("config rejected: {}", d.message));
         }
         let n = cfg.n_hosts();
         let sources = make_sources(&TrafficSpec::unicast(0.0, 16), n, cfg.seed, Some(0));
         let mut sys = build_system(cfg, sources, None);
-        let storm = StormResponder::new(routed.clone(), response, &mut sys);
+        let storm = StormResponder::new(response, &mut sys);
         Ok(RoutedService {
             sys,
             storm,
-            routed,
             groups: BTreeMap::new(),
             shed: ShedCounter::new(),
             queries_served: 0,
             events_in: 0,
         })
-    }
-
-    /// The configured request-queue bound (for sizing the sync channel).
-    pub fn queue_cap(&self) -> usize {
-        self.routed.queue_cap
     }
 
     /// The shed counter reader threads must bump (clone it into each).
@@ -108,7 +95,7 @@ impl RoutedService {
     pub fn advance(&mut self, cycles: Cycle) {
         let end = self.sys.engine.now().saturating_add(cycles);
         while self.sys.engine.now() < end {
-            let step = self.routed.slice.min(end - self.sys.engine.now());
+            let step = SLICE.min(end - self.sys.engine.now());
             self.sys.engine.run_for(step);
             self.storm.tick(&mut self.sys);
         }
@@ -132,24 +119,6 @@ impl RoutedService {
                 self.sys.n_hosts()
             ))
         }
-    }
-
-    /// Coverage plan for `dests` from `src` under the current rung and
-    /// tables. Queries never touch the traffic counters.
-    fn plan(&self, src: NodeId, dests: &DestSet) -> McastPlan {
-        if self.storm.rung() >= Rung::UMinOnly {
-            return McastPlan {
-                worm: DestSet::empty(dests.universe()),
-                peeled: dests.clone(),
-            };
-        }
-        DegradePlanner {
-            tables: self.sys.tables.clone(),
-            topo: self.sys.topology.clone(),
-            policy: self.sys.config.switch.policy,
-            max_hops: self.sys.config.response.as_ref().map_or(64, |r| r.max_hops),
-        }
-        .split(src, dests)
     }
 
     /// Applies one request and returns its one-line reply. Never panics
@@ -220,7 +189,7 @@ impl RoutedService {
                     }
                 }
                 self.queries_served += 1;
-                let plan = self.plan(src, &set);
+                let plan = self.storm.plan(&self.sys, src, &set);
                 format!(
                     "ok worm={} peeled={} rung={}",
                     Self::fmt_set(&plan.worm),
@@ -237,7 +206,7 @@ impl RoutedService {
                     return format!("err unknown group {group}");
                 };
                 self.queries_served += 1;
-                let plan = self.plan(src, &set);
+                let plan = self.storm.plan(&self.sys, src, &set);
                 format!(
                     "ok worm={} peeled={} rung={}",
                     Self::fmt_set(&plan.worm),
@@ -254,7 +223,7 @@ impl RoutedService {
                 let n = self.sys.n_hosts();
                 let mut all = DestSet::full(n);
                 all.remove(node);
-                let plan = self.plan(node, &all);
+                let plan = self.storm.plan(&self.sys, node, &all);
                 format!(
                     "ok coverable={}/{} rung={}",
                     plan.worm.count(),
@@ -294,6 +263,11 @@ impl RoutedService {
                 let now = self.sys.engine.now();
                 if now.checked_add(*n).is_none() {
                     return format!("err step {n} overflows the cycle counter at now={now}");
+                }
+                if *n > MAX_STEP {
+                    return format!(
+                        "err step {n} is over the cap of {MAX_STEP} cycles per request"
+                    );
                 }
                 self.events_in += 1;
                 self.advance(*n);
@@ -347,7 +321,7 @@ impl RoutedService {
                         break;
                     }
                 }
-                None => self.advance(self.routed.slice),
+                None => self.advance(SLICE),
             }
         }
     }

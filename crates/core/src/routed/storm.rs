@@ -2,7 +2,7 @@
 //! ladder, and the detect→install watchdog wrapped around the
 //! [`FaultResponder`].
 //!
-//! Per tick (every `routed.slice` cycles):
+//! Per tick (every [`SLICE`](super::SLICE) cycles):
 //!
 //! 1. **observe** — drain link events into the debounced health view;
 //! 2. **damp** — charge each newly confirmed transition to the flap
@@ -16,9 +16,9 @@
 //!    next retry, and an exhausted retry budget forces the fabric to
 //!    read-only;
 //! 5. **watchdog** — an episode whose detect→install latency ran past
-//!    `routed.deadline` force-degrades to U-Min-only: slow recovery is
-//!    treated as no recovery, and unicast keeps flowing while humans (or
-//!    more retries) catch up;
+//!    [`DEADLINE`](super::DEADLINE) force-degrades to U-Min-only: slow
+//!    recovery is treated as no recovery, and unicast keeps flowing while
+//!    humans (or more retries) catch up;
 //! 6. **ladder** — compute the rung current conditions demand, let the
 //!    hysteresis ladder integrate it, and project the rung onto the
 //!    shared [`FabricMode`] cell.
@@ -31,10 +31,16 @@
 use super::backoff::Backoff;
 use super::damp::FlapDamper;
 use super::ladder::Ladder;
-use super::RoutedConfig;
+use super::{
+    DEADLINE, FLAP_HALF_LIFE, FLAP_PENALTY, FLAP_REUSE, FLAP_SUPPRESS, HEAL_HYSTERESIS, RETRY_BASE,
+    RETRY_CAP, RETRY_MAX,
+};
 use crate::build::System;
-use crate::respond::{FaultResponder, ResponseConfig, ResponseCounters};
-use collectives::Rung;
+use crate::respond::{FaultResponder, ResponseConfig, ResponseCounters, MAX_HOPS};
+use collectives::{DegradePlanner, Rung};
+use mintopo::route::McastPlan;
+use netsim::destset::DestSet;
+use netsim::ids::NodeId;
 use netsim::rng::SimRng;
 use netsim::Cycle;
 
@@ -58,7 +64,6 @@ pub struct StormCounters {
 /// slice cadence.
 #[derive(Debug)]
 pub struct StormResponder {
-    cfg: RoutedConfig,
     resp: FaultResponder,
     damp: FlapDamper,
     ladder: Ladder,
@@ -84,19 +89,13 @@ fn rung_index(r: Rung) -> usize {
 impl StormResponder {
     /// Attaches responder + storm control to `sys`. The jitter stream is
     /// forked off the system seed so retry timelines replay.
-    pub fn new(cfg: RoutedConfig, response: ResponseConfig, sys: &mut System) -> Self {
+    pub fn new(response: ResponseConfig, sys: &mut System) -> Self {
         let rng = SimRng::new(sys.config.seed ^ 0x5702_11ED).fork(7);
         let resp = FaultResponder::new(response, sys);
-        let damp = FlapDamper::new(
-            cfg.flap_penalty,
-            cfg.flap_suppress,
-            cfg.flap_reuse,
-            cfg.flap_half_life,
-        );
-        let backoff = Backoff::new(cfg.retry_base, cfg.retry_cap, cfg.retry_max, rng);
+        let damp = FlapDamper::new(FLAP_PENALTY, FLAP_SUPPRESS, FLAP_REUSE, FLAP_HALF_LIFE);
+        let backoff = Backoff::new(RETRY_BASE, RETRY_CAP, RETRY_MAX, rng);
         let last_tick = sys.engine.now();
         StormResponder {
-            cfg,
             resp,
             damp,
             ladder: Ladder::new(),
@@ -165,7 +164,7 @@ impl StormResponder {
 
             // 5: watchdog on the episode that just completed.
             if let Some(&latency) = self.resp.latency().values().last() {
-                if latency > self.cfg.deadline {
+                if latency > DEADLINE {
                     self.counters.watchdog_trips += 1;
                     self.ladder.force_down(Rung::UMinOnly);
                 }
@@ -186,9 +185,31 @@ impl StormResponder {
             Rung::FullMcast
         };
         self.ladder
-            .observe(sys.engine.now(), demanded, self.cfg.heal_hysteresis);
+            .observe(sys.engine.now(), demanded, HEAL_HYSTERESIS);
         self.ladder.apply(&sys.fabric_mode);
         ran
+    }
+
+    /// Coverage plan for `dests` from `src` under the current rung and
+    /// `sys`'s live tables: one worm over what the tables still cover,
+    /// the rest peeled off to unicast, and everything peeled from U-Min
+    /// down. The resident service answers route queries with it and E18
+    /// draws its query load through it; neither touches the traffic
+    /// counters.
+    pub fn plan(&self, sys: &System, src: NodeId, dests: &DestSet) -> McastPlan {
+        if self.rung() >= Rung::UMinOnly {
+            return McastPlan {
+                worm: DestSet::empty(dests.universe()),
+                peeled: dests.clone(),
+            };
+        }
+        DegradePlanner {
+            tables: sys.tables.clone(),
+            topo: sys.topology.clone(),
+            policy: sys.config.switch.policy,
+            max_hops: MAX_HOPS,
+        }
+        .split(src, dests)
     }
 
     /// The wrapped responder (health, events, latency series, vet stats).

@@ -137,6 +137,12 @@ mod tests {
     use crate::sim::RunConfig;
     use crate::workload::TrafficSpec;
 
+    /// The pool tests below run their body this many times on fresh
+    /// threads, so the OS scheduler interleaves the queue and result
+    /// locks differently from run to run. That is a stress test, not a
+    /// proof over every interleaving.
+    const SCHEDULES: usize = 64;
+
     #[test]
     fn results_come_back_in_submission_order() {
         // Reverse-sized workloads so later (cheaper) jobs finish first.
@@ -146,14 +152,56 @@ mod tests {
             ms
         });
         assert_eq!(out, jobs_list);
+        // Workers take jobs first come, first served, and the reversed
+        // spins make completion order fight submission order.
+        for _ in 0..SCHEDULES {
+            let jobs_list: Vec<usize> = (0..6).rev().collect();
+            let out = parallel_map(jobs_list.clone(), 3, |spin| {
+                for _ in 0..spin * 10 {
+                    std::thread::yield_now();
+                }
+                spin
+            });
+            assert_eq!(out, jobs_list);
+        }
+    }
+
+    /// Each job runs exactly once, and every result has landed by the
+    /// time `parallel_map` returns.
+    #[test]
+    fn every_job_runs_exactly_once() {
+        let n_jobs = 5;
+        for _ in 0..SCHEDULES {
+            let per_job: Vec<AtomicUsize> = (0..n_jobs).map(|_| AtomicUsize::new(0)).collect();
+            let out = parallel_map((0..n_jobs).collect(), 2, |i: usize| {
+                per_job[i].fetch_add(1, Ordering::SeqCst);
+                i * 2
+            });
+            assert_eq!(out, (0..n_jobs).map(|i| i * 2).collect::<Vec<_>>());
+            for (i, c) in per_job.iter().enumerate() {
+                assert_eq!(c.load(Ordering::SeqCst), 1, "job {i} ran exactly once");
+            }
+        }
+    }
+
+    /// Degenerate pool shapes do not wedge: more workers asked for than
+    /// there are jobs (the pool shrinks to the job count, and a worker
+    /// that finds the queue already drained must still exit), and an
+    /// empty job list.
+    #[test]
+    fn surplus_workers_and_empty_queues_shut_down() {
+        for _ in 0..SCHEDULES {
+            assert_eq!(parallel_map(vec![7usize], 4, |x| x + 1), vec![8]);
+            assert_eq!(parallel_map(vec![1, 2], 8, |x: u32| x * 3), vec![3, 6]);
+            let none: Vec<usize> = parallel_map(Vec::new(), 4, |x: usize| x);
+            assert!(none.is_empty());
+        }
     }
 
     #[test]
     fn single_worker_runs_inline() {
         let out = parallel_map(vec![1, 2, 3], 1, |x| x * 2);
         assert_eq!(out, vec![2, 4, 6]);
-        let empty: Vec<i32> = parallel_map(Vec::new(), 8, |x: i32| x);
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -28,7 +28,13 @@ fn help_prints_usage_and_succeeds() {
     for flag in ["--help", "-h"] {
         let out = routed(&[flag]);
         assert!(out.status.success(), "{flag}: {out:?}");
-        assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: mdw-routed"));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage: mdw-routed"), "{stdout}");
+        let cap = format!("`step N` takes N <= {} cycles", mdworm::routed::MAX_STEP);
+        assert!(
+            stdout.contains(&cap),
+            "{flag} must show the step cap: {stdout}"
+        );
     }
 }
 

@@ -50,6 +50,10 @@ fn bad_arguments_exit_2_with_usage() {
         // Unknown keys, malformed pairs and unreadable or unparsable
         // files.
         &["--set", "typo_key=1"],
+        // Retired control-plane tuning keys and second spellings.
+        &["--set", "routed_slice=16"],
+        &["--set", "response_debounce=32"],
+        &["--set", "model_mode=exact"],
         &["--set", "traffic.load"],
         &["--config", "no-such-dir/run.mdw"],
         &["--config", &bad_line],

@@ -33,7 +33,6 @@ pub mod config;
 pub mod ctl;
 mod decode;
 pub mod input_buffered;
-pub mod reachenc;
 pub mod semantics;
 pub mod stats;
 mod testutil;
@@ -43,6 +42,5 @@ pub use config::{ConfigError, ReplicationMode, SwitchConfig, UpSelect};
 pub use ctl::SwitchCtl;
 pub use decode::verify_bitstring_roundtrip;
 pub use input_buffered::InputBufferedSwitch;
-pub use reachenc::{verify_roundtrip_encoded, ReachEncoding};
 pub use semantics::{CqEffect, CqEvent, CqState, IbHeadState, ReplState};
 pub use stats::{BlockedWormSnap, SwitchSnapshot, SwitchStats};

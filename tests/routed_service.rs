@@ -7,16 +7,19 @@
 use mdworm::config::{SystemConfig, TopologyKind};
 use mdworm::respond::ResponseConfig;
 use mdworm::routed::queue::{submit, Envelope, ShedCounter};
-use mdworm::routed::{Backoff, FlapDamper, Request, RoutedConfig, RoutedService};
+use mdworm::routed::{
+    Backoff, FlapDamper, Request, RoutedService, FLAP_HALF_LIFE, FLAP_PENALTY, FLAP_REUSE,
+    FLAP_SUPPRESS, MAX_STEP, QUEUE_CAP, RETRY_BASE, RETRY_CAP, RETRY_MAX,
+};
 use netsim::ids::LinkId;
 use netsim::rng::SimRng;
 use std::sync::mpsc;
+use std::time::Duration;
 
 fn service_cfg() -> SystemConfig {
     SystemConfig {
         topology: TopologyKind::KaryTree { k: 4, n: 2 }, // 16 hosts
         response: Some(ResponseConfig::default()),
-        routed: Some(RoutedConfig::default()),
         recovery: None,
         ..SystemConfig::default()
     }
@@ -28,7 +31,7 @@ fn protocol_session_drives_an_outage_through_the_queue() {
     // thread plays a client session through the bounded queue exactly as
     // the binary's reader threads do.
     let mut service = RoutedService::new(service_cfg()).expect("config is clean");
-    let (tx, rx) = mpsc::sync_channel::<Envelope>(service.queue_cap());
+    let (tx, rx) = mpsc::sync_channel::<Envelope>(QUEUE_CAP);
     let shed = service.shed_counter();
 
     let producer = std::thread::spawn(move || {
@@ -156,29 +159,23 @@ fn query_shedding_applies_backpressure_policy_per_class() {
 /// off, is reinstated exactly once, and nothing oscillates afterwards.
 #[test]
 fn flap_damping_converges_under_random_schedules() {
-    let base = RoutedConfig::default();
     for case in 0..64u64 {
         let mut rng = SimRng::new(0xF1A9 ^ case).fork(case);
-        let mut damp = FlapDamper::new(
-            base.flap_penalty,
-            base.flap_suppress,
-            base.flap_reuse,
-            base.flap_half_life,
-        );
+        let mut damp = FlapDamper::new(FLAP_PENALTY, FLAP_SUPPRESS, FLAP_REUSE, FLAP_HALF_LIFE);
         let links: Vec<LinkId> = (0..4usize).map(LinkId::from).collect();
         // A random storm: bursts of confirmed transitions over random
         // links at random (increasing) times.
         let mut t = 0u64;
         let events = 20 + rng.below(60);
         for _ in 0..events {
-            t += rng.below(base.flap_half_life as usize / 2) as u64;
+            t += rng.below(FLAP_HALF_LIFE as usize / 2) as u64;
             let link = links[rng.below(links.len())];
             damp.record(link, t);
             damp.advance(t);
             // Invariant: a link at/above the suppress threshold is in the
             // suppressed set until decay brings it under reuse.
             for l in &links {
-                if damp.current_penalty(*l) >= base.flap_suppress {
+                if damp.current_penalty(*l) >= FLAP_SUPPRESS {
                     assert!(
                         damp.suppressed().contains(l),
                         "case {case}: hot link not suppressed at t={t}"
@@ -189,11 +186,11 @@ fn flap_damping_converges_under_random_schedules() {
         // Storm over. Advance in random strides: every suppression must
         // clear within the analytic cool-off bound, and once cleared the
         // counters freeze — no oscillation without new transitions.
-        let worst_penalty = base.flap_penalty * events as u64;
-        let halvings = 64 - u64::leading_zeros(worst_penalty / base.flap_reuse.max(1)) as u64 + 1;
-        let deadline = t + (halvings + 2) * base.flap_half_life;
+        let worst_penalty = FLAP_PENALTY * events as u64;
+        let halvings = 64 - u64::leading_zeros(worst_penalty / FLAP_REUSE) as u64 + 1;
+        let deadline = t + (halvings + 2) * FLAP_HALF_LIFE;
         while t < deadline {
-            t += 1 + rng.below(base.flap_half_life as usize) as u64;
+            t += 1 + rng.below(FLAP_HALF_LIFE as usize) as u64;
             damp.advance(t);
         }
         assert!(
@@ -207,7 +204,7 @@ fn flap_damping_converges_under_random_schedules() {
         );
         let (sup, reins) = (damp.suppressions(), damp.reinstatements());
         for _ in 0..16 {
-            t += base.flap_half_life;
+            t += FLAP_HALF_LIFE;
             damp.advance(t);
         }
         assert_eq!(
@@ -223,17 +220,16 @@ fn flap_damping_converges_under_random_schedules() {
 #[test]
 fn backoff_is_capped_and_budgeted_under_random_seeds() {
     for case in 0..64u64 {
-        let cfg = RoutedConfig::default();
         let rng = SimRng::new(0xB0FF ^ case).fork(case);
-        let mut b = Backoff::new(cfg.retry_base, cfg.retry_cap, cfg.retry_max, rng);
+        let mut b = Backoff::new(RETRY_BASE, RETRY_CAP, RETRY_MAX, rng);
         let mut delays = Vec::new();
         while let Some(d) = b.next_delay() {
             delays.push(d);
         }
-        assert_eq!(delays.len(), cfg.retry_max as usize, "case {case}");
+        assert_eq!(delays.len(), RETRY_MAX as usize, "case {case}");
         for (i, d) in delays.iter().enumerate() {
-            assert!(*d >= cfg.retry_base.min(cfg.retry_cap), "case {case}[{i}]");
-            assert!(*d <= cfg.retry_cap, "case {case}[{i}]: {d} over cap");
+            assert!(*d >= RETRY_BASE.min(RETRY_CAP), "case {case}[{i}]");
+            assert!(*d <= RETRY_CAP, "case {case}[{i}]: {d} over cap");
         }
         // Exhausted stays exhausted until reset.
         assert!(b.next_delay().is_none(), "case {case}");
@@ -261,12 +257,13 @@ fn step_past_the_end_of_the_cycle_counter_is_an_err_reply() {
     assert_eq!(send("step 1"), "ok now=2");
 }
 
-/// Seeded fuzz over the line protocol: random lines of command words,
-/// junk tokens and numbers up to `u64::MAX` never panic the parser or
-/// the service, and every parsed request gets a reply starting `ok ` or
-/// `err `. Steps run only over small counts, so the loop stays fast; the
-/// one exception is a step that would overflow the cycle counter, which
-/// must be refused with `err`.
+/// Seeded fuzz over the line protocol, through the bounded queue as the
+/// binary's reader threads use it: random lines of command words, junk
+/// tokens and numbers up to `u64::MAX` never panic the parser or the
+/// service, every parsed request gets a reply starting `ok ` or `err `
+/// within a deadline, and a step over [`MAX_STEP`] — almost every drawn
+/// step count, since most numbers are huge — is refused with `err`
+/// without moving the clock.
 #[test]
 fn random_protocol_lines_never_panic_and_reply_ok_or_err() {
     const COMMANDS: [&str; 10] = [
@@ -274,16 +271,35 @@ fn random_protocol_lines_never_panic_and_reply_ok_or_err() {
     ];
     const WORDS: [&str; 4] = ["down", "up", "group", "f"];
     const JUNK: [&str; 6] = ["-1", "f-3", "1.5", "x9", "\u{fffd}", "18446744073709551616"];
-    const MAX_STEP: u64 = 64;
-    let mut service = RoutedService::new(service_cfg()).expect("config is clean");
+    // The service owns a `!Send` system, so it is built on a thread of
+    // its own; this thread is the client and can give up on a reply
+    // instead of hanging behind a wedged request.
+    let (tx, rx) = mpsc::sync_channel::<Envelope>(QUEUE_CAP);
+    let service = std::thread::spawn(move || {
+        let mut service = RoutedService::new(service_cfg()).expect("config is clean");
+        service.run(&rx, false);
+        service.system().engine.now()
+    });
+    let shed = ShedCounter::new();
+    let send = |line: &str, req: Request| -> String {
+        let (reply_tx, reply_rx) = mpsc::channel();
+        let env = Envelope {
+            req,
+            reply: reply_tx,
+        };
+        submit(&tx, env, &shed).expect("service loop alive");
+        reply_rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("no reply to `{line}`: {e}"))
+    };
     let mut rng = SimRng::new(0xF022);
     let number = |rng: &mut SimRng| match rng.below(3) {
         0 => rng.below(20) as u64,
         1 => u64::MAX - rng.below(4) as u64,
         _ => rng.below(usize::MAX) as u64,
     };
-    let (mut handled, mut overflows) = (0, 0);
-    for case in 0..20_000 {
+    let (mut handled, mut refused, mut now) = (0, 0, 0);
+    for case in 0..30_000 {
         let mut tokens = vec![COMMANDS[rng.below(COMMANDS.len())].to_string()];
         for _ in 0..rng.below(4) {
             tokens.push(match rng.below(6) {
@@ -298,30 +314,62 @@ fn random_protocol_lines_never_panic_and_reply_ok_or_err() {
             tokens.swap(0, j);
         }
         let line = tokens.join(" ");
+        // `quit` would end the session; it is sent once, at the end.
         let Ok(req) = Request::parse(&line) else {
             continue;
         };
-        let now = service.system().engine.now();
-        let overflow = match req {
-            Request::Step(n) if now.checked_add(n).is_none() => true,
-            Request::Step(n) if n > MAX_STEP => continue,
-            _ => false,
+        if req == Request::Quit {
+            continue;
+        }
+        let step = match req {
+            Request::Step(n) => Some(n),
+            _ => None,
         };
-        let reply = service.handle(&req);
+        let reply = send(&line, req);
         handled += 1;
         assert!(
             reply.starts_with("ok ") || reply.starts_with("err "),
             "case {case}: `{line}` → `{reply}`"
         );
-        if overflow {
-            overflows += 1;
-            assert!(
-                reply.starts_with("err "),
-                "case {case}: `{line}` → `{reply}`"
-            );
-            assert_eq!(service.system().engine.now(), now, "case {case}");
+        match step {
+            Some(n) if n > MAX_STEP => {
+                refused += 1;
+                assert!(
+                    reply.starts_with("err "),
+                    "case {case}: `{line}` → `{reply}`"
+                );
+                let clock = send("step 0", Request::Step(0));
+                assert_eq!(clock, format!("ok now={now}"), "case {case}: `{line}`");
+            }
+            Some(_) => {
+                now = reply
+                    .strip_prefix("ok now=")
+                    .and_then(|t| t.parse().ok())
+                    .unwrap_or_else(|| panic!("case {case}: `{line}` → `{reply}`"));
+            }
+            None => {}
         }
     }
+    assert_eq!(send("quit", Request::Quit), "ok bye");
+    assert_eq!(service.join().expect("service thread"), now);
     assert!(handled >= 2000, "only {handled} lines parsed");
-    assert!(overflows > 0, "no overflowing step was drawn");
+    assert!(refused > 100, "only {refused} over-cap steps drawn");
+}
+
+/// A step over [`MAX_STEP`] is refused with `err` and leaves the clock
+/// alone; a step of exactly [`MAX_STEP`] runs.
+#[test]
+fn step_over_the_cap_is_an_err_reply() {
+    let mut service = RoutedService::new(service_cfg()).expect("config is clean");
+    let mut send = |line: &str| service.handle(&Request::parse(line).expect(line));
+    let reply = send(&format!("step {}", MAX_STEP + 1));
+    assert!(
+        reply.starts_with("err ") && reply.contains("cap"),
+        "{reply}"
+    );
+    assert_eq!(send("step 0"), "ok now=0");
+    assert_eq!(
+        send(&format!("step {MAX_STEP}")),
+        format!("ok now={MAX_STEP}")
+    );
 }
