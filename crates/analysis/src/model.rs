@@ -40,7 +40,7 @@
 //! [`check_model`] is the *oracle*: a plain sequential BFS that stores
 //! one state per concrete configuration, deduplicated by an injective
 //! byte encoding. [`check_model_opts`] picks a [`ModelMode`]: `Exact`
-//! runs the oracle, `Compositional` ([`crate::compose`]) decomposes each
+//! runs the oracle, `Compositional` (the `compose` module) decomposes each
 //! scenario per switch — cross-switch branches become one-way
 //! environment stubs, upstream feeds become nondeterministic monotone
 //! chunk sources, and each structurally distinct per-switch plan is

@@ -370,7 +370,7 @@ fn median_iqr(mut xs: Vec<f64>) -> (f64, f64) {
 /// {0.02, 0.1, 0.3} of the multiple-multicast workload (degree 16, 64
 /// flits). Both loops run the identical workload, so the ratio is purely
 /// the ticks the schedule avoids against its bookkeeping. Each cell runs
-/// each loop [`SCALE_RUNS`] times, alternating reference and scheduled,
+/// each loop `SCALE_RUNS` times, alternating reference and scheduled,
 /// and reports medians with interquartile ranges. A cell at load `l`
 /// simulates `cycles · 0.3 / l` cycles, so light cells, which run fastest,
 /// still last long enough that timer and scheduler noise stay small; the

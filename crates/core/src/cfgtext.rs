@@ -757,12 +757,70 @@ mod tests {
         "deterministic", "=", "#", "\u{e9}", " 3 ",
     ];
 
+    /// Texts the fuzz loop draws.
+    const FUZZ_TEXTS: usize = 20_000;
+
+    /// The fuzz loop's inputs: `count` texts of one to five lines, each a
+    /// known key with a drawn value or a random byte string.
+    fn fuzz_inputs(count: usize) -> Vec<Vec<String>> {
+        let mut rng = netsim::rng::SimRng::new(0xCF6_7E47);
+        let mut pick = |n: usize| rng.below(n);
+        const BYTES: &[u8] = b"ak=.# \t\n\r0-9e\xff\xc3";
+        (0..count)
+            .map(|_| {
+                (0..1 + pick(5))
+                    .map(|_| {
+                        if pick(4) == 0 {
+                            let bytes: Vec<u8> =
+                                (0..pick(12)).map(|_| BYTES[pick(BYTES.len())]).collect();
+                            String::from_utf8_lossy(&bytes).into_owned()
+                        } else {
+                            let sep = ["=", " = ", "= ", " ="][pick(4)];
+                            format!(
+                                "{}{sep}{}",
+                                KEYS[pick(KEYS.len())],
+                                VALUES[pick(VALUES.len())]
+                            )
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A report the thread's fabric-verdict table answers equals the one
+    /// a fresh thread computes, for every config the fuzz loop parses
+    /// (`tests/fabric_verdicts.rs` covers the shipped configs).
+    #[test]
+    fn fuzz_configs_report_alike_on_warm_and_fresh_threads() {
+        use crate::config::{fabric_passes_run, fresh_report};
+        let configs: Vec<(String, SystemConfig)> = fuzz_inputs(FUZZ_TEXTS)
+            .into_iter()
+            .filter_map(|lines| {
+                let text = lines.join("\n");
+                parse_config(&text).ok().map(|cfg| (text, cfg))
+            })
+            .collect();
+        assert!(configs.len() > 100, "{}", configs.len());
+        for (text, cfg) in &configs {
+            let cold = cfg.report();
+            let runs = fabric_passes_run();
+            let warm = cfg.report();
+            assert_eq!(
+                fabric_passes_run(),
+                runs,
+                "{text:?}: the table did not answer"
+            );
+            assert_eq!(warm, cold, "{text:?}");
+            assert_eq!(warm, fresh_report(cfg), "{text:?}");
+        }
+    }
+
     /// Seeded fuzz loop: random lines of known keys and drawn values, plus
     /// random byte strings, through the file path and the `--set` path.
     /// Nothing panics, and every error names its line or its pair.
     #[test]
     fn fuzzed_lines_never_panic_and_errors_name_their_source() {
-        use netsim::rng::SimRng;
         for key in KEYS {
             assert!(
                 VALUES
@@ -771,27 +829,8 @@ mod tests {
                 "{key} accepts no drawn value"
             );
         }
-        let mut rng = SimRng::new(0xCF6_7E47);
-        let mut pick = |n: usize| rng.below(n);
-        const BYTES: &[u8] = b"ak=.# \t\n\r0-9e\xff\xc3";
         let (mut accepted, mut rejected) = (0, 0);
-        for _ in 0..20_000 {
-            let lines: Vec<String> = (0..1 + pick(5))
-                .map(|_| {
-                    if pick(4) == 0 {
-                        let bytes: Vec<u8> =
-                            (0..pick(12)).map(|_| BYTES[pick(BYTES.len())]).collect();
-                        String::from_utf8_lossy(&bytes).into_owned()
-                    } else {
-                        let sep = ["=", " = ", "= ", " ="][pick(4)];
-                        format!(
-                            "{}{sep}{}",
-                            KEYS[pick(KEYS.len())],
-                            VALUES[pick(VALUES.len())]
-                        )
-                    }
-                })
-                .collect();
+        for lines in fuzz_inputs(FUZZ_TEXTS) {
             let text = lines.join("\n");
             match parse_spec(&text) {
                 Ok(_) => accepted += 1,

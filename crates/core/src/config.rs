@@ -15,7 +15,9 @@ use mdw_analysis::{
     CompactTables, ConfigReport, ModelMode, ModelOptions,
 };
 use mintopo::irregular::Irregular;
-use mintopo::route::RouteTables;
+use mintopo::route::{ReplicatePolicy, RouteTables};
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use switches::{ConfigError, SwitchConfig};
 
 /// Which network to build.
@@ -272,7 +274,10 @@ impl SystemConfig {
     /// [`ConfigReport::first_error`] names the same violation the legacy
     /// `Result` interface always has. The fabric pass is skipped when an
     /// earlier check already failed (building routing tables for a config
-    /// with broken sizing would only bury the root cause).
+    /// with broken sizing would only bury the root cause). The fabric
+    /// pass's verdict is remembered per thread and per fabric (at most
+    /// `FABRIC_VERDICT_CAP` fabrics); a repeat returns the same report
+    /// without building the topology.
     pub fn report(&self) -> ConfigReport {
         let mut report = ConfigReport::new();
         // Every later check reads the host count, and the fabric pass
@@ -418,8 +423,8 @@ impl SystemConfig {
         }
 
         if !report.has_errors() {
-            let (topology, tree) = crate::build::build_topology(self.topology);
-            let vet_switches = crate::respond::deep_vet_switches(topology.n_switches());
+            let fabric = fabric_verdict((self.topology, self.switch.policy, self.certify));
+            let vet_switches = crate::respond::deep_vet_switches(fabric.switches);
             if self.response.is_some()
                 && self.model_mode == ModelMode::Exact
                 && vet_switches > ModelOptions::AUTO_EXACT_MAX_SWITCHES
@@ -435,56 +440,11 @@ impl SystemConfig {
                     ),
                 );
             }
-            let tables = RouteTables::build(&topology);
-            if self.certify.enabled {
-                let completed = analyze_fabric_budgeted(
-                    &topology,
-                    &tables,
-                    self.switch.policy,
-                    self.certify.cdg_budget,
-                    &mut report,
-                );
-                let cert = match &tree {
-                    Some(t) => Certificate::for_karytree(t),
-                    None => Certificate::for_topology(&topology),
-                };
-                let compact = CompactTables::from_dense(&tables);
-                if completed {
-                    // The explicit verdict stands; the certificate must
-                    // agree with it (defense in depth — a divergence means
-                    // the rank construction or the checker is wrong).
-                    let mut shadow = ConfigReport::new();
-                    certify_fabric(&cert, &topology, &compact, &mut shadow);
-                    let explicit_rejects = report.diagnostics.iter().any(|d| d.code == "cdg-cycle");
-                    if shadow.has_errors() != explicit_rejects {
-                        report.error(
-                            "certificate-disagreement",
-                            format!(
-                                "certificate checker {} the fabric but the \
-                                 explicit CDG analysis {} it — the two deadlock \
-                                 verdicts must agree whenever both run",
-                                if shadow.has_errors() {
-                                    "rejects"
-                                } else {
-                                    "accepts"
-                                },
-                                if explicit_rejects {
-                                    "rejects"
-                                } else {
-                                    "accepts"
-                                },
-                            ),
-                        );
-                    }
-                } else {
-                    // Budget exhausted: the certificate supplies the
-                    // deadlock verdict (and the true channel/dependency
-                    // counts the truncated enumeration could not).
-                    certify_fabric(&cert, &topology, &compact, &mut report);
-                }
-            } else {
-                analyze_fabric(&topology, &tables, self.switch.policy, &mut report);
-            }
+            // The local checks count no coverage, so the fabric's
+            // counters are the report's.
+            report.diagnostics.extend(fabric.report.diagnostics);
+            report.cycles.extend(fabric.report.cycles);
+            report.stats = fabric.report.stats;
         }
         report
     }
@@ -557,6 +517,135 @@ impl SystemConfig {
             Some(d) => Err(ConfigError(d.message.clone())),
             None => Ok(()),
         }
+    }
+}
+
+/// The complete argument tuple of the fabric pass of
+/// [`SystemConfig::report`]: the pass reads nothing else of the config.
+type FabricKey = (TopologyKind, ReplicatePolicy, CertifyConfig);
+
+/// What the fabric pass found on one fabric.
+#[derive(Clone)]
+struct FabricVerdict {
+    /// The pass's own findings, cycles and coverage counters.
+    report: ConfigReport,
+    /// Switches in the built fabric (the `model-exact-vet-bound` input).
+    switches: usize,
+}
+
+/// Fabrics the verdict table remembers per thread. A sweep revisits a
+/// handful; a fuzz loop draws thousands of distinct ones, so the oldest
+/// entry goes first.
+const FABRIC_VERDICT_CAP: usize = 64;
+
+thread_local! {
+    /// Fabric-pass verdicts of this thread, oldest first, keyed by the
+    /// pass's complete argument tuple, so a new pass input has to change
+    /// the key. A hit returns the recorded sub-report byte for byte and
+    /// builds no topology: `build_system` and `RunSpec::check` validate
+    /// the same fabric on every run of a sweep (DESIGN.md §8, §9). One
+    /// table per thread, like the responder's model verdicts, keeps locks
+    /// and cross-thread order out of every run.
+    static FABRIC_VERDICTS: RefCell<VecDeque<(FabricKey, FabricVerdict)>> =
+        const { RefCell::new(VecDeque::new()) };
+    /// Fabric passes run on this thread (table misses).
+    #[cfg(test)]
+    static FABRIC_PASSES_RUN: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The fabric pass's verdict on `key`, running the pass only if this
+/// thread has not recorded it.
+fn fabric_verdict(key: FabricKey) -> FabricVerdict {
+    let known = FABRIC_VERDICTS.with(|t| {
+        t.borrow()
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    });
+    known.unwrap_or_else(|| {
+        let verdict = fabric_pass(key);
+        FABRIC_VERDICTS.with(|t| {
+            let mut t = t.borrow_mut();
+            if t.len() == FABRIC_VERDICT_CAP {
+                t.pop_front();
+            }
+            t.push_back((key, verdict.clone()));
+        });
+        verdict
+    })
+}
+
+/// Fabric passes actually run on this thread so far (table misses).
+#[cfg(test)]
+pub(crate) fn fabric_passes_run() -> usize {
+    FABRIC_PASSES_RUN.with(|n| n.get())
+}
+
+/// `cfg.report()` on a new thread, whose verdict table is empty.
+#[cfg(test)]
+pub(crate) fn fresh_report(cfg: &SystemConfig) -> ConfigReport {
+    let cfg = cfg.clone();
+    std::thread::spawn(move || cfg.report())
+        .join()
+        .expect("fresh-thread report")
+}
+
+/// The fabric pass: builds the topology and its route tables, then runs
+/// the channel-dependency and header round-trip analysis, bounded and
+/// backed by the rank certificate when `certify.enabled`.
+fn fabric_pass((topology_kind, policy, certify): FabricKey) -> FabricVerdict {
+    #[cfg(test)]
+    FABRIC_PASSES_RUN.with(|n| n.set(n.get() + 1));
+    let mut report = ConfigReport::new();
+    let (topology, tree) = crate::build::build_topology(topology_kind);
+    let tables = RouteTables::build(&topology);
+    if certify.enabled {
+        let completed =
+            analyze_fabric_budgeted(&topology, &tables, policy, certify.cdg_budget, &mut report);
+        let cert = match &tree {
+            Some(t) => Certificate::for_karytree(t),
+            None => Certificate::for_topology(&topology),
+        };
+        let compact = CompactTables::from_dense(&tables);
+        if completed {
+            // The explicit verdict stands; the certificate must agree
+            // with it (defense in depth — a divergence means the rank
+            // construction or the checker is wrong).
+            let mut shadow = ConfigReport::new();
+            certify_fabric(&cert, &topology, &compact, &mut shadow);
+            let explicit_rejects = report.diagnostics.iter().any(|d| d.code == "cdg-cycle");
+            if shadow.has_errors() != explicit_rejects {
+                report.error(
+                    "certificate-disagreement",
+                    format!(
+                        "certificate checker {} the fabric but the \
+                         explicit CDG analysis {} it — the two deadlock \
+                         verdicts must agree whenever both run",
+                        if shadow.has_errors() {
+                            "rejects"
+                        } else {
+                            "accepts"
+                        },
+                        if explicit_rejects {
+                            "rejects"
+                        } else {
+                            "accepts"
+                        },
+                    ),
+                );
+            }
+        } else {
+            // Budget exhausted: the certificate supplies the deadlock
+            // verdict (and the true channel/dependency counts the
+            // truncated enumeration could not).
+            certify_fabric(&cert, &topology, &compact, &mut report);
+        }
+    } else {
+        analyze_fabric(&topology, &tables, policy, &mut report);
+    }
+    FabricVerdict {
+        report,
+        switches: topology.n_switches(),
     }
 }
 
@@ -865,6 +954,94 @@ mod tests {
         assert!(!starved.explicit_ok);
         assert!(starved.agree, "vacuous agreement past the budget");
         assert!(starved.explicit_deps <= 10);
+    }
+
+    /// Every field of the table key on its own selects a different
+    /// verdict: each single-field change runs the fabric pass again and
+    /// reports what a fresh thread reports.
+    #[test]
+    fn each_key_field_alone_changes_the_verdict() {
+        let base = SystemConfig {
+            certify: CertifyConfig {
+                enabled: true,
+                ..CertifyConfig::default()
+            },
+            ..SystemConfig::default()
+        };
+        let warm = base.report();
+        let runs = fabric_passes_run();
+        assert_eq!(base.report(), warm, "a repeat is answered by the table");
+        assert_eq!(fabric_passes_run(), runs, "a repeat runs no fabric pass");
+
+        let mut variants = vec![
+            SystemConfig {
+                topology: TopologyKind::UniMin { k: 4, n: 3 },
+                ..base.clone()
+            },
+            SystemConfig {
+                certify: CertifyConfig {
+                    enabled: false,
+                    ..base.certify
+                },
+                ..base.clone()
+            },
+            SystemConfig {
+                certify: CertifyConfig {
+                    cdg_budget: 10,
+                    ..base.certify
+                },
+                ..base.clone()
+            },
+        ];
+        let mut policy = base.clone();
+        policy.switch.policy = ReplicatePolicy::ForwardAndReturn;
+        variants.push(policy);
+        for (i, v) in variants.iter().enumerate() {
+            let before = fabric_passes_run();
+            let r = v.report();
+            assert_eq!(fabric_passes_run(), before + 1, "variant {i} hit the table");
+            assert_eq!(r, fresh_report(v), "variant {i}");
+        }
+        // The truncating budget still warns after the untruncated fabric
+        // warmed the table.
+        let starved = variants[2].report();
+        assert!(
+            starved.warnings().any(|w| w.code == "cdg-budget-exhausted"),
+            "{:?}",
+            starved.diagnostics
+        );
+        assert!(!warm.warnings().any(|w| w.code == "cdg-budget-exhausted"));
+    }
+
+    /// The table holds at most `FABRIC_VERDICT_CAP` fabrics and evicts
+    /// the oldest first.
+    #[test]
+    fn verdict_table_evicts_the_oldest_fabric() {
+        let irregular = |seed| SystemConfig {
+            topology: TopologyKind::Irregular {
+                switches: 4,
+                ports: 8,
+                hosts: 8,
+                extra_links: 1,
+                seed,
+            },
+            ..SystemConfig::default()
+        };
+        let before = fabric_passes_run();
+        for seed in 0..=FABRIC_VERDICT_CAP as u64 {
+            irregular(seed).report();
+        }
+        assert_eq!(fabric_passes_run(), before + FABRIC_VERDICT_CAP + 1);
+        assert_eq!(
+            FABRIC_VERDICTS.with(|t| t.borrow().len()),
+            FABRIC_VERDICT_CAP
+        );
+        // The newest is still known; the first was evicted.
+        irregular(FABRIC_VERDICT_CAP as u64).report();
+        assert_eq!(fabric_passes_run(), before + FABRIC_VERDICT_CAP + 1);
+        let r = irregular(0).report();
+        assert_eq!(fabric_passes_run(), before + FABRIC_VERDICT_CAP + 2);
+        assert_eq!(r, fresh_report(&irregular(0)));
     }
 
     #[test]

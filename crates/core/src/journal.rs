@@ -9,7 +9,7 @@
 //! fabric rebuilds byte-identical responder state, and the two-phase
 //! install records tell the recovery exactly which epoch was prepared but
 //! not yet committed so it can re-drive the commit (see
-//! [`crate::respond::FaultResponder::recover`]).
+//! `FaultResponder::recover`).
 //!
 //! ## Wire format
 //!
@@ -87,7 +87,7 @@ pub enum EpisodeOutcome {
 
 /// Full durable responder state, as serialized into `snapshot` records.
 /// Everything a restarted responder cannot re-derive from the surviving
-/// fabric lives here; see [`crate::respond::FaultResponder::recover`].
+/// fabric lives here; see `FaultResponder::recover`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResponderSnapshot {
     /// Highest epoch ever allocated (the next candidate gets +1).

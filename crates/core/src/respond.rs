@@ -51,7 +51,7 @@
 //! counters, the event log, the latency series and the epoch cursor to
 //! byte-identical state — and *re-driving* the in-flight episode. Every
 //! re-driven step is idempotent: deadlines in the past are no-ops,
-//! [`SwitchCtl::prepare`]/[`SwitchCtl::commit`] tolerate re-issue, and
+//! [`SwitchCtl::prepare`](switches::ctl::SwitchCtl::prepare)/[`commit`](switches::ctl::SwitchCtl::commit) tolerate re-issue, and
 //! journaled verdicts short-circuit re-vetting. An install whose commit
 //! record is durable but whose per-switch commits were cut short is
 //! completed by recovery, so the fabric can never be left torn — the
@@ -346,7 +346,7 @@ pub(crate) struct Episode {
     masked: Vec<(SwitchId, usize)>,
 }
 
-/// Activity counters of a [`BoundedMemo`], surfaced per run in
+/// Activity counters of a `BoundedMemo`, surfaced per run in
 /// [`crate::sim::RunOutcome`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MemoStats {

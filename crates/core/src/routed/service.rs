@@ -4,7 +4,7 @@
 //! cores), so exactly one thread ever touches it — plus the storm
 //! controller and the multicast group table. Reader threads (stdin, TCP
 //! clients, the script driver) parse lines into
-//! [`Envelope`](super::queue::Envelope)s and submit them through the
+//! [`Envelope`]s and submit them through the
 //! bounded queue ([`super::queue::submit`]); the service loop drains
 //! envelopes, answers queries from the live fabric state, applies fabric
 //! events, and advances the engine one slice at a time while idle.

@@ -16,15 +16,15 @@
 //!    next retry, and an exhausted retry budget forces the fabric to
 //!    read-only;
 //! 5. **watchdog** — an episode whose detect→install latency ran past
-//!    [`DEADLINE`](super::DEADLINE) force-degrades to U-Min-only: slow
+//!    [`DEADLINE`] force-degrades to U-Min-only: slow
 //!    recovery is treated as no recovery, and unicast keeps flowing while
 //!    humans (or more retries) catch up;
 //! 6. **ladder** — compute the rung current conditions demand, let the
 //!    hysteresis ladder integrate it, and project the rung onto the
-//!    shared [`FabricMode`] cell.
+//!    shared [`FabricMode`](collectives::degrade::FabricMode) cell.
 //!
 //! All timing is cycle-domain and all jitter comes from a forked
-//! [`SimRng`](netsim::rng::SimRng) stream, so an identical storm replays
+//! [`SimRng`] stream, so an identical storm replays
 //! to an identical recovery timeline — the E18 determinism test holds
 //! the whole controller to that.
 

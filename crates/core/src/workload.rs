@@ -19,7 +19,7 @@
 use collectives::{MessageSpec, TrafficSource};
 use netsim::ids::NodeId;
 use netsim::message::MessageKind;
-use netsim::rng::SimRng;
+use netsim::rng::{Chance, SimRng};
 use netsim::Cycle;
 
 /// Unicast destination pattern.
@@ -184,9 +184,9 @@ const LOOKAHEAD: Cycle = 4096;
 #[derive(Debug)]
 pub struct RandomTraffic {
     spec: TrafficSpec,
-    /// `spec.message_probability()`, computed once: every cycle an awake
-    /// host polls past `drawn_to` draws against it.
-    p: f64,
+    /// `spec.message_probability()`, converted once: every cycle an
+    /// awake host polls past `drawn_to` draws against it.
+    fire: Chance,
     rng: SimRng,
     me: NodeId,
     n_hosts: usize,
@@ -222,7 +222,7 @@ impl RandomTraffic {
             n_hosts
         );
         RandomTraffic {
-            p: spec.message_probability(),
+            fire: Chance::new(spec.message_probability()),
             spec,
             rng,
             me,
@@ -255,7 +255,7 @@ impl TrafficSource for RandomTraffic {
                 return None;
             }
             self.hit = None;
-        } else if !self.rng.chance(self.p) {
+        } else if !self.rng.hit(self.fire) {
             return None;
         }
         self.generated += 1;
@@ -287,7 +287,7 @@ impl TrafficSource for RandomTraffic {
 
     /// Takes the per-cycle Bernoulli draws of the cycles after `now` ahead
     /// of time, in cycle order, up to the first success, `stop_at`, or
-    /// [`LOOKAHEAD`] cycles. The draws are exactly those per-cycle polling
+    /// `LOOKAHEAD` cycles. The draws are exactly those per-cycle polling
     /// would take, so the RNG stream — and every message the source
     /// generates — is unchanged however the host interleaves polls and
     /// sleeps. (A geometric skip would draw fewer numbers and change it.)
@@ -296,11 +296,11 @@ impl TrafficSource for RandomTraffic {
             return at;
         }
         let stop = self.stop_at.unwrap_or(Cycle::MAX);
-        let p = self.p;
+        let fire = self.fire;
         let mut t = self.drawn_to.max(now + 1);
         let end = stop.min(now.saturating_add(LOOKAHEAD + 1));
         while t < end {
-            let fires = self.rng.chance(p);
+            let fires = self.rng.hit(fire);
             t += 1;
             if fires {
                 self.drawn_to = t;

@@ -14,6 +14,41 @@
 use crate::destset::DestSet;
 use crate::ids::NodeId;
 
+/// A Bernoulli probability in the form [`SimRng::hit`] compares against.
+///
+/// [`SimRng::unit`] is `m · 2^-53` with `m = x >> 11` for a raw draw `x`,
+/// so `unit() < p` holds exactly when `m < ⌈p · 2^53⌉`, that is when
+/// `x < ⌈p · 2^53⌉ · 2^11`: the scaling by a power of two is exact, and
+/// for `p < 1` the ceiling is at most `2^53 - 1`, so the product fits. A
+/// NaN converts to threshold 0, which draws and never hits, as `unit() <
+/// NaN` does. `p <= 0` and `p >= 1` take no draw; their sentinels are
+/// not multiples of `2^11`, so no threshold collides with them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Chance(u64);
+
+impl Chance {
+    /// `p <= 0`: false without a draw.
+    const NEVER: u64 = 1;
+    /// `p >= 1`: true without a draw.
+    const ALWAYS: u64 = u64::MAX;
+
+    /// Converts probability `p`, clamped to `[0, 1]`.
+    pub fn new(p: f64) -> Chance {
+        if p <= 0.0 {
+            Chance(Chance::NEVER)
+        } else if p >= 1.0 {
+            Chance(Chance::ALWAYS)
+        } else {
+            Chance(((p * (1u64 << 53) as f64).ceil() as u64) << 11)
+        }
+    }
+
+    /// Whether raw draw `x` falls below the threshold.
+    fn admits(self, x: u64) -> bool {
+        x < self.0
+    }
+}
+
 /// Deterministic random-number generator for simulations.
 #[derive(Debug, Clone)]
 pub struct SimRng {
@@ -72,12 +107,17 @@ impl SimRng {
 
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            false
-        } else if p >= 1.0 {
-            true
-        } else {
-            self.unit() < p
+        self.hit(Chance::new(p))
+    }
+
+    /// Bernoulli draw against a probability converted once by
+    /// [`Chance::new`]: one integer compare instead of a float conversion
+    /// and multiply per draw.
+    pub fn hit(&mut self, c: Chance) -> bool {
+        match c.0 {
+            Chance::NEVER => false,
+            Chance::ALWAYS => true,
+            _ => c.admits(self.next_u64()),
         }
     }
 
@@ -206,6 +246,64 @@ mod tests {
         assert!(r.chance(1.0));
         assert!(!r.chance(-0.5));
         assert!(r.chance(1.5));
+    }
+
+    /// The integer threshold takes the same draws and gives the same
+    /// answers as the float comparison it replaces, edge values included.
+    #[test]
+    fn chance_matches_the_float_comparison() {
+        fn float_chance(r: &mut SimRng, p: f64) -> bool {
+            if p <= 0.0 {
+                false
+            } else if p >= 1.0 {
+                true
+            } else {
+                r.unit() < p
+            }
+        }
+        let one_below = 1.0 - f64::EPSILON / 2.0;
+        let edges = [
+            0.0,
+            -0.0,
+            1e-300,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1.0 / (1u64 << 53) as f64,
+            0.3,
+            0.5,
+            one_below,
+            1.0,
+            1.5,
+            f64::NAN,
+            -0.25,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for seed in 0..32 {
+            let mut a = SimRng::new(seed);
+            let mut b = SimRng::new(seed);
+            let mut draw = SimRng::new(!seed);
+            for i in 0..256 {
+                let p = if i % 4 == 0 {
+                    draw.unit()
+                } else {
+                    edges[draw.below(edges.len())]
+                };
+                assert_eq!(a.chance(p), float_chance(&mut b, p), "seed {seed}, p {p:e}");
+                assert_eq!(a.hit(Chance::new(p)), float_chance(&mut b, p));
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "seed {seed}: streams diverged");
+        }
+        // Raw draws on both sides of each threshold: the integer compare
+        // agrees with `unit() < p` on the exact boundary values.
+        for p in [1e-300, 0.3, 0.5, one_below, f64::NAN] {
+            let c = Chance::new(p);
+            let t = c.0;
+            for x in [0, t.saturating_sub(1), t, t.saturating_add(1), u64::MAX] {
+                let unit = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                assert_eq!(c.admits(x), unit < p, "p {p:e}, x {x:#x}");
+            }
+        }
     }
 
     #[test]

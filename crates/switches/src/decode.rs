@@ -167,7 +167,7 @@ pub(crate) fn resolve_branches(
 /// produces are consistent with the routing tables.
 ///
 /// `mintopo::reach` produces the per-port reachability strings and
-/// `switches` consumes them through [`resolve_branches`]; the two crates
+/// `switches` consumes them through `resolve_branches`; the two crates
 /// agree only by convention. This lint makes the convention checkable: a
 /// synthetic bit-string worm carrying `dests` is decoded at `table`, and
 /// every resulting branch must (a) still be a bit-string header, (b) land
