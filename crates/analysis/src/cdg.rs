@@ -130,29 +130,9 @@ pub struct ChannelGraph {
     pub adj: Vec<Vec<usize>>,
 }
 
-/// A channel-dependency graph whose edge enumeration may have been cut
-/// short by a dependency budget.
-#[derive(Debug, Clone)]
-pub struct BudgetedGraph {
-    /// The (possibly truncated) graph.
-    pub graph: ChannelGraph,
-    /// `false` when enumeration stopped at the budget — the graph is then
-    /// a prefix of the true CDG and cycle detection over it is unsound.
-    pub completed: bool,
-}
-
 /// Builds the channel-dependency graph induced by the LCA routing function
 /// over every worm shape class.
 pub fn build_cdg(topo: &Topology, tables: &RouteTables) -> ChannelGraph {
-    build_cdg_budgeted(topo, tables, usize::MAX).graph
-}
-
-/// Budgeted variant of [`build_cdg`]: stops enumerating once `max_deps`
-/// dependency edges have been collected, reporting honestly whether the
-/// enumeration completed. Channels are always enumerated in full (they
-/// are linear in ports); only the quadratic-in-fanout edge enumeration is
-/// bounded.
-pub fn build_cdg_budgeted(topo: &Topology, tables: &RouteTables, max_deps: usize) -> BudgetedGraph {
     let mut channels: Vec<Channel> = Vec::new();
     // (switch, out port) -> channel index, for edge targets.
     let mut out_index: Vec<Vec<usize>> = Vec::with_capacity(topo.n_switches());
@@ -178,8 +158,7 @@ pub fn build_cdg_budgeted(topo: &Topology, tables: &RouteTables, max_deps: usize
 
     let full = netsim::destset::DestSet::full(tables.n_hosts());
     let mut deps: Vec<Dependency> = Vec::new();
-    let mut completed = true;
-    'enumerate: for (from, ch) in channels.iter().enumerate() {
+    for (from, ch) in channels.iter().enumerate() {
         // Where does this channel land, with what shape class and residual
         // bound? Ejection channels are sinks — the host always drains them.
         let (at, out_of, reach_in) = match *ch {
@@ -217,10 +196,6 @@ pub fn build_cdg_budgeted(topo: &Topology, tables: &RouteTables, max_deps: usize
                 PortClass::Unused => false,
             };
             if feasible {
-                if deps.len() >= max_deps {
-                    completed = false;
-                    break 'enumerate;
-                }
                 deps.push(Dependency {
                     from,
                     to,
@@ -245,13 +220,10 @@ pub fn build_cdg_budgeted(topo: &Topology, tables: &RouteTables, max_deps: usize
         succ.dedup();
     }
 
-    BudgetedGraph {
-        graph: ChannelGraph {
-            channels,
-            deps,
-            adj,
-        },
-        completed,
+    ChannelGraph {
+        channels,
+        deps,
+        adj,
     }
 }
 
@@ -341,26 +313,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn budgeted_build_stops_honestly() {
-        let topo = small_tree();
-        let tables = RouteTables::build(&topo);
-        let unbounded = build_cdg(&topo, &tables);
-        assert!(unbounded.deps.len() > 3);
-
-        let capped = build_cdg_budgeted(&topo, &tables, 3);
-        assert!(!capped.completed);
-        assert_eq!(capped.graph.deps.len(), 3);
-        // The truncated edge list is a prefix of the full enumeration.
-        assert_eq!(&unbounded.deps[..3], &capped.graph.deps[..]);
-        // Channels are never truncated.
-        assert_eq!(capped.graph.channels, unbounded.channels);
-
-        let roomy = build_cdg_budgeted(&topo, &tables, unbounded.deps.len());
-        assert!(roomy.completed);
-        assert_eq!(roomy.graph.deps.len(), unbounded.deps.len());
     }
 
     #[test]

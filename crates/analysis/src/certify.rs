@@ -2,10 +2,12 @@
 //!
 //! The explicit analyzer ([`crate::analyze_fabric`]) proves the paper's
 //! §3 up*/down* argument by *enumerating* the channel-dependency graph and
-//! running Tarjan over it — exact, but whole-fabric: at ROADMAP item-2
-//! sizes (1K–64K endpoints) the enumeration blows past any reasonable
-//! state budget. This module replaces the global argument with a local
-//! one: a [`Certificate`] assigns every channel a **rank** derived from
+//! running Tarjan over it; it is the deadlock gate of config validation
+//! and of the reroute vet. This module checks the same property a second,
+//! independent way, with a local argument instead of a global one, and
+//! over compressed tables, so it also reaches fabrics (the 64K symbolic
+//! tier) where dense route tables cannot be built at all. A
+//! [`Certificate`] assigns every channel a **rank** derived from
 //! the layered up*/down* order, and the checker verifies, per route-table
 //! entry, that every dependency the routing function can induce strictly
 //! descends that rank. Strict descent makes the dependency relation a
@@ -28,9 +30,7 @@
 //! rule is the closed form [`RankRule::KaryStages`] (no per-switch data at
 //! all); for arbitrary topologies it is an explicit ord table. Generator
 //! and checker are deliberately split — the checker trusts nothing but
-//! rank descent, so *any* valid rank assignment proves acyclicity, and a
-//! certificate can be serialized, shipped, and re-checked independently
-//! ([`Certificate::to_text`]/[`Certificate::from_text`]).
+//! rank descent, so *any* valid rank assignment proves acyclicity.
 //!
 //! On acceptance the checker reports the same coverage counters the
 //! explicit analyzer would — every channel is its own SCC in an acyclic
@@ -41,11 +41,9 @@
 
 use crate::cdg::{Channel, Dependency, ShapeClass};
 use crate::destset::{CompactTables, RunSet};
-use crate::report::{AnalysisStats, ConfigReport, CycleReport};
-use crate::roundtrip;
+use crate::report::{ConfigReport, CycleReport};
 use mintopo::karytree::KaryTree;
 use mintopo::reach::PortClass;
-use mintopo::route::{ReplicatePolicy, RouteTables};
 use mintopo::topology::{Attach, Topology};
 use netsim::ids::SwitchId;
 
@@ -191,106 +189,6 @@ impl Certificate {
         }
     }
 
-    /// Serializes the certificate as a small line-oriented text block.
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("mdw-certificate v1\n");
-        out.push_str(&format!("hosts {}\n", self.n_hosts));
-        out.push_str(&format!("switches {}\n", self.n_switches));
-        match &self.rule {
-            RankRule::KaryStages { k, n } => out.push_str(&format!("rule kary {k} {n}\n")),
-            RankRule::Explicit { ord } => {
-                out.push_str("rule explicit\nord");
-                for o in ord {
-                    out.push_str(&format!(" {o}"));
-                }
-                out.push('\n');
-            }
-        }
-        out
-    }
-
-    /// Parses a certificate serialized by [`Certificate::to_text`],
-    /// validating internal consistency (family arithmetic, ord length).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed or inconsistent line.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some("mdw-certificate v1") => {}
-            other => return Err(format!("bad header: {other:?}")),
-        }
-        let mut hosts: Option<usize> = None;
-        let mut switches: Option<usize> = None;
-        let mut rule: Option<RankRule> = None;
-        let mut pending_explicit = false;
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut it = line.split_whitespace();
-            match it.next() {
-                Some("hosts") => {
-                    hosts = Some(parse_field(it.next(), "hosts")?);
-                }
-                Some("switches") => {
-                    switches = Some(parse_field(it.next(), "switches")?);
-                }
-                Some("rule") => match it.next() {
-                    Some("kary") => {
-                        rule = Some(RankRule::KaryStages {
-                            k: parse_field(it.next(), "kary k")?,
-                            n: parse_field(it.next(), "kary n")?,
-                        });
-                    }
-                    Some("explicit") => pending_explicit = true,
-                    other => return Err(format!("unknown rule {other:?}")),
-                },
-                Some("ord") if pending_explicit => {
-                    let ord: Result<Vec<u32>, _> = it.map(|t| t.parse::<u32>()).collect();
-                    rule = Some(RankRule::Explicit {
-                        ord: ord.map_err(|e| format!("bad ord entry: {e}"))?,
-                    });
-                }
-                other => return Err(format!("unknown line {other:?}")),
-            }
-        }
-        let (n_hosts, n_switches) = match (hosts, switches) {
-            (Some(h), Some(s)) => (h, s),
-            _ => return Err("missing hosts/switches line".to_string()),
-        };
-        let rule = rule.ok_or_else(|| "missing rule line".to_string())?;
-        match &rule {
-            RankRule::KaryStages { k, n } => {
-                if *k < 2 || *n < 1 {
-                    return Err(format!("degenerate kary rule k={k} n={n}"));
-                }
-                let expect_hosts = k.checked_pow(*n as u32);
-                if expect_hosts != Some(n_hosts) {
-                    return Err(format!("kary {k}^{n} does not give {n_hosts} hosts"));
-                }
-                if n * (n_hosts / k) != n_switches {
-                    return Err(format!("kary {k},{n} does not give {n_switches} switches"));
-                }
-            }
-            RankRule::Explicit { ord } => {
-                if ord.len() != n_switches {
-                    return Err(format!(
-                        "ord table has {} entries for {n_switches} switches",
-                        ord.len()
-                    ));
-                }
-            }
-        }
-        Ok(Certificate {
-            n_hosts,
-            n_switches,
-            rule,
-        })
-    }
-
     /// Checks every dependency the routing function can induce from
     /// `tables` for strict rank descent. One pass, O(routes) work,
     /// O(channels) memory — no dependency edge is ever stored.
@@ -337,13 +235,6 @@ impl Certificate {
             mismatch: None,
         }
     }
-}
-
-fn parse_field(token: Option<&str>, what: &str) -> Result<usize, String> {
-    token
-        .ok_or_else(|| format!("missing {what}"))?
-        .parse::<usize>()
-        .map_err(|e| format!("bad {what}: {e}"))
 }
 
 /// On-demand dependency enumeration over compressed tables, mirroring
@@ -561,122 +452,11 @@ pub fn certify_fabric(
     }
 }
 
-/// Certificate-backed activation gate for reroute candidates: the drop-in
-/// replacement for [`crate::vet_reroute`] at item-2 fabric sizes.
-///
-/// The structural half (stranded-switch and partition checks) runs over
-/// the compressed encoding, the deadlock half is the O(routes) certificate
-/// check, and the header round-trip lint still exercises the production
-/// decode. Verdicts agree with [`crate::vet_reroute`] on every
-/// honest masked rebuild and on the pathological candidates in the test
-/// suite; the differential tier enforces it.
-///
-/// # Errors
-///
-/// Returns the full report when any error-severity finding exists; the
-/// caller must stay on the old tables and degrade instead of activating.
-pub fn vet_reroute_certified(
-    topo: &Topology,
-    candidate: &RouteTables,
-    policy: ReplicatePolicy,
-    cert: &Certificate,
-) -> Result<AnalysisStats, Box<ConfigReport>> {
-    let compact = CompactTables::from_dense(candidate);
-    let mut report = ConfigReport::new();
-    check_live_switches_compact(topo, &compact, &mut report);
-    check_full_reachability_compact(topo, &compact, &mut report);
-    certify_fabric(cert, topo, &compact, &mut report);
-    roundtrip::lint_roundtrips(candidate, policy, &mut report);
-    if report.has_errors() {
-        Err(Box::new(report))
-    } else {
-        Ok(report.stats)
-    }
-}
-
-/// Compressed-encoding mirror of the stranded-live-switch check in
-/// [`crate::vet_reroute`]: identical verdicts and messages, O(runs) work.
-fn check_live_switches_compact(topo: &Topology, tables: &CompactTables, report: &mut ConfigReport) {
-    for s in 0..topo.n_switches() {
-        let sw = SwitchId::from(s);
-        let hosts: Vec<u32> = (0..topo.ports(sw))
-            .filter_map(|p| match topo.attach(sw, p) {
-                Attach::Host(h) => Some(h.0),
-                _ => None,
-            })
-            .collect();
-        if hosts.is_empty() {
-            continue; // transit switch fully masked off — legitimately dark
-        }
-        let table = tables.table(sw);
-        let routable = (0..table.n_ports()).any(|p| !table.port(p).reach.is_empty());
-        if !routable {
-            report.error(
-                "unreachable-switch",
-                format!(
-                    "switch {s} still has {} attached host(s) ({}) but every port's \
-                     reach string is empty — the CDG is vacuously acyclic there, yet \
-                     any worm injected at the switch can never be routed",
-                    hosts.len(),
-                    hosts
-                        .iter()
-                        .map(|h| format!("h{h}"))
-                        .collect::<Vec<_>>()
-                        .join(","),
-                ),
-            );
-        }
-    }
-}
-
-/// Compressed-encoding mirror of the partition check in
-/// [`crate::vet_reroute`]: instead of probing `try_route_unicast` per
-/// destination (O(N · ports)), the unreachable set is the complement of
-/// the union of the routable port reaches — O(ports · runs) per switch,
-/// same verdicts, same messages.
-fn check_full_reachability_compact(
-    topo: &Topology,
-    tables: &CompactTables,
-    report: &mut ConfigReport,
-) {
-    for s in 0..topo.n_switches() {
-        let sw = SwitchId::from(s);
-        let table = tables.table(sw);
-        let has_hosts = (0..topo.ports(sw)).any(|p| matches!(topo.attach(sw, p), Attach::Host(_)));
-        let live = (0..table.n_ports()).any(|p| !table.port(p).reach.is_empty());
-        if !has_hosts || !live {
-            continue; // transit switch, or fully dark: the liveness check owns the latter
-        }
-        // A destination is routable here iff some Down or Up port's reach
-        // contains it (mirrors `SwitchTable::try_route_unicast`).
-        let mut routable = RunSet::empty(tables.n_hosts());
-        for p in 0..table.n_ports() {
-            let info = table.port(p);
-            if info.class != PortClass::Unused {
-                routable.union_with(&info.reach);
-            }
-        }
-        let unreachable = routable.complement();
-        if !unreachable.is_empty() {
-            let missing: Vec<String> = unreachable.iter().map(|h| format!("h{}", h.0)).collect();
-            report.error(
-                "unreachable-destination",
-                format!(
-                    "switch {s} cannot route to {} host(s) ({}) under the candidate \
-                     tables — the masked fabric is partitioned; the first worm \
-                     addressed there would have no output port",
-                    missing.len(),
-                    missing.join(","),
-                ),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze_fabric, vet_reroute};
+    use crate::{analyze_fabric, roundtrip, vet_reroute};
+    use mintopo::route::{ReplicatePolicy, RouteTables};
     use mintopo::topology::TopologyBuilder;
     use netsim::ids::NodeId;
 
@@ -755,37 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn certificate_text_roundtrips() {
-        let tree = KaryTree::new(4, 3);
-        for cert in [
-            Certificate::for_karytree(&tree),
-            Certificate::for_topology(tree.topology()),
-        ] {
-            let parsed = Certificate::from_text(&cert.to_text()).expect("roundtrip");
-            assert_eq!(parsed, cert);
-        }
-    }
-
-    #[test]
-    fn malformed_certificates_are_rejected() {
-        for (text, why) in [
-            ("", "empty"),
-            ("mdw-certificate v2\n", "bad version"),
-            ("mdw-certificate v1\nhosts 64\nswitches 48\n", "no rule"),
-            (
-                "mdw-certificate v1\nhosts 64\nswitches 48\nrule kary 4 4\n",
-                "family arithmetic",
-            ),
-            (
-                "mdw-certificate v1\nhosts 4\nswitches 3\nrule explicit\nord 0 1\n",
-                "short ord",
-            ),
-        ] {
-            assert!(Certificate::from_text(text).is_err(), "{why}");
-        }
-    }
-
-    #[test]
     fn mismatched_certificate_is_reported_not_panicked() {
         let (tree, _, compact) = karytree_cert_and_tables(2, 2);
         let other = Certificate::for_karytree(&KaryTree::new(2, 3));
@@ -830,8 +579,13 @@ mod tests {
         let candidate = RouteTables::from_tables(vec![mk(0), mk(1)], 2);
 
         let cert = Certificate::for_topology(&topo);
-        let report = vet_reroute_certified(&topo, &candidate, ReplicatePolicy::ReturnOnly, &cert)
-            .expect_err("crossed-down candidate must be rejected");
+        let mut report = ConfigReport::new();
+        certify_fabric(
+            &cert,
+            &topo,
+            &CompactTables::from_dense(&candidate),
+            &mut report,
+        );
         assert!(
             report.errors().any(|d| d.code == "rank-violation"),
             "{:?}",
@@ -850,8 +604,10 @@ mod tests {
         assert!(vet_reroute(&topo, &candidate, ReplicatePolicy::ReturnOnly).is_err());
     }
 
+    /// The certificate over a masked rebuild's compressed tables reaches
+    /// the explicit CDG's verdict and counters on the same tables.
     #[test]
-    fn certified_gate_agrees_with_explicit_gate_on_masked_rebuilds() {
+    fn certificate_agrees_with_explicit_cdg_on_masked_rebuilds() {
         let tree = KaryTree::new(2, 3);
         let topo = tree.topology();
         let cert = Certificate::for_karytree(&tree);
@@ -863,36 +619,34 @@ mod tests {
         ];
         for dead in masks {
             let candidate = RouteTables::build_masked(topo, &dead);
-            let explicit = vet_reroute(topo, &candidate, ReplicatePolicy::ReturnOnly);
-            let certified =
-                vet_reroute_certified(topo, &candidate, ReplicatePolicy::ReturnOnly, &cert);
-            match (&explicit, &certified) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "stats must agree for {dead:?}"),
-                (Err(_), Err(_)) => {}
-                _ => panic!("gate verdicts disagree for {dead:?}: {explicit:?} vs {certified:?}"),
-            }
+            let mut explicit = ConfigReport::new();
+            analyze_fabric(topo, &candidate, ReplicatePolicy::ReturnOnly, &mut explicit);
+            let mut certified = ConfigReport::new();
+            certify_fabric(
+                &cert,
+                topo,
+                &CompactTables::from_dense(&candidate),
+                &mut certified,
+            );
+            assert!(
+                !explicit.errors().any(|d| d.code == "cdg-cycle"),
+                "{dead:?}: {:?}",
+                explicit.diagnostics
+            );
+            assert!(
+                !certified.has_errors(),
+                "{dead:?}: {:?}",
+                certified.diagnostics
+            );
+            assert_eq!(
+                certified.stats.channels, explicit.stats.channels,
+                "{dead:?}"
+            );
+            assert_eq!(
+                certified.stats.dependencies, explicit.stats.dependencies,
+                "{dead:?}"
+            );
+            assert_eq!(certified.stats.sccs, explicit.stats.sccs, "{dead:?}");
         }
-    }
-
-    #[test]
-    fn partitioning_mask_rejected_by_certified_gate_too() {
-        let tree = KaryTree::new(2, 2);
-        let topo = tree.topology();
-        let cert = Certificate::for_karytree(&tree);
-        // Kill both up links out of stage-0 switch 0 — hosts 0/1 still
-        // inject there but can no longer reach hosts 2/3 anywhere.
-        let s = tree.switch_at(0, 0);
-        let u0 = tree.switch_at(1, 0);
-        let u1 = tree.switch_at(1, 1);
-        let candidate = RouteTables::build_masked(topo, &[(s, 2), (s, 3), (u0, 0), (u1, 0)]);
-        let report = vet_reroute_certified(topo, &candidate, ReplicatePolicy::ReturnOnly, &cert)
-            .expect_err("partitioning mask must be rejected");
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.code == "unreachable-destination"),
-            "{report:?}"
-        );
     }
 }

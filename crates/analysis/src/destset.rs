@@ -9,19 +9,17 @@
 //! stores destination sets as sorted disjoint half-open **runs** and keeps
 //! every analysis operation O(runs) instead of O(N).
 //!
-//! [`RunSet`] is exact — [`RunSet::from_dense`]/[`RunSet::to_dense`]
-//! round-trip bit for bit, which the property tests enforce on random
-//! sets — and [`CompactTables`] mirrors `mintopo::reach`'s dense table
-//! builders (including the masked rebuild used by reroutes) over the
-//! compressed encoding, plus an O(1)-per-port symbolic builder for the
-//! k-ary n-tree family that never materializes a dense string at all.
+//! [`RunSet`] is exact — [`RunSet::from_dense`] keeps every bit, which
+//! the unit tests enforce on random sets — and [`CompactTables`] holds
+//! either an exact compression of dense route tables or the O(1)-per-port
+//! symbolic tables of the k-ary n-tree family, which never materialize a
+//! dense string at all.
 
 use mintopo::karytree::KaryTree;
 use mintopo::reach::PortClass;
 use mintopo::route::RouteTables;
-use mintopo::topology::{Attach, Topology};
 use netsim::destset::DestSet;
-use netsim::ids::{NodeId, SwitchId};
+use netsim::ids::SwitchId;
 
 /// A destination set over hosts `0..universe`, stored as sorted, disjoint,
 /// non-adjacent half-open runs `[start, end)`.
@@ -46,15 +44,6 @@ impl RunSet {
     /// The full set over `len` hosts.
     pub fn full(len: usize) -> Self {
         RunSet::interval(len, 0, len)
-    }
-
-    /// The singleton `{node}` over `len` hosts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is outside the universe.
-    pub fn singleton(len: usize, node: NodeId) -> Self {
-        RunSet::interval(len, node.index(), node.index() + 1)
     }
 
     /// The half-open interval `[lo, hi)` over `len` hosts (empty when
@@ -90,51 +79,9 @@ impl RunSet {
         }
     }
 
-    /// Exact expansion back to the dense bit-string encoding.
-    pub fn to_dense(&self) -> DestSet {
-        let mut d = DestSet::empty(self.len);
-        for &(lo, hi) in &self.runs {
-            for i in lo..hi {
-                d.insert(NodeId(i));
-            }
-        }
-        d
-    }
-
-    /// Number of addressable hosts (the dense string length `N`).
-    pub fn universe(&self) -> usize {
-        self.len
-    }
-
-    /// Number of runs in the compressed representation.
-    pub fn n_runs(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Number of hosts in the set.
-    pub fn count(&self) -> usize {
-        self.runs.iter().map(|&(lo, hi)| (hi - lo) as usize).sum()
-    }
-
     /// `true` when no host is in the set.
     pub fn is_empty(&self) -> bool {
         self.runs.is_empty()
-    }
-
-    /// `true` when `node` is in the set.
-    pub fn contains(&self, node: NodeId) -> bool {
-        let i = node.index() as u32;
-        self.runs
-            .binary_search_by(|&(lo, hi)| {
-                if i < lo {
-                    std::cmp::Ordering::Greater
-                } else if i >= hi {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            })
-            .is_ok()
     }
 
     /// `true` when the two sets share at least one host.
@@ -156,30 +103,6 @@ impl RunSet {
             }
         }
         false
-    }
-
-    /// `true` when every host of `self` is in `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ (mirrors the dense encoding).
-    pub fn is_subset_of(&self, other: &RunSet) -> bool {
-        self.check_universe(other);
-        let mut b = other.runs.iter().peekable();
-        'outer: for &(alo, ahi) in &self.runs {
-            while let Some(&&(blo, bhi)) = b.peek() {
-                if bhi <= alo {
-                    b.next();
-                    continue;
-                }
-                if blo <= alo && ahi <= bhi {
-                    continue 'outer;
-                }
-                return false;
-            }
-            return false;
-        }
-        true
     }
 
     /// Adds every host of `other` to `self`.
@@ -222,30 +145,6 @@ impl RunSet {
             push(&mut merged, next);
         }
         self.runs = merged;
-    }
-
-    /// The hosts *not* in the set: the complement over the universe.
-    pub fn complement(&self) -> RunSet {
-        let mut runs = Vec::with_capacity(self.runs.len() + 1);
-        let mut cursor = 0u32;
-        for &(lo, hi) in &self.runs {
-            if cursor < lo {
-                runs.push((cursor, lo));
-            }
-            cursor = hi;
-        }
-        if (cursor as usize) < self.len {
-            runs.push((cursor, self.len as u32));
-        }
-        RunSet {
-            len: self.len,
-            runs,
-        }
-    }
-
-    /// Iterates the hosts of the set in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.runs.iter().flat_map(|&(lo, hi)| (lo..hi).map(NodeId))
     }
 
     fn check_universe(&self, other: &RunSet) {
@@ -339,129 +238,6 @@ impl CompactTables {
         }
     }
 
-    /// Derives compressed tables from an arbitrary topology: the
-    /// run-encoded mirror of [`mintopo::reach::build_port_info`] (one
-    /// deepest-first pass; up ports optimistically reach every host).
-    pub fn build(topo: &Topology) -> Self {
-        CompactTables::build_inner(topo, &[], false)
-    }
-
-    /// Derives compressed tables with dead directed output ports masked
-    /// out and **exact** up-port reach sets: the run-encoded mirror of
-    /// [`mintopo::reach::build_port_info_masked`].
-    pub fn build_masked(topo: &Topology, dead: &[(SwitchId, usize)]) -> Self {
-        CompactTables::build_inner(topo, dead, true)
-    }
-
-    fn build_inner(topo: &Topology, dead: &[(SwitchId, usize)], exact_up: bool) -> Self {
-        let n = topo.n_hosts();
-        let n_sw = topo.n_switches();
-        let dead: std::collections::BTreeSet<(usize, usize)> =
-            dead.iter().map(|&(sw, p)| (sw.index(), p)).collect();
-
-        let mut eject_at = vec![Vec::new(); n_sw];
-        for h in 0..n {
-            let node = NodeId::from(h);
-            let (sw, port) = topo.host_eject(node);
-            eject_at[sw.index()].push((port, node));
-        }
-
-        // Downward pass, deepest-first: every down-neighbor's cone is
-        // already known (down-hops strictly increase (depth, id)).
-        let mut down_order: Vec<usize> = (0..n_sw).collect();
-        down_order.sort_by_key(|&s| {
-            (
-                std::cmp::Reverse(topo.depth(SwitchId::from(s))),
-                std::cmp::Reverse(s),
-            )
-        });
-
-        let mut cone: Vec<RunSet> = vec![RunSet::empty(n); n_sw];
-        let mut info: Vec<Vec<CompactPort>> = (0..n_sw)
-            .map(|s| {
-                (0..topo.ports(SwitchId::from(s)))
-                    .map(|_| CompactPort {
-                        class: PortClass::Unused,
-                        reach: RunSet::empty(n),
-                    })
-                    .collect()
-            })
-            .collect();
-
-        for &s in &down_order {
-            let sw = SwitchId::from(s);
-            let mut my_cone = RunSet::empty(n);
-            for (port, node) in &eject_at[s] {
-                if dead.contains(&(s, *port)) {
-                    continue;
-                }
-                let reach = RunSet::singleton(n, *node);
-                my_cone.union_with(&reach);
-                info[s][*port] = CompactPort {
-                    class: PortClass::Down,
-                    reach,
-                };
-            }
-            for (port, slot) in info[s].iter_mut().enumerate() {
-                if dead.contains(&(s, port)) {
-                    continue;
-                }
-                match topo.attach(sw, port) {
-                    Attach::Switch(other, _) if topo.is_down_hop(sw, port) => {
-                        let reach = cone[other.index()].clone();
-                        my_cone.union_with(&reach);
-                        *slot = CompactPort {
-                            class: PortClass::Down,
-                            reach,
-                        };
-                    }
-                    Attach::Switch(..) => {
-                        *slot = CompactPort {
-                            class: PortClass::Up,
-                            reach: if exact_up {
-                                RunSet::empty(n) // exact reach from the up pass
-                            } else {
-                                RunSet::full(n)
-                            },
-                        };
-                    }
-                    Attach::Host(_) | Attach::Unused => {}
-                }
-            }
-            cone[s] = my_cone;
-        }
-
-        if exact_up {
-            // Upward pass, shallowest-first: R(s) = cone(s) ∪ ⋃ R(up-nbrs).
-            let mut up_order: Vec<usize> = (0..n_sw).collect();
-            up_order.sort_by_key(|&s| (topo.depth(SwitchId::from(s)), s));
-            let mut up_reach: Vec<RunSet> = vec![RunSet::empty(n); n_sw];
-            for &s in &up_order {
-                let sw = SwitchId::from(s);
-                let mut r = cone[s].clone();
-                for (port, slot) in info[s].iter_mut().enumerate() {
-                    if slot.class != PortClass::Up {
-                        continue;
-                    }
-                    if let Attach::Switch(other, _) = topo.attach(sw, port) {
-                        let reach = up_reach[other.index()].clone();
-                        r.union_with(&reach);
-                        slot.reach = reach;
-                    }
-                }
-                up_reach[s] = r;
-            }
-        }
-
-        CompactTables {
-            tables: info
-                .into_iter()
-                .map(|ports| CompactTable::from_ports(ports, n))
-                .collect(),
-            n_hosts: n,
-        }
-    }
-
     /// Symbolic builder for the k-ary n-tree family: every reach set is a
     /// single closed-form interval
     /// ([`KaryTree::down_port_interval`]), so the whole fabric's tables
@@ -522,12 +298,32 @@ impl CompactTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::ids::NodeId;
+    use netsim::rng::SimRng;
 
     fn rs(len: usize, bits: &[usize]) -> RunSet {
         RunSet::from_dense(&DestSet::from_nodes(
             len,
             bits.iter().map(|&b| NodeId::from(b)),
         ))
+    }
+
+    /// Expands the runs back to the dense bit-string encoding.
+    fn dense(r: &RunSet) -> DestSet {
+        DestSet::from_nodes(
+            r.len,
+            r.runs.iter().flat_map(|&(lo, hi)| (lo..hi).map(NodeId)),
+        )
+    }
+
+    /// The runs are sorted, disjoint, non-adjacent and inside the universe.
+    fn assert_normalized(r: &RunSet) {
+        for w in r.runs.windows(2) {
+            assert!(w[0].1 < w[1].0, "{r:?}");
+        }
+        for &(lo, hi) in &r.runs {
+            assert!(lo < hi && hi as usize <= r.len, "{r:?}");
+        }
     }
 
     #[test]
@@ -542,31 +338,43 @@ mod tests {
         ] {
             let d = DestSet::from_nodes(8, bits.iter().map(|&b| NodeId::from(b)));
             let r = RunSet::from_dense(&d);
-            assert_eq!(r.to_dense(), d, "{bits:?}");
-            assert_eq!(r.count(), d.count());
+            assert_normalized(&r);
+            assert_eq!(dense(&r), d, "{bits:?}");
             assert_eq!(r.is_empty(), d.is_empty());
+        }
+    }
+
+    /// Run-length compression of random dense strings is exact: every set
+    /// round-trips `dense → runs → dense` bit-identically, in normalized
+    /// runs, never more runs than members.
+    #[test]
+    fn random_dense_sets_compress_exactly() {
+        for case in 0..24 {
+            let mut r = SimRng::new(0xA11A_5EED ^ 7).fork(case);
+            let hosts = 2 + r.below(400);
+            let src = NodeId(r.below(hosts) as u32);
+            let size = 1 + r.below(hosts - 1);
+            let d = r.dest_set(hosts, size, src);
+            let runs = RunSet::from_dense(&d);
+            assert_normalized(&runs);
+            assert_eq!(dense(&runs), d, "case {case} ({hosts} hosts)");
+            assert!(runs.runs.len() <= d.count(), "case {case}");
+        }
+        // The degenerate shapes the sampler can't hit.
+        for hosts in [1usize, 2, 64, 65] {
+            assert_eq!(dense(&RunSet::empty(hosts)).count(), 0);
+            let full = RunSet::full(hosts);
+            assert_eq!(dense(&full).count(), hosts);
+            assert_eq!(full.runs.len(), 1, "consecutive bits coalesce to one run");
         }
     }
 
     #[test]
     fn runs_coalesce_adjacent_bits() {
         let r = rs(10, &[2, 3, 4, 7, 8]);
-        assert_eq!(r.n_runs(), 2);
-        assert_eq!(RunSet::full(10).n_runs(), 1);
-        assert_eq!(RunSet::empty(10).n_runs(), 0);
-    }
-
-    #[test]
-    fn contains_matches_dense() {
-        let r = rs(16, &[0, 3, 4, 5, 9, 15]);
-        let d = r.to_dense();
-        for h in 0..16usize {
-            assert_eq!(
-                r.contains(NodeId::from(h)),
-                d.contains(NodeId::from(h)),
-                "{h}"
-            );
-        }
+        assert_eq!(r.runs.len(), 2);
+        assert_eq!(RunSet::full(10).runs.len(), 1);
+        assert_eq!(RunSet::empty(10).runs.len(), 0);
     }
 
     #[test]
@@ -580,26 +388,15 @@ mod tests {
         ];
         for a in &sets {
             for b in &sets {
-                let (da, db) = (a.to_dense(), b.to_dense());
+                let (da, db) = (dense(a), dense(b));
                 assert_eq!(a.intersects(b), da.intersects(&db), "{a:?} ∩ {b:?}");
-                assert_eq!(a.is_subset_of(b), da.is_subset_of(&db), "{a:?} ⊆ {b:?}");
                 let mut u = a.clone();
                 u.union_with(b);
+                assert_normalized(&u);
                 let mut du = da.clone();
                 du.union_with(&db);
-                assert_eq!(u.to_dense(), du, "{a:?} ∪ {b:?}");
+                assert_eq!(dense(&u), du, "{a:?} ∪ {b:?}");
             }
-        }
-    }
-
-    #[test]
-    fn complement_partitions_the_universe() {
-        for r in [rs(9, &[]), rs(9, &[0, 4, 5, 8]), RunSet::full(9)] {
-            let c = r.complement();
-            assert!(!r.intersects(&c) || r.is_empty() || c.is_empty());
-            let mut all = r.clone();
-            all.union_with(&c);
-            assert_eq!(all, RunSet::full(9), "{r:?}");
         }
     }
 
@@ -615,57 +412,32 @@ mod tests {
         let _ = RunSet::full(4).intersects(&RunSet::full(8));
     }
 
-    /// The three compact builders agree with the dense ones, table for
+    /// Both compact builders agree with the dense tables, table for
     /// table, on a real tree.
     #[test]
     fn compact_builders_mirror_dense() {
         let tree = KaryTree::new(3, 2);
-        let topo = tree.topology();
-        let dense = RouteTables::build(topo);
+        let dense_tables = RouteTables::build(tree.topology());
         for compact in [
-            CompactTables::from_dense(&dense),
-            CompactTables::build(topo),
+            CompactTables::from_dense(&dense_tables),
             CompactTables::for_karytree(&tree),
         ] {
-            assert_eq!(compact.n_switches(), dense.n_switches());
-            for s in 0..dense.n_switches() {
+            assert_eq!(compact.n_switches(), dense_tables.n_switches());
+            for s in 0..dense_tables.n_switches() {
                 let (ct, dt) = (
                     compact.table(SwitchId::from(s)),
-                    dense.table(SwitchId::from(s)),
+                    dense_tables.table(SwitchId::from(s)),
                 );
                 assert_eq!(ct.n_ports(), dt.n_ports(), "switch {s}");
-                assert_eq!(ct.down_union().to_dense(), *dt.down_union(), "switch {s}");
+                assert_eq!(dense(ct.down_union()), *dt.down_union(), "switch {s}");
                 for p in 0..dt.n_ports() {
                     assert_eq!(ct.port(p).class, dt.port(p).class, "switch {s} port {p}");
                     assert_eq!(
-                        ct.port(p).reach.to_dense(),
+                        dense(&ct.port(p).reach),
                         dt.port(p).reach,
                         "switch {s} port {p}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn masked_compact_build_mirrors_dense_masked() {
-        let tree = KaryTree::new(2, 3);
-        let topo = tree.topology();
-        let dead = [(tree.switch_at(0, 0), 2), (tree.switch_at(1, 0), 0)];
-        let dense = RouteTables::build_masked(topo, &dead);
-        let compact = CompactTables::build_masked(topo, &dead);
-        for s in 0..dense.n_switches() {
-            let (ct, dt) = (
-                compact.table(SwitchId::from(s)),
-                dense.table(SwitchId::from(s)),
-            );
-            for p in 0..dt.n_ports() {
-                assert_eq!(ct.port(p).class, dt.port(p).class, "switch {s} port {p}");
-                assert_eq!(
-                    ct.port(p).reach.to_dense(),
-                    dt.port(p).reach,
-                    "switch {s} port {p}"
-                );
             }
         }
     }
@@ -677,9 +449,9 @@ mod tests {
         for s in 0..compact.n_switches() {
             let t = compact.table(SwitchId::from(s));
             for p in 0..t.n_ports() {
-                assert!(t.port(p).reach.n_runs() <= 1, "switch {s} port {p}");
+                assert!(t.port(p).reach.runs.len() <= 1, "switch {s} port {p}");
             }
-            assert!(t.down_union().n_runs() <= 1, "switch {s}");
+            assert!(t.down_union().runs.len() <= 1, "switch {s}");
         }
     }
 }

@@ -41,8 +41,8 @@ pub mod roundtrip;
 pub mod scc;
 pub mod timing;
 
-pub use cdg::{build_cdg, build_cdg_budgeted, Channel, ChannelGraph, Dependency, ShapeClass};
-pub use certify::{certify_fabric, vet_reroute_certified, Certificate, CertifyOutcome, RankRule};
+pub use cdg::{build_cdg, Channel, ChannelGraph, Dependency, ShapeClass};
+pub use certify::{certify_fabric, Certificate, CertifyOutcome, RankRule};
 pub use checks::{switch_sizing, ArchClass};
 pub use destset::{CompactPort, CompactTable, CompactTables, RunSet};
 pub use json::Json;
@@ -74,44 +74,9 @@ pub fn analyze_fabric(
     policy: ReplicatePolicy,
     report: &mut ConfigReport,
 ) {
-    analyze_fabric_budgeted(topo, tables, policy, usize::MAX, report);
-}
-
-/// Budget-bounded variant of [`analyze_fabric`] for fabrics where full CDG
-/// enumeration is not affordable: stops after `max_deps` dependency edges.
-///
-/// When the budget is exhausted the truncated graph is a *prefix* of the
-/// true CDG, so cycle detection over it would be unsound — it is skipped,
-/// a `cdg-budget-exhausted` warning records the truncation honestly, and
-/// the deadlock verdict must come from a certificate check
-/// ([`certify::certify_fabric`]) instead. The header round-trip lint is
-/// independent of the CDG and runs either way. Returns whether the
-/// enumeration completed.
-pub fn analyze_fabric_budgeted(
-    topo: &Topology,
-    tables: &RouteTables,
-    policy: ReplicatePolicy,
-    max_deps: usize,
-    report: &mut ConfigReport,
-) -> bool {
-    let budgeted = build_cdg_budgeted(topo, tables, max_deps);
-    let graph = &budgeted.graph;
+    let graph = build_cdg(topo, tables);
     report.stats.channels = graph.channels.len();
     report.stats.dependencies = graph.deps.len();
-
-    if !budgeted.completed {
-        report.warning(
-            "cdg-budget-exhausted",
-            format!(
-                "explicit CDG enumeration stopped at its budget of {max_deps} \
-                 dependency edges ({} channels) — cycle detection skipped; the \
-                 deadlock verdict must come from the certificate checker",
-                graph.channels.len()
-            ),
-        );
-        roundtrip::lint_roundtrips(tables, policy, report);
-        return false;
-    }
 
     let sccs = scc::tarjan_sccs(graph.channels.len(), &graph.adj);
     report.stats.sccs = sccs.len();
@@ -151,7 +116,6 @@ pub fn analyze_fabric_budgeted(
     }
 
     roundtrip::lint_roundtrips(tables, policy, report);
-    true
 }
 
 /// Activation gate for online reroute candidates (DESIGN.md §10): runs the

@@ -130,8 +130,8 @@ impl Samples {
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct VetStats {
     /// Per-invocation durations of the structural vet
-    /// ([`crate::vet_reroute`] or [`crate::vet_reroute_certified`]), in
-    /// nanoseconds.
+    /// ([`crate::vet_reroute`]: the explicit CDG, liveness, reachability
+    /// and header round-trips), in nanoseconds.
     pub structural_ns: Samples,
     /// Per-invocation durations of the behavioral vet
     /// ([`crate::check_model_opts`]), in nanoseconds. With memoization this

@@ -104,57 +104,16 @@ fn random_scenarios_agree_between_oracle_and_compositional_checker() {
     }
 }
 
-/// Run-length compression of dense destination strings is exact: every
-/// random set round-trips `dense → runs → dense` bit-identically, with
-/// universe, cardinality, and membership preserved — and never needs
-/// more runs than members.
-#[test]
-fn runset_compression_roundtrips_dense_sets_exactly() {
-    for case in 0..CASES {
-        let mut r = case_rng(7, case);
-        let hosts = 2 + r.below(400);
-        let src = NodeId(r.below(hosts) as u32);
-        let size = 1 + r.below(hosts - 1);
-        let dense = r.dest_set(hosts, size, src);
-        let runs = RunSet::from_dense(&dense);
-        assert_eq!(runs.to_dense(), dense, "case {case} ({hosts} hosts)");
-        assert_eq!(runs.universe(), hosts, "case {case}");
-        assert_eq!(runs.count(), dense.count(), "case {case}");
-        assert!(runs.n_runs() <= runs.count(), "case {case}");
-        for h in 0..hosts {
-            let node = NodeId(h as u32);
-            assert_eq!(
-                runs.contains(node),
-                dense.contains(node),
-                "case {case}, host {h}"
-            );
-        }
-    }
-    // The degenerate shapes the sampler can't hit.
-    for hosts in [1usize, 2, 64, 65] {
-        let empty = RunSet::empty(hosts);
-        assert_eq!(empty.to_dense().count(), 0);
-        let full = RunSet::full(hosts);
-        assert_eq!(full.to_dense().count(), hosts);
-        assert_eq!(full.n_runs(), 1, "consecutive bits coalesce to one run");
-    }
-}
-
 /// Compressed routing tables are an exact mirror of the dense ones on
 /// random shapes of all three topology classes: every port's run-encoded
-/// reach set expands back to the dense bit-string, classes and port
-/// order preserved, and deriving compact tables straight from the
-/// topology equals compressing the dense build.
+/// reach set is the compression of the dense bit-string, classes and
+/// port order preserved, and on k-ary trees the symbolic tables equal
+/// the compressed dense build.
 #[test]
 fn compact_tables_mirror_dense_tables_exactly() {
-    fn check(topo: &Topology, case: u64) {
+    fn check(topo: &Topology, case: u64) -> CompactTables {
         let dense = RouteTables::build(topo);
         let compact = CompactTables::from_dense(&dense);
-        assert_eq!(
-            compact,
-            CompactTables::build(topo),
-            "case {case}: direct derivation must equal dense compression"
-        );
         assert_eq!(compact.n_hosts(), dense.n_hosts());
         for s in 0..dense.n_switches() {
             let sw = SwitchId::from(s);
@@ -164,18 +123,24 @@ fn compact_tables_mirror_dense_tables_exactly() {
                 let (dp, cp) = (d.port(p), c.port(p));
                 assert_eq!(dp.class, cp.class, "case {case}, switch {s} port {p}");
                 assert_eq!(
-                    cp.reach.to_dense(),
-                    dp.reach,
+                    cp.reach,
+                    RunSet::from_dense(&dp.reach),
                     "case {case}, switch {s} port {p}"
                 );
             }
         }
+        compact
     }
     for case in 0..CASES {
         let mut r = case_rng(8, case);
         let (k, n) = karytree_params(&mut r);
         let seed = r.below(500) as u64;
-        check(KaryTree::new(k, n).topology(), case);
+        let tree = KaryTree::new(k, n);
+        assert_eq!(
+            check(tree.topology(), case),
+            CompactTables::for_karytree(&tree),
+            "case {case}: symbolic derivation must equal dense compression"
+        );
         check(UniMin::new(2 + (k % 3), 2 + (n % 2)).topology(), case);
         check(Irregular::new(6, 8, 12, 3, seed).unwrap().topology(), case);
     }

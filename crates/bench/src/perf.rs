@@ -79,10 +79,10 @@ pub struct BenchReport {
 
 /// One fabric tier of the deadlock-verdict benchmark: the O(routes)
 /// rank-certificate checker over compressed reach sets against the
-/// explicit channel-dependency-graph analysis, bounded at the default
-/// `certify.cdg_budget` (DESIGN.md §16). At the 64K tier dense routing
-/// tables are infeasible (gigabytes of bit-strings), so only the
-/// symbolic compact path runs and the explicit columns record the skip.
+/// explicit channel-dependency-graph analysis (DESIGN.md §16). At the
+/// 64K tier dense routing tables are infeasible (gigabytes of
+/// bit-strings), so only the symbolic compact path runs and the explicit
+/// columns record the skip.
 #[derive(Debug, Clone)]
 pub struct CertifyBench {
     /// Host count of the fabric (`k^n` for the k-ary n-tree tier).
@@ -99,24 +99,18 @@ pub struct CertifyBench {
     /// Wall time of the certificate path (table compression + descent
     /// check), seconds.
     pub certify_secs: f64,
-    /// Dependency-edge budget the explicit enumeration ran under (0
-    /// when it was not attempted).
-    pub explicit_budget: usize,
-    /// Dependency edges the explicit enumeration actually built (0 when
-    /// it was not attempted).
+    /// Dependency edges the explicit enumeration built (0 when it did
+    /// not run).
     pub explicit_deps: usize,
-    /// The explicit enumeration finished inside its budget.
-    pub explicit_completed: bool,
-    /// The explicit analysis accepted the fabric (meaningful only when
-    /// it completed).
+    /// The explicit analysis accepted the fabric (`false` when it did
+    /// not run).
     pub explicit_ok: bool,
-    /// Wall time of the explicit path, seconds (0 when not attempted).
+    /// Wall time of the explicit path, seconds (0 when it did not run).
     pub explicit_secs: f64,
-    /// Dense per-port destination bit-strings fit in memory at this
-    /// tier; `false` = the symbolic compact path only, no explicit CDG.
+    /// The explicit pass ran: dense per-port destination bit-strings fit
+    /// in memory at this tier; `false` = the symbolic compact path only.
     pub dense_feasible: bool,
-    /// Certificate and explicit verdicts agree wherever both were
-    /// reached (vacuously true past the explicit path's budget).
+    /// Certificate and explicit verdicts agree wherever both ran.
     pub verdicts_agree: bool,
 }
 
@@ -216,9 +210,7 @@ impl BenchReport {
                 ("dependencies", Json::raw(c.dependencies)),
                 ("certify_ok", Json::raw(c.certify_ok)),
                 ("certify_secs", secs(c.certify_secs)),
-                ("explicit_budget", Json::raw(c.explicit_budget)),
                 ("explicit_deps", Json::raw(c.explicit_deps)),
-                ("explicit_completed", Json::raw(c.explicit_completed)),
                 ("explicit_ok", Json::raw(c.explicit_ok)),
                 ("explicit_secs", secs(c.explicit_secs)),
                 ("dense_feasible", Json::raw(c.dense_feasible)),
@@ -489,12 +481,10 @@ pub fn bench_model_check() -> Vec<ModelCheckBench> {
 }
 
 /// Times both deadlock-verdict paths (DESIGN.md §16) at three fat-tree
-/// tiers: 64 hosts (explicit CDG completes, the verdicts must agree),
-/// 4096 hosts (the explicit pass is *expected* to exhaust the default
-/// `certify.cdg_budget` — recorded honestly, the certificate carries
-/// the verdict), and 65 536 hosts, where dense destination bit-strings
-/// would need gigabytes, so the tier runs only the symbolic compact
-/// path (`dense_feasible: false`).
+/// tiers: 64 and 4096 hosts, where both paths run and the verdicts must
+/// agree, and 65 536 hosts, where dense destination bit-strings would
+/// need gigabytes, so the tier runs only the symbolic compact path
+/// (`dense_feasible: false`).
 pub fn bench_certify() -> Vec<CertifyBench> {
     vec![
         certify_dense_tier(4, 3),
@@ -518,9 +508,7 @@ fn certify_dense_tier(k: usize, n: usize) -> CertifyBench {
         dependencies: cmp.dependencies,
         certify_ok: cmp.certify_ok,
         certify_secs: cmp.certify_secs,
-        explicit_budget: cmp.explicit_budget,
         explicit_deps: cmp.explicit_deps,
-        explicit_completed: cmp.explicit_completed,
         explicit_ok: cmp.explicit_ok,
         explicit_secs: cmp.explicit_secs,
         dense_feasible: true,
@@ -549,9 +537,7 @@ fn certify_symbolic_tier(k: usize, n: usize) -> CertifyBench {
         dependencies: out.dependencies,
         certify_ok: out.mismatch.is_none() && out.violations.is_empty(),
         certify_secs,
-        explicit_budget: 0,
         explicit_deps: 0,
-        explicit_completed: false,
         explicit_ok: false,
         explicit_secs: 0.0,
         dense_feasible: false,
@@ -681,9 +667,7 @@ mod tests {
                 dependencies: 5_242_880,
                 certify_ok: true,
                 certify_secs: 0.42,
-                explicit_budget: 0,
                 explicit_deps: 0,
-                explicit_completed: false,
                 explicit_ok: false,
                 explicit_secs: 0.0,
                 dense_feasible: false,
@@ -718,7 +702,7 @@ mod tests {
     {"arch": "CB", "switches": 16, "oracle_states": 50000, "oracle_completed": false, "oracle_secs": 1.250, "compositional_states": 500, "compositional_secs": 0.010}
   ],
   "bench_certify": [
-    {"hosts": 65536, "switches": 131072, "channels": 1310720, "dependencies": 5242880, "certify_ok": true, "certify_secs": 0.420, "explicit_budget": 0, "explicit_deps": 0, "explicit_completed": false, "explicit_ok": false, "explicit_secs": 0.000, "dense_feasible": false, "verdicts_agree": true}
+    {"hosts": 65536, "switches": 131072, "channels": 1310720, "dependencies": 5242880, "certify_ok": true, "certify_secs": 0.420, "explicit_deps": 0, "explicit_ok": false, "explicit_secs": 0.000, "dense_feasible": false, "verdicts_agree": true}
   ]
 }
 "#;
@@ -733,13 +717,13 @@ mod tests {
     fn certify_tiers_agree_where_both_paths_reach() {
         let dense = certify_dense_tier(4, 3);
         assert!(dense.dense_feasible && dense.certify_ok, "{dense:?}");
-        assert!(dense.explicit_completed && dense.explicit_ok, "{dense:?}");
+        assert!(dense.explicit_ok, "{dense:?}");
         assert!(dense.verdicts_agree, "{dense:?}");
         assert_eq!((dense.hosts, dense.switches), (64, 48));
 
         let sym = certify_symbolic_tier(4, 3);
         assert!(!sym.dense_feasible && sym.certify_ok, "{sym:?}");
-        assert_eq!(sym.explicit_budget, 0, "explicit path never attempted");
+        assert_eq!(sym.explicit_deps, 0, "explicit path never attempted");
         assert_eq!(
             (sym.channels, sym.dependencies),
             (dense.channels, dense.dependencies),

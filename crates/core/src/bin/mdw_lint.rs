@@ -42,15 +42,12 @@
 //! * `--model-stats` — one JSON line per config with the verdict, state
 //!   and transition counts and wall time.
 //!
-//! `--certify` runs *both* deadlock-verdict paths over each statically
-//! sound config — the O(routes) rank-certificate checker
-//! (`mdw_analysis::certify`, DESIGN.md §16) and the explicit CDG
-//! analysis bounded at the config's `certify.cdg_budget` — and fails the
-//! lint if the certificate rejects the fabric or the two verdicts
-//! disagree where the explicit pass completed. The per-config line
-//! reports both wall times, so the certificate's advantage at 4K+
-//! endpoints (where explicit enumeration exhausts its budget) is visible
-//! directly.
+//! The deadlock verdict of every lint is the explicit channel-dependency
+//! graph's. `--certify` cross-checks it over each statically sound
+//! config with the independent O(routes) rank-certificate checker
+//! (`mdw_analysis::certify`, DESIGN.md §16), and fails the lint if the
+//! certificate rejects the fabric or the two verdicts disagree. The
+//! per-config line reports both wall times.
 
 use mdw_analysis::{
     check_model_opts, ArchClass, CheckOutcome, Json, ModelBounds, ModelMode, ModelOptions,
@@ -166,23 +163,11 @@ fn main() {
             // Statically broken configs already fail the lint; sound ones
             // get both deadlock-verdict paths, timed.
             let cmp = cfg.certify_comparison();
-            let explicit_part = if cmp.explicit_completed {
-                format!(
-                    "explicit CDG {} in {:.3}s",
-                    if cmp.explicit_ok {
-                        "agreed"
-                    } else {
-                        "disagreed"
-                    },
-                    cmp.explicit_secs
-                )
-            } else {
-                format!(
-                    "explicit CDG budget-exhausted at {}/{} dependencies \
-                     after {:.3}s — certificate carries the verdict",
-                    cmp.explicit_deps, cmp.explicit_budget, cmp.explicit_secs
-                )
-            };
+            let explicit_part = format!(
+                "explicit CDG {} in {:.3}s",
+                if cmp.agree { "agreed" } else { "disagreed" },
+                cmp.explicit_secs
+            );
             if cmp.certify_ok && cmp.agree {
                 let line = format!(
                     "{name}: certify passed — {} channels, {} dependencies \

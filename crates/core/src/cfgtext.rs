@@ -384,14 +384,6 @@ impl SpecParser {
                 "off" | "false" => cfg.epoch_audit = false,
                 _ => return Err(bad("epoch.audit (on|off)")),
             },
-            // Certificate-based deadlock-freedom checking (DESIGN.md
-            // §16).
-            "certify.enabled" => match value {
-                "on" | "true" => cfg.certify.enabled = true,
-                "off" | "false" => cfg.certify.enabled = false,
-                _ => return Err(bad("certify.enabled (on|off)")),
-            },
-            "certify.cdg_budget" => cfg.certify.cdg_budget = num(key, value)?,
             // The workload (`simulate`'s traffic mix).
             "traffic.load" => traffic.load = num(key, value)?,
             "traffic.mcast_fraction" => traffic.mcast_fraction = num(key, value)?,
@@ -564,37 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn certify_keys_parse() {
-        let cfg = parse_config("").expect("parses");
-        assert!(!cfg.certify.enabled);
-        assert_eq!(cfg.certify.cdg_budget, 100_000);
-
-        let cfg = parse_config("certify.enabled = on").expect("parses");
-        assert!(cfg.certify.enabled);
-        let cfg = parse_config("certify.enabled = true\ncertify.enabled = off").expect("parses");
-        assert!(!cfg.certify.enabled, "later `off` wins");
-        let cfg = parse_config("certify.cdg_budget = 5000\ncertify.enabled = on").expect("parses");
-        assert!(cfg.certify.enabled);
-        assert_eq!(cfg.certify.cdg_budget, 5_000);
-        assert!(!cfg.report().has_errors(), "{:?}", cfg.report().diagnostics);
-
-        // A zero budget is parseable but fails the lint.
-        let cfg = parse_config("certify.cdg_budget = 0").expect("parses");
-        assert!(
-            cfg.report()
-                .diagnostics
-                .iter()
-                .any(|d| d.code == "certify-budget-zero"),
-            "{:?}",
-            cfg.report().diagnostics
-        );
-        let err = parse_config("certify.enabled = maybe").unwrap_err();
-        assert!(err.contains("certify.enabled"), "{err}");
-        let err = parse_config("certify.cdg_budget = many").unwrap_err();
-        assert!(err.contains("certify.cdg_budget"), "{err}");
-    }
-
-    #[test]
     fn model_mode_key_parses() {
         use mdw_analysis::ModelMode;
         let cfg = parse_config("").expect("parses");
@@ -728,14 +689,16 @@ mod tests {
         "bypass_crossbar", "link_delay", "host_eject_credits", "bits_per_flit",
         "barrier_combining", "seed", "model.mode", "recovery", "recovery_timeout",
         "recovery_timeout_cap", "recovery_max_retries", "response", "journal.snapshot_every",
-        "epoch.audit", "certify.enabled", "certify.cdg_budget", "traffic.load",
-        "traffic.mcast_fraction", "traffic.degree", "traffic.len", "traffic.pattern",
-        "run.warmup", "run.measure", "fault.seed", "fault.drop_rate", "fault.corrupt_rate",
-        "fault.down_every", "fault.down_len", "fault.credit_leak",
+        "epoch.audit", "traffic.load", "traffic.mcast_fraction", "traffic.degree",
+        "traffic.len", "traffic.pattern", "run.warmup", "run.measure", "fault.seed",
+        "fault.drop_rate", "fault.corrupt_rate", "fault.down_every", "fault.down_len",
+        "fault.credit_leak",
     ];
 
     /// Keys and second spellings that earlier versions accepted: the
-    /// control plane's tuning, now constants, and the underscore aliases.
+    /// control plane's tuning, now constants, the certificate's switch
+    /// and budget (the explicit CDG is the one deadlock gate, DESIGN.md
+    /// §16), and the underscore aliases.
     #[rustfmt::skip]
     const RETIRED: &[&str] = &[
         "response_debounce", "response_drain_wait", "response_purge_max", "response_max_hops",
@@ -744,7 +707,8 @@ mod tests {
         "routed_flap_penalty", "routed_flap_suppress", "routed_flap_reuse",
         "routed_flap_half_life", "routed_retry_base", "routed_retry_cap", "routed_retry_max",
         "routed_heal_hysteresis", "routed_deadline", "model_mode", "journal_snapshot_every",
-        "epoch_audit", "certify_enabled", "certify_cdg_budget",
+        "epoch_audit", "certify_enabled", "certify_cdg_budget", "certify.enabled",
+        "certify.cdg_budget",
     ];
 
     /// Values at and past the edges of every key's range, every choice

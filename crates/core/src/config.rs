@@ -11,8 +11,8 @@
 use crate::respond::ResponseConfig;
 use collectives::RecoveryConfig;
 use mdw_analysis::{
-    analyze_fabric, analyze_fabric_budgeted, certify_fabric, switch_sizing, ArchClass, Certificate,
-    CompactTables, ConfigReport, ModelMode, ModelOptions,
+    analyze_fabric, certify_fabric, switch_sizing, ArchClass, Certificate, CompactTables,
+    ConfigReport, ModelMode, ModelOptions,
 };
 use mintopo::irregular::Irregular;
 use mintopo::route::{ReplicatePolicy, RouteTables};
@@ -114,39 +114,9 @@ impl SwitchArch {
     }
 }
 
-/// Certificate-based deadlock-freedom checking (DESIGN.md §16).
-///
-/// With `enabled`, the fabric pass of [`SystemConfig::report`] bounds the
-/// explicit channel-dependency-graph enumeration at `cdg_budget`
-/// dependency edges and additionally runs the O(routes) certificate
-/// checker over the compressed route encoding. On fabrics where the
-/// explicit pass completes, the two verdicts must agree (a disagreement
-/// is itself an error finding); past the budget, the certificate alone
-/// supplies the deadlock verdict and the truncation is recorded honestly
-/// as a `cdg-budget-exhausted` warning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CertifyConfig {
-    /// Enables the certificate path (config key `certify.enabled`).
-    pub enabled: bool,
-    /// Dependency-edge budget of the explicit CDG enumeration (config key
-    /// `certify.cdg_budget`). Paper-scale fabrics (64 hosts) sit around
-    /// 1.5k edges; a 4K-endpoint fat-tree exceeds 100k.
-    pub cdg_budget: usize,
-}
-
-impl Default for CertifyConfig {
-    fn default() -> Self {
-        CertifyConfig {
-            enabled: false,
-            cdg_budget: 100_000,
-        }
-    }
-}
-
 /// One certify-vs-explicit comparison over a built fabric
-/// ([`SystemConfig::certify_comparison`]): the two deadlock verdicts, the
-/// wall times, and whether the explicit enumeration stayed inside its
-/// dependency budget.
+/// ([`SystemConfig::certify_comparison`]): the two deadlock verdicts and
+/// their wall times.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CertifyComparison {
     /// Channels the certificate checker enumerated.
@@ -157,19 +127,13 @@ pub struct CertifyComparison {
     pub certify_ok: bool,
     /// Wall time of the certificate path (compression + check), seconds.
     pub certify_secs: f64,
-    /// Dependency-edge budget the explicit enumeration ran under.
-    pub explicit_budget: usize,
-    /// Dependency edges the explicit enumeration actually built.
+    /// Dependency edges the explicit enumeration built.
     pub explicit_deps: usize,
-    /// The explicit enumeration finished inside its budget.
-    pub explicit_completed: bool,
-    /// The explicit analysis accepted the fabric (meaningful only when
-    /// it completed; `false` on budget exhaustion).
+    /// The explicit analysis found no dependency cycle.
     pub explicit_ok: bool,
     /// Wall time of the explicit path, seconds.
     pub explicit_secs: f64,
-    /// The verdicts agree wherever both were reached (vacuously true when
-    /// the explicit pass exhausted its budget).
+    /// The two verdicts agree.
     pub agree: bool,
 }
 
@@ -217,10 +181,6 @@ pub struct SystemConfig {
     /// the frontier epoch. Surfaced as
     /// [`crate::sim::RunOutcome::torn_cycles`]; see DESIGN.md §15.
     pub epoch_audit: bool,
-    /// Certificate-based deadlock-freedom checking (config keys
-    /// `certify.*`): budget the explicit CDG pass and back the verdict
-    /// with the topology-parametric rank certificate. See DESIGN.md §16.
-    pub certify: CertifyConfig,
 }
 
 impl Default for SystemConfig {
@@ -245,7 +205,6 @@ impl Default for SystemConfig {
             response: None,
             model_mode: ModelMode::Auto,
             epoch_audit: false,
-            certify: CertifyConfig::default(),
         }
     }
 }
@@ -414,16 +373,8 @@ impl SystemConfig {
             }
         }
 
-        if self.certify.cdg_budget < 1 {
-            report.error(
-                "certify-budget-zero",
-                "certify.cdg_budget must be positive — a zero-edge budget \
-                 truncates the explicit CDG before it sees a single dependency",
-            );
-        }
-
         if !report.has_errors() {
-            let fabric = fabric_verdict((self.topology, self.switch.policy, self.certify));
+            let fabric = fabric_verdict((self.topology, self.switch.policy));
             let vet_switches = crate::respond::deep_vet_switches(fabric.switches);
             if self.response.is_some()
                 && self.model_mode == ModelMode::Exact
@@ -450,14 +401,12 @@ impl SystemConfig {
     }
 
     /// Runs both deadlock-verdict paths — the O(routes) certificate
-    /// checker and the budget-bounded explicit CDG analysis — over this
-    /// configuration's built fabric, under wall-clock timers.
+    /// checker and the explicit CDG analysis — over this configuration's
+    /// built fabric, under wall-clock timers.
     ///
     /// This is the engine behind `mdw-lint --certify` and the certify
-    /// bench rows: it reports whether the two verdicts agree wherever the
-    /// explicit pass completes, and records honestly when the explicit
-    /// enumeration hit its `certify.cdg_budget` and the certificate alone
-    /// carries the verdict.
+    /// bench rows: the certificate is an independent cross-check of the
+    /// explicit verdict that [`SystemConfig::report`] gates on.
     pub fn certify_comparison(&self) -> CertifyComparison {
         let (topology, tree) = crate::build::build_topology(self.topology);
         let tables = RouteTables::build(&topology);
@@ -475,31 +424,19 @@ impl SystemConfig {
 
         let t1 = std::time::Instant::now();
         let mut explicit_report = ConfigReport::new();
-        let explicit_completed = analyze_fabric_budgeted(
-            &topology,
-            &tables,
-            self.switch.policy,
-            self.certify.cdg_budget,
-            &mut explicit_report,
-        );
+        analyze_fabric(&topology, &tables, self.switch.policy, &mut explicit_report);
         let explicit_secs = t1.elapsed().as_secs_f64();
-        let explicit_ok = explicit_completed
-            && !explicit_report
-                .diagnostics
-                .iter()
-                .any(|d| d.code == "cdg-cycle");
+        let explicit_ok = !explicit_report.errors().any(|d| d.code == "cdg-cycle");
 
         CertifyComparison {
             channels: cert_report.stats.channels,
             dependencies: cert_report.stats.dependencies,
             certify_ok,
             certify_secs,
-            explicit_budget: self.certify.cdg_budget,
             explicit_deps: explicit_report.stats.dependencies,
-            explicit_completed,
             explicit_ok,
             explicit_secs,
-            agree: !explicit_completed || certify_ok == explicit_ok,
+            agree: certify_ok == explicit_ok,
         }
     }
 
@@ -522,7 +459,7 @@ impl SystemConfig {
 
 /// The complete argument tuple of the fabric pass of
 /// [`SystemConfig::report`]: the pass reads nothing else of the config.
-type FabricKey = (TopologyKind, ReplicatePolicy, CertifyConfig);
+type FabricKey = (TopologyKind, ReplicatePolicy);
 
 /// What the fabric pass found on one fabric.
 #[derive(Clone)]
@@ -591,58 +528,14 @@ pub(crate) fn fresh_report(cfg: &SystemConfig) -> ConfigReport {
 }
 
 /// The fabric pass: builds the topology and its route tables, then runs
-/// the channel-dependency and header round-trip analysis, bounded and
-/// backed by the rank certificate when `certify.enabled`.
-fn fabric_pass((topology_kind, policy, certify): FabricKey) -> FabricVerdict {
+/// the channel-dependency and header round-trip analysis.
+fn fabric_pass((topology_kind, policy): FabricKey) -> FabricVerdict {
     #[cfg(test)]
     FABRIC_PASSES_RUN.with(|n| n.set(n.get() + 1));
     let mut report = ConfigReport::new();
-    let (topology, tree) = crate::build::build_topology(topology_kind);
+    let (topology, _) = crate::build::build_topology(topology_kind);
     let tables = RouteTables::build(&topology);
-    if certify.enabled {
-        let completed =
-            analyze_fabric_budgeted(&topology, &tables, policy, certify.cdg_budget, &mut report);
-        let cert = match &tree {
-            Some(t) => Certificate::for_karytree(t),
-            None => Certificate::for_topology(&topology),
-        };
-        let compact = CompactTables::from_dense(&tables);
-        if completed {
-            // The explicit verdict stands; the certificate must agree
-            // with it (defense in depth — a divergence means the rank
-            // construction or the checker is wrong).
-            let mut shadow = ConfigReport::new();
-            certify_fabric(&cert, &topology, &compact, &mut shadow);
-            let explicit_rejects = report.diagnostics.iter().any(|d| d.code == "cdg-cycle");
-            if shadow.has_errors() != explicit_rejects {
-                report.error(
-                    "certificate-disagreement",
-                    format!(
-                        "certificate checker {} the fabric but the \
-                         explicit CDG analysis {} it — the two deadlock \
-                         verdicts must agree whenever both run",
-                        if shadow.has_errors() {
-                            "rejects"
-                        } else {
-                            "accepts"
-                        },
-                        if explicit_rejects {
-                            "rejects"
-                        } else {
-                            "accepts"
-                        },
-                    ),
-                );
-            }
-        } else {
-            // Budget exhausted: the certificate supplies the deadlock
-            // verdict (and the true channel/dependency counts the
-            // truncated enumeration could not).
-            certify_fabric(&cert, &topology, &compact, &mut report);
-        }
-    } else {
-        analyze_fabric(&topology, &tables, policy, &mut report);
-    }
+    analyze_fabric(&topology, &tables, policy, &mut report);
     FabricVerdict {
         report,
         switches: topology.n_switches(),
@@ -847,113 +740,13 @@ mod tests {
     }
 
     #[test]
-    fn certified_report_is_byte_identical_when_explicit_completes() {
-        // Paper-scale fabric, budget ample: the explicit verdict stands,
-        // the certificate silently agrees, and the rendered report is
-        // byte-identical to the uncertified one.
-        let plain = SystemConfig::default().report();
-        let certified = SystemConfig {
-            certify: CertifyConfig {
-                enabled: true,
-                ..CertifyConfig::default()
-            },
-            ..SystemConfig::default()
-        }
-        .report();
-        assert_eq!(plain.render_human(), certified.render_human());
-        assert_eq!(plain.render_json(), certified.render_json());
-    }
-
-    #[test]
-    fn exhausted_budget_hands_the_verdict_to_the_certificate() {
-        let c = SystemConfig {
-            certify: CertifyConfig {
-                enabled: true,
-                cdg_budget: 10, // far below the 64-host fabric's ~1.5k deps
-            },
-            ..SystemConfig::default()
-        };
-        let r = c.report();
-        assert!(!r.has_errors(), "{:?}", r.diagnostics);
-        assert!(
-            r.warnings().any(|w| w.code == "cdg-budget-exhausted"),
-            "{:?}",
-            r.diagnostics
-        );
-        // The certificate restored the true counters the truncated
-        // enumeration could not provide.
-        let full = SystemConfig::default().report();
-        assert_eq!(r.stats.channels, full.stats.channels);
-        assert_eq!(r.stats.dependencies, full.stats.dependencies);
-        assert_eq!(r.stats.sccs, full.stats.sccs);
-    }
-
-    #[test]
-    fn certify_budget_zero_is_rejected() {
-        let c = SystemConfig {
-            certify: CertifyConfig {
-                enabled: true,
-                cdg_budget: 0,
-            },
-            ..SystemConfig::default()
-        };
-        let err = c.validate().unwrap_err();
-        assert!(err.to_string().contains("cdg_budget"), "{err}");
-    }
-
-    #[test]
-    fn certified_report_covers_every_topology_kind() {
-        // The explicit-rule certificate path (UniMin, Irregular) and the
-        // family-rule path (KaryTree) both agree with the explicit CDG.
-        for topology in [
-            TopologyKind::KaryTree { k: 2, n: 3 },
-            TopologyKind::UniMin { k: 2, n: 3 },
-            TopologyKind::Irregular {
-                switches: 6,
-                ports: 8,
-                hosts: 12,
-                extra_links: 3,
-                seed: 1,
-            },
-        ] {
-            let c = SystemConfig {
-                topology,
-                certify: CertifyConfig {
-                    enabled: true,
-                    ..CertifyConfig::default()
-                },
-                ..SystemConfig::default()
-            };
-            let r = c.report();
-            assert!(!r.has_errors(), "{topology:?}: {:?}", r.diagnostics);
-        }
-    }
-
-    #[test]
     fn certify_comparison_agrees_on_the_paper_fabric() {
         let cmp = SystemConfig::default().certify_comparison();
         assert!(cmp.certify_ok);
-        assert!(cmp.explicit_completed);
         assert!(cmp.explicit_ok);
         assert!(cmp.agree);
         assert!(cmp.channels > 64);
         assert_eq!(cmp.dependencies, cmp.explicit_deps);
-
-        // Starve the explicit budget: agreement becomes vacuous, the
-        // truncation is reported honestly.
-        let starved = SystemConfig {
-            certify: CertifyConfig {
-                enabled: false,
-                cdg_budget: 10,
-            },
-            ..SystemConfig::default()
-        }
-        .certify_comparison();
-        assert!(starved.certify_ok);
-        assert!(!starved.explicit_completed);
-        assert!(!starved.explicit_ok);
-        assert!(starved.agree, "vacuous agreement past the budget");
-        assert!(starved.explicit_deps <= 10);
     }
 
     /// Every field of the table key on its own selects a different
@@ -961,56 +754,24 @@ mod tests {
     /// reports what a fresh thread reports.
     #[test]
     fn each_key_field_alone_changes_the_verdict() {
-        let base = SystemConfig {
-            certify: CertifyConfig {
-                enabled: true,
-                ..CertifyConfig::default()
-            },
-            ..SystemConfig::default()
-        };
+        let base = SystemConfig::default();
         let warm = base.report();
         let runs = fabric_passes_run();
         assert_eq!(base.report(), warm, "a repeat is answered by the table");
         assert_eq!(fabric_passes_run(), runs, "a repeat runs no fabric pass");
 
-        let mut variants = vec![
-            SystemConfig {
-                topology: TopologyKind::UniMin { k: 4, n: 3 },
-                ..base.clone()
-            },
-            SystemConfig {
-                certify: CertifyConfig {
-                    enabled: false,
-                    ..base.certify
-                },
-                ..base.clone()
-            },
-            SystemConfig {
-                certify: CertifyConfig {
-                    cdg_budget: 10,
-                    ..base.certify
-                },
-                ..base.clone()
-            },
-        ];
+        let topology = SystemConfig {
+            topology: TopologyKind::UniMin { k: 4, n: 3 },
+            ..base.clone()
+        };
         let mut policy = base.clone();
         policy.switch.policy = ReplicatePolicy::ForwardAndReturn;
-        variants.push(policy);
-        for (i, v) in variants.iter().enumerate() {
+        for (i, v) in [topology, policy].iter().enumerate() {
             let before = fabric_passes_run();
             let r = v.report();
             assert_eq!(fabric_passes_run(), before + 1, "variant {i} hit the table");
             assert_eq!(r, fresh_report(v), "variant {i}");
         }
-        // The truncating budget still warns after the untruncated fabric
-        // warmed the table.
-        let starved = variants[2].report();
-        assert!(
-            starved.warnings().any(|w| w.code == "cdg-budget-exhausted"),
-            "{:?}",
-            starved.diagnostics
-        );
-        assert!(!warm.warnings().any(|w| w.code == "cdg-budget-exhausted"));
     }
 
     /// The table holds at most `FABRIC_VERDICT_CAP` fabrics and evicts

@@ -85,8 +85,8 @@ use crate::journal::{
 };
 use collectives::DegradePlanner;
 use mdw_analysis::{
-    check_model_opts, vet_reroute, vet_reroute_certified, ArchClass, Certificate, CheckOutcome,
-    ModelBounds, ModelOptions, Samples, VetStats,
+    check_model_opts, vet_reroute, ArchClass, CheckOutcome, ModelBounds, ModelOptions, Samples,
+    VetStats,
 };
 use mintopo::route::{ReplicatePolicy, RouteTables};
 use mintopo::topology::Topology;
@@ -573,13 +573,6 @@ pub struct FaultResponder {
     /// if no responder on this thread has run it; the memo and its
     /// counters behave the same either way.
     deep_vetted: BoundedMemo<(ModelBounds, ModelOptions), Result<(), String>>,
-    /// Rank certificate of the live topology, present when
-    /// `certify.enabled`: the structural vet then runs the O(routes)
-    /// certificate gate ([`mdw_analysis::vet_reroute_certified`]) over
-    /// the compressed encoding instead of the explicit CDG analyzer —
-    /// same verdicts (differential tier enforced), sub-second at fabric
-    /// sizes where CDG enumeration exhausts its budget.
-    certificate: Option<Certificate>,
     /// Crash-injection harness hook; `None` outside chaos runs.
     chaos: Option<ChaosHandle>,
     /// Completed crash recoveries (journal replays).
@@ -613,16 +606,10 @@ impl FaultResponder {
                 }
             }
         }
-        r.certificate = sys
-            .config
-            .certify
-            .enabled
-            .then(|| Certificate::for_topology(&sys.topology));
         r
     }
 
-    /// A fresh responder that knows no fabric ports and holds no
-    /// certificate.
+    /// A fresh responder that knows no fabric ports.
     fn detached(cfg: ResponseConfig, journal: Journal) -> Self {
         FaultResponder {
             cfg,
@@ -641,7 +628,6 @@ impl FaultResponder {
             last_epoch: 0,
             vetted: BoundedMemo::new(MEMO_CAP),
             deep_vetted: BoundedMemo::new(MEMO_CAP),
-            certificate: None,
             chaos: None,
             recoveries: 0,
             recovery_ns: Samples::new(),
@@ -908,15 +894,8 @@ impl FaultResponder {
         if let Some(v) = self.vetted.get(&key) {
             return v.clone();
         }
-        // Certificate present (certify.enabled): the O(routes) certified
-        // gate replaces the explicit CDG analyzer; identical verdicts,
-        // sub-second at fabric sizes the explicit pass cannot afford.
-        // Both land in the same `structural_ns` series.
         let start = Instant::now();
-        let structural = match &self.certificate {
-            Some(cert) => vet_reroute_certified(topo, candidate, config.switch.policy, cert),
-            None => vet_reroute(topo, candidate, config.switch.policy),
-        };
+        let structural = vet_reroute(topo, candidate, config.switch.policy);
         self.vet_stats
             .structural_ns
             .record(start.elapsed().as_nanos() as u64);
@@ -1744,31 +1723,6 @@ mod tests {
             .expect("fresh vet after eviction");
         assert_eq!(r.vet_stats.structural_ns.count(), before + 1);
         assert_eq!(r.vet_memo_stats().hits, 1);
-    }
-
-    #[test]
-    fn certified_responder_vet_agrees_with_explicit() {
-        use mintopo::topology::TopologyBuilder;
-        use netsim::ids::NodeId;
-        let mut b = TopologyBuilder::new(2);
-        let s0 = b.add_switch(3, 1);
-        let s1 = b.add_switch(1, 0);
-        b.attach_host(NodeId(0), s0, 0);
-        b.attach_host(NodeId(1), s0, 1);
-        b.connect(s0, 2, s1, 0);
-        let topo = b.build();
-        let tables = RouteTables::build(&topo);
-        let config = SystemConfig::default();
-        let masked: Vec<(SwitchId, usize)> = Vec::new();
-
-        let mut certified = bare_responder();
-        certified.certificate = Some(Certificate::for_topology(&topo));
-        let mut explicit = bare_responder();
-        let a = certified.vet_candidate(&topo, &config, &tables, 1, &masked);
-        let b = explicit.vet_candidate(&topo, &config, &tables, 1, &masked);
-        assert_eq!(a, b, "certified and explicit gates must agree");
-        assert!(a.is_ok());
-        assert_eq!(certified.vet_stats.structural_ns.count(), 1);
     }
 
     #[test]

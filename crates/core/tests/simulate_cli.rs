@@ -54,6 +54,9 @@ fn bad_arguments_exit_2_with_usage() {
         &["--set", "routed_slice=16"],
         &["--set", "response_debounce=32"],
         &["--set", "model_mode=exact"],
+        // The certificate is no gate, so it has no keys.
+        &["--set", "certify.enabled=on"],
+        &["--set", "certify.cdg_budget=5000"],
         &["--set", "traffic.load"],
         &["--config", "no-such-dir/run.mdw"],
         &["--config", &bad_line],

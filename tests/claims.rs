@@ -190,3 +190,83 @@ fn the_four_sweeps_share_their_base_point() {
         }
     }
 }
+
+/// `value` rounded to one decimal, the precision the prose quotes.
+fn one_decimal(value: f64) -> f64 {
+    (value * 10.0).round() / 10.0
+}
+
+/// E11: the hardware release beats the software release at every N, by
+/// 1.3–2.5×, and the ratio shrinks with N as the gather phase takes over.
+#[test]
+fn e11_hardware_release_wins_by_1_3_to_2_5_and_the_gap_narrows_with_n() {
+    let t = Table::load("e11_barrier");
+    let ratios: Vec<(f64, f64)> = t
+        .pair("SW release", "HW release", "n", "mean_latency")
+        .into_iter()
+        .map(|(n, sw, hw)| {
+            assert!(hw < sw, "N={n}: HW {hw} vs SW {sw}");
+            (n, sw / hw)
+        })
+        .collect();
+    for &(n, r) in &ratios {
+        assert!(
+            (1.3..=2.5).contains(&one_decimal(r)),
+            "N={n}: SW/HW ratio {r:.3}"
+        );
+    }
+    for w in ratios.windows(2) {
+        assert!(w[0].1 > w[1].1, "ratio not shrinking: {w:?}");
+    }
+}
+
+/// E13: every all-reduce round produced the correct sum, and the
+/// worm-based broadcast wins 1.4–1.7× end to end at every N.
+#[test]
+fn e13_allreduce_is_correct_and_hardware_broadcast_wins_by_1_4_to_1_7() {
+    let t = Table::load("e13_allreduce");
+    let ok = t.col("result_ok");
+    for row in &t.rows {
+        assert_eq!(row[ok], "true", "{row:?}");
+    }
+    for (n, sw, hw) in t.pair("SW broadcast", "HW broadcast", "n", "mean_latency") {
+        let speedup = one_decimal(sw / hw);
+        assert!(
+            (1.4..=1.7).contains(&speedup),
+            "N={n}: SW {sw} / HW {hw} = {speedup}"
+        );
+    }
+}
+
+/// E14: switch combining beats the host-gather hardware barrier, which
+/// beats the software one, at every N; combining's advantage over the
+/// hardware barrier is 2.1–4.1× and grows with N.
+#[test]
+fn e14_combining_beats_both_host_barriers_and_its_lead_grows_with_n() {
+    let t = Table::load("e14_combining_barrier");
+    let (comb, hw, sw) = (
+        "switch-combining",
+        "host gather + HW release",
+        "host gather + SW release",
+    );
+    for (n, h, s) in t.pair(hw, sw, "n", "mean_latency") {
+        assert!(h < s, "N={n}: HW {h} vs SW {s}");
+    }
+    let ratios: Vec<(f64, f64)> = t
+        .pair(hw, comb, "n", "mean_latency")
+        .into_iter()
+        .map(|(n, h, c)| {
+            assert!(c < h, "N={n}: combining {c} vs HW {h}");
+            (n, h / c)
+        })
+        .collect();
+    for &(n, r) in &ratios {
+        assert!(
+            (2.1..=4.1).contains(&one_decimal(r)),
+            "N={n}: HW/combining ratio {r:.3}"
+        );
+    }
+    for w in ratios.windows(2) {
+        assert!(w[0].1 < w[1].1, "ratio not growing: {w:?}");
+    }
+}

@@ -6,7 +6,7 @@
 
 use mdw_analysis::ModelMode;
 use mdworm::cfgtext::parse_config;
-use mdworm::config::{CertifyConfig, SystemConfig, TopologyKind};
+use mdworm::config::{SystemConfig, TopologyKind};
 use mdworm::{build_system, ConfigReport, ResponseConfig};
 use mintopo::route::ReplicatePolicy;
 
@@ -53,47 +53,19 @@ fn warm_reports_equal_fresh_thread_reports() {
     };
     let mut undersized = base.clone();
     undersized.switch.cq_chunks = 0;
-    let certified = SystemConfig {
-        certify: CertifyConfig {
-            enabled: true,
-            ..CertifyConfig::default()
-        },
-        ..base.clone()
-    };
-    let mut forward = certified.clone();
+    let mut forward = base.clone();
     forward.switch.policy = ReplicatePolicy::ForwardAndReturn;
     for (name, cfg) in [
         ("exact vet", exact_vet),
         ("undersized", undersized),
-        ("certified", certified.clone()),
         (
-            "certified unimin",
+            "unimin",
             SystemConfig {
                 topology: TopologyKind::UniMin { k: 4, n: 3 },
-                ..certified.clone()
+                ..base.clone()
             },
         ),
-        ("certified forward-and-return", forward),
-        (
-            "certify off",
-            SystemConfig {
-                certify: CertifyConfig {
-                    enabled: false,
-                    ..certified.certify
-                },
-                ..certified.clone()
-            },
-        ),
-        (
-            "starved budget",
-            SystemConfig {
-                certify: CertifyConfig {
-                    cdg_budget: 10,
-                    ..certified.certify
-                },
-                ..certified.clone()
-            },
-        ),
+        ("forward-and-return", forward),
     ] {
         configs.push((name.to_string(), cfg));
     }
@@ -112,14 +84,6 @@ fn warm_reports_equal_fresh_thread_reports() {
     assert!(report("exact vet")
         .warnings()
         .any(|w| w.code == "model-exact-vet-bound"));
-    // The untruncated fabric warmed the table first; the truncating
-    // budget still gets its own verdict.
-    assert!(report("starved budget")
-        .warnings()
-        .any(|w| w.code == "cdg-budget-exhausted"));
-    assert!(!report("certified")
-        .warnings()
-        .any(|w| w.code == "cdg-budget-exhausted"));
 }
 
 /// `build_system` refuses an invalid config with the same panic message
