@@ -201,9 +201,16 @@ fn check_live_switches(topo: &Topology, candidate: &RouteTables, report: &mut Co
 /// masked reach strings already keep worms they cannot forward from ever
 /// being routed to them. The correct response to a partitioning mask is
 /// to stay on the old tables and degrade, so the gate must say no.
+///
+/// `try_route_unicast` finds a port for a destination iff some down-class
+/// port's reach string (host ejection ports included) or some up port's
+/// contains it, so the unroutable destinations are the complement of the
+/// union of those strings: one pass over the switch's ports, not one
+/// probe per host.
 fn check_full_reachability(topo: &Topology, candidate: &RouteTables, report: &mut ConfigReport) {
     use mintopo::topology::Attach;
-    use netsim::ids::{NodeId, SwitchId};
+    use netsim::destset::DestSet;
+    use netsim::ids::SwitchId;
     for s in 0..topo.n_switches() {
         let sw = SwitchId(s as u32);
         let table = candidate.table(sw);
@@ -212,23 +219,31 @@ fn check_full_reachability(topo: &Topology, candidate: &RouteTables, report: &mu
         if !has_hosts || !live {
             continue; // transit switch, or fully dark: check_live_switches owns the latter
         }
-        let missing: Vec<String> = (0..topo.n_hosts())
-            .filter(|&h| table.try_route_unicast(NodeId(h as u32)).is_none())
-            .map(|h| format!("h{h}"))
-            .collect();
+        let mut routable = table.down_union().clone();
+        for &p in table.up_ports() {
+            routable.union_with(&table.port(p).reach);
+        }
+        let missing = DestSet::full(routable.universe()).minus(&routable);
         if !missing.is_empty() {
             report.error(
                 "unreachable-destination",
-                format!(
-                    "switch {s} cannot route to {} host(s) ({}) under the candidate \
-                     tables — the masked fabric is partitioned; the first worm \
-                     addressed there would have no output port",
-                    missing.len(),
-                    missing.join(","),
-                ),
+                unreachable_destination_message(s, missing.iter().map(|h| h.index())),
             );
         }
     }
+}
+
+/// The `unreachable-destination` message for switch `s` and its
+/// unroutable hosts, in ascending order.
+fn unreachable_destination_message(s: usize, missing: impl Iterator<Item = usize>) -> String {
+    let missing: Vec<String> = missing.map(|h| format!("h{h}")).collect();
+    format!(
+        "switch {s} cannot route to {} host(s) ({}) under the candidate \
+         tables — the masked fabric is partitioned; the first worm \
+         addressed there would have no output port",
+        missing.len(),
+        missing.join(","),
+    )
 }
 
 #[cfg(test)]
@@ -313,6 +328,95 @@ mod tests {
                 .iter()
                 .any(|d| d.code == "unreachable-destination"),
             "{report:?}"
+        );
+    }
+
+    /// The reference `check_full_reachability`: one `try_route_unicast`
+    /// probe per host at every live host-attached switch.
+    fn check_full_reachability_probe(
+        topo: &Topology,
+        candidate: &RouteTables,
+        report: &mut ConfigReport,
+    ) {
+        use mintopo::topology::Attach;
+        use netsim::ids::SwitchId;
+        for s in 0..topo.n_switches() {
+            let sw = SwitchId(s as u32);
+            let table = candidate.table(sw);
+            let has_hosts =
+                (0..topo.ports(sw)).any(|p| matches!(topo.attach(sw, p), Attach::Host(_)));
+            let live = (0..table.n_ports()).any(|p| !table.port(p).reach.is_empty());
+            if !has_hosts || !live {
+                continue;
+            }
+            let missing: Vec<usize> = (0..topo.n_hosts())
+                .filter(|&h| table.try_route_unicast(NodeId(h as u32)).is_none())
+                .collect();
+            if !missing.is_empty() {
+                report.error(
+                    "unreachable-destination",
+                    unreachable_destination_message(s, missing.into_iter()),
+                );
+            }
+        }
+    }
+
+    /// The reach-string union gives the per-host probe's diagnostics byte
+    /// for byte on seeded random masks of k-ary trees and irregular
+    /// fabrics, from one dead cable up to masks that partition the fabric.
+    #[test]
+    fn reachability_union_matches_the_per_host_probe() {
+        use mintopo::irregular::Irregular;
+        use mintopo::karytree::KaryTree;
+        use mintopo::topology::Attach;
+        use netsim::ids::SwitchId;
+        use netsim::rng::SimRng;
+
+        let fabrics: Vec<Topology> = [(2, 3), (4, 2), (4, 3), (3, 3)]
+            .into_iter()
+            .map(|(k, n)| KaryTree::new(k, n).topology().clone())
+            .chain((0..6).map(|seed| {
+                Irregular::new(8, 8, 16, 4, seed)
+                    .expect("valid irregular shape")
+                    .into_topology()
+            }))
+            .collect();
+        let mut rng = SimRng::new(0x5EED_2EAC);
+        let (mut partitioned, mut connected) = (0, 0);
+        for topo in &fabrics {
+            // Both directions of every switch-to-switch cable.
+            let cables: Vec<[(SwitchId, usize); 2]> = (0..topo.n_switches())
+                .flat_map(|s| {
+                    let sw = SwitchId(s as u32);
+                    (0..topo.ports(sw)).filter_map(move |p| match topo.attach(sw, p) {
+                        Attach::Switch(other, q) if (sw, p) < (other, q) => {
+                            Some([(sw, p), (other, q)])
+                        }
+                        _ => None,
+                    })
+                })
+                .collect();
+            for round in 0..24 {
+                let cuts = 1 + round % cables.len().min(8);
+                let dead: Vec<(SwitchId, usize)> = (0..cuts)
+                    .flat_map(|_| cables[rng.below(cables.len())])
+                    .collect();
+                let candidate = RouteTables::build_masked(topo, &dead);
+                let mut union = ConfigReport::new();
+                check_full_reachability(topo, &candidate, &mut union);
+                let mut probe = ConfigReport::new();
+                check_full_reachability_probe(topo, &candidate, &mut probe);
+                assert_eq!(union.render_json(), probe.render_json(), "{dead:?}");
+                if union.has_errors() {
+                    partitioned += 1;
+                } else {
+                    connected += 1;
+                }
+            }
+        }
+        assert!(
+            partitioned > 20 && connected > 20,
+            "{partitioned}/{connected}"
         );
     }
 

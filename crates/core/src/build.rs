@@ -1,14 +1,11 @@
 //! Instantiates a complete simulated system: topology → links → switches →
 //! hosts, wired into a [`netsim::engine::Engine`].
 
-use crate::config::{McastImpl, SwitchArch, SystemConfig, TopologyKind};
+use crate::config::{fabric, kary_tree, Fabric, McastImpl, SwitchArch, SystemConfig};
 use collectives::traffic::DeliveryHook;
 use collectives::{FabricMode, Host, HostConfig, HostShared, McastScheme, TrafficSource};
-use mintopo::irregular::Irregular;
-use mintopo::karytree::KaryTree;
 use mintopo::route::RouteTables;
 use mintopo::topology::{End, Topology};
-use mintopo::unimin::UniMin;
 use netsim::engine::Engine;
 use netsim::ids::{LinkId, NodeId, SwitchId};
 use netsim::stats::DeliveryTracker;
@@ -118,36 +115,14 @@ impl System {
     }
 }
 
-/// Builds the topology object for a config, returning the generic topology
-/// plus the tree handle multiport encoding needs.
-pub(crate) fn build_topology(kind: TopologyKind) -> (Rc<Topology>, Option<Rc<KaryTree>>) {
-    match kind {
-        TopologyKind::KaryTree { k, n } => {
-            let tree = Rc::new(KaryTree::new(k, n));
-            (Rc::new(tree.topology().clone()), Some(tree))
-        }
-        TopologyKind::UniMin { k, n } => (Rc::new(UniMin::new(k, n).into_topology()), None),
-        TopologyKind::Irregular {
-            switches,
-            ports,
-            hosts,
-            extra_links,
-            seed,
-        } => (
-            Rc::new(
-                Irregular::new(switches, ports, hosts, extra_links, seed)
-                    .unwrap_or_else(|e| panic!("invalid irregular topology: {e}"))
-                    .into_topology(),
-            ),
-            None,
-        ),
-    }
-}
-
 /// Builds a complete system.
 ///
 /// `sources` supplies one [`TrafficSource`] per host (index = node id);
 /// `hook` is an optional delivery observer installed on every host.
+///
+/// The topology and route tables come from the thread's fabric table,
+/// which validation's fabric pass filled (DESIGN.md §8): every system a
+/// thread builds on one fabric shares them, and a repeat builds neither.
 ///
 /// # Panics
 ///
@@ -161,13 +136,12 @@ pub fn build_system(
     config
         .validate()
         .unwrap_or_else(|e| panic!("invalid system config: {e}"));
-    let (topology, tree) = build_topology(config.topology);
+    let Fabric { topology, tables } = fabric(config.topology);
     assert_eq!(
         sources.len(),
         topology.n_hosts(),
         "need exactly one traffic source per host"
     );
-    let tables = Rc::new(RouteTables::build(&topology));
     let swcfg = config.effective_switch();
     let mut engine = Engine::new();
 
@@ -285,9 +259,9 @@ pub fn build_system(
     let fabric_mode = FabricMode::new();
     let scheme = match config.mcast {
         McastImpl::HwBitString => McastScheme::HardwareBitString,
-        McastImpl::HwMultiport => {
-            McastScheme::HardwareMultiport(tree.clone().expect("validated: tree topology"))
-        }
+        McastImpl::HwMultiport => McastScheme::HardwareMultiport(
+            kary_tree(config.topology).expect("validated: tree topology"),
+        ),
         McastImpl::SwBinomial => McastScheme::SoftwareBinomial,
     };
     for (h, source) in sources.into_iter().enumerate() {
@@ -338,6 +312,7 @@ pub fn build_system(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TopologyKind;
     use collectives::{MessageSpec, ScheduledSource, SilentSource};
     use netsim::destset::DestSet;
     use netsim::message::MessageKind;

@@ -752,7 +752,7 @@ mod tests {
             .collect()
     }
 
-    /// A report the thread's fabric-verdict table answers equals the one
+    /// A report the thread's fabric table answers equals the one
     /// a fresh thread computes, for every config the fuzz loop parses
     /// (`tests/fabric_verdicts.rs` covers the shipped configs).
     #[test]

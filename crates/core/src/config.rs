@@ -15,9 +15,13 @@ use mdw_analysis::{
     ConfigReport, ModelMode, ModelOptions,
 };
 use mintopo::irregular::Irregular;
+use mintopo::karytree::KaryTree;
 use mintopo::route::{ReplicatePolicy, RouteTables};
-use std::cell::RefCell;
+use mintopo::topology::Topology;
+use mintopo::unimin::UniMin;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::rc::Rc;
 use switches::{ConfigError, SwitchConfig};
 
 /// Which network to build.
@@ -233,10 +237,12 @@ impl SystemConfig {
     /// [`ConfigReport::first_error`] names the same violation the legacy
     /// `Result` interface always has. The fabric pass is skipped when an
     /// earlier check already failed (building routing tables for a config
-    /// with broken sizing would only bury the root cause). The fabric
-    /// pass's verdict is remembered per thread and per fabric (at most
-    /// `FABRIC_VERDICT_CAP` fabrics); a repeat returns the same report
-    /// without building the topology.
+    /// with broken sizing would only bury the root cause). A per-thread
+    /// table (at most `FABRIC_VERDICT_CAP` fabrics) holds each built
+    /// fabric — topology and route tables, which `build_system` then
+    /// wires, and a k-ary tree once something asks for it — plus the
+    /// pass's verdict per replication policy; a repeat returns the same
+    /// report without building the topology.
     pub fn report(&self) -> ConfigReport {
         let mut report = ConfigReport::new();
         // Every later check reads the host count, and the fabric pass
@@ -374,8 +380,8 @@ impl SystemConfig {
         }
 
         if !report.has_errors() {
-            let fabric = fabric_verdict((self.topology, self.switch.policy));
-            let vet_switches = crate::respond::deep_vet_switches(fabric.switches);
+            let (fabric, switches) = fabric_verdict(self.topology, self.switch.policy);
+            let vet_switches = crate::respond::deep_vet_switches(switches);
             if self.response.is_some()
                 && self.model_mode == ModelMode::Exact
                 && vet_switches > ModelOptions::AUTO_EXACT_MAX_SWITCHES
@@ -393,25 +399,26 @@ impl SystemConfig {
             }
             // The local checks count no coverage, so the fabric's
             // counters are the report's.
-            report.diagnostics.extend(fabric.report.diagnostics);
-            report.cycles.extend(fabric.report.cycles);
-            report.stats = fabric.report.stats;
+            report.diagnostics.extend(fabric.diagnostics);
+            report.cycles.extend(fabric.cycles);
+            report.stats = fabric.stats;
         }
         report
     }
 
     /// Runs both deadlock-verdict paths — the O(routes) certificate
     /// checker and the explicit CDG analysis — over this configuration's
-    /// built fabric, under wall-clock timers.
+    /// built fabric (the thread's fabric table's, as in
+    /// [`SystemConfig::report`]), under wall-clock timers that cover the
+    /// two analyses only.
     ///
     /// This is the engine behind `mdw-lint --certify` and the certify
     /// bench rows: the certificate is an independent cross-check of the
     /// explicit verdict that [`SystemConfig::report`] gates on.
     pub fn certify_comparison(&self) -> CertifyComparison {
-        let (topology, tree) = crate::build::build_topology(self.topology);
-        let tables = RouteTables::build(&topology);
-        let cert = match &tree {
-            Some(t) => Certificate::for_karytree(t),
+        let Fabric { topology, tables } = fabric(self.topology);
+        let cert = match kary_tree(self.topology) {
+            Some(t) => Certificate::for_karytree(&t),
             None => Certificate::for_topology(&topology),
         };
 
@@ -457,89 +464,161 @@ impl SystemConfig {
     }
 }
 
-/// The complete argument tuple of the fabric pass of
-/// [`SystemConfig::report`]: the pass reads nothing else of the config.
-type FabricKey = (TopologyKind, ReplicatePolicy);
-
-/// What the fabric pass found on one fabric.
+/// One built fabric: the topology and its unmasked route tables. Both
+/// are a pure function of the [`TopologyKind`], and nothing mutates them
+/// in place (a reroute installs fresh masked tables beside them), so every
+/// system and report of a thread built from the same kind shares them.
 #[derive(Clone)]
-struct FabricVerdict {
-    /// The pass's own findings, cycles and coverage counters.
-    report: ConfigReport,
-    /// Switches in the built fabric (the `model-exact-vet-bound` input).
-    switches: usize,
+pub(crate) struct Fabric {
+    pub(crate) topology: Rc<Topology>,
+    pub(crate) tables: Rc<RouteTables>,
 }
 
-/// Fabrics the verdict table remembers per thread. A sweep revisits a
-/// handful; a fuzz loop draws thousands of distinct ones, so the oldest
-/// entry goes first.
+impl Fabric {
+    /// Builds the topology and its route tables. The shape must have
+    /// passed [`SystemConfig::report`]'s `topology-shape` check.
+    fn build(kind: TopologyKind) -> Fabric {
+        FABRIC_BUILDS.with(|n| n.set(n.get() + 1));
+        let topology = Rc::new(match kind {
+            TopologyKind::KaryTree { k, n } => KaryTree::new(k, n).into_topology(),
+            TopologyKind::UniMin { k, n } => UniMin::new(k, n).into_topology(),
+            TopologyKind::Irregular {
+                switches,
+                ports,
+                hosts,
+                extra_links,
+                seed,
+            } => Irregular::new(switches, ports, hosts, extra_links, seed)
+                .unwrap_or_else(|e| panic!("invalid irregular topology: {e}"))
+                .into_topology(),
+        });
+        let tables = Rc::new(RouteTables::build(&topology));
+        Fabric { topology, tables }
+    }
+}
+
+/// A fabric of the table, its k-ary tree, and the fabric pass's
+/// sub-report on it (its findings, cycles and coverage counters) per
+/// replication policy, the pass's only input besides the topology.
+struct FabricEntry {
+    fabric: Fabric,
+    /// Built on first use (multiport encoding, the certificate): a
+    /// [`KaryTree`] holds a second copy of the topology, which a fabric
+    /// nobody asks the tree of does not keep.
+    tree: Option<Rc<KaryTree>>,
+    verdicts: Vec<(ReplicatePolicy, ConfigReport)>,
+}
+
+/// Fabrics the table remembers per thread. A sweep revisits a handful; a
+/// fuzz loop draws thousands of distinct ones, so the oldest entry goes
+/// first.
 const FABRIC_VERDICT_CAP: usize = 64;
 
 thread_local! {
-    /// Fabric-pass verdicts of this thread, oldest first, keyed by the
-    /// pass's complete argument tuple, so a new pass input has to change
-    /// the key. A hit returns the recorded sub-report byte for byte and
-    /// builds no topology: `build_system` and `RunSpec::check` validate
-    /// the same fabric on every run of a sweep (DESIGN.md §8, §9). One
-    /// table per thread, like the responder's model verdicts, keeps locks
-    /// and cross-thread order out of every run.
-    static FABRIC_VERDICTS: RefCell<VecDeque<(FabricKey, FabricVerdict)>> =
+    /// This thread's built fabrics, oldest first, keyed by the
+    /// `TopologyKind` they are a function of, each with the fabric pass's
+    /// verdict per replication policy. `build_system` and `RunSpec::check`
+    /// validate the same fabric on every run of a sweep, and
+    /// `build_system` then wires the topology and tables the pass built:
+    /// a warm build builds neither, a hit returns the recorded sub-report
+    /// byte for byte (DESIGN.md §8, §9). One table per thread, like the
+    /// responder's model verdicts, keeps locks and cross-thread order out
+    /// of every run.
+    static FABRIC_VERDICTS: RefCell<VecDeque<(TopologyKind, FabricEntry)>> =
         const { RefCell::new(VecDeque::new()) };
-    /// Fabric passes run on this thread (table misses).
+    /// Fabrics built on this thread (table misses).
+    static FABRIC_BUILDS: Cell<usize> = const { Cell::new(0) };
+    /// Fabric passes run on this thread (verdict misses).
     #[cfg(test)]
-    static FABRIC_PASSES_RUN: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static FABRIC_PASSES_RUN: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The fabric pass's verdict on `key`, running the pass only if this
-/// thread has not recorded it.
-fn fabric_verdict(key: FabricKey) -> FabricVerdict {
-    let known = FABRIC_VERDICTS.with(|t| {
-        t.borrow()
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.clone())
-    });
-    known.unwrap_or_else(|| {
-        let verdict = fabric_pass(key);
-        FABRIC_VERDICTS.with(|t| {
-            let mut t = t.borrow_mut();
-            if t.len() == FABRIC_VERDICT_CAP {
-                t.pop_front();
+/// Runs `f` on `kind`'s entry, building the fabric first if this thread
+/// has not.
+fn with_fabric<R>(kind: TopologyKind, f: impl FnOnce(&mut FabricEntry) -> R) -> R {
+    FABRIC_VERDICTS.with(|t| {
+        let mut t = t.borrow_mut();
+        let i = match t.iter().position(|(k, _)| *k == kind) {
+            Some(i) => i,
+            None => {
+                let fabric = Fabric::build(kind);
+                if t.len() == FABRIC_VERDICT_CAP {
+                    t.pop_front();
+                }
+                t.push_back((
+                    kind,
+                    FabricEntry {
+                        fabric,
+                        tree: None,
+                        verdicts: Vec::new(),
+                    },
+                ));
+                t.len() - 1
             }
-            t.push_back((key, verdict.clone()));
-        });
-        verdict
+        };
+        f(&mut t[i].1)
     })
 }
 
-/// Fabric passes actually run on this thread so far (table misses).
-#[cfg(test)]
-pub(crate) fn fabric_passes_run() -> usize {
-    FABRIC_PASSES_RUN.with(|n| n.get())
+/// `kind`'s built fabric, from this thread's table.
+pub(crate) fn fabric(kind: TopologyKind) -> Fabric {
+    with_fabric(kind, |e| e.fabric.clone())
 }
 
-/// `cfg.report()` on a new thread, whose verdict table is empty.
+/// The k-ary tree of a `KaryTree` fabric, from this thread's table.
+pub(crate) fn kary_tree(kind: TopologyKind) -> Option<Rc<KaryTree>> {
+    let TopologyKind::KaryTree { k, n } = kind else {
+        return None;
+    };
+    let tree = with_fabric(kind, |e| {
+        e.tree
+            .get_or_insert_with(|| Rc::new(KaryTree::new(k, n)))
+            .clone()
+    });
+    Some(tree)
+}
+
+/// The fabric pass's sub-report on `kind` under `policy` and the
+/// fabric's switch count (the `model-exact-vet-bound` input), running
+/// the pass only if this thread has not recorded it. The pass is the
+/// channel-dependency and header round-trip analysis of the fabric's
+/// tables.
+fn fabric_verdict(kind: TopologyKind, policy: ReplicatePolicy) -> (ConfigReport, usize) {
+    with_fabric(kind, |e| {
+        let switches = e.fabric.topology.n_switches();
+        if let Some((_, report)) = e.verdicts.iter().find(|(p, _)| *p == policy) {
+            return (report.clone(), switches);
+        }
+        #[cfg(test)]
+        FABRIC_PASSES_RUN.with(|n| n.set(n.get() + 1));
+        let mut report = ConfigReport::new();
+        analyze_fabric(&e.fabric.topology, &e.fabric.tables, policy, &mut report);
+        e.verdicts.push((policy, report.clone()));
+        (report, switches)
+    })
+}
+
+/// Fabrics (topology plus route tables) built on this thread so far: a
+/// cold `build_system` builds its fabric once, a warm one not at all.
+/// For tests.
+#[doc(hidden)]
+pub fn fabric_builds() -> usize {
+    FABRIC_BUILDS.with(Cell::get)
+}
+
+/// Fabric passes actually run on this thread so far (verdict misses).
+#[cfg(test)]
+pub(crate) fn fabric_passes_run() -> usize {
+    FABRIC_PASSES_RUN.with(Cell::get)
+}
+
+/// `cfg.report()` on a new thread, whose table is empty.
 #[cfg(test)]
 pub(crate) fn fresh_report(cfg: &SystemConfig) -> ConfigReport {
     let cfg = cfg.clone();
     std::thread::spawn(move || cfg.report())
         .join()
         .expect("fresh-thread report")
-}
-
-/// The fabric pass: builds the topology and its route tables, then runs
-/// the channel-dependency and header round-trip analysis.
-fn fabric_pass((topology_kind, policy): FabricKey) -> FabricVerdict {
-    #[cfg(test)]
-    FABRIC_PASSES_RUN.with(|n| n.set(n.get() + 1));
-    let mut report = ConfigReport::new();
-    let (topology, _) = crate::build::build_topology(topology_kind);
-    let tables = RouteTables::build(&topology);
-    analyze_fabric(&topology, &tables, policy, &mut report);
-    FabricVerdict {
-        report,
-        switches: topology.n_switches(),
-    }
 }
 
 #[cfg(test)]

@@ -270,7 +270,7 @@ impl TopologyBuilder {
     /// Panics if any host lacks an injection or ejection attachment, or if
     /// switch-switch connections are asymmetric (cannot happen through this
     /// builder's API, but is checked anyway).
-    pub fn build(self) -> Topology {
+    pub fn build(mut self) -> Topology {
         let host_inject: Vec<_> = self
             .host_inject
             .iter()
@@ -295,6 +295,12 @@ impl TopologyBuilder {
                 }
             }
         }
+        // The per-switch vectors grew by pushing, and a built topology
+        // lives as long as the fabric that shares it: keep no spare
+        // capacity.
+        self.switch_ports.shrink_to_fit();
+        self.attach.shrink_to_fit();
+        self.depth.shrink_to_fit();
         Topology {
             n_hosts: self.n_hosts,
             switch_ports: self.switch_ports,

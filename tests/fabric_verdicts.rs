@@ -1,14 +1,18 @@
-//! The per-thread fabric-verdict table behind `SystemConfig::report`
-//! (DESIGN.md §8, §9): a report the table answers is the report a fresh
-//! thread computes, each field of the table's key selects its own
-//! verdict, and an invalid config is refused with the same message on a
-//! cold and a warm thread.
+//! The per-thread fabric table behind `SystemConfig::report` and
+//! `build_system` (DESIGN.md §8, §9): a report the table answers is the
+//! report a fresh thread computes, each field of the table's key selects
+//! its own verdict, an invalid config is refused with the same message on
+//! a cold and a warm thread, and a run on a warm thread — one whose
+//! fabric a build, a masked reroute or an eviction went through — gives
+//! the outcome a fresh thread gives.
 
+use collectives::{RecoveryConfig, SilentSource, TrafficSource};
 use mdw_analysis::ModelMode;
 use mdworm::cfgtext::parse_config;
-use mdworm::config::{SystemConfig, TopologyKind};
-use mdworm::{build_system, ConfigReport, ResponseConfig};
-use mintopo::route::ReplicatePolicy;
+use mdworm::config::{fabric_builds, McastImpl, SwitchArch, SystemConfig, TopologyKind};
+use mdworm::{build_system, run_experiment, ConfigReport, ResponseConfig, RunConfig, TrafficSpec};
+use mintopo::route::{ReplicatePolicy, RouteTables};
+use std::rc::Rc;
 
 /// `cfg.report()` on a new thread, whose verdict table is empty.
 fn fresh_report(cfg: &SystemConfig) -> ConfigReport {
@@ -112,4 +116,173 @@ fn invalid_config_panics_alike_on_a_warm_thread() {
     let warm = build_panic(broken);
     assert!(warm.starts_with("invalid system config: "), "{warm}");
     assert_eq!(warm, cold);
+}
+
+/// `f` on a new thread, whose fabric table is empty.
+fn on_fresh_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::spawn(f).join().expect("fresh thread")
+}
+
+fn silent(n: usize) -> Vec<Box<dyn TrafficSource>> {
+    (0..n)
+        .map(|_| Box::new(SilentSource) as Box<dyn TrafficSource>)
+        .collect()
+}
+
+fn short_run() -> RunConfig {
+    RunConfig {
+        warmup: 500,
+        measure: 3_000,
+        ..RunConfig::quick()
+    }
+}
+
+/// The `Debug` text of `run_experiment`'s outcome: every field, so two
+/// runs agree on it only if they agree on everything they measured.
+fn outcome(cfg: &SystemConfig, spec: &TrafficSpec, run: &RunConfig) -> String {
+    format!("{:?}", run_experiment(cfg, spec, run))
+}
+
+/// `outcome` on a new thread.
+fn fresh_outcome(cfg: &SystemConfig, spec: &TrafficSpec, run: &RunConfig) -> String {
+    let (cfg, spec, run) = (cfg.clone(), spec.clone(), run.clone());
+    on_fresh_thread(move || outcome(&cfg, &spec, &run))
+}
+
+fn irregular(seed: u64) -> TopologyKind {
+    TopologyKind::Irregular {
+        switches: 4,
+        ports: 8,
+        hosts: 8,
+        extra_links: 1,
+        seed,
+    }
+}
+
+/// A run whose system shares its topology and tables with the builds
+/// before it is the run a fresh thread makes: central-buffer,
+/// input-buffered, multiport, U-Min and irregular configs, each run twice
+/// on this thread (the input-buffered and multiport ones on the tree the
+/// central-buffer runs built).
+#[test]
+fn warm_runs_equal_fresh_thread_runs() {
+    let tree = TopologyKind::KaryTree { k: 4, n: 2 };
+    let with = |topology, arch, mcast| SystemConfig {
+        topology,
+        arch,
+        mcast,
+        ..SystemConfig::default()
+    };
+    let cb = SwitchArch::CentralBuffer;
+    let hw = McastImpl::HwBitString;
+    let configs = [
+        with(tree, cb, hw),
+        with(tree, SwitchArch::InputBuffered, hw),
+        with(tree, cb, McastImpl::HwMultiport),
+        with(TopologyKind::UniMin { k: 4, n: 2 }, cb, hw),
+        with(
+            TopologyKind::Irregular {
+                switches: 8,
+                ports: 8,
+                hosts: 16,
+                extra_links: 4,
+                seed: 7,
+            },
+            SwitchArch::InputBuffered,
+            hw,
+        ),
+    ];
+    let spec = TrafficSpec::multiple_multicast(0.05, 4, 16);
+    for cfg in &configs {
+        let first = outcome(cfg, &spec, &short_run());
+        let warm = outcome(cfg, &spec, &short_run());
+        assert_eq!(warm, first, "{:?}", cfg.topology);
+        assert_eq!(warm, fresh_outcome(cfg, &spec, &short_run()), "{cfg:?}");
+    }
+}
+
+/// A responder that installs masked tables replaces the system's handle
+/// and leaves the thread's fabric alone: the next build on the thread
+/// wires the unmasked tables every build shares, and the run's outcome is
+/// a fresh thread's.
+#[test]
+fn masked_reroute_leaves_the_shared_tables_unmasked() {
+    let cfg = SystemConfig {
+        topology: TopologyKind::KaryTree { k: 4, n: 2 },
+        recovery: Some(RecoveryConfig::default()),
+        response: Some(ResponseConfig::default()),
+        ..SystemConfig::default()
+    };
+    let spec = TrafficSpec::multiple_multicast(0.03, 4, 16);
+    // Fabric link 0 goes down for good: the run ends on masked tables.
+    let run = RunConfig {
+        outages: vec![(0, 1_500, 1_000_000_000)],
+        ..short_run()
+    };
+    let before = build_system(cfg.clone(), silent(16), None).tables;
+    let rerouted = run_experiment(&cfg, &spec, &run);
+    assert!(rerouted.response.reroutes >= 1, "{rerouted:?}");
+    assert_eq!(rerouted.response.heals, 0, "{rerouted:?}");
+
+    let next = build_system(cfg.clone(), silent(16), None);
+    let again = build_system(cfg.clone(), silent(16), None);
+    assert!(Rc::ptr_eq(&next.tables, &before));
+    assert!(Rc::ptr_eq(&next.tables, &again.tables));
+    assert_eq!(
+        format!("{:?}", next.tables),
+        format!("{:?}", RouteTables::build(&next.topology)),
+        "the shared tables are the unmasked build"
+    );
+    assert_eq!(format!("{rerouted:?}"), fresh_outcome(&cfg, &spec, &run));
+}
+
+/// A cold `build_system` builds its topology and tables once — the
+/// fabric pass's build, which the system then wires — and a warm one
+/// builds neither.
+#[test]
+fn a_cold_build_builds_the_fabric_once_and_a_warm_one_never() {
+    on_fresh_thread(|| {
+        let cfg = SystemConfig::default();
+        assert_eq!(fabric_builds(), 0);
+        build_system(cfg.clone(), silent(64), None);
+        assert_eq!(fabric_builds(), 1, "cold build");
+        build_system(cfg.clone(), silent(64), None);
+        let mut ib = cfg.clone();
+        ib.arch = SwitchArch::InputBuffered;
+        ib.switch.policy = ReplicatePolicy::ForwardAndReturn;
+        build_system(ib, silent(64), None);
+        cfg.certify_comparison();
+        assert_eq!(fabric_builds(), 1, "warm builds, another policy, certify");
+    });
+}
+
+/// A fabric the table evicted is built again on its next use, and the run
+/// on the rebuilt fabric gives the outcome it gave before the eviction.
+#[test]
+fn an_evicted_fabric_rebuilds_to_the_same_outcome() {
+    on_fresh_thread(|| {
+        let cfg = |seed| SystemConfig {
+            topology: irregular(seed),
+            ..SystemConfig::default()
+        };
+        let spec = TrafficSpec::multiple_multicast(0.05, 3, 16);
+        let before = outcome(&cfg(0), &spec, &short_run());
+        let builds = fabric_builds();
+        // Distinct fabrics until the first is evicted: its next run
+        // builds it again.
+        let mut seed = 1;
+        loop {
+            cfg(seed).validate().expect("valid irregular fabric");
+            seed += 1;
+            let probe = fabric_builds();
+            cfg(0).validate().expect("valid");
+            if fabric_builds() > probe {
+                break;
+            }
+            assert!(seed < 1_000, "the table never evicted");
+        }
+        assert_eq!(fabric_builds(), builds + seed as usize);
+        let after = outcome(&cfg(0), &spec, &short_run());
+        assert_eq!(after, before);
+    });
 }
