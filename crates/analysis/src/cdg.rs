@@ -33,6 +33,7 @@
 use mintopo::reach::PortClass;
 use mintopo::route::RouteTables;
 use mintopo::topology::{Attach, Topology};
+use netsim::destset::DestSet;
 use netsim::ids::{NodeId, SwitchId};
 
 /// One directed physical channel of the fabric.
@@ -119,15 +120,86 @@ impl Dependency {
     }
 }
 
-/// The channel-dependency graph of one fabric.
+/// The channel-dependency graph of one fabric. Each edge is stored once,
+/// as a successor index; [`ChannelGraph::dependency`] rebuilds its label
+/// from the topology and tables when a report needs it.
 #[derive(Debug, Clone)]
 pub struct ChannelGraph {
     /// All channels; index = CDG node id.
     pub channels: Vec<Channel>,
-    /// All dependency edges.
-    pub deps: Vec<Dependency>,
-    /// Successor lists over channel indices (deduplicated, sorted).
+    /// Successor lists over channel indices (sorted, each edge once).
     pub adj: Vec<Vec<usize>>,
+}
+
+impl ChannelGraph {
+    /// Number of dependency edges.
+    pub fn n_dependencies(&self) -> usize {
+        self.adj.iter().map(Vec::len).sum()
+    }
+
+    /// The labeled edge `from -> to`: the switch the held channel lands on,
+    /// the ports involved and the worm shape class that induces it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is a sink (an ejection channel) or `to` is not an
+    /// output channel of the switch `from` lands on.
+    pub fn dependency(
+        &self,
+        topo: &Topology,
+        tables: &RouteTables,
+        from: usize,
+        to: usize,
+    ) -> Dependency {
+        let (at, out_of, reach_in) =
+            landing(topo, tables, self.channels[from]).expect("a sink channel has no edges");
+        let Channel::SwitchOut { sw, port: onto } = self.channels[to] else {
+            panic!("an edge always requests a switch output channel");
+        };
+        assert_eq!(sw, at, "edge {from} -> {to} leaves the landing switch");
+        Dependency {
+            from,
+            to,
+            at,
+            out_of,
+            onto,
+            shape: shape_of(reach_in),
+        }
+    }
+}
+
+/// Where a held channel lands: the switch, the output port the channel
+/// leaves its sender on (`usize::MAX` for an injection channel) and, for a
+/// descending arrival, the reach string bounding the residual set.
+/// `None` for an ejection or unconnected channel — the host always drains
+/// it, so it is a sink.
+fn landing<'t>(
+    topo: &Topology,
+    tables: &'t RouteTables,
+    ch: Channel,
+) -> Option<(SwitchId, usize, Option<&'t DestSet>)> {
+    match ch {
+        Channel::Inject { sw, .. } => Some((sw, usize::MAX, None)),
+        Channel::SwitchOut { sw, port } => match topo.attach(sw, port) {
+            Attach::Host(_) | Attach::Unused => None,
+            // Descending arrival: residual ⊆ the sending port's reach
+            // string.
+            Attach::Switch(next, _) => Some((
+                next,
+                port,
+                topo.is_down_hop(sw, port)
+                    .then(|| &tables.table(sw).port(port).reach),
+            )),
+        },
+    }
+}
+
+fn shape_of(reach_in: Option<&DestSet>) -> ShapeClass {
+    if reach_in.is_some() {
+        ShapeClass::Descending
+    } else {
+        ShapeClass::Ascending
+    }
 }
 
 /// Builds the channel-dependency graph induced by the LCA routing function
@@ -149,40 +221,24 @@ pub fn build_cdg(topo: &Topology, tables: &RouteTables) -> ChannelGraph {
         }
         out_index.push(row);
     }
-    let inject_base = channels.len();
     for h in 0..topo.n_hosts() {
         let host = NodeId::from(h);
         let (sw, port) = topo.host_inject(host);
         channels.push(Channel::Inject { host, sw, port });
     }
 
-    let full = netsim::destset::DestSet::full(tables.n_hosts());
-    let mut deps: Vec<Dependency> = Vec::new();
-    for (from, ch) in channels.iter().enumerate() {
+    let full = DestSet::full(tables.n_hosts());
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); channels.len()];
+    for (&ch, succ) in channels.iter().zip(adj.iter_mut()) {
         // Where does this channel land, with what shape class and residual
         // bound? Ejection channels are sinks — the host always drains them.
-        let (at, out_of, reach_in) = match *ch {
-            Channel::Inject { sw, .. } => (sw, usize::MAX, None),
-            Channel::SwitchOut { sw, port } => match topo.attach(sw, port) {
-                Attach::Host(_) | Attach::Unused => continue,
-                Attach::Switch(next, _) => {
-                    if topo.is_down_hop(sw, port) {
-                        // Descending arrival: residual ⊆ the sending
-                        // port's reach string.
-                        (next, port, Some(&tables.table(sw).port(port).reach))
-                    } else {
-                        (next, port, None)
-                    }
-                }
-            },
-        };
-        let shape = if reach_in.is_some() {
-            ShapeClass::Descending
-        } else {
-            ShapeClass::Ascending
+        let Some((at, _, reach_in)) = landing(topo, tables, ch) else {
+            continue;
         };
         let table = tables.table(at);
-        let may_ascend = shape == ShapeClass::Ascending && table.down_union() != &full;
+        let may_ascend = shape_of(reach_in) == ShapeClass::Ascending && table.down_union() != &full;
+        // Output channels of one switch have increasing indices, so each
+        // list comes out sorted, with each edge once.
         for (onto, &to) in out_index[at.index()].iter().enumerate() {
             let info = table.port(onto);
             let feasible = match info.class {
@@ -196,35 +252,12 @@ pub fn build_cdg(topo: &Topology, tables: &RouteTables) -> ChannelGraph {
                 PortClass::Unused => false,
             };
             if feasible {
-                deps.push(Dependency {
-                    from,
-                    to,
-                    at,
-                    out_of,
-                    onto,
-                    shape,
-                });
+                succ.push(to);
             }
         }
     }
-    debug_assert!(channels[inject_base..]
-        .iter()
-        .all(|c| matches!(c, Channel::Inject { .. })));
 
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); channels.len()];
-    for d in &deps {
-        adj[d.from].push(d.to);
-    }
-    for succ in &mut adj {
-        succ.sort_unstable();
-        succ.dedup();
-    }
-
-    ChannelGraph {
-        channels,
-        deps,
-        adj,
-    }
+    ChannelGraph { channels, adj }
 }
 
 #[cfg(test)]
@@ -254,7 +287,7 @@ mod tests {
         let tables = RouteTables::build(&topo);
         let g = build_cdg(&topo, &tables);
         assert!(!g.channels.is_empty());
-        assert!(!g.deps.is_empty());
+        assert!(g.n_dependencies() > 0);
         let sccs = tarjan_sccs(g.channels.len(), &g.adj);
         assert!(
             sccs.iter().all(|s| !scc_is_cyclic(&g.adj, s)),
@@ -283,12 +316,20 @@ mod tests {
         ));
     }
 
+    /// Every edge of `g`, labeled.
+    fn deps(g: &ChannelGraph, topo: &Topology, tables: &RouteTables) -> Vec<Dependency> {
+        (0..g.channels.len())
+            .flat_map(|from| g.adj[from].iter().map(move |&to| (from, to)))
+            .map(|(from, to)| g.dependency(topo, tables, from, to))
+            .collect()
+    }
+
     #[test]
     fn descending_channels_never_depend_upward() {
         let topo = small_tree();
         let tables = RouteTables::build(&topo);
         let g = build_cdg(&topo, &tables);
-        for d in &g.deps {
+        for d in &deps(&g, &topo, &tables) {
             if d.shape == ShapeClass::Descending {
                 let onto = tables.table(d.at).port(d.onto).class;
                 assert_eq!(onto, PortClass::Down, "descending edge must stay down");
@@ -304,7 +345,7 @@ mod tests {
         // The root covers the whole system downward, so no edge may target
         // an up port there (it has none) nor may any ascending edge target
         // a port classified Up at a switch whose down-union is full.
-        for d in &g.deps {
+        for d in &deps(&g, &topo, &tables) {
             if tables.table(d.at).port(d.onto).class == PortClass::Up {
                 assert_ne!(
                     tables.table(d.at).down_union(),
@@ -320,7 +361,7 @@ mod tests {
         let topo = small_tree();
         let tables = RouteTables::build(&topo);
         let g = build_cdg(&topo, &tables);
-        let d = &g.deps[0];
+        let d = &deps(&g, &topo, &tables)[0];
         let label = d.describe(&g.channels);
         assert!(label.contains("->"), "{label}");
         assert!(label.contains("worm"), "{label}");

@@ -491,7 +491,7 @@ mod tests {
             let g = crate::build_cdg(tree.topology(), &dense);
             let out = cert.check(tree.topology(), &compact);
             assert_eq!(out.channels, g.channels.len(), "k={k} n={n}");
-            assert_eq!(out.dependencies, g.deps.len(), "k={k} n={n}");
+            assert_eq!(out.dependencies, g.n_dependencies(), "k={k} n={n}");
         }
     }
 

@@ -17,10 +17,9 @@
 //!   granted multidestination worms (paper §3, Chiang & Ni), a hazard the
 //!   runtime watchdog demonstrably catches.
 //!
-//! The sizing rules double as the engine behind
-//! [`SwitchConfig::validate`]'s legacy `Result` interface, so every
-//! message here is byte-identical to the one that interface has always
-//! produced.
+//! The sizing rules themselves live once, in
+//! [`SwitchConfig::sizing_violations`]; [`SwitchConfig::validate`]
+//! reports the first of them and [`switch_sizing`] reports them all.
 
 use crate::report::ConfigReport;
 use switches::{ReplicationMode, SwitchConfig};
@@ -38,77 +37,13 @@ pub enum ArchClass {
 /// Runs every switch-level sizing and protocol check, appending findings
 /// to `report`.
 ///
-/// The first eight checks reproduce [`SwitchConfig::validate`] exactly
-/// (same order, same messages) so `Result`-based callers surfacing
-/// [`ConfigReport::first_error`] see unchanged behavior; the
-/// architecture-specific hazard checks follow as warnings.
+/// The sizing errors are [`SwitchConfig::sizing_violations`] in rule
+/// order, so `Result`-based callers surfacing
+/// [`ConfigReport::first_error`] see what [`SwitchConfig::validate`]
+/// reports; the architecture-specific hazard checks follow as warnings.
 pub fn switch_sizing(cfg: &SwitchConfig, arch: ArchClass, report: &mut ConfigReport) {
-    if !(cfg.ports >= 2 && cfg.ports <= 16) {
-        report.error(
-            "ports-out-of-range",
-            format!("ports must be 2..=16, got {}", cfg.ports),
-        );
-    }
-    if cfg.chunk_flits < 1 {
-        report.error("chunk-holds-no-flit", "chunks must hold at least one flit");
-    }
-    if cfg.cq_chunks < 1 {
-        report.error("cq-empty", "central queue needs capacity");
-    }
-    if cfg.max_packet_flits < 2 {
-        report.error(
-            "packet-below-header",
-            format!(
-                "packets have at least a header; max_packet_flits {} is too small",
-                cfg.max_packet_flits
-            ),
-        );
-    }
-    // The capacity comparisons are meaningless (and `chunks_for` divides
-    // by the chunk size) when the basic sanity checks above already
-    // failed, so they only run on a structurally sane central queue.
-    if cfg.chunk_flits >= 1 && cfg.cq_chunks >= 1 {
-        if u32::from(cfg.max_packet_flits) > cfg.cq_flits() {
-            report.error(
-                "cb-packet-exceeds-cq",
-                format!(
-                    "max packet ({} flits) exceeds central queue ({} flits): \
-                     deadlock-freedom guarantee impossible",
-                    cfg.max_packet_flits,
-                    cfg.cq_flits()
-                ),
-            );
-        }
-        if cfg.cq_chunks < 2 * cfg.cq_down_reserve() {
-            report.error(
-                "cb-no-descending-reserve",
-                format!(
-                    "central queue ({} chunks) must hold at least two max packets \
-                     ({} chunks each): one is reserved for descending traffic",
-                    cfg.cq_chunks,
-                    cfg.cq_down_reserve()
-                ),
-            );
-        }
-    }
-    if u32::from(cfg.max_packet_flits) > cfg.input_buf_flits {
-        report.error(
-            "ib-packet-exceeds-fifo",
-            format!(
-                "max packet ({} flits) exceeds input buffer ({} flits): \
-                 deadlock-freedom guarantee impossible",
-                cfg.max_packet_flits, cfg.input_buf_flits
-            ),
-        );
-    }
-    if cfg.staging_flits < 4 {
-        report.error(
-            "staging-below-decode",
-            format!(
-                "staging of {} flits cannot cover decode latency (need >= 4)",
-                cfg.staging_flits
-            ),
-        );
+    for (code, message) in cfg.sizing_violations() {
+        report.error(code, message);
     }
 
     // Architecture-specific protocol hazards (warnings: the configuration
@@ -145,7 +80,7 @@ mod tests {
 
     #[test]
     fn messages_match_legacy_validate_exactly() {
-        // Each broken field must yield the same first message the legacy
+        // Each broken field must yield the same first message the
         // `SwitchConfig::validate` Result interface produces.
         let broken = [
             SwitchConfig {
@@ -189,6 +124,68 @@ mod tests {
             let first = r.first_error().expect("analysis flags it too");
             assert_eq!(first.message, legacy);
         }
+    }
+
+    /// Codes, messages and their order, pinned on two configs that break
+    /// every sizing rule between them.
+    #[test]
+    fn sizing_codes_messages_and_order_are_pinned() {
+        let all_but_sanity = SwitchConfig {
+            ports: 1,
+            cq_chunks: 4,
+            max_packet_flits: 64,
+            input_buf_flits: 32,
+            staging_flits: 2,
+            replication: ReplicationMode::Synchronous,
+            ..SwitchConfig::default()
+        };
+        let sanity = SwitchConfig {
+            ports: 17,
+            chunk_flits: 0,
+            cq_chunks: 0,
+            max_packet_flits: 1,
+            input_buf_flits: 0,
+            ..SwitchConfig::default()
+        };
+        let render = |cfg: &SwitchConfig| {
+            let mut r = ConfigReport::new();
+            switch_sizing(cfg, ArchClass::InputBuffered, &mut r);
+            r.diagnostics
+                .iter()
+                .map(|d| format!("{:?} {}: {}", d.severity, d.code, d.message))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            render(&all_but_sanity),
+            [
+                "Error ports-out-of-range: ports must be 2..=16, got 1",
+                "Error cb-packet-exceeds-cq: max packet (64 flits) exceeds central queue \
+                 (32 flits): deadlock-freedom guarantee impossible",
+                "Error cb-no-descending-reserve: central queue (4 chunks) must hold at least \
+                 two max packets (8 chunks each): one is reserved for descending traffic",
+                "Error ib-packet-exceeds-fifo: max packet (64 flits) exceeds input buffer \
+                 (32 flits): deadlock-freedom guarantee impossible",
+                "Error staging-below-decode: staging of 2 flits cannot cover decode latency \
+                 (need >= 4)",
+                "Warning sync-replication-hazard: synchronous (lock-step) replication on the \
+                 input-buffered switch admits grant-wait cycles between partially granted \
+                 multidestination worms (paper §3): two worms can each hold a subset of the \
+                 other's output ports and neither ever streams; use Asynchronous replication \
+                 for a deadlock-freedom guarantee",
+            ]
+        );
+        assert_eq!(
+            render(&sanity),
+            [
+                "Error ports-out-of-range: ports must be 2..=16, got 17",
+                "Error chunk-holds-no-flit: chunks must hold at least one flit",
+                "Error cq-empty: central queue needs capacity",
+                "Error packet-below-header: packets have at least a header; \
+                 max_packet_flits 1 is too small",
+                "Error ib-packet-exceeds-fifo: max packet (1 flits) exceeds input buffer \
+                 (0 flits): deadlock-freedom guarantee impossible",
+            ]
+        );
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub fn analyze_fabric(
 ) {
     let graph = build_cdg(topo, tables);
     report.stats.channels = graph.channels.len();
-    report.stats.dependencies = graph.deps.len();
+    report.stats.dependencies = graph.n_dependencies();
 
     let sccs = scc::tarjan_sccs(graph.channels.len(), &graph.adj);
     report.stats.sccs = sccs.len();
@@ -85,23 +85,23 @@ pub fn analyze_fabric(
             continue;
         }
         let cycle = scc::cycle_in_scc(&graph.adj, component);
-        let on_cycle: std::collections::HashSet<usize> = cycle.iter().copied().collect();
         let channels: Vec<String> = cycle
             .iter()
             .map(|&c| graph.channels[c].describe())
             .collect();
-        let edges: Vec<String> = graph
-            .deps
-            .iter()
-            .filter(|d| {
-                on_cycle.contains(&d.from)
-                    && on_cycle.contains(&d.to)
-                    && cycle
-                        .iter()
-                        .position(|&c| c == d.from)
-                        .is_some_and(|i| cycle[(i + 1) % cycle.len()] == d.to)
+        // The cycle's edges, labeled in edge-enumeration order (by held
+        // channel).
+        let mut steps: Vec<(usize, usize)> = (0..cycle.len())
+            .map(|i| (cycle[i], cycle[(i + 1) % cycle.len()]))
+            .collect();
+        steps.sort_unstable();
+        let edges: Vec<String> = steps
+            .into_iter()
+            .map(|(from, to)| {
+                graph
+                    .dependency(topo, tables, from, to)
+                    .describe(&graph.channels)
             })
-            .map(|d| d.describe(&graph.channels))
             .collect();
         report.error(
             "cdg-cycle",
@@ -468,6 +468,53 @@ mod tests {
         // The cycle names both switch output channels.
         let channels = report.cycles[0].channels.join(" ");
         assert!(channels.contains("out0"), "{channels}");
+    }
+
+    /// The cycle report's text, pinned byte for byte: a three-switch ring
+    /// whose candidate tables send a full-reach worm around it, in an
+    /// order (s0 -> s2 -> s1) that differs from the held channels' order,
+    /// so the edges come out sorted by held channel, not along the cycle.
+    #[test]
+    fn cycle_report_labels_are_pinned() {
+        use mintopo::reach::{PortClass, PortInfo};
+        use mintopo::route::SwitchTable;
+        use netsim::destset::DestSet;
+
+        let mut b = TopologyBuilder::new(3);
+        let s: Vec<_> = (0..3).map(|_| b.add_switch(3, 1)).collect();
+        for (i, &sw) in s.iter().enumerate() {
+            b.attach_host(NodeId(i as u32), sw, 2);
+            b.connect(sw, 0, s[(i + 2) % 3], 1);
+        }
+        let topo = b.build();
+        let port = |class, reach| PortInfo { class, reach };
+        let mk = |own: u32| {
+            SwitchTable::from_ports(
+                vec![
+                    port(PortClass::Down, DestSet::full(3)),
+                    port(PortClass::Unused, DestSet::empty(3)),
+                    port(PortClass::Down, DestSet::singleton(3, NodeId(own))),
+                ],
+                3,
+            )
+        };
+        let candidate = RouteTables::from_tables(vec![mk(0), mk(1), mk(2)], 3);
+        let mut report = ConfigReport::new();
+        analyze_fabric(&topo, &candidate, ReplicatePolicy::ReturnOnly, &mut report);
+        let golden = r#"{
+  "clean": false,
+  "errors": 1,
+  "warnings": 0,
+  "stats": {"channels": 9, "dependencies": 12, "sccs": 7, "roundtrips": 6},
+  "diagnostics": [
+    {"code": "cdg-cycle", "severity": "error", "message": "channel-dependency cycle through 3 channel(s): s0.out0 -> s2.out0 -> s1.out0 — worms can each hold a channel while waiting on the next, forever"}
+  ],
+  "cycles": [
+    {"channels": ["s0.out0", "s2.out0", "s1.out0"], "edges": ["s2: s0.out0 -> s2.out0 (descending worm)", "s0: s1.out0 -> s0.out0 (ascending worm)", "s1: s2.out0 -> s1.out0 (ascending worm)"]}
+  ]
+}
+"#;
+        assert_eq!(report.render_json(), golden);
     }
 
     #[test]

@@ -138,11 +138,12 @@ pub struct CrashSweepOutcome {
     pub oracle: RunOutcome,
 }
 
-/// The `Debug` text a recovered run is compared on. Memo hit/miss
-/// counters are process-local observability, not durable state: journal
-/// replay re-inserts vet verdicts without looking them up, so a
-/// crashed-and-recovered run reaches the same durable state through a
-/// different lookup sequence. They are cleared before the byte comparison
+/// The `Debug` text a recovered run is compared on. Vet hit/miss
+/// counters are process-local observability, not durable state: they
+/// count only what the last recovered responder ran, and a re-driven
+/// episode takes its journaled verdict without vetting, so a
+/// crashed-and-recovered run reaches the same durable state with
+/// different counts. They are cleared before the byte comparison
 /// (recovery wall-times are likewise excluded); everything else must
 /// match exactly.
 fn comparable_repr(outcome: &RunOutcome) -> String {
@@ -280,7 +281,7 @@ mod tests {
 
     /// The thread's model-check verdict table is a pure fast path: a
     /// second E19 sweep on a warm thread runs no model check and renders
-    /// the same outcome as the first, memo counters included (only the
+    /// the same outcome as the first, vet counters included (only the
     /// wall-clock recovery latencies may differ).
     #[test]
     fn warm_verdict_table_changes_no_sweep_outcome() {

@@ -19,15 +19,16 @@
 //!    ([`mintopo::route::RouteTables::build_masked`]) and **prepared**
 //!    under a fresh epoch on every switch (two-phase: staged, inactive).
 //!    The candidate is vetted in two halves: structurally by the static
-//!    deadlock analyzer ([`mdw_analysis::vet_reroute`] — memoized per
-//!    *(epoch, masked-port set)*, so an identical dead set re-vetted
-//!    under a new epoch never reuses a stale verdict) and behaviorally by
-//!    the bounded model checker ([`mdw_analysis::check_model_opts`]).
-//!    The model check is cached in two layers: the responder's LRU memo
-//!    per ([`ModelBounds`], [`mdw_analysis::ModelOptions`]) pair, and
-//!    under it a thread-local verdict table keyed by the checker's
-//!    complete input, so each distinct check runs once per thread no
-//!    matter how many responders ask. A passing candidate is
+//!    deadlock analyzer ([`mdw_analysis::vet_reroute`], run afresh for
+//!    every candidate; a re-driven episode takes its journaled verdict
+//!    instead) and behaviorally by the bounded model checker
+//!    ([`mdw_analysis::check_model_opts`]). The model check's verdict
+//!    never depends on the candidate, so the responder keeps the last
+//!    one in a single slot per ([`ModelBounds`],
+//!    [`mdw_analysis::ModelOptions`]) key, and under it a thread-local
+//!    verdict table keyed by the checker's complete input runs each
+//!    distinct check once per thread no matter how many responders ask.
+//!    A passing candidate is
 //!    **committed** — armed on every
 //!    switch, each swapping it in on its first empty tick and stamping
 //!    the epoch; a failing candidate is **aborted** and the fabric stays
@@ -59,9 +60,9 @@
 //! holds every cycle to that.
 //!
 //! The verdict table is simulator state, not responder state: it
-//! survives a simulated crash, while the responder's own memos do not.
-//! It holds pure functions of the checker's input and sits below the
-//! memo, so the memo counters and `VetStats` sample counts, and hence
+//! survives a simulated crash, while the responder's deep-vet slot does
+//! not. It holds pure functions of the checker's input and sits below the
+//! slot, so the slot's counters and `VetStats` sample counts, and hence
 //! every recovered run, are the same on a cold or a warm thread.
 //!
 //! The only deliberately ephemeral bit is
@@ -117,18 +118,12 @@ pub const EVENT_LOG_CAP: usize = 1024;
 /// Capacity of the detect→install latency ring (oldest evicted and
 /// counted, like the event log).
 pub const LATENCY_CAP: usize = 4096;
-/// LRU capacity of the structural-vet and deep-vet memos. A responder
-/// embedded in a long-running service sees an unbounded stream of
-/// (epoch, dead-set) keys; the cap keeps both memos at steady-state
-/// memory, with hit/miss/eviction counters surfaced in
-/// [`crate::sim::RunOutcome::vet_memo`].
-pub const MEMO_CAP: usize = 512;
 
 const _: () = {
     // A zero hop budget traces no coverage; a zero purge window can never
-    // confirm the fabric drained; zero-slot rings and memos hold nothing.
+    // confirm the fabric drained; zero-slot rings hold nothing.
     assert!(DEBOUNCE >= 1 && MAX_HOPS >= 1 && PURGE_MAX >= 1);
-    assert!(EVENT_LOG_CAP >= 1 && LATENCY_CAP >= 1 && MEMO_CAP >= 1);
+    assert!(EVENT_LOG_CAP >= 1 && LATENCY_CAP >= 1);
 };
 
 /// The configurable part of the online fault-response protocol: the
@@ -346,106 +341,15 @@ pub(crate) struct Episode {
     masked: Vec<(SwitchId, usize)>,
 }
 
-/// Activity counters of a `BoundedMemo`, surfaced per run in
+/// Hit and miss counters of a vet cache, surfaced per run in
 /// [`crate::sim::RunOutcome`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Lookups answered from the memo.
+    /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that missed and forced a fresh computation.
     pub misses: u64,
-    /// Entries evicted to stay within the LRU capacity.
-    pub evictions: u64,
-    /// Entries currently held.
-    pub entries: usize,
 }
-
-/// An LRU-bounded memo: at most `cap` entries are retained, each insert
-/// past capacity evicting the least-recently-used key (and counting it),
-/// so a responder embedded in a long-running service holds steady-state
-/// memory — the memo analog of the bounded [`EventLog`] ring.
-#[derive(Debug)]
-struct BoundedMemo<K, V> {
-    cap: usize,
-    map: HashMap<K, V>,
-    /// Keys from least- to most-recently used.
-    order: VecDeque<K>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl<K: std::hash::Hash + Eq + Clone, V> BoundedMemo<K, V> {
-    /// An empty memo holding at most `cap` entries (floor 1).
-    fn new(cap: usize) -> Self {
-        BoundedMemo {
-            cap: cap.max(1),
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Looks `key` up, counting the hit or miss and refreshing the
-    /// entry's recency on a hit.
-    fn get(&mut self, key: &K) -> Option<&V> {
-        if self.map.contains_key(key) {
-            self.hits += 1;
-            self.touch(key);
-            self.map.get(key)
-        } else {
-            self.misses += 1;
-            None
-        }
-    }
-
-    /// Inserts (or refreshes) an entry, evicting the least-recently-used
-    /// one if the memo is at capacity.
-    fn insert(&mut self, key: K, value: V) {
-        if self.map.insert(key.clone(), value).is_some() {
-            self.touch(&key);
-            return;
-        }
-        self.order.push_back(key);
-        if self.map.len() > self.cap {
-            let lru = self.order.pop_front().expect("order tracks map");
-            self.map.remove(&lru);
-            self.evictions += 1;
-        }
-    }
-
-    /// Moves `key` to the most-recently-used position.
-    fn touch(&mut self, key: &K) {
-        if let Some(pos) = self.order.iter().position(|k| k == key) {
-            let k = self.order.remove(pos).expect("position is in range");
-            self.order.push_back(k);
-        }
-    }
-
-    /// Entries currently held.
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Snapshot of the activity counters.
-    fn stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            entries: self.map.len(),
-        }
-    }
-}
-
-/// Key of the epoch-scoped structural-vet memo: the candidate epoch plus
-/// the masked-port set it covers.
-type VetKey = (u64, Vec<(SwitchId, usize)>);
-/// A structural-vet verdict: `Err((code, message))` on rejection.
-type VetVerdict = Result<(), (String, String)>;
 
 /// The complete argument tuple of [`mdw_analysis::check_model_opts`].
 type ModelKey = (ArchClass, bool, ReplicatePolicy, ModelBounds, ModelOptions);
@@ -553,26 +457,20 @@ pub struct FaultResponder {
     journal: Journal,
     /// Highest epoch allocated so far (0 = none; build-time tables).
     last_epoch: u64,
-    /// Structural-vet verdicts keyed by *(epoch, masked-port set)*,
-    /// LRU-bounded at [`MEMO_CAP`]. The epoch in the key is what makes
-    /// recovery safe: a re-driven episode reuses its own journaled
-    /// verdict, while the same dead set vetted again under a fresh epoch
-    /// (a storm-controller retry) always runs a fresh vet instead of
-    /// serving a stale answer.
-    vetted: BoundedMemo<VetKey, VetVerdict>,
-    /// Cached verdicts of the bounded model check (the deep half of the
-    /// reroute gate), keyed by the exploration bounds and mode options
-    /// the check actually ran under and LRU-bounded at
-    /// [`MEMO_CAP`]. The verdict never depends on the candidate tables,
-    /// so one exploration per key covers every reroute of the run — but a
-    /// verdict obtained under loose bounds (small fabric, shallow state
-    /// cap) says nothing about a stricter vet, so differently-bounded
-    /// requests get their own entry instead of silently reusing a weaker
-    /// answer. A miss asks the thread's verdict table
-    /// ([`model_verdict`]) rather than the checker, so the check runs only
-    /// if no responder on this thread has run it; the memo and its
-    /// counters behave the same either way.
-    deep_vetted: BoundedMemo<(ModelBounds, ModelOptions), Result<(), String>>,
+    /// The last verdict of the bounded model check (the deep half of the
+    /// reroute gate), with the exploration bounds and mode options it ran
+    /// under. The verdict never depends on the candidate tables, and the
+    /// key comes from the responder's own system, so one exploration
+    /// covers every reroute of the run. A verdict obtained under loose
+    /// bounds says nothing about a stricter vet, so a request under a
+    /// different key replaces the slot instead of reusing a weaker
+    /// answer. A miss asks the thread's verdict table ([`model_verdict`])
+    /// rather than the checker, so the check runs only if no responder on
+    /// this thread has run it; the slot and its counters behave the same
+    /// either way.
+    deep_vetted: Option<((ModelBounds, ModelOptions), Result<(), String>)>,
+    /// Hits and misses of [`deep_vetted`](Self::deep_vetted).
+    deep_memo: MemoStats,
     /// Crash-injection harness hook; `None` outside chaos runs.
     chaos: Option<ChaosHandle>,
     /// Completed crash recoveries (journal replays).
@@ -626,8 +524,8 @@ impl FaultResponder {
             latency: Samples::with_cap(LATENCY_CAP),
             journal,
             last_epoch: 0,
-            vetted: BoundedMemo::new(MEMO_CAP),
-            deep_vetted: BoundedMemo::new(MEMO_CAP),
+            deep_vetted: None,
+            deep_memo: MemoStats::default(),
             chaos: None,
             recoveries: 0,
             recovery_ns: Samples::new(),
@@ -741,11 +639,8 @@ impl FaultResponder {
                 ep.masked = masked;
                 ep.stage = Stage::Prepared;
             }
-            JournalRecord::Vetted { epoch, verdict } => {
-                let ep = stage_of(episode);
-                self.vetted
-                    .insert((epoch, ep.masked.clone()), verdict.clone());
-                ep.stage = Stage::Vetted(verdict);
+            JournalRecord::Vetted { verdict, .. } => {
+                stage_of(episode).stage = Stage::Vetted(verdict);
             }
             JournalRecord::Committed { .. } => stage_of(episode).stage = Stage::Committing,
             JournalRecord::Aborted {
@@ -836,30 +731,33 @@ impl FaultResponder {
         }
     }
 
-    /// Runs (once per distinct bounds/options pair) the `mdw-model`
-    /// bounded model check of the configured architecture and replication
-    /// mode, caching the verdict under the exact
-    /// ([`ModelBounds`], [`ModelOptions`]) key it ran with. The
-    /// fabric-size bound scales with the live topology (`n_switches`,
-    /// clamped to the checker's scenario range) and the
-    /// exact/compositional mode comes from the configuration, so growing
-    /// the fabric or switching modes re-vets instead of replaying a
-    /// verdict from a weaker exploration. A reroute may only activate
+    /// The `mdw-model` bounded model check of the configured architecture
+    /// and replication mode, under the ([`ModelBounds`], [`ModelOptions`])
+    /// key it runs with. The fabric-size bound scales with the live
+    /// topology (`n_switches`, clamped to the checker's scenario range)
+    /// and the exact/compositional mode comes from the configuration, so
+    /// growing the fabric or switching modes re-vets instead of replaying
+    /// a verdict from a weaker exploration. A reroute may only activate
     /// when both the candidate's channel-dependency graph (structural)
     /// and the switch state machines (behavioral) are deadlock-free.
     fn deep_vet(&mut self, config: &SystemConfig, n_switches: usize) -> Result<(), String> {
-        let bounds = ModelBounds {
-            max_switches: deep_vet_switches(n_switches),
-            ..ModelBounds::default()
-        };
-        let opts = ModelOptions {
-            mode: config.model_mode,
-            ..ModelOptions::default()
-        };
-        let key = (bounds, opts);
-        if let Some(v) = self.deep_vetted.get(&key) {
-            return v.clone();
+        let key = (
+            ModelBounds {
+                max_switches: deep_vet_switches(n_switches),
+                ..ModelBounds::default()
+            },
+            ModelOptions {
+                mode: config.model_mode,
+                ..ModelOptions::default()
+            },
+        );
+        if let Some((k, v)) = &self.deep_vetted {
+            if *k == key {
+                self.deep_memo.hits += 1;
+                return v.clone();
+            }
         }
+        self.deep_memo.misses += 1;
         let arch = match config.arch {
             SwitchArch::CentralBuffer => ArchClass::CentralBuffer,
             SwitchArch::InputBuffered => ArchClass::InputBuffered,
@@ -873,33 +771,26 @@ impl FaultResponder {
             &key.1,
             &mut self.vet_stats,
         );
-        self.deep_vetted.insert(key, verdict.clone());
+        self.deep_vetted = Some((key, verdict.clone()));
         verdict
     }
 
-    /// The full candidate vet — structural analyzer plus behavioral model
-    /// check — memoized by *(epoch, masked-port set)*. A hit means this
-    /// exact candidate under this exact epoch was already vetted (an
-    /// episode re-drive after a crash); the same dead set under a *new*
-    /// epoch misses and re-vets, so no stale verdict is ever served.
+    /// The full candidate vet: structural analyzer plus behavioral model
+    /// check. Every call runs the structural half; an episode re-driven
+    /// after a crash never calls this once its `vetted` record is durable
+    /// ([`Stage::Vetted`]).
     fn vet_candidate(
         &mut self,
         topo: &Topology,
         config: &SystemConfig,
         candidate: &RouteTables,
-        epoch: u64,
-        masked: &[(SwitchId, usize)],
     ) -> Result<(), (String, String)> {
-        let key = (epoch, masked.to_vec());
-        if let Some(v) = self.vetted.get(&key) {
-            return v.clone();
-        }
         let start = Instant::now();
         let structural = vet_reroute(topo, candidate, config.switch.policy);
         self.vet_stats
             .structural_ns
             .record(start.elapsed().as_nanos() as u64);
-        let verdict = structural
+        structural
             .map_err(|report| {
                 let d = report.first_error().expect("vet failed with no error");
                 (d.code.to_string(), d.message.clone())
@@ -907,9 +798,7 @@ impl FaultResponder {
             .and_then(|_| {
                 self.deep_vet(config, topo.n_switches())
                     .map_err(|detail| ("model-check".to_string(), detail))
-            });
-        self.vetted.insert(key, verdict.clone());
-        verdict
+            })
     }
 
     /// Substitutes the candidate-table builder (rejection-path tests).
@@ -928,15 +817,19 @@ impl FaultResponder {
         self.counters
     }
 
-    /// Activity counters of the structural-vet memo (LRU-bounded at
-    /// [`MEMO_CAP`]).
+    /// Structural vets run, as `misses` with `hits` always 0: the
+    /// structural half is not cached, because no candidate is vetted twice
+    /// (a re-driven episode reads its journaled verdict).
     pub fn vet_memo_stats(&self) -> MemoStats {
-        self.vetted.stats()
+        MemoStats {
+            hits: 0,
+            misses: self.vet_stats.structural_ns.count() as u64,
+        }
     }
 
-    /// Activity counters of the deep-vet (model-check) memo.
+    /// Hits and misses of the deep-vet (model-check) slot.
     pub fn deep_memo_stats(&self) -> MemoStats {
-        self.deep_vetted.stats()
+        self.deep_memo
     }
 
     /// Directed fabric ports currently masked out of the active tables.
@@ -1043,12 +936,11 @@ impl FaultResponder {
     /// next [`poll`](Self::poll) re-runs the full response even though
     /// the dead-port set is unchanged. A storm controller uses this to
     /// retry after a vet rejection or an incomplete purge once its
-    /// backoff expires; clearing the memoized model-check verdicts is
-    /// deliberately *not* part of this — each cached verdict depends only
-    /// on the configuration and the bounds/options it was explored under,
-    /// never on fabric state. (The retry *will* re-run the structural
-    /// vet: it allocates a fresh epoch, and the structural memo is keyed
-    /// by epoch.)
+    /// backoff expires; clearing the cached model-check verdict is
+    /// deliberately *not* part of this — it depends only on the
+    /// configuration and the bounds/options it was explored under, never
+    /// on fabric state. (The retry *will* re-run the structural vet, as
+    /// every new episode does.)
     pub fn request_retry(&mut self) {
         self.retry_requested = true;
     }
@@ -1316,8 +1208,7 @@ impl FaultResponder {
             Stage::Aborting => Err((String::new(), String::new())), // effects already durable
             Stage::Vetted(v) => v.clone(),
             _ => {
-                let v =
-                    self.vet_candidate(&sys.topology, &sys.config, &tables, ep.epoch, &ep.masked);
+                let v = self.vet_candidate(&sys.topology, &sys.config, &tables);
                 self.journal.append(&JournalRecord::Vetted {
                     epoch: ep.epoch,
                     verdict: v.clone(),
@@ -1485,7 +1376,7 @@ mod tests {
     }
 
     /// A responder with no fabric attached — enough to exercise the
-    /// memoized vets, which never touch a live engine.
+    /// deep vet, which never touches a live engine.
     fn bare_responder() -> FaultResponder {
         FaultResponder::detached(
             ResponseConfig::default(),
@@ -1497,38 +1388,49 @@ mod tests {
     fn deep_vet_cache_is_keyed_by_bounds_and_options() {
         let mut r = bare_responder();
         let config = SystemConfig::default();
+        let memo = |r: &FaultResponder| {
+            let m = r.deep_memo_stats();
+            (m.hits, m.misses)
+        };
 
         // First vet at a 2-switch fabric bound: one exploration, cached.
         r.deep_vet(&config, 2).expect("defaults verify");
-        assert_eq!(r.deep_vetted.len(), 1);
+        assert_eq!(memo(&r), (0, 1));
         assert_eq!(r.vet_stats.model_ns.count(), 1);
 
-        // Same fabric again: the cache answers, no new exploration.
+        // Same fabric again: the slot answers, no new exploration.
         r.deep_vet(&config, 2).expect("cached verdict");
+        assert_eq!(memo(&r), (1, 1));
         assert_eq!(r.vet_stats.model_ns.count(), 1);
 
         // A larger fabric is a *stricter* vet: the loose-bounds verdict
-        // must not be reused — a fresh exploration runs under its own key.
+        // must not be reused — a fresh exploration replaces the slot.
         r.deep_vet(&config, 4).expect("quad fabric verifies");
-        assert_eq!(r.deep_vetted.len(), 2);
+        assert_eq!(memo(&r), (1, 2));
         assert_eq!(r.vet_stats.model_ns.count(), 2);
+
+        // Back to the old key: the slot holds only the last one, so this
+        // is a miss again.
+        r.deep_vet(&config, 2).expect("defaults verify");
+        assert_eq!(memo(&r), (1, 3));
+        assert_eq!(r.vet_stats.model_ns.count(), 3);
 
         // A different decomposition mode is likewise its own key.
         let compositional = SystemConfig {
             model_mode: mdw_analysis::ModelMode::Compositional,
             ..SystemConfig::default()
         };
-        r.deep_vet(&compositional, 4)
+        r.deep_vet(&compositional, 2)
             .expect("compositional verifies");
-        assert_eq!(r.deep_vetted.len(), 3);
-        assert_eq!(r.vet_stats.model_ns.count(), 3);
+        assert_eq!(memo(&r), (1, 4));
+        assert_eq!(r.vet_stats.model_ns.count(), 4);
 
         // The switch count saturates at the checker's scenario range, so
-        // production-size fabrics share one entry.
+        // production-size fabrics share one key.
         r.deep_vet(&config, 48).expect("clamped to 16 switches");
         r.deep_vet(&config, 64).expect("same clamped key");
-        assert_eq!(r.deep_vetted.len(), 4);
-        assert_eq!(r.vet_stats.model_ns.count(), 4);
+        assert_eq!(memo(&r), (2, 5));
+        assert_eq!(r.vet_stats.model_ns.count(), 5);
     }
 
     /// The thread's verdict table is a pure fast path: over arch ×
@@ -1587,8 +1489,8 @@ mod tests {
     }
 
     /// A responder on a thread whose verdict table is already warm
-    /// records exactly the memo activity and vet sample count of one on a
-    /// cold thread.
+    /// records exactly the deep-vet slot activity and vet sample count of
+    /// one on a cold thread.
     #[test]
     fn warm_verdict_table_keeps_responder_counts() {
         std::thread::spawn(|| {
@@ -1598,7 +1500,7 @@ mod tests {
                 for n in [2, 2, 4, 48, 4, 64] {
                     r.deep_vet(&config, n).expect("defaults verify");
                 }
-                (r.deep_vetted.stats(), r.vet_stats.model_ns.count())
+                (r.deep_memo_stats(), r.vet_stats.model_ns.count())
             };
             let cold = counts();
             let checks = model_checks_run();
@@ -1613,116 +1515,6 @@ mod tests {
         })
         .join()
         .expect("responders run");
-    }
-
-    #[test]
-    fn structural_vet_memo_is_keyed_by_epoch() {
-        use mintopo::topology::TopologyBuilder;
-        use netsim::ids::NodeId;
-
-        let mut b = TopologyBuilder::new(2);
-        let s0 = b.add_switch(3, 1);
-        let s1 = b.add_switch(1, 0);
-        b.attach_host(NodeId(0), s0, 0);
-        b.attach_host(NodeId(1), s0, 1);
-        b.connect(s0, 2, s1, 0);
-        let topo = b.build();
-        let tables = RouteTables::build(&topo);
-        let config = SystemConfig::default();
-        let masked: Vec<(SwitchId, usize)> = Vec::new();
-
-        let mut r = bare_responder();
-        r.vet_candidate(&topo, &config, &tables, 1, &masked)
-            .expect("healthy tables vet");
-        let after_first = r.vet_stats.structural_ns.count();
-        assert_eq!(after_first, 1);
-
-        // Same epoch + same masked set (an episode re-drive): memo hit,
-        // no fresh analyzer run.
-        r.vet_candidate(&topo, &config, &tables, 1, &masked)
-            .expect("memoized verdict");
-        assert_eq!(r.vet_stats.structural_ns.count(), 1);
-
-        // The *same* dead set under a *new* epoch (a storm-controller
-        // retry) must re-vet — a stale verdict may not be served.
-        r.vet_candidate(&topo, &config, &tables, 2, &masked)
-            .expect("fresh vet under the new epoch");
-        assert_eq!(r.vet_stats.structural_ns.count(), 2);
-        assert_eq!(r.vetted.len(), 2, "one entry per (epoch, masked) key");
-    }
-
-    #[test]
-    fn bounded_memo_evicts_lru_and_counts() {
-        let mut m: BoundedMemo<u32, u32> = BoundedMemo::new(2);
-        m.insert(1, 10);
-        m.insert(2, 20);
-        assert_eq!(m.get(&1), Some(&10), "touch 1: 2 becomes the LRU");
-        m.insert(3, 30);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.get(&2), None, "2 was evicted, not 1");
-        assert_eq!(m.get(&1), Some(&10));
-        assert_eq!(m.get(&3), Some(&30));
-
-        let st = m.stats();
-        assert_eq!(st.hits, 3);
-        assert_eq!(st.misses, 1);
-        assert_eq!(st.evictions, 1);
-        assert_eq!(st.entries, 2);
-
-        // Re-inserting an existing key refreshes, never evicts.
-        m.insert(1, 11);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.stats().evictions, 1);
-        assert_eq!(m.get(&1), Some(&11));
-
-        // Capacity floor is 1, like the event log.
-        let mut tiny: BoundedMemo<u32, u32> = BoundedMemo::new(0);
-        tiny.insert(1, 1);
-        tiny.insert(2, 2);
-        assert_eq!(tiny.len(), 1);
-        assert_eq!(tiny.stats().evictions, 1);
-    }
-
-    #[test]
-    fn vet_memos_are_bounded_at_memo_cap() {
-        let mut r = bare_responder();
-        r.vetted = BoundedMemo::new(2);
-
-        use mintopo::topology::TopologyBuilder;
-        use netsim::ids::NodeId;
-        let mut b = TopologyBuilder::new(2);
-        let s0 = b.add_switch(3, 1);
-        let s1 = b.add_switch(1, 0);
-        b.attach_host(NodeId(0), s0, 0);
-        b.attach_host(NodeId(1), s0, 1);
-        b.connect(s0, 2, s1, 0);
-        let topo = b.build();
-        let tables = RouteTables::build(&topo);
-        let config = SystemConfig::default();
-        let masked: Vec<(SwitchId, usize)> = Vec::new();
-
-        // Three distinct epochs through a 2-entry memo: the first entry
-        // is evicted, the memo never grows past its cap.
-        for epoch in 1..=3 {
-            r.vet_candidate(&topo, &config, &tables, epoch, &masked)
-                .expect("healthy tables vet");
-        }
-        assert_eq!(r.vetted.len(), 2);
-        let st = r.vet_memo_stats();
-        assert_eq!(st.evictions, 1);
-        assert_eq!(st.misses, 3);
-        assert_eq!(st.entries, 2);
-
-        // Epoch 1 was the LRU: re-vetting it misses and re-runs the
-        // analyzer; epoch 3 still hits.
-        let before = r.vet_stats.structural_ns.count();
-        r.vet_candidate(&topo, &config, &tables, 3, &masked)
-            .expect("memo hit");
-        assert_eq!(r.vet_stats.structural_ns.count(), before);
-        r.vet_candidate(&topo, &config, &tables, 1, &masked)
-            .expect("fresh vet after eviction");
-        assert_eq!(r.vet_stats.structural_ns.count(), before + 1);
-        assert_eq!(r.vet_memo_stats().hits, 1);
     }
 
     #[test]

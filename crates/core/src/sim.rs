@@ -127,10 +127,11 @@ pub struct RunOutcome {
     /// ring bounds (0 without fault response) — how much history the
     /// bounded logs shed over the run.
     pub response_dropped: u64,
-    /// Structural-vet memo activity (hits, misses, LRU evictions; all
-    /// zero without fault response).
+    /// Structural vets run, as `misses`; `hits` is always 0, because the
+    /// structural half is not cached (all zero without fault response).
     pub vet_memo: MemoStats,
-    /// Deep-vet (bounded model check) memo activity.
+    /// Deep-vet (bounded model check) slot activity: a hit reuses the
+    /// responder's last verdict under the same bounds and options.
     pub deep_memo: MemoStats,
     /// FNV-64 digest of the responder's full durable state at run end
     /// (`None` without fault response). A crashed-and-recovered run must

@@ -7,8 +7,10 @@
 //! * a **down** port's reachability is the set of hosts reachable using
 //!   down-hops only (for trees this is the subtree; for irregular networks
 //!   it is the up*/down*-legal downward cone),
-//! * an **up** port reaches every host (one can always climb to a common
-//!   ancestor in the topologies considered),
+//! * an **up** port reaches the hosts a climb through it can still
+//!   descend to — every host on a healthy fabric (one can always climb to
+//!   a common ancestor in the topologies considered), fewer once dead
+//!   ports are masked,
 //! * ports with nothing useful behind them (unconnected, or a host's
 //!   injection-only cable in a unidirectional MIN) are **unused**.
 
@@ -36,105 +38,24 @@ pub struct PortInfo {
     pub reach: DestSet,
 }
 
-/// Computes [`PortInfo`] for every `(switch, port)` of the topology.
-///
-/// Down-hops strictly increase the `(depth, switch id)` order (see
-/// [`Topology::is_down_hop`]), so the downward reach relation is acyclic and
-/// is evaluated in one pass over switches sorted deepest-first.
-#[allow(clippy::needless_range_loop)] // port loop indexes parallel structures
-pub fn build_port_info(topo: &Topology) -> Vec<Vec<PortInfo>> {
-    let n = topo.n_hosts();
-    let n_sw = topo.n_switches();
-
-    // Hosts whose ejection cable lands on each switch, keyed by (switch, port).
-    let mut eject_at = vec![Vec::new(); n_sw];
-    for h in 0..n {
-        let node = netsim::ids::NodeId::from(h);
-        let (sw, port) = topo.host_eject(node);
-        eject_at[sw.index()].push((port, node));
-    }
-
-    // Process switches in decreasing (depth, id): every down-neighbor of a
-    // switch comes earlier, so its cone is already known.
-    let mut order: Vec<usize> = (0..n_sw).collect();
-    order.sort_by_key(|&s| {
-        (
-            std::cmp::Reverse(topo.depth(SwitchId::from(s))),
-            std::cmp::Reverse(s),
-        )
-    });
-
-    // Downward cone of each switch (hosts reachable via down-hops only).
-    let mut cone: Vec<DestSet> = vec![DestSet::empty(n); n_sw];
-    let mut info: Vec<Vec<PortInfo>> = (0..n_sw)
-        .map(|s| {
-            let ports = topo.ports(SwitchId::from(s));
-            (0..ports)
-                .map(|_| PortInfo {
-                    class: PortClass::Unused,
-                    reach: DestSet::empty(n),
-                })
-                .collect()
-        })
-        .collect();
-
-    for &s in &order {
-        let sw = SwitchId::from(s);
-        let mut my_cone = DestSet::empty(n);
-        for (port, node) in &eject_at[s] {
-            my_cone.insert(*node);
-            info[s][*port] = PortInfo {
-                class: PortClass::Down,
-                reach: DestSet::singleton(n, *node),
-            };
-        }
-        for port in 0..topo.ports(sw) {
-            match topo.attach(sw, port) {
-                Attach::Switch(other, _) if topo.is_down_hop(sw, port) => {
-                    let reach = cone[other.index()].clone();
-                    my_cone.union_with(&reach);
-                    info[s][port] = PortInfo {
-                        class: PortClass::Down,
-                        reach,
-                    };
-                }
-                Attach::Switch(..) => {
-                    info[s][port] = PortInfo {
-                        class: PortClass::Up,
-                        reach: DestSet::full(n),
-                    };
-                }
-                Attach::Host(_) | Attach::Unused => {
-                    // Host ports were handled via eject_at (injection-only
-                    // host cables stay Unused); unconnected ports stay
-                    // Unused.
-                }
-            }
-        }
-        cone[s] = my_cone;
-    }
-
-    info
-}
-
-/// Computes [`PortInfo`] with a set of dead *directed* output ports masked
-/// out, and with **exact** up-port reachability strings.
+/// Computes [`PortInfo`] for every `(switch, port)` of the topology, with
+/// a set of dead *directed* output ports masked out (empty for the healthy
+/// fabric) and with **exact** up-port reachability strings.
 ///
 /// `dead` lists `(switch, output port)` pairs that must carry no traffic;
 /// a failed bidirectional cable contributes one entry per direction.
-/// Masked ports become [`PortClass::Unused`]. Downward cones are
-/// recomputed on the surviving subgraph, and — unlike
-/// [`build_port_info`], which optimistically marks every up port as
-/// reaching all hosts — each up port's string is the exact set of hosts
+/// Masked ports become [`PortClass::Unused`]. Down-hops strictly increase
+/// the `(depth, switch id)` order (see [`Topology::is_down_hop`]), so the
+/// downward cones are evaluated in one pass over the surviving subgraph,
+/// deepest switch first. Each up port's string is the exact set of hosts
 /// reachable by climbing through it and then descending along surviving
 /// links:
 ///
 /// `R(s) = cone(s) ∪ ⋃ R(up-neighbors of s)`, up port toward `q` → `R(q)`.
 ///
 /// Up-hops strictly decrease the `(depth, id)` order, so `R` is evaluated
-/// in one pass over switches sorted shallowest-first. On a healthy tree
-/// every up port degenerates to `full(N)`, making routing decisions
-/// identical to the unmasked tables; under masking the exact strings let
+/// in one pass over switches sorted shallowest-first. On a healthy fabric
+/// every up port reaches all hosts; under masking the exact strings let
 /// [`crate::route::SwitchTable`] reject up ports that lead into cut-off
 /// regions instead of wedging a worm against a dead link.
 #[allow(clippy::needless_range_loop)] // port loop indexes parallel structures
@@ -151,9 +72,8 @@ pub fn build_port_info_masked(topo: &Topology, dead: &[(SwitchId, usize)]) -> Ve
         eject_at[sw.index()].push((port, node));
     }
 
-    // Downward pass, deepest-first, exactly as the unmasked build but
-    // skipping dead ports so cut-off subtrees drop out of every cone above
-    // the failure.
+    // Downward pass, deepest-first, skipping dead ports so cut-off
+    // subtrees drop out of every cone above the failure.
     let mut down_order: Vec<usize> = (0..n_sw).collect();
     down_order.sort_by_key(|&s| {
         (
@@ -208,7 +128,11 @@ pub fn build_port_info_masked(topo: &Topology, dead: &[(SwitchId, usize)]) -> Ve
                         reach: DestSet::empty(n),
                     };
                 }
-                Attach::Host(_) | Attach::Unused => {}
+                Attach::Host(_) | Attach::Unused => {
+                    // Host ports were handled via eject_at (injection-only
+                    // host cables stay Unused); unconnected ports stay
+                    // Unused.
+                }
             }
         }
         cone[s] = my_cone;
@@ -262,7 +186,7 @@ mod tests {
     #[test]
     fn leaf_switch_ports() {
         let t = small_tree();
-        let info = build_port_info(&t);
+        let info = build_port_info_masked(&t, &[]);
         // s0 port 0 reaches exactly h0.
         assert_eq!(info[0][0].class, PortClass::Down);
         assert_eq!(info[0][0].reach, DestSet::singleton(4, NodeId(0)));
@@ -276,7 +200,7 @@ mod tests {
     #[test]
     fn root_switch_sees_both_subtrees() {
         let t = small_tree();
-        let info = build_port_info(&t);
+        let info = build_port_info_masked(&t, &[]);
         assert_eq!(info[2][0].class, PortClass::Down);
         assert_eq!(info[2][0].reach, DestSet::from_nodes(4, [0, 1].map(NodeId)));
         assert_eq!(info[2][1].reach, DestSet::from_nodes(4, [2, 3].map(NodeId)));
@@ -305,18 +229,39 @@ mod tests {
         b.build()
     }
 
+    /// On a healthy fabric every up port reaches all hosts: k-ary trees,
+    /// U-Mins and irregular up*/down* networks alike.
     #[test]
-    fn masked_with_no_dead_links_matches_unmasked_on_trees() {
-        for topo in [small_tree(), two_root_net()] {
-            let plain = build_port_info(&topo);
-            let masked = build_port_info_masked(&topo, &[]);
-            for s in 0..topo.n_switches() {
-                for p in 0..topo.ports(SwitchId::from(s)) {
-                    assert_eq!(plain[s][p].class, masked[s][p].class, "sw {s} port {p}");
-                    assert_eq!(plain[s][p].reach, masked[s][p].reach, "sw {s} port {p}");
+    fn healthy_up_ports_reach_all_hosts() {
+        use crate::irregular::Irregular;
+        use crate::karytree::KaryTree;
+        use crate::unimin::UniMin;
+
+        let mut fabrics = vec![small_tree(), two_root_net()];
+        for (k, n) in [(2, 1), (2, 3), (3, 2), (4, 2)] {
+            fabrics.push(KaryTree::new(k, n).topology().clone());
+            fabrics.push(UniMin::new(k, n).topology().clone());
+        }
+        for seed in 0..4 {
+            for (switches, hosts, extra) in [(4, 8, 0), (6, 12, 3), (10, 24, 2)] {
+                let net = Irregular::new(switches, 8, hosts, extra, seed).unwrap();
+                fabrics.push(net.topology().clone());
+            }
+        }
+        let mut up_ports = 0;
+        for topo in &fabrics {
+            let info = build_port_info_masked(topo, &[]);
+            let full = DestSet::full(topo.n_hosts());
+            for (s, ports) in info.iter().enumerate() {
+                for (p, port) in ports.iter().enumerate() {
+                    if port.class == PortClass::Up {
+                        assert_eq!(port.reach, full, "sw {s} port {p}");
+                        up_ports += 1;
+                    }
                 }
             }
         }
+        assert!(up_ports > 100, "{up_ports}");
     }
 
     #[test]
@@ -359,7 +304,7 @@ mod tests {
         b.attach_host_inject(NodeId(0), s0, 0);
         b.set_host_eject(NodeId(0), s1, 1);
         let t = b.build();
-        let info = build_port_info(&t);
+        let info = build_port_info_masked(&t, &[]);
         assert_eq!(info[0][0].class, PortClass::Unused, "inject-only cable");
         assert_eq!(info[1][1].class, PortClass::Down, "ejection cable");
         // s0's forward port (down, since s1 is deeper) reaches h0.

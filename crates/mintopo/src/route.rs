@@ -17,7 +17,7 @@
 //!   while the covered part branches off immediately
 //!   ([`ReplicatePolicy::ForwardAndReturn`]).
 
-use crate::reach::{build_port_info, build_port_info_masked, PortClass, PortInfo};
+use crate::reach::{build_port_info_masked, PortClass, PortInfo};
 use crate::topology::Topology;
 use netsim::destset::DestSet;
 use netsim::ids::{NodeId, SwitchId};
@@ -252,17 +252,12 @@ pub struct RouteTables {
 }
 
 impl RouteTables {
-    /// Derives routing tables from a topology.
+    /// Derives routing tables from a healthy topology: [`build_masked`]
+    /// with no dead port.
+    ///
+    /// [`build_masked`]: RouteTables::build_masked
     pub fn build(topo: &Topology) -> Self {
-        let infos = build_port_info(topo);
-        let n_hosts = topo.n_hosts();
-        RouteTables {
-            tables: infos
-                .into_iter()
-                .map(|ports| SwitchTable::new(ports, n_hosts))
-                .collect(),
-            n_hosts,
-        }
+        RouteTables::build_masked(topo, &[])
     }
 
     /// Derives routing tables with dead directed output ports masked out.
@@ -270,8 +265,7 @@ impl RouteTables {
     /// Dead ports become unusable, downward cones shrink past the failures,
     /// and up ports carry **exact** reachability strings (see
     /// [`build_port_info_masked`]) so routing never ascends into a cut-off
-    /// region. With an empty `dead` list this matches [`RouteTables::build`]
-    /// on tree-structured fabrics.
+    /// region.
     pub fn build_masked(topo: &Topology, dead: &[(SwitchId, usize)]) -> Self {
         let infos = build_port_info_masked(topo, dead);
         let n_hosts = topo.n_hosts();

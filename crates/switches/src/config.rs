@@ -15,14 +15,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-macro_rules! ensure {
-    ($cond:expr, $($msg:tt)+) => {
-        if !$cond {
-            return Err(ConfigError(format!($($msg)+)));
-        }
-    };
-}
-
 /// How worm branches advance relative to each other (paper §3).
 ///
 /// The paper argues for **asynchronous** replication: a branch that has
@@ -139,49 +131,102 @@ impl SwitchConfig {
         self.chunks_for(self.max_packet_flits)
     }
 
-    /// Checks the deadlock-freedom sizing rules (a packet must fit in the
-    /// central queue and in one input buffer) and basic sanity bounds,
-    /// returning a descriptive [`ConfigError`] on the first violation.
+    /// Every violated sizing rule, in rule order: the deadlock-freedom
+    /// sizing rules (a packet must fit in the central queue and in one
+    /// input buffer, with one packet's worth of the queue reserved for
+    /// descending traffic) and basic sanity bounds. Each entry is the
+    /// rule's lint code and a message naming the offending values.
+    ///
+    /// This is the one statement of these rules: [`validate`] reports the
+    /// first, and the static analyzer's `switch_sizing` check reports them
+    /// all.
+    ///
+    /// [`validate`]: SwitchConfig::validate
+    pub fn sizing_violations(&self) -> Vec<(&'static str, String)> {
+        let mut found = Vec::new();
+        if !(2..=16).contains(&self.ports) {
+            found.push((
+                "ports-out-of-range",
+                format!("ports must be 2..=16, got {}", self.ports),
+            ));
+        }
+        if self.chunk_flits < 1 {
+            found.push((
+                "chunk-holds-no-flit",
+                "chunks must hold at least one flit".to_string(),
+            ));
+        }
+        if self.cq_chunks < 1 {
+            found.push(("cq-empty", "central queue needs capacity".to_string()));
+        }
+        if self.max_packet_flits < 2 {
+            found.push((
+                "packet-below-header",
+                format!(
+                    "packets have at least a header; max_packet_flits {} is too small",
+                    self.max_packet_flits
+                ),
+            ));
+        }
+        // The capacity comparisons are meaningless (and `chunks_for`
+        // divides by the chunk size) when the basic sanity checks above
+        // already failed, so they only run on a structurally sane central
+        // queue.
+        if self.chunk_flits >= 1 && self.cq_chunks >= 1 {
+            if u32::from(self.max_packet_flits) > self.cq_flits() {
+                found.push((
+                    "cb-packet-exceeds-cq",
+                    format!(
+                        "max packet ({} flits) exceeds central queue ({} flits): \
+                         deadlock-freedom guarantee impossible",
+                        self.max_packet_flits,
+                        self.cq_flits()
+                    ),
+                ));
+            }
+            if self.cq_chunks < 2 * self.cq_down_reserve() {
+                found.push((
+                    "cb-no-descending-reserve",
+                    format!(
+                        "central queue ({} chunks) must hold at least two max packets \
+                         ({} chunks each): one is reserved for descending traffic",
+                        self.cq_chunks,
+                        self.cq_down_reserve()
+                    ),
+                ));
+            }
+        }
+        if u32::from(self.max_packet_flits) > self.input_buf_flits {
+            found.push((
+                "ib-packet-exceeds-fifo",
+                format!(
+                    "max packet ({} flits) exceeds input buffer ({} flits): \
+                     deadlock-freedom guarantee impossible",
+                    self.max_packet_flits, self.input_buf_flits
+                ),
+            ));
+        }
+        if self.staging_flits < 4 {
+            found.push((
+                "staging-below-decode",
+                format!(
+                    "staging of {} flits cannot cover decode latency (need >= 4)",
+                    self.staging_flits
+                ),
+            ));
+        }
+        found
+    }
+
+    /// Checks the sizing rules ([`sizing_violations`]), returning the
+    /// first violation as a [`ConfigError`].
+    ///
+    /// [`sizing_violations`]: SwitchConfig::sizing_violations
     pub fn validate(&self) -> Result<(), ConfigError> {
-        ensure!(
-            self.ports >= 2 && self.ports <= 16,
-            "ports must be 2..=16, got {}",
-            self.ports
-        );
-        ensure!(self.chunk_flits >= 1, "chunks must hold at least one flit");
-        ensure!(self.cq_chunks >= 1, "central queue needs capacity");
-        ensure!(
-            self.max_packet_flits >= 2,
-            "packets have at least a header; max_packet_flits {} is too small",
-            self.max_packet_flits
-        );
-        ensure!(
-            u32::from(self.max_packet_flits) <= self.cq_flits(),
-            "max packet ({} flits) exceeds central queue ({} flits): \
-             deadlock-freedom guarantee impossible",
-            self.max_packet_flits,
-            self.cq_flits()
-        );
-        ensure!(
-            self.cq_chunks >= 2 * self.cq_down_reserve(),
-            "central queue ({} chunks) must hold at least two max packets \
-             ({} chunks each): one is reserved for descending traffic",
-            self.cq_chunks,
-            self.cq_down_reserve()
-        );
-        ensure!(
-            u32::from(self.max_packet_flits) <= self.input_buf_flits,
-            "max packet ({} flits) exceeds input buffer ({} flits): \
-             deadlock-freedom guarantee impossible",
-            self.max_packet_flits,
-            self.input_buf_flits
-        );
-        ensure!(
-            self.staging_flits >= 4,
-            "staging of {} flits cannot cover decode latency (need >= 4)",
-            self.staging_flits
-        );
-        Ok(())
+        match self.sizing_violations().into_iter().next() {
+            Some((_, message)) => Err(ConfigError(message)),
+            None => Ok(()),
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 //! take management commands over a path separate from the data network —
 //! without threading new parameters through [`netsim::engine::Engine`].
 //!
-//! Three commands exist:
+//! Two commands exist:
 //!
 //! * **purge** — while raised, the switch kills every resident worm
 //!   (returning one credit upstream per buffered flit, so link-level
@@ -27,10 +27,6 @@
 //!   coordinator that crashes between prepare and commit therefore
 //!   leaves the fabric on the old epoch everywhere — never on a mix —
 //!   and its journal replay can re-drive the commit (DESIGN.md §15).
-//! * **legacy one-shot install** — [`SwitchCtl::install_tables`] is
-//!   prepare + commit fused under an auto-allocated epoch, kept for
-//!   callers that do not coordinate across switches (single-switch
-//!   tests and tools).
 //!
 //! Swapping only-when-empty means no in-flight worm ever decodes against
 //! a mix of old and new tables; epoch stamps make the complementary
@@ -168,18 +164,6 @@ impl SwitchCtl {
             }
             _ => false,
         }
-    }
-
-    /// Legacy one-shot install: prepare + commit fused under the next
-    /// free epoch. Overwrites any earlier uncommitted stage.
-    pub fn install_tables(&self, tables: Rc<RouteTables>) {
-        let epoch = self
-            .committed
-            .get()
-            .max(self.staged.borrow().as_ref().map_or(0, |(e, _)| *e))
-            + 1;
-        self.prepare(epoch, tables);
-        self.commit(epoch);
     }
 
     /// `true` while an armed table swap has not been activated — the
@@ -335,17 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_install_allocates_fresh_epochs() {
-        let ctl = SwitchCtl::new();
-        ctl.install_tables(tables());
-        assert!(ctl.tables_pending());
-        assert_eq!(ctl.take_committed().map(|(e, _)| e), Some(1));
-        ctl.install_tables(tables());
-        assert_eq!(ctl.take_committed().map(|(e, _)| e), Some(2));
-        assert_eq!(ctl.committed_epoch(), 2);
-    }
-
-    #[test]
     fn epoch_changes_count_every_committed_or_armed_change() {
         let changes = EpochChanges::default();
         let ctl = SwitchCtl::with_epoch_changes(changes.clone());
@@ -359,8 +332,9 @@ mod tests {
         assert_eq!(changes.count(), 2, "a newer prepare disarms");
         assert!(ctl.abort(2));
         assert_eq!(changes.count(), 2, "abort drops an unarmed stage only");
-        ctl.install_tables(tables());
-        assert_eq!(changes.count(), 3, "the fused install arms");
+        ctl.prepare(3, tables());
+        ctl.commit(3);
+        assert_eq!(changes.count(), 3, "a commit after an abort arms");
         ctl.take_committed();
         assert_eq!(changes.count(), 4, "activation commits and disarms");
         ctl.begin_purge();

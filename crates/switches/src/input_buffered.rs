@@ -814,7 +814,8 @@ mod tests {
             )],
             4,
         );
-        ctl.install_tables(Rc::new(swapped));
+        ctl.prepare(1, Rc::new(swapped));
+        assert!(ctl.commit(1));
         w.engine.run_for(3);
         assert!(ctl.tables_pending(), "switch is busy; swap must wait");
         w.engine.run_for(400);

@@ -6,7 +6,9 @@
 //!   crashes the fault responder at *every* protocol-step boundary of a
 //!   scripted outage storm, clean and with a torn journal tail, and the
 //!   recovered run must reproduce the uncrashed oracle's [`RunOutcome`]
-//!   byte for byte with the engine's torn-install audit silent;
+//!   byte for byte with the engine's torn-install audit silent; a second
+//!   matrix reads each run's whole journal and requires every install
+//!   epoch to be vetted exactly once, crash or no crash;
 //! * hand-rolled **property loops** over the write-ahead journal itself:
 //!   seeded random record sequences survive duplicated tails (replay
 //!   idempotence via sequence numbers), truncated tails (durable prefix
@@ -17,12 +19,13 @@
 //! at a larger phase; this file is the fast tier-1 gate.
 
 use collectives::RecoveryConfig;
-use mdworm::chaos::run_crash_sweep;
+use mdworm::chaos::{self, run_crash_sweep, ChaosMode};
 use mdworm::config::{McastImpl, SwitchArch, SystemConfig, TopologyKind};
 use mdworm::journal::{Journal, JournalConfig, JournalRecord};
-use mdworm::respond::ResponseConfig;
+use mdworm::respond::{FaultResponder, ResponseConfig};
 use mdworm::sim::RunConfig;
 use mdworm::workload::TrafficSpec;
+use mdworm::{build_system, make_sources};
 use netsim::ids::{LinkId, SwitchId};
 use netsim::rng::SimRng;
 
@@ -108,6 +111,93 @@ fn crash_matrix_holds_on_input_buffered_switches() {
         "{:?}",
         out.oracle.response
     );
+}
+
+/// Runs the crash storm under `mode` with the responder polled every 32
+/// cycles, as `run_experiment` polls it, through the whole window and
+/// drain budget. Returns the responder's final journal and the number
+/// of protocol boundaries crossed, and whether the scheduled crash fired.
+fn journaled_run(
+    cfg: &SystemConfig,
+    spec: &TrafficSpec,
+    run: &RunConfig,
+    mode: ChaosMode,
+) -> (Vec<(u64, JournalRecord)>, u64, bool) {
+    const POLL: u64 = 32;
+    let h = chaos::handle(mode);
+    chaos::install(h.clone());
+    let end = run.warmup + run.measure;
+    let sources = make_sources(spec, cfg.n_hosts(), cfg.seed, Some(end));
+    let mut sys = build_system(cfg.clone(), sources, None);
+    for &(idx, down, up) in &run.outages {
+        let link = sys.links.fabric[idx % sys.links.fabric.len()];
+        sys.engine.script_outage(link, down, up);
+    }
+    let rc = cfg.response.clone().expect("the storm runs a responder");
+    let mut responder = FaultResponder::new(rc, &mut sys);
+    while sys.engine.now() < end + run.drain_max {
+        sys.engine.run_for(POLL);
+        responder.poll(&mut sys);
+    }
+    let st = h.borrow();
+    (responder.journal().records(), st.boundaries, st.fired)
+}
+
+/// Every epoch the journal prepared has exactly one `vetted` record.
+fn check_vetted_once(records: &[(u64, JournalRecord)]) -> Result<usize, String> {
+    let mut prepared = Vec::new();
+    let mut vetted = Vec::new();
+    for (_, rec) in records {
+        match rec {
+            JournalRecord::Prepared { epoch, .. } => prepared.push(*epoch),
+            JournalRecord::Vetted { epoch, .. } => vetted.push(*epoch),
+            _ => {}
+        }
+    }
+    prepared.dedup();
+    vetted.sort_unstable();
+    if vetted != prepared {
+        return Err(format!("prepared epochs {prepared:?}, vetted {vetted:?}"));
+    }
+    Ok(prepared.len())
+}
+
+/// A re-driven episode takes its verdict from the journaled `vetted`
+/// record rather than vetting again, so no candidate is ever vetted twice.
+/// With snapshots off, each run's journal keeps every record it ever
+/// wrote; across one crash at every boundary, clean and with a torn
+/// tail, on both switch architectures, each epoch must show exactly one
+/// `vetted` record. (A re-vet reaches the same verdict, so the
+/// byte-identical matrix above cannot see one.)
+#[test]
+fn every_epoch_is_vetted_once_across_crashes() {
+    let spec = TrafficSpec::multiple_multicast(0.02, 2, 8);
+    let run = crash_run(400);
+    for arch in [SwitchArch::CentralBuffer, SwitchArch::InputBuffered] {
+        let cfg = SystemConfig {
+            response: Some(ResponseConfig {
+                snapshot_every: u64::MAX,
+            }),
+            ..crash_cfg(arch)
+        };
+        let (records, boundaries, _) = journaled_run(&cfg, &spec, &run, ChaosMode::Record);
+        let epochs = check_vetted_once(&records).expect("the oracle vets each epoch once");
+        assert!(epochs >= 2, "{arch:?}: the storm reroutes and heals");
+        assert!(boundaries > 0, "{arch:?}");
+        for boundary in 0..boundaries {
+            for tear_bytes in [0, 8] {
+                let mode = ChaosMode::CrashAt {
+                    boundary,
+                    tear_bytes,
+                };
+                let (records, _, fired) = journaled_run(&cfg, &spec, &run, mode);
+                assert!(fired, "{arch:?} {mode:?}: the crash never fired");
+                let n = check_vetted_once(&records)
+                    .unwrap_or_else(|e| panic!("{arch:?} {mode:?}: {e}"));
+                assert_eq!(n, epochs, "{arch:?} {mode:?}");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
