@@ -14,10 +14,12 @@
 //! function ([`mintopo::route::SwitchTable::route_bitstring`]) can
 //! produce:
 //!
-//! * a worm arriving on a **descending** channel carries a residual set
-//!   confined to the sending port's reachability string, so it can only
-//!   extend onto down ports whose reach intersects that string — never
-//!   back up (the up*/down* invariant);
+//! * a worm arriving on a **descending** channel extends onto every
+//!   non-empty down port of the landing switch, never back up (the
+//!   up*/down* invariant). Its residual set is confined to the sending
+//!   port's reachability string, but that string is the landing switch's
+//!   whole downward cone, which every non-empty down port meets, so the
+//!   bound restricts nothing;
 //! * a worm arriving **ascending** (or injected by a host) may carry any
 //!   residual set, so it can extend onto every non-empty down port, and
 //!   onto the up ports as well unless this switch's down-union already
@@ -98,9 +100,6 @@ pub struct Dependency {
     pub to: usize,
     /// Switch where the extension happens.
     pub at: SwitchId,
-    /// Output port the held channel leaves `at` on — `usize::MAX` for an
-    /// injection channel (the worm enters from a host, not a port).
-    pub out_of: usize,
     /// Output port of the requested channel on `at`.
     pub onto: usize,
     /// Worm shape class that induces this edge.
@@ -122,7 +121,7 @@ impl Dependency {
 
 /// The channel-dependency graph of one fabric. Each edge is stored once,
 /// as a successor index; [`ChannelGraph::dependency`] rebuilds its label
-/// from the topology and tables when a report needs it.
+/// from the topology when a report needs it.
 #[derive(Debug, Clone)]
 pub struct ChannelGraph {
     /// All channels; index = CDG node id.
@@ -144,15 +143,9 @@ impl ChannelGraph {
     ///
     /// Panics if `from` is a sink (an ejection channel) or `to` is not an
     /// output channel of the switch `from` lands on.
-    pub fn dependency(
-        &self,
-        topo: &Topology,
-        tables: &RouteTables,
-        from: usize,
-        to: usize,
-    ) -> Dependency {
-        let (at, out_of, reach_in) =
-            landing(topo, tables, self.channels[from]).expect("a sink channel has no edges");
+    pub fn dependency(&self, topo: &Topology, from: usize, to: usize) -> Dependency {
+        let (at, descends) =
+            landing(topo, self.channels[from]).expect("a sink channel has no edges");
         let Channel::SwitchOut { sw, port: onto } = self.channels[to] else {
             panic!("an edge always requests a switch output channel");
         };
@@ -161,41 +154,27 @@ impl ChannelGraph {
             from,
             to,
             at,
-            out_of,
             onto,
-            shape: shape_of(reach_in),
+            shape: shape_of(descends),
         }
     }
 }
 
-/// Where a held channel lands: the switch, the output port the channel
-/// leaves its sender on (`usize::MAX` for an injection channel) and, for a
-/// descending arrival, the reach string bounding the residual set.
-/// `None` for an ejection or unconnected channel — the host always drains
-/// it, so it is a sink.
-fn landing<'t>(
-    topo: &Topology,
-    tables: &'t RouteTables,
-    ch: Channel,
-) -> Option<(SwitchId, usize, Option<&'t DestSet>)> {
+/// Where a held channel lands, and whether the arrival descends. `None`
+/// for an ejection or unconnected channel — the host always drains it,
+/// so it is a sink.
+fn landing(topo: &Topology, ch: Channel) -> Option<(SwitchId, bool)> {
     match ch {
-        Channel::Inject { sw, .. } => Some((sw, usize::MAX, None)),
+        Channel::Inject { sw, .. } => Some((sw, false)),
         Channel::SwitchOut { sw, port } => match topo.attach(sw, port) {
             Attach::Host(_) | Attach::Unused => None,
-            // Descending arrival: residual ⊆ the sending port's reach
-            // string.
-            Attach::Switch(next, _) => Some((
-                next,
-                port,
-                topo.is_down_hop(sw, port)
-                    .then(|| &tables.table(sw).port(port).reach),
-            )),
+            Attach::Switch(next, _) => Some((next, topo.is_down_hop(sw, port))),
         },
     }
 }
 
-fn shape_of(reach_in: Option<&DestSet>) -> ShapeClass {
-    if reach_in.is_some() {
+fn shape_of(descends: bool) -> ShapeClass {
+    if descends {
         ShapeClass::Descending
     } else {
         ShapeClass::Ascending
@@ -230,22 +209,19 @@ pub fn build_cdg(topo: &Topology, tables: &RouteTables) -> ChannelGraph {
     let full = DestSet::full(tables.n_hosts());
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); channels.len()];
     for (&ch, succ) in channels.iter().zip(adj.iter_mut()) {
-        // Where does this channel land, with what shape class and residual
-        // bound? Ejection channels are sinks — the host always drains them.
-        let Some((at, _, reach_in)) = landing(topo, tables, ch) else {
+        // Where does this channel land, and does it descend? Ejection
+        // channels are sinks — the host always drains them.
+        let Some((at, descends)) = landing(topo, ch) else {
             continue;
         };
         let table = tables.table(at);
-        let may_ascend = shape_of(reach_in) == ShapeClass::Ascending && table.down_union() != &full;
+        let may_ascend = !descends && table.down_union() != &full;
         // Output channels of one switch have increasing indices, so each
         // list comes out sorted, with each edge once.
         for (onto, &to) in out_index[at.index()].iter().enumerate() {
             let info = table.port(onto);
             let feasible = match info.class {
-                PortClass::Down => match reach_in {
-                    Some(r) => info.reach.intersects(r),
-                    None => !info.reach.is_empty(),
-                },
+                PortClass::Down => !info.reach.is_empty(),
                 // Only an ascending worm whose residual may be uncovered
                 // here continues upward.
                 PortClass::Up => may_ascend,
@@ -317,10 +293,10 @@ mod tests {
     }
 
     /// Every edge of `g`, labeled.
-    fn deps(g: &ChannelGraph, topo: &Topology, tables: &RouteTables) -> Vec<Dependency> {
+    fn deps(g: &ChannelGraph, topo: &Topology) -> Vec<Dependency> {
         (0..g.channels.len())
             .flat_map(|from| g.adj[from].iter().map(move |&to| (from, to)))
-            .map(|(from, to)| g.dependency(topo, tables, from, to))
+            .map(|(from, to)| g.dependency(topo, from, to))
             .collect()
     }
 
@@ -329,7 +305,7 @@ mod tests {
         let topo = small_tree();
         let tables = RouteTables::build(&topo);
         let g = build_cdg(&topo, &tables);
-        for d in &deps(&g, &topo, &tables) {
+        for d in &deps(&g, &topo) {
             if d.shape == ShapeClass::Descending {
                 let onto = tables.table(d.at).port(d.onto).class;
                 assert_eq!(onto, PortClass::Down, "descending edge must stay down");
@@ -345,7 +321,7 @@ mod tests {
         // The root covers the whole system downward, so no edge may target
         // an up port there (it has none) nor may any ascending edge target
         // a port classified Up at a switch whose down-union is full.
-        for d in &deps(&g, &topo, &tables) {
+        for d in &deps(&g, &topo) {
             if tables.table(d.at).port(d.onto).class == PortClass::Up {
                 assert_ne!(
                     tables.table(d.at).down_union(),
@@ -361,7 +337,7 @@ mod tests {
         let topo = small_tree();
         let tables = RouteTables::build(&topo);
         let g = build_cdg(&topo, &tables);
-        let d = &deps(&g, &topo, &tables)[0];
+        let d = &deps(&g, &topo)[0];
         let label = d.describe(&g.channels);
         assert!(label.contains("->"), "{label}");
         assert!(label.contains("worm"), "{label}");

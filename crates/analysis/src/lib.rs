@@ -29,10 +29,8 @@
 #![deny(unreachable_pub, missing_debug_implementations, missing_docs)]
 
 pub mod cdg;
-pub mod certify;
 pub mod checks;
 mod compose;
-pub mod destset;
 pub mod json;
 pub mod model;
 pub mod replay;
@@ -42,9 +40,7 @@ pub mod scc;
 pub mod timing;
 
 pub use cdg::{build_cdg, Channel, ChannelGraph, Dependency, ShapeClass};
-pub use certify::{certify_fabric, Certificate, CertifyOutcome, RankRule};
 pub use checks::{switch_sizing, ArchClass};
-pub use destset::{CompactPort, CompactTable, CompactTables, RunSet};
 pub use json::Json;
 pub use model::{
     check_model, check_model_opts, CheckOutcome, ModelBounds, ModelMode, ModelOptions, ModelStats,
@@ -97,11 +93,7 @@ pub fn analyze_fabric(
         steps.sort_unstable();
         let edges: Vec<String> = steps
             .into_iter()
-            .map(|(from, to)| {
-                graph
-                    .dependency(topo, tables, from, to)
-                    .describe(&graph.channels)
-            })
+            .map(|(from, to)| graph.dependency(topo, from, to).describe(&graph.channels))
             .collect();
         report.error(
             "cdg-cycle",

@@ -112,7 +112,7 @@ pub struct ModelOptions {
     /// Unused: the checker always explores on the calling thread. Kept
     /// only because the benchmark package (`perfbench/src/traced.rs`)
     /// sets it and changes only together with the benchmark; ROADMAP
-    /// item 5 removes it then.
+    /// item 3 lists its removal for the next benchmark change.
     pub jobs: usize,
 }
 

@@ -7,14 +7,10 @@
 //! external property-testing crate), matching the `mintopo` and `netsim`
 //! proptest suites.
 
-use mdw_analysis::{
-    analyze_fabric, certify_fabric, lint_roundtrips, Certificate, CompactTables, ConfigReport,
-    RunSet,
-};
+use mdw_analysis::{analyze_fabric, lint_roundtrips, ConfigReport};
 use mintopo::irregular::Irregular;
 use mintopo::karytree::KaryTree;
 use mintopo::route::{ReplicatePolicy, RouteTables};
-use mintopo::topology::Topology;
 use mintopo::unimin::UniMin;
 use netsim::ids::{NodeId, SwitchId};
 use netsim::rng::SimRng;
@@ -101,101 +97,6 @@ fn random_scenarios_agree_between_oracle_and_compositional_checker() {
         let seed = r.below(1 << 30) as u64;
         let checked = mdw_analysis::model::testkit::random_scenario_probe(seed);
         assert!(checked > 0, "case {case}");
-    }
-}
-
-/// Compressed routing tables are an exact mirror of the dense ones on
-/// random shapes of all three topology classes: every port's run-encoded
-/// reach set is the compression of the dense bit-string, classes and
-/// port order preserved, and on k-ary trees the symbolic tables equal
-/// the compressed dense build.
-#[test]
-fn compact_tables_mirror_dense_tables_exactly() {
-    fn check(topo: &Topology, case: u64) -> CompactTables {
-        let dense = RouteTables::build(topo);
-        let compact = CompactTables::from_dense(&dense);
-        assert_eq!(compact.n_hosts(), dense.n_hosts());
-        for s in 0..dense.n_switches() {
-            let sw = SwitchId::from(s);
-            let (d, c) = (dense.table(sw), compact.table(sw));
-            assert_eq!(d.n_ports(), c.n_ports(), "case {case}, switch {s}");
-            for p in 0..d.n_ports() {
-                let (dp, cp) = (d.port(p), c.port(p));
-                assert_eq!(dp.class, cp.class, "case {case}, switch {s} port {p}");
-                assert_eq!(
-                    cp.reach,
-                    RunSet::from_dense(&dp.reach),
-                    "case {case}, switch {s} port {p}"
-                );
-            }
-        }
-        compact
-    }
-    for case in 0..CASES {
-        let mut r = case_rng(8, case);
-        let (k, n) = karytree_params(&mut r);
-        let seed = r.below(500) as u64;
-        let tree = KaryTree::new(k, n);
-        assert_eq!(
-            check(tree.topology(), case),
-            CompactTables::for_karytree(&tree),
-            "case {case}: symbolic derivation must equal dense compression"
-        );
-        check(UniMin::new(2 + (k % 3), 2 + (n % 2)).topology(), case);
-        check(Irregular::new(6, 8, 12, 3, seed).unwrap().topology(), case);
-    }
-}
-
-/// The O(routes) certificate checker and the explicit CDG analyzer agree
-/// on random shapes of all three topology classes: both accept the
-/// honest up*/down* tables, and the certificate's channel/dependency
-/// counts equal the explicit graph's node/edge counts (the checker
-/// visits exactly the edges the explicit pass enumerates).
-#[test]
-fn certificate_checker_agrees_with_the_explicit_cdg() {
-    fn check(topo: &Topology, cert: &Certificate, case: u64) {
-        let tables = RouteTables::build(topo);
-        let mut explicit = ConfigReport::new();
-        analyze_fabric(topo, &tables, ReplicatePolicy::ReturnOnly, &mut explicit);
-        let mut certified = ConfigReport::new();
-        certify_fabric(
-            cert,
-            topo,
-            &CompactTables::from_dense(&tables),
-            &mut certified,
-        );
-        assert!(
-            !explicit.has_errors() && !certified.has_errors(),
-            "case {case}: {:?} / {:?}",
-            explicit.diagnostics,
-            certified.diagnostics
-        );
-        assert_eq!(
-            (explicit.stats.channels, explicit.stats.dependencies),
-            (certified.stats.channels, certified.stats.dependencies),
-            "case {case}: both paths must count the same fabric"
-        );
-    }
-    for case in 0..CASES {
-        let mut r = case_rng(9, case);
-        let (k, n) = karytree_params(&mut r);
-        let seed = r.below(500) as u64;
-        // The k-ary family gets the closed-form stage rule; arbitrary
-        // shapes get the explicit (depth, id) order.
-        let tree = KaryTree::new(k, n);
-        check(tree.topology(), &Certificate::for_karytree(&tree), case);
-        let uni = UniMin::new(2 + (k % 3), 2 + (n % 2));
-        check(
-            uni.topology(),
-            &Certificate::for_topology(uni.topology()),
-            case,
-        );
-        let irr = Irregular::new(6, 8, 12, 3, seed).unwrap();
-        check(
-            irr.topology(),
-            &Certificate::for_topology(irr.topology()),
-            case,
-        );
     }
 }
 

@@ -10,11 +10,11 @@
 //! `--jobs N` sizes the sweep worker pool (default: `MDWORM_JOBS`, else
 //! available parallelism). `--bench` runs the selected suite twice —
 //! serial then parallel — verifies the outputs are byte-identical, times
-//! the reference-vs-scheduled engine grid, the control plane, the model
-//! checker and the certifier, and writes `BENCH_sweep.json` next to the
-//! tables. Bad arguments, including an `--out` directory that cannot be
-//! created, print the usage and exit with status 2 before any experiment
-//! runs; `--help` prints it and exits 0.
+//! the reference-vs-scheduled engine grid, the control plane and the
+//! model checker, and writes `BENCH_sweep.json` next to the tables. Bad
+//! arguments, including an `--out` directory that cannot be created,
+//! print the usage and exit with status 2 before any experiment runs;
+//! `--help` prints it and exits 0.
 
 use mdw_bench::perf::bench_sweep;
 use mdw_bench::suite::{run_suite, Table};

@@ -1,7 +1,7 @@
 //! Perf measurement: times the sweep suite serial vs parallel, the
 //! quiescence-scheduled engine loop against the reference loop over an
-//! architecture × fabric-size × load grid, the control plane, the model
-//! checker and the certifier, and serializes the result as
+//! architecture × fabric-size × load grid, the control plane and the
+//! model checker, and serializes the result as
 //! `BENCH_sweep.json` — the repo's recorded performance trajectory.
 
 use crate::suite::{run_suite, run_suite_timed, Table};
@@ -72,46 +72,6 @@ pub struct BenchReport {
     /// Oracle-vs-compositional model-check state counts and wall time per
     /// architecture and fabric-size tier (DESIGN.md §11, §14).
     pub bench_model_check: Vec<ModelCheckBench>,
-    /// Certificate-vs-explicit deadlock-verdict wall times at the
-    /// 64/4K/64K-host fat-tree tiers (DESIGN.md §16).
-    pub bench_certify: Vec<CertifyBench>,
-}
-
-/// One fabric tier of the deadlock-verdict benchmark: the O(routes)
-/// rank-certificate checker over compressed reach sets against the
-/// explicit channel-dependency-graph analysis (DESIGN.md §16). At the
-/// 64K tier dense routing tables are infeasible (gigabytes of
-/// bit-strings), so only the symbolic compact path runs and the explicit
-/// columns record the skip.
-#[derive(Debug, Clone)]
-pub struct CertifyBench {
-    /// Host count of the fabric (`k^n` for the k-ary n-tree tier).
-    pub hosts: usize,
-    /// Switch count of the fabric.
-    pub switches: usize,
-    /// Channels the certificate checker enumerated.
-    pub channels: usize,
-    /// Dependency edges the certificate checker verified for rank
-    /// descent (each visited exactly once, never stored).
-    pub dependencies: usize,
-    /// The certificate accepted the fabric.
-    pub certify_ok: bool,
-    /// Wall time of the certificate path (table compression + descent
-    /// check), seconds.
-    pub certify_secs: f64,
-    /// Dependency edges the explicit enumeration built (0 when it did
-    /// not run).
-    pub explicit_deps: usize,
-    /// The explicit analysis accepted the fabric (`false` when it did
-    /// not run).
-    pub explicit_ok: bool,
-    /// Wall time of the explicit path, seconds (0 when it did not run).
-    pub explicit_secs: f64,
-    /// The explicit pass ran: dense per-port destination bit-strings fit
-    /// in memory at this tier; `false` = the symbolic compact path only.
-    pub dense_feasible: bool,
-    /// Certificate and explicit verdicts agree wherever both ran.
-    pub verdicts_agree: bool,
 }
 
 /// One tier of the model-check benchmark: the exact oracle and the
@@ -202,21 +162,6 @@ impl BenchReport {
                 ("compositional_secs", secs(m.compositional_secs)),
             ])
         });
-        let certify_rows = self.bench_certify.iter().map(|c| {
-            Json::Obj(vec![
-                ("hosts", Json::raw(c.hosts)),
-                ("switches", Json::raw(c.switches)),
-                ("channels", Json::raw(c.channels)),
-                ("dependencies", Json::raw(c.dependencies)),
-                ("certify_ok", Json::raw(c.certify_ok)),
-                ("certify_secs", secs(c.certify_secs)),
-                ("explicit_deps", Json::raw(c.explicit_deps)),
-                ("explicit_ok", Json::raw(c.explicit_ok)),
-                ("explicit_secs", secs(c.explicit_secs)),
-                ("dense_feasible", Json::raw(c.dense_feasible)),
-                ("verdicts_agree", Json::raw(c.verdicts_agree)),
-            ])
-        });
         let suite_secs = self.suite_secs.iter().map(|&(name, s)| (name, secs(s)));
         let (recovery_p50, recovery_p99) = (self.crash_recovery_p50_ns, self.crash_recovery_p99_ns);
         Json::Obj(vec![
@@ -242,7 +187,6 @@ impl BenchReport {
             ("crash_recovery_p99_ns", Json::raw(recovery_p99)),
             ("bench_scale", Json::Arr(cells.collect())),
             ("bench_model_check", Json::Arr(model_rows.collect())),
-            ("bench_certify", Json::Arr(certify_rows.collect())),
         ])
         .document()
     }
@@ -480,75 +424,10 @@ pub fn bench_model_check() -> Vec<ModelCheckBench> {
         .collect()
 }
 
-/// Times both deadlock-verdict paths (DESIGN.md §16) at three fat-tree
-/// tiers: 64 and 4096 hosts, where both paths run and the verdicts must
-/// agree, and 65 536 hosts, where dense destination bit-strings would
-/// need gigabytes, so the tier runs only the symbolic compact path
-/// (`dense_feasible: false`).
-pub fn bench_certify() -> Vec<CertifyBench> {
-    vec![
-        certify_dense_tier(4, 3),
-        certify_dense_tier(4, 6),
-        certify_symbolic_tier(4, 8),
-    ]
-}
-
-/// One tier where dense tables fit: both paths run and are timed via
-/// [`SystemConfig::certify_comparison`].
-fn certify_dense_tier(k: usize, n: usize) -> CertifyBench {
-    let cfg = SystemConfig {
-        topology: TopologyKind::KaryTree { k, n },
-        ..SystemConfig::default()
-    };
-    let cmp = cfg.certify_comparison();
-    CertifyBench {
-        hosts: k.pow(n as u32),
-        switches: n * k.pow(n as u32 - 1),
-        channels: cmp.channels,
-        dependencies: cmp.dependencies,
-        certify_ok: cmp.certify_ok,
-        certify_secs: cmp.certify_secs,
-        explicit_deps: cmp.explicit_deps,
-        explicit_ok: cmp.explicit_ok,
-        explicit_secs: cmp.explicit_secs,
-        dense_feasible: true,
-        verdicts_agree: cmp.agree,
-    }
-}
-
-/// One tier past dense feasibility: closed-form compressed tables and
-/// the parametric certificate, no dense strings ever materialized. The
-/// explicit columns are zeroed — the comparison point at this scale is
-/// that there *is* no affordable explicit run.
-fn certify_symbolic_tier(k: usize, n: usize) -> CertifyBench {
-    use mdw_analysis::{Certificate, CompactTables};
-    use mintopo::KaryTree;
-
-    let tree = KaryTree::new(k, n);
-    let t = Instant::now();
-    let tables = CompactTables::for_karytree(&tree);
-    let cert = Certificate::for_karytree(&tree);
-    let out = cert.check(tree.topology(), &tables);
-    let certify_secs = t.elapsed().as_secs_f64();
-    CertifyBench {
-        hosts: tree.n_hosts(),
-        switches: tree.topology().n_switches(),
-        channels: out.channels,
-        dependencies: out.dependencies,
-        certify_ok: out.mismatch.is_none() && out.violations.is_empty(),
-        certify_secs,
-        explicit_deps: 0,
-        explicit_ok: false,
-        explicit_secs: 0.0,
-        dense_feasible: false,
-        verdicts_agree: true,
-    }
-}
-
 /// Runs the suite serially (jobs = 1), then with `jobs_parallel` workers,
 /// verifies the outputs are byte-identical, and times the engine grid, the
-/// control plane, the model checker and the certifier. Returns the report and the parallel pass's tables (for writing to
-/// `results/`).
+/// control plane and the model checker. Returns the report and the
+/// parallel pass's tables (for writing to `results/`).
 ///
 /// Restores the worker-pool override to `jobs_parallel` on return.
 pub fn bench_sweep(
@@ -603,7 +482,6 @@ pub fn bench_sweep(
         crash_recovery_p99_ns: crash_p99,
         bench_scale: scale_cells,
         bench_model_check: bench_model_check(),
-        bench_certify: bench_certify(),
     };
     (report, parallel)
 }
@@ -660,19 +538,6 @@ mod tests {
                 compositional_states: 500,
                 compositional_secs: 0.01,
             }],
-            bench_certify: vec![CertifyBench {
-                hosts: 65_536,
-                switches: 131_072,
-                channels: 1_310_720,
-                dependencies: 5_242_880,
-                certify_ok: true,
-                certify_secs: 0.42,
-                explicit_deps: 0,
-                explicit_ok: false,
-                explicit_secs: 0.0,
-                dense_feasible: false,
-                verdicts_agree: true,
-            }],
         };
         let golden = r#"{
   "scale": "quick",
@@ -700,35 +565,10 @@ mod tests {
   ],
   "bench_model_check": [
     {"arch": "CB", "switches": 16, "oracle_states": 50000, "oracle_completed": false, "oracle_secs": 1.250, "compositional_states": 500, "compositional_secs": 0.010}
-  ],
-  "bench_certify": [
-    {"hosts": 65536, "switches": 131072, "channels": 1310720, "dependencies": 5242880, "certify_ok": true, "certify_secs": 0.420, "explicit_deps": 0, "explicit_ok": false, "explicit_secs": 0.000, "dense_feasible": false, "verdicts_agree": true}
   ]
 }
 "#;
         assert_eq!(r.json(), golden);
-    }
-
-    /// The small dense tier runs both verdict paths to completion and
-    /// they agree; the symbolic tier at the same shape enumerates the
-    /// identical channel and dependency counts without ever building a
-    /// dense table.
-    #[test]
-    fn certify_tiers_agree_where_both_paths_reach() {
-        let dense = certify_dense_tier(4, 3);
-        assert!(dense.dense_feasible && dense.certify_ok, "{dense:?}");
-        assert!(dense.explicit_ok, "{dense:?}");
-        assert!(dense.verdicts_agree, "{dense:?}");
-        assert_eq!((dense.hosts, dense.switches), (64, 48));
-
-        let sym = certify_symbolic_tier(4, 3);
-        assert!(!sym.dense_feasible && sym.certify_ok, "{sym:?}");
-        assert_eq!(sym.explicit_deps, 0, "explicit path never attempted");
-        assert_eq!(
-            (sym.channels, sym.dependencies),
-            (dense.channels, dense.dependencies),
-            "symbolic and dense enumerations must count the same fabric"
-        );
     }
 
     /// The model-check benchmark covers CB at 2/4/8/16 switches and IB at

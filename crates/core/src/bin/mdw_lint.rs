@@ -12,7 +12,6 @@
 //! cargo run --release -p mdworm --bin mdw-lint -- --model-check configs/*.mdw
 //! cargo run --release -p mdworm --bin mdw-lint -- --model-check \
 //!     --model-switches 16 --model-stats configs/sp2-default.mdw
-//! cargo run --release -p mdworm --bin mdw-lint -- --certify configs/fat-tree-4k.mdw
 //! ```
 //!
 //! Config files are `key = value` lines (`#` starts a comment); unknown
@@ -43,11 +42,10 @@
 //!   and transition counts and wall time.
 //!
 //! The deadlock verdict of every lint is the explicit channel-dependency
-//! graph's. `--certify` cross-checks it over each statically sound
-//! config with the independent O(routes) rank-certificate checker
-//! (`mdw_analysis::certify`, DESIGN.md §16), and fails the lint if the
-//! certificate rejects the fabric or the two verdicts disagree. The
-//! per-config line reports both wall times.
+//! graph's: an acyclic CDG proves the routing function deadlock-free.
+//! `tests/deadlock_freedom.rs` checks that graph against the routes it
+//! abstracts, walking every worm hop by hop through the production
+//! routing function (DESIGN.md §16).
 
 use mdw_analysis::{
     check_model_opts, ArchClass, CheckOutcome, Json, ModelBounds, ModelMode, ModelOptions,
@@ -60,11 +58,10 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let usage = "usage: mdw-lint [--json] [--default] [--model-check] \
                  [--model-mode exact|compositional|auto] [--model-switches N] \
-                 [--model-stats] [--certify] <config.mdw>...";
+                 [--model-stats] <config.mdw>...";
     let mut json = false;
     let mut lint_default = false;
     let mut model_check = false;
-    let mut certify = false;
     let mut model_stats = false;
     let mut model_mode: Option<ModelMode> = None;
     let mut model_switches: Option<usize> = None;
@@ -82,7 +79,6 @@ fn main() {
             "--json" => json = true,
             "--default" => lint_default = true,
             "--model-check" => model_check = true,
-            "--certify" => certify = true,
             "--model-stats" => model_stats = true,
             "--model-mode" => {
                 model_mode = Some(match value_of(&mut i).as_str() {
@@ -158,35 +154,6 @@ fn main() {
             print!("{}", report.render_json());
         } else {
             print!("{name}: {}", report.render_human());
-        }
-        if certify && !report.has_errors() {
-            // Statically broken configs already fail the lint; sound ones
-            // get both deadlock-verdict paths, timed.
-            let cmp = cfg.certify_comparison();
-            let explicit_part = format!(
-                "explicit CDG {} in {:.3}s",
-                if cmp.agree { "agreed" } else { "disagreed" },
-                cmp.explicit_secs
-            );
-            if cmp.certify_ok && cmp.agree {
-                let line = format!(
-                    "{name}: certify passed — {} channels, {} dependencies \
-                     descend the rank in {:.3}s; {explicit_part}",
-                    cmp.channels, cmp.dependencies, cmp.certify_secs
-                );
-                say(line, false);
-            } else {
-                any_errors = true;
-                let why = if !cmp.certify_ok {
-                    "certificate checker rejected the fabric"
-                } else {
-                    "certificate and explicit CDG verdicts disagree"
-                };
-                say(
-                    format!("{name}: certify FAILED: {why}; {explicit_part}"),
-                    true,
-                );
-            }
         }
         if model_check && !report.has_errors() {
             // Statically broken configs already fail the lint; only sound

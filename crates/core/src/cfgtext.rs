@@ -696,9 +696,9 @@ mod tests {
     ];
 
     /// Keys and second spellings that earlier versions accepted: the
-    /// control plane's tuning, now constants, the certificate's switch
-    /// and budget (the explicit CDG is the one deadlock gate, DESIGN.md
-    /// §16), and the underscore aliases.
+    /// control plane's tuning, now constants, the removed certificate's
+    /// switch and budget (the explicit CDG is the one deadlock gate,
+    /// DESIGN.md §16), and the underscore aliases.
     #[rustfmt::skip]
     const RETIRED: &[&str] = &[
         "response_debounce", "response_drain_wait", "response_purge_max", "response_max_hops",

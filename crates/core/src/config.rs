@@ -11,8 +11,7 @@
 use crate::respond::ResponseConfig;
 use collectives::RecoveryConfig;
 use mdw_analysis::{
-    analyze_fabric, certify_fabric, switch_sizing, ArchClass, Certificate, CompactTables,
-    ConfigReport, ModelMode, ModelOptions,
+    analyze_fabric, switch_sizing, ArchClass, ConfigReport, ModelMode, ModelOptions,
 };
 use mintopo::irregular::Irregular;
 use mintopo::karytree::KaryTree;
@@ -118,29 +117,6 @@ impl SwitchArch {
     }
 }
 
-/// One certify-vs-explicit comparison over a built fabric
-/// ([`SystemConfig::certify_comparison`]): the two deadlock verdicts and
-/// their wall times.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CertifyComparison {
-    /// Channels the certificate checker enumerated.
-    pub channels: usize,
-    /// Dependency edges the certificate checker verified.
-    pub dependencies: usize,
-    /// The certificate checker accepted the fabric.
-    pub certify_ok: bool,
-    /// Wall time of the certificate path (compression + check), seconds.
-    pub certify_secs: f64,
-    /// Dependency edges the explicit enumeration built.
-    pub explicit_deps: usize,
-    /// The explicit analysis found no dependency cycle.
-    pub explicit_ok: bool,
-    /// Wall time of the explicit path, seconds.
-    pub explicit_secs: f64,
-    /// The two verdicts agree.
-    pub agree: bool,
-}
-
 /// Complete system description.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -240,7 +216,7 @@ impl SystemConfig {
     /// with broken sizing would only bury the root cause). A per-thread
     /// table (at most `FABRIC_VERDICT_CAP` fabrics) holds each built
     /// fabric — topology and route tables, which `build_system` then
-    /// wires, and a k-ary tree once something asks for it — plus the
+    /// wires, and a k-ary tree once multiport encoding asks for it — plus the
     /// pass's verdict per replication policy; a repeat returns the same
     /// report without building the topology.
     pub fn report(&self) -> ConfigReport {
@@ -406,47 +382,6 @@ impl SystemConfig {
         report
     }
 
-    /// Runs both deadlock-verdict paths — the O(routes) certificate
-    /// checker and the explicit CDG analysis — over this configuration's
-    /// built fabric (the thread's fabric table's, as in
-    /// [`SystemConfig::report`]), under wall-clock timers that cover the
-    /// two analyses only.
-    ///
-    /// This is the engine behind `mdw-lint --certify` and the certify
-    /// bench rows: the certificate is an independent cross-check of the
-    /// explicit verdict that [`SystemConfig::report`] gates on.
-    pub fn certify_comparison(&self) -> CertifyComparison {
-        let Fabric { topology, tables } = fabric(self.topology);
-        let cert = match kary_tree(self.topology) {
-            Some(t) => Certificate::for_karytree(&t),
-            None => Certificate::for_topology(&topology),
-        };
-
-        let t0 = std::time::Instant::now();
-        let compact = CompactTables::from_dense(&tables);
-        let mut cert_report = ConfigReport::new();
-        certify_fabric(&cert, &topology, &compact, &mut cert_report);
-        let certify_secs = t0.elapsed().as_secs_f64();
-        let certify_ok = !cert_report.has_errors();
-
-        let t1 = std::time::Instant::now();
-        let mut explicit_report = ConfigReport::new();
-        analyze_fabric(&topology, &tables, self.switch.policy, &mut explicit_report);
-        let explicit_secs = t1.elapsed().as_secs_f64();
-        let explicit_ok = !explicit_report.errors().any(|d| d.code == "cdg-cycle");
-
-        CertifyComparison {
-            channels: cert_report.stats.channels,
-            dependencies: cert_report.stats.dependencies,
-            certify_ok,
-            certify_secs,
-            explicit_deps: explicit_report.stats.dependencies,
-            explicit_ok,
-            explicit_secs,
-            agree: certify_ok == explicit_ok,
-        }
-    }
-
     /// Validates cross-cutting constraints, returning a descriptive
     /// [`ConfigError`] on the first violation (multiport encoding off a
     /// k-ary tree, switch sizing violations, bit-string header leaving no
@@ -502,9 +437,9 @@ impl Fabric {
 /// replication policy, the pass's only input besides the topology.
 struct FabricEntry {
     fabric: Fabric,
-    /// Built on first use (multiport encoding, the certificate): a
-    /// [`KaryTree`] holds a second copy of the topology, which a fabric
-    /// nobody asks the tree of does not keep.
+    /// Built on first use by multiport encoding: a [`KaryTree`] holds a
+    /// second copy of the topology, which a fabric nobody asks the tree
+    /// of does not keep.
     tree: Option<Rc<KaryTree>>,
     verdicts: Vec<(ReplicatePolicy, ConfigReport)>,
 }
@@ -816,16 +751,6 @@ mod tests {
         assert!(!r.has_errors());
         assert!(r.warnings().any(|w| w.code == "sync-replication-hazard"));
         c.validate().expect("warnings do not fail validation");
-    }
-
-    #[test]
-    fn certify_comparison_agrees_on_the_paper_fabric() {
-        let cmp = SystemConfig::default().certify_comparison();
-        assert!(cmp.certify_ok);
-        assert!(cmp.explicit_ok);
-        assert!(cmp.agree);
-        assert!(cmp.channels > 64);
-        assert_eq!(cmp.dependencies, cmp.explicit_deps);
     }
 
     /// Every field of the table key on its own selects a different

@@ -57,7 +57,7 @@ pub mod workload;
 
 pub use build::{build_system, System};
 pub use cfgtext::parse_config;
-pub use config::{CertifyComparison, McastImpl, SwitchArch, SystemConfig, TopologyKind};
+pub use config::{McastImpl, SwitchArch, SystemConfig, TopologyKind};
 pub use forensics::{capture_deadlock_report, DeadlockReport};
 pub use mdw_analysis::{ConfigReport, Diagnostic, Severity};
 pub use respond::{FaultResponder, MemoStats, ResponseConfig, ResponseCounters, ResponseEvent};

@@ -207,13 +207,12 @@ fn exact_model_mode_past_the_auto_range_warns_before_the_run() {
     assert!(!warns("stages = 1\nmodel.mode = exact"));
 }
 
-/// The differential contract behind `mdw-lint --certify`, over every
-/// shipped config file, the 4K fat-tree included: each parses; on every
-/// statically sound one the explicit CDG pass of the lint accepts, the
-/// certificate checker accepts, and the certificate counts the same
-/// channels and dependencies the lint's explicit pass reports.
+/// Every shipped config file parses, and every statically sound one
+/// passes the explicit CDG pass: no dependency cycle, one SCC per
+/// channel. The 4K fat-tree's coverage counters are pinned, so the
+/// production-scale tier cannot shrink unnoticed.
 #[test]
-fn shipped_config_files_certify_consistently() {
+fn shipped_config_files_pass_the_explicit_cdg() {
     let configs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");
     let mut seen = 0;
     let mut entries: Vec<_> = std::fs::read_dir(configs)
@@ -230,22 +229,23 @@ fn shipped_config_files_certify_consistently() {
 
         let report = cfg.report();
         if report.has_errors() {
-            continue; // statically condemned — no fabric pass to compare
+            continue; // statically condemned before the fabric pass
         }
         assert!(
             !report.errors().any(|d| d.code == "cdg-cycle") && report.cycles.is_empty(),
             "{name}: explicit CDG must accept: {:?}",
             report.diagnostics
         );
-        let cmp = cfg.certify_comparison();
-        assert!(cmp.certify_ok, "{name}: certificate must accept: {cmp:?}");
-        assert!(cmp.explicit_ok && cmp.agree, "{name}: {cmp:?}");
-        assert_eq!(
-            (cmp.channels, cmp.dependencies),
-            (report.stats.channels, report.stats.dependencies),
-            "{name}: the certificate must count the fabric the lint analyzed"
-        );
-        assert_eq!(cmp.explicit_deps, report.stats.dependencies, "{name}");
+        let st = &report.stats;
+        assert!(st.dependencies > 0, "{name}: the fabric pass ran");
+        assert_eq!(st.sccs, st.channels, "{name}: acyclic, so singleton SCCs");
+        if path.ends_with("fat-tree-4k.mdw") {
+            assert_eq!(
+                (st.channels, st.dependencies, st.sccs, st.roundtrips),
+                (49_152, 262_144, 49_152, 54_272),
+                "{name}"
+            );
+        }
     }
     assert!(seen >= 7, "only {seen} shipped configs found");
 }
@@ -327,9 +327,9 @@ fn mdw_lint_cli_flags_the_shipped_deadlock_config() {
 
 /// `mdw-lint --model-check` flag handling: a `--model-switches` bound
 /// that selects no scenario is a usage error rather than a vacuous pass,
-/// the removed `--model-jobs` flag is unknown, and the 16-switch tier
-/// verifies through compositional mode with a stats line that carries
-/// only the verdict, counts and wall time.
+/// the removed `--model-jobs` and `--certify` flags are unknown, and the
+/// 16-switch tier verifies through compositional mode with a stats line
+/// that carries only the verdict, counts and wall time.
 #[test]
 fn mdw_lint_model_check_flags() {
     let config = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs/sp2-default.mdw");
@@ -342,8 +342,12 @@ fn mdw_lint_model_check_flags() {
             .expect("run mdw-lint")
     };
 
-    for args in [["--model-switches", "0"], ["--model-jobs", "4"]] {
-        let out = run(&args);
+    for args in [
+        &["--model-switches", "0"][..],
+        &["--model-jobs", "4"],
+        &["--certify"],
+    ] {
+        let out = run(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("usage: mdw-lint"), "{args:?}: {err}");
@@ -453,36 +457,4 @@ fn help_prints_usage_and_succeeds() {
         assert!(out.status.success(), "{flag}: {out:?}");
         assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: mdw-lint"));
     }
-}
-
-/// `mdw-lint --certify` end-to-end: on the paper-scale default and on
-/// the shipped 4K fat-tree both verdict paths run and agree, with exit
-/// code 0.
-#[test]
-fn mdw_lint_certify_carries_the_verdict_at_scale() {
-    let configs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mdw-lint"))
-        .args([
-            "--certify",
-            &format!("{configs}/sp2-default.mdw"),
-            &format!("{configs}/fat-tree-4k.mdw"),
-        ])
-        .output()
-        .expect("run mdw-lint --certify");
-    assert!(out.status.success(), "{out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    let certified: Vec<&str> = text
-        .lines()
-        .filter(|l| l.contains("certify passed"))
-        .collect();
-    assert_eq!(certified.len(), 2, "both configs certify: {text}");
-    for config in ["sp2-default.mdw", "fat-tree-4k.mdw"] {
-        assert!(
-            certified
-                .iter()
-                .any(|l| l.contains(config) && l.contains("explicit CDG agreed")),
-            "{config}: the explicit CDG must agree: {text}"
-        );
-    }
-    assert!(!text.contains("certify FAILED"), "{text}");
 }

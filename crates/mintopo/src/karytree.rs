@@ -118,41 +118,6 @@ impl KaryTree {
         sw.index() / self.switches_per_stage()
     }
 
-    /// Half-open host interval `[lo, hi)` covered by the downward cone of
-    /// the switch at `(stage, index)`.
-    ///
-    /// The k-ary n-tree wiring makes every cone contiguous: stage-`s`
-    /// switch `w` covers exactly the hosts whose digits above position `s`
-    /// match `w`'s, i.e. `[ (w / k^s) * k^(s+1), + k^(s+1) )`. This is the
-    /// closed form that lets the analysis build compressed reach sets in
-    /// O(1) per port without materializing an `N`-bit string.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage` or `index` is out of range.
-    pub fn cone_interval(&self, stage: usize, index: usize) -> (usize, usize) {
-        assert!(stage < self.n, "stage {stage} out of range");
-        assert!(index < self.switches_per_stage(), "index out of range");
-        let block = self.k.pow(stage as u32 + 1);
-        let lo = (index / self.k.pow(stage as u32)) * block;
-        (lo, lo + block)
-    }
-
-    /// Half-open host interval `[lo, hi)` reachable through down port
-    /// `port` of the switch at `(stage, index)`: the `port`-th `k^s`-sized
-    /// sub-block of that switch's [`cone_interval`](Self::cone_interval).
-    /// At stage 0 this degenerates to the singleton attached host.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage`, `index`, or `port >= k` is out of range.
-    pub fn down_port_interval(&self, stage: usize, index: usize, port: usize) -> (usize, usize) {
-        assert!(port < self.k, "port {port} is not a down port");
-        let (lo, _) = self.cone_interval(stage, index);
-        let sub = self.k.pow(stage as u32);
-        (lo + port * sub, lo + (port + 1) * sub)
-    }
-
     /// LCA stage of two distinct hosts (see [`lca::lca_stage`]).
     pub fn lca_stage(&self, a: NodeId, b: NodeId) -> usize {
         lca::lca_stage(a, b, self.k, self.n)
@@ -281,38 +246,6 @@ mod tests {
             let table = tables.table(t.switch_at(2, i));
             assert_eq!(table.down_union().count(), 64);
             assert!(table.up_ports().is_empty());
-        }
-    }
-
-    #[test]
-    fn cone_intervals_match_dense_reach() {
-        for (k, n) in [(2, 3), (4, 2), (3, 3)] {
-            let t = KaryTree::new(k, n);
-            let tables = RouteTables::build(t.topology());
-            for s in 0..n {
-                for i in 0..t.switches_per_stage() {
-                    let table = tables.table(t.switch_at(s, i));
-                    let (clo, chi) = t.cone_interval(s, i);
-                    for h in 0..t.n_hosts() {
-                        assert_eq!(
-                            table.down_union().contains(NodeId::from(h)),
-                            (clo..chi).contains(&h),
-                            "k={k} n={n} stage {s} idx {i} host {h}"
-                        );
-                    }
-                    for p in 0..k {
-                        let (lo, hi) = t.down_port_interval(s, i, p);
-                        assert_eq!(hi - lo, k.pow(s as u32));
-                        for h in 0..t.n_hosts() {
-                            assert_eq!(
-                                table.port(p).reach.contains(NodeId::from(h)),
-                                (lo..hi).contains(&h),
-                                "k={k} n={n} stage {s} idx {i} port {p} host {h}"
-                            );
-                        }
-                    }
-                }
-            }
         }
     }
 

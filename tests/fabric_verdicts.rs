@@ -251,8 +251,8 @@ fn a_cold_build_builds_the_fabric_once_and_a_warm_one_never() {
         ib.arch = SwitchArch::InputBuffered;
         ib.switch.policy = ReplicatePolicy::ForwardAndReturn;
         build_system(ib, silent(64), None);
-        cfg.certify_comparison();
-        assert_eq!(fabric_builds(), 1, "warm builds, another policy, certify");
+        cfg.report();
+        assert_eq!(fabric_builds(), 1, "warm builds, another policy, a report");
     });
 }
 
