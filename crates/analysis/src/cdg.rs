@@ -313,23 +313,44 @@ mod tests {
         }
     }
 
+    /// h0,h1 under s0, whose port 2 climbs to a root s1 that reaches them
+    /// only through s0: s0 covers every host downward and still has an up
+    /// port.
+    fn covering_switch_with_uplink() -> Topology {
+        let mut b = TopologyBuilder::new(2);
+        let s0 = b.add_switch(3, 1);
+        let s1 = b.add_switch(1, 0);
+        for h in 0..2 {
+            b.attach_host(NodeId(h), s0, h as usize);
+        }
+        b.connect(s0, 2, s1, 0);
+        b.build()
+    }
+
     #[test]
     fn root_switch_has_no_up_dependencies() {
-        let topo = small_tree();
-        let tables = RouteTables::build(&topo);
-        let g = build_cdg(&topo, &tables);
-        // The root covers the whole system downward, so no edge may target
-        // an up port there (it has none) nor may any ascending edge target
-        // a port classified Up at a switch whose down-union is full.
-        for d in &deps(&g, &topo) {
-            if tables.table(d.at).port(d.onto).class == PortClass::Up {
-                assert_ne!(
-                    tables.table(d.at).down_union(),
-                    &netsim::destset::DestSet::full(4),
-                    "LCA-complete switch must not ascend"
-                );
+        // A switch whose down ports cover the whole system never sends a
+        // worm up: no edge may target an up port there. In the small tree
+        // only the root covers everything, and it has no up port; the
+        // second fabric's covering switch has one.
+        for topo in [small_tree(), covering_switch_with_uplink()] {
+            let tables = RouteTables::build(&topo);
+            let g = build_cdg(&topo, &tables);
+            let full = DestSet::full(topo.n_hosts());
+            for d in &deps(&g, &topo) {
+                if tables.table(d.at).port(d.onto).class == PortClass::Up {
+                    assert_ne!(
+                        tables.table(d.at).down_union(),
+                        &full,
+                        "LCA-complete switch must not ascend"
+                    );
+                }
             }
         }
+        let tables = RouteTables::build(&covering_switch_with_uplink());
+        let s0 = tables.table(SwitchId(0));
+        assert_eq!(s0.port(2).class, PortClass::Up);
+        assert_eq!(s0.down_union(), &DestSet::full(2));
     }
 
     #[test]

@@ -149,7 +149,7 @@ pub(crate) fn decompose(plan: &Plan) -> Vec<SubPlan> {
 /// Checks every structurally distinct per-switch sub-plan of a scenario.
 /// Sub-scenario names are `"{name}@s{switch}"`, so a violation pinpoints
 /// the concrete switch whose local plan fails (and
-/// [`crate::replay_model_violation`] can rebuild exactly that sub-plan).
+/// [`crate::model::reexecute_violation`] can rebuild exactly that sub-plan).
 pub(crate) fn check_scenario(
     name: &str,
     plan: &Plan,

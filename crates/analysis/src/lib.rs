@@ -33,7 +33,6 @@ pub mod checks;
 mod compose;
 pub mod json;
 pub mod model;
-pub mod replay;
 pub mod report;
 pub mod roundtrip;
 pub mod scc;
@@ -45,9 +44,6 @@ pub use json::Json;
 pub use model::{
     check_model, check_model_opts, CheckOutcome, ModelBounds, ModelMode, ModelOptions, ModelStats,
     TraceOp, TraceStep, Violation,
-};
-pub use replay::{
-    replay_cq_trace, replay_model_violation, ModelReplay, ReplayMismatch, ReplayReport,
 };
 pub use report::{AnalysisStats, ConfigReport, CycleReport, Diagnostic, Severity};
 pub use roundtrip::lint_roundtrips;

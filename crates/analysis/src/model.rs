@@ -55,8 +55,6 @@ use mintopo::route::{pick_deterministic, McastRoute, ReplicatePolicy, RouteTable
 use mintopo::topology::{Attach, Topology, TopologyBuilder};
 use netsim::destset::DestSet;
 use netsim::ids::{NodeId, SwitchId};
-use netsim::trace::SemEvent;
-use netsim::Cycle;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use switches::semantics::{
@@ -217,9 +215,6 @@ pub struct Violation {
     pub detail: String,
     /// Minimal transition sequence from the initial state.
     pub trace: Vec<TraceStep>,
-    /// Central-queue semantic events along the trace (central-buffer
-    /// scenarios only), replayable through [`crate::replay_cq_trace`].
-    pub events: Vec<(Cycle, SemEvent)>,
 }
 
 impl std::fmt::Display for Violation {
@@ -314,7 +309,6 @@ pub fn check_model_opts(
                     kind: "plan".into(),
                     detail: e,
                     trace: Vec::new(),
-                    events: Vec::new(),
                 }))
             }
         };
@@ -789,10 +783,22 @@ pub(crate) fn run_plan(
     Ctx::new(scenario, plan, arch, sync, bounds).explore()
 }
 
-/// Re-executes a violation's trace against a freshly rebuilt model and
-/// confirms the final state exhibits the claimed violation. Returns the
-/// number of steps replayed.
-pub(crate) fn reexecute_violation(
+/// Re-validates a counterexample: rebuilds the violating scenario's plan
+/// (resolving a compositional `@s<switch>` sub-scenario to the same
+/// per-switch decomposition), re-executes the trace transition by
+/// transition with the explorer's successor relation, and confirms the
+/// final state exhibits the claimed violation. Returns the number of
+/// steps replayed.
+///
+/// `arch`, `sync_replication`, `policy`, and `bounds` must match the
+/// check that produced the violation.
+///
+/// # Errors
+///
+/// A description of the first divergence: a trace step that is not
+/// enabled, a final state without the claimed violation, or a violation
+/// kind that carries no trace (`plan`, `state-bound`).
+pub fn reexecute_violation(
     arch: ArchClass,
     sync_replication: bool,
     policy: ReplicatePolicy,
@@ -1046,12 +1052,12 @@ impl<'a> Ctx<'a> {
             }
             if self.all_done(state) {
                 for (sw, cq) in state.cq.iter().enumerate() {
-                    if cq.free() != cq.capacity || cq.waiter_held() != 0 {
+                    if cq.free() != cq.capacity() || cq.waiter_held() != 0 {
                         return Some(format!(
                             "chunk leak at s{sw}: {} of {} chunks free at \
                              quiescence",
                             cq.free(),
-                            cq.capacity
+                            cq.capacity()
                         ));
                     }
                 }
@@ -1348,75 +1354,7 @@ impl<'a> Ctx<'a> {
             .map(|(_, s)| s)
     }
 
-    /// Central-queue semantic events along a concrete label path,
-    /// replayable through [`crate::replay_cq_trace`]. The model runs in
-    /// zero simulated cycles, so step index + 1 stands in for the cycle.
-    fn trace_events(&self, labels: &[Label]) -> Vec<(Cycle, SemEvent)> {
-        if self.arch != ArchClass::CentralBuffer {
-            return Vec::new();
-        }
-        let mut events = Vec::new();
-        let mut state = self.initial();
-        for (i, &label) in labels.iter().enumerate() {
-            let cycle = (i + 1) as Cycle;
-            match label {
-                Label::Admit(v) => {
-                    let visit = &self.plan.visits[v];
-                    let need = usize::from(self.len);
-                    let (cq, effect) = cq_step(
-                        &state.cq[visit.sw],
-                        CqEvent::Reserve {
-                            input: visit.in_port,
-                            need,
-                            descending: visit.descending,
-                        },
-                    );
-                    events.push((
-                        cycle,
-                        SemEvent::CqReserve {
-                            sw: visit.sw as u32,
-                            input: visit.in_port,
-                            need,
-                            descending: visit.descending,
-                            granted: effect == CqEffect::Granted,
-                            free_after: cq.free(),
-                        },
-                    ));
-                }
-                Label::Advance(v, b) => {
-                    let sw = self.plan.visits[v].sw;
-                    if let VState::StoredCb { reads } = &state.visits[v] {
-                        let mut reads = reads.clone();
-                        let old_min = *reads.iter().min().expect("branch");
-                        reads[b] += 1;
-                        let new_min = *reads.iter().min().expect("branch");
-                        let mut cq = state.cq[sw].clone();
-                        for _ in old_min..new_min {
-                            let (c2, _) = cq_step(&cq, CqEvent::Release);
-                            cq = c2;
-                            events.push((
-                                cycle,
-                                SemEvent::CqRelease {
-                                    sw: sw as u32,
-                                    free_after: cq.free(),
-                                },
-                            ));
-                        }
-                    }
-                }
-                _ => {}
-            }
-            let Some(next) = self.apply_label(&state, label) else {
-                debug_assert!(false, "counterexample step {} not enabled", i + 1);
-                break;
-            };
-            state = next;
-        }
-        events
-    }
-
     fn violation(&self, kind: &str, detail: String, labels: Vec<Label>) -> Box<Violation> {
-        let events = self.trace_events(&labels);
         Box::new(Violation {
             scenario: self.scenario.to_string(),
             kind: kind.to_string(),
@@ -1428,7 +1366,6 @@ impl<'a> Ctx<'a> {
                     op: l.op(),
                 })
                 .collect(),
-            events,
         })
     }
 
@@ -1585,8 +1522,8 @@ fn encode_state(s: &MState) -> Vec<u8> {
     }
     push(&mut out, s.cq.len());
     for cq in &s.cq {
-        push(&mut out, cq.free);
-        for slot in [&cq.resv_desc, &cq.resv_asc] {
+        push(&mut out, cq.free());
+        for slot in cq.waiters() {
             match slot {
                 None => out.push(0),
                 Some(r) => {
@@ -1995,12 +1932,11 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_deadlock_carries_replayable_cq_events() {
+    fn accumulator_deadlock_trace_reexecutes() {
         // cq_chunks 2 / reserve 1: the ascending pool is 1 chunk, a
         // 2-chunk worm can never be admitted — its accumulator sweeps the
         // pool and starves everyone. A genuine deadlock whose trace
-        // carries CqReserve events (granted=false) replayable through the
-        // semantic-event machinery.
+        // re-executes step by step against the rebuilt model.
         let bounds = ModelBounds {
             cq_chunks: 2,
             cq_reserve: 1,
@@ -2016,24 +1952,15 @@ mod tests {
             panic!("undersized pool must deadlock");
         };
         assert_eq!(v.kind, "deadlock");
-        assert!(
-            v.events.iter().any(|(_, e)| matches!(
-                e,
-                netsim::trace::SemEvent::CqReserve { granted: false, .. }
-            )),
-            "trace must carry the denied reservation: {:?}",
-            v.events
-        );
-        let replay = crate::replay::replay_model_violation(
+        let steps = reexecute_violation(
             ArchClass::CentralBuffer,
             false,
             ReplicatePolicy::ReturnOnly,
             &bounds,
             &v,
         )
-        .expect("events must replay through the pure cq machine");
-        assert!(replay.cq.is_some());
-        assert_eq!(replay.steps, v.trace.len());
+        .expect("trace must re-execute");
+        assert_eq!(steps, v.trace.len());
     }
 
     #[test]

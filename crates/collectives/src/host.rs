@@ -30,7 +30,7 @@ use netsim::destset::DestSet;
 use netsim::engine::{Component, PortIo};
 use netsim::flit::Flit;
 use netsim::header::RoutingHeader;
-use netsim::ids::{MessageId, NodeId, PacketId};
+use netsim::ids::{MessageId, NodeId};
 use netsim::message::{Message, MessageKind};
 use netsim::packet::{packetize, Packet, PacketBuilder, PacketIdGen};
 use netsim::stats::DeliveryTracker;
@@ -797,12 +797,6 @@ impl std::fmt::Debug for Host {
             self.backlog()
         )
     }
-}
-
-/// Builds a unicast packet id for tests.
-#[doc(hidden)]
-pub fn test_packet_id(v: u64) -> PacketId {
-    PacketId(v)
 }
 
 #[cfg(test)]

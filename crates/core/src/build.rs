@@ -9,7 +9,6 @@ use mintopo::topology::{End, Topology};
 use netsim::engine::Engine;
 use netsim::ids::{LinkId, NodeId, SwitchId};
 use netsim::stats::DeliveryTracker;
-use netsim::trace::{SemHandle, SemTrace};
 use std::cell::RefCell;
 use std::rc::Rc;
 use switches::{CentralBufferSwitch, InputBufferedSwitch, SwitchConfig, SwitchCtl, SwitchStats};
@@ -68,11 +67,6 @@ pub struct System {
     /// fault-response orchestrator replaces this handle when a masked
     /// reroute is installed.
     pub tables: Rc<RouteTables>,
-    /// Per-switch semantic trace buffers (disabled by default), indexed by
-    /// switch id. The `invariant-audit` feature enables them and replays
-    /// the recorded events against the pure transition cores after every
-    /// experiment (trace-conformance refinement check).
-    pub sem_traces: Vec<SemHandle>,
 }
 
 impl System {
@@ -214,15 +208,12 @@ pub fn build_system(
     };
     let mut switch_stats = Vec::with_capacity(n_sw);
     let mut switch_ctls = Vec::with_capacity(n_sw);
-    let mut sem_traces = Vec::with_capacity(n_sw);
     for s in 0..n_sw {
         let id = SwitchId::from(s);
         let stats = Rc::new(RefCell::new(SwitchStats::default()));
         switch_stats.push(stats.clone());
         let ctl = SwitchCtl::with_epoch_changes(engine.epoch_changes());
         switch_ctls.push(ctl.clone());
-        let sem = SemTrace::handle();
-        sem_traces.push(sem.clone());
         let cfg = SwitchConfig {
             ports: topology.ports(id),
             ..swcfg.clone()
@@ -233,7 +224,6 @@ pub fn build_system(
             SwitchArch::CentralBuffer => {
                 let mut switch = CentralBufferSwitch::new(id, cfg, tables.clone(), stats);
                 switch.set_ctl(ctl);
-                switch.set_sem_trace(sem);
                 if let Some(plan) = &combining_plan {
                     let expected = plan.expected[s];
                     if expected > 0 {
@@ -305,7 +295,6 @@ pub fn build_system(
         switch_ctls,
         fabric_mode,
         tables,
-        sem_traces,
     }
 }
 

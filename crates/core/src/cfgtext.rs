@@ -52,7 +52,8 @@ impl RunSpec {
     }
 
     /// Rejects values that parse but that no run can use: a fabric that
-    /// fails [`SystemConfig::validate`], an empty measurement window, or a
+    /// fails [`SystemConfig::validate`], an empty measurement window, a
+    /// window whose end (drain included) overflows the cycle counter, or a
     /// traffic mix no source can generate on its host count.
     ///
     /// # Errors
@@ -98,6 +99,18 @@ impl RunSpec {
         }
         if self.run.measure == 0 {
             return Err("run.measure 0: throughput needs a measurement window".into());
+        }
+        let run = &self.run;
+        if run
+            .warmup
+            .checked_add(run.measure)
+            .and_then(|end| end.checked_add(run.drain_max))
+            .is_none()
+        {
+            return Err(format!(
+                "run.warmup {} + run.measure {} + the {}-cycle drain overflows the cycle counter",
+                run.warmup, run.measure, run.drain_max
+            ));
         }
         if t.mcast_fraction < 1.0 && t.pattern != Pattern::Uniform && !hosts.is_power_of_two() {
             return Err(format!(
@@ -455,6 +468,31 @@ mod tests {
         assert_eq!(cfg.switch.input_buf_flits, 256);
         assert_eq!(cfg.switch.max_packet_flits, 100);
         assert_eq!(cfg.seed, 42);
+    }
+
+    /// A window whose end overflows `u64` would wrap in `run_experiment`
+    /// (release) or panic there (debug); `check` names both keys instead.
+    #[test]
+    fn check_rejects_a_window_that_overflows_the_cycle_counter() {
+        for text in [
+            "run.warmup = 18446744073709551615",
+            "run.measure = 18446744073709551000",
+        ] {
+            let err = parse_spec(text).expect("parses").check().unwrap_err();
+            assert!(
+                err.contains("run.warmup") && err.contains("run.measure"),
+                "{err}"
+            );
+        }
+        let mut spec = RunSpec::default();
+        spec.run.measure = u64::MAX - spec.run.warmup - spec.run.drain_max;
+        assert_eq!(
+            spec.check(),
+            Ok(()),
+            "the last cycle that fits is a window end"
+        );
+        spec.run.measure += 1;
+        assert!(spec.check().is_err());
     }
 
     #[test]

@@ -6,14 +6,13 @@
 //! it never changes a verdict. This suite pins that contract to the
 //! artifacts users actually lint: for each `configs/*.mdw`, the exact
 //! oracle, compositional mode and `auto` must agree, and every
-//! counterexample must re-execute against the rebuilt model (and, for
-//! central-buffer scenarios, replay through the pure `cq_step` machine).
+//! counterexample must re-execute against the rebuilt model.
 //! At the 16-switch tier the oracle exhausts its budget and
 //! compositional mode carries the verdict.
 
+use mdw_analysis::model::reexecute_violation;
 use mdw_analysis::{
-    check_model_opts, replay_model_violation, ArchClass, CheckOutcome, ModelBounds, ModelMode,
-    ModelOptions,
+    check_model_opts, ArchClass, CheckOutcome, ModelBounds, ModelMode, ModelOptions,
 };
 use mdworm::cfgtext::parse_config;
 use mdworm::config::{SwitchArch, SystemConfig};
@@ -85,9 +84,9 @@ fn every_mode_agrees_with_the_oracle_on_shipped_configs() {
                 "{name} ({mode:?}) disagrees with the oracle: {out:?}"
             );
             if let CheckOutcome::Violated(v) = &out {
-                let replay = replay_model_violation(arch, sync, cfg.switch.policy, &bounds, v)
+                let steps = reexecute_violation(arch, sync, cfg.switch.policy, &bounds, v)
                     .unwrap_or_else(|e| panic!("{name} ({mode:?}): counterexample rejected: {e}"));
-                assert_eq!(replay.steps, v.trace.len(), "{name} ({mode:?})");
+                assert_eq!(steps, v.trace.len(), "{name} ({mode:?})");
             }
         }
         // The one shipped hazard config must actually be caught.

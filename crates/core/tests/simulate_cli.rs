@@ -80,6 +80,9 @@ fn bad_arguments_exit_2_with_usage() {
         &["--set", "host_eject_credits=0"],
         &["--set", "recovery_timeout=0"],
         &["--set", "run.measure=0"],
+        // Window ends past the cycle counter.
+        &["--set", "run.warmup=18446744073709551615"],
+        &["--set", "run.measure=18446744073709551000"],
         // A permutation of 27 hosts.
         &[
             "--set",
@@ -108,6 +111,7 @@ fn bad_arguments_exit_2_with_usage() {
     assert!(stderr(&["--config", &bad_line]).contains(&format!("{bad_line}: line 2")));
     assert!(stderr(&["--set", "k=-1"]).contains("--set `k=-1`"));
     assert!(stderr(&["--set", "traffic.load=inf"]).contains("traffic.load inf"));
+    assert!(stderr(&["--set", "run.measure=18446744073709551000"]).contains("run.measure"));
     // A zero degree is named as such, not as the load it makes unbounded.
     let zero_degree = stderr(&["--set", "traffic.degree=0"]);
     assert!(

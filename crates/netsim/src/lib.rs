@@ -84,7 +84,6 @@ pub mod message;
 pub mod packet;
 pub mod rng;
 pub mod stats;
-pub mod trace;
 
 /// Simulation time, measured in link-flit cycles.
 ///

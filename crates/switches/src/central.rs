@@ -45,7 +45,6 @@ use netsim::flit::Flit;
 use netsim::header::RoutingHeader;
 use netsim::ids::{MessageId, NodeId, PacketId, SwitchId, SWITCH_MSG_BIT};
 use netsim::packet::{Packet, PacketBuilder};
-use netsim::trace::{SemEvent, SemHandle};
 use netsim::Cycle;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -186,7 +185,6 @@ pub struct CentralBufferSwitch {
     barrier: Option<BarrierCombiner>,
     stats: Rc<RefCell<SwitchStats>>,
     ctl: Option<Rc<SwitchCtl>>,
-    sem: Option<SemHandle>,
     rr: usize,
     /// Bit `i` is set exactly while input `i` has a staged flit or is not
     /// `Idle`: the inputs a tick must visit even when nothing arrives.
@@ -249,7 +247,6 @@ impl CentralBufferSwitch {
             tables,
             stats,
             ctl: None,
-            sem: None,
             rr: 0,
             in_busy: 0,
             out_busy: 0,
@@ -277,14 +274,6 @@ impl CentralBufferSwitch {
         self.ctl = Some(ctl);
     }
 
-    /// Attaches a semantic trace buffer: every central-queue reservation
-    /// attempt, chunk release, and purge is recorded as a structured
-    /// [`SemEvent`] for the trace-conformance replay (refinement check
-    /// against the pure [`CqState`] machine).
-    pub fn set_sem_trace(&mut self, sem: SemHandle) {
-        self.sem = Some(sem);
-    }
-
     /// No staged flits, no resident worms, every chunk free, no pending
     /// barrier emission: safe to swap routing tables. Reads the busy masks;
     /// debug builds check them against a scan of every port.
@@ -297,7 +286,7 @@ impl CentralBufferSwitch {
         );
         self.in_busy == 0
             && self.out_busy == 0
-            && self.cq.free() == self.cq.capacity
+            && self.cq.free() == self.cq.capacity()
             && self.barrier.as_ref().is_none_or(|b| b.ready.is_empty())
     }
 
@@ -307,7 +296,7 @@ impl CentralBufferSwitch {
     /// pool is reset to pristine. Also swallows the at-most-one flit
     /// arriving this cycle, so in-flight link stragglers cannot wedge a
     /// half-dead worm back into the receiver FSM.
-    fn purge(&mut self, now: Cycle, io: &mut PortIo<'_>) {
+    fn purge(&mut self, io: &mut PortIo<'_>) {
         let mut flits = 0u64;
         let mut worms = 0u64;
         for (i, input) in self.inputs.iter_mut().enumerate() {
@@ -336,9 +325,6 @@ impl CentralBufferSwitch {
         self.in_busy = 0;
         self.out_busy = 0;
         self.cq = CqState::new(self.cfg.cq_chunks, self.cfg.cq_down_reserve());
-        if let Some(t) = &self.sem {
-            t.borrow_mut().log(now, SemEvent::CqPurge { sw: self.id.0 });
-        }
         if flits + worms > 0 {
             let mut st = self.stats.borrow_mut();
             st.purged_flits += flits;
@@ -349,11 +335,6 @@ impl CentralBufferSwitch {
     /// Switch identity.
     pub fn id(&self) -> SwitchId {
         self.id
-    }
-
-    /// Chunks currently free (not holding data, not reserved).
-    pub fn free_chunks(&self) -> usize {
-        self.cq.free()
     }
 
     /// Enables barrier-gather combining at this switch: it will consume
@@ -392,7 +373,7 @@ impl Component for CentralBufferSwitch {
         self.replay_idle_cycles(now - self.last_tick - 1);
         self.last_tick = now;
         if self.ctl.as_ref().is_some_and(|c| c.purging()) {
-            self.purge(now, io);
+            self.purge(io);
             self.empty = true;
             self.ctl.as_ref().expect("checked").set_empty(true);
             let mut st = self.stats.borrow_mut();
@@ -421,7 +402,6 @@ impl Component for CentralBufferSwitch {
             cq,
             barrier,
             stats,
-            sem,
             rr,
             in_busy,
             out_busy,
@@ -459,15 +439,6 @@ impl Component for CentralBufferSwitch {
                             let idx = usize::from((branch.read - 1) / chunk_flits);
                             if branch.write.borrow_mut().repl.release(idx) {
                                 cq.release_chunk();
-                                if let Some(t) = sem {
-                                    t.borrow_mut().log(
-                                        now,
-                                        SemEvent::CqRelease {
-                                            sw: id.0,
-                                            free_after: cq.free(),
-                                        },
-                                    );
-                                }
                             }
                         }
                         if branch.read == total {
@@ -500,21 +471,7 @@ impl Component for CentralBufferSwitch {
                 };
                 let total = header.header_flits(bar.n_hosts, bar.bits_per_flit) as u16;
                 let need = cfg.chunks_for(total);
-                let granted = cq.try_reserve(cfg.ports, need, true);
-                if let Some(t) = sem {
-                    t.borrow_mut().log(
-                        now,
-                        SemEvent::CqReserve {
-                            sw: id.0,
-                            input: cfg.ports,
-                            need,
-                            descending: true,
-                            granted,
-                            free_after: cq.free(),
-                        },
-                    );
-                }
-                if !granted {
+                if !cq.try_reserve(cfg.ports, need, true) {
                     break; // retry next cycle; order within the queue holds
                 }
                 bar.ready.pop_front();
@@ -629,21 +586,7 @@ impl Component for CentralBufferSwitch {
             if let InState::AwaitReservation { pkt } = state {
                 let need = cfg.chunks_for(pkt.total_flits());
                 let descending = table.port(i).class == PortClass::Up;
-                let granted = cq.try_reserve(i, need, descending);
-                if let Some(t) = sem {
-                    t.borrow_mut().log(
-                        now,
-                        SemEvent::CqReserve {
-                            sw: id.0,
-                            input: i,
-                            need,
-                            descending,
-                            granted,
-                            free_after: cq.free(),
-                        },
-                    );
-                }
-                if granted {
+                if cq.try_reserve(i, need, descending) {
                     let write = Stored::shared(ReplState::new(pkt.total_flits(), chunk_flits));
                     *state = InState::Absorbing {
                         pkt: pkt.clone(),
@@ -695,21 +638,7 @@ impl Component for CentralBufferSwitch {
             if let InState::AwaitCqSpace { pkt, port } = state {
                 let need = cfg.chunks_for(pkt.total_flits());
                 let descending = table.port(i).class == PortClass::Up;
-                let granted = cq.try_reserve(i, need, descending);
-                if let Some(t) = sem {
-                    t.borrow_mut().log(
-                        now,
-                        SemEvent::CqReserve {
-                            sw: id.0,
-                            input: i,
-                            need,
-                            descending,
-                            granted,
-                            free_after: cq.free(),
-                        },
-                    );
-                }
-                if granted {
+                if cq.try_reserve(i, need, descending) {
                     let write = Stored::shared(ReplState::new(pkt.total_flits(), chunk_flits));
                     write.borrow_mut().repl.set_branches(1);
                     outputs[*port].queue.push_back(CqBranch {

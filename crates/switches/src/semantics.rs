@@ -5,8 +5,8 @@
 //! architectures lives here as plain value types. Each machine has one
 //! transition body, `apply(&mut state, event) -> effect`, which mutates in
 //! place and allocates nothing on the per-flit paths; the pure
-//! `step(&state, event) -> (state, effect)` form the model checker and the
-//! trace replay explore is a clone plus that same body:
+//! `step(&state, event) -> (state, effect)` form the model checker
+//! explores is a clone plus that same body:
 //!
 //! * [`CqState`] / [`cq_apply`] — central-queue space accounting with the
 //!   descending-traffic reserve and per-class single-waiter reservation
@@ -23,9 +23,9 @@
 //! mutating convenience wrappers; the bounded model checker
 //! (`mdw-analysis`'s `model` module) explores the very same transition
 //! bodies, through [`cq_step`] / [`repl_step`] / [`ib_step`], over
-//! abstract fabrics, and the trace-conformance replay re-applies recorded
-//! [`netsim::trace::SemEvent`]s through them. All three agree by
-//! construction — that is the point of the extraction.
+//! abstract fabrics. Both run one body — that is the point of the
+//! extraction. [`CqState`]'s fields are private, so nothing but
+//! [`cq_apply`] and [`CqState::new`] can change central-queue accounting.
 //!
 //! Every state type derives `Clone + PartialEq + Eq + Hash` so the model
 //! checker can use it directly as a canonical hash key.
@@ -54,18 +54,22 @@ pub struct ResvSlot {
 ///   waiters first; ascending waiters only above the reserve floor) until
 ///   its demand is met, so streams of small packets cannot starve a large
 ///   worm and two worms never hold mutually blocking partial reservations.
+///
+/// The fields are private: [`CqState::new`] and [`cq_apply`] are the only
+/// writers, so the live switch and the model checker cannot account chunks
+/// any other way.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CqState {
     /// Total chunk capacity.
-    pub capacity: usize,
+    capacity: usize,
     /// Chunks neither allocated nor accumulated by a waiter.
-    pub free: usize,
+    free: usize,
     /// Floor of free chunks ascending packets may never dip below.
-    pub reserve: usize,
+    reserve: usize,
     /// Accumulator of the waiting descending reservation, if any.
-    pub resv_desc: Option<ResvSlot>,
+    resv_desc: Option<ResvSlot>,
     /// Accumulator of the waiting ascending reservation, if any.
-    pub resv_asc: Option<ResvSlot>,
+    resv_asc: Option<ResvSlot>,
 }
 
 /// One input event of the central-queue accounting machine.
@@ -201,9 +205,19 @@ impl CqState {
         }
     }
 
+    /// Total chunk capacity.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Chunks neither allocated nor accumulated by a waiter.
     pub fn free(&self) -> usize {
         self.free
+    }
+
+    /// The waiting reservations' accumulators: descending, then ascending.
+    pub fn waiters(&self) -> [Option<&ResvSlot>; 2] {
+        [self.resv_desc.as_ref(), self.resv_asc.as_ref()]
     }
 
     /// Chunks accumulated by the waiting reservations.
