@@ -1,5 +1,5 @@
 //! Regenerates every evaluation table/figure of the reproduction
-//! (E1..E16, see DESIGN.md) and writes markdown + CSV into `results/`.
+//! (E1..E19, see DESIGN.md) and writes markdown + CSV into `results/`.
 //!
 //! ```text
 //! cargo run --release -p mdw-bench --bin figures -- --exp all --scale full
@@ -10,8 +10,9 @@
 //! `--jobs N` sizes the sweep worker pool (default: `MDWORM_JOBS`, else
 //! available parallelism). `--bench` runs the selected suite twice —
 //! serial then parallel — verifies the outputs are byte-identical, times
-//! the reference-vs-scheduled engine grid, the control plane and the
-//! model checker, and writes `BENCH_sweep.json` next to the tables. Bad
+//! the reference-vs-scheduled engine grid, the control plane (including
+//! the crash sweep on one worker vs the pool) and the model checker, and
+//! writes `BENCH_sweep.json` next to the tables. Bad
 //! arguments, including an `--out` directory that cannot be created,
 //! print the usage and exit with status 2 before any experiment runs;
 //! `--help` prints it and exits 0.

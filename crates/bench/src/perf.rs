@@ -1,12 +1,14 @@
 //! Perf measurement: times the sweep suite serial vs parallel, the
 //! quiescence-scheduled engine loop against the reference loop over an
-//! architecture × fabric-size × load grid, the control plane and the
-//! model checker, and serializes the result as
+//! architecture × fabric-size × load grid, the control plane (including
+//! the crash sweep on one worker vs the pool) and the model checker, and
+//! serializes the result as
 //! `BENCH_sweep.json` — the repo's recorded performance trajectory.
 
 use crate::suite::{run_suite, run_suite_timed, Table};
 use crate::Scale;
 use mdw_analysis::Json;
+use mdworm::chaos::CrashSweepOutcome;
 use mdworm::{
     build_system, make_sources, sweep, SwitchArch, SystemConfig, TopologyKind, TrafficSpec,
 };
@@ -66,12 +68,33 @@ pub struct BenchReport {
     pub crash_recovery_p50_ns: u64,
     /// p99 restart→caught-up recovery latency, nanoseconds.
     pub crash_recovery_p99_ns: u64,
+    /// One crash sweep timed on one worker and on the parallel pool
+    /// ([`bench_crash_sweep`]).
+    pub crash_sweep: CrashSweepBench,
     /// Reference vs scheduled engine loop over the architecture ×
     /// fabric-size × load grid ([`bench_scale`]).
     pub bench_scale: Vec<ScaleCell>,
     /// Oracle-vs-compositional model-check state counts and wall time per
     /// architecture and fabric-size tier (DESIGN.md §11, §14).
     pub bench_model_check: Vec<ModelCheckBench>,
+}
+
+/// Wall time of one E19 crash sweep with its injected runs on one worker
+/// and on the parallel pool, timed alternately.
+#[derive(Debug, Clone)]
+pub struct CrashSweepBench {
+    /// Worker-pool size of the parallel timings.
+    pub jobs: usize,
+    /// Timed sweeps per pool size.
+    pub runs: usize,
+    /// Median wall time of a one-worker sweep, seconds.
+    pub serial_secs: f64,
+    /// Interquartile range of the one-worker sweeps, seconds.
+    pub serial_iqr: f64,
+    /// Median wall time of a sweep on `jobs` workers, seconds.
+    pub parallel_secs: f64,
+    /// Interquartile range of the `jobs`-worker sweeps, seconds.
+    pub parallel_iqr: f64,
 }
 
 /// One tier of the model-check benchmark: the exact oracle and the
@@ -163,6 +186,20 @@ impl BenchReport {
             ])
         });
         let suite_secs = self.suite_secs.iter().map(|&(name, s)| (name, secs(s)));
+        let ms = |s: f64| Json::raw(format!("{:.2}", s * 1e3));
+        let c = &self.crash_sweep;
+        let crash_sweep = Json::Obj(vec![
+            ("jobs", Json::raw(c.jobs)),
+            ("runs", Json::raw(c.runs)),
+            ("serial_ms", ms(c.serial_secs)),
+            ("serial_iqr_ms", ms(c.serial_iqr)),
+            ("parallel_ms", ms(c.parallel_secs)),
+            ("parallel_iqr_ms", ms(c.parallel_iqr)),
+            (
+                "speedup",
+                Json::raw(format!("{:.2}", c.serial_secs / c.parallel_secs.max(1e-9))),
+            ),
+        ]);
         let (recovery_p50, recovery_p99) = (self.crash_recovery_p50_ns, self.crash_recovery_p99_ns);
         Json::Obj(vec![
             ("scale", Json::str(&self.scale)),
@@ -185,6 +222,7 @@ impl BenchReport {
             ("crash_recoveries", Json::raw(self.crash_recoveries)),
             ("crash_recovery_p50_ns", Json::raw(recovery_p50)),
             ("crash_recovery_p99_ns", Json::raw(recovery_p99)),
+            ("crash_sweep", crash_sweep),
             ("bench_scale", Json::Arr(cells.collect())),
             ("bench_model_check", Json::Arr(model_rows.collect())),
         ])
@@ -237,26 +275,57 @@ pub fn storm_latency() -> (usize, u64, u64, u64, u64) {
     )
 }
 
-/// Restart→caught-up cost of the journaled control plane: a small
-/// exhaustive crash sweep (the E19 shape — every protocol boundary,
-/// clean and torn-tail) on the smallest multi-root tree, reporting the
-/// CB-HW scheme's recovery-latency percentiles. This is the perf number
-/// that moves when journal replay or episode re-drive moves.
-///
-/// Returns `(boundaries, recoveries, p50_ns, p99_ns)`.
-pub fn crash_recovery_latency() -> (u64, u64, u64, u64) {
-    let cfg = SystemConfig {
+/// Timed sweeps per pool size in [`bench_crash_sweep`].
+const CRASH_SWEEP_RUNS: usize = 5;
+
+/// The E19 CB-HW crash sweep (phase 400, tears `[8]`: every protocol
+/// boundary of a seeded outage storm, clean and torn-tail, on a 4-host
+/// tree) timed with its injected runs on one worker and on `jobs`
+/// workers, alternating, `CRASH_SWEEP_RUNS` (5) runs each, after one
+/// untimed sweep that fills the model-check verdict table. Also returns
+/// the last one-worker sweep, whose restart→caught-up latencies (journal
+/// replay + episode re-drive) are the control plane's recovery numbers.
+pub fn bench_crash_sweep(jobs: usize) -> (CrashSweepBench, CrashSweepOutcome) {
+    use mdworm::chaos::run_crash_sweep_with_jobs;
+    use mdworm::experiments::{e19_config, e19_run};
+
+    let base = SystemConfig {
         topology: TopologyKind::KaryTree { k: 2, n: 2 },
         ..SystemConfig::default()
     };
-    let rows = mdworm::experiments::e19_crash_storm(&cfg, 400, 0.02, 2, 8);
-    let r = rows.first().expect("e19 produces a CB-HW row");
-    assert_eq!(
-        (r.mismatches, r.torn_cycles),
-        (0, 0),
-        "the bench host reproduced a crash-recovery divergence: {r:?}"
-    );
-    (r.boundaries, r.recoveries, r.rec_p50_ns, r.rec_p99_ns)
+    let cfg = e19_config(&base, SwitchArch::CentralBuffer);
+    let spec = TrafficSpec::multiple_multicast(0.02, 2, 8);
+    let run = e19_run(400);
+    let timed = |workers: usize| {
+        let t = Instant::now();
+        let sweep = run_crash_sweep_with_jobs(&cfg, &spec, &run, &[8], workers);
+        let secs = t.elapsed().as_secs_f64();
+        assert!(
+            sweep.mismatches.is_empty() && sweep.torn_cycles == 0,
+            "the bench host reproduced a crash-recovery divergence: {sweep:?}"
+        );
+        (secs, sweep)
+    };
+    let (_, mut last_serial) = timed(1);
+    let mut serial = Vec::with_capacity(CRASH_SWEEP_RUNS);
+    let mut parallel = Vec::with_capacity(CRASH_SWEEP_RUNS);
+    for _ in 0..CRASH_SWEEP_RUNS {
+        let (secs, sweep) = timed(1);
+        serial.push(secs);
+        last_serial = sweep;
+        parallel.push(timed(jobs).0);
+    }
+    let (serial_secs, serial_iqr) = median_iqr(serial);
+    let (parallel_secs, parallel_iqr) = median_iqr(parallel);
+    let bench = CrashSweepBench {
+        jobs,
+        runs: CRASH_SWEEP_RUNS,
+        serial_secs,
+        serial_iqr,
+        parallel_secs,
+        parallel_iqr,
+    };
+    (bench, last_serial)
 }
 
 /// Times one fabric for `cycles` cycles of the grid workload on the
@@ -458,7 +527,7 @@ pub fn bench_sweep(
 
     let outputs_identical = serial == parallel;
     let (storm_episodes, storm_p50, storm_p99, vet_p50, vet_p99) = storm_latency();
-    let (crash_boundaries, crash_recoveries, crash_p50, crash_p99) = crash_recovery_latency();
+    let (crash_sweep, crash) = bench_crash_sweep(jobs_parallel);
     let scale_cells = bench_scale(SCALE_CYCLES);
     let report = BenchReport {
         scale: format!("{scale:?}").to_lowercase(),
@@ -476,10 +545,11 @@ pub fn bench_sweep(
         storm_p99_cycles: storm_p99,
         storm_vet_p50_ns: vet_p50,
         storm_vet_p99_ns: vet_p99,
-        crash_boundaries,
-        crash_recoveries,
-        crash_recovery_p50_ns: crash_p50,
-        crash_recovery_p99_ns: crash_p99,
+        crash_boundaries: crash.boundaries,
+        crash_recoveries: crash.recoveries,
+        crash_recovery_p50_ns: crash.recovery_ns.percentile(50.0),
+        crash_recovery_p99_ns: crash.recovery_ns.percentile(99.0),
+        crash_sweep,
         bench_scale: scale_cells,
         bench_model_check: bench_model_check(),
     };
@@ -515,6 +585,14 @@ mod tests {
             crash_recoveries: 80,
             crash_recovery_p50_ns: 12_000,
             crash_recovery_p99_ns: 48_000,
+            crash_sweep: CrashSweepBench {
+                jobs: 2,
+                runs: 5,
+                serial_secs: 0.045,
+                serial_iqr: 0.002,
+                parallel_secs: 0.025,
+                parallel_iqr: 0.001,
+            },
             bench_scale: vec![ScaleCell {
                 arch: "IB",
                 hosts: 64,
@@ -560,6 +638,7 @@ mod tests {
   "crash_recoveries": 80,
   "crash_recovery_p50_ns": 12000,
   "crash_recovery_p99_ns": 48000,
+  "crash_sweep": {"jobs": 2, "runs": 5, "serial_ms": 45.00, "serial_iqr_ms": 2.00, "parallel_ms": 25.00, "parallel_iqr_ms": 1.00, "speedup": 1.80},
   "bench_scale": [
     {"arch": "IB", "hosts": 64, "switches": 48, "load": 0.02, "cycles": 20000, "runs": 5, "reference_cycles_per_sec": 50000, "reference_iqr": 4000, "scheduled_cycles_per_sec": 90000, "scheduled_iqr": 6000, "speedup": 1.80, "host_ticks_skipped": 1000, "switch_ticks_skipped": 9000}
   ],
@@ -633,6 +712,17 @@ mod tests {
                 "{c:?}"
             );
         }
+    }
+
+    /// The crash-sweep row times every run on both pools and reports the
+    /// pool it was asked for.
+    #[test]
+    fn bench_crash_sweep_times_both_pools() {
+        let (c, sweep) = bench_crash_sweep(2);
+        assert_eq!((c.jobs, c.runs), (2, CRASH_SWEEP_RUNS));
+        assert!(sweep.boundaries > 0 && sweep.recoveries > 0, "{sweep:?}");
+        assert!(c.serial_secs > 0.0 && c.parallel_secs > 0.0, "{c:?}");
+        assert!(c.serial_iqr >= 0.0 && c.parallel_iqr >= 0.0, "{c:?}");
     }
 
     #[test]

@@ -86,7 +86,7 @@ fn main() {
                     "compositional" => ModelMode::Compositional,
                     "auto" => ModelMode::Auto,
                     other => {
-                        eprintln!("bad --model-mode `{other}` (exact|compositional|auto)");
+                        eprintln!("bad --model-mode `{other}` (exact|compositional|auto)\n{usage}");
                         std::process::exit(2);
                     }
                 })
@@ -94,10 +94,11 @@ fn main() {
             "--model-switches" => {
                 // The smallest scenario has one switch: a bound of 0
                 // would check nothing and pass.
-                match value_of(&mut i).parse::<usize>() {
+                let value = value_of(&mut i);
+                match value.parse::<usize>() {
                     Ok(n) if n >= 1 => model_switches = Some(n),
                     _ => {
-                        eprintln!("bad --model-switches value (at least 1)\n{usage}");
+                        eprintln!("bad --model-switches `{value}` (at least 1)\n{usage}");
                         std::process::exit(2);
                     }
                 }

@@ -27,6 +27,7 @@
 use crate::config::SystemConfig;
 use crate::journal::JournalStore;
 use crate::sim::{run_experiment, RunConfig, RunOutcome};
+use crate::sweep;
 use crate::workload::TrafficSpec;
 use mdw_analysis::Samples;
 use std::cell::RefCell;
@@ -170,12 +171,37 @@ fn recovered_identically(fired: bool, outcome_repr: &str, oracle_repr: &str) -> 
 /// byte-for-byte (`Debug` formatting is exact, including floats).
 ///
 /// `tears` lists the dirty-tail sizes to sweep *in addition to* the
-/// clean crash (`0` bytes, always included).
+/// clean crash (`0` bytes, always included). The injected runs are
+/// independent, so they fan out over [`sweep::jobs`] workers
+/// ([`run_crash_sweep_with_jobs`]).
 pub fn run_crash_sweep(
     config: &SystemConfig,
     spec: &TrafficSpec,
     run: &RunConfig,
     tears: &[usize],
+) -> CrashSweepOutcome {
+    run_crash_sweep_with_jobs(config, spec, run, tears, sweep::jobs())
+}
+
+/// What one injected run reports back to the sweep.
+struct InjectedRun {
+    recovered: bool,
+    torn_cycles: u64,
+    recoveries: u64,
+    recovery_ns: Vec<u64>,
+}
+
+/// [`run_crash_sweep`] with the injected runs on `n_workers` workers
+/// ([`sweep::parallel_map`]). The oracle runs on the calling thread; each
+/// injected run installs its own handle on the thread that runs it.
+/// Results fold in submission order, so the outcome is the same for
+/// every worker count except for the wall-clock `recovery_ns` values.
+pub fn run_crash_sweep_with_jobs(
+    config: &SystemConfig,
+    spec: &TrafficSpec,
+    run: &RunConfig,
+    tears: &[usize],
+    n_workers: usize,
 ) -> CrashSweepOutcome {
     assert!(
         config.response.is_some(),
@@ -189,6 +215,25 @@ pub fn run_crash_sweep(
 
     let mut tear_sizes = vec![0usize];
     tear_sizes.extend(tears.iter().copied().filter(|&t| t > 0));
+    let sites: Vec<(u64, usize)> = (0..boundaries)
+        .flat_map(|b| tear_sizes.iter().map(move |&t| (b, t)))
+        .collect();
+    let injected = sweep::parallel_map(sites.clone(), n_workers, |(boundary, tear_bytes)| {
+        let h = handle(ChaosMode::CrashAt {
+            boundary,
+            tear_bytes,
+        });
+        install(h.clone());
+        let outcome = run_experiment(config, spec, run);
+        let st = h.borrow();
+        InjectedRun {
+            recovered: recovered_identically(st.fired, &comparable_repr(&outcome), &oracle_repr),
+            torn_cycles: outcome.torn_cycles,
+            recoveries: st.recoveries,
+            recovery_ns: st.recovery_ns.clone(),
+        }
+    });
+    INSTALLED.with(|slot| *slot.borrow_mut() = None);
 
     let mut out = CrashSweepOutcome {
         boundaries,
@@ -199,28 +244,17 @@ pub fn run_crash_sweep(
         recovery_ns: Samples::new(),
         oracle,
     };
-    for boundary in 0..boundaries {
-        for &tear_bytes in &tear_sizes {
-            let h = handle(ChaosMode::CrashAt {
-                boundary,
-                tear_bytes,
-            });
-            install(h.clone());
-            let outcome = run_experiment(config, spec, run);
-            out.runs += 1;
-            out.torn_cycles += outcome.torn_cycles;
-            let st = h.borrow();
-            let repr = comparable_repr(&outcome);
-            if !recovered_identically(st.fired, &repr, &oracle_repr) {
-                out.mismatches.push((boundary, tear_bytes));
-            }
-            out.recoveries += st.recoveries;
-            for &ns in &st.recovery_ns {
-                out.recovery_ns.record(ns);
-            }
+    for (site, r) in sites.into_iter().zip(injected) {
+        out.runs += 1;
+        out.torn_cycles += r.torn_cycles;
+        if !r.recovered {
+            out.mismatches.push(site);
+        }
+        out.recoveries += r.recoveries;
+        for ns in r.recovery_ns {
+            out.recovery_ns.record(ns);
         }
     }
-    INSTALLED.with(|slot| *slot.borrow_mut() = None);
     out
 }
 
@@ -229,7 +263,7 @@ mod tests {
     use super::*;
     use crate::config::{SwitchArch, TopologyKind};
     use crate::journal::{Journal, JournalConfig, JournalRecord};
-    use crate::respond::model_checks_run;
+    use crate::respond::{deep_vet_key, model_verdict_entries};
 
     /// The E19 crash-storm shape at phase 400 on 4 hosts.
     fn e19_shape(arch: SwitchArch) -> (SystemConfig, TrafficSpec, RunConfig) {
@@ -279,37 +313,44 @@ mod tests {
         }
     }
 
-    /// The thread's model-check verdict table is a pure fast path: a
-    /// second E19 sweep on a warm thread runs no model check and renders
-    /// the same outcome as the first, vet counters included (only the
-    /// wall-clock recovery latencies may differ).
+    /// The process's model-check verdict table is a pure fast path: a
+    /// second pair of E19 sweeps over a warm table adds no entry for the
+    /// key they ask and renders the same outcome as the first, vet
+    /// counters included (only the wall-clock recovery latencies may
+    /// differ).
     #[test]
     fn warm_verdict_table_changes_no_sweep_outcome() {
-        std::thread::spawn(|| {
-            let sweeps = || {
-                [SwitchArch::CentralBuffer, SwitchArch::InputBuffered].map(|arch| {
-                    let (cfg, spec, run) = e19_shape(arch);
-                    let sweep = run_crash_sweep(&cfg, &spec, &run, &[8]);
-                    assert!(sweep.mismatches.is_empty(), "{arch:?}: {sweep:?}");
-                    format!(
-                        "{:?}",
-                        CrashSweepOutcome {
-                            recovery_ns: Samples::new(),
-                            ..sweep
-                        }
-                    )
-                })
-            };
-            assert_eq!(model_checks_run(), 0, "fresh thread starts cold");
-            let cold = sweeps();
-            let after_cold = model_checks_run();
-            assert!(after_cold > 0, "the cold sweeps ran the model check");
-            let warm = sweeps();
-            assert_eq!(model_checks_run(), after_cold, "warm sweeps ran no check");
-            assert_eq!(cold, warm);
-        })
-        .join()
-        .expect("sweeps run");
+        let archs = [SwitchArch::CentralBuffer, SwitchArch::InputBuffered];
+        let sweeps = || {
+            archs.map(|arch| {
+                let (cfg, spec, run) = e19_shape(arch);
+                let sweep = run_crash_sweep(&cfg, &spec, &run, &[8]);
+                assert!(sweep.mismatches.is_empty(), "{arch:?}: {sweep:?}");
+                assert!(
+                    sweep.oracle.deep_memo.misses > 0,
+                    "the oracle asked the table"
+                );
+                format!(
+                    "{:?}",
+                    CrashSweepOutcome {
+                        recovery_ns: Samples::new(),
+                        ..sweep
+                    }
+                )
+            })
+        };
+        let entries = || {
+            archs.map(|arch| {
+                let (cfg, ..) = e19_shape(arch);
+                let switches = crate::config::fabric(cfg.topology).topology.n_switches();
+                model_verdict_entries(&deep_vet_key(&cfg, switches))
+            })
+        };
+        let first = sweeps();
+        assert_eq!(entries(), [1; 2], "the sweeps' keys were checked once");
+        let warm = sweeps();
+        assert_eq!(entries(), [1; 2], "warm sweeps added no entry");
+        assert_eq!(first, warm);
     }
 
     #[test]

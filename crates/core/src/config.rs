@@ -456,9 +456,9 @@ thread_local! {
     /// validate the same fabric on every run of a sweep, and
     /// `build_system` then wires the topology and tables the pass built:
     /// a warm build builds neither, a hit returns the recorded sub-report
-    /// byte for byte (DESIGN.md §8, §9). One table per thread, like the
-    /// responder's model verdicts, keeps locks and cross-thread order out
-    /// of every run.
+    /// byte for byte (DESIGN.md §8, §9). One table per thread, unlike
+    /// the responder's process-wide model verdicts: an entry's fabric is
+    /// `Rc`s that the single-threaded engine shares without a copy.
     static FABRIC_VERDICTS: RefCell<VecDeque<(TopologyKind, FabricEntry)>> =
         const { RefCell::new(VecDeque::new()) };
     /// Fabrics built on this thread (table misses).

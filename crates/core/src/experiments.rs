@@ -1553,7 +1553,7 @@ impl TableRow for CrashStormRow {
 /// The E19 system: `base` with `arch`, bit-string hardware multicast,
 /// end-to-end recovery, the journaled responder and the torn-install
 /// audit.
-pub(crate) fn e19_config(base: &SystemConfig, arch: SwitchArch) -> SystemConfig {
+pub fn e19_config(base: &SystemConfig, arch: SwitchArch) -> SystemConfig {
     SystemConfig {
         arch,
         mcast: McastImpl::HwBitString,
@@ -1566,7 +1566,7 @@ pub(crate) fn e19_config(base: &SystemConfig, arch: SwitchArch) -> SystemConfig 
 
 /// The E19 run shape: a four-phase traffic window and a scripted
 /// outage storm.
-pub(crate) fn e19_run(phase_len: netsim::Cycle) -> RunConfig {
+pub fn e19_run(phase_len: netsim::Cycle) -> RunConfig {
     RunConfig {
         warmup: 0,
         measure: 4 * phase_len,

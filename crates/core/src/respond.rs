@@ -24,10 +24,10 @@
 //!    instead) and behaviorally by the bounded model checker
 //!    ([`mdw_analysis::check_model_opts`]). The model check's verdict
 //!    never depends on the candidate, so the responder keeps the last
-//!    one in a single slot per ([`ModelBounds`],
-//!    [`mdw_analysis::ModelOptions`]) key, and under it a thread-local
-//!    verdict table keyed by the checker's complete input runs each
-//!    distinct check once per thread no matter how many responders ask.
+//!    one in a single slot keyed by the checker's complete input, and
+//!    under it one process-wide verdict table runs each distinct check
+//!    once per process no matter how many responders, on however many
+//!    threads, ask.
 //!    A passing candidate is
 //!    **committed** — armed on every
 //!    switch, each swapping it in on its first empty tick and stamping
@@ -63,7 +63,8 @@
 //! survives a simulated crash, while the responder's deep-vet slot does
 //! not. It holds pure functions of the checker's input and sits below the
 //! slot, so the slot's counters and `VetStats` sample counts, and hence
-//! every recovered run, are the same on a cold or a warm thread.
+//! every recovered run, are the same on a cold or a warm table, and
+//! whichever thread of a parallel crash sweep filled it.
 //!
 //! The only deliberately ephemeral bit is
 //! [`request_retry`](FaultResponder::request_retry): a retry lost to a
@@ -94,9 +95,9 @@ use mintopo::topology::Topology;
 use netsim::health::FabricHealth;
 use netsim::ids::{LinkId, SwitchId};
 use netsim::Cycle;
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 use switches::ReplicationMode;
 
@@ -352,22 +353,21 @@ pub struct MemoStats {
 }
 
 /// The complete argument tuple of [`mdw_analysis::check_model_opts`].
-type ModelKey = (ArchClass, bool, ReplicatePolicy, ModelBounds, ModelOptions);
+pub(crate) type ModelKey = (ArchClass, bool, ReplicatePolicy, ModelBounds, ModelOptions);
 
-thread_local! {
-    /// Verdict of every distinct bounded model check run on this thread,
-    /// keyed by the checker's complete argument tuple, so a new checker
-    /// argument has to change the key. This is simulator state, not
-    /// responder state: it outlives every [`FaultResponder`] and every
-    /// simulated crash (DESIGN.md §15), so a crash sweep's hundreds of
-    /// fresh and recovered responders share one exploration per key. The
-    /// key space is finite (2 architectures × 2 replication modes × 2
-    /// policies × 3 modes × `max_switches` 2..=16 under the responder's
-    /// fixed remaining bounds), so the table needs no bound. One table
-    /// per thread keeps locks and cross-thread order out of every run.
-    static MODEL_VERDICTS: RefCell<Vec<(ModelKey, Result<(), String>)>> =
-        const { RefCell::new(Vec::new()) };
-}
+/// Verdict of every distinct bounded model check run in this process,
+/// keyed by the checker's complete argument tuple, so a new checker
+/// argument has to change the key. This is simulator state, not responder
+/// state: it outlives every [`FaultResponder`] and every simulated crash
+/// (DESIGN.md §15), so the hundreds of fresh and recovered responders of a
+/// crash sweep, on however many worker threads, share one exploration per
+/// key. A verdict is a pure function of its key, and [`model_verdict`]
+/// checks a missing key while holding the lock, so each key is checked at
+/// most once per process and no run can tell which thread checked first.
+/// The key space is finite (2 architectures × 2 replication modes × 2
+/// policies × 3 modes × `max_switches` 2..=16 under the responder's fixed
+/// remaining bounds), so the table needs no bound.
+static MODEL_VERDICTS: Mutex<Vec<(ModelKey, Result<(), String>)>> = Mutex::new(Vec::new());
 
 /// The bounded model check's verdict as the reroute gate reports it.
 fn model_verdict_of(outcome: CheckOutcome) -> Result<(), String> {
@@ -380,41 +380,64 @@ fn model_verdict_of(outcome: CheckOutcome) -> Result<(), String> {
     }
 }
 
-/// The verdict of `check_model_opts(arch, sync, policy, bounds, opts)`,
-/// running the check only if this thread has not run it yet. Records one
-/// `model_ns` sample per call, holding the wall time actually spent (≈0
-/// when the thread's table answers), so sample counts never depend on
-/// what ran earlier on the thread.
-fn model_verdict(
-    arch: ArchClass,
-    sync: bool,
-    policy: ReplicatePolicy,
-    bounds: &ModelBounds,
-    opts: &ModelOptions,
-    stats: &mut VetStats,
-) -> Result<(), String> {
+/// The verdict of `check_model_opts` on `key`, running the check only if
+/// no thread of the process has run it yet. Records one `model_ns`
+/// sample per call, holding the wall time actually spent (≈0 when the
+/// table answers, the check's time when this call runs it or waits on
+/// another thread's), so sample counts never depend on what ran earlier.
+fn model_verdict(key: &ModelKey, stats: &mut VetStats) -> Result<(), String> {
     let start = Instant::now();
-    let key = (arch, sync, policy, bounds.clone(), *opts);
-    let known = MODEL_VERDICTS.with(|t| {
-        t.borrow()
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.clone())
-    });
-    let verdict = known.unwrap_or_else(|| {
-        let v = model_verdict_of(check_model_opts(arch, sync, policy, bounds, opts));
-        MODEL_VERDICTS.with(|t| t.borrow_mut().push((key, v.clone())));
-        v
-    });
+    // A check that panicked pushed nothing, so a poisoned table is
+    // still whole.
+    let mut table = MODEL_VERDICTS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let verdict = match table.iter().find(|(k, _)| k == key) {
+        Some((_, v)) => v.clone(),
+        None => {
+            let (arch, sync, policy, bounds, opts) = key;
+            let v = model_verdict_of(check_model_opts(*arch, *sync, *policy, bounds, opts));
+            table.push((key.clone(), v.clone()));
+            v
+        }
+    };
+    drop(table);
     stats.model_ns.record(start.elapsed().as_nanos() as u64);
     verdict
 }
 
-/// Bounded model checks actually run on this thread so far (one per
-/// entry of its verdict table).
+/// Entries of the verdict table under `key`: the number of times the
+/// process has checked it (1 once any thread has, never more).
 #[cfg(test)]
-pub(crate) fn model_checks_run() -> usize {
-    MODEL_VERDICTS.with(|t| t.borrow().len())
+pub(crate) fn model_verdict_entries(key: &ModelKey) -> usize {
+    let table = MODEL_VERDICTS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    table.iter().filter(|(k, _)| k == key).count()
+}
+
+/// The model-check key of the deep vet of `config` on a fabric of
+/// `n_switches` switches: the configured architecture, replication mode
+/// and policy, the fabric-size bound ([`deep_vet_switches`]) and the
+/// configured exact/compositional mode.
+pub(crate) fn deep_vet_key(config: &SystemConfig, n_switches: usize) -> ModelKey {
+    let arch = match config.arch {
+        SwitchArch::CentralBuffer => ArchClass::CentralBuffer,
+        SwitchArch::InputBuffered => ArchClass::InputBuffered,
+    };
+    (
+        arch,
+        config.switch.replication == ReplicationMode::Synchronous,
+        config.switch.policy,
+        ModelBounds {
+            max_switches: deep_vet_switches(n_switches),
+            ..ModelBounds::default()
+        },
+        ModelOptions {
+            mode: config.model_mode,
+            ..ModelOptions::default()
+        },
+    )
 }
 
 /// The fabric-size bound of the deep vet's model check: the live switch
@@ -458,17 +481,16 @@ pub struct FaultResponder {
     /// Highest epoch allocated so far (0 = none; build-time tables).
     last_epoch: u64,
     /// The last verdict of the bounded model check (the deep half of the
-    /// reroute gate), with the exploration bounds and mode options it ran
-    /// under. The verdict never depends on the candidate tables, and the
-    /// key comes from the responder's own system, so one exploration
-    /// covers every reroute of the run. A verdict obtained under loose
-    /// bounds says nothing about a stricter vet, so a request under a
-    /// different key replaces the slot instead of reusing a weaker
-    /// answer. A miss asks the thread's verdict table ([`model_verdict`])
-    /// rather than the checker, so the check runs only if no responder on
-    /// this thread has run it; the slot and its counters behave the same
-    /// either way.
-    deep_vetted: Option<((ModelBounds, ModelOptions), Result<(), String>)>,
+    /// reroute gate), with the key it ran under ([`deep_vet_key`]). The
+    /// verdict never depends on the candidate tables, and the key comes
+    /// from the responder's own system, so one exploration covers every
+    /// reroute of the run. A verdict obtained under loose bounds says
+    /// nothing about a stricter vet, so a request under a different key
+    /// replaces the slot instead of reusing a weaker answer. A miss asks
+    /// the process's verdict table ([`model_verdict`]) rather than the
+    /// checker, so the check runs only if no responder in the process has
+    /// run it; the slot and its counters behave the same either way.
+    deep_vetted: Option<(ModelKey, Result<(), String>)>,
     /// Hits and misses of [`deep_vetted`](Self::deep_vetted).
     deep_memo: MemoStats,
     /// Crash-injection harness hook; `None` outside chaos runs.
@@ -732,8 +754,8 @@ impl FaultResponder {
     }
 
     /// The `mdw-model` bounded model check of the configured architecture
-    /// and replication mode, under the ([`ModelBounds`], [`ModelOptions`])
-    /// key it runs with. The fabric-size bound scales with the live
+    /// and replication mode, under the [`deep_vet_key`] it runs with. The
+    /// fabric-size bound scales with the live
     /// topology (`n_switches`, clamped to the checker's scenario range)
     /// and the exact/compositional mode comes from the configuration, so
     /// growing the fabric or switching modes re-vets instead of replaying
@@ -741,16 +763,7 @@ impl FaultResponder {
     /// when both the candidate's channel-dependency graph (structural)
     /// and the switch state machines (behavioral) are deadlock-free.
     fn deep_vet(&mut self, config: &SystemConfig, n_switches: usize) -> Result<(), String> {
-        let key = (
-            ModelBounds {
-                max_switches: deep_vet_switches(n_switches),
-                ..ModelBounds::default()
-            },
-            ModelOptions {
-                mode: config.model_mode,
-                ..ModelOptions::default()
-            },
-        );
+        let key = deep_vet_key(config, n_switches);
         if let Some((k, v)) = &self.deep_vetted {
             if *k == key {
                 self.deep_memo.hits += 1;
@@ -758,19 +771,7 @@ impl FaultResponder {
             }
         }
         self.deep_memo.misses += 1;
-        let arch = match config.arch {
-            SwitchArch::CentralBuffer => ArchClass::CentralBuffer,
-            SwitchArch::InputBuffered => ArchClass::InputBuffered,
-        };
-        let sync = config.switch.replication == ReplicationMode::Synchronous;
-        let verdict = model_verdict(
-            arch,
-            sync,
-            config.switch.policy,
-            &key.0,
-            &key.1,
-            &mut self.vet_stats,
-        );
+        let verdict = model_verdict(&key, &mut self.vet_stats);
         self.deep_vetted = Some((key, verdict.clone()));
         verdict
     }
@@ -1433,88 +1434,104 @@ mod tests {
         assert_eq!(r.vet_stats.model_ns.count(), 5);
     }
 
-    /// The thread's verdict table is a pure fast path: over arch ×
-    /// replication × policy × mode × fabric bound, its verdict equals a
-    /// fresh check, on the miss that fills it and on the hit that reads
-    /// it, the synchronous-replication hazard's counterexample message
-    /// included verbatim.
+    /// The verdict table is a pure fast path: over arch × replication ×
+    /// policy × mode × fabric bound, its verdict equals a fresh check on
+    /// both calls (the first may fill the entry or find it filled by
+    /// another test), the synchronous-replication hazard's counterexample
+    /// message included verbatim, and each key holds exactly one entry.
     #[test]
     fn model_verdict_table_matches_a_fresh_check() {
         use mdw_analysis::ModelMode;
-        std::thread::spawn(|| {
-            let mut stats = VetStats::new();
-            let mut keys = 0;
-            let mut violated = 0;
-            for arch in [ArchClass::CentralBuffer, ArchClass::InputBuffered] {
-                for sync in [false, true] {
-                    for policy in [
-                        ReplicatePolicy::ReturnOnly,
-                        ReplicatePolicy::ForwardAndReturn,
-                    ] {
-                        for mode in [ModelMode::Exact, ModelMode::Compositional] {
-                            for max_switches in [2, 4] {
-                                let bounds = ModelBounds {
-                                    max_switches,
-                                    ..ModelBounds::default()
-                                };
-                                let opts = ModelOptions {
-                                    mode,
-                                    ..ModelOptions::default()
-                                };
-                                let fresh = model_verdict_of(check_model_opts(
-                                    arch, sync, policy, &bounds, &opts,
-                                ));
-                                for _ in 0..2 {
-                                    let cached = model_verdict(
-                                        arch, sync, policy, &bounds, &opts, &mut stats,
-                                    );
-                                    assert_eq!(
-                                        cached, fresh,
-                                        "{arch:?} {sync} {policy:?} {mode:?} {max_switches}"
-                                    );
-                                }
-                                keys += 1;
-                                violated += usize::from(fresh.is_err());
+        let mut stats = VetStats::new();
+        let mut keys = 0;
+        let mut violated = 0;
+        for arch in [ArchClass::CentralBuffer, ArchClass::InputBuffered] {
+            for sync in [false, true] {
+                for policy in [
+                    ReplicatePolicy::ReturnOnly,
+                    ReplicatePolicy::ForwardAndReturn,
+                ] {
+                    for mode in [ModelMode::Exact, ModelMode::Compositional] {
+                        for max_switches in [2, 4] {
+                            let bounds = ModelBounds {
+                                max_switches,
+                                ..ModelBounds::default()
+                            };
+                            let opts = ModelOptions {
+                                mode,
+                                ..ModelOptions::default()
+                            };
+                            let fresh = model_verdict_of(check_model_opts(
+                                arch, sync, policy, &bounds, &opts,
+                            ));
+                            let key = (arch, sync, policy, bounds, opts);
+                            for _ in 0..2 {
+                                assert_eq!(model_verdict(&key, &mut stats), fresh, "{key:?}");
                             }
+                            assert_eq!(model_verdict_entries(&key), 1, "{key:?}");
+                            keys += 1;
+                            violated += usize::from(fresh.is_err());
                         }
                     }
                 }
             }
-            assert_eq!(model_checks_run(), keys, "one check per distinct key");
-            assert_eq!(stats.model_ns.count(), 2 * keys, "one sample per call");
-            assert!(violated > 0, "the sync-replication hazard must be violated");
-        })
-        .join()
-        .expect("differential runs");
+        }
+        assert_eq!(stats.model_ns.count(), 2 * keys, "one sample per call");
+        assert!(violated > 0, "the sync-replication hazard must be violated");
     }
 
-    /// A responder on a thread whose verdict table is already warm
-    /// records exactly the deep-vet slot activity and vet sample count of
-    /// one on a cold thread.
+    /// Threads racing on one key get one verdict and leave one entry:
+    /// the key is checked under the table's lock. (The 3-switch bound is
+    /// one no other test asks, so the race starts on a missing key.)
+    #[test]
+    fn racing_threads_check_a_key_once() {
+        let key = (
+            ArchClass::InputBuffered,
+            false,
+            ReplicatePolicy::ForwardAndReturn,
+            ModelBounds {
+                max_switches: 3,
+                ..ModelBounds::default()
+            },
+            ModelOptions {
+                mode: mdw_analysis::ModelMode::Compositional,
+                ..ModelOptions::default()
+            },
+        );
+        let verdicts: Vec<_> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| model_verdict(&key, &mut VetStats::new())))
+                .collect();
+            racers
+                .into_iter()
+                .map(|r| r.join().expect("racer"))
+                .collect()
+        });
+        assert_eq!(verdicts, vec![Ok(()); 4]);
+        assert_eq!(model_verdict_entries(&key), 1);
+    }
+
+    /// A responder over a warm verdict table records exactly the
+    /// deep-vet slot activity and vet sample count of the first one, and
+    /// adds no entry for any key it asks.
     #[test]
     fn warm_verdict_table_keeps_responder_counts() {
-        std::thread::spawn(|| {
-            let counts = || {
-                let mut r = bare_responder();
-                let config = SystemConfig::default();
-                for n in [2, 2, 4, 48, 4, 64] {
-                    r.deep_vet(&config, n).expect("defaults verify");
-                }
-                (r.deep_memo_stats(), r.vet_stats.model_ns.count())
-            };
-            let cold = counts();
-            let checks = model_checks_run();
-            assert_eq!(checks, 3, "2-, 4- and 16-switch bounds");
-            let warm = counts();
-            assert_eq!(
-                model_checks_run(),
-                checks,
-                "the warm responder ran no check"
-            );
-            assert_eq!(cold, warm);
-        })
-        .join()
-        .expect("responders run");
+        let config = SystemConfig::default();
+        let counts = || {
+            let mut r = bare_responder();
+            for n in [2, 2, 4, 48, 4, 64] {
+                r.deep_vet(&config, n).expect("defaults verify");
+            }
+            (r.deep_memo_stats(), r.vet_stats.model_ns.count())
+        };
+        // The 2-, 4- and 16-switch bounds.
+        let keys = [2, 4, 48].map(|n| deep_vet_key(&config, n));
+        let entries = || keys.each_ref().map(model_verdict_entries);
+        let first = counts();
+        assert_eq!(entries(), [1; 3], "one entry per key");
+        let warm = counts();
+        assert_eq!(entries(), [1; 3], "the warm responder added none");
+        assert_eq!(first, warm);
     }
 
     #[test]

@@ -21,9 +21,17 @@
 //! variable, else [`std::thread::available_parallelism`] — clamped to the
 //! host's CPU count, since oversubscribing a CPU-bound sweep only adds
 //! overhead.
+//!
+//! The calling thread is one of the pool's workers: a pool of `n` spawns
+//! `n − 1` threads, and the caller pulls jobs from the same queue until
+//! it is empty. A [`parallel_map`] called from inside a job (E19 fans out
+//! per scheme, and each scheme's crash sweep fans out per crash site)
+//! runs its jobs inline on that worker, so nested sweeps never hold more
+//! threads than the outer pool's `n`.
 
 use crate::cfgtext::RunSpec;
 use crate::sim::{run_experiment, RunOutcome};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -65,19 +73,44 @@ fn resolve_jobs(override_n: usize, env: Option<&str>) -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Runs `f` over every job on a pool of `n_workers` scoped threads and
-/// returns the results **in submission order**.
+thread_local! {
+    /// Set while this thread works a [`parallel_map`] pool.
+    static IN_POOL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as a pool worker until dropped, also when a
+/// job unwinds.
+struct PoolWorker;
+
+impl PoolWorker {
+    fn enter() -> Self {
+        IN_POOL.with(|w| w.set(true));
+        PoolWorker
+    }
+}
+
+impl Drop for PoolWorker {
+    fn drop(&mut self) {
+        IN_POOL.with(|w| w.set(false));
+    }
+}
+
+/// Runs `f` over every job on a pool of `n_workers` workers — the
+/// calling thread plus `n_workers − 1` scoped threads — and returns the
+/// results **in submission order**.
 ///
 /// Jobs are handed out first-come-first-served, so long and short runs
 /// load-balance naturally; the submission index travels with each result
-/// and the output is re-sorted before returning. With `n_workers <= 1` (or
-/// a single job) everything runs inline on the caller's thread — that path
-/// is the serial reference the determinism tests compare against.
+/// and the output is re-sorted before returning. With `n_workers <= 1`, a
+/// single job, or a call from inside another `parallel_map` job,
+/// everything runs inline on the caller's thread — the first is the
+/// serial reference the determinism tests compare against.
 ///
 /// # Panics
 ///
-/// Propagates the first worker panic after all threads have joined
-/// (via [`std::thread::scope`]).
+/// Panics if any job panics, after every worker has stopped: a job that
+/// panicked on the calling thread resumes with its own payload, one on a
+/// spawned thread as [`std::thread::scope`]'s "a scoped thread panicked".
 pub fn parallel_map<J, R, F>(jobs_list: Vec<J>, n_workers: usize, f: F) -> Vec<R>
 where
     J: Send,
@@ -85,23 +118,28 @@ where
     F: Fn(J) -> R + Sync,
 {
     let n_workers = n_workers.clamp(1, jobs_list.len().max(1));
-    if n_workers == 1 {
+    if n_workers == 1 || IN_POOL.with(Cell::get) {
         return jobs_list.into_iter().map(f).collect();
     }
     let n_jobs = jobs_list.len();
     let queue = Mutex::new(jobs_list.into_iter().enumerate());
     let results = Mutex::new(Vec::with_capacity(n_jobs));
-    std::thread::scope(|s| {
-        for _ in 0..n_workers {
-            s.spawn(|| loop {
-                // Take the lock only to pull the next job; the engine run
-                // itself happens lock-free on this worker's own state.
-                let next = queue.lock().expect("job queue poisoned").next();
-                let Some((i, job)) = next else { break };
-                let r = f(job);
-                results.lock().expect("result sink poisoned").push((i, r));
-            });
+    let work = || {
+        let _worker = PoolWorker::enter();
+        loop {
+            // Take the lock only to pull the next job; the engine run
+            // itself happens lock-free on this worker's own state.
+            let next = queue.lock().expect("job queue poisoned").next();
+            let Some((i, job)) = next else { break };
+            let r = f(job);
+            results.lock().expect("result sink poisoned").push((i, r));
         }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..n_workers {
+            s.spawn(work);
+        }
+        work();
     });
     let mut tagged = results.into_inner().expect("result sink poisoned");
     debug_assert_eq!(tagged.len(), n_jobs);
@@ -223,13 +261,38 @@ mod tests {
         assert_eq!(effective, host, "oversubscribed --jobs must be clamped");
     }
 
+    /// A panicking job makes the whole call panic, whichever worker ran
+    /// it: the message is the job's own on the calling thread and
+    /// "a scoped thread panicked" on a spawned one.
     #[test]
-    #[should_panic(expected = "scoped thread panicked")]
     fn worker_panics_propagate() {
-        let _ = parallel_map(vec![0u32, 1, 2, 3], 2, |x| {
-            assert_ne!(x, 2, "worker exploded");
-            x
+        let call = std::panic::catch_unwind(|| {
+            parallel_map(vec![0u32, 1, 2, 3], 2, |x| {
+                assert_ne!(x, 2, "worker exploded");
+                x
+            })
         });
+        assert!(call.is_err(), "a job panicked, so the call must");
+    }
+
+    /// A `parallel_map` inside a pool job runs every nested job on that
+    /// job's thread, and the caller's pool mark is cleared on return. The
+    /// nested jobs sleep, so a nested pool's spawned workers would get
+    /// some of them.
+    #[test]
+    fn nested_calls_run_inline_on_the_worker() {
+        use std::thread::{self, ThreadId};
+        let nested: Vec<(ThreadId, Vec<ThreadId>)> = parallel_map(vec![(); 4], 2, |()| {
+            let inner = parallel_map(vec![(); 3], 4, |()| {
+                thread::sleep(std::time::Duration::from_millis(5));
+                thread::current().id()
+            });
+            (thread::current().id(), inner)
+        });
+        for (outer, inner) in &nested {
+            assert_eq!(inner, &vec![*outer; 3]);
+        }
+        assert!(!IN_POOL.with(Cell::get), "the caller left the pool");
     }
 
     fn e2_style_jobs(seed: u64) -> Vec<RunSpec> {

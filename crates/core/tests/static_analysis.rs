@@ -327,7 +327,8 @@ fn mdw_lint_cli_flags_the_shipped_deadlock_config() {
 
 /// `mdw-lint --model-check` flag handling: a `--model-switches` bound
 /// that selects no scenario is a usage error rather than a vacuous pass,
-/// the removed `--model-jobs` and `--certify` flags are unknown, and the
+/// a bad `--model-mode` or `--model-switches` value is echoed with the
+/// usage, the removed `--model-jobs` and `--certify` flags are unknown, and the
 /// 16-switch tier verifies through compositional mode with a stats line
 /// that carries only the verdict, counts and wall time.
 #[test]
@@ -342,11 +343,7 @@ fn mdw_lint_model_check_flags() {
             .expect("run mdw-lint")
     };
 
-    for args in [
-        &["--model-switches", "0"][..],
-        &["--model-jobs", "4"],
-        &["--certify"],
-    ] {
+    for args in [&["--model-jobs", "4"][..], &["--certify"]] {
         let out = run(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         let err = String::from_utf8_lossy(&out.stderr);
@@ -355,6 +352,19 @@ fn mdw_lint_model_check_flags() {
             out.stdout.is_empty(),
             "{args:?} must check nothing: {out:?}"
         );
+    }
+
+    for (args, echoed) in [
+        (&["--model-mode", "bogus"][..], "`bogus`"),
+        (&["--model-switches", "abc"], "`abc`"),
+        (&["--model-switches", "0"], "`0`"),
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(echoed), "{args:?}: {err}");
+        assert!(err.contains("usage: mdw-lint"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
     }
 
     let out = run(&["--model-switches", "16", "--model-stats"]);

@@ -223,3 +223,40 @@ fn e18_fault_storm_is_identical_across_worker_counts() {
     // And the storm actually stormed.
     assert!(serial.iter().all(|r| r.reroutes > 0 && r.suppressions > 0));
 }
+
+#[test]
+fn crash_sweep_is_identical_across_worker_counts() {
+    // The E19 shape at phase 400 on 4 hosts, with one torn-tail size.
+    // Only the wall-clock recovery latencies may differ between pools.
+    // Worker counts are passed explicitly so this test cannot race other
+    // tests over the global pool setting.
+    use mdworm::chaos::run_crash_sweep_with_jobs;
+    use mdworm::experiments::{e19_config, e19_run};
+    let base = SystemConfig {
+        topology: TopologyKind::KaryTree { k: 2, n: 2 },
+        ..SystemConfig::default()
+    };
+    let spec = TrafficSpec::multiple_multicast(0.02, 2, 8);
+    let run = e19_run(400);
+    for arch in [SwitchArch::CentralBuffer, SwitchArch::InputBuffered] {
+        let cfg = e19_config(&base, arch);
+        let serial = run_crash_sweep_with_jobs(&cfg, &spec, &run, &[8], 1);
+        let parallel = run_crash_sweep_with_jobs(&cfg, &spec, &run, &[8], 4);
+        assert!(serial.boundaries > 0, "{arch:?}");
+        assert_eq!(serial.boundaries, parallel.boundaries, "{arch:?}");
+        assert_eq!(serial.runs, parallel.runs, "{arch:?}");
+        assert_eq!(serial.mismatches, parallel.mismatches, "{arch:?}");
+        assert_eq!(serial.torn_cycles, parallel.torn_cycles, "{arch:?}");
+        assert_eq!(serial.recoveries, parallel.recoveries, "{arch:?}");
+        assert_eq!(
+            serial.recovery_ns.count(),
+            parallel.recovery_ns.count(),
+            "{arch:?}"
+        );
+        assert_eq!(
+            format!("{:?}", serial.oracle),
+            format!("{:?}", parallel.oracle),
+            "{arch:?}"
+        );
+    }
+}
