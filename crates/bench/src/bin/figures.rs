@@ -7,8 +7,8 @@
 //! cargo run --release -p mdw-bench --bin figures -- --scale quick --jobs 4 --bench
 //! ```
 //!
-//! `--jobs N` sizes the sweep worker pool (default: `MDWORM_JOBS`, else
-//! available parallelism). `--bench` runs the selected suite twice —
+//! `--jobs N` sizes the sweep worker pool (default: available
+//! parallelism). `--bench` runs the selected suite twice —
 //! serial then parallel — verifies the outputs are byte-identical, times
 //! the reference-vs-scheduled engine grid, the control plane (including
 //! the crash sweep on one worker vs the pool) and the model checker, and

@@ -51,7 +51,7 @@ fn timed<T: TableRow>(
 /// experiment id like `"e2"`) at the given scale.
 ///
 /// Runs fan out over the sweep worker pool configured through
-/// [`mdworm::sweep::set_jobs`] / `MDWORM_JOBS`; table contents are
+/// [`mdworm::sweep::set_jobs`] (`figures --jobs N`); table contents are
 /// identical for every pool size.
 pub fn run_suite(base: &SystemConfig, scale: Scale, exp_filter: &str) -> Vec<Table> {
     run_suite_timed(base, scale, exp_filter)

@@ -51,7 +51,7 @@ use mdw_analysis::{
     check_model_opts, ArchClass, CheckOutcome, Json, ModelBounds, ModelMode, ModelOptions,
 };
 use mdworm::cfgtext::parse_config;
-use mdworm::config::{SwitchArch, SystemConfig};
+use mdworm::config::SystemConfig;
 use switches::ReplicationMode;
 
 fn main() {
@@ -159,10 +159,7 @@ fn main() {
         if model_check && !report.has_errors() {
             // Statically broken configs already fail the lint; only sound
             // ones earn the (more expensive) state-space exploration.
-            let arch = match cfg.arch {
-                SwitchArch::CentralBuffer => ArchClass::CentralBuffer,
-                SwitchArch::InputBuffered => ArchClass::InputBuffered,
-            };
+            let arch = ArchClass::from(cfg.arch);
             let sync = cfg.switch.replication == ReplicationMode::Synchronous;
             let bounds = ModelBounds {
                 max_switches: model_switches.unwrap_or(ModelBounds::default().max_switches),

@@ -84,6 +84,15 @@ pub enum SwitchArch {
     InputBuffered,
 }
 
+impl From<SwitchArch> for ArchClass {
+    fn from(arch: SwitchArch) -> Self {
+        match arch {
+            SwitchArch::CentralBuffer => ArchClass::CentralBuffer,
+            SwitchArch::InputBuffered => ArchClass::InputBuffered,
+        }
+    }
+}
+
 /// Which multicast implementation hosts use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum McastImpl {
@@ -248,11 +257,7 @@ impl SystemConfig {
             report.error("topology-shape", message);
             return report;
         }
-        let arch_class = match self.arch {
-            SwitchArch::CentralBuffer => ArchClass::CentralBuffer,
-            SwitchArch::InputBuffered => ArchClass::InputBuffered,
-        };
-        switch_sizing(&self.effective_switch(), arch_class, &mut report);
+        switch_sizing(&self.effective_switch(), self.arch.into(), &mut report);
 
         if self.mcast == McastImpl::HwMultiport
             && !matches!(self.topology, TopologyKind::KaryTree { .. })

@@ -13,8 +13,8 @@
 //!
 //! Every sweep is a cross-product of *independent* deterministic runs, so
 //! each experiment builds its full job list up front and fans it out over
-//! the [`crate::sweep`] worker pool (`figures --jobs N` / `MDWORM_JOBS`;
-//! defaults to available parallelism). Results return in submission order,
+//! the [`crate::sweep`] worker pool (`figures --jobs N`; defaults to
+//! available parallelism). Results return in submission order,
 //! so tables are bit-identical to a serial run.
 
 use crate::build::build_system;

@@ -81,7 +81,7 @@
 
 use crate::build::System;
 use crate::chaos::{ChaosHandle, ChaosMode, Crashed};
-use crate::config::{SwitchArch, SystemConfig};
+use crate::config::SystemConfig;
 use crate::journal::{
     EpisodeOutcome, Journal, JournalConfig, JournalRecord, JournalStore, ResponderSnapshot,
 };
@@ -421,12 +421,8 @@ pub(crate) fn model_verdict_entries(key: &ModelKey) -> usize {
 /// and policy, the fabric-size bound ([`deep_vet_switches`]) and the
 /// configured exact/compositional mode.
 pub(crate) fn deep_vet_key(config: &SystemConfig, n_switches: usize) -> ModelKey {
-    let arch = match config.arch {
-        SwitchArch::CentralBuffer => ArchClass::CentralBuffer,
-        SwitchArch::InputBuffered => ArchClass::InputBuffered,
-    };
     (
-        arch,
+        config.arch.into(),
         config.switch.replication == ReplicationMode::Synchronous,
         config.switch.policy,
         ModelBounds {

@@ -17,9 +17,9 @@
 //!   serial run regardless of worker count or scheduling.
 //!
 //! The pool size comes from [`jobs`]: an explicit [`set_jobs`] override
-//! (e.g. the `figures --jobs N` flag), else the `MDWORM_JOBS` environment
-//! variable, else [`std::thread::available_parallelism`] — clamped to the
-//! host's CPU count, since oversubscribing a CPU-bound sweep only adds
+//! (e.g. the `figures --jobs N` flag), else
+//! [`std::thread::available_parallelism`] — clamped to the host's CPU
+//! count, since oversubscribing a CPU-bound sweep only adds
 //! overhead.
 //!
 //! The calling thread is one of the pool's workers: a pool of `n` spawns
@@ -39,38 +39,29 @@ use std::sync::Mutex;
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Overrides the worker-pool size for all subsequent sweeps (0 clears the
-/// override, falling back to `MDWORM_JOBS` / available parallelism).
+/// override, falling back to available parallelism).
 pub fn set_jobs(n: usize) {
     JOBS_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// The worker-pool size sweeps use: [`set_jobs`] override, else the
-/// `MDWORM_JOBS` environment variable, else available parallelism — in
-/// every case clamped to the host's CPU count. Requesting more workers
+/// The worker-pool size sweeps use: [`set_jobs`] override, else available
+/// parallelism — in every case clamped to the host's CPU count. Requesting more workers
 /// than cores never helps a CPU-bound sweep: the extra threads just add
 /// submission and contention overhead (measured as the `speedup: 0.888`
 /// regression in `results/BENCH_sweep.json` on a 1-core host), and at an
 /// effective count of 1 [`parallel_map`] skips the pool entirely.
 pub fn jobs() -> usize {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    resolve_jobs(
-        JOBS_OVERRIDE.load(Ordering::Relaxed),
-        std::env::var("MDWORM_JOBS").ok().as_deref(),
-    )
-    .min(host_cpus)
+    resolve_jobs(JOBS_OVERRIDE.load(Ordering::Relaxed), host_cpus)
 }
 
 /// Pure resolution logic behind [`jobs`], separated for testability.
-fn resolve_jobs(override_n: usize, env: Option<&str>) -> usize {
+fn resolve_jobs(override_n: usize, host_cpus: usize) -> usize {
     if override_n > 0 {
-        return override_n;
+        override_n.min(host_cpus)
+    } else {
+        host_cpus
     }
-    if let Some(n) = env.and_then(|v| v.trim().parse::<usize>().ok()) {
-        if n > 0 {
-            return n;
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 thread_local! {
@@ -244,12 +235,9 @@ mod tests {
 
     #[test]
     fn jobs_resolution_precedence() {
-        assert_eq!(resolve_jobs(3, Some("7")), 3, "override wins");
-        assert_eq!(resolve_jobs(0, Some("7")), 7, "env var next");
-        assert_eq!(resolve_jobs(0, Some(" 5 ")), 5, "env var is trimmed");
-        let fallback = resolve_jobs(0, Some("garbage"));
-        assert!(fallback >= 1, "bad env falls back to parallelism");
-        assert_eq!(resolve_jobs(0, None), resolve_jobs(0, Some("0")));
+        assert_eq!(resolve_jobs(3, 8), 3, "override wins");
+        assert_eq!(resolve_jobs(0, 8), 8, "unset falls back to parallelism");
+        assert_eq!(resolve_jobs(16, 8), 8, "override clamped to the host");
     }
 
     #[test]

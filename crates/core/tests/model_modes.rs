@@ -15,7 +15,7 @@ use mdw_analysis::{
     check_model_opts, ArchClass, CheckOutcome, ModelBounds, ModelMode, ModelOptions,
 };
 use mdworm::cfgtext::parse_config;
-use mdworm::config::{SwitchArch, SystemConfig};
+use mdworm::config::SystemConfig;
 use switches::ReplicationMode;
 
 /// Parses every shipped `configs/*.mdw` whose static lint is clean
@@ -47,11 +47,10 @@ fn shipped_configs() -> Vec<(String, SystemConfig)> {
 }
 
 fn model_inputs(cfg: &SystemConfig) -> (ArchClass, bool) {
-    let arch = match cfg.arch {
-        SwitchArch::CentralBuffer => ArchClass::CentralBuffer,
-        SwitchArch::InputBuffered => ArchClass::InputBuffered,
-    };
-    (arch, cfg.switch.replication == ReplicationMode::Synchronous)
+    (
+        cfg.arch.into(),
+        cfg.switch.replication == ReplicationMode::Synchronous,
+    )
 }
 
 /// Every mode reaches the same verdict as the oracle on every shipped

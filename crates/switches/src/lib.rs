@@ -16,10 +16,11 @@
 //! logic in `decode` (internal) and are parameterized by
 //! [`config::SwitchConfig`]. Per-switch counters land in
 //! [`stats::SwitchStats`]. The chunk-allocate / replicate / credit-return
-//! step logic of both architectures is factored into pure
-//! `step(state, event) -> (state, effect)` cores in [`semantics`], which
-//! the `mdw-analysis` bounded model checker explores exhaustively and the
-//! trace-conformance replay re-drives from recorded simulator events.
+//! logic of both architectures is factored into plain state types with
+//! one mutating method per transition in [`semantics`]; the switches call
+//! those methods on their live state, and the `mdw-analysis` bounded model
+//! checker calls the same methods on cloned states to explore them
+//! exhaustively.
 //!
 //! Deadlock freedom rests on the paper's condition — *a packet accepted for
 //! transmission can eventually be completely buffered* — enforced here by
@@ -42,5 +43,5 @@ pub use config::{ConfigError, ReplicationMode, SwitchConfig, UpSelect};
 pub use ctl::SwitchCtl;
 pub use decode::verify_bitstring_roundtrip;
 pub use input_buffered::InputBufferedSwitch;
-pub use semantics::{CqEffect, CqEvent, CqState, IbHeadState, ReplState};
+pub use semantics::{CqState, IbHeadState, ReplState};
 pub use stats::{BlockedWormSnap, SwitchSnapshot, SwitchStats};

@@ -2,30 +2,31 @@
 //! I/O and no access to simulator internals.
 //!
 //! The chunk-allocate / replicate / credit-return logic of both switch
-//! architectures lives here as plain value types. Each machine has one
-//! transition body, `apply(&mut state, event) -> effect`, which mutates in
-//! place and allocates nothing on the per-flit paths; the pure
-//! `step(&state, event) -> (state, effect)` form the model checker
-//! explores is a clone plus that same body:
+//! architectures lives here as plain value types. Each transition is one
+//! mutating method of its state type, which allocates nothing on the
+//! per-flit paths:
 //!
-//! * [`CqState`] / [`cq_apply`] — central-queue space accounting with the
-//!   descending-traffic reserve and per-class single-waiter reservation
-//!   accumulators (paper §4: "a packet accepted for transmission can
-//!   eventually be completely buffered");
-//! * [`ReplState`] / [`repl_apply`] — the shared writer of a packet stored
-//!   once in the central queue, with per-chunk reference counts freed by
-//!   the slowest branch (asynchronous replication);
-//! * [`IbHeadState`] / [`ib_apply`] — per-branch read cursors, grants, and
-//!   FIFO credit recycle of the input-buffered head packet (paper §5).
+//! * [`CqState`] ([`CqState::try_reserve`], [`CqState::release_chunk`]) —
+//!   central-queue space accounting with the descending-traffic reserve
+//!   and per-class single-waiter reservation accumulators (paper §4: "a
+//!   packet accepted for transmission can eventually be completely
+//!   buffered");
+//! * [`ReplState`] ([`ReplState::set_branches`], [`ReplState::write_flit`],
+//!   [`ReplState::release`]) — the shared writer of a packet stored once
+//!   in the central queue, with per-chunk reference counts freed by the
+//!   slowest branch (asynchronous replication);
+//! * [`IbHeadState`] ([`IbHeadState::grant`], [`IbHeadState::read_flit`],
+//!   [`IbHeadState::read_lockstep`], [`IbHeadState::recycle`]) — per-branch
+//!   read cursors, grants, and FIFO credit recycle of the input-buffered
+//!   head packet (paper §5).
 //!
 //! The live simulators ([`crate::CentralBufferSwitch`],
-//! [`crate::InputBufferedSwitch`]) drive these cores in place through the
-//! mutating convenience wrappers; the bounded model checker
-//! (`mdw-analysis`'s `model` module) explores the very same transition
-//! bodies, through [`cq_step`] / [`repl_step`] / [`ib_step`], over
-//! abstract fabrics. Both run one body — that is the point of the
-//! extraction. [`CqState`]'s fields are private, so nothing but
-//! [`cq_apply`] and [`CqState::new`] can change central-queue accounting.
+//! [`crate::InputBufferedSwitch`]) call these methods on their own state;
+//! the bounded model checker (`mdw-analysis`'s `model` module) calls the
+//! very same methods on a clone per explored transition, over abstract
+//! fabrics. Both run one body — that is the point of the extraction.
+//! [`CqState`]'s fields are private, so nothing but its own methods can
+//! change central-queue accounting.
 //!
 //! Every state type derives `Clone + PartialEq + Eq + Hash` so the model
 //! checker can use it directly as a canonical hash key.
@@ -55,9 +56,9 @@ pub struct ResvSlot {
 ///   its demand is met, so streams of small packets cannot starve a large
 ///   worm and two worms never hold mutually blocking partial reservations.
 ///
-/// The fields are private: [`CqState::new`] and [`cq_apply`] are the only
-/// writers, so the live switch and the model checker cannot account chunks
-/// any other way.
+/// The fields are private: [`CqState::new`], [`CqState::try_reserve`] and
+/// [`CqState::release_chunk`] are the only writers, so the live switch and
+/// the model checker cannot account chunks any other way.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CqState {
     /// Total chunk capacity.
@@ -70,121 +71,6 @@ pub struct CqState {
     resv_desc: Option<ResvSlot>,
     /// Accumulator of the waiting ascending reservation, if any.
     resv_asc: Option<ResvSlot>,
-}
-
-/// One input event of the central-queue accounting machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CqEvent {
-    /// Input `input` asks for the full-packet reservation of `need` chunks
-    /// in the given traffic class.
-    Reserve {
-        /// Requesting input port (or virtual input).
-        input: usize,
-        /// Chunks the whole packet occupies.
-        need: usize,
-        /// `true` if the packet arrived through an up port (descending).
-        descending: bool,
-    },
-    /// One chunk's last reader finished; route it to a waiter or the pool.
-    Release,
-}
-
-/// The observable outcome of one [`cq_step`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CqEffect {
-    /// The reservation was granted; the caller may start absorbing.
-    Granted,
-    /// The reservation is not (yet) granted; the caller must retry.
-    Denied,
-    /// A released chunk was routed (to a waiter or back to the pool).
-    Released,
-}
-
-/// The transition body of the central-queue accounting machine: applies
-/// `event` to `s` in place and returns its observable outcome.
-///
-/// # Panics
-///
-/// Panics on chunk over-release (more [`CqEvent::Release`]s than allocated
-/// chunks) — a protocol violation, not a reachable state.
-pub fn cq_apply(s: &mut CqState, event: CqEvent) -> CqEffect {
-    match event {
-        CqEvent::Release => {
-            if let Some(r) = &mut s.resv_desc {
-                if r.got < r.need {
-                    r.got += 1;
-                    return CqEffect::Released;
-                }
-            }
-            if s.free >= s.reserve {
-                if let Some(r) = &mut s.resv_asc {
-                    if r.got < r.need {
-                        r.got += 1;
-                        return CqEffect::Released;
-                    }
-                }
-            }
-            s.free += 1;
-            assert!(
-                s.free <= s.capacity,
-                "central-queue chunk over-released past capacity"
-            );
-            CqEffect::Released
-        }
-        CqEvent::Reserve {
-            input,
-            need,
-            descending,
-        } => {
-            let avail = if descending {
-                s.free
-            } else {
-                s.free.saturating_sub(s.reserve)
-            };
-            let slot = if descending {
-                &mut s.resv_desc
-            } else {
-                &mut s.resv_asc
-            };
-            match slot {
-                Some(r) if r.input == input => {
-                    if r.got == r.need {
-                        *slot = None;
-                        CqEffect::Granted
-                    } else {
-                        CqEffect::Denied
-                    }
-                }
-                Some(_) => CqEffect::Denied,
-                None => {
-                    if avail >= need {
-                        s.free -= need;
-                        CqEffect::Granted
-                    } else {
-                        s.free -= avail;
-                        *slot = Some(ResvSlot {
-                            input,
-                            need,
-                            got: avail,
-                        });
-                        CqEffect::Denied
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The pure transition function of the central-queue accounting machine:
-/// [`cq_apply`] on a clone of `state`.
-///
-/// # Panics
-///
-/// As [`cq_apply`].
-pub fn cq_step(state: &CqState, event: CqEvent) -> (CqState, CqEffect) {
-    let mut s = state.clone();
-    let effect = cq_apply(&mut s, event);
-    (s, effect)
 }
 
 impl CqState {
@@ -231,22 +117,72 @@ impl CqState {
     }
 
     /// Routes a freed chunk: descending waiter first, then (above the
-    /// reserve floor) the ascending waiter, then the pool. In-place
-    /// wrapper over [`cq_apply`].
+    /// reserve floor) the ascending waiter, then the pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics on chunk over-release (more releases than allocated chunks)
+    /// — a protocol violation, not a reachable state.
     pub fn release_chunk(&mut self) {
-        cq_apply(self, CqEvent::Release);
+        if let Some(r) = &mut self.resv_desc {
+            if r.got < r.need {
+                r.got += 1;
+                return;
+            }
+        }
+        if self.free >= self.reserve {
+            if let Some(r) = &mut self.resv_asc {
+                if r.got < r.need {
+                    r.got += 1;
+                    return;
+                }
+            }
+        }
+        self.free += 1;
+        assert!(
+            self.free <= self.capacity,
+            "central-queue chunk over-released past capacity"
+        );
     }
 
     /// Attempts the full-packet reservation for input `i` needing `need`
-    /// chunks of the given class, via the class's accumulator. In-place
-    /// wrapper over [`cq_apply`]; returns `true` on grant.
+    /// chunks of the given class, via the class's accumulator; returns
+    /// `true` on grant. A refused request that finds its class's
+    /// accumulator empty claims it with whatever the class may take now.
     pub fn try_reserve(&mut self, i: usize, need: usize, descending: bool) -> bool {
-        let event = CqEvent::Reserve {
-            input: i,
-            need,
-            descending,
+        let avail = if descending {
+            self.free
+        } else {
+            self.free.saturating_sub(self.reserve)
         };
-        cq_apply(self, event) == CqEffect::Granted
+        let slot = if descending {
+            &mut self.resv_desc
+        } else {
+            &mut self.resv_asc
+        };
+        match slot {
+            Some(r) if r.input == i => {
+                let granted = r.got == r.need;
+                if granted {
+                    *slot = None;
+                }
+                granted
+            }
+            Some(_) => false,
+            None if avail >= need => {
+                self.free -= need;
+                true
+            }
+            None => {
+                self.free -= avail;
+                *slot = Some(ResvSlot {
+                    input: i,
+                    need,
+                    got: avail,
+                });
+                false
+            }
+        }
     }
 }
 
@@ -268,84 +204,6 @@ pub struct ReplState {
     pub n_branches: u8,
     /// Remaining readers per chunk sequence number.
     pub refs: Vec<u8>,
-}
-
-/// One input event of the shared-writer / replication machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplEvent {
-    /// The routing decision fixed the branch fan-out at `n`; chunks already
-    /// written (absorption may precede decision) are fixed up.
-    SetBranches(usize),
-    /// One flit moved from staging into the central queue, allocating a
-    /// fresh chunk first when the previous one is full.
-    WriteFlit,
-    /// One branch finished reading chunk `idx`.
-    ReleaseChunk(usize),
-}
-
-/// The observable outcome of one [`repl_step`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplEffect {
-    /// State updated; nothing for the caller to propagate.
-    None,
-    /// The write allocated a fresh chunk (space was pre-reserved).
-    ChunkAllocated,
-    /// The released chunk's last reader left; return it to the pool
-    /// (a [`CqEvent::Release`] on the owning queue).
-    ChunkFreed,
-}
-
-/// The transition body of the shared-writer machine: applies `event` to
-/// `s` in place and returns its observable outcome.
-///
-/// # Panics
-///
-/// Panics on protocol violations: fan-out not fitting `u8`, writing past
-/// `total`, or over-releasing a chunk.
-pub fn repl_apply(s: &mut ReplState, event: ReplEvent) -> ReplEffect {
-    match event {
-        ReplEvent::SetBranches(n) => {
-            let n = u8::try_from(n).expect("fan-out fits in u8");
-            s.n_branches = n;
-            s.refs.fill(n);
-            ReplEffect::None
-        }
-        ReplEvent::WriteFlit => {
-            assert!(s.written < s.total, "write past end of packet");
-            let allocated = s.needs_chunk();
-            if allocated {
-                s.refs.push(s.n_branches);
-            }
-            s.written += 1;
-            if allocated {
-                ReplEffect::ChunkAllocated
-            } else {
-                ReplEffect::None
-            }
-        }
-        ReplEvent::ReleaseChunk(idx) => {
-            let r = &mut s.refs[idx];
-            assert!(*r > 0, "chunk {idx} over-released");
-            *r -= 1;
-            if *r == 0 {
-                ReplEffect::ChunkFreed
-            } else {
-                ReplEffect::None
-            }
-        }
-    }
-}
-
-/// The pure transition function of the shared-writer machine:
-/// [`repl_apply`] on a clone of `state`.
-///
-/// # Panics
-///
-/// As [`repl_apply`].
-pub fn repl_step(state: &ReplState, event: ReplEvent) -> (ReplState, ReplEffect) {
-    let mut s = state.clone();
-    let effect = repl_apply(&mut s, event);
-    (s, effect)
 }
 
 impl ReplState {
@@ -376,23 +234,44 @@ impl ReplState {
         self.written < self.total && self.written.is_multiple_of(self.chunk_flits)
     }
 
-    /// Absorbs one flit (allocating a chunk when needed; space is
-    /// guaranteed by the admission reservation). In-place wrapper over
-    /// [`repl_apply`].
+    /// Absorbs one flit, allocating a fresh chunk first when the previous
+    /// one is full (space is guaranteed by the admission reservation).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a write past `total`.
     pub fn write_flit(&mut self) {
-        repl_apply(self, ReplEvent::WriteFlit);
+        assert!(self.written < self.total, "write past end of packet");
+        if self.needs_chunk() {
+            self.refs.push(self.n_branches);
+        }
+        self.written += 1;
     }
 
-    /// Sets the branch fan-out once the routing decision is made. In-place
-    /// wrapper over [`repl_apply`].
+    /// Sets the branch fan-out once the routing decision is made; chunks
+    /// already written (absorption may precede the decision) are fixed
+    /// up.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the fan-out fits `u8`.
     pub fn set_branches(&mut self, n: usize) {
-        repl_apply(self, ReplEvent::SetBranches(n));
+        let n = u8::try_from(n).expect("fan-out fits in u8");
+        self.n_branches = n;
+        self.refs.fill(n);
     }
 
     /// One branch finished reading chunk `idx`; returns `true` if the
-    /// chunk is now free. In-place wrapper over [`repl_apply`].
+    /// chunk is now free (its last reader left).
+    ///
+    /// # Panics
+    ///
+    /// Panics on over-releasing a chunk.
     pub fn release(&mut self, idx: usize) -> bool {
-        repl_apply(self, ReplEvent::ReleaseChunk(idx)) == ReplEffect::ChunkFreed
+        let r = &mut self.refs[idx];
+        assert!(*r > 0, "chunk {idx} over-released");
+        *r -= 1;
+        *r == 0
     }
 }
 
@@ -427,114 +306,6 @@ pub struct IbHeadState {
     pub freed: u16,
 }
 
-/// One input event of the input-buffered head machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IbEvent {
-    /// Branch `branch` won its output-port arbitration.
-    Grant {
-        /// Index into [`IbHeadState::branches`].
-        branch: usize,
-    },
-    /// Branch `branch` streams one flit (asynchronous replication).
-    ReadFlit {
-        /// Index into [`IbHeadState::branches`].
-        branch: usize,
-    },
-    /// Every branch streams one flit in lock-step (synchronous
-    /// replication — the rejected alternative the checker shows deadlocks).
-    ReadLockStep,
-    /// Advance the credit-recycle watermark to the slowest branch.
-    Recycle,
-}
-
-/// The observable outcome of one [`ib_step`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IbEffect {
-    /// State updated; nothing for the caller to propagate.
-    None,
-    /// These output ports' branches just finished; their transmitters are
-    /// released.
-    BranchesDone(Vec<usize>),
-    /// Return this many credits upstream (freshly recycled buffer flits).
-    Credits(u16),
-}
-
-/// The transition body of the input-buffered head machine: applies
-/// `event` to `s` in place and returns its observable outcome.
-///
-/// # Panics
-///
-/// Panics on protocol violations: granting a granted/done branch, reading
-/// past `total` or without a grant, or lock-step reading with diverged
-/// cursors.
-pub fn ib_apply(s: &mut IbHeadState, event: IbEvent) -> IbEffect {
-    match event {
-        IbEvent::Grant { branch } => {
-            let b = &mut s.branches[branch];
-            assert!(!b.granted && !b.done, "grant to a granted or done branch");
-            b.granted = true;
-            IbEffect::None
-        }
-        IbEvent::ReadFlit { branch } => {
-            let total = s.total;
-            let b = &mut s.branches[branch];
-            assert!(b.granted && !b.done, "read without an active grant");
-            assert!(b.read < total, "read past end of packet");
-            b.read += 1;
-            if b.read == total {
-                b.done = true;
-                IbEffect::BranchesDone(vec![b.port])
-            } else {
-                IbEffect::None
-            }
-        }
-        IbEvent::ReadLockStep => {
-            assert!(
-                s.branches.iter().all(|b| b.granted && !b.done),
-                "lock-step read requires every branch granted and live"
-            );
-            let read = s.branches[0].read;
-            assert!(
-                s.branches.iter().all(|b| b.read == read),
-                "lock-step branches diverged"
-            );
-            assert!(read < s.total, "read past end of packet");
-            let total = s.total;
-            let mut done_ports = Vec::new();
-            for b in &mut s.branches {
-                b.read += 1;
-                if b.read == total {
-                    b.done = true;
-                    done_ports.push(b.port);
-                }
-            }
-            if done_ports.is_empty() {
-                IbEffect::None
-            } else {
-                IbEffect::BranchesDone(done_ports)
-            }
-        }
-        IbEvent::Recycle => {
-            let min_read = s.min_read();
-            let newly = min_read - s.freed;
-            s.freed = min_read;
-            IbEffect::Credits(newly)
-        }
-    }
-}
-
-/// The pure transition function of the input-buffered head machine:
-/// [`ib_apply`] on a clone of `state`.
-///
-/// # Panics
-///
-/// As [`ib_apply`].
-pub fn ib_step(state: &IbHeadState, event: IbEvent) -> (IbHeadState, IbEffect) {
-    let mut s = state.clone();
-    let effect = ib_apply(&mut s, event);
-    (s, effect)
-}
-
 impl IbHeadState {
     /// A freshly decoded head packet with branches on `ports`.
     pub fn new(total: u16, ports: impl IntoIterator<Item = usize>) -> Self {
@@ -553,37 +324,71 @@ impl IbHeadState {
         }
     }
 
-    /// Grants branch `branch` its output. In-place wrapper over
-    /// [`ib_apply`].
+    /// Grants branch `branch` its output.
+    ///
+    /// # Panics
+    ///
+    /// Panics on granting a granted or done branch.
     pub fn grant(&mut self, branch: usize) {
-        ib_apply(self, IbEvent::Grant { branch });
+        let b = &mut self.branches[branch];
+        assert!(!b.granted && !b.done, "grant to a granted or done branch");
+        b.granted = true;
     }
 
-    /// Streams one flit on branch `branch`; returns `true` when the branch
-    /// just finished. In-place wrapper over [`ib_apply`].
+    /// Streams one flit on branch `branch` (asynchronous replication);
+    /// returns `true` when the branch just finished.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a read without an active grant or past `total`.
     pub fn read_flit(&mut self, branch: usize) -> bool {
-        matches!(
-            ib_apply(self, IbEvent::ReadFlit { branch }),
-            IbEffect::BranchesDone(_)
-        )
+        let total = self.total;
+        let b = &mut self.branches[branch];
+        assert!(b.granted && !b.done, "read without an active grant");
+        assert!(b.read < total, "read past end of packet");
+        b.read += 1;
+        b.done = b.read == total;
+        b.done
     }
 
-    /// Streams one flit on every branch in lock-step; returns the ports of
-    /// branches that just finished. In-place wrapper over [`ib_apply`].
+    /// Streams one flit on every branch in lock-step (synchronous
+    /// replication — the rejected alternative the checker shows
+    /// deadlocks); returns the ports of branches that just finished.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every branch is granted and live with equal cursors
+    /// short of `total`.
     pub fn read_lockstep(&mut self) -> Vec<usize> {
-        match ib_apply(self, IbEvent::ReadLockStep) {
-            IbEffect::BranchesDone(ports) => ports,
-            _ => Vec::new(),
+        assert!(
+            self.branches.iter().all(|b| b.granted && !b.done),
+            "lock-step read requires every branch granted and live"
+        );
+        let read = self.branches[0].read;
+        assert!(
+            self.branches.iter().all(|b| b.read == read),
+            "lock-step branches diverged"
+        );
+        assert!(read < self.total, "read past end of packet");
+        let total = self.total;
+        let mut done_ports = Vec::new();
+        for b in &mut self.branches {
+            b.read += 1;
+            if b.read == total {
+                b.done = true;
+                done_ports.push(b.port);
+            }
         }
+        done_ports
     }
 
-    /// Advances the recycle watermark; returns the credits to send
-    /// upstream. In-place wrapper over [`ib_apply`].
+    /// Advances the credit-recycle watermark to the slowest branch;
+    /// returns the credits to send upstream (freshly recycled flits).
     pub fn recycle(&mut self) -> u16 {
-        match ib_apply(self, IbEvent::Recycle) {
-            IbEffect::Credits(n) => n,
-            _ => 0,
-        }
+        let min_read = self.min_read();
+        let newly = min_read - self.freed;
+        self.freed = min_read;
+        newly
     }
 
     /// Every branch has streamed the whole packet.
@@ -682,35 +487,8 @@ mod accounting_tests {
 }
 
 #[cfg(test)]
-mod step_tests {
+mod method_tests {
     use super::*;
-
-    #[test]
-    fn cq_step_is_pure() {
-        let s0 = CqState::new(8, 2);
-        let (s1, e1) = cq_step(
-            &s0,
-            CqEvent::Reserve {
-                input: 0,
-                need: 4,
-                descending: false,
-            },
-        );
-        assert_eq!(e1, CqEffect::Granted);
-        assert_eq!(s0.free(), 8, "input state untouched");
-        assert_eq!(s1.free(), 4);
-        // Replaying the same event from the same state gives the same
-        // result.
-        let (s1b, e1b) = cq_step(
-            &s0,
-            CqEvent::Reserve {
-                input: 0,
-                need: 4,
-                descending: false,
-            },
-        );
-        assert_eq!((s1, e1), (s1b, e1b));
-    }
 
     #[test]
     fn repl_refcounts_free_on_last_reader() {

@@ -1,27 +1,21 @@
-//! Agreement between the extracted pure transition cores
-//! (`switches::semantics`) and the live switches that now call them.
+//! The switch protocols of `switches::semantics` against their own
+//! invariants and against a live switch.
 //!
-//! Three layers, all randomized (hand-rolled property tests over
+//! Randomized throughout (hand-rolled property tests over
 //! `netsim::rng::SimRng` — the container has no proptest, and the seeded
 //! generator keeps every failure reproducible from its case number):
 //!
 //! * **live drain** — a real `CentralBufferSwitch` runs random contended
 //!   traffic through a small central queue; every flit must be delivered
 //!   and every chunk must be back in the pool at quiescence. The switch
-//!   accounts chunks only through `CqState`, whose fields only `cq_apply`
-//!   and `CqState::new` write, so the layers below pin the transition
-//!   body the switch runs.
-//! * **wrapper agreement** — the mutating wrappers the switches call
-//!   (`CqState::try_reserve`/`release_chunk`, `IbHeadState::grant`/
-//!   `read_flit`/`read_lockstep`/`recycle`, `ReplState` ops) must remain
-//!   exactly the pure step applied to a clone, for random single-step
-//!   inputs from random reachable states. Today they delegate by
-//!   construction; this pins the equivalence against later "optimization"
-//!   of either side.
-//! * **in-place agreement** — folding random legal event sequences through
-//!   the in-place transition bodies (`cq_apply`, `repl_apply`, `ib_apply`)
-//!   and through the pure clone-and-step functions the model checker uses
-//!   must give equal states and equal effects after every event.
+//!   accounts chunks only through `CqState`, whose fields only its own
+//!   methods write.
+//! * **method walks** — seeded random legal walks of each machine's
+//!   methods (`CqState::try_reserve`/`release_chunk`, `ReplState`'s
+//!   writer and refcounted release, `IbHeadState::grant`/`read_flit`/
+//!   `read_lockstep`/`recycle`) check chunk conservation, chunk demand,
+//!   last-reader frees and the credit ledger after every step. The live
+//!   switches and the model checker call these same methods.
 
 use mintopo::route::RouteTables;
 use mintopo::topology::TopologyBuilder;
@@ -34,9 +28,6 @@ use netsim::Cycle;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
-use switches::semantics::{cq_apply, ib_apply, repl_apply};
-use switches::semantics::{cq_step, ib_step, repl_step};
-use switches::semantics::{CqEffect, CqEvent, IbEffect, IbEvent, ReplEvent};
 use switches::{CentralBufferSwitch, CqState, IbHeadState, ReplState, SwitchConfig, SwitchStats};
 
 /// Injects queued packets flit-by-flit at link rate.
@@ -181,45 +172,26 @@ fn live_central_buffer_drains_without_leaking_chunks() {
     assert!(waited > 0, "worlds never contended for the central queue");
 }
 
-/// `CqState`'s mutating wrappers vs [`cq_step`] on a random walk of
-/// single-step inputs: identical resulting state, matching effect.
+/// Random walks of reservations and releases: every chunk is always
+/// used, free or held by a waiter.
 #[test]
-fn cq_wrappers_agree_with_pure_step() {
+fn cq_walks_conserve_chunks() {
     let root = SimRng::new(0x5E_11A6);
     for case in 0..64u64 {
         let mut rng = root.fork(case);
         let reserve = rng.below(4);
         let capacity = 2 * reserve + 1 + rng.below(12);
-        let mut wrapped = CqState::new(capacity, reserve);
-        let mut stepped = wrapped.clone();
+        let mut cq = CqState::new(capacity, reserve);
         for op in 0..200 {
-            if rng.chance(0.6) {
+            if rng.chance(0.6) || cq.used() == 0 {
                 let input = rng.below(4);
                 let need = 1 + rng.below(capacity);
-                let descending = rng.chance(0.5);
-                let granted = wrapped.try_reserve(input, need, descending);
-                let (next, effect) = cq_step(
-                    &stepped,
-                    CqEvent::Reserve {
-                        input,
-                        need,
-                        descending,
-                    },
-                );
-                stepped = next;
-                assert_eq!(granted, effect == CqEffect::Granted, "case {case} op {op}");
+                cq.try_reserve(input, need, rng.chance(0.5));
             } else {
-                if wrapped.used() == 0 {
-                    continue; // nothing allocated: Release would underflow
-                }
-                wrapped.release_chunk();
-                let (next, effect) = cq_step(&stepped, CqEvent::Release);
-                stepped = next;
-                assert_eq!(effect, CqEffect::Released, "case {case} op {op}");
+                cq.release_chunk();
             }
-            assert_eq!(wrapped, stepped, "case {case} op {op}: states diverged");
             assert_eq!(
-                wrapped.used() + wrapped.free() + wrapped.waiter_held(),
+                cq.used() + cq.free() + cq.waiter_held(),
                 capacity,
                 "case {case} op {op}: chunk conservation"
             );
@@ -227,251 +199,119 @@ fn cq_wrappers_agree_with_pure_step() {
     }
 }
 
-/// `IbHeadState`'s mutating wrappers vs [`ib_step`] on random legal
-/// single-step inputs, with the credit ledger checked throughout.
+/// Random walks of the shared writer: absorption may come before the
+/// fan-out decision, and branch readers release chunks while later flits
+/// are written. A fresh chunk is demanded exactly at chunk boundaries,
+/// exactly the last reader of a chunk frees it, and every chunk is freed
+/// once.
 #[test]
-fn ib_wrappers_agree_with_pure_step() {
-    let root = SimRng::new(0x1B_A6);
-    for case in 0..64u64 {
-        let mut rng = root.fork(case);
-        let total = 1 + rng.below(24) as u16;
-        let n_branches = 1 + rng.below(4);
-        let ports: Vec<usize> = (0..n_branches).collect();
-        let lockstep = rng.chance(0.5);
-        let mut wrapped = IbHeadState::new(total, ports.iter().copied());
-        let mut stepped = wrapped.clone();
-        let mut credits_seen = 0u16;
-
-        loop {
-            // Pick a random legal event from the current state.
-            let ungranted: Vec<usize> = (0..n_branches)
-                .filter(|&b| !wrapped.branches[b].granted && !wrapped.branches[b].done)
-                .collect();
-            let readable: Vec<usize> = (0..n_branches)
-                .filter(|&b| wrapped.branches[b].granted && !wrapped.branches[b].done)
-                .collect();
-            let all_granted_equal = readable.len() == n_branches
-                && readable
-                    .iter()
-                    .all(|&b| wrapped.branches[b].read == wrapped.branches[0].read);
-
-            if !ungranted.is_empty() && (readable.is_empty() || rng.chance(0.4)) {
-                let b = ungranted[rng.below(ungranted.len())];
-                wrapped.grant(b);
-                let (next, effect) = ib_step(&stepped, IbEvent::Grant { branch: b });
-                stepped = next;
-                assert_eq!(effect, IbEffect::None, "case {case}: grant effect");
-            } else if lockstep && all_granted_equal {
-                let done = wrapped.read_lockstep();
-                let (next, effect) = ib_step(&stepped, IbEvent::ReadLockStep);
-                stepped = next;
-                match effect {
-                    IbEffect::BranchesDone(d) => assert_eq!(d, done, "case {case}"),
-                    IbEffect::None => assert!(done.is_empty(), "case {case}"),
-                    e => panic!("case {case}: unexpected lockstep effect {e:?}"),
-                }
-            } else if !readable.is_empty() {
-                let b = readable[rng.below(readable.len())];
-                let finished = wrapped.read_flit(b);
-                let (next, effect) = ib_step(&stepped, IbEvent::ReadFlit { branch: b });
-                stepped = next;
-                match effect {
-                    IbEffect::BranchesDone(d) => {
-                        assert_eq!(d, vec![b], "case {case}");
-                        assert!(finished, "case {case}");
-                    }
-                    IbEffect::None => assert!(!finished, "case {case}"),
-                    e => panic!("case {case}: unexpected read effect {e:?}"),
-                }
-            } else {
-                break; // every branch done
-            }
-
-            // Recycle whatever the min-read frontier has freed so far.
-            let freed = wrapped.recycle();
-            let (next, effect) = ib_step(&stepped, IbEvent::Recycle);
-            stepped = next;
-            assert_eq!(effect, IbEffect::Credits(freed), "case {case}: recycle");
-            credits_seen += freed;
-
-            assert_eq!(wrapped, stepped, "case {case}: states diverged");
-            assert!(wrapped.min_read() <= total, "case {case}");
-        }
-        assert!(wrapped.all_done(), "case {case}: walk must finish the worm");
-        credits_seen += wrapped.recycle();
-        assert_eq!(
-            credits_seen, total,
-            "case {case}: credit ledger must return exactly the packet"
-        );
-    }
-}
-
-/// `ReplState`'s mutating wrappers vs [`repl_step`] on random legal
-/// single-step inputs: write-side chunk demand and refcounted release.
-#[test]
-fn repl_wrappers_agree_with_pure_step() {
+fn repl_walks_free_every_chunk_once() {
     let root = SimRng::new(0x2E_71);
-    for case in 0..64u64 {
-        let mut rng = root.fork(case);
-        let chunk_flits = 1 + rng.below(8) as u16;
-        let total = 1 + rng.below(32) as u16;
-        let n_branches = 1 + rng.below(4);
-        let mut wrapped = ReplState::new(total, chunk_flits);
-        let mut stepped = wrapped.clone();
-
-        wrapped.set_branches(n_branches);
-        let (next, _) = repl_step(&stepped, ReplEvent::SetBranches(n_branches));
-        stepped = next;
-        assert_eq!(wrapped, stepped, "case {case}: set_branches");
-
-        while wrapped.written < total {
-            assert_eq!(
-                wrapped.needs_chunk(),
-                wrapped.written.is_multiple_of(chunk_flits),
-                "case {case}: chunk demand at flit {}",
-                wrapped.written
-            );
-            wrapped.write_flit();
-            let (next, _) = repl_step(&stepped, ReplEvent::WriteFlit);
-            stepped = next;
-            assert_eq!(wrapped, stepped, "case {case}: write diverged");
-        }
-
-        // Release every chunk from every branch in random order; exactly
-        // the last reference to each chunk must report it freed.
-        let n_chunks = wrapped.refs.len();
-        let mut order: Vec<usize> = (0..n_chunks)
-            .flat_map(|c| std::iter::repeat_n(c, n_branches))
-            .collect();
-        rng.shuffle(&mut order);
-        let mut freed = 0usize;
-        for (i, &chunk) in order.iter().enumerate() {
-            let last = wrapped.release(chunk);
-            let (next, effect) = repl_step(&stepped, ReplEvent::ReleaseChunk(chunk));
-            stepped = next;
-            assert_eq!(
-                effect == switches::semantics::ReplEffect::ChunkFreed,
-                last,
-                "case {case} release {i}"
-            );
-            assert_eq!(wrapped, stepped, "case {case} release {i}");
-            freed += usize::from(last);
-        }
-        assert_eq!(freed, n_chunks, "case {case}: every chunk freed once");
-    }
-}
-
-/// `*_apply` in place vs `*_step` on a clone, folded over random legal
-/// event sequences of all three machines: equal state and equal effect
-/// after every event.
-#[test]
-fn in_place_apply_agrees_with_pure_step() {
-    let root = SimRng::new(0xA9_9017);
     for case in 0..128u64 {
         let mut rng = root.fork(case);
-
-        // Central-queue accounting.
-        let reserve = rng.below(4);
-        let capacity = 2 * reserve + 1 + rng.below(12);
-        let mut applied = CqState::new(capacity, reserve);
-        let mut stepped = applied.clone();
-        for op in 0..200 {
-            let event = if rng.chance(0.6) || applied.used() == 0 {
-                CqEvent::Reserve {
-                    input: rng.below(4),
-                    need: 1 + rng.below(capacity),
-                    descending: rng.chance(0.5),
-                }
-            } else {
-                CqEvent::Release
-            };
-            let effect = cq_apply(&mut applied, event);
-            let (next, expected) = cq_step(&stepped, event);
-            stepped = next;
-            assert_eq!(effect, expected, "cq case {case} op {op}: {event:?}");
-            assert_eq!(applied, stepped, "cq case {case} op {op}: {event:?}");
-        }
-
-        // Shared writer: absorption may precede the routing decision, and
-        // branch readers release chunks while later flits are written.
         let chunk_flits = 1 + rng.below(8) as u16;
         let total = 1 + rng.below(32) as u16;
         let n_branches = 1 + rng.below(4);
         let decide_at = rng.below(usize::from(total) + 1) as u16;
-        let mut applied = ReplState::new(total, chunk_flits);
-        let mut stepped = applied.clone();
+        let mut w = ReplState::new(total, chunk_flits);
         let mut decided = false;
+        let mut released: Vec<usize> = Vec::new();
+        let mut freed = 0usize;
         for op in 0.. {
             let releasable: Vec<usize> = if decided {
-                (0..applied.refs.len())
-                    .filter(|&c| applied.refs[c] > 0)
-                    .collect()
+                (0..w.refs.len()).filter(|&c| w.refs[c] > 0).collect()
             } else {
                 Vec::new()
             };
-            let writable = applied.written < total;
-            let event = if !decided && applied.written >= decide_at {
+            if !decided && w.written >= decide_at {
                 decided = true;
-                ReplEvent::SetBranches(n_branches)
-            } else if writable && (releasable.is_empty() || rng.chance(0.5)) {
-                ReplEvent::WriteFlit
+                w.set_branches(n_branches);
+            } else if w.written < total && (releasable.is_empty() || rng.chance(0.5)) {
+                assert_eq!(
+                    w.needs_chunk(),
+                    w.written.is_multiple_of(chunk_flits),
+                    "case {case} op {op}: chunk demand at flit {}",
+                    w.written
+                );
+                w.write_flit();
+                released.resize(w.refs.len(), 0);
             } else if !releasable.is_empty() {
-                ReplEvent::ReleaseChunk(releasable[rng.below(releasable.len())])
+                let c = releasable[rng.below(releasable.len())];
+                released[c] += 1;
+                let last = w.release(c);
+                assert_eq!(
+                    last,
+                    released[c] == n_branches,
+                    "case {case} op {op}: release of chunk {c}"
+                );
+                freed += usize::from(last);
             } else {
                 break;
-            };
-            let effect = repl_apply(&mut applied, event);
-            let (next, expected) = repl_step(&stepped, event);
-            stepped = next;
-            assert_eq!(effect, expected, "repl case {case} op {op}: {event:?}");
-            assert_eq!(applied, stepped, "repl case {case} op {op}: {event:?}");
+            }
         }
-        assert!(applied.refs.iter().all(|&r| r == 0), "repl case {case}");
+        assert!(!w.needs_chunk(), "case {case}: fully written");
+        let n_chunks = usize::from(total.div_ceil(chunk_flits));
+        assert_eq!(w.refs.len(), n_chunks, "case {case}: chunks allocated");
+        assert_eq!(freed, n_chunks, "case {case}: every chunk freed once");
+        assert!(w.refs.iter().all(|&r| r == 0), "case {case}: refs left");
+    }
+}
 
-        // Input-buffered head: grants, asynchronous or lock-step reads, and
-        // recycles in random order.
+/// Random asynchronous and lock-step walks of an input-buffered head:
+/// grants, reads and recycles in random order. The walk finishes the
+/// worm; each read reports exactly the branches it finished; the
+/// recycled credits return exactly the packet.
+#[test]
+fn ib_walks_finish_the_worm_and_return_every_credit() {
+    let root = SimRng::new(0x1B_A6);
+    for case in 0..128u64 {
+        let mut rng = root.fork(case);
         let total = 1 + rng.below(24) as u16;
         let n_branches = 1 + rng.below(4);
         let lockstep = rng.chance(0.5);
-        let mut applied = IbHeadState::new(total, (0..n_branches).map(|b| 2 * b + 1));
-        let mut stepped = applied.clone();
+        let mut h = IbHeadState::new(total, (0..n_branches).map(|b| 2 * b + 1));
+        let mut credits = 0u16;
         for op in 0.. {
-            let branches = &applied.branches;
+            let branches = &h.branches;
             let ungranted: Vec<usize> = (0..n_branches)
                 .filter(|&b| !branches[b].granted && !branches[b].done)
                 .collect();
             let readable: Vec<usize> = (0..n_branches)
                 .filter(|&b| branches[b].granted && !branches[b].done)
                 .collect();
-            let lockstep_ready = readable.len() == n_branches
-                && readable
-                    .iter()
-                    .all(|&b| branches[b].read == branches[0].read);
-            let event = if rng.chance(0.25) {
-                IbEvent::Recycle
+            if rng.chance(0.25) {
+                credits += h.recycle();
             } else if !ungranted.is_empty() && (readable.is_empty() || rng.chance(0.4)) {
-                IbEvent::Grant {
-                    branch: ungranted[rng.below(ungranted.len())],
-                }
-            } else if lockstep && lockstep_ready {
-                IbEvent::ReadLockStep
+                h.grant(ungranted[rng.below(ungranted.len())]);
+            } else if lockstep && readable.len() == n_branches {
+                let done = h.read_lockstep();
+                let finished: Vec<usize> = h
+                    .branches
+                    .iter()
+                    .filter(|b| b.read == total)
+                    .map(|b| b.port)
+                    .collect();
+                assert_eq!(done, finished, "case {case} op {op}: lock-step done");
             } else if !lockstep && !readable.is_empty() {
-                IbEvent::ReadFlit {
-                    branch: readable[rng.below(readable.len())],
-                }
-            } else if applied.all_done() {
+                let b = readable[rng.below(readable.len())];
+                let finished = h.read_flit(b);
+                assert_eq!(
+                    finished,
+                    h.branches[b].read == total,
+                    "case {case} op {op}: branch {b} done"
+                );
+            } else if h.all_done() {
                 break;
             } else {
-                IbEvent::Recycle
-            };
-            let effect = ib_apply(&mut applied, event);
-            let (next, expected) = ib_step(&stepped, event);
-            stepped = next;
-            assert_eq!(effect, expected, "ib case {case} op {op}: {event:?}");
-            assert_eq!(applied, stepped, "ib case {case} op {op}: {event:?}");
+                credits += h.recycle();
+            }
+            assert!(h.min_read() <= total, "case {case} op {op}");
         }
-        ib_apply(&mut applied, IbEvent::Recycle);
-        assert_eq!(applied.freed, total, "ib case {case}: every flit recycled");
+        credits += h.recycle();
+        assert_eq!(
+            credits, total,
+            "case {case}: credit ledger must return exactly the packet"
+        );
     }
 }
 
